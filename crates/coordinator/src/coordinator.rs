@@ -5,12 +5,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use exec::ExecPool;
-use heartbeats::{observe_fleet, HeartbeatMonitor, MonitorObservation};
+use heartbeats::{HeartbeatMonitor, MonitorObservation};
 use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
 use seec::{CapDecision, SeecError, SeecRuntime};
 use workloads::{HeartbeatedWorkload, QuantumDemand};
 
-use crate::incremental::{IncrementalArbiter, WakeConfig};
+use crate::incremental::{ArbitrationSchedule, IncrementalArbiter, ScheduleError, WakeConfig};
 use crate::policy::{AppRequest, ArbitrationPolicy};
 
 /// Opaque handle to one application registered with a [`Coordinator`].
@@ -528,79 +528,111 @@ fn aggregate_requests(requests: &[AppRequest]) -> AppRequest {
     }
 }
 
-/// Runs the decide stage over one contiguous fleet chunk: records the award
-/// on every app and lets each *present* app decide under its envelope.
-/// Returns the chunk-local index and error of the first failing decision;
-/// earlier apps in the chunk keep the decisions already applied.
+/// Runs `stage` on every slot the ascending `list` names — the walk both
+/// per-app stages of [`Coordinator::step`] share. `stage` receives the
+/// slot's global index, its app, and its observation and request rows.
 ///
-/// With a `dirty` mask (the incremental path), clean apps skip the whole
-/// decide quantum — their held award and previous decision stand — and are
-/// counted [`Counter::AppsSkipped`]; dirty apps decide and are counted
-/// [`Counter::AppsRearbitrated`]. Without a mask (the full path) every
-/// present app decides and is counted [`Counter::AppsDecided`], so
-/// `skipped + rearbitrated + decided` sums to quanta × active fleet on
-/// either path.
-fn decide_chunk(
-    apps: &mut [ManagedApp],
-    observations: &[MonitorObservation],
-    awards: &[f64],
-    dirty: Option<&[bool]>,
-    now: f64,
-    quantum: usize,
-    observer: Option<&Recorder>,
-) -> Result<(), (usize, SeecError)> {
-    for (offset, ((app, observation), &award)) in
-        apps.iter_mut().zip(observations).zip(awards).enumerate()
-    {
-        let dirty = dirty.map(|dirty| dirty[offset]);
-        decide_one(app, observation, award, dirty, now, quantum, observer)
-            .map_err(|err| (offset, err))?;
-    }
-    Ok(())
-}
-
-/// Runs the decide stage over the slots named by `list` — ascending global
-/// indices, all within `base..base + apps.len()` — the wake-scheduled
-/// decide walk. Sleeping slots never appear in the list: their held award
-/// and previous decision stand untouched (`awarded_watts` still carries the
-/// award from the quantum they last decided or skipped, bit-equal to the
-/// engine's held row), and the step counts them [`Counter::AppsSlept`] once
-/// from the arbitration outcome instead of per slot here. The `dirty` mask
-/// chunk, when present, is indexed chunk-relative like the data slices.
-/// Returns the *global* index and error of the first failing decision.
-#[allow(clippy::too_many_arguments)] // the decide stage's full slice set, mirroring decide_chunk
-fn decide_list(
+/// Without a `pool` the walk runs inline. With one, the fleet is cut into
+/// contiguous `shard`-sized chunks — exclusive `&mut` chunks even for the
+/// read-only observe stage, because boxed actuators make `ManagedApp`
+/// `Send` but not `Sync` — and each pool task walks the sub-list of `list`
+/// that falls in its chunk (found by `partition_point`). Every per-slot
+/// result depends only on that slot's rows, so the output is bit-identical
+/// at any worker count. A walk stops at its first error; the
+/// lowest-indexed error across chunks is returned, matching the inline
+/// walk's choice (slots already processed keep their results).
+fn walk_list<F>(
+    pool: Option<&ExecPool>,
+    shard: usize,
     list: &[u32],
-    base: usize,
     apps: &mut [ManagedApp],
-    observations: &[MonitorObservation],
-    awards: &[f64],
-    dirty: Option<&[bool]>,
-    now: f64,
-    quantum: usize,
-    observer: Option<&Recorder>,
-) -> Result<(), (usize, SeecError)> {
-    for &index in list {
-        let offset = index as usize - base;
-        let dirty = dirty.map(|dirty| dirty[offset]);
-        decide_one(
-            &mut apps[offset],
-            &observations[offset],
-            awards[offset],
-            dirty,
-            now,
-            quantum,
-            observer,
-        )
-        .map_err(|err| (index as usize, err))?;
+    observations: &mut [MonitorObservation],
+    requests: &mut [AppRequest],
+    stage: F,
+) -> Result<(), SeecError>
+where
+    F: Fn(
+            usize,
+            &mut ManagedApp,
+            &mut MonitorObservation,
+            &mut AppRequest,
+        ) -> Result<(), SeecError>
+        + Sync,
+{
+    struct Chunk<'a> {
+        base: usize,
+        list: &'a [u32],
+        apps: &'a mut [ManagedApp],
+        observations: &'a mut [MonitorObservation],
+        requests: &'a mut [AppRequest],
+        failure: Option<(usize, SeecError)>,
     }
-    Ok(())
+    let walk = |chunk: &mut Chunk| {
+        for &index in chunk.list {
+            let (index, offset) = (index as usize, index as usize - chunk.base);
+            let result = stage(
+                index,
+                &mut chunk.apps[offset],
+                &mut chunk.observations[offset],
+                &mut chunk.requests[offset],
+            );
+            if let Err(err) = result {
+                chunk.failure = Some((index, err));
+                return;
+            }
+        }
+    };
+    let Some(pool) = pool else {
+        let mut whole = Chunk {
+            base: 0,
+            list,
+            apps,
+            observations,
+            requests,
+            failure: None,
+        };
+        walk(&mut whole);
+        return whole.failure.map_or(Ok(()), |(_, err)| Err(err));
+    };
+    let mut chunks: Vec<Chunk> = apps
+        .chunks_mut(shard)
+        .zip(observations.chunks_mut(shard))
+        .zip(requests.chunks_mut(shard))
+        .enumerate()
+        .map(|(chunk, ((apps, observations), requests))| {
+            let base = chunk * shard;
+            let lo = list.partition_point(|&index| (index as usize) < base);
+            let hi = list.partition_point(|&index| (index as usize) < base + apps.len());
+            Chunk {
+                base,
+                list: &list[lo..hi],
+                apps,
+                observations,
+                requests,
+                failure: None,
+            }
+        })
+        .collect();
+    pool.for_each_mut(&mut chunks, |_, chunk| walk(chunk));
+    chunks
+        .into_iter()
+        .filter_map(|chunk| chunk.failure)
+        .min_by_key(|(index, _)| *index)
+        .map_or(Ok(()), |(_, err)| Err(err))
 }
 
-/// The single-slot decide body shared by [`decide_chunk`] (contiguous
-/// ranges, the always-awake walk) and [`decide_list`] (awake lists, the
-/// wake-scheduled walk): records the award on the app and, when the app is
-/// present and not masked clean, decides it under the envelope.
+/// The decide stage for one slot: records the award on the app and, when
+/// the app is present and not masked clean, decides it under the envelope.
+///
+/// With a `dirty` flag (a positive arbitration tolerance), clean apps skip
+/// the whole decide quantum — their held award and previous decision stand
+/// — and are counted [`Counter::AppsSkipped`]; dirty apps decide and are
+/// counted [`Counter::AppsRearbitrated`]. Without one (tolerance 0, where
+/// every slot is dirty every quantum) every present app decides and is
+/// counted [`Counter::AppsDecided`]. Sleeping slots never reach this
+/// function: the step counts them [`Counter::AppsSlept`] once from the
+/// arbitration outcome, so `slept + skipped + rearbitrated + decided` sums
+/// to quanta × active fleet under every schedule.
 fn decide_one(
     app: &mut ManagedApp,
     observation: &MonitorObservation,
@@ -663,22 +695,12 @@ struct FleetHot {
     reported_power: Vec<Option<f64>>,
     /// Whether [`Coordinator::advance`] reported for this slot since the
     /// last step — the event that re-enrolls a steady app into observation
-    /// on the incremental schedule.
+    /// at a positive arbitration tolerance.
     fresh: Vec<bool>,
-    /// Per-step scratch: which slots skip re-observation this quantum
-    /// (empty = observe everything).
-    skip_observe: Vec<bool>,
-    /// Wake-scheduled rounds only: the quantum's participant list —
-    /// ascending slot indices awake this round, copied from the engine at
-    /// round open (and refreshed after arbitration, which may merge
-    /// mid-round wakes). Every per-app stage iterates this list instead of
-    /// the fleet; sleeping slots appear in no stage at all.
-    awake: Vec<u32>,
-    /// Wake-scheduled rounds only: the subset of `awake` that needs a
-    /// fresh snapshot this quantum. Awake slots that are steady, have no
-    /// fresh report, and whose schedule presence is unchanged keep their
-    /// buffered observation and request (the same skip rule the mask path
-    /// applies fleet-wide, pre-filtered into a compact list).
+    /// Per-step scratch: the ascending slots that need a fresh snapshot
+    /// this quantum — the round's participant list minus the participants
+    /// that are steady, have no fresh report, and whose schedule presence
+    /// is unchanged (they keep their buffered observation and request).
     observe_list: Vec<u32>,
 }
 
@@ -687,8 +709,8 @@ struct FleetHot {
 ///
 /// Per [`Coordinator::step`]:
 ///
-/// 1. **Observe** — every app's monitor is snapshotted in one pass
-///    ([`observe_fleet`]), one lock acquisition per app.
+/// 1. **Observe** — every participating app's monitor is snapshotted, one
+///    lock acquisition per app.
 /// 2. **Arbitrate** — the [`ArbitrationPolicy`] splits the budget into
 ///    per-app watt envelopes from each app's priority weight and
 ///    heartbeat-gap urgency.
@@ -702,15 +724,29 @@ struct FleetHot {
 /// completed work and measured power back through
 /// [`Coordinator::advance`].
 ///
+/// # One list round
+///
+/// Every step runs through an [`IncrementalArbiter`] configured by the
+/// coordinator's [`ArbitrationSchedule`]. The engine opens each round with
+/// an ascending participant list — every slot by default, the awake set
+/// under wake scheduling — and both per-app stages walk exactly that list:
+/// observe (minus participants whose buffered snapshot is still current)
+/// and decide (masked by the round's dirty set at a positive tolerance).
+/// At the default schedule (tolerance 0, no wake scheduling) every slot is
+/// dirty every quantum, so the round is the plain full fold — pinned
+/// bit-for-bit against a test-only full-fold reference step by
+/// `tests/incremental_props.rs`.
+///
 /// # Sharding
 ///
 /// With [`Coordinator::with_workers`] above 1, the per-application stages —
 /// observe/request (1–2) and decide (3) — run on a **persistent**
-/// [`exec::ExecPool`] over contiguous fleet shards, while arbitration (the
-/// only stage that couples applications) stays a sequential fold over the
-/// full request list. The pool is created once (when the worker count is
-/// set) and reused across every quantum, so the steady-state step pays a
-/// wake-up instead of the per-step `std::thread::scope` spawn it replaced.
+/// [`exec::ExecPool`]: the fleet is cut into contiguous shards and each
+/// pool task walks the part of the round's list that falls in its shard,
+/// while arbitration (the only stage that couples applications) stays a
+/// sequential fold over the full request list. The pool is created once
+/// (when the worker count is set) and reused across every quantum, so the
+/// steady-state step pays a wake-up instead of a per-step thread spawn.
 /// Because each application's observation, request, and decision are
 /// functions of *its own* state plus the arbitration output, and the
 /// arbitration input/output are identical regardless of how the fleet was
@@ -735,9 +771,6 @@ struct FleetHot {
 /// can step mid-run via [`Coordinator::set_budget`].
 pub struct Coordinator {
     apps: Vec<ManagedApp>,
-    /// Parallel monitor list for [`observe_fleet`] (clones of each app's
-    /// monitor — `Arc`s, so cheap).
-    monitors: Vec<HeartbeatMonitor>,
     policy: Box<dyn ArbitrationPolicy>,
     budget_watts: f64,
     headroom: f64,
@@ -757,16 +790,15 @@ pub struct Coordinator {
     /// Whether [`Self::try_register`] runs the admission feasibility
     /// pre-check (see [`Self::with_admission_feasibility`]).
     admission_feasibility: bool,
-    /// Incremental arbitration engine; `None` (the default) runs the full
-    /// arbitration fold every quantum, byte-identical to every earlier
-    /// build (see [`Self::with_arbitration_tolerance`]).
-    incremental: Option<IncrementalArbiter>,
-    /// Wake-scheduler configuration (see [`Self::with_wake_schedule`]).
-    /// Stored on the coordinator so re-creating the incremental engine
-    /// (a tolerance change) re-applies it; `None` — or a disabled config,
-    /// or no engine to ride on — leaves every quantum on the always-awake
-    /// path, byte-identical to a scheduler-free build.
-    wake: Option<WakeConfig>,
+    /// The arbitration schedule the engine runs under (see
+    /// [`Self::set_schedule`]); the default re-arbitrates every app every
+    /// quantum.
+    schedule: ArbitrationSchedule,
+    /// The arbitration engine every step runs through. It opens each round
+    /// with the participant list the per-app stages walk, folds the dirty
+    /// set (everything, at tolerance 0) and tracks who sleeps; replaced by
+    /// a fresh engine whenever the schedule changes.
+    arbiter: IncrementalArbiter,
     /// The wake calendar: quantum → slots whose `arrival` or `departure`
     /// falls there. Drained at the top of each step so a sleeping app is
     /// force-woken for the exact quantum its schedule presence flips.
@@ -821,7 +853,6 @@ impl Coordinator {
         assert!(budget_watts > 0.0, "power budget must be positive");
         Coordinator {
             apps: Vec::new(),
-            monitors: Vec::new(),
             policy,
             budget_watts,
             headroom: 0.95,
@@ -831,8 +862,8 @@ impl Coordinator {
             watchdog: None,
             admission_control: false,
             admission_feasibility: false,
-            incremental: None,
-            wake: None,
+            schedule: ArbitrationSchedule::default(),
+            arbiter: IncrementalArbiter::new(0.0),
             wake_calendar: BTreeMap::new(),
             hot: FleetHot::default(),
             last_now: 0.0,
@@ -1010,9 +1041,7 @@ impl Coordinator {
         self.watchdog = config;
         // New thresholds can rewrite quarantine requests differently, so
         // every held award re-enters the fold.
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_all_dirty();
-        }
+        self.arbiter.mark_all_dirty();
     }
 
     /// The active watchdog thresholds, if any.
@@ -1077,55 +1106,43 @@ impl Coordinator {
         self.admission_feasibility
     }
 
-    /// Enables **incremental arbitration** with the given tolerance:
-    /// each step re-arbitrates only the applications whose request moved
-    /// by at least `tolerance` (largest relative field movement) since
-    /// they were last arbitrated, plus everything the dirty set names —
-    /// fresh registrations, retirements, health transitions, and whole-
-    /// fleet invalidations (budget or policy changes). Clean applications
-    /// hold their award and skip the decide stage; with a positive
-    /// tolerance, steady apps with no fresh report skip re-observation
-    /// too, paying nothing at all for the quantum.
+    /// Enables **incremental arbitration** with the given tolerance (the
+    /// schedule's wake configuration is kept): each step re-arbitrates only
+    /// the applications whose request moved by at least `tolerance`
+    /// (largest relative field movement) since they were last arbitrated,
+    /// plus everything the dirty set names — fresh registrations,
+    /// retirements, health transitions, and whole-fleet invalidations
+    /// (budget or policy changes). Clean applications hold their award and
+    /// skip the decide stage; steady apps with no fresh report skip
+    /// re-observation too, paying nothing at all for the quantum.
     ///
-    /// Tolerance `0.0` marks every app dirty every quantum, so the engine
-    /// degenerates to exactly the full fold — output is bit-identical to
-    /// a coordinator without the knob (pinned by
-    /// `tests/incremental_props.rs`) while still exercising the
-    /// incremental machinery.
+    /// Tolerance `0.0` — the default — marks every app dirty every quantum,
+    /// so every step is exactly the full fold.
     ///
     /// # Panics
     ///
-    /// Panics unless the tolerance is finite and non-negative.
+    /// Panics unless the tolerance is finite and non-negative
+    /// ([`Self::set_schedule`] reports the same condition as an error).
     pub fn with_arbitration_tolerance(mut self, tolerance: f64) -> Self {
-        self.set_arbitration_tolerance(Some(tolerance));
+        let schedule = ArbitrationSchedule {
+            tolerance,
+            ..self.schedule
+        };
+        if let Err(err) = self.set_schedule(schedule) {
+            panic!("{err}");
+        }
         self
     }
 
-    /// Changes (or disables, with `None`) incremental arbitration mid-run
-    /// (see [`Self::with_arbitration_tolerance`]). Any change discards the
-    /// engine's held awards, so the next step re-arbitrates everything.
-    pub fn set_arbitration_tolerance(&mut self, tolerance: Option<f64>) {
-        self.incremental = tolerance.map(IncrementalArbiter::new);
-        if let (Some(engine), Some(config)) = (self.incremental.as_mut(), self.wake) {
-            engine.set_wake(config);
-        }
-        self.rebuild_wake_calendar();
-    }
-
-    /// The incremental arbitration tolerance (`None` = the full fold runs
-    /// every quantum).
-    pub fn arbitration_tolerance(&self) -> Option<f64> {
-        self.incremental.as_ref().map(IncrementalArbiter::tolerance)
-    }
-
     /// Enables the **event-driven wake scheduler** on top of incremental
-    /// arbitration: an application whose request has stayed inside the
-    /// arbitration tolerance for [`WakeConfig::steady_quanta`] consecutive
-    /// quanta is put to sleep for up to [`WakeConfig::horizon`] quanta. A
-    /// sleeping app is skipped by *every* per-app stage — not observed,
-    /// not classified, not decided; its held award simply stands — so the
-    /// step cost scales with the awake set instead of the fleet, and each
-    /// slept quantum lands in [`obs::Counter::AppsSlept`] (keeping
+    /// arbitration (the schedule's tolerance is kept): an application
+    /// whose request has stayed inside the arbitration tolerance for
+    /// [`WakeConfig::steady_quanta`] consecutive quanta is put to sleep for
+    /// up to [`WakeConfig::horizon`] quanta. A sleeping app is skipped by
+    /// *every* per-app stage — not observed, not classified, not decided;
+    /// its held award simply stands — so the step cost scales with the
+    /// awake set instead of the fleet, and each slept quantum lands in
+    /// [`obs::Counter::AppsSlept`] (keeping
     /// `slept + skipped + rearbitrated + decided` a partition of active
     /// app-quanta).
     ///
@@ -1139,38 +1156,45 @@ impl Coordinator {
     /// while asleep do *not* wake the app; they stay pending and re-enroll
     /// it into observation the quantum it wakes.
     ///
-    /// Requires incremental arbitration: the config is stored immediately
-    /// but stays inert until [`Self::with_arbitration_tolerance`] attaches
-    /// an engine (the steady/dirty classification the sleep decision rides
-    /// on is the engine's). Horizon 0 ([`WakeConfig::OFF`]) disables
-    /// scheduling and is bit-identical to the plain incremental path at
-    /// every worker count (pinned by `tests/incremental_props.rs`).
+    /// Sleep rides on the engine's steady/dirty classification, so at
+    /// tolerance 0 (where every app is dirty every quantum) nothing ever
+    /// sleeps. Horizon 0 ([`WakeConfig::OFF`]) disables scheduling and is
+    /// bit-identical to no wake configuration at every worker count
+    /// (pinned by `tests/incremental_props.rs`).
     pub fn with_wake_schedule(mut self, config: WakeConfig) -> Self {
-        self.set_wake_schedule(Some(config));
+        let schedule = ArbitrationSchedule {
+            wake: config,
+            ..self.schedule
+        };
+        self.set_schedule(schedule)
+            .expect("the schedule's tolerance was already validated");
         self
     }
 
-    /// Changes (or removes, with `None`) the wake-scheduler configuration
-    /// mid-run (see [`Self::with_wake_schedule`]). Any change wakes the
-    /// whole fleet, so no app sleeps across a scheduling-rule change.
-    pub fn set_wake_schedule(&mut self, config: Option<WakeConfig>) {
-        self.wake = config;
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.set_wake(config.unwrap_or(WakeConfig::OFF));
+    /// Replaces the arbitration schedule (see
+    /// [`Self::with_arbitration_tolerance`] and [`Self::with_wake_schedule`]
+    /// for what each value does). Any change starts a fresh engine: held
+    /// awards are discarded, every sleeper wakes, and the next step
+    /// re-arbitrates the whole fleet. Setting the current schedule again is
+    /// a no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::InvalidTolerance`] for a NaN, infinite, or negative
+    /// tolerance; the schedule is left unchanged.
+    pub fn set_schedule(&mut self, schedule: ArbitrationSchedule) -> Result<(), ScheduleError> {
+        schedule.validate()?;
+        if schedule != self.schedule {
+            self.schedule = schedule;
+            self.arbiter = IncrementalArbiter::new(schedule.tolerance).with_wake(schedule.wake);
+            self.rebuild_wake_calendar();
         }
-        self.rebuild_wake_calendar();
+        Ok(())
     }
 
-    /// The wake-scheduler configuration, if any (`None` = every app is
-    /// awake every quantum).
-    pub fn wake_schedule(&self) -> Option<WakeConfig> {
-        self.wake
-    }
-
-    /// Whether wake scheduling actually runs this step: an enabled config
-    /// riding on a live incremental engine.
-    fn wake_scheduling_active(&self) -> bool {
-        self.wake.is_some_and(|config| config.enabled()) && self.incremental.is_some()
+    /// The arbitration schedule every step runs under.
+    pub fn schedule(&self) -> ArbitrationSchedule {
+        self.schedule
     }
 
     /// Rebuilds the wake calendar from every app's pending arrival and
@@ -1180,7 +1204,7 @@ impl Coordinator {
     /// of an already-awake slot is a no-op.
     fn rebuild_wake_calendar(&mut self) {
         self.wake_calendar.clear();
-        if !self.wake_scheduling_active() {
+        if !self.schedule.wake.enabled() {
             return;
         }
         let quantum = self.quantum;
@@ -1230,13 +1254,12 @@ impl Coordinator {
             };
             self.push_event(kind);
         }
-        self.monitors.push(app.monitor.clone());
         self.hot.reported_work.push(None);
         self.hot.reported_power.push(None);
         self.hot.fresh.push(false);
         self.apps.push(app);
         let handle = AppHandle(self.apps.len() - 1);
-        if self.wake_scheduling_active() {
+        if self.schedule.wake.enabled() {
             // Future presence flips go on the wake calendar; a transition
             // at or before the current quantum needs no entry — the engine
             // registers the new slot dirty (hence awake) anyway.
@@ -1314,9 +1337,7 @@ impl Coordinator {
         let quantum = self.quantum;
         let app = &mut self.apps[handle.0];
         app.departure = Some(app.departure.map_or(quantum, |d| d.min(quantum)));
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_dirty(handle.0);
-        }
+        self.arbiter.mark_dirty(handle.0);
         if self.observer.is_some() {
             if let Some(observer) = &self.observer {
                 observer.count(Counter::Retirements);
@@ -1355,9 +1376,7 @@ impl Coordinator {
         self.budget_watts = budget_watts;
         // A new budget invalidates every held award: the water level and
         // clearing price are functions of the budget.
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_all_dirty();
-        }
+        self.arbiter.mark_all_dirty();
     }
 
     /// Number of registered applications (present or not).
@@ -1385,13 +1404,11 @@ impl Coordinator {
         self.policy.name()
     }
 
-    /// Replaces the arbitration policy (takes effect next step; on the
-    /// incremental path the whole fleet re-arbitrates under it).
+    /// Replaces the arbitration policy (takes effect next step; the whole
+    /// fleet re-arbitrates under it).
     pub fn set_policy(&mut self, policy: Box<dyn ArbitrationPolicy>) {
         self.policy = policy;
-        if let Some(engine) = self.incremental.as_mut() {
-            engine.mark_all_dirty();
-        }
+        self.arbiter.mark_all_dirty();
     }
 
     /// The application behind `handle`.
@@ -1436,14 +1453,13 @@ impl Coordinator {
     pub fn fleet_request(&mut self) -> AppRequest {
         let quantum = self.quantum;
         let budget = self.budget_watts;
-        observe_fleet(&self.monitors, &mut self.observations);
+        self.observations.clear();
         self.requests.clear();
-        self.requests.extend(
-            self.apps
-                .iter()
-                .zip(&self.observations)
-                .map(|(app, observation)| request_for(app, observation, quantum, budget)),
-        );
+        for app in &self.apps {
+            let observation = app.monitor.observation();
+            self.requests.push(request_for(app, &observation, quantum, budget));
+            self.observations.push(observation);
+        }
         aggregate_requests(&self.requests)
     }
 
@@ -1470,237 +1486,84 @@ impl Coordinator {
         // the disabled step never touches `Instant::now`.
         let observer = self.observer.clone();
         let mut clock = observer.as_ref().map(|_| StageClock::start());
-        let pool = self
-            .pool
+        let fleet = self.apps.len();
+        // The pool only engages from the shard threshold up, and only when
+        // it splits the fleet into more than one shard.
+        let pool = self.pool.clone().filter(|pool| {
+            fleet >= self.shard_threshold && Self::shard_size(fleet, pool.threads()) < fleet
+        });
+        let shard = pool
             .as_ref()
-            .filter(|_| self.apps.len() >= self.shard_threshold)
-            .cloned();
-        let shard = match &pool {
-            Some(pool) => Self::shard_size(self.apps.len(), pool.threads()),
-            None => self.apps.len().max(1),
-        };
+            .map_or(fleet.max(1), |pool| Self::shard_size(fleet, pool.threads()));
 
-        // ---- Wake scheduling: force-wakes + round open --------------
+        // ---- Round open: force-wakes + the participant list ---------
         // Presence transitions landing at this quantum wake their slots
-        // before the round's participant list is fixed; then the engine
-        // opens the round — drains expired sleep deadlines, merges pending
-        // wakes — and hands back the awake list every per-app stage below
-        // iterates instead of the fleet.
-        let wake_on = self.wake_scheduling_active();
-        if wake_on {
-            let engine = self
-                .incremental
-                .as_mut()
-                .expect("wake scheduling requires the incremental engine");
-            while let Some(entry) = self.wake_calendar.first_entry() {
-                if *entry.key() > quantum {
-                    break;
-                }
-                for index in entry.remove() {
-                    engine.wake(index as usize);
-                }
+        // before the round's participant list is fixed (the calendar is
+        // empty without wake scheduling); then the engine opens the round —
+        // drains expired sleep deadlines, merges pending wakes — and its
+        // list (every slot, unless apps sleep) is what every per-app stage
+        // below iterates instead of the fleet.
+        while let Some(entry) = self.wake_calendar.first_entry() {
+            if *entry.key() > quantum {
+                break;
             }
-            let awake = engine
-                .begin_round(self.apps.len())
-                .expect("wake scheduling implies an enabled engine round");
-            self.hot.awake.clear();
-            self.hot.awake.extend_from_slice(awake);
+            for index in entry.remove() {
+                self.arbiter.wake(index as usize);
+            }
         }
+        self.arbiter.begin_round(fleet);
 
         // ---- Observe + build requests (per-app, sharded) ------------
+        // Event-driven observation skipping (positive tolerance only): a
+        // participant that was clean at the last round, has reported
+        // nothing since, and whose schedule presence is unchanged already
+        // holds a current observation and request — it pays nothing for
+        // the quantum. Any report, lifecycle event, or fleet-wide
+        // invalidation re-enrolls it. Cold buffers (the fleet grew since
+        // the last step) re-observe every slot, sleeping or not.
         let budget = self.budget_watts;
-        // Event-driven observation skipping (incremental schedule only,
-        // positive tolerance): an app that was clean at the last round,
-        // has reported nothing since, and whose schedule presence is
-        // unchanged already holds a current observation and request — it
-        // pays nothing for the quantum. Any report, lifecycle event, or
-        // fleet-wide invalidation re-enrolls it.
-        self.hot.skip_observe.clear();
-        self.hot.observe_list.clear();
-        let warm =
-            self.observations.len() == self.apps.len() && self.requests.len() == self.apps.len();
-        // Wake-scheduled rounds pre-filter the awake list into a compact
-        // observe list instead of building a fleet-length skip mask: the
-        // walk below then touches only slots that need a fresh snapshot.
-        // (Cold buffers — a fleet resize since the last step — fall back
-        // to the full refill exactly like the mask path.)
-        let wake_observe = wake_on && warm;
-        if wake_observe {
-            let engine = self
-                .incremental
-                .as_ref()
-                .expect("wake scheduling requires the incremental engine");
-            let requests = &self.requests;
-            let apps = &self.apps;
-            let FleetHot {
-                awake,
-                observe_list,
-                fresh,
-                ..
-            } = &mut self.hot;
-            observe_list.extend(awake.iter().copied().filter(|&index| {
+        let FleetHot {
+            fresh,
+            observe_list,
+            ..
+        } = &mut self.hot;
+        observe_list.clear();
+        if self.observations.len() == fleet && self.requests.len() == fleet {
+            let (arbiter, apps, requests) = (&self.arbiter, &self.apps, &self.requests);
+            observe_list.extend(arbiter.awake_slots().iter().copied().filter(|&index| {
                 let index = index as usize;
-                let app = &apps[index];
-                !(engine.steady(index)
+                !(arbiter.steady(index)
                     && !fresh[index]
-                    && app.active_at(quantum) == requests[index].active)
+                    && apps[index].active_at(quantum) == requests[index].active)
             }));
-        } else if let Some(engine) = &self.incremental {
-            if engine.tolerance() > 0.0 && warm {
-                let fresh = &self.hot.fresh;
-                let requests = &self.requests;
-                self.hot
-                    .skip_observe
-                    .extend(self.apps.iter().enumerate().map(|(index, app)| {
-                        engine.steady(index)
-                            && !fresh[index]
-                            && app.active_at(quantum) == requests[index].active
-                    }));
-            }
-        }
-        let skipped_observe = self.hot.skip_observe.iter().filter(|&&skip| skip).count();
-        let observed_apps = if wake_observe {
-            self.hot.observe_list.len()
         } else {
-            self.apps.len() - skipped_observe
-        };
-        if wake_observe {
-            if shard >= self.apps.len() {
-                // Sequential: walk only the observe list.
-                for &index in &self.hot.observe_list {
-                    let index = index as usize;
-                    let app = &self.apps[index];
-                    let observation = app.monitor.observation();
-                    self.requests[index] = request_for(app, &observation, quantum, budget);
-                    self.observations[index] = observation;
-                }
-            } else {
-                // Pooled: the same contiguous fleet shards as the
-                // always-awake path (exclusive `&mut` chunks — boxed
-                // actuators make `ManagedApp` `Send` but not `Sync`), each
-                // handed the sub-slice of the ascending observe list that
-                // falls in its range.
-                struct WakeObserveShard<'a> {
-                    base: usize,
-                    apps: &'a mut [ManagedApp],
-                    observations: &'a mut [MonitorObservation],
-                    requests: &'a mut [AppRequest],
-                    list: &'a [u32],
-                }
-                let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-                let list = &self.hot.observe_list;
-                let mut shards: Vec<WakeObserveShard> = self
-                    .apps
-                    .chunks_mut(shard)
-                    .zip(self.observations.chunks_mut(shard))
-                    .zip(self.requests.chunks_mut(shard))
-                    .enumerate()
-                    .map(|(chunk, ((apps, observations), requests))| {
-                        let base = chunk * shard;
-                        let end = base + apps.len();
-                        let lo = list.partition_point(|&index| (index as usize) < base);
-                        let hi = list.partition_point(|&index| (index as usize) < end);
-                        WakeObserveShard {
-                            base,
-                            apps,
-                            observations,
-                            requests,
-                            list: &list[lo..hi],
-                        }
-                    })
-                    .collect();
-                pool.for_each_mut(&mut shards, |_, task| {
-                    for &index in task.list {
-                        let offset = index as usize - task.base;
-                        let app = &task.apps[offset];
-                        let observation = app.monitor.observation();
-                        task.requests[offset] = request_for(app, &observation, quantum, budget);
-                        task.observations[offset] = observation;
-                    }
-                });
-            }
-        } else if shard >= self.apps.len() || self.observations.len() != self.apps.len() {
-            if self.hot.skip_observe.is_empty() {
-                // Sequential (single shard), or the buffers are cold because
-                // the fleet changed since the last step: refill in one pass.
-                observe_fleet(&self.monitors, &mut self.observations);
-                self.requests.clear();
-                self.requests.extend(
-                    self.apps
-                        .iter()
-                        .zip(&self.observations)
-                        .map(|(app, observation)| request_for(app, observation, quantum, budget)),
-                );
-            } else {
-                // Sequential in-place pass honouring the skip mask (the
-                // mask is only built over warm buffers).
-                for (index, (app, (observation, request))) in self
-                    .apps
-                    .iter()
-                    .zip(self.observations.iter_mut().zip(self.requests.iter_mut()))
-                    .enumerate()
-                {
-                    if self.hot.skip_observe[index] {
-                        continue;
-                    }
-                    *observation = app.monitor.observation();
-                    *request = request_for(app, observation, quantum, budget);
-                }
-            }
-        } else {
-            // Warm buffers: overwrite them in place, one shard per pool
-            // task. Shards are handed out as `&mut` chunks even though this
-            // stage only reads the apps: exclusive chunks need
-            // `ManagedApp: Send` rather than `Sync`, which boxed actuators
-            // do not promise.
-            struct ObserveShard<'a> {
-                apps: &'a mut [ManagedApp],
-                observations: &'a mut [MonitorObservation],
-                requests: &'a mut [AppRequest],
-                /// Chunk of the skip mask (empty = observe everything).
-                skip: &'a [bool],
-            }
-            let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-            let mask = &self.hot.skip_observe;
-            let mut shards: Vec<ObserveShard> = self
-                .apps
-                .chunks_mut(shard)
-                .zip(self.observations.chunks_mut(shard))
-                .zip(self.requests.chunks_mut(shard))
-                .enumerate()
-                .map(|(chunk, ((apps, observations), requests))| {
-                    let skip = if mask.is_empty() {
-                        &[][..]
-                    } else {
-                        &mask[chunk * shard..chunk * shard + apps.len()]
-                    };
-                    ObserveShard {
-                        apps,
-                        observations,
-                        requests,
-                        skip,
-                    }
-                })
-                .collect();
-            pool.for_each_mut(&mut shards, |_, task| {
-                for (offset, ((app, observation), request)) in task
-                    .apps
-                    .iter()
-                    .zip(task.observations.iter_mut())
-                    .zip(task.requests.iter_mut())
-                    .enumerate()
-                {
-                    if task.skip.get(offset).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    *observation = app.monitor.observation();
-                    *request = request_for(app, observation, quantum, budget);
-                }
-            });
+            self.observations.resize(fleet, MonitorObservation::default());
+            self.requests.resize(
+                fleet,
+                AppRequest {
+                    active: false,
+                    weight: 1.0,
+                    urgency: 1.0,
+                    max_power_watts: 0.0,
+                },
+            );
+            observe_list.extend(0..fleet as u32);
         }
-
+        walk_list(
+            pool.as_deref(),
+            shard,
+            &self.hot.observe_list,
+            &mut self.apps,
+            &mut self.observations,
+            &mut self.requests,
+            |_, app, observation, request| {
+                *observation = app.monitor.observation();
+                *request = request_for(app, observation, quantum, budget);
+                Ok(())
+            },
+        )?;
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
-            observer.add(Counter::AppsObserved, observed_apps as u64);
+            observer.add(Counter::AppsObserved, self.hot.observe_list.len() as u64);
             observer.time(Stage::Observe, clock.lap());
         }
 
@@ -1725,9 +1588,7 @@ impl Coordinator {
                 // A ladder move re-enters the app into the arbitration
                 // fold: quarantine rewrote its request, readmission
                 // restored it.
-                if let Some(engine) = self.incremental.as_mut() {
-                    engine.mark_dirty(index);
-                }
+                self.arbiter.mark_dirty(index);
                 // Ladder telemetry, raised from this sequential loop only:
                 // first-time quarantines match the figure summaries'
                 // `quarantined_apps` (an app re-quarantined after
@@ -1753,26 +1614,15 @@ impl Coordinator {
         }
 
         // ---- Arbitrate (sequential deterministic fold) --------------
-        // The incremental engine re-arbitrates only the dirty set against
-        // the residual budget; at tolerance 0 every app is dirty and the
-        // engine makes byte-for-byte the same policy call as the full
-        // path below.
-        let mut slept = 0;
-        if let Some(engine) = self.incremental.as_mut() {
-            let outcome = engine.arbitrate(
-                self.policy.as_mut(),
-                self.budget_watts * self.headroom,
-                &self.requests,
-                &mut self.awards,
-            );
-            slept = outcome.slept;
-        } else {
-            self.policy.arbitrate(
-                self.budget_watts * self.headroom,
-                &self.requests,
-                &mut self.awards,
-            );
-        }
+        // The engine re-arbitrates only the round's dirty set against the
+        // residual budget; at tolerance 0 every app is dirty and the engine
+        // makes byte-for-byte the plain full-fold policy call.
+        let outcome = self.arbiter.arbitrate(
+            self.policy.as_mut(),
+            self.budget_watts * self.headroom,
+            &self.requests,
+            &mut self.awards,
+        );
 
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
             observer.time(Stage::Arbitrate, clock.lap());
@@ -1781,8 +1631,8 @@ impl Coordinator {
             // stage ever visits them — so the decide ledger
             // (slept + skipped + rearbitrated + decided) still partitions
             // every active app-quantum exactly once.
-            if slept > 0 {
-                observer.add(Counter::AppsSlept, slept as u64);
+            if outcome.slept > 0 {
+                observer.add(Counter::AppsSlept, outcome.slept as u64);
             }
             // Awards changed vs held: bit-for-bit comparison of each
             // present app's fresh award against the envelope it executed
@@ -1804,162 +1654,26 @@ impl Coordinator {
         }
 
         // ---- Decide under the envelopes (per-app, sharded) ----------
-        // On the incremental path the engine's dirty mask rides along:
-        // clean apps skip the whole decide quantum. Wake-scheduled rounds
-        // walk the engine's participant list instead of the fleet —
-        // re-read after arbitration so mid-round wakes (watchdog health
-        // transitions) are decided too; sleeping slots are never visited,
-        // their held award and previous decision stand.
-        if wake_on {
-            let engine = self
-                .incremental
-                .as_ref()
-                .expect("wake scheduling requires the incremental engine");
-            self.hot.awake.clear();
-            self.hot.awake.extend_from_slice(engine.awake_slots());
-        }
-        let dirty_mask: Option<&[bool]> =
-            self.incremental.as_ref().map(IncrementalArbiter::dirty_mask);
-        if wake_on {
-            if shard >= self.apps.len() {
-                if let Err((_, err)) = decide_list(
-                    &self.hot.awake,
-                    0,
-                    &mut self.apps,
-                    &self.observations,
-                    &self.awards,
-                    dirty_mask,
-                    now,
-                    quantum,
-                    observer.as_deref(),
-                ) {
-                    return Err(err);
-                }
-            } else {
-                struct WakeDecideShard<'a> {
-                    base: usize,
-                    apps: &'a mut [ManagedApp],
-                    observations: &'a [MonitorObservation],
-                    awards: &'a [f64],
-                    dirty: Option<&'a [bool]>,
-                    list: &'a [u32],
-                    failure: Option<(usize, SeecError)>,
-                }
-                let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-                let list = &self.hot.awake;
-                let mut shards: Vec<WakeDecideShard> = self
-                    .apps
-                    .chunks_mut(shard)
-                    .zip(self.observations.chunks(shard))
-                    .zip(self.awards.chunks(shard))
-                    .enumerate()
-                    .map(|(chunk, ((apps, observations), awards))| {
-                        let base = chunk * shard;
-                        let end = base + apps.len();
-                        let lo = list.partition_point(|&index| (index as usize) < base);
-                        let hi = list.partition_point(|&index| (index as usize) < end);
-                        let dirty =
-                            dirty_mask.map(|mask| &mask[base..base + apps.len()]);
-                        WakeDecideShard {
-                            base,
-                            apps,
-                            observations,
-                            awards,
-                            dirty,
-                            list: &list[lo..hi],
-                            failure: None,
-                        }
-                    })
-                    .collect();
-                let decide_observer = observer.as_deref();
-                pool.for_each_mut(&mut shards, |_, task| {
-                    task.failure = decide_list(
-                        task.list,
-                        task.base,
-                        task.apps,
-                        task.observations,
-                        task.awards,
-                        task.dirty,
-                        now,
-                        quantum,
-                        decide_observer,
-                    )
-                    .err();
-                });
-                // Report the lowest-indexed failure, matching the
-                // sequential walk's choice (decide_list failures carry
-                // global indices already).
-                if let Some((_, err)) = shards
-                    .into_iter()
-                    .filter_map(|task| task.failure)
-                    .min_by_key(|(index, _)| *index)
-                {
-                    return Err(err);
-                }
-            }
-        } else if shard >= self.apps.len() {
-            if let Err((_, err)) = decide_chunk(
-                &mut self.apps,
-                &self.observations,
-                &self.awards,
-                dirty_mask,
-                now,
-                quantum,
-                observer.as_deref(),
-            ) {
-                return Err(err);
-            }
-        } else {
-            struct DecideShard<'a> {
-                apps: &'a mut [ManagedApp],
-                observations: &'a [MonitorObservation],
-                awards: &'a [f64],
-                dirty: Option<&'a [bool]>,
-                failure: Option<(usize, SeecError)>,
-            }
-            let pool = pool.as_ref().expect("a shard smaller than the fleet implies a pool");
-            let mut shards: Vec<DecideShard> = self
-                .apps
-                .chunks_mut(shard)
-                .zip(self.observations.chunks(shard))
-                .zip(self.awards.chunks(shard))
-                .enumerate()
-                .map(|(chunk, ((apps, observations), awards))| {
-                    let dirty = dirty_mask
-                        .map(|mask| &mask[chunk * shard..chunk * shard + apps.len()]);
-                    DecideShard {
-                        apps,
-                        observations,
-                        awards,
-                        dirty,
-                        failure: None,
-                    }
-                })
-                .collect();
-            let decide_observer = observer.as_deref();
-            pool.for_each_mut(&mut shards, |index, task| {
-                task.failure = decide_chunk(
-                    task.apps,
-                    task.observations,
-                    task.awards,
-                    task.dirty,
-                    now,
-                    quantum,
-                    decide_observer,
-                )
-                .err()
-                .map(|(offset, err)| (index * shard + offset, err));
-            });
-            // Report the lowest-indexed failure, matching the sequential
-            // path's choice when several apps would have failed.
-            if let Some((_, err)) = shards
-                .into_iter()
-                .filter_map(|task| task.failure)
-                .min_by_key(|(index, _)| *index)
-            {
-                return Err(err);
-            }
-        }
+        // Walks the engine's participant list, re-read after arbitration
+        // so mid-round wakes (watchdog health transitions) are decided too;
+        // sleeping slots are never visited, their held award and previous
+        // decision stand. At a positive tolerance the dirty mask rides
+        // along: clean apps skip the whole decide quantum.
+        let awards = &self.awards;
+        let dirty = (self.schedule.tolerance > 0.0).then(|| self.arbiter.dirty_mask());
+        let decide_observer = observer.as_deref();
+        walk_list(
+            pool.as_deref(),
+            shard,
+            self.arbiter.awake_slots(),
+            &mut self.apps,
+            &mut self.observations,
+            &mut self.requests,
+            |index, app, observation, _| {
+                let dirty = dirty.map(|dirty| dirty[index]);
+                decide_one(app, observation, awards[index], dirty, now, quantum, decide_observer)
+            },
+        )?;
 
         // ---- Summarise (sequential, fixed order) --------------------
         // The awarded-watts total is folded in registration order whatever
@@ -1978,18 +1692,11 @@ impl Coordinator {
         }
 
         // The report-freshness flags describe "since the last step"; this
-        // step consumed them (they only gate observation skipping, so the
-        // full path never reads them). Wake-scheduled rounds clear only
-        // the participants' flags: a report delivered to a *sleeping*
-        // slot stays pending, so the wake quantum re-enrolls it into
-        // observation.
-        if wake_on {
-            let FleetHot { awake, fresh, .. } = &mut self.hot;
-            for &index in awake.iter() {
-                fresh[index as usize] = false;
-            }
-        } else if self.incremental.is_some() {
-            self.hot.fresh.iter_mut().for_each(|fresh| *fresh = false);
+        // step consumed the participants' flags. A report delivered to a
+        // *sleeping* slot stays pending, so the wake quantum re-enrolls it
+        // into observation.
+        for &index in self.arbiter.awake_slots() {
+            self.hot.fresh[index as usize] = false;
         }
 
         self.quantum += 1;

@@ -14,17 +14,26 @@
 //! participating request set and the budget, so shrinking the set and the
 //! budget together is exact).
 //!
+//! # One list round
+//!
+//! Every round runs over an ascending **participant list**: `0..n` with the
+//! wake scheduler off, the awake set with it on (see below). The engine
+//! classifies, folds, and — only when the horizon is positive — puts slots
+//! to sleep over that list alone, so there is one round shape for every
+//! schedule; the callers' per-app stages (the [`crate::Coordinator`]'s
+//! observe and decide walks) iterate the same list through
+//! [`IncrementalArbiter::begin_round`] and [`IncrementalArbiter::awake_slots`].
+//!
 //! # Tolerance-0 determinism
 //!
 //! The degenerate tolerance `0.0` marks **every** application dirty every
 //! quantum (a request delta of exactly zero is not *strictly inside* a zero
-//! tolerance), so the engine falls through to one [`ArbitrationPolicy::arbitrate`]
-//! call over the full request slice — byte-for-byte the call the
-//! non-incremental path makes. Incremental arbitration at tolerance 0 is
-//! therefore *bit-identical* to full re-arbitration by construction, which
-//! is exactly what the differential suite
-//! (`tests/incremental_props.rs`) pins across policies, fleets, churn, and
-//! worker counts.
+//! tolerance), and nothing ever sleeps, so the round falls through to one
+//! [`ArbitrationPolicy::arbitrate`] call over the full request slice —
+//! byte-for-byte the plain full fold. The differential suite
+//! (`tests/incremental_props.rs`) pins this against the bare policy and,
+//! with the coordinator on top, against a test-only full-fold reference
+//! step across policies, fleets, churn, and worker counts.
 //!
 //! # Budget conservation at any tolerance
 //!
@@ -41,7 +50,7 @@
 //! per quantum. [`IncrementalArbiter::with_wake`] turns the engine
 //! event-driven: a slot whose request stayed inside the tolerance for
 //! [`WakeConfig::steady_quanta`] consecutive rounds is put to **sleep** with
-//! a bounded [`WakeConfig::horizon`] — it skips classification entirely and
+//! a bounded [`WakeConfig::horizon`] — it leaves the participant list and
 //! holds its award until its deadline expires (a timing wheel drains the
 //! round's bucket) or an external event wakes it early:
 //!
@@ -52,25 +61,23 @@
 //! * [`IncrementalArbiter::mark_all_dirty`] — budget/policy/watchdog
 //!   replacement wakes the whole fleet (every held award is invalid).
 //!
-//! The engine keeps an ascending **awake-index list**; classification, the
-//! hold-clamp, and the residual fold iterate only that list, so the round
-//! costs O(awake), not O(fleet). While a slot sleeps the engine never reads
-//! its request row — the caller's contract is to `wake()` any slot whose
-//! request may have moved, and every envelope-changing event
-//! (budget/policy/health/lifecycle) force-wakes, so staleness is bounded by
-//! the horizon and limited to sub-tolerance drift.
+//! While a slot sleeps the engine never reads its request row — the
+//! caller's contract is to `wake()` any slot whose request may have moved,
+//! and every envelope-changing event (budget/policy/health/lifecycle)
+//! force-wakes, so staleness is bounded by the horizon and limited to
+//! sub-tolerance drift.
 //!
-//! Horizon `0` disables the scheduler outright: the engine dispatches to
-//! the exact dense code path above, so a wake-configured engine at horizon
-//! 0 is bit-identical to an unconfigured one by construction (pinned, with
-//! the coordinator on top, by `tests/incremental_props.rs`).
+//! Horizon `0` disables the scheduler: no slot is ever put to sleep, so the
+//! participant list stays `0..n` and the round is exactly the one an
+//! unconfigured engine runs (pinned, with the coordinator on top, by
+//! `tests/incremental_props.rs`).
 //!
 //! For the residual fold itself, policies that declare
 //! [`ArbitrationPolicy::index_invariant`] are called over a *compacted*
 //! slice holding just the dirty slots (identical participant values in
 //! identical relative order — identical partial sums, identical award
-//! bits); stateful per-slot policies fall back to the fleet-length masked
-//! slice.
+//! bits, pinned against the masked fold for every shipped policy);
+//! stateful per-slot policies fall back to the fleet-length masked slice.
 
 use crate::policy::{AppRequest, ArbitrationPolicy};
 
@@ -82,9 +89,9 @@ pub struct WakeConfig {
     /// re-arbitrated.
     pub steady_quanta: u32,
     /// Upper bound, in rounds, on how long a slot may sleep before it is
-    /// re-classified. `0` disables wake scheduling entirely (the engine
-    /// runs the dense per-round classification, bit-identical to an
-    /// unconfigured engine).
+    /// re-classified. `0` disables wake scheduling entirely (no slot ever
+    /// sleeps, so every round's participant list is the whole fleet —
+    /// bit-identical to an unconfigured engine).
     pub horizon: usize,
 }
 
@@ -98,7 +105,7 @@ impl Default for WakeConfig {
 }
 
 impl WakeConfig {
-    /// Wake scheduling disabled: the dense classification runs every round.
+    /// Wake scheduling disabled: every slot participates in every round.
     pub const OFF: WakeConfig = WakeConfig {
         steady_quanta: 0,
         horizon: 0,
@@ -109,6 +116,62 @@ impl WakeConfig {
         self.horizon > 0
     }
 }
+
+/// How an arbitration engine schedules re-arbitration: the tolerance a
+/// request must move by before its slot re-enters the fold, and the wake
+/// scheduler riding on that classification. The default — tolerance 0,
+/// [`WakeConfig::OFF`] — re-arbitrates every slot every round: the plain
+/// full fold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArbitrationSchedule {
+    /// Largest relative request movement (see [`IncrementalArbiter::new`])
+    /// a slot may show and still hold its award; 0 re-arbitrates every
+    /// slot every round. Must be finite and non-negative.
+    pub tolerance: f64,
+    /// The wake scheduler ([`WakeConfig::OFF`] keeps every slot awake).
+    pub wake: WakeConfig,
+}
+
+impl Default for ArbitrationSchedule {
+    fn default() -> Self {
+        ArbitrationSchedule {
+            tolerance: 0.0,
+            wake: WakeConfig::OFF,
+        }
+    }
+}
+
+impl ArbitrationSchedule {
+    /// Checks the schedule's values: [`ScheduleError::InvalidTolerance`]
+    /// for a NaN, infinite, or negative tolerance.
+    pub(crate) fn validate(&self) -> Result<(), ScheduleError> {
+        if self.tolerance.is_finite() && self.tolerance >= 0.0 {
+            Ok(())
+        } else {
+            Err(ScheduleError::InvalidTolerance(self.tolerance))
+        }
+    }
+}
+
+/// Why an [`ArbitrationSchedule`] was refused.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScheduleError {
+    /// The tolerance was NaN, infinite, or negative.
+    InvalidTolerance(f64),
+}
+
+impl std::fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScheduleError::InvalidTolerance(tolerance) => write!(
+                f,
+                "arbitration tolerance must be finite and non-negative, got {tolerance}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
 
 /// What one incremental arbitration round did, for telemetry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,11 +192,11 @@ pub struct IncrementalOutcome {
 
 /// The incremental arbitration engine (see the module docs).
 ///
-/// Drives any [`ArbitrationPolicy`] incrementally; the
-/// [`crate::Coordinator`] embeds one when an arbitration tolerance is set
-/// ([`crate::Coordinator::with_arbitration_tolerance`]), and the fleet-scale
-/// harness (`fig5 --fleet N`) drives one directly over synthetic request
-/// arrays.
+/// Drives any [`ArbitrationPolicy`] incrementally; every
+/// [`crate::Coordinator`] step runs through one, configured by its
+/// [`ArbitrationSchedule`] ([`crate::Coordinator::set_schedule`]), and the
+/// fleet-scale harness (`fig5 --fleet N`) drives one directly over
+/// synthetic request arrays.
 #[derive(Debug)]
 pub struct IncrementalArbiter {
     tolerance: f64,
@@ -163,10 +226,11 @@ pub struct IncrementalArbiter {
     /// Timing wheel, one bucket per horizon round; bucket `r % horizon`
     /// drains at the start of round `r`.
     wheel: Vec<Vec<u32>>,
-    /// Ascending indices of the slots participating in the current round.
-    /// Sleepers are removed at the *next* [`Self::begin_round`], so after
-    /// [`Self::arbitrate`] the list still names exactly this round's
-    /// participants (the caller's decide stage iterates it).
+    /// Ascending indices of the slots participating in the current round
+    /// (every slot while the scheduler is off). Sleepers are removed at the
+    /// *next* [`Self::begin_round`], so after [`Self::arbitrate`] the list
+    /// still names exactly this round's participants (the caller's decide
+    /// stage iterates it).
     awake: Vec<u32>,
     /// Slots woken since the last merge, not yet in `awake`.
     pending_wakes: Vec<u32>,
@@ -235,12 +299,17 @@ impl IncrementalArbiter {
     ///
     /// # Panics
     ///
-    /// Panics unless the tolerance is finite and non-negative.
+    /// Panics unless the tolerance is finite and non-negative
+    /// ([`crate::Coordinator::set_schedule`] reports the same condition as
+    /// a [`ScheduleError`]).
     pub fn new(tolerance: f64) -> Self {
-        assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "arbitration tolerance must be finite and non-negative, got {tolerance}"
-        );
+        let schedule = ArbitrationSchedule {
+            tolerance,
+            ..ArbitrationSchedule::default()
+        };
+        if let Err(err) = schedule.validate() {
+            panic!("{err}");
+        }
         IncrementalArbiter {
             tolerance,
             fleet_dirty: true,
@@ -248,13 +317,8 @@ impl IncrementalArbiter {
         }
     }
 
-    /// The configured tolerance.
-    pub fn tolerance(&self) -> f64 {
-        self.tolerance
-    }
-
-    /// Enables wake scheduling (see the module docs). Horizon 0 leaves the
-    /// engine on the dense path, bit-identical to an unconfigured one.
+    /// Enables wake scheduling (see the module docs). Horizon 0 never
+    /// sleeps a slot, bit-identical to an unconfigured engine.
     pub fn with_wake(mut self, config: WakeConfig) -> Self {
         self.set_wake(config);
         self
@@ -273,11 +337,6 @@ impl IncrementalArbiter {
     /// The active wake configuration ([`WakeConfig::OFF`] by default).
     pub fn wake_config(&self) -> WakeConfig {
         self.wake
-    }
-
-    /// Whether wake scheduling is active (positive horizon).
-    pub fn wake_enabled(&self) -> bool {
-        self.wake.enabled()
     }
 
     /// Wakes `index` if it is asleep: the slot re-enters classification
@@ -360,7 +419,7 @@ impl IncrementalArbiter {
     /// The ascending indices participating in the current round: after
     /// [`Self::begin_round`] (or [`Self::arbitrate`], which begins the
     /// round itself) this is every non-sleeping slot plus any slot woken
-    /// mid-round. Empty with the scheduler off.
+    /// mid-round — every slot with the scheduler off.
     pub fn awake_slots(&self) -> &[u32] {
         &self.awake
     }
@@ -375,54 +434,56 @@ impl IncrementalArbiter {
             && self.marked.get(index).is_none_or(|&marked| !marked)
     }
 
-    /// Starts a round with the scheduler on: grows the wake state to
-    /// `fleet` slots, drops last round's sleepers from the awake list,
-    /// drains the wheel bucket whose deadline is due, and merges every
-    /// pending wake. Idempotent per round; [`Self::arbitrate`] calls it
-    /// itself when the caller did not. Returns the awake list (`None` with
-    /// the scheduler off) so callers can run their own per-slot stages —
-    /// observation, request building — over just the awake set.
-    pub fn begin_round(&mut self, fleet: usize) -> Option<&[u32]> {
-        if !self.wake.enabled() {
-            return None;
-        }
+    /// Starts a round: grows the per-slot columns to `fleet` slots (new
+    /// slots join the participant list), and — with the scheduler on —
+    /// drops last round's sleepers from the list, drains the wheel bucket
+    /// whose deadline is due, and merges every pending wake. Idempotent per
+    /// round; [`Self::arbitrate`] calls it itself when the caller did not.
+    /// Returns the ascending participant list (`0..fleet` with the
+    /// scheduler off) so callers can run their own per-slot stages —
+    /// observation, request building — over exactly the round's slots.
+    pub fn begin_round(&mut self, fleet: usize) -> &[u32] {
         if self.round_begun {
-            return Some(&self.awake);
+            return &self.awake;
         }
         self.round_begun = true;
-        self.ensure_wake_capacity(fleet);
-        // Last round's sleepers leave the participant list only now, so the
-        // list kept naming them for the caller's post-arbitrate stages.
-        let sleeping = &self.sleeping;
-        self.awake.retain(|&index| !sleeping[index as usize]);
-        // Deadline expiry: drain this round's wheel bucket. Entries whose
-        // deadline moved (woken early, re-slept later) are stale — skipped.
-        let bucket = (self.round % self.wake.horizon as u64) as usize;
-        let mut due = std::mem::take(&mut self.wheel[bucket]);
-        for &index in &due {
-            let slot = index as usize;
-            if slot < self.sleeping.len()
-                && self.sleeping[slot]
-                && self.deadline[slot] == self.round
-            {
-                self.sleeping[slot] = false;
-                if self.last_requests.get(slot).is_some_and(|r| r.active) {
-                    self.sleeping_active -= 1;
+        self.ensure_capacity(fleet);
+        if self.wake.enabled() {
+            // Last round's sleepers leave the participant list only now, so
+            // the list kept naming them for the caller's post-arbitrate
+            // stages.
+            let sleeping = &self.sleeping;
+            self.awake.retain(|&index| !sleeping[index as usize]);
+            // Deadline expiry: drain this round's wheel bucket. Entries
+            // whose deadline moved (woken early, re-slept later) are stale —
+            // skipped.
+            let bucket = (self.round % self.wake.horizon as u64) as usize;
+            let mut due = std::mem::take(&mut self.wheel[bucket]);
+            for &index in &due {
+                let slot = index as usize;
+                if slot < self.sleeping.len()
+                    && self.sleeping[slot]
+                    && self.deadline[slot] == self.round
+                {
+                    self.sleeping[slot] = false;
+                    if self.last_requests.get(slot).is_some_and(|r| r.active) {
+                        self.sleeping_active -= 1;
+                    }
+                    self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
+                    self.streak[slot] = 0;
+                    self.pending_wakes.push(index);
                 }
-                self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
-                self.streak[slot] = 0;
-                self.pending_wakes.push(index);
             }
+            due.clear();
+            self.wheel[bucket] = due; // hand the allocation back
         }
-        due.clear();
-        self.wheel[bucket] = due; // hand the allocation back
         self.merge_pending();
-        Some(&self.awake)
+        &self.awake
     }
 
-    /// Grows (or shrinks) the wake-state columns to `fleet` slots; new
-    /// slots join the awake list (they are dirty by definition).
-    fn ensure_wake_capacity(&mut self, fleet: usize) {
+    /// Grows (or shrinks) the per-slot round columns to `fleet` slots; new
+    /// slots join the participant list (they are dirty by definition).
+    fn ensure_capacity(&mut self, fleet: usize) {
         assert!(fleet <= u32::MAX as usize, "fleet exceeds u32 slot indices");
         let old = self.sleeping.len();
         if fleet > old {
@@ -483,145 +544,15 @@ impl IncrementalArbiter {
     }
 
     /// One incremental round: splits `budget_watts` across `requests` into
-    /// `awards` through `policy`, re-arbitrating only the dirty slots (see
-    /// the module docs). Slots never seen before are dirty by definition;
-    /// growing or shrinking the slice resets the new/old slots accordingly.
+    /// `awards` through `policy`, re-arbitrating only the dirty slots of
+    /// the round's participant list (see the module docs). Slots never seen
+    /// before are dirty by definition; growing or shrinking the slice
+    /// resets the new/old slots accordingly. The round classifies the
+    /// participants, folds the dirty residual against `Σ sleeping held +
+    /// Σ clean held`, then (scheduler on) puts steady slots to sleep —
+    /// O(participants) except for the fleet-length award copy-out and the
+    /// (vectorised) mask memsets.
     pub fn arbitrate(
-        &mut self,
-        policy: &mut dyn ArbitrationPolicy,
-        budget_watts: f64,
-        requests: &[AppRequest],
-        awards: &mut Vec<f64>,
-    ) -> IncrementalOutcome {
-        if self.wake.enabled() {
-            self.arbitrate_scheduled(policy, budget_watts, requests, awards)
-        } else {
-            self.arbitrate_dense(policy, budget_watts, requests, awards)
-        }
-    }
-
-    /// The dense round: classify every slot. This is the whole engine with
-    /// the wake scheduler off, and the path a horizon-0 configuration
-    /// dispatches to — the bit-identity anchor for both differential pins.
-    fn arbitrate_dense(
-        &mut self,
-        policy: &mut dyn ArbitrationPolicy,
-        budget_watts: f64,
-        requests: &[AppRequest],
-        awards: &mut Vec<f64>,
-    ) -> IncrementalOutcome {
-        let fleet = requests.len();
-        // Slots never seen before start marked (dirty by definition);
-        // existing slots keep whatever marks they carried.
-        self.marked.resize(fleet, true);
-        self.last_requests.resize(
-            fleet,
-            AppRequest {
-                active: false,
-                weight: 1.0,
-                urgency: 1.0,
-                max_power_watts: 0.0,
-            },
-        );
-        self.held.resize(fleet, 0.0);
-        self.dirty.clear();
-        self.dirty.resize(fleet, false);
-
-        // ---- Classify: the dirty set -------------------------------
-        // "Moved" unless the delta is *strictly inside* the tolerance, so
-        // tolerance 0 marks everything and a NaN delta always re-enters.
-        let mut dirty_count = 0;
-        for (index, request) in requests.iter().enumerate() {
-            let delta = request_delta(request, &self.last_requests[index]);
-            let moved = delta.partial_cmp(&self.tolerance) != Some(std::cmp::Ordering::Less);
-            let dirty = self.fleet_dirty || self.marked[index] || moved;
-            self.dirty[index] = dirty;
-            if dirty {
-                dirty_count += 1;
-            }
-        }
-        self.marked.iter_mut().for_each(|marked| *marked = false);
-        self.fleet_dirty = false;
-
-        let mut outcome = IncrementalOutcome {
-            full: dirty_count == fleet,
-            ..IncrementalOutcome::default()
-        };
-        for (request, &dirty) in requests.iter().zip(&self.dirty) {
-            if !request.active {
-                continue;
-            }
-            if dirty {
-                outcome.rearbitrated += 1;
-            } else {
-                outcome.skipped += 1;
-            }
-        }
-
-        if outcome.full {
-            // Degenerate round (always at tolerance 0): byte-for-byte the
-            // call the non-incremental path makes.
-            policy.arbitrate(budget_watts, requests, awards);
-            self.last_requests.copy_from_slice(requests);
-            self.held.copy_from_slice(awards);
-            return outcome;
-        }
-
-        if dirty_count == 0 {
-            // Fully steady quantum: no fold at all. Every slot holds its
-            // award (clamped to its current ceiling) and the policy is not
-            // consulted — the event-driven skip the engine exists for.
-            for (request, held) in requests.iter().zip(self.held.iter_mut()) {
-                *held = held.min(request.max_power_watts.max(0.0));
-            }
-            awards.clear();
-            awards.extend_from_slice(&self.held);
-            return outcome;
-        }
-
-        // ---- Hold the clean slots, fold the dirty residual ---------
-        // Clean awards clamp to the current ceiling (clamping only
-        // shrinks), then the dirty set is arbitrated under the residual
-        // budget — the delta update of the water level / clearing price.
-        let mut held_total = 0.0;
-        for ((request, &dirty), held) in
-            requests.iter().zip(&self.dirty).zip(self.held.iter_mut())
-        {
-            if dirty {
-                continue;
-            }
-            *held = held.min(request.max_power_watts.max(0.0));
-            held_total += *held;
-        }
-        let residual = (budget_watts - held_total).max(0.0);
-        self.scratch_requests.clear();
-        self.scratch_requests.extend(
-            requests
-                .iter()
-                .zip(&self.dirty)
-                .map(|(request, &dirty)| AppRequest {
-                    active: request.active && dirty,
-                    ..*request
-                }),
-        );
-        policy.arbitrate(residual, &self.scratch_requests, &mut self.scratch_awards);
-
-        awards.clear();
-        awards.extend((0..fleet).map(|index| {
-            if self.dirty[index] {
-                self.last_requests[index] = requests[index];
-                self.held[index] = self.scratch_awards[index];
-            }
-            self.held[index]
-        }));
-        outcome
-    }
-
-    /// The scheduled round: classify only the awake list, fold the dirty
-    /// residual against `Σ sleeping held + Σ awake-clean held`, then put
-    /// steady slots to sleep. O(awake) except for the fleet-length award
-    /// copy-out and the (vectorised) mask memsets.
-    fn arbitrate_scheduled(
         &mut self,
         policy: &mut dyn ArbitrationPolicy,
         budget_watts: f64,
@@ -647,7 +578,9 @@ impl IncrementalArbiter {
         self.dirty.clear();
         self.dirty.resize(fleet, false);
 
-        // ---- Classify the awake set --------------------------------
+        // ---- Classify the participants -----------------------------
+        // "Moved" unless the delta is *strictly inside* the tolerance, so
+        // tolerance 0 marks everything and a NaN delta always re-enters.
         let mut dirty_count = 0;
         for &index in &self.awake {
             let slot = index as usize;
@@ -683,14 +616,16 @@ impl IncrementalArbiter {
         }
 
         if outcome.full {
-            // All slots awake and dirty (first round, or a fleet-wide
-            // invalidation woke everyone): byte-for-byte the full fold.
+            // Every slot participates and is dirty (always at tolerance 0;
+            // otherwise the first round or a fleet-wide invalidation):
+            // byte-for-byte the plain full fold.
             policy.arbitrate(budget_watts, requests, awards);
             self.last_requests.copy_from_slice(requests);
             self.held.copy_from_slice(awards);
         } else if dirty_count == 0 {
-            // Fully steady awake set: clamp its held awards, keep the
-            // sleepers', no policy call.
+            // Fully steady round: clamp the participants' held awards, keep
+            // the sleepers', no policy call — the event-driven skip the
+            // engine exists for.
             for &index in &self.awake {
                 let slot = index as usize;
                 self.held[slot] =
@@ -700,6 +635,10 @@ impl IncrementalArbiter {
             awards.extend_from_slice(&self.held);
         } else {
             // ---- Hold clean + sleeping, fold the dirty residual ----
+            // Clean awards clamp to the current ceiling (clamping only
+            // shrinks), then the dirty set is arbitrated under the residual
+            // budget — the delta update of the water level / clearing
+            // price.
             let mut held_total = self.sleeping_held_sum;
             for &index in &self.awake {
                 let slot = index as usize;
@@ -731,7 +670,7 @@ impl IncrementalArbiter {
                 }
             } else {
                 // Stateful per-slot policies keep fleet-length alignment:
-                // the masked fallback of the dense path.
+                // clean and sleeping slots are masked inactive.
                 self.scratch_requests.clear();
                 self.scratch_requests.extend(
                     requests
@@ -755,11 +694,19 @@ impl IncrementalArbiter {
             awards.extend_from_slice(&self.held);
         }
 
-        // ---- Sleep the steady slots --------------------------------
-        // A slot clean for `steady_quanta` consecutive rounds sleeps with
-        // a `horizon`-round deadline. It stays in the awake list until the
-        // next `begin_round`, so the caller's decide stage still sees this
-        // round's full participant set.
+        if self.wake.enabled() {
+            self.sleep_steady_slots(requests);
+        }
+        self.round += 1;
+        self.round_begun = false;
+        outcome
+    }
+
+    /// Puts every participant clean for `steady_quanta` consecutive rounds
+    /// to sleep with a `horizon`-round deadline. A sleeper stays in the
+    /// participant list until the next [`Self::begin_round`], so the
+    /// caller's decide stage still sees this round's full participant set.
+    fn sleep_steady_slots(&mut self, requests: &[AppRequest]) {
         let steady_quanta = self.wake.steady_quanta.max(1);
         let horizon = self.wake.horizon as u64;
         for &index in &self.awake {
@@ -776,9 +723,6 @@ impl IncrementalArbiter {
             }
             self.sleeping_held_sum += self.held[slot];
         }
-        self.round += 1;
-        self.round_begun = false;
-        outcome
     }
 }
 
@@ -928,7 +872,7 @@ mod tests {
         let mut plain = IncrementalArbiter::new(0.05);
         let mut zeroed =
             IncrementalArbiter::new(0.05).with_wake(WakeConfig { steady_quanta: 4, horizon: 0 });
-        assert!(!zeroed.wake_enabled());
+        assert!(!zeroed.wake_config().enabled());
         let mut policy_a = PerformanceMarket::default();
         let mut policy_b = PerformanceMarket::default();
         let mut requests = vec![
@@ -1076,32 +1020,65 @@ mod tests {
         assert!(total <= 20.0 * (1.0 + 1e-9), "new budget conserved: {total}");
     }
 
-    #[test]
-    fn compacted_and_masked_residual_folds_are_bit_identical() {
-        let config = WakeConfig {
-            steady_quanta: 1,
-            horizon: 8,
-        };
-        let mut compacted = IncrementalArbiter::new(0.05).with_wake(config);
-        let mut masked = IncrementalArbiter::new(0.05).with_wake(config);
-        let mut fast = PerformanceMarket::default();
-        let mut slow = MaskedOnly(PerformanceMarket::default());
-        assert!(fast.index_invariant() && !slow.index_invariant());
-        let mut requests: Vec<AppRequest> =
-            (0..16).map(|i| request(1.0 + i as f64 * 0.3, 1.0, 20.0)).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for round in 0..10 {
-            // Move a couple of slots; wake them in both engines.
-            for slot in [round % 16, (round * 5 + 3) % 16] {
-                requests[slot].urgency = 1.0 + ((round * 7 + slot) % 5) as f64;
-                compacted.wake(slot);
-                masked.wake(slot);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Partial rounds hand index-invariant policies a compacted slice
+        /// of just the dirty rows; the fleet-length masked fold (what
+        /// stateful policies get) must produce the same award bits — for
+        /// every shipped policy, random budgets and moved slots, with the
+        /// wake scheduler off (horizon 0) and on.
+        #[test]
+        fn compacted_and_masked_residual_folds_are_bit_identical(
+            budgets in proptest::collection::vec(1.0..400.0f64, 10),
+            actives in proptest::collection::vec(0usize..4, 16),
+            weights in proptest::collection::vec(0.1..8.0f64, 16),
+            ceilings in proptest::collection::vec(0.5..100.0f64, 16),
+            moved_slots in proptest::collection::vec(0usize..16, 20),
+            moved_urgencies in proptest::collection::vec(0.05..10.0f64, 20),
+            tolerance in 0.001..0.3f64,
+            horizon in 0usize..9,
+        ) {
+            let config = WakeConfig { steady_quanta: 1, horizon };
+            let policies: [(Box<dyn ArbitrationPolicy>, Box<dyn ArbitrationPolicy>); 3] = [
+                (Box::new(StaticShare), Box::new(MaskedOnly(StaticShare))),
+                (Box::new(WeightedFair), Box::new(MaskedOnly(WeightedFair))),
+                (
+                    Box::new(PerformanceMarket::default()),
+                    Box::new(MaskedOnly(PerformanceMarket::default())),
+                ),
+            ];
+            for (mut fast, mut slow) in policies {
+                proptest::prop_assert!(fast.index_invariant() && !slow.index_invariant());
+                let mut compacted = IncrementalArbiter::new(tolerance).with_wake(config);
+                let mut masked = IncrementalArbiter::new(tolerance).with_wake(config);
+                // One slot in four starts absent.
+                let mut requests: Vec<AppRequest> = (0..16)
+                    .map(|i| AppRequest {
+                        active: actives[i] != 0,
+                        ..request(weights[i], 1.0, ceilings[i])
+                    })
+                    .collect();
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                for (round, &budget) in budgets.iter().enumerate() {
+                    // Move two slots; wake them in both engines.
+                    for pick in [2 * round, 2 * round + 1] {
+                        let slot = moved_slots[pick];
+                        requests[slot].urgency = moved_urgencies[pick];
+                        compacted.wake(slot);
+                        masked.wake(slot);
+                    }
+                    let oa = compacted.arbitrate(fast.as_mut(), budget, &requests, &mut a);
+                    let ob = masked.arbitrate(slow.as_mut(), budget, &requests, &mut b);
+                    let bits_a: Vec<u64> = a.iter().map(|w| w.to_bits()).collect();
+                    let bits_b: Vec<u64> = b.iter().map(|w| w.to_bits()).collect();
+                    proptest::prop_assert!(
+                        bits_a == bits_b && oa == ob,
+                        "{} round {round}: {a:?} / {oa:?} vs {b:?} / {ob:?}",
+                        fast.name()
+                    );
+                }
             }
-            compacted.arbitrate(&mut fast, 90.0, &requests, &mut a);
-            masked.arbitrate(&mut slow, 90.0, &requests, &mut b);
-            let bits_a: Vec<u64> = a.iter().map(|w| w.to_bits()).collect();
-            let bits_b: Vec<u64> = b.iter().map(|w| w.to_bits()).collect();
-            assert_eq!(bits_a, bits_b, "round {round}");
         }
     }
 
@@ -1114,15 +1091,21 @@ mod tests {
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0), request(1.0, 1.0, 40.0)];
         let mut awards = Vec::new();
-        assert_eq!(engine.begin_round(2), Some(&[0u32, 1][..]));
+        assert_eq!(engine.begin_round(2), &[0, 1]);
         engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         // Both slots slept at the end of the last round, but leave the
         // participant list only when the next round begins.
         assert_eq!(engine.awake_slots(), &[0, 1]);
-        assert_eq!(engine.begin_round(2), Some(&[][..]));
-        // An engine without wake scheduling reports no list at all.
+        assert!(engine.begin_round(2).is_empty());
+        // Without wake scheduling every round lists the whole fleet, steady
+        // or not, and a grown fleet joins the list in order.
         let mut off = IncrementalArbiter::new(0.05);
-        assert_eq!(off.begin_round(2), None);
+        assert_eq!(off.begin_round(2), &[0, 1]);
+        for _ in 0..3 {
+            off.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+            assert_eq!(off.awake_slots(), &[0, 1]);
+        }
+        assert_eq!(off.begin_round(3), &[0, 1, 2]);
     }
 }

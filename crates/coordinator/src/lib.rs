@@ -100,7 +100,9 @@ mod policy;
 pub use crate::coordinator::{
     AdmissionError, AppHandle, Coordinator, HealthState, ManagedApp, StepSummary, WatchdogConfig,
 };
-pub use crate::incremental::{IncrementalArbiter, IncrementalOutcome, WakeConfig};
+pub use crate::incremental::{
+    ArbitrationSchedule, IncrementalArbiter, IncrementalOutcome, ScheduleError, WakeConfig,
+};
 pub use crate::hierarchy::{
     DatacenterArbiter, DatacenterStepSummary, EnforcementMode, RackCoordinator,
 };

@@ -10,12 +10,14 @@
 //!   a bare [`ArbitrationPolicy`], over generated request traces with field
 //!   churn, presence flips, budget steps, and explicit dirty marks. Award
 //!   vectors are compared by `f64::to_bits`, not by tolerance.
-//! * **Coordinator level** — a full [`Coordinator`] with
-//!   `with_arbitration_tolerance(0.0)` against a legacy coordinator with
-//!   the knob off, driven through identical register/retire/set_budget
-//!   churn on the declared-effect synthetic platform, with the incremental
-//!   side sharded across a generated worker count. Every app's awarded
-//!   envelope and every step summary must agree bitwise.
+//! * **Coordinator level** — a full [`Coordinator`] on the default
+//!   schedule (tolerance 0, no wake scheduling), sharded across a generated
+//!   worker count, against a test-only full-fold reference step (observe
+//!   every app, one `arbitrate` call over the full request slice, every
+//!   present app decides — sequentially, with no engine at all), driven
+//!   through identical arrival/departure churn and a budget step on the
+//!   declared-effect synthetic platform. Every app's awarded envelope,
+//!   every decision, and every step summary must agree bitwise.
 //!
 //! Nonzero tolerances trade exactness for skipped work, so their contract
 //! is the invariant layer's, not bitwise identity: awards stay finite,
@@ -27,8 +29,9 @@ use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
 use coordinator::{
-    AppHandle, AppRequest, ArbitrationPolicy, Coordinator, IncrementalArbiter, ManagedApp,
-    PerformanceMarket, StaticShare, WakeConfig, WeightedFair,
+    AppHandle, AppRequest, ArbitrationPolicy, ArbitrationSchedule, Coordinator,
+    IncrementalArbiter, ManagedApp, PerformanceMarket, ScheduleError, StaticShare, StepSummary,
+    WakeConfig, WeightedFair,
 };
 use obs::{Counter, Recorder};
 use proptest::prelude::*;
@@ -316,7 +319,11 @@ fn decode_slots(
         .collect()
 }
 
-fn managed(slot: Slot, index: usize) -> ManagedApp {
+/// Nominal-power hint every generated app registers with.
+const POWER_HINT: f64 = 10.0;
+
+/// The workload driver and SEEC runtime of one generated slot.
+fn parts(slot: Slot, index: usize) -> (HeartbeatedWorkload, SeecRuntime) {
     let benchmark = SplashBenchmark::ALL[index % SplashBenchmark::ALL.len()];
     let driver = HeartbeatedWorkload::new(Workload::new(benchmark, slot.seed));
     driver.set_heart_rate_goal(slot.target);
@@ -329,10 +336,15 @@ fn managed(slot: Slot, index: usize) -> ManagedApp {
         .seed(slot.seed)
         .build()
         .unwrap();
+    (driver, runtime)
+}
+
+fn managed(slot: Slot, index: usize) -> ManagedApp {
+    let (driver, runtime) = parts(slot, index);
     let mut app = ManagedApp::new(driver, runtime)
         .with_weight(slot.weight)
         .with_arrival(slot.arrival)
-        .with_nominal_power_hint(10.0);
+        .with_nominal_power_hint(POWER_HINT);
     if let Some(departure) = slot.departure {
         app = app.with_departure(departure);
     }
@@ -347,25 +359,33 @@ type Trace = Vec<(
     Vec<Option<seec::CapDecision>>,
 )>;
 
+/// The (work, power) the declared-effect platform reports for one quantum
+/// of `runtime`'s current configuration: 10 beats/s and 10 W at nominal,
+/// scaled by the configuration's declared effects.
+fn platform_outcome(runtime: &SeecRuntime) -> (f64, f64) {
+    let effect = runtime
+        .model()
+        .space()
+        .predicted_effect(runtime.current_configuration())
+        .unwrap();
+    (10.0 * effect.performance, 10.0 * effect.power)
+}
+
 /// Drives a fleet for `quanta` steps against a platform mirroring each
-/// app's declared effects exactly. `tolerance` turns the incremental
-/// engine on; `budget_step` applies a mid-run budget change (the
-/// whole-fleet invalidation path); `wake` attaches a wake schedule on
-/// top of the incremental engine.
+/// app's declared effects exactly, under `schedule`; `budget_step`
+/// applies a mid-run budget change (the whole-fleet invalidation path).
 fn drive_traced(
     policy: Box<dyn ArbitrationPolicy>,
     slots: &[Slot],
     quanta: usize,
     workers: usize,
-    tolerance: Option<f64>,
+    schedule: ArbitrationSchedule,
     budget_step: Option<(usize, f64)>,
-    wake: Option<WakeConfig>,
 ) -> Trace {
     let mut coordinator = Coordinator::new(35.0, policy)
         .with_workers(workers)
         .with_shard_threshold(0);
-    coordinator.set_arbitration_tolerance(tolerance);
-    coordinator.set_wake_schedule(wake);
+    coordinator.set_schedule(schedule).unwrap();
     let handles: Vec<AppHandle> = slots
         .iter()
         .enumerate()
@@ -384,21 +404,8 @@ fn drive_traced(
             if !coordinator.app(handle).active_at(quantum) {
                 continue;
             }
-            let effect = {
-                let runtime = coordinator.app(handle).runtime();
-                runtime
-                    .model()
-                    .space()
-                    .predicted_effect(runtime.current_configuration())
-                    .unwrap()
-            };
-            coordinator.advance(
-                handle,
-                now - 1.0,
-                now,
-                10.0 * effect.performance,
-                10.0 * effect.power,
-            );
+            let (work, power) = platform_outcome(coordinator.app(handle).runtime());
+            coordinator.advance(handle, now - 1.0, now, work, power);
         }
         let summary = coordinator.step(now).unwrap();
         trace.push((
@@ -417,14 +424,128 @@ fn drive_traced(
     trace
 }
 
+/// The test-only full-fold reference step, driven exactly like
+/// [`drive_traced`]: the observe–decide–act loop written out plainly, with
+/// no arbitration engine, no participant list, and no sharding. Each
+/// quantum it observes every app, builds its request, makes one
+/// `policy.arbitrate` call over the full request slice under the
+/// headroomed budget, then lets every present app decide under its
+/// envelope, sequentially in registration order. The apps are rebuilt from
+/// the same slots (identically seeded drivers and runtimes) and see the
+/// same platform, so the coordinator's trace must equal this one bit for
+/// bit.
+fn drive_reference(
+    mut policy: Box<dyn ArbitrationPolicy>,
+    slots: &[Slot],
+    quanta: usize,
+    budget_step: Option<(usize, f64)>,
+) -> Trace {
+    let mut apps: Vec<(Slot, HeartbeatedWorkload, SeecRuntime, Option<seec::CapDecision>)> =
+        slots
+            .iter()
+            .enumerate()
+            .map(|(index, &slot)| {
+                let (driver, runtime) = parts(slot, index);
+                (slot, driver, runtime, None)
+            })
+            .collect();
+    let present = |slot: &Slot, quantum: usize| {
+        quantum >= slot.arrival && slot.departure.is_none_or(|departure| quantum < departure)
+    };
+    let nominal = |runtime: &SeecRuntime| runtime.estimated_nominal_power().unwrap_or(POWER_HINT);
+    let mut budget = 35.0;
+    let mut now = 0.0;
+    let mut trace = Trace::new();
+    let mut awards = Vec::new();
+    for quantum in 0..quanta {
+        if let Some((at, watts)) = budget_step {
+            if at == quantum {
+                budget = watts;
+            }
+        }
+        now += 1.0;
+        for (slot, driver, runtime, _) in &mut apps {
+            if present(slot, quantum) {
+                let (work, power) = platform_outcome(runtime);
+                driver.advance_metered(now - 1.0, now, work, power);
+            }
+        }
+        // Observe every app and build its request.
+        let observations: Vec<_> = apps
+            .iter()
+            .map(|(_, driver, _, _)| driver.monitor().observation())
+            .collect();
+        let requests: Vec<AppRequest> = apps
+            .iter()
+            .zip(&observations)
+            .map(|((slot, _, runtime, _), observation)| {
+                let target = runtime.target_override().or(observation.target_heart_rate);
+                let window = observation.stats.window;
+                let urgency = match target {
+                    Some(target) if window > 0.0 && observation.stats.beats_in_window >= 2 => {
+                        target / window
+                    }
+                    _ => 1.0,
+                };
+                let nominal = nominal(runtime);
+                AppRequest {
+                    active: present(slot, quantum),
+                    weight: slot.weight,
+                    urgency,
+                    max_power_watts: if nominal > 0.0 {
+                        nominal * runtime.model().table().max_declared_power()
+                    } else {
+                        budget
+                    },
+                }
+            })
+            .collect();
+        // One fold over the full request slice.
+        policy.arbitrate(budget * 0.95, &requests, &mut awards);
+        // Every present app decides under its envelope.
+        let mut summary = StepSummary {
+            quantum,
+            active_apps: 0,
+            awarded_watts_total: 0.0,
+        };
+        for (((slot, _, runtime, decision), observation), &award) in
+            apps.iter_mut().zip(&observations).zip(&awards)
+        {
+            if !present(slot, quantum) {
+                continue;
+            }
+            let nominal = nominal(runtime);
+            let cap = if nominal > 0.0 && award.is_finite() {
+                award / nominal
+            } else {
+                f64::INFINITY
+            };
+            *decision = Some(
+                runtime
+                    .decide_under_power_cap_with_observation(now, observation, cap)
+                    .unwrap(),
+            );
+            summary.active_apps += 1;
+            summary.awarded_watts_total += award;
+        }
+        trace.push((
+            summary,
+            awards.iter().map(|award| award.to_bits()).collect(),
+            apps.iter().map(|(_, _, _, decision)| *decision).collect(),
+        ));
+    }
+    trace
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A coordinator at tolerance 0 — through the whole incremental
-    /// machinery, sharded across a generated worker count — produces
-    /// bitwise the awards, summaries, and per-app decisions of a legacy
-    /// (knob off, sequential) coordinator, through arrival/departure churn
-    /// and a mid-run budget step.
+    /// A coordinator on the default schedule (tolerance 0, no wake
+    /// scheduling) — through the arbitration engine and the list walks,
+    /// sharded across a generated worker count — produces bitwise the
+    /// awards, summaries, and per-app decisions of the test-only full-fold
+    /// reference step, through arrival/departure churn and a mid-run
+    /// budget step.
     #[test]
     fn coordinator_tolerance_zero_matches_legacy_at_every_worker_count(
         seeds in proptest::collection::vec(1u64..1_000_000, 1..7),
@@ -441,12 +562,18 @@ proptest! {
         let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
         let budget_step = Some((budget_step_at, budget_step_watts));
         let policy = || policies().swap_remove(policy_pick);
-        let legacy = drive_traced(policy(), &slots, quanta, 1, None, budget_step, None);
-        let incremental =
-            drive_traced(policy(), &slots, quanta, workers, Some(0.0), budget_step, None);
+        let reference = drive_reference(policy(), &slots, quanta, budget_step);
+        let stepped = drive_traced(
+            policy(),
+            &slots,
+            quanta,
+            workers,
+            ArbitrationSchedule::default(),
+            budget_step,
+        );
         prop_assert!(
-            legacy == incremental,
-            "tolerance-0 incremental diverged from the legacy path at {} workers over {} apps",
+            reference == stepped,
+            "the default schedule diverged from the full-fold reference at {} workers over {} apps",
             workers,
             slots.len()
         );
@@ -455,10 +582,7 @@ proptest! {
     /// A wake schedule with horizon 0 is configuration, not behaviour: at
     /// every worker count, every policy, and any `steady_quanta`, the
     /// traced run — awards by bits, step summaries, per-app decisions —
-    /// is identical to the same coordinator with no wake schedule at all.
-    /// This is the second level of the differential pin: the first
-    /// (tolerance 0 vs legacy) proves the incremental engine is inert,
-    /// this one proves the scheduler riding on it is.
+    /// is identical to the same coordinator with [`WakeConfig::OFF`].
     #[test]
     fn coordinator_horizon_zero_matches_plain_incremental_at_every_worker_count(
         seeds in proptest::collection::vec(1u64..1_000_000, 1..7),
@@ -477,21 +601,21 @@ proptest! {
         let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
         let budget_step = Some((budget_step_at, budget_step_watts));
         let policy = || policies().swap_remove(policy_pick);
+        let schedule = |wake| ArbitrationSchedule { tolerance, wake };
         let plain =
-            drive_traced(policy(), &slots, quanta, workers, Some(tolerance), budget_step, None);
+            drive_traced(policy(), &slots, quanta, workers, schedule(WakeConfig::OFF), budget_step);
         let gated = drive_traced(
             policy(),
             &slots,
             quanta,
             workers,
-            Some(tolerance),
+            schedule(WakeConfig { steady_quanta: steady, horizon: 0 }),
             budget_step,
-            Some(WakeConfig { steady_quanta: steady, horizon: 0 }),
         );
         prop_assert!(
             plain == gated,
-            "a horizon-0 wake schedule (steady_quanta {}) diverged from the plain \
-             incremental path at {} workers over {} apps",
+            "a horizon-0 wake schedule (steady_quanta {}) diverged from WakeConfig::OFF \
+             at {} workers over {} apps",
             steady,
             workers,
             slots.len()
@@ -550,21 +674,8 @@ proptest! {
                 if !coordinator.app(handle).active_at(quantum) {
                     continue;
                 }
-                let effect = {
-                    let runtime = coordinator.app(handle).runtime();
-                    runtime
-                        .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
-                };
-                coordinator.advance(
-                    handle,
-                    now - 1.0,
-                    now,
-                    10.0 * effect.performance,
-                    10.0 * effect.power,
-                );
+                let (work, power) = platform_outcome(coordinator.app(handle).runtime());
+                coordinator.advance(handle, now - 1.0, now, work, power);
             }
             coordinator.step(now).unwrap();
 
@@ -643,21 +754,8 @@ proptest! {
                 if !coordinator.app(handle).active_at(quantum) {
                     continue;
                 }
-                let effect = {
-                    let runtime = coordinator.app(handle).runtime();
-                    runtime
-                        .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
-                };
-                coordinator.advance(
-                    handle,
-                    now - 1.0,
-                    now,
-                    10.0 * effect.performance,
-                    10.0 * effect.power,
-                );
+                let (work, power) = platform_outcome(coordinator.app(handle).runtime());
+                coordinator.advance(handle, now - 1.0, now, work, power);
             }
             let summary = coordinator.step(now).unwrap();
 
@@ -684,6 +782,77 @@ proptest! {
                 "{policy_name}: summary total {} vs recomputed {total}",
                 summary.awarded_watts_total
             );
+        }
+    }
+}
+
+/// Tolerances the schedule proptest always mixes in: NaN, both infinities,
+/// both zeros, subnormals of both signs, the extremes, and a plain
+/// negative.
+const SPECIAL_TOLERANCES: [f64; 11] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE / 2.0,
+    f64::MAX,
+    f64::MIN,
+    -1.0,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `set_schedule` never panics: it returns `Err` for exactly the NaN,
+    /// infinite, and negative tolerances — leaving the schedule unchanged —
+    /// and accepts every other `f64`, after which the coordinator still
+    /// steps.
+    #[test]
+    fn set_schedule_refuses_exactly_the_invalid_tolerances(
+        bits in 0u64..u64::MAX,
+        special in 0usize..16,
+        steady in 0u32..8,
+        horizon in 0usize..40,
+    ) {
+        let tolerance = SPECIAL_TOLERANCES
+            .get(special)
+            .copied()
+            .unwrap_or(f64::from_bits(bits));
+        let invalid = tolerance.is_nan() || tolerance.is_infinite() || tolerance < 0.0;
+        let schedule = ArbitrationSchedule {
+            tolerance,
+            wake: WakeConfig { steady_quanta: steady, horizon },
+        };
+        let slot = Slot { seed: 7, weight: 1.0, target: 20.0, arrival: 0, departure: None };
+        let outcome = std::panic::catch_unwind(|| {
+            let mut coordinator = Coordinator::new(35.0, Box::new(WeightedFair));
+            let before = coordinator.schedule();
+            let result = coordinator.set_schedule(schedule);
+            let after = coordinator.schedule();
+            let handle = coordinator.register(managed(slot, 0));
+            for quantum in 0..3 {
+                let now = quantum as f64 + 1.0;
+                let (work, power) = platform_outcome(coordinator.app(handle).runtime());
+                coordinator.advance(handle, now - 1.0, now, work, power);
+                coordinator.step(now).unwrap();
+            }
+            (result, before, after)
+        });
+        prop_assert!(outcome.is_ok(), "set_schedule({tolerance:e}) panicked");
+        let (result, before, after) = outcome.unwrap();
+        match result {
+            Ok(()) => {
+                prop_assert!(!invalid, "accepted the invalid tolerance {tolerance:e}");
+                prop_assert_eq!(after, schedule);
+            }
+            Err(ScheduleError::InvalidTolerance(refused)) => {
+                prop_assert!(invalid, "refused the valid tolerance {tolerance:e}");
+                prop_assert_eq!(refused.to_bits(), tolerance.to_bits());
+                prop_assert!(after == before, "a refused schedule must leave the old one");
+            }
         }
     }
 }

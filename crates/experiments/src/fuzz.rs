@@ -33,8 +33,8 @@ use coordinator::invariants::{
     check_summary_total, AwardedApp, HierarchyTotals, InvariantViolation, OscillationTracker,
 };
 use coordinator::{
-    AppHandle, AwardHysteresis, Coordinator, DatacenterArbiter, PerformanceMarket,
-    RackCoordinator,
+    AppHandle, ArbitrationSchedule, AwardHysteresis, Coordinator, DatacenterArbiter,
+    PerformanceMarket, RackCoordinator, WakeConfig,
 };
 use obs::{Counter, Recorder};
 use scenario_fuzz::{violation_label, PolicyPathCounters, ScenarioOutcome};
@@ -130,6 +130,19 @@ struct ProbeMetrics {
     perf_per_watt: f64,
 }
 
+/// The arbitration schedule a scenario's coordinators run under.
+/// [`Scenario::sanitize`] keeps the tolerance/wake pair canonical, so the
+/// knob-off default maps to the default schedule.
+fn arbitration_schedule(scenario: &Scenario) -> ArbitrationSchedule {
+    ArbitrationSchedule {
+        tolerance: scenario.arbitration_tolerance,
+        wake: WakeConfig {
+            steady_quanta: scenario.wake_steady_quanta,
+            horizon: scenario.wake_horizon,
+        },
+    }
+}
+
 /// Counts the quanta at which the budget staircase changes the cap.
 fn budget_step_count(scenario: &Scenario) -> u64 {
     (1..scenario.quanta)
@@ -212,15 +225,9 @@ fn run_flat_probe(server: &XeonServer, scenario: &Scenario, seed: u64) -> ProbeM
         .with_pool(std::sync::Arc::clone(exec::global_pool_arc()))
         .with_admission_control(true)
         .with_admission_feasibility(true);
-    if scenario.arbitration_tolerance > 0.0 {
-        coordinator.set_arbitration_tolerance(Some(scenario.arbitration_tolerance));
-    }
-    if scenario.wake_horizon > 0 {
-        coordinator.set_wake_schedule(Some(coordinator::WakeConfig {
-            steady_quanta: scenario.wake_steady_quanta,
-            horizon: scenario.wake_horizon,
-        }));
-    }
+    // An unsanitized NaN or negative tolerance is refused and leaves the
+    // default schedule.
+    let _ = coordinator.set_schedule(arbitration_schedule(scenario));
     let mut handles: Vec<Option<AppHandle>> = vec![None; apps.len()];
     let mut oscillations =
         vec![OscillationTracker::new(budget * OSCILLATION_THRESHOLD_FRACTION); apps.len()];
@@ -399,15 +406,7 @@ fn run_hierarchy_probe(server: &XeonServer, scenario: &Scenario, seed: u64) -> P
     for rack in 0..racks {
         let mut rack_coordinator = Coordinator::new(budget, market())
             .with_pool(std::sync::Arc::clone(exec::global_pool_arc()));
-        if scenario.arbitration_tolerance > 0.0 {
-            rack_coordinator.set_arbitration_tolerance(Some(scenario.arbitration_tolerance));
-        }
-        if scenario.wake_horizon > 0 {
-            rack_coordinator.set_wake_schedule(Some(coordinator::WakeConfig {
-                steady_quanta: scenario.wake_steady_quanta,
-                horizon: scenario.wake_horizon,
-            }));
-        }
+        let _ = rack_coordinator.set_schedule(arbitration_schedule(scenario));
         datacenter.add_rack(RackCoordinator::new(
             format!("rack-{rack}"),
             rack_coordinator,

@@ -47,7 +47,6 @@ pub use error::HeartbeatError;
 pub use goal::{AccuracyGoal, Goal, GoalKind, PerformanceGoal, PowerGoal};
 pub use record::{BeatSeq, HeartbeatRecord, Tag};
 pub use registry::{
-    observe_fleet, HeartbeatIssuer, HeartbeatMonitor, HeartbeatRegistry, MonitorObservation,
-    RegistryStats,
+    HeartbeatIssuer, HeartbeatMonitor, HeartbeatRegistry, MonitorObservation, RegistryStats,
 };
 pub use window::{HeartRateStats, Window};

@@ -29,7 +29,9 @@ pub struct RegistryStats {
 /// [`HeartbeatMonitor::observation`] exists for the hot observe path: the
 /// SEEC runtime previously took five independent read locks per decision
 /// (stats, goal, goal-met, last beat, power); a snapshot takes one.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The [`Default`] value (zeroed statistics, no goal, no samples) is a
+/// placeholder for buffers sized before their first snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MonitorObservation {
     /// Heart-rate statistics over the window.
     pub stats: HeartRateStats,
@@ -379,24 +381,6 @@ impl HeartbeatMonitor {
     }
 }
 
-/// Snapshots every monitor in `monitors` into `out`, in order.
-///
-/// `out` is cleared and refilled in place, so a caller that keeps the buffer
-/// between rounds pays one lock acquisition per application and — once the
-/// buffer's capacity has warmed up — no allocation. This is the observe step
-/// of a multi-application coordinator: N applications are snapshotted
-/// back-to-back instead of interleaving lock traffic with decisions.
-///
-/// Each observation is exactly what [`HeartbeatMonitor::observation`] would
-/// have returned at the same instant; monitors are sampled sequentially, not
-/// atomically across applications (per-application snapshots are consistent,
-/// the fleet view is not a global barrier).
-pub fn observe_fleet(monitors: &[HeartbeatMonitor], out: &mut Vec<MonitorObservation>) {
-    out.clear();
-    out.reserve(monitors.len());
-    out.extend(monitors.iter().map(HeartbeatMonitor::observation));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,38 +516,6 @@ mod tests {
         issuer.heartbeat_with_distortion(1.0, 0.3).unwrap();
         let monitor = registry.monitor();
         assert!((monitor.mean_distortion().unwrap() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn observe_fleet_matches_individual_snapshots_and_reuses_the_buffer() {
-        let registries: Vec<HeartbeatRegistry> = (0..4)
-            .map(|i| HeartbeatRegistry::new(format!("app-{i}")))
-            .collect();
-        for (i, registry) in registries.iter().enumerate() {
-            let issuer = registry.issuer();
-            issuer.set_goal(Goal::Performance(PerformanceGoal::heart_rate(
-                5.0 + i as f64,
-            )));
-            for beat in 0..8 {
-                issuer.heartbeat(beat as f64 * 0.1 * (i + 1) as f64);
-            }
-            registry.monitor().record_power_sample(1.0, 30.0 + i as f64);
-        }
-        let monitors: Vec<HeartbeatMonitor> =
-            registries.iter().map(HeartbeatRegistry::monitor).collect();
-        let mut fleet = Vec::new();
-        observe_fleet(&monitors, &mut fleet);
-        assert_eq!(fleet.len(), monitors.len());
-        for (observation, monitor) in fleet.iter().zip(&monitors) {
-            assert_eq!(*observation, monitor.observation());
-        }
-        // Refilling reuses the buffer: capacity does not grow again.
-        let capacity = fleet.capacity();
-        observe_fleet(&monitors, &mut fleet);
-        assert_eq!(fleet.capacity(), capacity);
-        assert_eq!(fleet.len(), monitors.len());
-        observe_fleet(&[], &mut fleet);
-        assert!(fleet.is_empty());
     }
 
     #[test]

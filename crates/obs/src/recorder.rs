@@ -20,9 +20,15 @@ pub enum Counter {
     /// hierarchy).
     QuantaStepped,
     /// Applications observed across all steps (present or not — the
-    /// observe stage snapshots the whole registered fleet).
+    /// observe stage snapshots every participant whose buffered snapshot
+    /// is not known current: the whole registered fleet at tolerance 0).
     AppsObserved,
-    /// Applications that ran a decision under an awarded envelope.
+    /// Applications that ran a decision under an awarded envelope at
+    /// arbitration tolerance 0 (the default schedule, where every present
+    /// app re-arbitrates and decides every quantum). Disjoint from
+    /// [`Counter::AppsSkipped`], [`Counter::AppsRearbitrated`] and
+    /// [`Counter::AppsSlept`], which positive-tolerance schedules book
+    /// instead.
     AppsDecided,
     /// Arbitrations that moved an app's award (bit-for-bit comparison
     /// against the previous quantum's award).
@@ -55,20 +61,23 @@ pub enum Counter {
     Retirements,
     /// Mid-run budget replacements.
     BudgetChanges,
-    /// Incremental-path apps whose requests stayed inside the tolerance
-    /// and therefore skipped the whole decide quantum.
+    /// Apps whose requests stayed inside a positive arbitration tolerance
+    /// and therefore skipped the whole decide quantum (never booked at
+    /// tolerance 0).
     AppsSkipped,
-    /// Incremental-path apps re-arbitrated (and decided) because their
-    /// request moved past the tolerance or a lifecycle/health event marked
-    /// them dirty. Disjoint from [`Counter::AppsDecided`], which the full
-    /// path counts: `skipped + rearbitrated + decided` sums to
-    /// quanta × active fleet regardless of path.
+    /// Apps re-arbitrated (and decided) under a positive arbitration
+    /// tolerance because their request moved past it or a
+    /// lifecycle/health event marked them dirty. Disjoint from
+    /// [`Counter::AppsDecided`], which tolerance 0 books instead:
+    /// `skipped + rearbitrated + decided` sums to quanta × active fleet
+    /// under every schedule.
     AppsRearbitrated,
-    /// Wake-scheduled apps that slept through the whole quantum — not
-    /// observed, not classified, not decided; their held award stood.
-    /// Counted once per step from the engine's sleeping-active total, so
+    /// Wake-scheduled apps (positive tolerance and horizon) that slept
+    /// through the whole quantum — not observed, not classified, not
+    /// decided; their held award stood. Counted once per step from the
+    /// engine's sleeping-active total, so
     /// `slept + skipped + rearbitrated + decided` partitions every active
-    /// app-quantum exactly once on any path.
+    /// app-quantum exactly once under every schedule.
     AppsSlept,
 }
 

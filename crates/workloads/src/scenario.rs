@@ -81,9 +81,9 @@ pub struct Scenario {
     pub fault_plan: FaultPlan,
     /// Relative request-delta tolerance for the coordinator's incremental
     /// arbitration engine, in `[0,` [`MAX_ARBITRATION_TOLERANCE`]`]`.
-    /// `0.0` (the default for every generated mix) keeps the legacy full
-    /// re-arbitration path; nonzero values let steady apps hold their
-    /// awards between quanta.
+    /// `0.0` (the default for every generated mix) re-arbitrates every app
+    /// every quantum (the full fold); nonzero values let steady apps hold
+    /// their awards between quanta.
     pub arbitration_tolerance: f64,
     /// Sleep horizon for the coordinator's wake scheduler, in quanta, in
     /// `[0,` [`MAX_WAKE_HORIZON`]`]`. `0` (the default for every generated

@@ -12,8 +12,9 @@
 //!
 //! The file also pins the decide-counter *ledger*: every active
 //! app-quantum lands in exactly one of `apps_skipped`,
-//! `apps_rearbitrated`, or `apps_decided` — on the full path, the
-//! incremental path, and in the `fig5 --fleet` fleet-scaling report.
+//! `apps_rearbitrated`, or `apps_decided` — at tolerance 0 (the full
+//! fold), at a positive tolerance, and in the `fig5 --fleet`
+//! fleet-scaling report.
 
 use std::sync::Arc;
 
@@ -89,18 +90,15 @@ proptest! {
     }
 }
 
-/// Steps a fleet of always-active apps under a recorder and returns the
-/// (skipped, rearbitrated, decided) counter triple.
-fn drive_counted(
-    apps: usize,
-    quanta: usize,
-    tolerance: Option<f64>,
-) -> (u64, u64, u64) {
+/// Steps a fleet of always-active apps under a recorder at the given
+/// arbitration tolerance and returns the (skipped, rearbitrated, decided)
+/// counter triple.
+fn drive_counted(apps: usize, quanta: usize, tolerance: f64) -> (u64, u64, u64) {
     let server = XeonServer::dell_r410_calibrated();
     let recorder = Arc::new(Recorder::in_memory());
     let mut coordinator = Coordinator::new(120.0, Box::new(PerformanceMarket::default()))
+        .with_arbitration_tolerance(tolerance)
         .with_obs(Arc::clone(&recorder));
-    coordinator.set_arbitration_tolerance(tolerance);
     let mut handles = Vec::with_capacity(apps);
     for index in 0..apps {
         let workload = Workload::new(
@@ -137,33 +135,27 @@ fn drive_counted(
 }
 
 /// Every active app-quantum lands in exactly one of the three decide
-/// counters, on both arbitration paths: the full path books everything
-/// under `apps_decided`, the incremental path splits the same ledger into
-/// `apps_skipped` + `apps_rearbitrated`.
+/// counters under every schedule: tolerance 0 (the default, the full
+/// fold) books everything under `apps_decided`, a positive tolerance
+/// splits the same ledger into `apps_skipped` + `apps_rearbitrated`.
 #[test]
 fn incremental_counters_reconcile_with_the_quantum_ledger() {
     let (apps, quanta) = (6, 10);
     let ledger = (apps * quanta) as u64;
 
-    let (skipped, rearbitrated, decided) = drive_counted(apps, quanta, None);
+    let (skipped, rearbitrated, decided) = drive_counted(apps, quanta, 0.0);
     assert_eq!(skipped + rearbitrated + decided, ledger);
-    assert_eq!(skipped, 0, "the full path never skips");
-    assert_eq!(rearbitrated, 0, "the full path books under apps_decided");
+    assert_eq!(skipped, 0, "tolerance 0 never skips");
+    assert_eq!(rearbitrated, 0, "tolerance 0 books under apps_decided");
+    assert_eq!(decided, ledger);
 
-    let (skipped, rearbitrated, decided) = drive_counted(apps, quanta, Some(0.2));
+    let (skipped, rearbitrated, decided) = drive_counted(apps, quanta, 0.2);
     assert_eq!(skipped + rearbitrated + decided, ledger);
-    assert_eq!(decided, 0, "the incremental path books its own counters");
+    assert_eq!(decided, 0, "a positive tolerance books its own counters");
     assert!(
         skipped > 0,
         "a steady fleet at tolerance 0.2 must skip: {rearbitrated} rearbitrated"
     );
-
-    // Tolerance 0 exercises the incremental machinery but can never skip.
-    let (skipped, rearbitrated, decided) = drive_counted(apps, quanta, Some(0.0));
-    assert_eq!(skipped + rearbitrated + decided, ledger);
-    assert_eq!(skipped, 0, "tolerance 0 re-arbitrates everything");
-    assert_eq!(decided, 0);
-    assert_eq!(rearbitrated, ledger);
 }
 
 /// The `fig5 --fleet` report's own ledger reconciles, its tolerance-0
