@@ -419,12 +419,16 @@ fn watchdog_app(
     }
 
     if app.health.state == HealthState::Quarantined {
-        // The conservative floor seat: unit urgency, ceiling pinned to the
-        // floor. The normal arbitration fold then redistributes the watts
-        // the app can no longer absorb.
-        request.urgency = 1.0;
-        request.max_power_watts = config.quarantine_floor_watts;
+        quarantine_floor(request, config);
     }
+}
+
+/// The conservative floor seat of a quarantined app: unit urgency, ceiling
+/// pinned to the floor. The normal arbitration fold then redistributes the
+/// watts the app can no longer absorb.
+fn quarantine_floor(request: &mut AppRequest, config: &WatchdogConfig) {
+    request.urgency = 1.0;
+    request.max_power_watts = config.quarantine_floor_watts;
 }
 
 /// Why [`Coordinator::try_register`] refused a registrant: with the
@@ -701,6 +705,10 @@ struct FleetHot {
     /// this quantum — the round's participant list minus the participants
     /// that are steady, have no fresh report, and whose schedule presence
     /// is unchanged (they keep their buffered observation and request).
+    /// Slots registered since the last step are never steady, so they are
+    /// always on it. The watchdog loop binary-searches it: a slot moved up
+    /// or down the health ladder that is *not* on it (a sleeper, or a
+    /// steady participant) gets a late observation there.
     observe_list: Vec<u32>,
 }
 
@@ -730,8 +738,10 @@ struct FleetHot {
 /// coordinator's [`ArbitrationSchedule`]. The engine opens each round with
 /// an ascending participant list — every slot by default, the awake set
 /// under wake scheduling — and both per-app stages walk exactly that list:
-/// observe (minus participants whose buffered snapshot is still current)
+/// observe (minus participants whose buffered snapshot is still current;
+/// a slot the watchdog moves mid-round gets a late observation instead)
 /// and decide (masked by the round's dirty set at a positive tolerance).
+/// A registration only grows the buffers; it never re-observes the fleet.
 /// At the default schedule (tolerance 0, no wake scheduling) every slot is
 /// dirty every quantum, so the round is the plain full fold — pinned
 /// bit-for-bit against a test-only full-fold reference step by
@@ -1519,36 +1529,34 @@ impl Coordinator {
         // nothing since, and whose schedule presence is unchanged already
         // holds a current observation and request — it pays nothing for
         // the quantum. Any report, lifecycle event, or fleet-wide
-        // invalidation re-enrolls it. Cold buffers (the fleet grew since
-        // the last step) re-observe every slot, sleeping or not.
+        // invalidation re-enrolls it. Slots registered since the last step
+        // only grow the buffers: they are never steady, so the filter
+        // enrolls them. Sleepers are not observed; one the watchdog wakes
+        // mid-round gets a late observation in the watchdog loop below.
         let budget = self.budget_watts;
+        self.observations.resize(fleet, MonitorObservation::default());
+        self.requests.resize(
+            fleet,
+            AppRequest {
+                active: false,
+                weight: 1.0,
+                urgency: 1.0,
+                max_power_watts: 0.0,
+            },
+        );
         let FleetHot {
             fresh,
             observe_list,
             ..
         } = &mut self.hot;
         observe_list.clear();
-        if self.observations.len() == fleet && self.requests.len() == fleet {
-            let (arbiter, apps, requests) = (&self.arbiter, &self.apps, &self.requests);
-            observe_list.extend(arbiter.awake_slots().iter().copied().filter(|&index| {
-                let index = index as usize;
-                !(arbiter.steady(index)
-                    && !fresh[index]
-                    && apps[index].active_at(quantum) == requests[index].active)
-            }));
-        } else {
-            self.observations.resize(fleet, MonitorObservation::default());
-            self.requests.resize(
-                fleet,
-                AppRequest {
-                    active: false,
-                    weight: 1.0,
-                    urgency: 1.0,
-                    max_power_watts: 0.0,
-                },
-            );
-            observe_list.extend(0..fleet as u32);
-        }
+        let (arbiter, apps, requests) = (&self.arbiter, &self.apps, &self.requests);
+        observe_list.extend(arbiter.awake_slots().iter().copied().filter(|&index| {
+            let index = index as usize;
+            !(arbiter.steady(index)
+                && !fresh[index]
+                && apps[index].active_at(quantum) == requests[index].active)
+        }));
         walk_list(
             pool.as_deref(),
             shard,
@@ -1573,8 +1581,13 @@ impl Coordinator {
         // watchdog configured this is a no-op branch, keeping the step
         // bit-identical to a pre-watchdog build.
         if let Some(config) = self.watchdog {
-            for (index, (app, request)) in
-                self.apps.iter_mut().zip(self.requests.iter_mut()).enumerate()
+            let mut late_observed = 0;
+            for (index, ((app, request), observation)) in self
+                .apps
+                .iter_mut()
+                .zip(self.requests.iter_mut())
+                .zip(self.observations.iter_mut())
+                .enumerate()
             {
                 let before = app.health.state;
                 let first_quarantine = app.health.quarantined_at.is_none();
@@ -1589,6 +1602,19 @@ impl Coordinator {
                 // fold: quarantine rewrote its request, readmission
                 // restored it.
                 self.arbiter.mark_dirty(index);
+                // Late observation: a slot the observe stage skipped (a
+                // sleeper, or a steady participant) enters the fold and
+                // decides on a current snapshot, its request rebuilt from
+                // it (so a readmission drops the floor) and re-floored
+                // while quarantined.
+                if self.hot.observe_list.binary_search(&(index as u32)).is_err() {
+                    *observation = app.monitor.observation();
+                    *request = request_for(app, observation, quantum, budget);
+                    if after == HealthState::Quarantined {
+                        quarantine_floor(request, &config);
+                    }
+                    late_observed += 1;
+                }
                 // Ladder telemetry, raised from this sequential loop only:
                 // first-time quarantines match the figure summaries'
                 // `quarantined_apps` (an app re-quarantined after
@@ -1610,6 +1636,9 @@ impl Coordinator {
                         },
                     });
                 }
+            }
+            if let Some(observer) = &observer {
+                observer.add(Counter::AppsObserved, late_observed);
             }
         }
 
@@ -1635,11 +1664,15 @@ impl Coordinator {
                 observer.add(Counter::AppsSlept, outcome.slept as u64);
             }
             // Awards changed vs held: bit-for-bit comparison of each
-            // present app's fresh award against the envelope it executed
-            // the previous quantum under (recorded by the decide stage).
+            // present participant's fresh award against the envelope it
+            // executed the previous quantum under (recorded by the decide
+            // stage). Slots that slept through the round hold their award
+            // bit for bit, so they are booked held without a visit; this
+            // round's new sleepers are still on the list and are not.
             let mut changed = 0;
-            let mut held = 0;
-            for (app, &award) in self.apps.iter().zip(&self.awards) {
+            let mut held = outcome.slept as u64;
+            for &index in self.arbiter.awake_slots() {
+                let (app, award) = (&self.apps[index as usize], self.awards[index as usize]);
                 if !app.active_at(quantum) {
                     continue;
                 }
@@ -2842,5 +2875,291 @@ mod tests {
         );
         let total: f64 = coordinator.awards().iter().sum();
         assert!(total <= 60.0 * 0.95 + 1e-9, "budget overrun: {total}");
+    }
+
+    /// A watchdog ladder that moves within a few quanta, so sleepers get
+    /// quarantined and readmitted inside a short run. A fault first makes
+    /// its app `Suspect` (a transition, which wakes it); the strike counts
+    /// leave it room to fall asleep again before quarantine.
+    const FAST_LADDER: WatchdogConfig = WatchdogConfig {
+        stale_beat_quanta: 4,
+        overdraw_quanta: 4,
+        overdraw_tolerance: 0.5,
+        quarantine_floor_watts: 5.0,
+        readmit_quanta: 3,
+        warmup_quanta: 2,
+    };
+
+    /// One quantum of the declared-effect platform with faults: apps in
+    /// `stalled` report nothing, apps in `misreporting` claim four times
+    /// the power they drew.
+    fn advance_with_faults(
+        coordinator: &mut Coordinator,
+        handles: &[AppHandle],
+        now: f64,
+        stalled: &[usize],
+        misreporting: &[usize],
+    ) {
+        for (i, &handle) in handles.iter().enumerate() {
+            if stalled.contains(&i) || !coordinator.app(handle).active_at(coordinator.quantum()) {
+                continue;
+            }
+            let effect = {
+                let runtime = coordinator.app(handle).runtime();
+                runtime
+                    .model()
+                    .space()
+                    .predicted_effect(runtime.current_configuration())
+                    .unwrap()
+            };
+            let claimed = if misreporting.contains(&i) { 4.0 } else { 1.0 };
+            coordinator.advance(
+                handle,
+                now - 1.0,
+                now,
+                10.0 * effect.performance,
+                claimed * 10.0 * effect.power,
+            );
+        }
+    }
+
+    /// Per-quantum award and decision bits of the resident apps, plus the
+    /// `(quantum, app, new state)` of every watchdog transition that struck
+    /// a slot asleep going into the step.
+    type WatchdogTwin = (
+        Vec<(Vec<u64>, Vec<Option<CapDecision>>)>,
+        Vec<(usize, usize, HealthState)>,
+    );
+
+    /// Drives a wake-scheduled, watchdog-guarded three-app fleet through a
+    /// stall (app 0, then recovery) and a power misreport (app 1),
+    /// registering an absent app — arriving long after the run — every
+    /// quantum when `register_absent` is set.
+    fn watchdog_twin(register_absent: bool) -> WatchdogTwin {
+        let mut coordinator = Coordinator::new(60.0, Box::new(WeightedFair))
+            .with_arbitration_tolerance(0.05)
+            .with_wake_schedule(WakeConfig {
+                steady_quanta: 1,
+                horizon: 64,
+            })
+            .with_watchdog(FAST_LADDER);
+        let handles: Vec<AppHandle> = (0..3)
+            .map(|i| {
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
+            })
+            .collect();
+        let mut trace = Vec::new();
+        let mut sleeper_transitions = Vec::new();
+        let mut now = 0.0;
+        for quantum in 0..40 {
+            if register_absent {
+                coordinator.register(
+                    managed_app(SplashBenchmark::Volrend, 100 + quantum as u64, 20.0)
+                        .with_arrival(1_000),
+                );
+            }
+            now += 1.0;
+            let stalled: &[usize] = if (8..16).contains(&quantum) { &[0] } else { &[] };
+            let misreporting: &[usize] = if (22..30).contains(&quantum) { &[1] } else { &[] };
+            advance_with_faults(&mut coordinator, &handles, now, stalled, misreporting);
+            let asleep: Vec<bool> = (0..3).map(|i| coordinator.arbiter.is_sleeping(i)).collect();
+            let before: Vec<HealthState> =
+                handles.iter().map(|&h| coordinator.app(h).health_state()).collect();
+            coordinator.step(now).unwrap();
+            for (i, &handle) in handles.iter().enumerate() {
+                let app = coordinator.app(handle);
+                let after = app.health_state();
+                if !asleep[i] || after == before[i] {
+                    continue;
+                }
+                sleeper_transitions.push((quantum, i, after));
+                // The woken sleeper entered the fold and decided on a
+                // current snapshot, its request rebuilt from it: floored
+                // exactly while quarantined. (Its ceiling is not compared:
+                // the decision has since moved the nominal-power estimate.)
+                let observation = app.monitor.observation();
+                let mut expected = request_for(app, &observation, quantum, 60.0);
+                let floored = after == HealthState::Quarantined;
+                if floored {
+                    quarantine_floor(&mut expected, &FAST_LADDER);
+                }
+                let request = coordinator.requests[i];
+                assert_eq!(coordinator.observations[i], observation, "quantum {quantum}");
+                assert_eq!(
+                    (request.active, request.weight, request.urgency),
+                    (expected.active, expected.weight, expected.urgency),
+                    "quantum {quantum}"
+                );
+                assert_eq!(
+                    request.max_power_watts == FAST_LADDER.quarantine_floor_watts,
+                    floored,
+                    "quantum {quantum}: {request:?}"
+                );
+            }
+            trace.push((
+                coordinator.awards()[..3].iter().map(|award| award.to_bits()).collect(),
+                handles.iter().map(|&h| coordinator.app(h).last_decision()).collect(),
+            ));
+        }
+        (trace, sleeper_transitions)
+    }
+
+    #[test]
+    fn a_watchdog_woken_sleeper_decides_the_same_whether_or_not_an_app_registers() {
+        // A sleeper the watchdog moves wakes mid-round and is decided the
+        // same quantum. Its award and decision must rest on a current
+        // observation either way: an unrelated registration (an absent app
+        // that only grows the fleet) must not change a single bit.
+        let (quiet, transitions) = watchdog_twin(false);
+        let (growing, growing_transitions) = watchdog_twin(true);
+        assert_eq!(transitions, growing_transitions);
+        for state in [HealthState::Quarantined, HealthState::Readmitted] {
+            assert!(
+                transitions.iter().any(|&(_, _, to)| to == state),
+                "the run must move a sleeper to {state:?}: {transitions:?}"
+            );
+        }
+        for (quantum, (quiet, growing)) in quiet.iter().zip(&growing).enumerate() {
+            assert_eq!(quiet, growing, "quantum {quantum} diverged: {transitions:?}");
+        }
+    }
+
+    #[test]
+    fn observe_counts_participants_and_late_observations_under_churn() {
+        // One present registration per quantum grows the fleet every step,
+        // and a stall drives a sleeper up the watchdog ladder: each step
+        // must still observe only its filtered participants plus the slots
+        // the watchdog woke mid-round — never the whole fleet — and
+        // `apps_observed` must book both.
+        let recorder = Arc::new(Recorder::in_memory());
+        let mut coordinator = Coordinator::new(60.0, Box::new(WeightedFair))
+            .with_arbitration_tolerance(0.05)
+            .with_wake_schedule(WakeConfig {
+                steady_quanta: 1,
+                horizon: 64,
+            })
+            .with_watchdog(FAST_LADDER)
+            .with_obs(Arc::clone(&recorder));
+        let mut handles: Vec<AppHandle> = (0..3)
+            .map(|i| {
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
+            })
+            .collect();
+        let mut now = 0.0;
+        let mut late_total = 0;
+        let mut fleet_quanta = 0;
+        for quantum in 0..24 {
+            let seed = 10 + quantum as u64;
+            handles.push(coordinator.register(managed_app(SplashBenchmark::Volrend, seed, 20.0)));
+            now += 1.0;
+            let stalled: &[usize] = if (8..16).contains(&quantum) { &[0] } else { &[] };
+            advance_with_faults(&mut coordinator, &handles, now, stalled, &[]);
+            let before: Vec<HealthState> =
+                handles.iter().map(|&h| coordinator.app(h).health_state()).collect();
+            let observed_before = recorder.counter(Counter::AppsObserved);
+            coordinator.step(now).unwrap();
+            let observed = recorder.counter(Counter::AppsObserved) - observed_before;
+            let late = handles
+                .iter()
+                .enumerate()
+                .filter(|&(i, &h)| {
+                    coordinator.app(h).health_state() != before[i]
+                        && coordinator.hot.observe_list.binary_search(&(i as u32)).is_err()
+                })
+                .count() as u64;
+            late_total += late;
+            fleet_quanta += handles.len() as u64;
+            assert_eq!(
+                observed,
+                coordinator.hot.observe_list.len() as u64 + late,
+                "quantum {quantum}: apps_observed must book the list and the late observations"
+            );
+            assert!(
+                observed <= coordinator.arbiter.awake_slots().len() as u64,
+                "quantum {quantum}: observed {observed} slots beyond the round's participants"
+            );
+        }
+        assert!(late_total > 0, "the stall must wake a sleeper mid-round");
+        let slept = recorder.counter(Counter::AppsSlept);
+        assert!(slept > 0, "steady apps never slept");
+        assert_eq!(
+            slept
+                + recorder.counter(Counter::AppsSkipped)
+                + recorder.counter(Counter::AppsRearbitrated)
+                + recorder.counter(Counter::AppsDecided),
+            fleet_quanta,
+            "the four-way ledger must partition every active app-quantum"
+        );
+        assert!(
+            recorder.counter(Counter::AppsObserved) + slept <= fleet_quanta,
+            "sleeping apps must not be observed, registrations or not"
+        );
+    }
+
+    #[test]
+    fn the_awards_scan_over_participants_matches_the_full_fleet_scan() {
+        // The changed/held split is booked from the participant list plus
+        // the round's sleepers (held by construction). Under wake
+        // scheduling, registrations, retirements and watchdog moves it must
+        // equal the full-fleet scan: every present app's award against the
+        // envelope it executed the previous quantum under.
+        let recorder = Arc::new(Recorder::in_memory());
+        let mut coordinator = Coordinator::new(60.0, Box::new(WeightedFair))
+            .with_arbitration_tolerance(0.05)
+            .with_wake_schedule(WakeConfig {
+                steady_quanta: 1,
+                horizon: 16,
+            })
+            .with_watchdog(FAST_LADDER)
+            .with_obs(Arc::clone(&recorder));
+        let mut handles: Vec<AppHandle> = (0..4)
+            .map(|i| {
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
+            })
+            .collect();
+        let mut now = 0.0;
+        for quantum in 0..32 {
+            if quantum % 3 == 0 {
+                let seed = 20 + quantum as u64;
+                handles
+                    .push(coordinator.register(managed_app(SplashBenchmark::Barnes, seed, 20.0)));
+            }
+            if quantum % 5 == 4 {
+                coordinator.retire(handles[4 + quantum / 5]);
+            }
+            now += 1.0;
+            let stalled: &[usize] = if (6..14).contains(&quantum) { &[1] } else { &[] };
+            let misreporting: &[usize] = if (16..24).contains(&quantum) { &[2] } else { &[] };
+            advance_with_faults(&mut coordinator, &handles, now, stalled, misreporting);
+            let previous: Vec<f64> = coordinator.apps().iter().map(|app| app.awarded_watts).collect();
+            let (changed_before, held_before) = (
+                recorder.counter(Counter::AwardsChanged),
+                recorder.counter(Counter::AwardsHeld),
+            );
+            coordinator.step(now).unwrap();
+            let (mut changed, mut held) = (0, 0);
+            for ((app, award), previous) in
+                coordinator.apps().iter().zip(coordinator.awards()).zip(&previous)
+            {
+                if !app.active_at(quantum) {
+                    continue;
+                }
+                if award.to_bits() == previous.to_bits() {
+                    held += 1;
+                } else {
+                    changed += 1;
+                }
+            }
+            assert_eq!(
+                (
+                    recorder.counter(Counter::AwardsChanged) - changed_before,
+                    recorder.counter(Counter::AwardsHeld) - held_before,
+                ),
+                (changed, held),
+                "quantum {quantum}: (changed, held) diverged from the full-fleet scan"
+            );
+        }
+        assert!(recorder.counter(Counter::AppsSlept) > 0, "nothing slept");
+        assert!(recorder.counter(Counter::Quarantines) > 0, "nothing was quarantined");
     }
 }

@@ -19,6 +19,11 @@
 //!   declared-effect synthetic platform. Every app's awarded envelope,
 //!   every decision, and every step summary must agree bitwise.
 //!
+//! A third, metamorphic contract holds at every schedule: registering an
+//! app that is not yet present is invisible to the residents — every
+//! resident's award and decision bits and every step summary stay the
+//! same, with the watchdog moving sleepers up and down its ladder.
+//!
 //! Nonzero tolerances trade exactness for skipped work, so their contract
 //! is the invariant layer's, not bitwise identity: awards stay finite,
 //! non-negative, within each app's absorption ceiling, zero for absent
@@ -31,7 +36,7 @@ use coordinator::invariants::{
 use coordinator::{
     AppHandle, AppRequest, ArbitrationPolicy, ArbitrationSchedule, Coordinator,
     IncrementalArbiter, ManagedApp, PerformanceMarket, ScheduleError, StaticShare, StepSummary,
-    WakeConfig, WeightedFair,
+    WakeConfig, WatchdogConfig, WeightedFair,
 };
 use obs::{Counter, Recorder};
 use proptest::prelude::*;
@@ -781,6 +786,161 @@ proptest! {
                 check_summary_total(summary.awarded_watts_total, total).is_none(),
                 "{policy_name}: summary total {} vs recomputed {total}",
                 summary.awarded_watts_total
+            );
+        }
+    }
+}
+
+/// A watchdog ladder short enough that generated stalls and misreports
+/// quarantine and readmit apps — sleepers included — inside a short run.
+const FAST_LADDER: WatchdogConfig = WatchdogConfig {
+    stale_beat_quanta: 3,
+    overdraw_quanta: 3,
+    overdraw_tolerance: 0.5,
+    quarantine_floor_watts: 5.0,
+    readmit_quanta: 3,
+    warmup_quanta: 2,
+};
+
+/// One generated slot's fault windows: no reports at all over `stall`,
+/// four times the drawn power claimed over `misreport`.
+#[derive(Debug)]
+struct Faults {
+    stall: std::ops::Range<usize>,
+    misreport: std::ops::Range<usize>,
+}
+
+fn decode_faults(
+    stall_starts: &[usize],
+    stall_lengths: &[usize],
+    misreport_starts: &[usize],
+    misreport_lengths: &[usize],
+) -> Vec<Faults> {
+    (0..stall_starts.len())
+        .map(|i| Faults {
+            stall: stall_starts[i]..stall_starts[i] + stall_lengths[i],
+            misreport: misreport_starts[i]..misreport_starts[i] + misreport_lengths[i],
+        })
+        .collect()
+}
+
+/// Drives `slots` under `schedule` with the watchdog on and each slot's
+/// `faults` injected, registering an absent app — arriving long after the
+/// run — before every quantum listed in `absent_at`. The trace holds the
+/// step summaries and the *resident* slots' award and decision bits, so a
+/// run with registrations and one without compare directly.
+fn drive_with_registrations(
+    policy: Box<dyn ArbitrationPolicy>,
+    slots: &[Slot],
+    faults: &[Faults],
+    quanta: usize,
+    workers: usize,
+    schedule: ArbitrationSchedule,
+    absent_at: &[usize],
+) -> Trace {
+    let mut coordinator = Coordinator::new(35.0, policy)
+        .with_workers(workers)
+        .with_shard_threshold(0)
+        .with_watchdog(FAST_LADDER);
+    coordinator.set_schedule(schedule).unwrap();
+    let handles: Vec<AppHandle> = slots
+        .iter()
+        .enumerate()
+        .map(|(index, &slot)| coordinator.register(managed(slot, index)))
+        .collect();
+    let mut now = 0.0;
+    let mut trace = Trace::new();
+    for quantum in 0..quanta {
+        if absent_at.contains(&quantum) {
+            let absent = Slot {
+                seed: 1_000 + quantum as u64,
+                weight: 1.0,
+                target: 20.0,
+                arrival: quanta + 100,
+                departure: None,
+            };
+            coordinator.register(managed(absent, quantum));
+        }
+        now += 1.0;
+        for (&handle, faults) in handles.iter().zip(faults) {
+            if !coordinator.app(handle).active_at(quantum) || faults.stall.contains(&quantum) {
+                continue;
+            }
+            let (work, power) = platform_outcome(coordinator.app(handle).runtime());
+            let claimed = if faults.misreport.contains(&quantum) { 4.0 } else { 1.0 };
+            coordinator.advance(handle, now - 1.0, now, work, claimed * power);
+        }
+        let summary = coordinator.step(now).unwrap();
+        trace.push((
+            summary,
+            coordinator.awards()[..handles.len()]
+                .iter()
+                .map(|award| award.to_bits())
+                .collect(),
+            handles
+                .iter()
+                .map(|&h| coordinator.app(h).last_decision())
+                .collect(),
+        ));
+    }
+    trace
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Registration is invisible to the residents: registering absent apps
+    /// (arrival after the run) at random quanta leaves every resident's
+    /// award and decision bits, and every step summary, unchanged — under
+    /// any tolerance (0 included) and wake schedule (horizon 0 included),
+    /// with the watchdog quarantining and readmitting stalled and
+    /// misreporting apps (sleepers included), at 1 worker and at N.
+    #[test]
+    fn registering_absent_apps_leaves_every_resident_unchanged(
+        seeds in proptest::collection::vec(1u64..1_000_000, 1..7),
+        weights in proptest::collection::vec(0.25..8.0f64, 7),
+        targets in proptest::collection::vec(5.0..80.0f64, 7),
+        arrivals in proptest::collection::vec(0usize..6, 7),
+        departures in proptest::collection::vec(0usize..16, 7),
+        stall_starts in proptest::collection::vec(0usize..16, 7),
+        stall_lengths in proptest::collection::vec(0usize..8, 7),
+        misreport_starts in proptest::collection::vec(0usize..16, 7),
+        misreport_lengths in proptest::collection::vec(0usize..8, 7),
+        absent_picks in proptest::collection::vec(0usize..3, 16),
+        policy_pick in 0usize..3,
+        workers in 2usize..6,
+        tolerance in 0.0..0.5f64,
+        exact in 0usize..4,
+        steady in 1u32..4,
+        horizon in 0usize..33,
+    ) {
+        let quanta = 16;
+        let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
+        let faults =
+            decode_faults(&stall_starts, &stall_lengths, &misreport_starts, &misreport_lengths);
+        let absent_at: Vec<usize> =
+            (0..quanta).filter(|&quantum| absent_picks[quantum] == 0).collect();
+        let schedule = ArbitrationSchedule {
+            tolerance: if exact == 0 { 0.0 } else { tolerance },
+            wake: WakeConfig { steady_quanta: steady, horizon },
+        };
+        let policy = || policies().swap_remove(policy_pick);
+        for workers in [1, workers] {
+            let run = |absent_at: &[usize]| {
+                drive_with_registrations(
+                    policy(), &slots, &faults, quanta, workers, schedule, absent_at,
+                )
+            };
+            let quiet = run(&[]);
+            let growing = run(&absent_at);
+            let diverged = quiet.iter().zip(&growing).position(|(a, b)| a != b);
+            prop_assert!(
+                diverged.is_none(),
+                "registering absent apps at {absent_at:?} moved a resident at quantum \
+                 {diverged:?} ({} workers, {:?}, {} apps)",
+                workers,
+                schedule,
+                slots.len()
             );
         }
     }

@@ -21,7 +21,9 @@ pub enum Counter {
     QuantaStepped,
     /// Applications observed across all steps (present or not — the
     /// observe stage snapshots every participant whose buffered snapshot
-    /// is not known current: the whole registered fleet at tolerance 0).
+    /// is not known current: the whole registered fleet at tolerance 0),
+    /// plus the late observations of slots the watchdog moved mid-round
+    /// that the observe stage had skipped.
     AppsObserved,
     /// Applications that ran a decision under an awarded envelope at
     /// arbitration tolerance 0 (the default schedule, where every present
