@@ -43,6 +43,10 @@ use std::sync::Arc;
 use experiments::{Figure5, Figure5Hierarchy, FigureChaos, FigureEnforce};
 use obs::{ObsSnapshot, Recorder, Stage};
 use serde::Serialize;
+use workloads::{chaos_mixes, extended_scenario_mixes, scenario_mixes};
+
+/// The canonical seed every figure runs at.
+const SEED: u64 = 2012;
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -78,11 +82,18 @@ fn main() {
     });
 
     let mut merged = obs_path.as_ref().map(|_| ObsSnapshot::empty());
+    let observe = merged.is_some();
+    // Folds a `compute_scenarios_obs` snapshot into the merged report.
+    let mut absorb = |snapshot: Option<ObsSnapshot>| {
+        if let (Some(merged), Some(snapshot)) = (merged.as_mut(), snapshot) {
+            merged.merge(&snapshot);
+        }
+    };
 
     // Executor dispatch timing rides on its own recorder attached to the
     // shared pool for the duration of the run; its histogram merges into
     // the report last so the deterministic sections stay in figure order.
-    let dispatch = if merged.is_some() {
+    let dispatch = if observe {
         let recorder = Arc::new(Recorder::in_memory());
         let timer = Arc::clone(&recorder);
         exec::global_pool().set_dispatch_observer(Some(Arc::new(move |ns| {
@@ -93,14 +104,8 @@ fn main() {
         None
     };
 
-    let figure = match merged.as_mut() {
-        Some(merged) => {
-            let (figure, snapshot) = Figure5::compute_obs();
-            merged.merge(&snapshot);
-            figure
-        }
-        None => Figure5::compute(),
-    };
+    let (figure, snapshot) = Figure5::compute_scenarios_obs(&scenario_mixes(SEED), SEED, observe);
+    absorb(snapshot);
     println!(
         "Figure 5 — multi-application SEEC on the calibrated R410 under a machine power budget\n"
     );
@@ -108,14 +113,9 @@ fn main() {
     write_figure(&figure, "fig5.json");
 
     if extended {
-        let figure = match merged.as_mut() {
-            Some(merged) => {
-                let (figure, snapshot) = Figure5::compute_extended_obs();
-                merged.merge(&snapshot);
-                figure
-            }
-            None => Figure5::compute_extended(),
-        };
+        let (figure, snapshot) =
+            Figure5::compute_scenarios_obs(&extended_scenario_mixes(SEED), SEED, observe);
+        absorb(snapshot);
         println!(
             "\nExtended scenario family — runtime lifecycle, budget steps, sharded coordinator\n"
         );
@@ -124,14 +124,9 @@ fn main() {
     }
 
     if hierarchy {
-        let figure = match merged.as_mut() {
-            Some(merged) => {
-                let (figure, snapshot) = Figure5Hierarchy::compute_obs();
-                merged.merge(&snapshot);
-                figure
-            }
-            None => Figure5Hierarchy::compute(),
-        };
+        let (figure, snapshot) =
+            Figure5Hierarchy::compute_scenarios_obs(&extended_scenario_mixes(SEED), SEED, observe);
+        absorb(snapshot);
         println!(
             "\nHierarchical coordination — the rack-tagged extended mixes, budget flowing \
              datacenter → rack → app\n"
@@ -141,14 +136,9 @@ fn main() {
     }
 
     if chaos || enforce {
-        let figure = match merged.as_mut() {
-            Some(merged) => {
-                let (figure, snapshot) = FigureChaos::compute_obs();
-                merged.merge(&snapshot);
-                figure
-            }
-            None => FigureChaos::compute(),
-        };
+        let (figure, snapshot) =
+            FigureChaos::compute_scenarios_obs(&chaos_mixes(SEED), SEED, observe);
+        absorb(snapshot);
         if chaos {
             println!(
                 "\nChaos — fault-injected mixes under degradation and rack enforcement\n"

@@ -15,7 +15,7 @@
 //!   rack's breaker ([`EnforcementMode::Clamp`]) physically throttles the
 //!   rack to its awarded envelope.
 //! * **coordinated-degraded/audit** — the watchdog ladder
-//!   ([`Coordinator::with_watchdog`]) plus admission control: faulty apps
+//!   ([`coordinator::Coordinator::with_watchdog`]) plus admission control: faulty apps
 //!   are quarantined onto the floor envelope and readmitted when they
 //!   recover; overdraw is still only audited.
 //! * **coordinated-degraded/clamp** — degradation *and* the breaker: the
@@ -35,26 +35,16 @@
 //! the *healthy* population — the fairness cost any defence must be
 //! judged by.
 
-use std::sync::Arc;
-use std::time::Instant;
-
-use coordinator::{
-    AppHandle, Coordinator, DatacenterArbiter, EnforcementMode, HealthState, PerformanceMarket,
-    RackCoordinator, WatchdogConfig,
-};
-use obs::{Counter, ObsSnapshot, Recorder};
-use seec::UncoordinatedRuntime;
+use coordinator::EnforcementMode::{self, Audit, Clamp};
+use coordinator::{HealthState, RackCoordinator, WatchdogConfig};
+use obs::ObsSnapshot;
 use serde::{Deserialize, Serialize};
-use workloads::{chaos_mixes, FaultKind, HeartbeatedWorkload, Scenario};
-use xeon_sim::{MachineMeter, XeonServer};
+use workloads::{chaos_mixes, FaultKind, Scenario};
+use xeon_sim::XeonServer;
 
-use crate::driver::{run_cells, to_server_demand};
-use crate::faults::FaultRuntime;
-use crate::fig3::{map_configuration, xeon_actuators};
-use crate::fig5::{
-    build_apps, datacenter_budget_watts, heartbeated, managed_for, tuned, AppSim, RuntimeBlock,
-    QUANTUM_SECONDS,
-};
+use crate::driver::run_grid;
+use crate::fig5::{datacenter_budget_watts, market, RuntimeBlock};
+use crate::scenario::{AppSim, Layout, Platform, ScenarioEnd, ScenarioRun, Slot};
 
 /// One application's fate in one chaos cell.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -163,16 +153,12 @@ impl ChaosScenarioResult {
     /// The scenario with every arm's wall-clock timing zeroed.
     pub fn canonical(&self) -> Self {
         ChaosScenarioResult {
-            name: self.name.clone(),
-            apps: self.apps,
-            racks: self.racks,
-            quanta: self.quanta,
-            budget_watts: self.budget_watts,
             uncoordinated: self.uncoordinated.canonical(),
             naive_audit: self.naive_audit.canonical(),
             naive_clamp: self.naive_clamp.canonical(),
             degraded_audit: self.degraded_audit.canonical(),
             degraded_clamp: self.degraded_clamp.canonical(),
+            ..self.clone()
         }
     }
 }
@@ -219,58 +205,37 @@ pub struct FigureEnforce {
     pub scenarios: Vec<EnforceScenarioResult>,
 }
 
-/// Which regime a chaos cell runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum ChaosArm {
-    Uncoordinated,
-    Coordinated {
-        degradation: bool,
-        enforcement: EnforcementMode,
-    },
-}
+/// The regimes, in cell order: name, then the coordinated regimes'
+/// `(degradation, enforcement)` knobs.
+const CHAOS_ARMS: [(&str, Option<(bool, EnforcementMode)>); 5] = [
+    ("uncoordinated", None),
+    ("coordinated-naive/audit", Some((false, Audit))),
+    ("coordinated-naive/clamp", Some((false, Clamp))),
+    ("coordinated-degraded/audit", Some((true, Audit))),
+    ("coordinated-degraded/clamp", Some((true, Clamp))),
+];
 
-impl ChaosArm {
-    pub(crate) const ALL: [ChaosArm; 5] = [
-        ChaosArm::Uncoordinated,
-        ChaosArm::Coordinated {
-            degradation: false,
-            enforcement: EnforcementMode::Audit,
-        },
-        ChaosArm::Coordinated {
-            degradation: false,
-            enforcement: EnforcementMode::Clamp,
-        },
-        ChaosArm::Coordinated {
-            degradation: true,
-            enforcement: EnforcementMode::Audit,
-        },
-        ChaosArm::Coordinated {
-            degradation: true,
-            enforcement: EnforcementMode::Clamp,
-        },
-    ];
-
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            ChaosArm::Uncoordinated => "uncoordinated",
-            ChaosArm::Coordinated {
-                degradation: false,
-                enforcement: EnforcementMode::Audit,
-            } => "coordinated-naive/audit",
-            ChaosArm::Coordinated {
-                degradation: false,
-                enforcement: EnforcementMode::Clamp,
-            } => "coordinated-naive/clamp",
-            ChaosArm::Coordinated {
-                degradation: true,
-                enforcement: EnforcementMode::Audit,
-            } => "coordinated-degraded/audit",
-            ChaosArm::Coordinated {
-                degradation: true,
-                enforcement: EnforcementMode::Clamp,
-            } => "coordinated-degraded/clamp",
-        }
-    }
+/// A regime's platform: nothing, or the performance-market hierarchy with
+/// the regime's robustness knobs on every rack.
+fn chaos_platform(
+    knobs: Option<(bool, EnforcementMode)>,
+    budget: f64,
+    racks: usize,
+    watchdog: WatchdogConfig,
+) -> Platform {
+    let Some((degradation, enforcement)) = knobs else {
+        return Platform::Uncoordinated;
+    };
+    Platform::racks(budget, racks, market, |name, coordinator| {
+        let coordinator = if degradation {
+            coordinator
+                .with_watchdog(watchdog)
+                .with_admission_control(true)
+        } else {
+            coordinator
+        };
+        RackCoordinator::new(name, coordinator).with_enforcement(enforcement)
+    })
 }
 
 /// The watchdog thresholds a chaos cell runs: the defaults, with the
@@ -286,7 +251,7 @@ impl ChaosArm {
 /// market re-converges toward a self-consistent lie within a few quanta,
 /// so the threshold must catch the transient before award inflation
 /// closes the gap).
-pub(crate) fn chaos_watchdog(apps: &[AppSim]) -> WatchdogConfig {
+fn chaos_watchdog(apps: &[AppSim]) -> WatchdogConfig {
     let default = WatchdogConfig::default();
     WatchdogConfig {
         quarantine_floor_watts: apps
@@ -317,276 +282,45 @@ fn health_label(state: HealthState) -> &'static str {
     }
 }
 
-/// The per-app decision state of one chaos regime.
-enum ChaosControl {
-    Uncoordinated(Box<UncoordinatedRuntime>, HeartbeatedWorkload),
-    /// Handle within the app's rack coordinator.
-    Managed(Option<AppHandle>),
-}
-
-/// Runs one (scenario, regime) chaos cell.
-///
-/// Every coordinated regime uses the rack → datacenter hierarchy (a
-/// single-rack scenario is simply a one-rack datacenter), so the same
-/// runner measures machine-level storms and rack-level rogues. Physical
-/// accounting follows [`crate::fig5::run_hierarchy_cell`]: racks admit
-/// the rail draw first ([`RackCoordinator::admit`] — the enforcement
-/// point), the datacenter meter and attainment accumulate the admitted
-/// truth, and coordinators receive only what the fault plan lets each app
-/// claim.
-pub(crate) fn run_chaos_cell(
-    server: &XeonServer,
+/// Folds one finished chaos cell into its per-app verdicts and arm
+/// aggregates. Every coordinated regime runs the rack → datacenter
+/// hierarchy on [`Layout::Racks`] (a single-rack scenario is simply a
+/// one-rack datacenter), so racks admit the rail draw first
+/// ([`RackCoordinator::admit`] — the enforcement point), the datacenter
+/// meter and attainment accumulate the admitted truth, and coordinators
+/// receive only what the fault plan lets each app claim.
+fn chaos_outcome(
+    name: &str,
     scenario: &Scenario,
-    arm: ChaosArm,
-    seed: u64,
-    observer: Option<&Arc<Recorder>>,
+    watchdog: &WatchdogConfig,
+    end: &ScenarioEnd,
 ) -> ChaosArmOutcome {
-    let started = Instant::now();
-    let mut peak_fleet: u64 = 0;
-    let mut apps = build_apps(server, scenario);
-    let racks = scenario.rack_count();
-    let budget_range = (server.max_power_watts() - server.idle_power_watts()) * racks as f64;
-    let budget = datacenter_budget_watts(server, scenario);
-    let mut meter = MachineMeter::new(budget);
-    let mut faults = FaultRuntime::for_plan(&scenario.fault_plan, apps.len());
-    let watchdog = chaos_watchdog(&apps);
-
-    let mut datacenter_state: Option<DatacenterArbiter> = match arm {
-        ChaosArm::Uncoordinated => None,
-        ChaosArm::Coordinated {
-            degradation,
-            enforcement,
-        } => {
-            let mut datacenter =
-                DatacenterArbiter::new(budget, Box::new(PerformanceMarket::default()));
-            for rack in 0..racks {
-                let mut coordinator =
-                    Coordinator::new(budget, Box::new(PerformanceMarket::default()))
-                        .with_pool(std::sync::Arc::clone(exec::global_pool_arc()));
-                if degradation {
-                    coordinator = coordinator
-                        .with_watchdog(watchdog)
-                        .with_admission_control(true);
-                }
-                datacenter.add_rack(
-                    RackCoordinator::new(format!("rack-{rack}"), coordinator)
-                        .with_enforcement(enforcement),
-                );
-            }
-            Some(datacenter)
-        }
-    };
-    if let (Some(observer), Some(datacenter)) = (observer, datacenter_state.as_mut()) {
-        datacenter.set_obs(Some(Arc::clone(observer)));
-    }
-
-    let mut controllers: Vec<ChaosControl> = apps
-        .iter()
-        .enumerate()
-        .map(|(index, sim)| match arm {
-            ChaosArm::Uncoordinated => {
-                let driver = heartbeated(sim);
-                let runtime = UncoordinatedRuntime::new_with(
-                    &driver.monitor(),
-                    xeon_actuators(server),
-                    seed.wrapping_add(index as u64),
-                    tuned,
-                )
-                .expect("actuators registered");
-                ChaosControl::Uncoordinated(Box::new(runtime), driver)
-            }
-            ChaosArm::Coordinated { .. } => ChaosControl::Managed(None),
-        })
-        .collect();
-
-    let mut now = 0.0;
-    let mut per_app_power = vec![0.0f64; apps.len()];
-    let mut rates = vec![0.0f64; apps.len()];
-    let mut rack_core_duty = vec![0.0f64; racks];
-    for quantum in 0..scenario.quanta {
-        let start = now;
-        now += QUANTUM_SECONDS;
-
-        // ---- Lifecycle: budget steps bind the meter; arrivals register
-        // with their rack, departures retire.
-        let cap = scenario.budget_fraction_at(quantum) * budget_range;
-        if cap != meter.cap_watts() {
-            meter.set_cap(cap);
-        }
-        if let Some(datacenter) = datacenter_state.as_mut() {
-            for (index, sim) in apps.iter().enumerate() {
-                let never_active = sim.spec.departure.is_some_and(|d| d <= sim.spec.arrival);
-                if sim.spec.arrival == quantum && !never_active {
-                    let managed = managed_for(server, sim, seed, index);
-                    controllers[index] = ChaosControl::Managed(Some(
-                        datacenter.rack_mut(sim.spec.rack).register(managed),
-                    ));
-                }
-                if sim.spec.departure == Some(quantum) {
-                    if let ChaosControl::Managed(Some(handle)) = controllers[index] {
-                        datacenter.rack_mut(sim.spec.rack).retire(handle);
-                    }
-                }
-            }
-
-            // ---- Arbitrate and decide at the start of the quantum (the
-            // hierarchy discipline): envelopes bind before any watt is
-            // drawn, budget steps included.
-            if cap != datacenter.budget_watts() {
-                datacenter.set_budget(cap);
-            }
-            datacenter.step(start).expect("every app declares a goal");
-        }
-
-        // ---- Evaluate every active app under its current configuration.
-        rack_core_duty.fill(0.0);
-        let mut active_count: u64 = 0;
-        for (index, sim) in apps.iter().enumerate() {
-            per_app_power[index] = 0.0;
-            rates[index] = 0.0;
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            active_count += 1;
-            if faults.as_ref().is_some_and(|f| !f.executes(index, quantum)) {
-                continue; // crashed: no cycles, no watts
-            }
-            let configuration = match &controllers[index] {
-                ChaosControl::Uncoordinated(runtime, _) => {
-                    map_configuration(server, &runtime.joint_configuration())
-                }
-                ChaosControl::Managed(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    let datacenter = datacenter_state.as_ref().expect("coordinated arm");
-                    map_configuration(
-                        server,
-                        datacenter
-                            .rack(sim.spec.rack)
-                            .coordinator()
-                            .app(handle)
-                            .runtime()
-                            .current_configuration(),
-                    )
-                }
-            };
-            let report = server.evaluate(&to_server_demand(sim.demand_at(quantum)), &configuration);
-            rates[index] = report.work_units / report.seconds;
-            per_app_power[index] = report.power_above_idle_watts;
-            rack_core_duty[sim.spec.rack] +=
-                configuration.cores as f64 * configuration.active_cycle_fraction;
-        }
-
-        // ---- Time-multiplex each rack's machine independently.
-        let rack_contention: Vec<f64> = rack_core_duty
-            .iter()
-            .map(|&duty| {
-                if duty > server.total_cores() as f64 {
-                    server.total_cores() as f64 / duty
-                } else {
-                    1.0
-                }
-            })
-            .collect();
-
-        let mut machine_power = 0.0;
-        for (index, sim) in apps.iter_mut().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            let contention = rack_contention[sim.spec.rack];
-            let mut work = rates[index] * contention * QUANTUM_SECONDS;
-            let mut power = per_app_power[index] * contention;
-            // The rack admits the rail draw first: under Clamp the breaker
-            // physically gates the app, so the admitted values *are* the
-            // ground truth everything downstream meters.
-            if let ChaosControl::Managed(Some(_)) = &controllers[index] {
-                (work, power) = datacenter_state
-                    .as_mut()
-                    .expect("coordinated arm")
-                    .rack_mut(sim.spec.rack)
-                    .admit(start, now, work, power);
-            }
-            machine_power += power;
-            sim.active_seconds += QUANTUM_SECONDS;
-            sim.work_done += work;
-            // Telemetry: whatever the fault plan lets the app claim about
-            // the (possibly throttled) quantum it just ran.
-            let report = match faults.as_mut() {
-                None => Some((work, power)),
-                Some(f) => f.report(index, quantum, work, power),
-            };
-            let Some((reported_work, reported_power)) = report else {
-                continue; // stalled pipe or dead app: nothing arrives
-            };
-            match &mut controllers[index] {
-                ChaosControl::Uncoordinated(_, driver) => {
-                    driver.advance_metered(start, now, reported_work, reported_power);
-                }
-                ChaosControl::Managed(handle) => {
-                    let handle = handle.expect("active apps have registered");
-                    datacenter_state
-                        .as_mut()
-                        .expect("coordinated arm")
-                        .rack_mut(sim.spec.rack)
-                        .advance_report(handle, start, now, reported_work, reported_power);
-                }
-            }
-        }
-        peak_fleet = peak_fleet.max(active_count);
-        let violations_before = meter.violation_intervals();
-        meter.record(QUANTUM_SECONDS, machine_power);
-        if let Some(observer) = observer {
-            observer.observe_fleet_size(active_count);
-            observer.add(
-                Counter::DatacenterMeterViolations,
-                meter.violation_intervals() - violations_before,
-            );
-        }
-
-        // ---- Uncoordinated apps decide at end of quantum.
-        for (index, sim) in apps.iter().enumerate() {
-            if !sim.active_at(quantum) {
-                continue;
-            }
-            if let ChaosControl::Uncoordinated(runtime, _) = &mut controllers[index] {
-                runtime.decide(now).expect("goal declared");
-            }
-        }
-    }
-
     // ---- Per-app verdicts.
-    let app_outcomes: Vec<ChaosAppOutcome> = apps
+    let plan = &scenario.fault_plan;
+    let app_outcomes: Vec<ChaosAppOutcome> = end
+        .apps
         .iter()
+        .zip(&end.slots)
         .enumerate()
-        .map(|(index, sim)| {
-            let first_fault = scenario
-                .fault_plan
-                .faults
-                .iter()
-                .filter(|fault| fault.app == index)
-                .map(|fault| fault.from)
-                .min();
-            let detectable = scenario
-                .fault_plan
-                .faults
-                .iter()
-                .any(|fault| fault.app == index && watchdog_visible(fault.kind, &watchdog));
-            let (health, quarantined_at, readmitted_at) = match &controllers[index] {
-                ChaosControl::Uncoordinated(..) => ("unmanaged".to_string(), None, None),
-                ChaosControl::Managed(Some(handle)) => {
-                    let datacenter = datacenter_state.as_ref().expect("coordinated arm");
-                    let app = datacenter.rack(sim.spec.rack).coordinator().app(*handle);
+        .map(|(index, (sim, slot))| {
+            let mut faults = plan.faults.iter().filter(|fault| fault.app == index);
+            let first_fault = faults.clone().map(|fault| fault.from).min();
+            let detectable = faults.any(|fault| watchdog_visible(fault.kind, watchdog));
+            let (health, quarantined_at, readmitted_at) = match *slot {
+                Slot::Uncoordinated(..) => ("unmanaged".to_string(), None, None),
+                Slot::Managed(Some(handle)) => {
+                    let app = end.platform.app(sim.spec.rack, handle);
                     (
                         health_label(app.health_state()).to_string(),
                         app.quarantined_at(),
                         app.readmitted_at(),
                     )
                 }
-                ChaosControl::Managed(None) => ("healthy".to_string(), None, None),
+                _ => ("healthy".to_string(), None, None),
             };
             ChaosAppOutcome {
                 index,
-                faulty: scenario.fault_plan.targets_app(index),
+                faulty: plan.targets_app(index),
                 detectable,
                 health,
                 quarantined_at,
@@ -600,55 +334,33 @@ pub(crate) fn run_chaos_cell(
         .collect();
 
     // ---- Arm aggregates.
-    let attainments: Vec<f64> = apps.iter().map(AppSim::attainment).collect();
-    let goal_attainment = attainments.iter().sum::<f64>() / attainments.len().max(1) as f64;
-    let healthy: Vec<f64> = app_outcomes
-        .iter()
-        .filter(|app| !app.faulty)
-        .map(|app| app.attainment)
-        .collect();
-    let healthy_attainment = if healthy.is_empty() {
-        goal_attainment
-    } else {
-        healthy.iter().sum::<f64>() / healthy.len() as f64
+    let count =
+        |keep: fn(&ChaosAppOutcome) -> bool| app_outcomes.iter().filter(|app| keep(app)).count();
+    let healthy = app_outcomes.iter().filter(|app| !app.faulty);
+    let healthy_attainment = match count(|app| !app.faulty) {
+        0 => end.goal_attainment,
+        apps => healthy.map(|app| app.attainment).sum::<f64>() / apps as f64,
     };
-    let mean_power = meter.mean_watts();
-    let performance_per_watt = if mean_power > 0.0 {
-        attainments.iter().sum::<f64>() / mean_power
-    } else {
-        0.0
+    let (clamp_events, shed_joules) = match &end.platform {
+        Platform::Racks(datacenter) => datacenter
+            .racks()
+            .iter()
+            .fold((0, 0.0), |(events, shed), rack| {
+                (events + rack.clamp_events(), shed + rack.shed_joules())
+            }),
+        _ => (0, 0.0),
     };
-    let (max_rack_violation_rate, clamp_events, shed_joules) = datacenter_state
-        .as_ref()
-        .map_or((0.0, 0, 0.0), |datacenter| {
-            datacenter.racks().iter().fold(
-                (0.0f64, 0u64, 0.0f64),
-                |(violation, events, shed), rack| {
-                    (
-                        violation.max(rack.meter().violation_rate()),
-                        events + rack.clamp_events(),
-                        shed + rack.shed_joules(),
-                    )
-                },
-            )
-        });
     ChaosArmOutcome {
-        name: arm.name().to_string(),
-        cap_violation_rate: meter.violation_rate(),
-        max_rack_violation_rate,
-        mean_power_watts: mean_power,
-        performance_per_watt,
-        goal_attainment,
+        name: name.to_string(),
+        cap_violation_rate: end.meter.violation_rate(),
+        max_rack_violation_rate: end.platform.worst_rack_violation_rate(),
+        mean_power_watts: end.meter.mean_watts(),
+        performance_per_watt: end.performance_per_watt,
+        goal_attainment: end.goal_attainment,
         healthy_attainment,
-        faulty_apps: app_outcomes.iter().filter(|app| app.faulty).count(),
-        quarantined_apps: app_outcomes
-            .iter()
-            .filter(|app| app.quarantined_at.is_some())
-            .count(),
-        false_quarantines: app_outcomes
-            .iter()
-            .filter(|app| app.quarantined_at.is_some() && !app.faulty)
-            .count(),
+        faulty_apps: count(|app| app.faulty),
+        quarantined_apps: count(|app| app.quarantined_at.is_some()),
+        false_quarantines: count(|app| app.quarantined_at.is_some() && !app.faulty),
         max_time_to_quarantine: app_outcomes
             .iter()
             .filter(|app| app.detectable)
@@ -657,7 +369,7 @@ pub(crate) fn run_chaos_cell(
         clamp_events,
         shed_joules,
         apps: app_outcomes,
-        runtime: RuntimeBlock::measure(started, scenario.quanta, peak_fleet),
+        runtime: end.runtime.clone(),
     }
 }
 
@@ -670,14 +382,6 @@ impl FigureChaos {
     /// [`Self::compute`] for an explicit seed.
     pub fn compute_with(seed: u64) -> Self {
         FigureChaos::compute_scenarios(&chaos_mixes(seed), seed)
-    }
-
-    /// [`Self::compute`] with telemetry attached (the `fig5 --chaos
-    /// --obs` path).
-    pub fn compute_obs() -> (Self, ObsSnapshot) {
-        let (figure, snapshot) =
-            FigureChaos::compute_scenarios_obs(&chaos_mixes(2012), 2012, true);
-        (figure, snapshot.expect("observe=true yields a snapshot"))
     }
 
     /// Runs the experiment over explicit scenarios. Every
@@ -697,43 +401,35 @@ impl FigureChaos {
         observe: bool,
     ) -> (Self, Option<ObsSnapshot>) {
         let server = XeonServer::dell_r410_calibrated();
-        let arms = ChaosArm::ALL;
-        let cells: Vec<(ChaosArmOutcome, Option<ObsSnapshot>)> =
-            run_cells(scenarios.len() * arms.len(), |index| {
-                let scenario = &scenarios[index / arms.len()];
-                let arm = arms[index % arms.len()];
-                let cell_seed = seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(0xc4a0_5000)
-                    .wrapping_add(index as u64);
-                let recorder = observe.then(|| Arc::new(Recorder::in_memory()));
-                let outcome = run_chaos_cell(&server, scenario, arm, cell_seed, recorder.as_ref());
-                let snapshot = recorder.map(|recorder| recorder.snapshot());
-                (outcome, snapshot)
-            });
-        let snapshot = observe.then(|| {
-            let mut merged = ObsSnapshot::empty();
-            for (_, cell) in &cells {
-                if let Some(cell) = cell {
-                    merged.merge(cell);
-                }
-            }
-            merged
-        });
+        let (cells, snapshot) = run_grid(
+            scenarios,
+            &CHAOS_ARMS,
+            seed,
+            0xc4a0_5000,
+            observe,
+            |scenario, (name, knobs), seed, observer| {
+                let run = ScenarioRun::new(&server, scenario, Layout::Racks, seed);
+                let watchdog = chaos_watchdog(run.apps());
+                let platform =
+                    chaos_platform(knobs, run.budget_watts(), scenario.rack_count(), watchdog);
+                let end = run.run(platform, observer, None);
+                chaos_outcome(name, scenario, &watchdog, &end)
+            },
+        );
         let scenarios = scenarios
             .iter()
-            .zip(cells.chunks(arms.len()))
+            .zip(cells.chunks(CHAOS_ARMS.len()))
             .map(|(scenario, outcomes)| ChaosScenarioResult {
                 name: scenario.name.clone(),
                 apps: scenario.apps.len(),
                 racks: scenario.rack_count(),
                 quanta: scenario.quanta,
                 budget_watts: datacenter_budget_watts(&server, scenario),
-                uncoordinated: outcomes[0].0.clone(),
-                naive_audit: outcomes[1].0.clone(),
-                naive_clamp: outcomes[2].0.clone(),
-                degraded_audit: outcomes[3].0.clone(),
-                degraded_clamp: outcomes[4].0.clone(),
+                uncoordinated: outcomes[0].clone(),
+                naive_audit: outcomes[1].clone(),
+                naive_clamp: outcomes[2].clone(),
+                degraded_audit: outcomes[3].clone(),
+                degraded_clamp: outcomes[4].clone(),
             })
             .collect();
         (FigureChaos { scenarios }, snapshot)
@@ -851,6 +547,7 @@ impl FigureEnforce {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Counter;
 
     /// The full chaos mixes at the canonical seed: degradation holds the
     /// physical datacenter cap, quarantines every watchdog-visible fault

@@ -4,8 +4,11 @@
 //! converts them into each substrate's demand type and drives whole runs —
 //! either under a fixed configuration or under closed-loop SEEC control.
 
+use std::sync::Arc;
+
 use angstrom_sim::workload::WorkloadDemand;
-use workloads::QuantumDemand;
+use obs::{ObsSnapshot, Recorder};
+use workloads::{QuantumDemand, Scenario};
 use xeon_sim::{
     PreparedConfig, PreparedDemand, ServerConfiguration, ServerDemand, ServerReport, XeonServer,
 };
@@ -27,6 +30,52 @@ where
     F: Fn(usize) -> T + Sync,
 {
     exec::global_pool().map_indexed(count, cell)
+}
+
+/// Runs a figure's `scenarios × arms` grid as [`run_cells`], scenario-major
+/// (so `chunks(arms.len())` yields one scenario each). Cell `index` is
+/// seeded `seed·0x9e3779b97f4a7c15 + salt + index`. With `observe`, each
+/// cell records into its own [`Recorder`] and the snapshots merge in cell
+/// order, so results and telemetry are both independent of worker count.
+pub(crate) fn run_grid<A, T, F>(
+    scenarios: &[Scenario],
+    arms: &[A],
+    seed: u64,
+    salt: u64,
+    observe: bool,
+    cell: F,
+) -> (Vec<T>, Option<ObsSnapshot>)
+where
+    A: Copy + Sync,
+    T: Send,
+    F: Fn(&Scenario, A, u64, Option<&Arc<Recorder>>) -> T + Sync,
+{
+    let cells = run_cells(scenarios.len() * arms.len(), |index| {
+        let cell_seed = seed
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(salt)
+            .wrapping_add(index as u64);
+        let recorder = observe.then(|| Arc::new(Recorder::in_memory()));
+        let scenario = &scenarios[index / arms.len()];
+        let result = cell(
+            scenario,
+            arms[index % arms.len()],
+            cell_seed,
+            recorder.as_ref(),
+        );
+        (result, recorder.map(|recorder| recorder.snapshot()))
+    });
+    let mut merged = observe.then(ObsSnapshot::empty);
+    let results = cells
+        .into_iter()
+        .map(|(result, snapshot)| {
+            if let (Some(merged), Some(snapshot)) = (merged.as_mut(), snapshot) {
+                merged.merge(&snapshot);
+            }
+            result
+        })
+        .collect();
+    (results, merged)
 }
 
 /// Converts one workload quantum into the Angstrom simulator's demand type.

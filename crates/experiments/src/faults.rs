@@ -22,9 +22,9 @@ use workloads::FaultPlan;
 
 /// Interprets one scenario's [`FaultPlan`] over the run, tracking the
 /// per-app frozen telemetry [`workloads::FaultKind::FreezeTelemetry`]
-/// replays. Construct via [`FaultRuntime::for_plan`]; harnesses hold an
-/// `Option<FaultRuntime>` so fault-free scenarios take byte-identical
-/// code paths.
+/// replays. Construct via [`FaultRuntime::for_plan`]. Under an empty plan
+/// every app executes and every report passes through unchanged, so
+/// fault-free scenarios need no separate path.
 pub(crate) struct FaultRuntime<'a> {
     plan: &'a FaultPlan,
     /// Last pre-fault `(work, power)` report per app, captured while the
@@ -33,13 +33,12 @@ pub(crate) struct FaultRuntime<'a> {
 }
 
 impl<'a> FaultRuntime<'a> {
-    /// A runtime for `plan` over `apps` applications, or `None` when the
-    /// plan schedules nothing (the fault-free fast path).
-    pub(crate) fn for_plan(plan: &'a FaultPlan, apps: usize) -> Option<Self> {
-        (!plan.is_empty()).then(|| FaultRuntime {
+    /// A runtime for `plan` over `apps` applications.
+    pub(crate) fn for_plan(plan: &'a FaultPlan, apps: usize) -> Self {
+        FaultRuntime {
             plan,
             frozen: vec![None; apps],
-        })
+        }
     }
 
     /// Whether `app` physically executes (and draws power) at `quantum`.
@@ -75,8 +74,27 @@ mod tests {
     use workloads::{AppFault, FaultKind};
 
     #[test]
-    fn fault_free_plans_have_no_runtime() {
-        assert!(FaultRuntime::for_plan(&FaultPlan::default(), 4).is_none());
+    fn an_empty_plan_executes_every_app_and_passes_reports_through() {
+        let plan = FaultPlan::default();
+        let mut runtime = FaultRuntime::for_plan(&plan, 3);
+        let reports = [
+            (10.0, 5.0),
+            (0.0, -0.0),
+            (f64::MIN_POSITIVE, 1e300),
+            (0.1 + 0.2, 7.0 / 3.0),
+        ];
+        for quantum in [0, 1, 17, usize::MAX] {
+            for app in 0..3 {
+                assert!(runtime.executes(app, quantum));
+                for (work, power) in reports {
+                    let (reported_work, reported_power) = runtime
+                        .report(app, quantum, work, power)
+                        .expect("a fault-free app always reports");
+                    assert_eq!(reported_work.to_bits(), work.to_bits());
+                    assert_eq!(reported_power.to_bits(), power.to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -89,7 +107,7 @@ mod tests {
                 until: Some(4),
             }],
         };
-        let mut runtime = FaultRuntime::for_plan(&plan, 2).unwrap();
+        let mut runtime = FaultRuntime::for_plan(&plan, 2);
         assert_eq!(runtime.report(0, 0, 10.0, 5.0), Some((10.0, 5.0)));
         assert_eq!(runtime.report(0, 1, 12.0, 6.0), Some((12.0, 6.0)));
         // Frozen: the quantum-1 report replays regardless of ground truth.
@@ -112,7 +130,7 @@ mod tests {
                 until: None,
             }],
         };
-        let mut runtime = FaultRuntime::for_plan(&plan, 2).unwrap();
+        let mut runtime = FaultRuntime::for_plan(&plan, 2);
         assert!(runtime.executes(1, 0));
         assert!(!runtime.executes(1, 1));
         assert!(!runtime.executes(1, 100), "crashes never clear");

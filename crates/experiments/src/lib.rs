@@ -46,6 +46,7 @@ pub mod fig5;
 pub mod fleet;
 pub mod fuzz;
 pub mod pareto;
+mod scenario;
 pub mod sweep;
 
 pub use fig2::Figure2;
