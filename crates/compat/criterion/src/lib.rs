@@ -6,10 +6,11 @@
 //! [`Criterion::bench_function`], [`Criterion::benchmark_group`] (with
 //! `sample_size` and `finish`), [`Bencher::iter`], [`black_box`], and the
 //! [`criterion_group!`]/[`criterion_main!`] macros. Measurement is a plain
-//! wall-clock sampler — one timed call per sample, reporting min/mean/max —
-//! with none of criterion's statistical machinery. Numbers it prints are
-//! indicative, not publication grade; the benches still serve their main
-//! purposes of regenerating figure reports and catching gross regressions.
+//! wall-clock sampler — one timed call per sample, reporting
+//! min/median/mean/max — with none of criterion's statistical machinery.
+//! Numbers it prints are indicative, not publication grade; the benches
+//! still serve their main purposes of regenerating figure reports and
+//! catching gross regressions.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -110,19 +111,19 @@ impl Bencher {
 /// The median is reported alongside min/mean/max because single-sample
 /// scheduler noise (a preemption, a page-fault storm) skews the mean and
 /// max arbitrarily, while the median of even a handful of samples is
-/// robust — machine-readable bench output keys on it.
+/// robust.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
+struct Summary {
     /// Fastest sample.
-    pub min: Duration,
+    min: Duration,
     /// Median sample (mean of the two middle samples for even counts).
-    pub median: Duration,
+    median: Duration,
     /// Arithmetic mean of the samples.
-    pub mean: Duration,
+    mean: Duration,
     /// Slowest sample.
-    pub max: Duration,
+    max: Duration,
     /// Number of samples summarised.
-    pub samples: usize,
+    samples: usize,
 }
 
 /// Summarises timing samples into min/median/mean/max.
@@ -130,7 +131,7 @@ pub struct Summary {
 /// # Panics
 ///
 /// Panics if `samples` is empty.
-pub fn summarize(samples: &[Duration]) -> Summary {
+fn summarize(samples: &[Duration]) -> Summary {
     assert!(!samples.is_empty(), "cannot summarise zero samples");
     let mut sorted: Vec<Duration> = samples.to_vec();
     sorted.sort_unstable();

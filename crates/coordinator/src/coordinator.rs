@@ -946,9 +946,8 @@ impl Coordinator {
     }
 
     /// Default [`Self::shard_threshold`]: fleets below 64 apps step inline
-    /// even when a pool is attached, because at the fleet sizes tracked in
-    /// `BENCH_fig5.json` the fan-out hand-off outgrows the per-app decide
-    /// work it spreads out.
+    /// even when a pool is attached, because at that size the fan-out
+    /// hand-off outgrows the per-app decide work it spreads out.
     pub const DEFAULT_SHARD_THRESHOLD: usize = 64;
 
     /// Sets how many worker threads the per-application stages of
@@ -998,16 +997,6 @@ impl Coordinator {
     /// Fleet size from which the per-application stages use the pool.
     pub fn shard_threshold(&self) -> usize {
         self.shard_threshold
-    }
-
-    /// A sensible worker count for sharding on the current host: the
-    /// available parallelism, capped at 8 (past that, per-step fan-out
-    /// hand-off outgrows what extra shards buy at the fleet sizes tracked
-    /// in BENCH_fig5.json). 1 on single-core hosts — i.e. the sequential
-    /// step. The shared default keeps the experiment harness and the
-    /// benchmark measuring the same configuration.
-    pub fn default_workers() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get()).min(8)
     }
 
     /// Worker threads the per-application stages shard across (the attached

@@ -67,7 +67,7 @@ struct Batch {
     /// Consecutive indices one `next` claim hands out (≥ 1). Large batches
     /// of cheap tasks claim in chunks so the claim cost is amortised over
     /// `stride` tasks instead of paying one contended atomic per index;
-    /// see [`ExecPool::set_claim_stride`].
+    /// see `ExecPool::effective_claim_stride`.
     stride: usize,
     unfinished: AtomicUsize,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
@@ -167,10 +167,6 @@ pub struct ExecPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
-    /// Index-claim granularity: 0 = auto (scale with batch size), 1 = one
-    /// index per atomic claim (the original dispatch), n = fixed chunk of
-    /// n. See [`Self::set_claim_stride`].
-    claim_stride: AtomicUsize,
     /// Fast flag for [`Self::set_dispatch_observer`]: the dispatch hot path
     /// pays one relaxed load when no observer is attached.
     observed: AtomicBool,
@@ -217,40 +213,19 @@ impl ExecPool {
             shared,
             workers,
             threads,
-            claim_stride: AtomicUsize::new(0),
             observed: AtomicBool::new(false),
             observer: Mutex::new(None),
         }
     }
 
-    /// Sets the index-claim granularity: how many *consecutive* indices a
-    /// thread takes per atomic claim when draining a batch. `0` (the
-    /// default) picks automatically — chunks that scale with the batch so
-    /// each thread makes on the order of a few dozen claims, however large
-    /// the batch; `1` restores the original one-index-per-claim dispatch;
-    /// any other value fixes the chunk size. Purely a performance knob:
-    /// tasks are index-pure and results land in their own slots, so the
-    /// claiming pattern cannot change any output (the property suite runs
-    /// at several strides). Takes effect from the next dispatch.
-    pub fn set_claim_stride(&self, stride: usize) {
-        self.claim_stride.store(stride, Ordering::Release);
-    }
-
-    /// The configured index-claim granularity (see
-    /// [`Self::set_claim_stride`]; 0 = auto).
-    pub fn claim_stride(&self) -> usize {
-        self.claim_stride.load(Ordering::Acquire)
-    }
-
-    /// The stride a batch of `count` tasks will actually claim at under
-    /// the current setting — the auto heuristic targets ~32 claims per
-    /// thread and caps chunks at 64 so no thread can strand a big tail of
-    /// work behind one straggler.
-    pub fn effective_claim_stride(&self, count: usize) -> usize {
-        match self.claim_stride.load(Ordering::Acquire) {
-            0 => (count / (self.threads * 32)).clamp(1, 64),
-            stride => stride,
-        }
+    /// How many *consecutive* indices a thread takes per atomic claim when
+    /// draining a batch of `count` tasks: chunks scale with the batch so
+    /// each thread makes about 32 claims, capped at 64 so no thread can
+    /// strand a big tail of work behind one straggler. Tasks are index-pure
+    /// and results land in their own slots, so the stride cannot change any
+    /// output.
+    fn effective_claim_stride(&self, count: usize) -> usize {
+        (count / (self.threads * 32)).clamp(1, 64)
     }
 
     /// Attaches (or, with `None`, detaches) a dispatch observer: a callback
@@ -622,49 +597,46 @@ mod tests {
 
     #[test]
     fn claim_stride_never_changes_results() {
-        // The claiming pattern is invisible to callers: every stride —
-        // legacy single-index, odd fixed chunks, chunks larger than the
-        // batch, and auto — produces identical index-pure output.
+        // The claiming pattern is invisible to callers: batches that claim
+        // one index at a time, mid-size chunks, and the 64-index cap all
+        // produce identical index-pure output.
+        let mut strides = std::collections::BTreeSet::new();
         for threads in [2, 4, 7] {
             let pool = ExecPool::new(threads);
-            for stride in [0usize, 1, 2, 7, 64, 1000] {
-                pool.set_claim_stride(stride);
-                assert_eq!(pool.claim_stride(), stride);
-                for count in [2usize, 3, 16, 257, 1024] {
-                    let got = pool.map_indexed(count, |i| i * 3 + 1);
-                    let want: Vec<usize> = (0..count).map(|i| i * 3 + 1).collect();
-                    assert_eq!(got, want, "threads {threads}, stride {stride}, count {count}");
-                }
+            for count in [2usize, 3, 16, 257, 1024, 3_200, 20_000] {
+                strides.insert(pool.effective_claim_stride(count));
+                let got = pool.map_indexed(count, |i| i * 3 + 1);
+                let want: Vec<usize> = (0..count).map(|i| i * 3 + 1).collect();
+                assert_eq!(got, want, "threads {threads}, count {count}");
             }
         }
+        assert_eq!(strides.first(), Some(&1));
+        assert_eq!(strides.last(), Some(&64));
+        assert!(strides.iter().any(|&s| (2..64).contains(&s)), "{strides:?}");
     }
 
     #[test]
     fn effective_claim_stride_scales_with_the_batch() {
+        // Small batches claim one at a time, huge batches chunk up, capped
+        // so the tail cannot hide behind one straggler thread.
         let pool = ExecPool::new(4);
-        // Auto: small batches claim one at a time, huge batches chunk up,
-        // capped so the tail cannot hide behind one straggler thread.
         assert_eq!(pool.effective_claim_stride(16), 1);
+        assert_eq!(pool.effective_claim_stride(4_000), 31);
         assert_eq!(pool.effective_claim_stride(1 << 20), 64);
-        let mid = pool.effective_claim_stride(10_000);
-        assert!((1..=64).contains(&mid), "mid-size stride {mid}");
-        // Fixed: the knob wins verbatim.
-        pool.set_claim_stride(7);
-        assert_eq!(pool.effective_claim_stride(16), 7);
-        assert_eq!(pool.effective_claim_stride(1 << 20), 7);
-        pool.set_claim_stride(0);
-        assert_eq!(pool.effective_claim_stride(16), 1);
+        // Fewer threads, bigger chunks for the same batch.
+        assert_eq!(ExecPool::new(2).effective_claim_stride(4_000), 62);
     }
 
     #[test]
     fn a_panic_mid_chunk_still_drains_the_batch() {
-        // With a wide stride the panicking index shares a claim with its
-        // neighbours; the per-index latch must still release every index so
-        // the dispatcher unblocks and re-raises the payload.
+        // 3 threads x 3 200 tasks claim 33 indices at a time, so index 40
+        // panics in the middle of the chunk 33..66; the per-index latch
+        // must still release every index so the dispatcher unblocks and
+        // re-raises the payload.
         let pool = ExecPool::new(3);
-        pool.set_claim_stride(32);
+        assert_eq!(pool.effective_claim_stride(3_200), 33);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.map_indexed(100, |i| {
+            pool.map_indexed(3_200, |i| {
                 if i == 40 {
                     panic!("chunked task exploded");
                 }

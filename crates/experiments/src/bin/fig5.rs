@@ -16,21 +16,6 @@
 //! breaker-focused projection of the same runs to `fig5_enforce.json`.
 //! The default output is unchanged either way.
 //!
-//! Pass `--fleet N` to additionally run the fleet-scaling harness
-//! ([`experiments::fleet`]): N synthetic applications (up to 1,000,000)
-//! driven through the coordinator's incremental arbitration engine with
-//! churn, measuring µs/quantum for the full fold, the incremental fold,
-//! and the wake-scheduled engine (whose rounds cost O(awake) instead of
-//! O(fleet)), checking that the skipped/re-arbitrated counters reconcile
-//! on both incremental arms (the scheduled arm adds `apps_slept` to the
-//! ledger), and differentially verifying that tolerance 0 reproduces the
-//! full fold bit-for-bit and that sleep horizon 0 reproduces the plain
-//! incremental engine bit-for-bit. The report merges into
-//! `BENCH_fig5.json` under the `fleet_scaling` key (all other keys and
-//! rows at other fleet sizes are preserved — including rows written by
-//! older builds without the scheduled-arm fields). The figure JSONs are
-//! unchanged by `--fleet`.
-//!
 //! Pass `--obs PATH` to also write an [`obs::ObsReport`] covering every
 //! figure computed in the run: phase counters, stage latency histograms,
 //! executor dispatch timing, and the structured event stream, merged in
@@ -75,11 +60,6 @@ fn main() {
     let chaos = args.iter().any(|arg| arg == "--chaos");
     let enforce = args.iter().any(|arg| arg == "--enforce");
     let obs_path = flag_value(&args, "--obs");
-    let fleet = flag_value(&args, "--fleet").map(|value| {
-        value
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("--fleet takes a positive app count, got {value:?}"))
-    });
 
     let mut merged = obs_path.as_ref().map(|_| ObsSnapshot::empty());
     let observe = merged.is_some();
@@ -153,34 +133,6 @@ fn main() {
             );
             println!("{}", projection.to_table());
             write_figure(&projection, "fig5_enforce.json");
-        }
-    }
-
-    if let Some(fleet) = fleet {
-        println!(
-            "\nFleet scaling — incremental arbitration over {fleet} synthetic applications\n"
-        );
-        let report = experiments::FleetScalingReport::measure(fleet);
-        println!("{}", report.to_line());
-        assert!(
-            report.counters_reconcile,
-            "skipped + re-arbitrated must cover every active app-quantum"
-        );
-        assert!(
-            report.tolerance_zero_identical,
-            "tolerance 0 must reproduce the full fold bit-for-bit"
-        );
-        assert!(
-            report.scheduled_counters_reconcile,
-            "slept + skipped + re-arbitrated must cover every active app-quantum"
-        );
-        assert!(
-            report.horizon_zero_identical,
-            "sleep horizon 0 must reproduce the plain incremental engine bit-for-bit"
-        );
-        match experiments::fleet::merge_fleet_scaling("BENCH_fig5.json", &[report]) {
-            Ok(()) => println!("fleet row merged into BENCH_fig5.json"),
-            Err(err) => eprintln!("could not update BENCH_fig5.json: {err}"),
         }
     }
 

@@ -544,11 +544,15 @@ mod tests {
                 scenario.coordinated.performance_per_watt,
                 scenario.uncoordinated.performance_per_watt
             );
-            assert_eq!(
-                scenario.coordinated.cap_violation_rate, 0.0,
-                "{}: coordinated SEEC must hold the cap",
-                scenario.name
-            );
+            // Every coordinated arm holds the cap: the headline arm and
+            // each policy arm.
+            for arm in std::iter::once(&scenario.coordinated).chain(&scenario.policies) {
+                assert_eq!(
+                    arm.cap_violation_rate, 0.0,
+                    "{}/{}: coordinated SEEC must hold the cap",
+                    scenario.name, arm.name
+                );
+            }
             assert!(
                 scenario.no_adaptation.cap_violation_rate > 0.5,
                 "{}: flat-out no-adaptation must blow the budget",

@@ -20,10 +20,6 @@
 //!   no-adaptation / uncoordinated composition / per-app SEEC / coordinated
 //!   SEEC (the [`coordinator`] subsystem) on goal-weighted perf/W and
 //!   cap-violation rate.
-//! * [`fleet`] — reproduction-specific: the million-app fleet-scaling
-//!   harness behind `fig5 --fleet N`, driving the coordinator's incremental
-//!   arbitration engine directly over synthetic request arrays with a
-//!   built-in full-vs-tolerance-0 differential check.
 //! * [`ablation`] — design-choice ablations this reproduction calls out in
 //!   DESIGN.md: partner-core decision placement, adaptive NoC features, and
 //!   adaptive cache coherence.
@@ -43,7 +39,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
-pub mod fleet;
 pub mod fuzz;
 pub mod pareto;
 mod scenario;
@@ -54,4 +49,3 @@ pub use fig3::{Figure3, Figure3Row};
 pub use fig4::{Figure4, Figure4Row};
 pub use chaos::{FigureChaos, FigureEnforce};
 pub use fig5::{ArmOutcome, Figure5, Figure5Hierarchy, Figure5Scenario, HierarchyScenario, RuntimeBlock};
-pub use fleet::FleetScalingReport;

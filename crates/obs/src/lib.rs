@@ -24,8 +24,9 @@
 //! one pre-allocated histogram per [`Stage`], and a [`Sink`] the event
 //! stream flows into ([`NullSink`], [`MemorySink`], or [`JsonLinesSink`]).
 //! Consumers hold an `Option<Arc<Recorder>>`; the disabled path is a single
-//! branch on `None` with no allocation and no `Instant::now()` call, so
-//! telemetry costs nothing when off (measured in `BENCH_fig5.json`).
+//! branch on `None` with no allocation and no `Instant::now()` call. That
+//! disabled branch's cost has not been measured yet: the < 2 % budget for
+//! it is an open item, not a result.
 //!
 //! A finished run folds its recorders into an [`ObsSnapshot`]
 //! (deterministically mergeable: counters add, buckets add, events
