@@ -6,14 +6,5 @@ fn main() {
     let ablations = Ablations::compute();
     println!("Ablations — adaptive NoC features, coherence protocols, decision placement\n");
     println!("{}", ablations.to_table());
-    match serde_json::to_string_pretty(&ablations) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("ablations.json", json) {
-                eprintln!("could not write ablations.json: {err}");
-            } else {
-                println!("raw data written to ablations.json");
-            }
-        }
-        Err(err) => eprintln!("could not serialise ablations: {err}"),
-    }
+    experiments::write_json_or_exit("ablations.json", &ablations);
 }

@@ -15,14 +15,5 @@ fn main() {
         "Closed-system (cache-only or core-only) choices off the Pareto frontier: {}",
         figure.suboptimal_closed_choices().len()
     );
-    match serde_json::to_string_pretty(&figure) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("fig2.json", json) {
-                eprintln!("could not write fig2.json: {err}");
-            } else {
-                println!("\nraw data written to fig2.json");
-            }
-        }
-        Err(err) => eprintln!("could not serialise figure 2: {err}"),
-    }
+    experiments::write_json_or_exit("fig2.json", &figure);
 }

@@ -48,19 +48,6 @@ fn mean_seec_ratio(figure: &Figure3) -> f64 {
     sum / figure.rows.len() as f64
 }
 
-fn write_json<T: Serialize>(value: &T, path: &str) {
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write(path, json) {
-                eprintln!("could not write {path}: {err}");
-            } else {
-                println!("raw data written to {path}");
-            }
-        }
-        Err(err) => eprintln!("could not serialise {path}: {err}"),
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let leaky = args.iter().any(|arg| arg == "--leaky-pi");
@@ -69,16 +56,7 @@ fn main() {
     let figure = Figure3::compute();
     println!("Figure 3 — SEEC on the Xeon E5530 server, perf/W normalised to the dynamic oracle\n");
     println!("{}", figure.to_table());
-    match serde_json::to_string_pretty(&figure) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("fig3.json", json) {
-                eprintln!("could not write fig3.json: {err}");
-            } else {
-                println!("raw data written to fig3.json");
-            }
-        }
-        Err(err) => eprintln!("could not serialise figure 3: {err}"),
-    }
+    experiments::write_json_or_exit("fig3.json", &figure);
 
     // Both studies compare against the same calibrated classical baseline;
     // compute it once when either flag asks for it.
@@ -88,8 +66,15 @@ fn main() {
 
     if leaky {
         let classical = classical.clone().expect("computed when --leaky-pi is set");
-        let leaky =
-            Figure3::compute_on_with_leak(&server, 2012, QUANTA_PER_RUN, CONVEX_PROTOCOL_LEAK);
+        let leaky = Figure3::compute_on_tuned(
+            &server,
+            2012,
+            QUANTA_PER_RUN,
+            ConvexTuning {
+                leak: CONVEX_PROTOCOL_LEAK,
+                ..ConvexTuning::default()
+            },
+        );
         let comparison = LeakyComparison {
             leak: CONVEX_PROTOCOL_LEAK,
             classical_mean_seec_vs_dynamic_oracle: mean_seec_ratio(&classical),
@@ -105,7 +90,7 @@ fn main() {
             comparison.classical_mean_seec_vs_dynamic_oracle,
             comparison.leaky_mean_seec_vs_dynamic_oracle,
         );
-        write_json(&comparison, "fig3_leaky.json");
+        experiments::write_json_or_exit("fig3_leaky.json", &comparison);
     }
 
     if belief_aging {
@@ -144,6 +129,6 @@ fn main() {
             classical,
             arms,
         };
-        write_json(&sweep, "fig3_belief_aging.json");
+        experiments::write_json_or_exit("fig3_belief_aging.json", &sweep);
     }
 }

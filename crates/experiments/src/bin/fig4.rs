@@ -10,14 +10,5 @@ fn main() {
     let figure = Figure4::compute_with_multiplier(multiplier);
     println!("Figure 4 — anticipated SEEC results on the 256-core Angstrom processor\n");
     println!("{}", figure.to_table());
-    match serde_json::to_string_pretty(&figure) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write("fig4.json", json) {
-                eprintln!("could not write fig4.json: {err}");
-            } else {
-                println!("raw data written to fig4.json");
-            }
-        }
-        Err(err) => eprintln!("could not serialise figure 4: {err}"),
-    }
+    experiments::write_json_or_exit("fig4.json", &figure);
 }

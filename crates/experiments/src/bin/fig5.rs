@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use experiments::{Figure5, Figure5Hierarchy, FigureChaos, FigureEnforce};
 use obs::{ObsSnapshot, Recorder, Stage};
-use serde::Serialize;
 use workloads::{chaos_mixes, extended_scenario_mixes, scenario_mixes};
 
 /// The canonical seed every figure runs at.
@@ -38,19 +37,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|arg| arg == flag)
         .and_then(|index| args.get(index + 1))
         .cloned()
-}
-
-fn write_figure<T: Serialize>(figure: &T, path: &str) {
-    match serde_json::to_string_pretty(figure) {
-        Ok(json) => {
-            if let Err(err) = std::fs::write(path, json) {
-                eprintln!("could not write {path}: {err}");
-            } else {
-                println!("raw data written to {path}");
-            }
-        }
-        Err(err) => eprintln!("could not serialise {path}: {err}"),
-    }
 }
 
 fn main() {
@@ -90,7 +76,7 @@ fn main() {
         "Figure 5 — multi-application SEEC on the calibrated R410 under a machine power budget\n"
     );
     println!("{}", figure.to_table());
-    write_figure(&figure, "fig5.json");
+    experiments::write_json_or_exit("fig5.json", &figure);
 
     if extended {
         let (figure, snapshot) =
@@ -100,7 +86,7 @@ fn main() {
             "\nExtended scenario family — runtime lifecycle, budget steps, sharded coordinator\n"
         );
         println!("{}", figure.to_table());
-        write_figure(&figure, "fig5_extended.json");
+        experiments::write_json_or_exit("fig5_extended.json", &figure);
     }
 
     if hierarchy {
@@ -112,7 +98,7 @@ fn main() {
              datacenter → rack → app\n"
         );
         println!("{}", figure.to_table());
-        write_figure(&figure, "fig5_hierarchy.json");
+        experiments::write_json_or_exit("fig5_hierarchy.json", &figure);
     }
 
     if chaos || enforce {
@@ -124,7 +110,7 @@ fn main() {
                 "\nChaos — fault-injected mixes under degradation and rack enforcement\n"
             );
             println!("{}", figure.to_table());
-            write_figure(&figure, "fig5_chaos.json");
+            experiments::write_json_or_exit("fig5_chaos.json", &figure);
         }
         if enforce {
             let projection = FigureEnforce::from_chaos(&figure);
@@ -132,7 +118,7 @@ fn main() {
                 "\nEnforcement — what the rack breaker closes, and what it costs\n"
             );
             println!("{}", projection.to_table());
-            write_figure(&projection, "fig5_enforce.json");
+            experiments::write_json_or_exit("fig5_enforce.json", &projection);
         }
     }
 
@@ -141,6 +127,6 @@ fn main() {
             exec::global_pool().set_dispatch_observer(None);
             merged.merge(&dispatch.snapshot());
         }
-        write_figure(&merged.to_report(), &obs_path);
+        experiments::write_json_or_exit(&obs_path, &merged.to_report());
     }
 }

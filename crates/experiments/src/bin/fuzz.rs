@@ -120,17 +120,8 @@ fn main() {
         );
     }
 
-    match std::fs::write(&corpus_path, corpus.to_json()) {
-        Ok(()) => println!("corpus written to {corpus_path}"),
-        Err(err) => eprintln!("could not write {corpus_path}: {err}"),
-    }
-    match serde_json::to_string_pretty(&report) {
-        Ok(json) => match std::fs::write(&report_path, json) {
-            Ok(()) => println!("report written to {report_path}"),
-            Err(err) => eprintln!("could not write {report_path}: {err}"),
-        },
-        Err(err) => eprintln!("could not serialise {report_path}: {err}"),
-    }
+    experiments::write_json_or_exit(&corpus_path, &corpus);
+    experiments::write_json_or_exit(&report_path, &report);
 
     if let (Some(obs_path), Some(recorder)) = (obs_path, recorder) {
         for incident in &report.incidents {
@@ -141,13 +132,6 @@ fn main() {
                 },
             });
         }
-        let obs_report = recorder.snapshot().to_report();
-        match serde_json::to_string_pretty(&obs_report) {
-            Ok(json) => match std::fs::write(&obs_path, json) {
-                Ok(()) => println!("telemetry written to {obs_path}"),
-                Err(err) => eprintln!("could not write {obs_path}: {err}"),
-            },
-            Err(err) => eprintln!("could not serialise {obs_path}: {err}"),
-        }
+        experiments::write_json_or_exit(&obs_path, &recorder.snapshot().to_report());
     }
 }

@@ -128,7 +128,7 @@ pub struct XeonRunOutcome {
 /// the report-based path and the memoized-cell path push through here, so
 /// their sums are bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct OutcomeAccumulator {
+pub(crate) struct OutcomeAccumulator {
     seconds: f64,
     work_units: f64,
     energy: f64,
@@ -215,43 +215,6 @@ pub fn run_fixed_on_xeon(
     XeonRunOutcome::from_reports(reports.iter())
 }
 
-/// Runs each quantum under the per-quantum best configuration chosen with
-/// perfect post-hoc knowledge — the *dynamic oracle* of §5.2 (no overhead,
-/// perfect knowledge of the future).
-pub fn run_dynamic_oracle_on_xeon(
-    server: &XeonServer,
-    quanta: &[QuantumDemand],
-    configurations: &[ServerConfiguration],
-    target_heart_rate: f64,
-) -> XeonRunOutcome {
-    let reports: Vec<ServerReport> = quanta
-        .iter()
-        .map(|q| {
-            let demand = to_server_demand(q);
-            configurations
-                .iter()
-                .map(|cfg| server.evaluate(&demand, cfg))
-                .max_by(|a, b| {
-                    quantum_efficiency(a, target_heart_rate)
-                        .partial_cmp(&quantum_efficiency(b, target_heart_rate))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .expect("at least one configuration")
-        })
-        .collect();
-    XeonRunOutcome::from_reports(reports.iter())
-}
-
-/// Per-quantum efficiency used by the oracles: capped heart rate per watt
-/// beyond idle.
-pub fn quantum_efficiency(report: &ServerReport, target_heart_rate: f64) -> f64 {
-    if report.power_above_idle_watts <= 0.0 || report.seconds <= 0.0 {
-        return 0.0;
-    }
-    let rate = report.work_units / report.seconds;
-    rate.min(target_heart_rate) / report.power_above_idle_watts
-}
-
 /// Every configuration the paper's x86 experiment adapts over: cores 1–8,
 /// the seven P-states, and ten active-cycle fractions.
 pub fn xeon_configuration_grid(server: &XeonServer) -> Vec<ServerConfiguration> {
@@ -319,8 +282,8 @@ impl EvalCell {
         }
     }
 
-    /// The per-quantum efficiency of this cell — the same operations as
-    /// [`quantum_efficiency`] on the materialised report.
+    /// The per-quantum efficiency the oracles rank cells by: capped heart
+    /// rate per watt beyond idle.
     #[inline]
     fn efficiency(&self, target_heart_rate: f64) -> f64 {
         if self.power_above_idle_watts <= 0.0 || self.seconds <= 0.0 {
@@ -435,9 +398,10 @@ impl XeonEvalTable {
         acc.finish()
     }
 
-    /// The dynamic oracle over the table — [`run_dynamic_oracle_on_xeon`]
-    /// as per-quantum indexed lookups. Per quantum, the best cell is chosen
-    /// exactly as `Iterator::max_by` does (the last cell wins ties).
+    /// The *dynamic oracle* of §5.2: each quantum runs under its best
+    /// configuration, chosen with perfect post-hoc knowledge and no
+    /// overhead. Per quantum, the best cell is chosen exactly as
+    /// `Iterator::max_by` does (the last cell wins ties).
     pub fn dynamic_oracle_outcome(&self, target_heart_rate: f64) -> XeonRunOutcome {
         let mut acc = OutcomeAccumulator::default();
         for q in 0..self.quanta_len {
@@ -556,7 +520,7 @@ impl XeonEvalTable {
 ///
 /// Equivalent, bit-for-bit, to calling [`run_fixed_on_xeon`] once per
 /// configuration (each configuration's accumulator sees its reports in
-/// quantum order, through the shared [`OutcomeAccumulator`] operations),
+/// quantum order, through the shared `OutcomeAccumulator` operations),
 /// at one evaluation per (quantum, configuration) pair and O(configs)
 /// memory. Used where only a small slice of the grid is needed — e.g. the
 /// shared no-adaptation candidates of Figure 3.
@@ -582,6 +546,73 @@ pub fn fixed_outcomes_streaming(
 mod tests {
     use super::*;
     use workloads::{SplashBenchmark, Workload};
+
+    /// The reference dynamic oracle the table's
+    /// [`XeonEvalTable::dynamic_oracle_outcome`] must reproduce: direct
+    /// evaluation of every configuration for every quantum.
+    fn run_dynamic_oracle_on_xeon(
+        server: &XeonServer,
+        quanta: &[QuantumDemand],
+        configurations: &[ServerConfiguration],
+        target_heart_rate: f64,
+    ) -> XeonRunOutcome {
+        let reports: Vec<ServerReport> = quanta
+            .iter()
+            .map(|q| {
+                let demand = to_server_demand(q);
+                configurations
+                    .iter()
+                    .map(|cfg| server.evaluate(&demand, cfg))
+                    .max_by(|a, b| {
+                        quantum_efficiency(a, target_heart_rate)
+                            .partial_cmp(&quantum_efficiency(b, target_heart_rate))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("at least one configuration")
+            })
+            .collect();
+        XeonRunOutcome::from_reports(reports.iter())
+    }
+
+    /// Capped heart rate per watt beyond idle of one report.
+    fn quantum_efficiency(report: &ServerReport, target_heart_rate: f64) -> f64 {
+        if report.power_above_idle_watts <= 0.0 || report.seconds <= 0.0 {
+            return 0.0;
+        }
+        let rate = report.work_units / report.seconds;
+        rate.min(target_heart_rate) / report.power_above_idle_watts
+    }
+
+    #[test]
+    fn eval_table_reports_match_direct_evaluation_bit_for_bit() {
+        // The closed loops read whole reports from the table, including
+        // the fields no aggregation uses (`total_power_watts` prices the
+        // decision overhead), so every field of every cell is pinned.
+        for server in [XeonServer::dell_r410(), XeonServer::dell_r410_calibrated()] {
+            let quanta = Workload::new(SplashBenchmark::OceanNonContiguous, 4).quanta(6);
+            let table = XeonEvalTable::build(&server, &quanta);
+            for (q, quantum) in quanta.iter().enumerate() {
+                let demand = to_server_demand(quantum);
+                for (c, cfg) in table.grid().iter().enumerate() {
+                    let direct = server.evaluate(&demand, cfg);
+                    let memoized = table.report(q, c);
+                    let fields = |r: &ServerReport| {
+                        [
+                            r.seconds,
+                            r.instructions,
+                            r.work_units,
+                            r.instructions_per_second,
+                            r.total_power_watts,
+                            r.power_above_idle_watts,
+                            r.energy_joules,
+                        ]
+                        .map(f64::to_bits)
+                    };
+                    assert_eq!(fields(&direct), fields(&memoized), "quantum {q}, config {c}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn conversions_preserve_totals_and_rates() {

@@ -12,13 +12,11 @@
 use actuation::{Actuator, ActuatorSpec, Axis, Configuration, SettingSpec, TableActuator};
 use serde::{Deserialize, Serialize};
 use workloads::{HeartbeatedWorkload, QuantumDemand, SplashBenchmark, Workload};
-use xeon_sim::{ServerConfiguration, ServerReport, XeonServer};
+use xeon_sim::{ServerConfiguration, XeonServer};
 
-use crate::driver::{
-    quantum_efficiency, run_cells, to_server_demand, XeonEvalTable, XeonRunOutcome,
-};
+use crate::driver::{run_cells, OutcomeAccumulator, XeonEvalTable, XeonRunOutcome};
 use seec::control::PiController;
-use seec::{SeecRuntime, UncoordinatedRuntime};
+use seec::{SeecRuntime, SeecRuntimeBuilder, UncoordinatedRuntime};
 
 /// Number of quanta each benchmark is divided into (the paper expands inputs
 /// so every run lasts much longer than the 1 s power-sampling interval).
@@ -55,7 +53,7 @@ pub const BELIEF_AGING_HALFLIVES: [f64; 4] = [8.0, 16.0, 32.0, 64.0];
 /// transient decays with a ~100-period time constant instead of having to
 /// be unwound by opposite-sign errors. Default-off — [`Figure3::compute_on`]
 /// runs leak 1.0 (bit-for-bit the historical controller); opt in with
-/// [`Figure3::compute_on_with_leak`] or `fig3 --leaky-pi`. The measured
+/// [`Figure3::compute_on_tuned`] or `fig3 --leaky-pi`. The measured
 /// fidelity delta — the ROADMAP's "easy experiment", run and found *not* to
 /// recover the residue (leaks 0.8–0.995 all land at or slightly below the
 /// classical 0.839 of the dynamic oracle) — is recorded in EXPERIMENTS.md.
@@ -155,38 +153,14 @@ impl Figure3 {
     /// identical to the sequential pipeline regardless of worker
     /// interleaving.
     pub fn compute_on(server: &XeonServer, seed: u64, quanta_per_run: usize) -> Self {
-        Figure3::compute_on_with_leak(server, seed, quanta_per_run, 1.0)
-    }
-
-    /// [`Self::compute_on`] with the convex protocol's PI integral made
-    /// leaky ([`CONVEX_PROTOCOL_LEAK`]; `leak = 1.0` is bit-for-bit
-    /// [`Self::compute_on`]). The leak applies to the closed-loop SEEC and
-    /// uncoordinated cells of the goal-respecting protocol only — it is a
-    /// controller experiment, so oracles and fixed runs are untouched, and
-    /// under a linear server model (where the historical pipeline runs) it
-    /// is ignored entirely.
-    pub fn compute_on_with_leak(
-        server: &XeonServer,
-        seed: u64,
-        quanta_per_run: usize,
-        leak: f64,
-    ) -> Self {
-        Figure3::compute_on_tuned(
-            server,
-            seed,
-            quanta_per_run,
-            ConvexTuning {
-                leak,
-                ..ConvexTuning::default()
-            },
-        )
+        Figure3::compute_on_tuned(server, seed, quanta_per_run, ConvexTuning::default())
     }
 
     /// [`Self::compute_on`] with explicit [`ConvexTuning`] knobs (the
-    /// default tuning is bit-for-bit [`Self::compute_on`]). Like the leak,
-    /// the knobs touch only the closed-loop SEEC and uncoordinated cells
-    /// of the goal-respecting protocol — oracles and fixed runs are
-    /// untouched, and the linear historical pipeline ignores them.
+    /// default tuning is bit-for-bit [`Self::compute_on`]). The knobs touch
+    /// only the closed-loop SEEC and uncoordinated cells of the
+    /// goal-respecting protocol ([`run_closed_loop`]) — oracles and fixed
+    /// runs are untouched, and the linear historical pipeline ignores them.
     pub fn compute_on_tuned(
         server: &XeonServer,
         seed: u64,
@@ -276,6 +250,18 @@ impl Figure3 {
         let rows: Vec<Figure3Row> = run_cells(cells.len(), |row| {
             let cell = &cells[row];
             let table = XeonEvalTable::build(server, &cell.quanta);
+            let closed_loop = |adaptation| {
+                run_closed_loop(
+                    server,
+                    cell.benchmark,
+                    &table,
+                    cell.target,
+                    seed,
+                    adaptation,
+                    convex.then_some(tuning),
+                )
+                .performance_per_watt(cell.target)
+            };
             let policies = run_cells(4, |policy| match (policy, convex) {
                 (0, false) => table.static_oracle_performance_per_watt(cell.target),
                 (0, true) => table.goal_respecting_static_oracle_performance_per_watt(cell.target),
@@ -285,44 +271,8 @@ impl Figure3 {
                 (1, true) => table
                     .goal_respecting_dynamic_oracle_outcome(cell.target)
                     .performance_per_watt(cell.target),
-                (2, false) => run_seec_on_table(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                )
-                .performance_per_watt(cell.target),
-                (2, true) => run_seec_convex_on_table_tuned(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                    tuning,
-                )
-                .performance_per_watt(cell.target),
-                (_, false) => run_uncoordinated_on_table(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                )
-                .performance_per_watt(cell.target),
-                (_, true) => run_uncoordinated_convex_on_table_tuned(
-                    server,
-                    cell.benchmark,
-                    &cell.quanta,
-                    &table,
-                    cell.target,
-                    seed,
-                    tuning,
-                )
-                .performance_per_watt(cell.target),
+                (2, _) => closed_loop(Adaptation::Seec),
+                _ => closed_loop(Adaptation::Uncoordinated),
             });
             Figure3Row {
                 benchmark: cell.benchmark,
@@ -496,345 +446,123 @@ pub fn map_configuration(server: &XeonServer, config: &Configuration) -> ServerC
     ServerConfiguration::new(cores, pstate, duty)
 }
 
-/// Runs the benchmark under coordinated SEEC control, fetching each
-/// quantum's report from `evaluate` (a direct evaluation or a memoized
-/// lookup — both yield bit-identical reports).
-fn run_seec_with(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-    mut evaluate: impl FnMut(usize, &QuantumDemand, &ServerConfiguration) -> ServerReport,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut runtime = SeecRuntime::builder(app.monitor())
-        .actuators(xeon_actuators(server))
-        .seed(seed)
-        .build()
-        .expect("actuators registered");
-    let mut app = app;
-    let monitor = app.monitor();
-
-    let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, quantum) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, runtime.current_configuration());
-        let mut report = evaluate(index, quantum, &configuration);
-        // Decision overhead: the decision shares the main cores with the
-        // application on this platform.
-        report.seconds += DECISION_OVERHEAD_SECONDS;
-        report.energy_joules += DECISION_OVERHEAD_SECONDS * report.total_power_watts;
-        now += report.seconds;
-        app.advance(now, report.work_units);
-        monitor.record_power_sample(now, report.power_above_idle_watts);
-        let _ = runtime.decide(now);
-        reports.push(report);
-    }
-    XeonRunOutcome::from_reports(reports.iter())
+/// The closed-loop arm of Figure 3 a [`run_closed_loop`] plays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Adaptation {
+    /// Coordinated SEEC: one runtime over the joint action space.
+    Seec,
+    /// Uncoordinated adaptation: one independent SEEC instance per
+    /// actuator, each paying its own decision overhead.
+    Uncoordinated,
 }
 
-/// Runs the benchmark under coordinated SEEC control.
-pub fn run_seec_on_xeon(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_seec_with(server, benchmark, quanta, target_heart_rate, seed, |_, quantum, cfg| {
-        server.evaluate(&to_server_demand(quantum), cfg)
-    })
-}
-
-/// [`run_seec_on_xeon`] against memoized evaluations: every configuration
-/// SEEC can reach lies on the grid, so each quantum is an indexed lookup.
-pub fn run_seec_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_seec_with(server, benchmark, quanta, target_heart_rate, seed, |index, _, cfg| {
-        let config = table.config_index(cfg).expect("SEEC configurations lie on the grid");
-        table.report(index, config)
-    })
-}
-
-/// Runs the benchmark under uncoordinated adaptation (one independent SEEC
-/// instance per actuator), fetching reports from `evaluate`.
-fn run_uncoordinated_with(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-    mut evaluate: impl FnMut(usize, &QuantumDemand, &ServerConfiguration) -> ServerReport,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut uncoordinated =
-        UncoordinatedRuntime::new(&app.monitor(), xeon_actuators(server), seed).expect("actuators");
-    let mut app = app;
-    let monitor = app.monitor();
-
-    let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, quantum) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, &uncoordinated.joint_configuration());
-        let mut report = evaluate(index, quantum, &configuration);
-        // Each independent instance pays its own decision overhead.
-        let overhead = DECISION_OVERHEAD_SECONDS * uncoordinated.instances() as f64;
-        report.seconds += overhead;
-        report.energy_joules += overhead * report.total_power_watts;
-        now += report.seconds;
-        app.advance(now, report.work_units);
-        monitor.record_power_sample(now, report.power_above_idle_watts);
-        let _ = uncoordinated.decide(now);
-        reports.push(report);
-    }
-    XeonRunOutcome::from_reports(reports.iter())
-}
-
-/// Runs the benchmark under uncoordinated adaptation: one independent SEEC
-/// instance per actuator.
-pub fn run_uncoordinated_on_xeon(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_uncoordinated_with(server, benchmark, quanta, target_heart_rate, seed, |_, quantum, cfg| {
-        server.evaluate(&to_server_demand(quantum), cfg)
-    })
-}
-
-/// The convex-model (goal-respecting) protocol's closed-loop SEEC run:
-/// anchored estimation, the gentler [`CONVEX_PROTOCOL_KI`] integral, and
-/// interpolated beat/power stamping
-/// ([`HeartbeatedWorkload::advance_metered`]). Under the linear default the
-/// historical [`run_seec_on_table`] protocol is used instead — its batched
-/// end-of-quantum stamping and drifting baseline are kept bit-for-bit.
-pub fn run_seec_convex_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_seec_convex_on_table_with_leak(server, benchmark, quanta, table, target_heart_rate, seed, 1.0)
-}
-
-/// [`run_seec_convex_on_table`] with a leaky PI integral (`leak = 1.0` is
-/// bit-for-bit the classical integral; see [`CONVEX_PROTOCOL_LEAK`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_seec_convex_on_table_with_leak(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    leak: f64,
-) -> XeonRunOutcome {
-    run_seec_convex_on_table_tuned(
-        server,
-        benchmark,
-        quanta,
-        table,
-        target_heart_rate,
-        seed,
-        ConvexTuning {
-            leak,
-            ..ConvexTuning::default()
-        },
-    )
-}
-
-/// [`run_seec_convex_on_table`] with explicit [`ConvexTuning`] knobs (the
-/// default tuning is bit-for-bit the plain convex run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_seec_convex_on_table_tuned(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
+/// The convex (goal-respecting) protocol's runtime tuning: anchored
+/// estimation, the gentle [`CONVEX_PROTOCOL_KI`] integral made leaky by
+/// `tuning.leak`, and belief aging at `tuning.belief_halflife`.
+/// [`ConvexTuning::default`] is the protocol every fig5-family runtime uses.
+pub(crate) fn convex_protocol(
+    builder: SeecRuntimeBuilder,
     tuning: ConvexTuning,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
-    app.set_heart_rate_goal(target_heart_rate);
-    let mut runtime = SeecRuntime::builder(app.monitor())
-        .actuators(xeon_actuators(server))
+) -> SeecRuntimeBuilder {
+    builder
         .anchored_estimation(true)
         .belief_halflife(tuning.belief_halflife)
         .controller(
             PiController::new(1.0, CONVEX_PROTOCOL_KI, 1.0 / 64.0, 64.0).with_leak(tuning.leak),
         )
-        .seed(seed)
-        .build()
-        .expect("actuators registered");
-    let mut app = app;
-
-    let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, _) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, runtime.current_configuration());
-        let config = table
-            .config_index(&configuration)
-            .expect("SEEC configurations lie on the grid");
-        let mut report = table.report(index, config);
-        report.seconds += DECISION_OVERHEAD_SECONDS;
-        report.energy_joules += DECISION_OVERHEAD_SECONDS * report.total_power_watts;
-        let start = now;
-        now += report.seconds;
-        app.advance_metered(start, now, report.work_units, report.power_above_idle_watts);
-        let _ = runtime.decide(now);
-        reports.push(report);
-    }
-    XeonRunOutcome::from_reports(reports.iter())
 }
 
-/// The convex-model protocol's uncoordinated baseline: the same anchored /
-/// tuned / interpolated treatment as [`run_seec_convex_on_table`], applied
-/// to one independent SEEC instance per actuator.
-pub fn run_uncoordinated_convex_on_table(
+/// The runtime behind one closed-loop arm.
+enum Controller {
+    Seec(Box<SeecRuntime>),
+    Uncoordinated(UncoordinatedRuntime),
+}
+
+/// Runs `benchmark` (its quanta memoized in `table`) under closed-loop
+/// control, launched on one core at the minimum clock and aiming at
+/// `target_heart_rate`.
+///
+/// Every configuration SEEC can reach lies on the grid, so each quantum is
+/// an indexed lookup. Each quantum pays [`DECISION_OVERHEAD_SECONDS`] per
+/// decision: the decision shares the main cores with the application on
+/// this platform. `convex` picks the power protocol. `None` is the
+/// historical linear protocol: beats and one power sample stamped at the
+/// end of each quantum, default runtime tuning. `Some(tuning)` is the
+/// convex (goal-respecting) protocol: beats and power interpolated across
+/// the quantum ([`HeartbeatedWorkload::advance_metered`]), anchored
+/// estimation and the [`CONVEX_PROTOCOL_KI`] integral, with `tuning`'s
+/// leak and belief aging.
+pub fn run_closed_loop(
     server: &XeonServer,
     benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
     table: &XeonEvalTable,
     target_heart_rate: f64,
     seed: u64,
+    adaptation: Adaptation,
+    convex: Option<ConvexTuning>,
 ) -> XeonRunOutcome {
-    run_uncoordinated_convex_on_table_with_leak(
-        server,
-        benchmark,
-        quanta,
-        table,
-        target_heart_rate,
-        seed,
-        1.0,
-    )
-}
-
-/// [`run_uncoordinated_convex_on_table`] with a leaky PI integral in every
-/// per-actuator instance (`leak = 1.0` is bit-for-bit the classical
-/// integral).
-#[allow(clippy::too_many_arguments)]
-pub fn run_uncoordinated_convex_on_table_with_leak(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    leak: f64,
-) -> XeonRunOutcome {
-    run_uncoordinated_convex_on_table_tuned(
-        server,
-        benchmark,
-        quanta,
-        table,
-        target_heart_rate,
-        seed,
-        ConvexTuning {
-            leak,
-            ..ConvexTuning::default()
-        },
-    )
-}
-
-/// [`run_uncoordinated_convex_on_table`] with explicit [`ConvexTuning`]
-/// knobs in every per-actuator instance (the default tuning is bit-for-bit
-/// the plain convex run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_uncoordinated_convex_on_table_tuned(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-    tuning: ConvexTuning,
-) -> XeonRunOutcome {
-    let app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
+    let mut app = HeartbeatedWorkload::new(Workload::new(benchmark, seed));
     app.set_heart_rate_goal(target_heart_rate);
-    let mut uncoordinated = UncoordinatedRuntime::new_with(
-        &app.monitor(),
-        xeon_actuators(server),
-        seed,
-        |builder| {
-            builder
-                .anchored_estimation(true)
-                .belief_halflife(tuning.belief_halflife)
-                .controller(
-                    PiController::new(1.0, CONVEX_PROTOCOL_KI, 1.0 / 64.0, 64.0)
-                        .with_leak(tuning.leak),
-                )
-        },
-    )
-    .expect("actuators");
-    let mut app = app;
+    let monitor = app.monitor();
+    let tune = |builder| match convex {
+        Some(tuning) => convex_protocol(builder, tuning),
+        None => builder,
+    };
+    let mut controller = match adaptation {
+        Adaptation::Seec => Controller::Seec(Box::new(
+            tune(
+                SeecRuntime::builder(monitor.clone())
+                    .actuators(xeon_actuators(server))
+                    .seed(seed),
+            )
+            .build()
+            .expect("actuators registered"),
+        )),
+        Adaptation::Uncoordinated => Controller::Uncoordinated(
+            UncoordinatedRuntime::new_with(&monitor, xeon_actuators(server), seed, tune)
+                .expect("actuators registered"),
+        ),
+    };
+    let decisions = match &controller {
+        Controller::Seec(_) => 1,
+        Controller::Uncoordinated(runtime) => runtime.instances(),
+    };
+    let overhead = DECISION_OVERHEAD_SECONDS * decisions as f64;
 
     let mut now = 0.0;
-    let mut reports: Vec<ServerReport> = Vec::with_capacity(quanta.len());
-    for (index, _) in quanta.iter().enumerate() {
-        let configuration = map_configuration(server, &uncoordinated.joint_configuration());
+    let mut outcome = OutcomeAccumulator::default();
+    for quantum in 0..table.quanta_len() {
+        let configuration = match &controller {
+            Controller::Seec(runtime) => map_configuration(server, runtime.current_configuration()),
+            Controller::Uncoordinated(runtime) => {
+                map_configuration(server, &runtime.joint_configuration())
+            }
+        };
         let config = table
             .config_index(&configuration)
             .expect("SEEC configurations lie on the grid");
-        let mut report = table.report(index, config);
-        let overhead = DECISION_OVERHEAD_SECONDS * uncoordinated.instances() as f64;
+        let mut report = table.report(quantum, config);
         report.seconds += overhead;
         report.energy_joules += overhead * report.total_power_watts;
         let start = now;
         now += report.seconds;
-        app.advance_metered(start, now, report.work_units, report.power_above_idle_watts);
-        let _ = uncoordinated.decide(now);
-        reports.push(report);
+        if convex.is_some() {
+            app.advance_metered(start, now, report.work_units, report.power_above_idle_watts);
+        } else {
+            app.advance(now, report.work_units);
+            monitor.record_power_sample(now, report.power_above_idle_watts);
+        }
+        match &mut controller {
+            Controller::Seec(runtime) => {
+                let _ = runtime.decide(now);
+            }
+            Controller::Uncoordinated(runtime) => {
+                let _ = runtime.decide(now);
+            }
+        }
+        outcome.push_report(&report);
     }
-    XeonRunOutcome::from_reports(reports.iter())
-}
-
-/// [`run_uncoordinated_on_xeon`] against memoized evaluations.
-pub fn run_uncoordinated_on_table(
-    server: &XeonServer,
-    benchmark: SplashBenchmark,
-    quanta: &[QuantumDemand],
-    table: &XeonEvalTable,
-    target_heart_rate: f64,
-    seed: u64,
-) -> XeonRunOutcome {
-    run_uncoordinated_with(server, benchmark, quanta, target_heart_rate, seed, |index, _, cfg| {
-        let config = table.config_index(cfg).expect("SEEC configurations lie on the grid");
-        table.report(index, config)
-    })
-}
-
-/// Convenience used by oracles in other modules: the best per-quantum report
-/// under a set of configurations.
-pub fn best_quantum_report(
-    server: &XeonServer,
-    quantum: &QuantumDemand,
-    configurations: &[ServerConfiguration],
-    target_heart_rate: f64,
-) -> ServerReport {
-    let demand = to_server_demand(quantum);
-    configurations
-        .iter()
-        .map(|cfg| server.evaluate(&demand, cfg))
-        .max_by(|a, b| {
-            quantum_efficiency(a, target_heart_rate)
-                .partial_cmp(&quantum_efficiency(b, target_heart_rate))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .expect("at least one configuration")
+    outcome.finish()
 }
 
 #[cfg(test)]
@@ -878,8 +606,11 @@ mod tests {
         let max_rate =
             run_fixed_on_xeon(&server, &quanta, &server.default_configuration()).heart_rate;
         let target = max_rate / 2.0;
-        let seec = run_seec_on_xeon(&server, benchmark, &quanta, target, 9);
-        let uncoordinated = run_uncoordinated_on_xeon(&server, benchmark, &quanta, target, 9);
+        let table = XeonEvalTable::build(&server, &quanta);
+        let run =
+            |adaptation| run_closed_loop(&server, benchmark, &table, target, 9, adaptation, None);
+        let seec = run(Adaptation::Seec);
+        let uncoordinated = run(Adaptation::Uncoordinated);
         // A 40-quantum run still contains the start-up transient (the paper
         // launches every benchmark on one core at the minimum clock), so the
         // bounds here are looser than the steady-state figures.

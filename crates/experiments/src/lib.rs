@@ -49,3 +49,44 @@ pub use fig3::{Figure3, Figure3Row};
 pub use fig4::{Figure4, Figure4Row};
 pub use chaos::{FigureChaos, FigureEnforce};
 pub use fig5::{ArmOutcome, Figure5, Figure5Hierarchy, Figure5Scenario, HierarchyScenario, RuntimeBlock};
+
+/// Writes `value` to `path` as pretty-printed JSON, the format of every
+/// figure and report file the binaries emit.
+///
+/// # Errors
+///
+/// Returns the serialisation or I/O error, e.g. when `path` names a
+/// directory.
+pub fn write_json<T: serde::Serialize + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
+    let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+    std::fs::write(path, json)
+}
+
+/// [`write_json`] for the binaries: reports where the data went, or reports
+/// the error and exits the process with status 1.
+pub fn write_json_or_exit<T: serde::Serialize + ?Sized>(path: &str, value: &T) {
+    if let Err(err) = write_json(path, value) {
+        eprintln!("could not write {path}: {err}");
+        std::process::exit(1);
+    }
+    println!("raw data written to {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn writing_json_to_a_directory_fails() {
+        let dir = std::env::temp_dir().join(format!("write-json-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.to_str().expect("utf-8 temp path");
+        assert!(super::write_json(path, &[1.0_f64, 2.0]).is_err());
+        let file = dir.join("value.json");
+        let file = file.to_str().expect("utf-8 temp path");
+        super::write_json(file, &[1.0_f64, 2.0]).expect("a plain file path is writable");
+        assert_eq!(
+            std::fs::read_to_string(file).expect("written"),
+            serde_json::to_string_pretty(&[1.0_f64, 2.0]).expect("serialises")
+        );
+        std::fs::remove_dir_all(&dir).expect("clean up");
+    }
+}

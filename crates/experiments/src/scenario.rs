@@ -18,14 +18,13 @@ use coordinator::{
     AppHandle, ArbitrationPolicy, Coordinator, DatacenterArbiter, ManagedApp, RackCoordinator,
 };
 use obs::{Counter, Recorder};
-use seec::control::PiController;
-use seec::{SeecRuntime, SeecRuntimeBuilder, UncoordinatedRuntime};
+use seec::{SeecRuntime, UncoordinatedRuntime};
 use workloads::{HeartbeatedWorkload, QuantumDemand, Scenario, ScenarioApp, Workload};
 use xeon_sim::{MachineMeter, ServerConfiguration, XeonServer};
 
 use crate::driver::to_server_demand;
 use crate::faults::FaultRuntime;
-use crate::fig3::{map_configuration, xeon_actuators, CONVEX_PROTOCOL_KI};
+use crate::fig3::{convex_protocol, map_configuration, xeon_actuators, ConvexTuning};
 use crate::fig5::{
     budget_watts, datacenter_budget_watts, ArmOutcome, RuntimeBlock, QUANTUM_SECONDS,
 };
@@ -97,15 +96,6 @@ fn build_apps(server: &XeonServer, scenario: &Scenario) -> Vec<AppSim> {
         .collect()
 }
 
-/// The convex (goal-respecting) protocol tuning every closed-loop runtime
-/// in the fig5 family uses — anchored estimation plus the gentle
-/// [`CONVEX_PROTOCOL_KI`] integral (see [`crate::fig3`]).
-fn tuned(builder: SeecRuntimeBuilder) -> SeecRuntimeBuilder {
-    builder
-        .anchored_estimation(true)
-        .controller(PiController::new(1.0, CONVEX_PROTOCOL_KI, 1.0 / 64.0, 64.0))
-}
-
 /// A heartbeat-instrumented driver for one scenario app, its goal set to
 /// the scenario's target rate.
 fn heartbeated(sim: &AppSim) -> HeartbeatedWorkload {
@@ -115,17 +105,20 @@ fn heartbeated(sim: &AppSim) -> HeartbeatedWorkload {
     driver
 }
 
-/// A solo SEEC runtime for `sim` (app `index` of a run seeded `seed`).
+/// A solo SEEC runtime for `sim` (app `index` of a run seeded `seed`),
+/// tuned to the convex (goal-respecting) protocol every closed-loop runtime
+/// in the fig5 family uses.
 fn solo_runtime(
     server: &XeonServer,
     driver: &HeartbeatedWorkload,
     seed: u64,
     index: usize,
 ) -> SeecRuntime {
-    tuned(
+    convex_protocol(
         SeecRuntime::builder(driver.monitor())
             .actuators(xeon_actuators(server))
             .seed(seed.wrapping_add(index as u64)),
+        ConvexTuning::default(),
     )
     .build()
     .expect("actuators registered")
@@ -426,7 +419,7 @@ impl<'a> ScenarioRun<'a> {
                         &driver.monitor(),
                         xeon_actuators(server),
                         seed.wrapping_add(index as u64),
-                        tuned,
+                        |builder| convex_protocol(builder, ConvexTuning::default()),
                     )
                     .expect("actuators registered");
                     Slot::Uncoordinated(Box::new(runtime), driver)
