@@ -201,7 +201,7 @@ impl ConfigurationSpace {
     /// [`ConfigId`] handles, precomputed declared effects, and
     /// speedup-/power-sorted indices. See [`ConfigTable`].
     pub fn table(&self) -> ConfigTable {
-        ConfigTable::new(self)
+        ConfigTable::new(&self.specs.iter().collect::<Vec<_>>())
     }
 
     /// Configurations that differ from `config` in exactly one actuator.
@@ -307,13 +307,20 @@ pub struct ConfigTable {
 }
 
 impl ConfigTable {
-    fn new(space: &ConfigurationSpace) -> Self {
-        let radices: Vec<usize> = space.specs().iter().map(ActuatorSpec::len).collect();
+    /// Interns the space spanned by `specs`, in configuration order —
+    /// identical to [`ConfigurationSpace::table`] over the same specs,
+    /// without cloning them into a space first.
+    pub fn new(specs: &[&ActuatorSpec]) -> Self {
+        let radices: Vec<usize> = specs.iter().map(|spec| spec.len()).collect();
         let mut strides = vec![1usize; radices.len()];
         for pos in (0..radices.len().saturating_sub(1)).rev() {
             strides[pos] = strides[pos + 1] * radices[pos + 1];
         }
-        let cardinality = space.cardinality();
+        let cardinality = if radices.is_empty() {
+            0
+        } else {
+            radices.iter().product()
+        };
         assert!(
             cardinality <= u32::MAX as usize,
             "configuration space too large to intern ({cardinality} configurations)"
@@ -323,7 +330,7 @@ impl ConfigTable {
         for id in 0..cardinality {
             decode_into(id, &radices, &strides, &mut settings);
             let mut effect = PredictedEffect::nominal();
-            for (spec, &setting) in space.specs().iter().zip(settings.iter()) {
+            for (spec, &setting) in specs.iter().zip(settings.iter()) {
                 // Settings decoded from a valid id are always in range, so
                 // the per-axis lookups cannot fail; the multiplication order
                 // matches `ConfigurationSpace::predicted_effect` exactly.
@@ -358,8 +365,7 @@ impl ConfigTable {
         let nominal = if cardinality == 0 {
             ConfigId(0)
         } else {
-            let nominal_settings: Vec<usize> =
-                space.specs().iter().map(ActuatorSpec::nominal).collect();
+            let nominal_settings: Vec<usize> = specs.iter().map(|spec| spec.nominal()).collect();
             ConfigId(encode(&nominal_settings, &strides) as u32)
         };
         ConfigTable {
@@ -400,19 +406,19 @@ impl ConfigTable {
 
     /// Decodes `id` into `out` (cleared and refilled), without allocating
     /// when `out` already has capacity.
-    pub fn write_settings(&self, id: ConfigId, out: &mut Vec<SettingIndex>) {
-        out.clear();
+    pub fn write_settings(&self, id: ConfigId, out: &mut Configuration) {
+        out.0.clear();
         for pos in 0..self.radices.len() {
-            out.push(self.setting(id, pos));
+            out.0.push(self.setting(id, pos));
         }
     }
 
     /// Materialises `id` as an owned [`Configuration`] (boundary use only;
     /// the hot path passes ids).
     pub fn config_of(&self, id: ConfigId) -> Configuration {
-        let mut settings = Vec::with_capacity(self.radices.len());
-        self.write_settings(id, &mut settings);
-        Configuration::new(settings)
+        let mut config = Configuration::new(Vec::with_capacity(self.radices.len()));
+        self.write_settings(id, &mut config);
+        config
     }
 
     /// Interns `config`, returning its id — or `None` if the configuration's
@@ -464,14 +470,6 @@ impl ConfigTable {
         self.by_power
             .last()
             .map_or(1.0, |&id| self.effects[id.index()].power)
-    }
-
-    /// Number of configurations whose declared power multiplier is at most
-    /// `cap` — the length of the admissible prefix of
-    /// [`Self::by_declared_power`] under a power envelope.
-    pub fn count_within_declared_power(&self, cap: f64) -> usize {
-        self.by_power
-            .partition_point(|&id| self.effects[id.index()].power <= cap)
     }
 
     /// Number of single-actuator neighbours of any configuration.
@@ -708,15 +706,9 @@ mod tests {
             .collect();
         assert_eq!(table.min_declared_power(), powers[0]);
         assert_eq!(table.max_declared_power(), *powers.last().unwrap());
-        // The admissible prefix under any cap matches a naive count.
-        for cap in [0.0, 0.4, 1.0, 2.0, 4.0, 100.0] {
-            let expected = powers.iter().filter(|&&p| p <= cap).count();
-            assert_eq!(table.count_within_declared_power(cap), expected, "cap {cap}");
-        }
         let empty = ConfigurationSpace::new(vec![]).table();
         assert_eq!(empty.min_declared_power(), 1.0);
         assert_eq!(empty.max_declared_power(), 1.0);
-        assert_eq!(empty.count_within_declared_power(5.0), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use exec::ExecPool;
 use heartbeats::{HeartbeatMonitor, MonitorObservation};
 use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
-use seec::{CapDecision, SeecError, SeecRuntime};
+use seec::{Decision, SeecError, SeecRuntime};
 use workloads::{HeartbeatedWorkload, QuantumDemand};
 
 use crate::incremental::{ArbitrationSchedule, IncrementalArbiter, ScheduleError, WakeConfig};
@@ -150,7 +150,7 @@ pub struct ManagedApp {
     /// runtime's own estimator has observed real samples. 0 = unknown.
     nominal_power_hint: f64,
     awarded_watts: f64,
-    last_decision: Option<CapDecision>,
+    last_decision: Option<Decision>,
     /// Watchdog ladder state (inert until the coordinator enables a
     /// [`WatchdogConfig`]).
     health: HealthTracker,
@@ -274,7 +274,7 @@ impl ManagedApp {
     }
 
     /// The decision taken at the most recent step this app was active.
-    pub fn last_decision(&self) -> Option<CapDecision> {
+    pub fn last_decision(&self) -> Option<Decision> {
         self.last_decision
     }
 
@@ -666,13 +666,7 @@ fn decide_one(
     // from pool workers keeps the bucket counts deterministic; only the
     // wall-clock values vary.
     let clock = observer.map(|_| StageClock::start());
-    match app
-        .runtime
-        .decide_under_power_cap_with_observation(now, observation, max_powerup)
-    {
-        Ok(decision) => app.last_decision = Some(decision),
-        Err(err) => return Err(err),
-    }
+    app.last_decision = Some(app.runtime.decide_under_power_cap(now, observation, max_powerup)?);
     if let (Some(observer), Some(clock)) = (observer, clock) {
         observer.count(if dirty.is_some() {
             Counter::AppsRearbitrated
@@ -723,7 +717,7 @@ struct FleetHot {
 ///    per-app watt envelopes from each app's priority weight and
 ///    heartbeat-gap urgency.
 /// 3. **Decide** — each present app's [`SeecRuntime`] decides *under its
-///    envelope* ([`SeecRuntime::decide_under_power_cap_with_observation`]):
+///    envelope* ([`SeecRuntime::decide_under_power_cap`]):
 ///    the envelope in watts becomes a powerup cap via the app's
 ///    nominal-power estimate, clamping the admissible configuration set to
 ///    the prefix of the model's power-sorted index.
@@ -1240,9 +1234,7 @@ impl Coordinator {
     pub fn register(&mut self, mut app: ManagedApp) -> AppHandle {
         if self.admission_control && self.quantum > 0 {
             let observation = app.monitor.observation();
-            let _ = app
-                .runtime
-                .decide_under_power_cap_with_observation(self.last_now, &observation, 0.0);
+            let _ = app.runtime.decide_under_power_cap(self.last_now, &observation, 0.0);
         }
         if self.observer.is_some() {
             if let Some(observer) = &self.observer {
@@ -1857,9 +1849,8 @@ mod tests {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 let rate = 10.0 * effect.performance;
                 let power = 10.0 * effect.power;
@@ -1890,9 +1881,8 @@ mod tests {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(
                     handle,
@@ -2124,9 +2114,8 @@ mod tests {
                         let runtime = coordinator.app(handle).runtime();
                         runtime
                             .model()
-                            .space()
-                            .predicted_effect(runtime.current_configuration())
-                            .unwrap()
+                            .table()
+                            .declared_effect(runtime.current_config_id())
                     };
                     coordinator.advance(
                         handle,
@@ -2284,9 +2273,8 @@ mod tests {
             let runtime = coordinator.app(handle).runtime();
             runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap()
+                .table()
+                .declared_effect(runtime.current_config_id())
         };
         coordinator.advance(
             handle,
@@ -2461,9 +2449,8 @@ mod tests {
             let runtime = coordinator.app(handle).runtime();
             runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap()
+                .table()
+                .declared_effect(runtime.current_config_id())
                 .power
         };
 
@@ -2554,9 +2541,8 @@ mod tests {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(handle, now - 1.0, now, 10.0 * effect.performance, 10.0 * effect.power);
             }
@@ -2897,9 +2883,8 @@ mod tests {
                 let runtime = coordinator.app(handle).runtime();
                 runtime
                     .model()
-                    .space()
-                    .predicted_effect(runtime.current_configuration())
-                    .unwrap()
+                    .table()
+                    .declared_effect(runtime.current_config_id())
             };
             let claimed = if misreporting.contains(&i) { 4.0 } else { 1.0 };
             coordinator.advance(
@@ -2916,7 +2901,7 @@ mod tests {
     /// `(quantum, app, new state)` of every watchdog transition that struck
     /// a slot asleep going into the step.
     type WatchdogTwin = (
-        Vec<(Vec<u64>, Vec<Option<CapDecision>>)>,
+        Vec<(Vec<u64>, Vec<Option<Decision>>)>,
         Vec<(usize, usize, HealthState)>,
     );
 

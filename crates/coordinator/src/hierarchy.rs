@@ -758,9 +758,8 @@ mod tests {
                             datacenter.rack(rack_index).coordinator().app(handle).runtime();
                         runtime
                             .model()
-                            .space()
-                            .predicted_effect(runtime.current_configuration())
-                            .unwrap()
+                            .table()
+                            .declared_effect(runtime.current_config_id())
                     };
                     datacenter.rack_mut(rack_index).advance(
                         handle,
@@ -876,9 +875,8 @@ mod tests {
                                 .runtime();
                             runtime
                                 .model()
-                                .space()
-                                .predicted_effect(runtime.current_configuration())
-                                .unwrap()
+                                .table()
+                                .declared_effect(runtime.current_config_id())
                         };
                         datacenter.rack_mut(rack_index).advance(
                             handle,

@@ -188,9 +188,8 @@ fn advance_with_faults(
             let runtime = coordinator.app(handle).runtime();
             runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap()
+                .table()
+                .declared_effect(runtime.current_config_id())
         };
         let honest = (10.0 * effect.performance, 10.0 * effect.power);
         let (work, power) = if faulting {

@@ -145,9 +145,8 @@ fn advance_datacenter(datacenter: &mut DatacenterArbiter, now: f64, quantum: usi
                 let runtime = datacenter.rack(rack_index).coordinator().app(handle).runtime();
                 runtime
                     .model()
-                    .space()
-                    .predicted_effect(runtime.current_configuration())
-                    .unwrap()
+                    .table()
+                    .declared_effect(runtime.current_config_id())
             };
             datacenter.rack_mut(rack_index).advance(
                 handle,
@@ -303,9 +302,8 @@ proptest! {
                     let runtime = flat.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 flat.advance(handle, now - 1.0, now, 10.0 * effect.performance, 10.0 * effect.power);
             }

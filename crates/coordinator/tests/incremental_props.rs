@@ -361,7 +361,7 @@ fn managed(slot: Slot, index: usize) -> ManagedApp {
 type Trace = Vec<(
     coordinator::StepSummary,
     Vec<u64>,
-    Vec<Option<seec::CapDecision>>,
+    Vec<Option<seec::Decision>>,
 )>;
 
 /// The (work, power) the declared-effect platform reports for one quantum
@@ -370,9 +370,8 @@ type Trace = Vec<(
 fn platform_outcome(runtime: &SeecRuntime) -> (f64, f64) {
     let effect = runtime
         .model()
-        .space()
-        .predicted_effect(runtime.current_configuration())
-        .unwrap();
+        .table()
+        .declared_effect(runtime.current_config_id());
     (10.0 * effect.performance, 10.0 * effect.power)
 }
 
@@ -445,7 +444,7 @@ fn drive_reference(
     quanta: usize,
     budget_step: Option<(usize, f64)>,
 ) -> Trace {
-    let mut apps: Vec<(Slot, HeartbeatedWorkload, SeecRuntime, Option<seec::CapDecision>)> =
+    let mut apps: Vec<(Slot, HeartbeatedWorkload, SeecRuntime, Option<seec::Decision>)> =
         slots
             .iter()
             .enumerate()
@@ -527,7 +526,7 @@ fn drive_reference(
             };
             *decision = Some(
                 runtime
-                    .decide_under_power_cap_with_observation(now, observation, cap)
+                    .decide_under_power_cap(now, observation, cap)
                     .unwrap(),
             );
             summary.active_apps += 1;

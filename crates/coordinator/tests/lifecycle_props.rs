@@ -127,7 +127,7 @@ fn managed(slot: Slot, index: usize) -> ManagedApp {
 type Trace = Vec<(
     coordinator::StepSummary,
     Vec<f64>,
-    Vec<Option<seec::CapDecision>>,
+    Vec<Option<seec::Decision>>,
 )>;
 
 fn drive(
@@ -158,9 +158,8 @@ fn drive(
                 let runtime = coordinator.app(handle).runtime();
                 runtime
                     .model()
-                    .space()
-                    .predicted_effect(runtime.current_configuration())
-                    .unwrap()
+                    .table()
+                    .declared_effect(runtime.current_config_id())
             };
             coordinator.advance(
                 handle,
@@ -280,9 +279,8 @@ proptest! {
                     let runtime = coordinator.app(handle).runtime();
                     runtime
                         .model()
-                        .space()
-                        .predicted_effect(runtime.current_configuration())
-                        .unwrap()
+                        .table()
+                        .declared_effect(runtime.current_config_id())
                 };
                 coordinator.advance(
                     handle,

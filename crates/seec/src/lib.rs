@@ -23,11 +23,20 @@
 //!    ([`model::ExplorationPolicy`]).
 //!
 //! The translation from a continuous required speedup to discrete actuator
-//! settings uses time-division scheduling between neighbouring
-//! configurations ([`schedule`]), and [`runtime::SeecRuntime`] packages the
-//! whole loop. [`uncoordinated::UncoordinatedRuntime`] wires one independent
-//! SEEC instance per actuator to reproduce the paper's *uncoordinated
+//! settings uses time-division scheduling between the two configurations
+//! that bracket it, and [`runtime::SeecRuntime`] packages the whole loop.
+//! [`uncoordinated::UncoordinatedRuntime`] wires one independent SEEC
+//! instance per actuator to reproduce the paper's *uncoordinated
 //! adaptation* baseline.
+//!
+//! There is one decision path. Configurations are interned into the
+//! [`actuation::ConfigTable`] arena and every selection runs on copyable
+//! [`actuation::ConfigId`]s ([`model`] lists the selection API). Every
+//! decision — standalone, uncoordinated, or under a coordinator's awarded
+//! envelope — goes through [`SeecRuntime::decide_under_power_cap`] and
+//! returns one `Copy` [`Decision`] record; [`SeecRuntime::decide`] is that
+//! call with a fresh monitor snapshot and an infinite (unconstrained)
+//! power cap.
 //!
 //! ```
 //! use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
@@ -72,11 +81,10 @@ pub mod control;
 pub mod error;
 pub mod model;
 pub mod runtime;
-pub mod schedule;
+mod schedule;
 pub mod uncoordinated;
 
 pub use error::SeecError;
 pub use model::{ActionModel, ExplorationPolicy};
-pub use runtime::{CapDecision, Decision, SeecRuntime, SeecRuntimeBuilder};
-pub use schedule::ActuationSchedule;
+pub use runtime::{Decision, SeecRuntime, SeecRuntimeBuilder};
 pub use uncoordinated::UncoordinatedRuntime;

@@ -14,16 +14,27 @@
 //! by copyable [`ConfigId`] handles. Beliefs live in a dense `Vec` indexed
 //! by id — no hashing, no per-lookup allocation — and two sorted indices
 //! (by believed speedup and by believed power) are maintained incrementally
-//! as observations arrive, so the selection queries of the decision loop
-//! ([`ActionModel::choose_id`], [`ActionModel::bracket_below_id`],
-//! [`ActionModel::cheapest_id`]) never materialise a configuration.
+//! as observations arrive.
 //!
-//! Selection results are *identical* to a naive first-match scan in
-//! configuration order (the pre-arena implementation): every tie is broken
-//! toward the smaller id, which is exactly what a lexicographic scan with
-//! strict comparisons produced.
+//! ## Selection
+//!
+//! The decision loop asks three questions, all over ids and all without
+//! materialising a configuration:
+//! - [`ActionModel::choose_id`]: the configuration to run next;
+//! - [`ActionModel::bracket_below_id`]: the low end of the time-division
+//!   schedule;
+//! - [`ActionModel::cheapest_id`]: the floor every power envelope degrades
+//!   to.
+//!
+//! The first two take a `max_powerup` cap on the believed power multiplier
+//! and consider only the admissible prefix of the power index;
+//! `f64::INFINITY` means unconstrained. Selection results are *identical*
+//! to a naive first-match scan over ids in order, which is
+//! [`actuation::ConfigurationSpace::iter`] order: every tie is broken
+//! toward the smaller id, exactly what a lexicographic scan with strict
+//! comparisons produced.
 
-use actuation::{ConfigId, ConfigTable, Configuration, ConfigurationSpace};
+use actuation::{ConfigId, ConfigTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -62,10 +73,9 @@ impl Default for ExplorationPolicy {
     }
 }
 
-/// The runtime's model of every configuration in a [`ConfigurationSpace`].
+/// The runtime's model of every configuration in a [`ConfigTable`].
 #[derive(Debug, Clone)]
 pub struct ActionModel {
-    space: ConfigurationSpace,
     table: ConfigTable,
     beliefs: Vec<BelievedEffect>,
     /// Ids sorted ascending by (believed speedup, id).
@@ -90,9 +100,8 @@ pub struct ActionModel {
 }
 
 impl ActionModel {
-    /// Creates a model over `space` seeded from the declared effects.
-    pub fn new(space: ConfigurationSpace, seed: u64) -> Self {
-        let table = space.table();
+    /// Creates a model over `table` seeded from the declared effects.
+    pub fn new(table: ConfigTable, seed: u64) -> Self {
         let beliefs: Vec<BelievedEffect> = (0..table.len())
             .map(|i| {
                 let declared = table.declared_effect(ConfigId(i as u32));
@@ -117,7 +126,6 @@ impl ActionModel {
             rank_power[id.index()] = pos as u32;
         }
         ActionModel {
-            space,
             table,
             beliefs,
             by_speedup,
@@ -217,12 +225,6 @@ impl ActionModel {
         }
     }
 
-
-    /// The configuration space this model covers.
-    pub fn space(&self) -> &ConfigurationSpace {
-        &self.space
-    }
-
     /// The interned-configuration arena the model runs on.
     pub fn table(&self) -> &ConfigTable {
         &self.table
@@ -232,20 +234,6 @@ impl ActionModel {
     #[inline]
     pub fn believed(&self, id: ConfigId) -> BelievedEffect {
         self.beliefs[id.index()]
-    }
-
-    /// The believed effect of `config`: learned if observed, declared
-    /// otherwise. Configurations outside the space report the nominal
-    /// effect, as the pre-arena model did.
-    pub fn believed_effect(&self, config: &Configuration) -> BelievedEffect {
-        match self.table.id_of(config) {
-            Some(id) => self.believed(id),
-            None => BelievedEffect {
-                speedup: 1.0,
-                powerup: 1.0,
-                observations: 0,
-            },
-        }
     }
 
     /// Records that running in `id` produced `observed_speedup` and
@@ -298,54 +286,25 @@ impl ActionModel {
         error
     }
 
-    /// Records an observation addressed by configuration (see
-    /// [`Self::observe_id`]). Observations of configurations outside the
-    /// space are reported against the nominal belief and not stored.
-    pub fn observe(
-        &mut self,
-        config: &Configuration,
-        observed_speedup: f64,
-        observed_powerup: f64,
-    ) -> f64 {
-        match self.table.id_of(config) {
-            Some(id) => self.observe_id(id, observed_speedup, observed_powerup),
-            None => {
-                let error = (observed_speedup - 1.0).abs();
-                if error > self.policy.divergence_threshold {
-                    self.divergent_streak += 1;
-                } else {
-                    self.divergent_streak = 0;
-                }
-                error
-            }
-        }
-    }
-
     /// Whether the model considers itself diverged (exploration should take
     /// over the next decisions).
     pub fn is_diverged(&self) -> bool {
         self.divergent_streak >= self.policy.patience
     }
 
-    /// Chooses the configuration to run next: the cheapest (lowest believed
-    /// power) configuration whose believed speedup meets `required_speedup`.
-    /// If none meets it, the configuration with the highest believed speedup
-    /// is returned. With probability epsilon — or whenever the model has
-    /// diverged — a neighbouring configuration of the current one is
-    /// explored instead. Ties break toward the smaller id, like the
-    /// first-match scan this replaces.
-    pub fn choose_id(&mut self, required_speedup: f64, current: ConfigId) -> ConfigId {
-        self.choose_id_capped(required_speedup, current, f64::INFINITY)
-    }
-
-    /// [`Self::choose_id`] restricted to configurations whose believed
-    /// powerup is at most `max_powerup` — the admissible prefix of the
-    /// power-sorted index under a power envelope. With an infinite cap this
-    /// is exactly `choose_id` (same comparisons, same RNG draws, same
-    /// result). When even the cheapest configuration exceeds the cap, the
-    /// cheapest is returned: an application cannot run in no configuration,
-    /// so the envelope degrades to "as cheap as the action space allows".
-    pub fn choose_id_capped(
+    /// Chooses the configuration to run next among those whose believed
+    /// powerup is at most `max_powerup` (the admissible prefix of the
+    /// power-sorted index; `f64::INFINITY` = unconstrained): the cheapest
+    /// (lowest believed power) one whose believed speedup meets
+    /// `required_speedup`, or, if none meets it, the one with the highest
+    /// believed speedup. With probability epsilon — or whenever the model
+    /// has diverged — a neighbouring configuration of `current` is explored
+    /// instead, unless it breaches the cap. Ties break toward the smaller
+    /// id, like the first-match scan this replaces. When even the cheapest
+    /// configuration exceeds the cap, the cheapest is returned: an
+    /// application cannot run in no configuration, so the envelope degrades
+    /// to "as cheap as the action space allows".
+    pub fn choose_id(
         &mut self,
         required_speedup: f64,
         current: ConfigId,
@@ -398,22 +357,6 @@ impl ActionModel {
             .partition_point(|id| self.beliefs[id.index()].powerup <= max_powerup)
     }
 
-    /// Configuration-typed convenience wrapper over [`Self::choose_id`].
-    pub fn choose(&mut self, required_speedup: f64, current: &Configuration) -> Configuration {
-        if self.table.is_empty() {
-            // Preserve the pre-arena behaviour (and RNG draw order) for
-            // degenerate spaces: exploit falls back to the empty nominal.
-            let _ = self.is_diverged() || self.rng.gen_bool(self.policy.epsilon.clamp(0.0, 1.0));
-            return self.space.nominal();
-        }
-        let current_id = self
-            .table
-            .id_of(current)
-            .unwrap_or_else(|| self.table.nominal());
-        let choice = self.choose_id(required_speedup, current_id);
-        self.table.config_of(choice)
-    }
-
     /// The id with the highest believed speedup (smallest id on ties).
     fn fastest(&self) -> ConfigId {
         let top = *self.by_speedup.last().expect("non-empty space");
@@ -442,24 +385,17 @@ impl ActionModel {
     }
 
     /// The bracketing configuration *below* a required speedup: among the
-    /// configurations whose believed speedup is less than `required_speedup`,
-    /// the fastest one (ties broken toward lower power, then smaller id).
-    /// Falls back to the cheapest configuration when everything meets the
-    /// requirement. Used as the low end of time-division schedules so that
-    /// the schedule alternates between adjacent operating points rather than
-    /// between extremes.
-    pub fn bracket_below_id(&self, required_speedup: f64) -> (ConfigId, f64) {
-        self.bracket_below_id_capped(required_speedup, f64::INFINITY)
-    }
-
-    /// [`Self::bracket_below_id`] restricted to configurations whose
-    /// believed powerup is at most `max_powerup`. With an infinite cap this
-    /// is exactly `bracket_below_id`; under a finite cap, over-envelope
-    /// configurations are skipped while walking down the speedup index, and
-    /// when nothing under the requirement is admissible the overall cheapest
-    /// configuration is returned (the same floor [`Self::choose_id_capped`]
-    /// degrades to).
-    pub fn bracket_below_id_capped(
+    /// configurations whose believed speedup is less than `required_speedup`
+    /// and whose believed powerup is at most `max_powerup` (`f64::INFINITY`
+    /// = unconstrained), the fastest one (ties broken toward lower power,
+    /// then smaller id), with its believed speedup. Used as the low end of
+    /// time-division schedules so that the schedule alternates between
+    /// adjacent operating points rather than between extremes. Over-cap
+    /// configurations are skipped while walking down the speedup index; when
+    /// nothing under the requirement is admissible — or everything meets
+    /// it — the overall cheapest configuration is returned (the same floor
+    /// [`Self::choose_id`] degrades to).
+    pub fn bracket_below_id(
         &self,
         required_speedup: f64,
         max_powerup: f64,
@@ -499,30 +435,11 @@ impl ActionModel {
         }
     }
 
-    /// Configuration-typed convenience wrapper over
-    /// [`Self::bracket_below_id`].
-    pub fn bracket_below(&self, required_speedup: f64) -> (Configuration, f64) {
-        if self.table.is_empty() {
-            return (self.space.nominal(), 1.0);
-        }
-        let (id, speedup) = self.bracket_below_id(required_speedup);
-        (self.table.config_of(id), speedup)
-    }
-
     /// The id with the lowest believed power (smallest id on ties), and its
     /// believed speedup. Used as the low end of time-division schedules.
     pub fn cheapest_id(&self) -> (ConfigId, f64) {
         let id = self.by_power[0];
         (id, self.beliefs[id.index()].speedup)
-    }
-
-    /// Configuration-typed convenience wrapper over [`Self::cheapest_id`].
-    pub fn cheapest(&self) -> (Configuration, f64) {
-        if self.table.is_empty() {
-            return (self.space.nominal(), 1.0);
-        }
-        let (id, speedup) = self.cheapest_id();
-        (self.table.config_of(id), speedup)
     }
 
     /// Number of distinct configurations observed at least once.
@@ -570,9 +487,9 @@ fn reposition<F: Fn(ConfigId) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actuation::{ActuatorSpec, Axis, SettingSpec};
+    use actuation::{ActuatorSpec, Axis, Configuration, ConfigurationSpace, SettingSpec};
 
-    fn space() -> ConfigurationSpace {
+    fn table() -> ConfigTable {
         let dvfs = ActuatorSpec::builder("dvfs")
             .setting(
                 SettingSpec::new("slow")
@@ -592,7 +509,15 @@ mod tests {
             )
             .build()
             .unwrap();
-        ConfigurationSpace::new(vec![dvfs, cores])
+        ConfigurationSpace::new(vec![dvfs, cores]).table()
+    }
+
+    /// The id of the configuration with the given (dvfs, cores) settings.
+    fn id(model: &ActionModel, settings: [usize; 2]) -> ConfigId {
+        model
+            .table()
+            .id_of(&Configuration::new(settings.to_vec()))
+            .unwrap()
     }
 
     fn no_exploration() -> ExplorationPolicy {
@@ -602,86 +527,69 @@ mod tests {
         }
     }
 
-    /// Reference implementation: the pre-arena first-match scans in
-    /// configuration order. The index-based selections must agree exactly.
+    /// Reference implementation: the pre-arena first-match scans over ids
+    /// in order (= `ConfigurationSpace::iter` order), uncapped. The
+    /// index-based selections must agree exactly.
     mod reference {
         use super::*;
 
-        pub fn choose_exploit(model: &ActionModel, required: f64) -> Configuration {
-            let mut best_meeting: Option<(Configuration, f64)> = None;
-            let mut best_overall: Option<(Configuration, f64)> = None;
-            for config in model.space().iter() {
-                let belief = model.believed_effect(&config);
-                if belief.speedup >= required {
-                    let better = match &best_meeting {
-                        None => true,
-                        Some((_, power)) => belief.powerup < *power,
-                    };
-                    if better {
-                        best_meeting = Some((config.clone(), belief.powerup));
-                    }
+        fn ids(model: &ActionModel) -> impl Iterator<Item = (ConfigId, BelievedEffect)> + '_ {
+            (0..model.table().len() as u32).map(|i| (ConfigId(i), model.believed(ConfigId(i))))
+        }
+
+        pub fn choose_exploit(model: &ActionModel, required: f64) -> ConfigId {
+            let mut best_meeting: Option<(ConfigId, f64)> = None;
+            let mut best_overall: Option<(ConfigId, f64)> = None;
+            for (id, belief) in ids(model) {
+                if belief.speedup >= required
+                    && best_meeting.is_none_or(|(_, power)| belief.powerup < power)
+                {
+                    best_meeting = Some((id, belief.powerup));
                 }
-                let faster = match &best_overall {
-                    None => true,
-                    Some((_, speed)) => belief.speedup > *speed,
-                };
-                if faster {
-                    best_overall = Some((config.clone(), belief.speedup));
+                if best_overall.is_none_or(|(_, speed)| belief.speedup > speed) {
+                    best_overall = Some((id, belief.speedup));
                 }
             }
             best_meeting
-                .map(|(c, _)| c)
-                .or(best_overall.map(|(c, _)| c))
-                .unwrap_or_else(|| model.space().nominal())
+                .or(best_overall)
+                .map_or(model.table().nominal(), |(id, _)| id)
         }
 
-        pub fn bracket_below(model: &ActionModel, required: f64) -> (Configuration, f64) {
-            let mut best: Option<(Configuration, f64, f64)> = None;
-            for config in model.space().iter() {
-                let belief = model.believed_effect(&config);
+        pub fn bracket_below(model: &ActionModel, required: f64) -> (ConfigId, f64) {
+            let mut best: Option<(ConfigId, f64, f64)> = None;
+            for (id, belief) in ids(model) {
                 if belief.speedup >= required {
                     continue;
                 }
-                let better = match &best {
-                    None => true,
-                    Some((_, speedup, power)) => {
-                        belief.speedup > *speedup
-                            || (belief.speedup == *speedup && belief.powerup < *power)
-                    }
-                };
+                let better = best.is_none_or(|(_, speedup, power)| {
+                    belief.speedup > speedup
+                        || (belief.speedup == speedup && belief.powerup < power)
+                });
                 if better {
-                    best = Some((config, belief.speedup, belief.powerup));
+                    best = Some((id, belief.speedup, belief.powerup));
                 }
             }
             match best {
-                Some((config, speedup, _)) => (config, speedup),
+                Some((id, speedup, _)) => (id, speedup),
                 None => cheapest(model),
             }
         }
 
-        pub fn cheapest(model: &ActionModel) -> (Configuration, f64) {
-            let mut best: Option<(Configuration, f64, f64)> = None;
-            for config in model.space().iter() {
-                let belief = model.believed_effect(&config);
-                let cheaper = match &best {
-                    None => true,
-                    Some((_, power, _)) => belief.powerup < *power,
-                };
-                if cheaper {
-                    best = Some((config, belief.powerup, belief.speedup));
+        pub fn cheapest(model: &ActionModel) -> (ConfigId, f64) {
+            let mut best: Option<(ConfigId, f64, f64)> = None;
+            for (id, belief) in ids(model) {
+                if best.is_none_or(|(_, power, _)| belief.powerup < power) {
+                    best = Some((id, belief.powerup, belief.speedup));
                 }
             }
-            match best {
-                Some((config, _, speedup)) => (config, speedup),
-                None => (model.space().nominal(), 1.0),
-            }
+            best.map_or((model.table().nominal(), 1.0), |(id, _, speedup)| (id, speedup))
         }
     }
 
     #[test]
     fn beliefs_start_from_declared_effects() {
-        let model = ActionModel::new(space(), 1);
-        let effect = model.believed_effect(&Configuration::new(vec![0, 1]));
+        let model = ActionModel::new(table(), 1);
+        let effect = model.believed(id(&model, [0, 1]));
         assert!((effect.speedup - 1.5).abs() < 1e-12);
         assert!((effect.powerup - 1.4).abs() < 1e-12);
         assert_eq!(effect.observations, 0);
@@ -689,13 +597,13 @@ mod tests {
 
     #[test]
     fn observations_pull_beliefs_toward_reality() {
-        let mut model = ActionModel::new(space(), 1);
-        let config = Configuration::new(vec![1, 1]);
+        let mut model = ActionModel::new(table(), 1);
+        let config = id(&model, [1, 1]);
         // Declared speedup 3.0, but reality is only 1.5 (memory bound).
         for _ in 0..20 {
-            model.observe(&config, 1.5, 3.2);
+            model.observe_id(config, 1.5, 3.2);
         }
-        let belief = model.believed_effect(&config);
+        let belief = model.believed(config);
         assert!((belief.speedup - 1.5).abs() < 0.1);
         assert!(belief.observations == 20);
         assert_eq!(model.observed_configurations(), 1);
@@ -703,147 +611,109 @@ mod tests {
 
     #[test]
     fn choose_picks_cheapest_configuration_meeting_the_target() {
-        let mut model = ActionModel::new(space(), 1);
+        let mut model = ActionModel::new(table(), 1);
         model.set_policy(no_exploration());
-        let current = model.space().nominal();
+        let current = model.table().nominal();
         // Needs 1.4x: [1,1] (3.0x at 3.5 power) and [0,1] (1.5x at 1.4 power)
         // both meet it; the cheaper one is [0,1].
-        let choice = model.choose(1.4, &current);
-        assert_eq!(choice, Configuration::new(vec![0, 1]));
+        let choice = model.choose_id(1.4, current, f64::INFINITY);
+        assert_eq!(choice, id(&model, [0, 1]));
         // Needs 2.5x: only [1,1] meets it.
-        let choice = model.choose(2.5, &current);
-        assert_eq!(choice, Configuration::new(vec![1, 1]));
+        let choice = model.choose_id(2.5, current, f64::INFINITY);
+        assert_eq!(choice, id(&model, [1, 1]));
         // Nothing meets 10x: fall back to the fastest.
-        let choice = model.choose(10.0, &current);
-        assert_eq!(choice, Configuration::new(vec![1, 1]));
+        let choice = model.choose_id(10.0, current, f64::INFINITY);
+        assert_eq!(choice, id(&model, [1, 1]));
     }
 
     #[test]
     fn persistent_divergence_triggers_exploration() {
-        let mut model = ActionModel::new(space(), 7);
+        let mut model = ActionModel::new(table(), 7);
         model.set_policy(ExplorationPolicy {
             epsilon: 0.0,
             divergence_threshold: 0.3,
             patience: 2,
         });
-        let config = Configuration::new(vec![1, 1]);
+        let config = id(&model, [1, 1]);
         assert!(!model.is_diverged());
         // Observations wildly off the declared 3.0x speedup.
-        model.observe(&config, 0.9, 3.5);
+        model.observe_id(config, 0.9, 3.5);
         assert!(!model.is_diverged());
-        model.observe(&config, 0.9, 3.5);
+        model.observe_id(config, 0.9, 3.5);
         assert!(model.is_diverged());
-        // While diverged, choose() explores a neighbour of the current
+        // While diverged, choose_id() explores a neighbour of the current
         // configuration rather than exploiting the (wrong) model.
-        let current = Configuration::new(vec![1, 0]);
-        let choice = model.choose(1.0, &current);
-        let diffs = choice
-            .settings()
-            .iter()
-            .zip(current.settings())
-            .filter(|(a, b)| a != b)
+        let current = id(&model, [1, 0]);
+        let choice = model.choose_id(1.0, current, f64::INFINITY);
+        let diffs = (0..2)
+            .filter(|&pos| model.table().setting(choice, pos) != model.table().setting(current, pos))
             .count();
         assert_eq!(diffs, 1, "exploration stays adjacent to the current configuration");
         // Converging observations clear the divergence.
-        let belief = model.believed_effect(&config);
-        model.observe(&config, belief.speedup, belief.powerup);
+        let belief = model.believed(config);
+        model.observe_id(config, belief.speedup, belief.powerup);
         assert!(!model.is_diverged());
     }
 
     #[test]
     fn bracket_below_returns_the_fastest_configuration_under_the_requirement() {
-        let model = ActionModel::new(space(), 1);
+        let model = ActionModel::new(table(), 1);
         // Speedups available: 0.5, 1.0, 1.5, 3.0 (dvfs x cores products).
-        let (config, speedup) = model.bracket_below(2.0);
+        let (config, speedup) = model.bracket_below_id(2.0, f64::INFINITY);
         assert!((speedup - 1.5).abs() < 1e-12);
-        assert_eq!(config, Configuration::new(vec![0, 1]));
+        assert_eq!(config, id(&model, [0, 1]));
         // Nothing is below 0.3x: fall back to the cheapest configuration.
-        let (config, speedup) = model.bracket_below(0.3);
-        assert_eq!(config, Configuration::new(vec![0, 0]));
+        let (config, speedup) = model.bracket_below_id(0.3, f64::INFINITY);
+        assert_eq!(config, id(&model, [0, 0]));
         assert!((speedup - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn cheapest_returns_the_lowest_power_configuration() {
-        let model = ActionModel::new(space(), 1);
-        let (config, speedup) = model.cheapest();
+        let model = ActionModel::new(table(), 1);
+        let (config, speedup) = model.cheapest_id();
         // Slow DVFS (0.4 power) with a single core (1.0 power) is cheapest.
-        assert_eq!(config, Configuration::new(vec![0, 0]));
+        assert_eq!(config, id(&model, [0, 0]));
         assert!((speedup - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn invalid_observations_do_not_corrupt_the_model() {
-        let mut model = ActionModel::new(space(), 1);
-        let config = Configuration::new(vec![0, 0]);
-        let before = model.believed_effect(&config);
-        model.observe(&config, f64::NAN, -1.0);
-        let after = model.believed_effect(&config);
+        let mut model = ActionModel::new(table(), 1);
+        let config = id(&model, [0, 0]);
+        let before = model.believed(config);
+        model.observe_id(config, f64::NAN, -1.0);
+        let after = model.believed(config);
         assert_eq!(before.speedup, after.speedup);
         assert_eq!(before.powerup, after.powerup);
         assert_eq!(after.observations, 1);
     }
 
     #[test]
-    fn infinite_cap_matches_the_uncapped_selections() {
-        // Same observation schedule driven into two models (identical seeds):
-        // one queried uncapped, one with an infinite cap. Results — and the
-        // RNG streams, exercised via a non-zero epsilon — must be identical.
-        let mut uncapped = ActionModel::new(space(), 11);
-        let mut capped = ActionModel::new(space(), 11);
-        let policy = ExplorationPolicy {
-            epsilon: 0.3,
-            ..ExplorationPolicy::default()
-        };
-        uncapped.set_policy(policy);
-        capped.set_policy(policy);
-        let nominal = uncapped.table().nominal();
-        for step in 0..100 {
-            let id = ConfigId((step * 7 % uncapped.table().len()) as u32);
-            let speedup = 0.3 + (step % 17) as f64 * 0.2;
-            let powerup = 0.3 + (step % 13) as f64 * 0.3;
-            uncapped.observe_id(id, speedup, powerup);
-            capped.observe_id(id, speedup, powerup);
-            for i in 0..8 {
-                let required = i as f64 * 0.5;
-                assert_eq!(
-                    uncapped.bracket_below_id(required),
-                    capped.bracket_below_id_capped(required, f64::INFINITY)
-                );
-                assert_eq!(
-                    uncapped.choose_id(required, nominal),
-                    capped.choose_id_capped(required, nominal, f64::INFINITY),
-                    "step {step} required {required}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn capped_selection_stays_inside_the_envelope() {
-        let mut model = ActionModel::new(space(), 1);
+        let mut model = ActionModel::new(table(), 1);
         model.set_policy(no_exploration());
         let nominal = model.table().nominal();
         // Believed powers: 0.4, 1.0, 1.4, 3.5 (dvfs x cores products).
         // Cap at 1.5: [1,1] (3.0x at 3.5) is inadmissible, so a 2.5x
         // requirement degrades to the fastest admissible, [0,1] (1.5x).
-        let choice = model.choose_id_capped(2.5, nominal, 1.5);
-        assert_eq!(model.table().config_of(choice), Configuration::new(vec![0, 1]));
+        let choice = model.choose_id(2.5, nominal, 1.5);
+        assert_eq!(choice, id(&model, [0, 1]));
         // The bracket below a requirement also skips over-cap entries.
-        let (id, speedup) = model.bracket_below_id_capped(10.0, 1.5);
-        assert_eq!(model.table().config_of(id), Configuration::new(vec![0, 1]));
+        let (bracket, speedup) = model.bracket_below_id(10.0, 1.5);
+        assert_eq!(bracket, id(&model, [0, 1]));
         assert!((speedup - 1.5).abs() < 1e-12);
         // A cap below even the cheapest configuration degrades to the
         // cheapest rather than selecting nothing.
-        let choice = model.choose_id_capped(1.0, nominal, 0.1);
-        assert_eq!(model.table().config_of(choice), Configuration::new(vec![0, 0]));
-        let (id, _) = model.bracket_below_id_capped(0.3, 0.1);
-        assert_eq!(model.table().config_of(id), Configuration::new(vec![0, 0]));
+        let choice = model.choose_id(1.0, nominal, 0.1);
+        assert_eq!(choice, id(&model, [0, 0]));
+        let (bracket, _) = model.bracket_below_id(0.3, 0.1);
+        assert_eq!(bracket, id(&model, [0, 0]));
     }
 
     #[test]
     fn capped_exploration_never_breaches_the_envelope() {
-        let mut model = ActionModel::new(space(), 5);
+        let mut model = ActionModel::new(table(), 5);
         // Always explore: epsilon 1.0.
         model.set_policy(ExplorationPolicy {
             epsilon: 1.0,
@@ -853,7 +723,7 @@ mod tests {
         let nominal = model.table().nominal();
         let cap = 1.5;
         for _ in 0..200 {
-            let choice = model.choose_id_capped(1.0, nominal, cap);
+            let choice = model.choose_id(1.0, nominal, cap);
             assert!(
                 model.believed(choice).powerup <= cap,
                 "exploration must clamp to the envelope"
@@ -863,21 +733,21 @@ mod tests {
 
     #[test]
     fn belief_aging_decays_toward_declared_priors_with_the_halflife() {
-        let mut model = ActionModel::new(space(), 1).with_belief_halflife(10.0);
+        let mut model = ActionModel::new(table(), 1).with_belief_halflife(10.0);
         assert_eq!(model.belief_halflife(), 10.0);
-        let config = Configuration::new(vec![1, 1]);
-        let declared = model.believed_effect(&config);
+        let config = id(&model, [1, 1]);
+        let declared = model.believed(config);
         // Learn a strong deviation: reality is twice the declared speedup.
         for _ in 0..50 {
-            model.observe(&config, declared.speedup * 2.0, declared.powerup * 2.0);
+            model.observe_id(config, declared.speedup * 2.0, declared.powerup * 2.0);
         }
-        let learned = model.believed_effect(&config);
+        let learned = model.believed(config);
         assert!(learned.speedup > declared.speedup * 1.9);
         // Ten aging ticks = one halflife: half the deviation remains.
         for _ in 0..10 {
             model.age_beliefs();
         }
-        let aged = model.believed_effect(&config);
+        let aged = model.believed(config);
         let remaining =
             (aged.speedup - declared.speedup) / (learned.speedup - declared.speedup);
         assert!(
@@ -886,10 +756,10 @@ mod tests {
         );
         assert_eq!(aged.observations, learned.observations, "counts are not aged");
         // Unobserved configurations stay bit-identical to their priors.
-        let untouched = Configuration::new(vec![0, 0]);
-        let before = model.believed_effect(&untouched);
+        let untouched = id(&model, [0, 0]);
+        let before = model.believed(untouched);
         model.age_beliefs();
-        let after = model.believed_effect(&untouched);
+        let after = model.believed(untouched);
         assert_eq!(before.speedup.to_bits(), after.speedup.to_bits());
         assert_eq!(before.powerup.to_bits(), after.powerup.to_bits());
     }
@@ -899,7 +769,7 @@ mod tests {
         // Interleave observations and aging ticks, then check every
         // selection against the first-match reference scans — the re-sorted
         // indices must stay exactly consistent with the aged beliefs.
-        let mut model = ActionModel::new(space(), 3).with_belief_halflife(4.0);
+        let mut model = ActionModel::new(table(), 3).with_belief_halflife(4.0);
         model.set_policy(ExplorationPolicy {
             epsilon: 0.0,
             divergence_threshold: f64::INFINITY,
@@ -912,26 +782,25 @@ mod tests {
             for i in 0..=12 {
                 let required = i as f64 * 0.3;
                 assert_eq!(
-                    model.bracket_below(required),
+                    model.bracket_below_id(required, f64::INFINITY),
                     reference::bracket_below(&model, required),
                     "bracket mismatch at step {step} req {required}"
                 );
                 let nominal = model.table().nominal();
-                let chosen = model.choose_id(required, nominal);
                 assert_eq!(
-                    model.table().config_of(chosen),
+                    model.choose_id(required, nominal, f64::INFINITY),
                     reference::choose_exploit(&model, required),
                     "choose mismatch at step {step} req {required}"
                 );
             }
-            assert_eq!(model.cheapest(), reference::cheapest(&model));
+            assert_eq!(model.cheapest_id(), reference::cheapest(&model));
         }
     }
 
     #[test]
     fn infinite_halflife_is_bit_identical_to_no_aging() {
         let drive = |aged: bool| {
-            let mut model = ActionModel::new(space(), 9);
+            let mut model = ActionModel::new(table(), 9);
             if aged {
                 model.set_belief_halflife(f64::INFINITY);
             }
@@ -949,17 +818,18 @@ mod tests {
                 if aged {
                     model.age_beliefs();
                 }
-                picks.push(model.choose_id(1.0 + (step % 4) as f64 * 0.5, nominal));
+                picks.push(model.choose_id(1.0 + (step % 4) as f64 * 0.5, nominal, f64::INFINITY));
             }
             picks
         };
         assert_eq!(drive(false), drive(true));
         // Non-positive halflives also disable aging.
-        let mut model = ActionModel::new(space(), 1).with_belief_halflife(0.0);
+        let mut model = ActionModel::new(table(), 1).with_belief_halflife(0.0);
         assert_eq!(model.belief_halflife(), 0.0);
-        let before = model.believed_effect(&Configuration::new(vec![1, 1]));
+        let config = id(&model, [1, 1]);
+        let before = model.believed(config);
         model.age_beliefs();
-        let after = model.believed_effect(&Configuration::new(vec![1, 1]));
+        let after = model.believed(config);
         assert_eq!(before.speedup.to_bits(), after.speedup.to_bits());
     }
 
@@ -968,7 +838,7 @@ mod tests {
         // Drive the model through a pseudo-random observation schedule and
         // check, at every step and over a sweep of requirements, that the
         // index-based selections equal the first-match reference scans.
-        let mut model = ActionModel::new(space(), 3);
+        let mut model = ActionModel::new(table(), 3);
         // The reference scans model only the exploit path, so exploration
         // (epsilon and divergence driven) must be fully disabled.
         model.set_policy(ExplorationPolicy {
@@ -990,20 +860,18 @@ mod tests {
             model.observe_id(id, speedup, powerup);
             for i in 0..=40 {
                 let required = i as f64 * 0.1;
-                let (id_cfg, id_speedup) = model.bracket_below(required);
-                let (ref_cfg, ref_speedup) = reference::bracket_below(&model, required);
-                assert_eq!(id_cfg, ref_cfg, "bracket mismatch at step {step} req {required}");
+                let (id_bracket, id_speedup) = model.bracket_below_id(required, f64::INFINITY);
+                let (ref_bracket, ref_speedup) = reference::bracket_below(&model, required);
+                assert_eq!(id_bracket, ref_bracket, "bracket mismatch at step {step} req {required}");
                 assert_eq!(id_speedup.to_bits(), ref_speedup.to_bits());
                 let nominal = model.table().nominal();
-                let chosen = model.choose_id(required, nominal);
-                let exploit = model.table().config_of(chosen);
                 assert_eq!(
-                    exploit,
+                    model.choose_id(required, nominal, f64::INFINITY),
                     reference::choose_exploit(&model, required),
                     "choose mismatch at step {step} req {required}"
                 );
             }
-            assert_eq!(model.cheapest(), reference::cheapest(&model));
+            assert_eq!(model.cheapest_id(), reference::cheapest(&model));
         }
     }
 }

@@ -1,37 +1,18 @@
 //! The SEEC runtime: the full observe–decide–act loop.
 
-use actuation::{Actuator, ActuatorSpec, ConfigId, Configuration, ConfigurationSpace};
+use actuation::{Actuator, ActuatorSpec, ConfigId, ConfigTable, Configuration};
 use heartbeats::{HeartbeatMonitor, MonitorObservation};
-use serde::{Deserialize, Serialize};
 
 use crate::control::{KalmanEstimator, PiController};
 use crate::error::SeecError;
-use crate::model::{ActionModel, ExplorationPolicy};
-use crate::schedule::{ActuationSchedule, IdSchedule};
+use crate::model::{ActionModel, BelievedEffect, ExplorationPolicy};
+use crate::schedule::IdSchedule;
 
-/// The outcome of one decision period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Decision {
-    /// Configuration applied for the coming period.
-    pub configuration: Configuration,
-    /// Speedup over nominal the controller asked for.
-    pub required_speedup: f64,
-    /// The time-division schedule the configuration was drawn from.
-    pub schedule: ActuationSchedule,
-    /// Whether the performance goal was met over the last observation window
-    /// (`None` when too little has been observed).
-    pub goal_met: Option<bool>,
-    /// The runtime's current estimate of the application's heart rate in the
-    /// nominal configuration.
-    pub estimated_nominal_rate: f64,
-}
-
-/// The outcome of one power-capped decision period
-/// ([`SeecRuntime::decide_under_power_cap`]): plain `Copy` data over
-/// interned ids, so a coordinator stepping hundreds of applications per
-/// quantum allocates nothing per decision.
+/// The outcome of one decision period: plain `Copy` data over interned ids,
+/// so a coordinator stepping hundreds of applications per quantum allocates
+/// nothing per decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapDecision {
+pub struct Decision {
     /// Interned handle of the configuration applied for the coming period.
     pub configuration: ConfigId,
     /// Speedup over nominal the controller asked for.
@@ -47,19 +28,6 @@ pub struct CapDecision {
     /// Believed power multiplier of the applied configuration — what the
     /// caller's envelope was checked against.
     pub believed_powerup: f64,
-}
-
-/// What [`SeecRuntime::decide_core`] resolves before any owned
-/// configuration is materialised: interned ids and `Copy` scalars only.
-#[derive(Debug, Clone, Copy)]
-struct CoreDecision {
-    applied: ConfigId,
-    schedule: IdSchedule,
-    required_speedup: f64,
-    goal_met: Option<bool>,
-    estimated_nominal_rate: f64,
-    upper_speedup: f64,
-    lower_speedup: f64,
 }
 
 /// Builder for [`SeecRuntime`].
@@ -201,13 +169,13 @@ impl SeecRuntimeBuilder {
                 )));
             }
         }
-        let specs: Vec<ActuatorSpec> = self.actuators.iter().map(|a| a.spec().clone()).collect();
-        let space = ConfigurationSpace::new(specs);
-        let current = space.nominal();
-        let mut model = ActionModel::new(space, self.seed);
+        let specs: Vec<&ActuatorSpec> = self.actuators.iter().map(|a| a.spec()).collect();
+        let table = ConfigTable::new(&specs);
+        let current_id = table.nominal();
+        let current = table.config_of(current_id);
+        let mut model = ActionModel::new(table, self.seed);
         model.set_policy(self.policy);
         model.set_belief_halflife(self.belief_halflife);
-        let current_id = model.table().nominal();
         let mut history = std::collections::VecDeque::with_capacity(HISTORY_CAPACITY);
         history.push_back(AppliedSegment {
             start: f64::NEG_INFINITY,
@@ -369,7 +337,10 @@ impl SeecRuntime {
         self.target_override
     }
 
-    /// Runs one observe–decide–act iteration at simulation time `now`.
+    /// Runs one observe–decide–act iteration at simulation time `now`,
+    /// unconstrained by any power envelope: a fresh snapshot of this
+    /// runtime's monitor through [`Self::decide_under_power_cap`] with an
+    /// infinite cap.
     ///
     /// # Errors
     ///
@@ -377,63 +348,27 @@ impl SeecRuntime {
     /// builder specified a performance target, or an actuation error if a
     /// chosen setting cannot be applied.
     pub fn decide(&mut self, now: f64) -> Result<Decision, SeecError> {
-        // ---- Observe -------------------------------------------------
         // One snapshot, one lock: stats, goal target, goal attainment, the
         // last beat time, and mean power all come from the same read.
         let observation = self.monitor.observation();
-        self.decide_with_observation(now, &observation)
+        self.decide_under_power_cap(now, &observation, f64::INFINITY)
     }
 
-    /// [`Self::decide`] against a caller-supplied snapshot of this
-    /// runtime's monitor. Lets a caller that already holds an observation —
-    /// e.g. [`crate::UncoordinatedRuntime`], whose instances all watch the
-    /// same application — skip the redundant registry read; the result is
-    /// identical to `decide` as long as `observation` came from this
-    /// runtime's monitor and nothing beat in between.
+    /// One observe–decide–act iteration against a snapshot of this
+    /// runtime's monitor, restricted to configurations whose believed power
+    /// multiplier is at most `max_powerup` (`f64::INFINITY` =
+    /// unconstrained) — the one decision path every caller runs through.
     ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::decide`].
-    pub fn decide_with_observation(
-        &mut self,
-        now: f64,
-        observation: &MonitorObservation,
-    ) -> Result<Decision, SeecError> {
-        let core = self.decide_core(now, observation, f64::INFINITY)?;
-        // Materialise owned configurations only for the Decision record the
-        // caller sees.
-        let table = self.model.table();
-        let schedule = if core.schedule.upper == core.schedule.lower {
-            ActuationSchedule::steady(
-                table.config_of(core.schedule.upper),
-                core.schedule.expected_speedup,
-            )
-        } else {
-            ActuationSchedule::bracketing(
-                table.config_of(core.schedule.upper),
-                core.upper_speedup,
-                table.config_of(core.schedule.lower),
-                core.lower_speedup,
-                core.required_speedup,
-            )
-        };
-        Ok(Decision {
-            configuration: self.current.clone(),
-            required_speedup: core.required_speedup,
-            schedule,
-            goal_met: core.goal_met,
-            estimated_nominal_rate: core.estimated_nominal_rate,
-        })
-    }
-
-    /// One observe–decide–act iteration restricted to configurations whose
-    /// believed power multiplier is at most `max_powerup` — the
-    /// decide-under-power-envelope entry point a multi-application
-    /// coordinator calls after arbitration. Selection, bracketing, and
-    /// exploration all run on the admissible prefix of the model's
-    /// power-sorted index; nothing is allocated on this path and the result
-    /// is plain `Copy` data. An infinite `max_powerup` behaves exactly like
-    /// [`Self::decide`].
+    /// The pipeline observes (from `obs`), tracks the nominal rate
+    /// and power, learns, selects under the cap, and acts. Selection,
+    /// bracketing, and exploration all run on interned ids over the
+    /// admissible prefix of the model's power-sorted index; nothing is
+    /// allocated on this path and the result is plain `Copy` data. A caller
+    /// that already holds a snapshot — a coordinator after its observe
+    /// phase, or [`crate::UncoordinatedRuntime`], whose instances all watch
+    /// the same application — passes it in and skips a registry read; the
+    /// result is identical to a fresh snapshot as long as `obs` came
+    /// from this runtime's monitor and nothing beat in between.
     ///
     /// When even the cheapest configuration's believed powerup exceeds the
     /// cap, the cheapest is applied — an application cannot run in no
@@ -453,7 +388,8 @@ impl SeecRuntime {
     ///     .unwrap();
     /// let registry = HeartbeatRegistry::new("app");
     /// registry.issuer().set_goal(Goal::Performance(PerformanceGoal::heart_rate(100.0)));
-    /// let mut runtime = SeecRuntime::builder(registry.monitor())
+    /// let monitor = registry.monitor();
+    /// let mut runtime = SeecRuntime::builder(monitor.clone())
     ///     .actuator(Box::new(TableActuator::new(dvfs)))
     ///     .build()
     ///     .unwrap();
@@ -467,11 +403,11 @@ impl SeecRuntime {
     ///         now += 0.02; // ~50 beats/s under the nominal configuration
     ///         registry.issuer().heartbeat(now);
     ///     }
-    ///     let decision = runtime.decide_under_power_cap(now, 1.5).unwrap();
+    ///     let decision = runtime.decide_under_power_cap(now, &monitor.observation(), 1.5).unwrap();
     ///     assert!(decision.believed_powerup <= 1.5);
     /// }
     /// // Uncapped, the same runtime may pick the fast (2.6x power) setting.
-    /// let unrestricted = runtime.decide_under_power_cap(now, f64::INFINITY).unwrap();
+    /// let unrestricted = runtime.decide(now).unwrap();
     /// assert!(unrestricted.required_speedup > 1.0);
     /// ```
     ///
@@ -481,47 +417,9 @@ impl SeecRuntime {
     pub fn decide_under_power_cap(
         &mut self,
         now: f64,
-        max_powerup: f64,
-    ) -> Result<CapDecision, SeecError> {
-        let observation = self.monitor.observation();
-        self.decide_under_power_cap_with_observation(now, &observation, max_powerup)
-    }
-
-    /// [`Self::decide_under_power_cap`] against a caller-supplied snapshot
-    /// (see [`Self::decide_with_observation`] for the snapshot contract).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::decide`].
-    pub fn decide_under_power_cap_with_observation(
-        &mut self,
-        now: f64,
-        observation: &MonitorObservation,
-        max_powerup: f64,
-    ) -> Result<CapDecision, SeecError> {
-        let core = self.decide_core(now, observation, max_powerup)?;
-        let applied = self.model.believed(core.applied);
-        Ok(CapDecision {
-            configuration: core.applied,
-            required_speedup: core.required_speedup,
-            goal_met: core.goal_met,
-            estimated_nominal_rate: core.estimated_nominal_rate,
-            believed_speedup: applied.speedup,
-            believed_powerup: applied.powerup,
-        })
-    }
-
-    /// The full decision pipeline over interned ids: observe (from the
-    /// supplied snapshot), track, learn, select under `max_powerup`, and
-    /// act. Both the uncapped path (`max_powerup = ∞`, whose selections are
-    /// bit-identical to the historical `decide`) and the power-envelope
-    /// path run through here, so they can never drift apart.
-    fn decide_core(
-        &mut self,
-        now: f64,
         obs: &MonitorObservation,
         max_powerup: f64,
-    ) -> Result<CoreDecision, SeecError> {
+    ) -> Result<Decision, SeecError> {
         let target = self
             .target_override
             .or(obs.target_heart_rate)
@@ -541,31 +439,21 @@ impl SeecRuntime {
             // unless it breaches the power envelope. A stalled application
             // must not sit above its awarded envelope indefinitely, so the
             // capped path falls to the cheapest configuration (the floor
-            // every envelope degrades to). Never taken by the uncapped
-            // path (`max_powerup = ∞`), whose behaviour is unchanged.
+            // every envelope degrades to). Never taken uncapped
+            // (`max_powerup = ∞`).
             if self.model.believed(self.current_id).powerup > max_powerup {
                 let (cheapest, _) = self.model.cheapest_id();
-                self.apply_id(cheapest)?;
-                let applied = self.model.believed(cheapest);
-                if self.history.len() == HISTORY_CAPACITY {
-                    self.history.pop_front();
-                }
-                self.history.push_back(AppliedSegment {
-                    start: now,
-                    id: cheapest,
-                    speedup: applied.speedup,
-                    powerup: applied.powerup,
-                });
+                self.act(now, cheapest)?;
             }
             self.decisions += 1;
-            return Ok(CoreDecision {
-                applied: self.current_id,
-                schedule: IdSchedule::steady(self.current_id, 1.0),
+            let current = self.model.believed(self.current_id);
+            return Ok(Decision {
+                configuration: self.current_id,
                 required_speedup: 1.0,
                 goal_met,
                 estimated_nominal_rate: self.estimator.estimate(),
-                upper_speedup: 1.0,
-                lower_speedup: 1.0,
+                believed_speedup: current.speedup,
+                believed_powerup: current.powerup,
             });
         }
 
@@ -649,39 +537,28 @@ impl SeecRuntime {
         // finite power cap both ends of the schedule come from the
         // admissible prefix of the power index.
         let required = self.controller.next_speedup(target, observed, base_rate);
-        let upper = self.model.choose_id_capped(required, self.current_id, max_powerup);
+        let upper = self.model.choose_id(required, self.current_id, max_powerup);
         let upper_speedup = self.model.believed(upper).speedup;
         let (lower, lower_speedup) = self
             .model
-            .bracket_below_id_capped(upper_speedup.min(required), max_powerup);
+            .bracket_below_id(upper_speedup.min(required), max_powerup);
         let schedule = if upper == lower {
-            IdSchedule::steady(upper, upper_speedup)
+            IdSchedule::steady(upper)
         } else {
             IdSchedule::bracketing(upper, upper_speedup, lower, lower_speedup, required)
         };
         let next = schedule.id_for_period(&mut self.schedule_accumulator);
 
         // ---- Act -------------------------------------------------------
-        self.apply_id(next)?;
-        let applied = self.model.believed(next);
-        if self.history.len() == HISTORY_CAPACITY {
-            self.history.pop_front();
-        }
-        self.history.push_back(AppliedSegment {
-            start: now,
-            id: next,
-            speedup: applied.speedup,
-            powerup: applied.powerup,
-        });
+        let applied = self.act(now, next)?;
         self.decisions += 1;
-        Ok(CoreDecision {
-            applied: next,
-            schedule,
+        Ok(Decision {
+            configuration: next,
             required_speedup: required,
             goal_met,
             estimated_nominal_rate: base_rate,
-            upper_speedup,
-            lower_speedup,
+            believed_speedup: applied.speedup,
+            believed_powerup: applied.powerup,
         })
     }
 
@@ -739,27 +616,37 @@ impl SeecRuntime {
         }
     }
 
-    /// Applies the interned configuration `id` to every registered actuator.
-    /// No-ops (including the actuator round trips) when `id` is already
-    /// current.
+    /// Applies the interned configuration `id` at time `now` to every
+    /// registered actuator (no actuator round trips when `id` is already
+    /// current), records the applied segment for window attribution, and
+    /// returns `id`'s believed effect.
     ///
     /// # Errors
     ///
     /// Propagates the first actuation failure; earlier actuators keep the
-    /// settings already applied.
-    fn apply_id(&mut self, id: ConfigId) -> Result<(), SeecError> {
-        if id == self.current_id {
-            return Ok(());
-        }
-        for (position, actuator) in self.actuators.iter_mut().enumerate() {
-            let setting = self.model.table().setting(id, position);
-            if actuator.current() != setting {
-                actuator.apply(setting)?;
+    /// settings already applied, and no segment is recorded.
+    fn act(&mut self, now: f64, id: ConfigId) -> Result<BelievedEffect, SeecError> {
+        if id != self.current_id {
+            for (position, actuator) in self.actuators.iter_mut().enumerate() {
+                let setting = self.model.table().setting(id, position);
+                if actuator.current() != setting {
+                    actuator.apply(setting)?;
+                }
             }
+            self.current_id = id;
+            self.model.table().write_settings(id, &mut self.current);
         }
-        self.current_id = id;
-        self.current = self.model.table().config_of(id);
-        Ok(())
+        let applied = self.model.believed(id);
+        if self.history.len() == HISTORY_CAPACITY {
+            self.history.pop_front();
+        }
+        self.history.push_back(AppliedSegment {
+            start: now,
+            id,
+            speedup: applied.speedup,
+            powerup: applied.powerup,
+        });
+        Ok(applied)
     }
 
     /// Applies `configuration` to every registered actuator. Positions the
@@ -875,9 +762,8 @@ mod tests {
             // effects exactly (the model starts correct in this test).
             let effect = runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap();
+                .table()
+                .declared_effect(runtime.current_config_id());
             let rate = nominal_rate * effect.performance;
             let power = 10.0 * effect.power;
             // Emit a window's worth of beats at that rate.
@@ -1004,7 +890,7 @@ mod tests {
         // must approach the true delivered rate — with learning shut off it
         // stays pinned to the optimistic declared prediction.
         let steady = runtime.current_configuration().clone();
-        let believed = runtime.model().believed_effect(&steady);
+        let believed = runtime.model().believed(runtime.current_config_id());
         assert!(
             believed.observations > 0,
             "the steady-state configuration must have been observed"
@@ -1025,9 +911,8 @@ mod tests {
         let (runtime, _) = run_closed_loop(6.0, 10.0, 60);
         let effect = runtime
             .model()
-            .space()
-            .predicted_effect(runtime.current_configuration())
-            .unwrap();
+            .table()
+            .declared_effect(runtime.current_config_id());
         assert!(
             effect.power < 1.5,
             "easy goals must not be met with expensive configurations (power {})",
@@ -1045,7 +930,7 @@ mod tests {
             .actuator(Box::new(TableActuator::new(dvfs_spec())))
             .build()
             .unwrap();
-        let nominal = runtime.current_configuration().clone();
+        let nominal = runtime.current_config_id();
         let decision = runtime.decide(0.0).unwrap();
         assert_eq!(decision.configuration, nominal);
         assert_eq!(decision.required_speedup, 1.0);
@@ -1084,8 +969,8 @@ mod tests {
     #[test]
     fn infinite_power_cap_reproduces_the_uncapped_run() {
         // Two identical closed loops, one driven through decide(), one
-        // through decide_under_power_cap(∞): applied configurations must
-        // match step for step.
+        // through decide_under_power_cap(∞) on a caller-held snapshot:
+        // applied configurations must match step for step.
         let run = |capped: bool| {
             let registry = HeartbeatRegistry::new("app");
             registry
@@ -1098,6 +983,7 @@ mod tests {
                 .build()
                 .unwrap();
             let issuer = registry.issuer();
+            let monitor = registry.monitor();
             let mut now = 0.0;
             let mut configs = Vec::new();
             for _ in 0..30 {
@@ -1105,13 +991,12 @@ mod tests {
                     now += 0.05;
                     issuer.heartbeat(now);
                 }
-                if capped {
-                    let decision = runtime.decide_under_power_cap(now, f64::INFINITY).unwrap();
-                    configs.push(runtime.model().table().config_of(decision.configuration));
+                let decision = if capped {
+                    runtime.decide_under_power_cap(now, &monitor.observation(), f64::INFINITY)
                 } else {
-                    let decision = runtime.decide(now).unwrap();
-                    configs.push(decision.configuration);
-                }
+                    runtime.decide(now)
+                };
+                configs.push(decision.unwrap().configuration);
             }
             configs
         };
@@ -1140,16 +1025,17 @@ mod tests {
         for _ in 0..40 {
             let effect = runtime
                 .model()
-                .space()
-                .predicted_effect(runtime.current_configuration())
-                .unwrap();
+                .table()
+                .declared_effect(runtime.current_config_id());
             let rate = 10.0 * effect.performance;
             for _ in 0..8 {
                 now += 1.0 / rate;
                 issuer.heartbeat(now);
             }
             monitor.record_power_sample(now, 10.0 * effect.power);
-            let decision = runtime.decide_under_power_cap(now, cap).unwrap();
+            let decision = runtime
+                .decide_under_power_cap(now, &monitor.observation(), cap)
+                .unwrap();
             assert!(
                 decision.believed_powerup <= cap + 1e-9,
                 "applied powerup {} exceeds the {cap} envelope",
@@ -1180,7 +1066,9 @@ mod tests {
         // cut its envelope while it emits no beats: the capped decide must
         // not leave it over-envelope just because feedback is missing.
         runtime.apply(&Configuration::new(vec![2, 2])).unwrap();
-        let decision = runtime.decide_under_power_cap(1.0, 0.5).unwrap();
+        let decision = runtime
+            .decide_under_power_cap(1.0, &registry.monitor().observation(), 0.5)
+            .unwrap();
         assert_eq!(
             runtime.current_configuration(),
             &Configuration::new(vec![0, 0]),

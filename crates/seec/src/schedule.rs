@@ -8,142 +8,62 @@
 //! while the *average* power stays below running flat-out in the faster
 //! configuration.
 
-use actuation::Configuration;
-use serde::{Deserialize, Serialize};
+use actuation::ConfigId;
 
-/// A two-configuration, time-division schedule for one decision period.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ActuationSchedule {
-    /// Configuration used for `upper_fraction` of the period.
-    pub upper: Configuration,
-    /// Configuration used for the remaining time.
-    pub lower: Configuration,
-    /// Fraction of the period spent in `upper`, in `[0, 1]`.
-    pub upper_fraction: f64,
-    /// Average speedup the schedule is expected to deliver.
-    pub expected_speedup: f64,
-}
-
-impl ActuationSchedule {
-    /// A schedule that stays in a single configuration for the whole period.
-    pub fn steady(config: Configuration, expected_speedup: f64) -> Self {
-        ActuationSchedule {
-            upper: config.clone(),
-            lower: config,
-            upper_fraction: 1.0,
-            expected_speedup,
-        }
-    }
-
-    /// Builds the schedule that meets `required_speedup` by dividing time
-    /// between `upper` (believed speedup `upper_speedup`) and `lower`
-    /// (believed speedup `lower_speedup`).
-    ///
-    /// If the requirement is outside the `[lower_speedup, upper_speedup]`
-    /// range the schedule saturates at the nearer end.
-    pub fn bracketing(
-        upper: Configuration,
-        upper_speedup: f64,
-        lower: Configuration,
-        lower_speedup: f64,
-        required_speedup: f64,
-    ) -> Self {
-        if upper_speedup <= lower_speedup {
-            return ActuationSchedule::steady(upper, upper_speedup);
-        }
-        let (fraction, expected) = split_fraction(upper_speedup, lower_speedup, required_speedup);
-        ActuationSchedule {
-            upper,
-            lower,
-            upper_fraction: fraction,
-            expected_speedup: expected,
-        }
-    }
-
-    /// Whether the schedule actually alternates between two configurations.
-    pub fn is_split(&self) -> bool {
-        self.upper != self.lower && self.upper_fraction > 0.0 && self.upper_fraction < 1.0
-    }
-
-    /// The configuration to apply for this decision period, given a
-    /// deterministic accumulator carried between periods (supplied by the
-    /// caller, starting at 0.0). The accumulator technique spreads the
-    /// upper/lower periods evenly instead of bunching them.
-    pub fn configuration_for_period(&self, accumulator: &mut f64) -> Configuration {
-        *accumulator += self.upper_fraction;
-        if *accumulator >= 1.0 - 1e-12 {
-            *accumulator -= 1.0;
-            self.upper.clone()
-        } else {
-            self.lower.clone()
-        }
-    }
-}
-
-/// The (upper-fraction, expected-speedup) pair of a time-division split
-/// meeting `required_speedup` between two bracketing speedups.
-///
-/// Time-weighted *rate* averaging: running a fraction `f` of the time in the
-/// upper configuration yields average speedup `f * upper + (1 - f) * lower`.
-/// Shared by [`ActuationSchedule::bracketing`] and the id-based schedule the
-/// runtime's hot path uses, so the two can never disagree.
-pub(crate) fn split_fraction(
-    upper_speedup: f64,
-    lower_speedup: f64,
-    required_speedup: f64,
-) -> (f64, f64) {
-    let fraction = ((required_speedup - lower_speedup) / (upper_speedup - lower_speedup))
-        .clamp(0.0, 1.0);
-    let expected = fraction * upper_speedup + (1.0 - fraction) * lower_speedup;
-    (fraction, expected)
-}
-
-/// A time-division schedule over interned configuration ids — the
-/// allocation-free twin of [`ActuationSchedule`] used inside the decision
-/// loop. Materialise it with [`ActuationSchedule`] constructors only at the
-/// [`crate::Decision`] boundary.
+/// A two-configuration, time-division schedule over interned ids, built and
+/// consumed inside one decision period.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct IdSchedule {
-    pub upper: actuation::ConfigId,
-    pub lower: actuation::ConfigId,
+    /// Configuration used for `upper_fraction` of the period.
+    pub upper: ConfigId,
+    /// Configuration used for the remaining time.
+    pub lower: ConfigId,
+    /// Fraction of the period spent in `upper`, in `[0, 1]`.
     pub upper_fraction: f64,
-    pub expected_speedup: f64,
 }
 
 impl IdSchedule {
     /// A schedule that stays in a single configuration.
-    pub fn steady(id: actuation::ConfigId, expected_speedup: f64) -> Self {
+    pub fn steady(id: ConfigId) -> Self {
         IdSchedule {
             upper: id,
             lower: id,
             upper_fraction: 1.0,
-            expected_speedup,
         }
     }
 
-    /// The id-based twin of [`ActuationSchedule::bracketing`].
+    /// The schedule that meets `required_speedup` by dividing time between
+    /// `upper` (believed speedup `upper_speedup`) and `lower` (believed
+    /// speedup `lower_speedup`).
+    ///
+    /// Time-weighted *rate* averaging: running a fraction `f` of the time in
+    /// the upper configuration yields average speedup
+    /// `f * upper + (1 - f) * lower`. A requirement outside
+    /// `[lower_speedup, upper_speedup]` saturates at the nearer end, and a
+    /// degenerate bracket collapses to a steady `upper`.
     pub fn bracketing(
-        upper: actuation::ConfigId,
+        upper: ConfigId,
         upper_speedup: f64,
-        lower: actuation::ConfigId,
+        lower: ConfigId,
         lower_speedup: f64,
         required_speedup: f64,
     ) -> Self {
         if upper_speedup <= lower_speedup {
-            return IdSchedule::steady(upper, upper_speedup);
+            return IdSchedule::steady(upper);
         }
-        let (fraction, expected) = split_fraction(upper_speedup, lower_speedup, required_speedup);
         IdSchedule {
             upper,
             lower,
-            upper_fraction: fraction,
-            expected_speedup: expected,
+            upper_fraction: ((required_speedup - lower_speedup) / (upper_speedup - lower_speedup))
+                .clamp(0.0, 1.0),
         }
     }
 
-    /// The id to apply for this decision period; same accumulator technique
-    /// as [`ActuationSchedule::configuration_for_period`], minus the clone.
-    pub fn id_for_period(&self, accumulator: &mut f64) -> actuation::ConfigId {
+    /// The id to apply for this decision period, given a deterministic
+    /// accumulator carried between periods (starting at 0.0). The
+    /// accumulator spreads the upper/lower periods evenly instead of
+    /// bunching them.
+    pub fn id_for_period(&self, accumulator: &mut f64) -> ConfigId {
         *accumulator += self.upper_fraction;
         if *accumulator >= 1.0 - 1e-12 {
             *accumulator -= 1.0;
@@ -158,87 +78,56 @@ impl IdSchedule {
 mod tests {
     use super::*;
 
-    fn cfg(settings: Vec<usize>) -> Configuration {
-        Configuration::new(settings)
-    }
+    const FAST: ConfigId = ConfigId(1);
+    const SLOW: ConfigId = ConfigId(0);
 
     #[test]
     fn steady_schedule_never_splits() {
-        let s = ActuationSchedule::steady(cfg(vec![1, 2]), 2.0);
-        assert!(!s.is_split());
+        let s = IdSchedule::steady(FAST);
         assert_eq!(s.upper_fraction, 1.0);
         let mut acc = 0.0;
         for _ in 0..5 {
-            assert_eq!(s.configuration_for_period(&mut acc), cfg(vec![1, 2]));
+            assert_eq!(s.id_for_period(&mut acc), FAST);
         }
     }
 
     #[test]
     fn bracketing_interpolates_the_required_speedup() {
-        let s = ActuationSchedule::bracketing(cfg(vec![1]), 4.0, cfg(vec![0]), 1.0, 2.5);
-        assert!(s.is_split());
+        let s = IdSchedule::bracketing(FAST, 4.0, SLOW, 1.0, 2.5);
         assert!((s.upper_fraction - 0.5).abs() < 1e-12);
-        assert!((s.expected_speedup - 2.5).abs() < 1e-12);
     }
 
     #[test]
     fn bracketing_saturates_outside_the_range() {
-        let high = ActuationSchedule::bracketing(cfg(vec![1]), 4.0, cfg(vec![0]), 1.0, 9.0);
+        let high = IdSchedule::bracketing(FAST, 4.0, SLOW, 1.0, 9.0);
         assert_eq!(high.upper_fraction, 1.0);
-        assert!((high.expected_speedup - 4.0).abs() < 1e-12);
-        let low = ActuationSchedule::bracketing(cfg(vec![1]), 4.0, cfg(vec![0]), 1.0, 0.5);
+        let low = IdSchedule::bracketing(FAST, 4.0, SLOW, 1.0, 0.5);
         assert_eq!(low.upper_fraction, 0.0);
-        assert!((low.expected_speedup - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn degenerate_bracket_collapses_to_steady() {
-        let s = ActuationSchedule::bracketing(cfg(vec![1]), 2.0, cfg(vec![0]), 2.0, 3.0);
-        assert!(!s.is_split());
-        assert_eq!(s.upper, cfg(vec![1]));
+        let s = IdSchedule::bracketing(FAST, 2.0, SLOW, 2.0, 3.0);
+        assert_eq!(s, IdSchedule::steady(FAST));
     }
 
     #[test]
     fn period_assignment_matches_the_fraction_in_the_long_run() {
-        let s = ActuationSchedule::bracketing(cfg(vec![1]), 4.0, cfg(vec![0]), 1.0, 3.0);
+        let s = IdSchedule::bracketing(FAST, 4.0, SLOW, 1.0, 3.0);
         let mut acc = 0.0;
         let periods = 1000;
         let upper_count = (0..periods)
-            .filter(|_| s.configuration_for_period(&mut acc) == cfg(vec![1]))
+            .filter(|_| s.id_for_period(&mut acc) == FAST)
             .count();
         let observed_fraction = upper_count as f64 / periods as f64;
         assert!((observed_fraction - s.upper_fraction).abs() < 0.01);
     }
 
     #[test]
-    fn id_schedule_mirrors_the_configuration_schedule() {
-        use actuation::ConfigId;
-        let cfg_schedule = ActuationSchedule::bracketing(cfg(vec![1]), 4.0, cfg(vec![0]), 1.0, 2.5);
-        let id_schedule = IdSchedule::bracketing(ConfigId(1), 4.0, ConfigId(0), 1.0, 2.5);
-        assert_eq!(
-            cfg_schedule.upper_fraction.to_bits(),
-            id_schedule.upper_fraction.to_bits()
-        );
-        assert_eq!(
-            cfg_schedule.expected_speedup.to_bits(),
-            id_schedule.expected_speedup.to_bits()
-        );
-        let mut cfg_acc = 0.0;
-        let mut id_acc = 0.0;
-        for _ in 0..100 {
-            let by_cfg = cfg_schedule.configuration_for_period(&mut cfg_acc);
-            let by_id = id_schedule.id_for_period(&mut id_acc);
-            assert_eq!(by_cfg, cfg(vec![by_id.index()]));
-        }
-        let degenerate = IdSchedule::bracketing(ConfigId(1), 2.0, ConfigId(0), 2.0, 3.0);
-        assert_eq!(degenerate, IdSchedule::steady(ConfigId(1), 2.0));
-    }
-
-    #[test]
     fn period_assignment_interleaves_rather_than_bunching() {
-        let s = ActuationSchedule::bracketing(cfg(vec![1]), 2.0, cfg(vec![0]), 1.0, 1.5);
+        let s = IdSchedule::bracketing(FAST, 2.0, SLOW, 1.0, 1.5);
         let mut acc = 0.0;
-        let sequence: Vec<_> = (0..6).map(|_| s.configuration_for_period(&mut acc)).collect();
+        let sequence: Vec<_> = (0..6).map(|_| s.id_for_period(&mut acc)).collect();
         // With a 0.5 fraction the schedule must alternate, not bunch.
         assert_ne!(sequence[0], sequence[1]);
         assert_ne!(sequence[2], sequence[3]);

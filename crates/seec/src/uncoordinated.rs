@@ -13,7 +13,7 @@ use heartbeats::HeartbeatMonitor;
 
 use crate::error::SeecError;
 use crate::model::ExplorationPolicy;
-use crate::runtime::{Decision, SeecRuntime};
+use crate::runtime::{SeecRuntime, SeecRuntimeBuilder};
 
 /// A bundle of independent single-actuator SEEC runtimes sharing one goal.
 pub struct UncoordinatedRuntime {
@@ -33,33 +33,21 @@ impl std::fmt::Debug for UncoordinatedRuntime {
 
 impl UncoordinatedRuntime {
     /// Creates one independent SEEC instance per actuator, each observing the
-    /// same application through `monitor`.
+    /// same application through `monitor`. `tune` customises every
+    /// per-actuator runtime's builder (controller tuning, anchored
+    /// estimation, ...) so the uncoordinated baseline can be configured
+    /// identically to the coordinated runtime it is compared against; pass
+    /// `|builder| builder` for the defaults.
     ///
     /// # Errors
     ///
     /// Returns [`SeecError::NoActuators`] when `actuators` is empty, or any
     /// error produced while building the per-actuator runtimes.
-    pub fn new(
-        monitor: &HeartbeatMonitor,
-        actuators: Vec<Box<dyn Actuator>>,
-        seed: u64,
-    ) -> Result<Self, SeecError> {
-        Self::new_with(monitor, actuators, seed, |builder| builder)
-    }
-
-    /// Like [`Self::new`], but `tune` customises every per-actuator
-    /// runtime's builder (controller tuning, anchored estimation, ...) so
-    /// the uncoordinated baseline can be configured identically to the
-    /// coordinated runtime it is compared against.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::new`].
     pub fn new_with(
         monitor: &HeartbeatMonitor,
         actuators: Vec<Box<dyn Actuator>>,
         seed: u64,
-        tune: impl Fn(crate::SeecRuntimeBuilder) -> crate::SeecRuntimeBuilder,
+        tune: impl Fn(SeecRuntimeBuilder) -> SeecRuntimeBuilder,
     ) -> Result<Self, SeecError> {
         if actuators.is_empty() {
             return Err(SeecError::NoActuators);
@@ -86,8 +74,8 @@ impl UncoordinatedRuntime {
         self.runtimes.len()
     }
 
-    /// Runs one decision period of every instance and returns the combined
-    /// joint configuration (instance `i` controls position `i`).
+    /// Runs one decision period of every instance; the combined result is
+    /// [`Self::joint_configuration`] (instance `i` controls position `i`).
     ///
     /// Every instance observes the same application, so the registry is
     /// snapshotted once and shared — one lock acquisition per decision
@@ -98,12 +86,12 @@ impl UncoordinatedRuntime {
     /// # Errors
     ///
     /// Propagates the first error from any instance.
-    pub fn decide(&mut self, now: f64) -> Result<Vec<Decision>, SeecError> {
+    pub fn decide(&mut self, now: f64) -> Result<(), SeecError> {
         let observation = self.monitor.observation();
-        self.runtimes
-            .iter_mut()
-            .map(|r| r.decide_with_observation(now, &observation))
-            .collect()
+        for runtime in &mut self.runtimes {
+            runtime.decide_under_power_cap(now, &observation, f64::INFINITY)?;
+        }
+        Ok(())
     }
 
     /// The joint configuration currently applied across all instances.
@@ -157,7 +145,7 @@ mod tests {
     #[test]
     fn one_instance_is_created_per_actuator() {
         let registry = HeartbeatRegistry::new("app");
-        let uncoordinated = UncoordinatedRuntime::new(&registry.monitor(), actuators(), 1).unwrap();
+        let uncoordinated = UncoordinatedRuntime::new_with(&registry.monitor(), actuators(), 1, |b| b).unwrap();
         assert_eq!(uncoordinated.instances(), 2);
         assert_eq!(uncoordinated.joint_configuration().len(), 2);
         assert!(format!("{uncoordinated:?}").contains("instances"));
@@ -167,7 +155,7 @@ mod tests {
     fn empty_actuator_list_is_rejected() {
         let registry = HeartbeatRegistry::new("app");
         assert!(matches!(
-            UncoordinatedRuntime::new(&registry.monitor(), vec![], 1),
+            UncoordinatedRuntime::new_with(&registry.monitor(), vec![], 1, |b| b),
             Err(SeecError::NoActuators)
         ));
     }
@@ -179,7 +167,7 @@ mod tests {
             .issuer()
             .set_goal(Goal::Performance(PerformanceGoal::heart_rate(30.0)));
         let mut uncoordinated =
-            UncoordinatedRuntime::new(&registry.monitor(), actuators(), 1).unwrap();
+            UncoordinatedRuntime::new_with(&registry.monitor(), actuators(), 1, |b| b).unwrap();
         let issuer = registry.issuer();
         let mut now = 0.0;
         // The application runs at only 10 beats/s: every instance sees the
@@ -189,8 +177,7 @@ mod tests {
                 now += 0.1;
                 issuer.heartbeat(now);
             }
-            let decisions = uncoordinated.decide(now).unwrap();
-            assert_eq!(decisions.len(), 2);
+            uncoordinated.decide(now).unwrap();
         }
         assert_eq!(uncoordinated.decisions_made(), 40);
         let joint = uncoordinated.joint_configuration();
