@@ -25,19 +25,18 @@
 //! 3. **step** — each rack adopts its envelope as its machine budget and
 //!    runs an ordinary coordinator step under it.
 //!
-//! Phases 1 and 3 are per-rack and independent, so they fan out across the
-//! same persistent [`exec::ExecPool`] machinery the racks themselves shard
-//! on — and for the same reason the result is bit-identical at every
-//! worker count.
+//! The phases walk the racks in rack order on the caller's thread; each
+//! rack's own coordinator shards its apps across whatever pool it was
+//! given ([`Coordinator::with_pool`]), bit-identical at every worker count.
 //!
 //! ## The flat coordinator is the 1-rack degenerate case
 //!
 //! With a single rack under a [`StaticShare`](crate::StaticShare)
-//! datacenter policy and the default datacenter headroom of 1.0, the rack
-//! is awarded `min(budget, Σ app ceilings)`; whenever the fleet can absorb
-//! the budget (the common case — any app whose power draw is still unknown
-//! absorbs the whole budget by construction), that is *exactly* the
-//! datacenter budget, and the hierarchy reproduces the flat
+//! datacenter policy (the datacenter hands racks its whole budget), the
+//! rack is awarded `min(budget, Σ app ceilings)`; whenever the fleet can
+//! absorb the budget (the common case — any app whose power draw is still
+//! unknown absorbs the whole budget by construction), that is *exactly*
+//! the datacenter budget, and the hierarchy reproduces the flat
 //! [`Coordinator`] bit for bit (pinned by `tests/hierarchy_props.rs`).
 //! Water-filling datacenter policies divide through the weight sum, whose
 //! rounding makes the 1-rack award agree only to within an ulp — the
@@ -46,7 +45,6 @@
 
 use std::sync::Arc;
 
-use exec::ExecPool;
 use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
 use seec::SeecError;
 use xeon_sim::MachineMeter;
@@ -153,23 +151,12 @@ impl RackCoordinator {
         self.observer = recorder;
     }
 
-    /// Sets the rack's [`EnforcementMode`] (builder form; default
+    /// Sets the rack's [`EnforcementMode`] (default
     /// [`Audit`](EnforcementMode::Audit), which is byte-for-byte the
     /// pre-enforcement behaviour).
     pub fn with_enforcement(mut self, mode: EnforcementMode) -> Self {
         self.enforcement = mode;
         self
-    }
-
-    /// Replaces the rack's [`EnforcementMode`] mid-run (takes effect on the
-    /// next [`Self::advance`]).
-    pub fn set_enforcement(&mut self, mode: EnforcementMode) {
-        self.enforcement = mode;
-    }
-
-    /// The rack's current [`EnforcementMode`].
-    pub fn enforcement(&self) -> EnforcementMode {
-        self.enforcement
     }
 
     /// How many [`Self::advance`] reports the breaker throttled (0 in
@@ -195,7 +182,7 @@ impl RackCoordinator {
     }
 
     /// Mutable access to the rack's fleet coordinator (registration,
-    /// policy swaps, tuning).
+    /// retirement, budget steps).
     pub fn coordinator_mut(&mut self) -> &mut Coordinator {
         &mut self.coordinator
     }
@@ -376,7 +363,7 @@ pub struct DatacenterStepSummary {
     pub active_racks: usize,
     /// Applications present across all racks.
     pub active_apps: usize,
-    /// Watts the datacenter handed to racks (≤ budget × headroom).
+    /// Watts the datacenter handed to racks (≤ budget).
     pub rack_awarded_watts_total: f64,
     /// Watts the racks handed on to applications (≤ the rack total: each
     /// rack keeps its own headroom margin).
@@ -394,18 +381,10 @@ pub struct DatacenterArbiter {
     racks: Vec<RackCoordinator>,
     policy: Box<dyn ArbitrationPolicy>,
     budget_watts: f64,
-    headroom: f64,
     quantum: usize,
-    /// Pool the per-rack phases (observe, step) fan out on; `None` =
-    /// inline. Racks' own coordinators may share this pool or run their
-    /// own.
-    pool: Option<Arc<ExecPool>>,
     requests: Vec<AppRequest>,
     awards: Vec<f64>,
-    /// Telemetry recorder propagated to every rack. With a recorder
-    /// attached, racks *defer* their step events and [`Self::step`] drains
-    /// each rack's buffer in rack order after the pooled phase — the
-    /// combined stream is identical at every worker count.
+    /// Telemetry recorder propagated to every rack.
     observer: Option<Arc<Recorder>>,
 }
 
@@ -422,8 +401,8 @@ impl std::fmt::Debug for DatacenterArbiter {
 
 impl DatacenterArbiter {
     /// An arbiter splitting `budget_watts` (datacenter power above idle)
-    /// across racks under `policy`. The datacenter headroom defaults to
-    /// 1.0 — each rack's coordinator already keeps its own margin, and
+    /// across racks under `policy`. The whole budget is arbitrated — each
+    /// rack's coordinator already keeps its own headroom margin, and
     /// stacking a second one would double-discount the budget.
     ///
     /// # Panics
@@ -435,9 +414,7 @@ impl DatacenterArbiter {
             racks: Vec::new(),
             policy,
             budget_watts,
-            headroom: 1.0,
             quantum: 0,
-            pool: None,
             requests: Vec::new(),
             awards: Vec::new(),
             observer: None,
@@ -446,9 +423,9 @@ impl DatacenterArbiter {
 
     /// Attaches a telemetry [`Recorder`] to the arbiter and every rack
     /// (current and future — [`Self::add_rack`] propagates it). Datacenter
-    /// steps time [`Stage::DatacenterStep`]; racks record their own stages,
-    /// counters, and events, with event delivery deferred so the arbiter
-    /// can drain buffers in rack order.
+    /// steps time [`Stage::DatacenterStep`] and budget steps raise
+    /// [`EventKind::BudgetChange`]; racks record their own stages,
+    /// counters, and events. Events stream in call order.
     pub fn with_obs(mut self, recorder: Arc<Recorder>) -> Self {
         self.set_obs(Some(recorder));
         self
@@ -459,43 +436,8 @@ impl DatacenterArbiter {
     pub fn set_obs(&mut self, recorder: Option<Arc<Recorder>>) {
         for rack in &mut self.racks {
             rack.set_obs(recorder.clone());
-            rack.coordinator.set_event_deferral(recorder.is_some());
         }
         self.observer = recorder;
-    }
-
-    /// Sets the fraction of the datacenter budget handed to racks
-    /// (default 1.0; see [`Self::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `headroom` is in `(0, 1]`.
-    pub fn with_headroom(mut self, headroom: f64) -> Self {
-        assert!(
-            headroom > 0.0 && headroom <= 1.0,
-            "headroom must be in (0, 1], got {headroom}"
-        );
-        self.headroom = headroom;
-        self
-    }
-
-    /// Fans the per-rack phases of [`Self::step`] out across `workers`
-    /// threads (default 1 = inline; output is bit-identical either way,
-    /// because racks are mutually independent within a step).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.pool = (workers > 1).then(|| Arc::new(ExecPool::new(workers)));
-        self
-    }
-
-    /// Fans the per-rack phases out across an existing pool.
-    pub fn with_pool(mut self, pool: Arc<ExecPool>) -> Self {
-        self.pool = (pool.threads() > 1).then_some(pool);
-        self
-    }
-
-    /// Worker threads the per-rack phases fan out across.
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, |pool| pool.threads())
     }
 
     /// Adds a rack; returns its index (registration order). An attached
@@ -504,7 +446,6 @@ impl DatacenterArbiter {
     pub fn add_rack(&mut self, mut rack: RackCoordinator) -> usize {
         if self.observer.is_some() {
             rack.set_obs(self.observer.clone());
-            rack.coordinator.set_event_deferral(true);
         }
         self.racks.push(rack);
         self.racks.len() - 1
@@ -541,7 +482,8 @@ impl DatacenterArbiter {
     }
 
     /// Replaces the datacenter budget (takes effect next step) — the
-    /// operator-level "budget step".
+    /// operator-level "budget step". Counted and raised on the telemetry
+    /// stream exactly like [`Coordinator::set_budget`].
     ///
     /// # Panics
     ///
@@ -549,6 +491,15 @@ impl DatacenterArbiter {
     pub fn set_budget(&mut self, budget_watts: f64) {
         assert!(budget_watts > 0.0, "power budget must be positive");
         self.budget_watts = budget_watts;
+        if let Some(observer) = &self.observer {
+            observer.count(Counter::BudgetChanges);
+            observer.emit(Event {
+                quantum: self.quantum as u64,
+                kind: EventKind::BudgetChange {
+                    watts: budget_watts,
+                },
+            });
+        }
     }
 
     /// The next shared quantum index [`Self::step`] will run.
@@ -586,82 +537,30 @@ impl DatacenterArbiter {
         let quantum = self.quantum;
         let clock = self.observer.as_ref().map(|_| StageClock::start());
 
-        // ---- Phase 1: rack aggregate requests (per-rack, pooled) ----
-        struct RequestTask<'a> {
-            rack: &'a mut RackCoordinator,
-            request: AppRequest,
-        }
-        let mut tasks: Vec<RequestTask> = self
-            .racks
-            .iter_mut()
-            .map(|rack| RequestTask {
-                rack,
-                request: AppRequest {
-                    active: false,
-                    weight: 1.0,
-                    urgency: 1.0,
-                    max_power_watts: 0.0,
-                },
-            })
-            .collect();
-        let fold = |task: &mut RequestTask| {
-            task.request = task.rack.coordinator.fleet_request();
-        };
-        match &self.pool {
-            Some(pool) => pool.for_each_mut(&mut tasks, |_, task| fold(task)),
-            None => tasks.iter_mut().for_each(fold),
-        }
+        // ---- Phase 1: rack aggregate requests (rack order) ----------
         self.requests.clear();
-        self.requests.extend(tasks.iter().map(|task| task.request));
-        drop(tasks);
-
-        // ---- Phase 2: arbitrate (sequential deterministic fold) -----
-        self.policy.arbitrate(
-            self.budget_watts * self.headroom,
-            &self.requests,
-            &mut self.awards,
+        self.requests.extend(
+            self.racks
+                .iter_mut()
+                .map(|rack| rack.coordinator.fleet_request()),
         );
 
-        // ---- Phase 3: step each rack under its envelope (pooled) ----
-        struct StepTask<'a> {
-            rack: &'a mut RackCoordinator,
-            award: f64,
-            outcome: Option<Result<StepSummary, SeecError>>,
-        }
-        let mut tasks: Vec<StepTask> = self
-            .racks
-            .iter_mut()
-            .zip(&self.awards)
-            .map(|(rack, &award)| StepTask {
-                rack,
-                award,
-                outcome: None,
-            })
-            .collect();
-        let run = |task: &mut StepTask| {
-            task.outcome = Some(task.rack.step_under(now, task.award));
-        };
-        match &self.pool {
-            Some(pool) => pool.for_each_mut(&mut tasks, |_, task| run(task)),
-            None => tasks.iter_mut().for_each(run),
-        }
+        // ---- Phase 2: arbitrate (sequential deterministic fold) -----
+        self.policy
+            .arbitrate(self.budget_watts, &self.requests, &mut self.awards);
 
-        // ---- Summarise (sequential, rack order) ---------------------
+        // ---- Phase 3: step each rack under its envelope (rack order) -
         let mut active_racks = 0;
         let mut active_apps = 0;
         let mut rack_awarded_total = 0.0;
         let mut app_awarded_total = 0.0;
         let mut failure: Option<SeecError> = None;
-        for task in tasks {
-            // Drain the rack's deferred step events in rack order — the
-            // pooled phase above finished them in whatever order the
-            // workers ran, but the combined stream is re-serialised here.
-            task.rack.coordinator.flush_events();
-            match task.outcome.expect("every rack was stepped") {
+        for (rack, &award) in self.racks.iter_mut().zip(&self.awards) {
+            match rack.step_under(now, award) {
                 Ok(summary) => {
                     if summary.active_apps > 0 {
                         active_racks += 1;
-                        rack_awarded_total += task.award;
+                        rack_awarded_total += award;
                     }
                     active_apps += summary.active_apps;
                     app_awarded_total += summary.awarded_watts_total;
@@ -672,7 +571,7 @@ impl DatacenterArbiter {
                     // in lockstep with the datacenter (the failing rack
                     // simply took no new decisions this quantum) and a
                     // caller that handles the error can keep stepping.
-                    task.rack.coordinator.skip_quantum();
+                    rack.coordinator.skip_quantum();
                     if failure.is_none() {
                         failure = Some(err);
                     }
@@ -703,6 +602,7 @@ mod tests {
     use super::*;
     use crate::policy::{PerformanceMarket, StaticShare, WeightedFair};
     use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
+    use exec::ExecPool;
     use seec::{ExplorationPolicy, SeecRuntime};
     use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
 
@@ -845,12 +745,14 @@ mod tests {
     #[test]
     fn pooled_rack_stepping_is_bit_identical_to_inline() {
         let build = |workers: usize| {
-            let mut datacenter = DatacenterArbiter::new(35.0, Box::new(WeightedFair))
-                .with_workers(workers);
+            let mut datacenter = DatacenterArbiter::new(35.0, Box::new(WeightedFair));
+            let pool = Arc::new(ExecPool::new(workers));
             for rack_index in 0..3u64 {
                 let mut rack = RackCoordinator::new(
                     format!("rack-{rack_index}"),
-                    Coordinator::new(35.0, Box::new(PerformanceMarket::default())),
+                    Coordinator::new(35.0, Box::new(PerformanceMarket::default()))
+                        .with_pool(Arc::clone(&pool))
+                        .with_shard_threshold(0),
                 );
                 for app in 0..2 {
                     rack.register(managed_app(rack_index * 7 + app + 1, 1000.0));
@@ -979,7 +881,6 @@ mod tests {
 
         let audited = run(EnforcementMode::Audit);
         let rack = audited.rack(0);
-        assert_eq!(rack.enforcement(), EnforcementMode::Audit);
         assert!(rack.meter().violated(), "audit records the overdraw");
         assert!((rack.meter().mean_watts() - 30.0).abs() < 1e-9);
         assert_eq!(rack.clamp_events(), 0);
@@ -987,7 +888,6 @@ mod tests {
 
         let clamped = run(EnforcementMode::Clamp);
         let rack = clamped.rack(0);
-        assert_eq!(rack.enforcement(), EnforcementMode::Clamp);
         assert!(!rack.meter().violated(), "the breaker holds the envelope");
         assert!(
             rack.meter().mean_watts() <= 15.0 + 1e-9,
@@ -1002,19 +902,20 @@ mod tests {
     #[test]
     fn telemetry_reconciles_across_the_hierarchy_and_stays_passive() {
         // Same overdraw harness as the enforcement test, instrumented: the
-        // recorder must count clamps and rack violations exactly, defer
-        // step events into rack order, and move zero bits of the results.
+        // recorder must count clamps and rack violations exactly and move
+        // zero bits of the results, inline or with the rack's apps sharded.
         let run = |mode: EnforcementMode,
                    recorder: Option<Arc<Recorder>>,
                    workers: usize| {
-            let mut datacenter = DatacenterArbiter::new(15.0, Box::new(StaticShare))
-                .with_workers(workers);
+            let mut datacenter = DatacenterArbiter::new(15.0, Box::new(StaticShare));
             if let Some(recorder) = recorder {
                 datacenter.set_obs(Some(recorder));
             }
             let mut rack = RackCoordinator::new(
                 "r",
-                Coordinator::new(15.0, Box::new(StaticShare)),
+                Coordinator::new(15.0, Box::new(StaticShare))
+                    .with_pool(Arc::new(ExecPool::new(workers)))
+                    .with_shard_threshold(0),
             )
             .with_enforcement(mode);
             let handles: Vec<AppHandle> =
@@ -1075,14 +976,67 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn non_positive_datacenter_budget_panics() {
-        let _ = DatacenterArbiter::new(0.0, Box::new(StaticShare));
+    fn datacenter_budget_steps_are_counted_and_raised() {
+        let recorder = Arc::new(Recorder::in_memory());
+        let mut datacenter =
+            DatacenterArbiter::new(40.0, Box::new(StaticShare)).with_obs(Arc::clone(&recorder));
+        let mut rack = RackCoordinator::new("r", Coordinator::new(40.0, Box::new(StaticShare)));
+        rack.register(managed_app(1, 100.0));
+        datacenter.add_rack(rack);
+        datacenter.step(1.0).unwrap();
+        datacenter.set_budget(20.0);
+        datacenter.step(2.0).unwrap();
+        datacenter.set_budget(30.0);
+
+        let snapshot = recorder.snapshot();
+        assert_eq!(snapshot.counter(Counter::BudgetChanges), 2);
+        let steps: Vec<(u64, f64)> = snapshot
+            .events
+            .iter()
+            .filter_map(|event| match event.kind {
+                EventKind::BudgetChange { watts } => Some((event.quantum, watts)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(steps, [(1, 20.0), (2, 30.0)]);
     }
 
     #[test]
-    #[should_panic(expected = "headroom")]
-    fn out_of_range_datacenter_headroom_panics() {
-        let _ = DatacenterArbiter::new(10.0, Box::new(StaticShare)).with_headroom(0.0);
+    fn hierarchy_events_keep_call_order() {
+        let recorder = Arc::new(Recorder::in_memory());
+        let mut datacenter =
+            DatacenterArbiter::new(40.0, Box::new(StaticShare)).with_obs(Arc::clone(&recorder));
+        for name in ["rack-0", "rack-1"] {
+            datacenter.add_rack(RackCoordinator::new(
+                name,
+                Coordinator::new(40.0, Box::new(StaticShare)),
+            ));
+        }
+        // App seeds 1 and 2 land on different benchmarks, so the two
+        // registrations are told apart by name.
+        let first = managed_app(1, 100.0);
+        let second = managed_app(2, 100.0);
+        let names = [first.name().to_string(), second.name().to_string()];
+        assert_ne!(names[0], names[1]);
+        datacenter.rack_mut(1).register(first);
+        datacenter.rack_mut(0).register(second);
+        datacenter.step(1.0).unwrap();
+
+        let registered: Vec<String> = recorder
+            .snapshot()
+            .events
+            .iter()
+            .filter_map(|event| match &event.kind {
+                EventKind::Register { app } => Some(app.clone()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(registered, names, "registrations stream in call order");
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn non_positive_datacenter_budget_panics() {
+        let _ = DatacenterArbiter::new(0.0, Box::new(StaticShare));
     }
 }

@@ -58,12 +58,12 @@
 //!   move (a fresh report, a churn event, a presence transition);
 //! * [`IncrementalArbiter::mark_dirty`] — lifecycle and health events
 //!   (which also force re-arbitration, as before);
-//! * [`IncrementalArbiter::mark_all_dirty`] — budget/policy/watchdog
-//!   replacement wakes the whole fleet (every held award is invalid).
+//! * [`IncrementalArbiter::mark_all_dirty`] — a budget step wakes the
+//!   whole fleet (every held award is invalid).
 //!
 //! While a slot sleeps the engine never reads its request row — the
 //! caller's contract is to `wake()` any slot whose request may have moved,
-//! and every envelope-changing event (budget/policy/health/lifecycle)
+//! and every envelope-changing event (budget/health/lifecycle)
 //! force-wakes, so staleness is bounded by the horizon and limited to
 //! sub-tolerance drift.
 //!
@@ -208,7 +208,7 @@ pub struct IncrementalArbiter {
     /// The dirty mask of the most recent round (kept for the caller's
     /// decide stage and telemetry).
     dirty: Vec<bool>,
-    /// Force a full round (budget/policy change, or first round).
+    /// Force a full round (budget change, or first round).
     fleet_dirty: bool,
     scratch_requests: Vec<AppRequest>,
     scratch_awards: Vec<f64>,
@@ -316,25 +316,15 @@ impl IncrementalArbiter {
     }
 
     /// Enables wake scheduling (see the module docs). Horizon 0 never
-    /// sleeps a slot, bit-identical to an unconfigured engine.
+    /// sleeps a slot, bit-identical to an unconfigured engine. Every
+    /// sleeping slot is woken, so the next round re-classifies the whole
+    /// fleet's awake set.
     pub fn with_wake(mut self, config: WakeConfig) -> Self {
-        self.set_wake(config);
-        self
-    }
-
-    /// Replaces the wake configuration mid-run. Every sleeping slot is
-    /// woken (its held award may predate the new schedule's guarantees),
-    /// so the next round re-classifies the whole fleet's awake set.
-    pub fn set_wake(&mut self, config: WakeConfig) {
         self.wake_everyone();
         self.wake = config;
         self.wheel.clear();
         self.wheel.resize_with(config.horizon, Vec::new);
-    }
-
-    /// The active wake configuration ([`WakeConfig::OFF`] by default).
-    pub fn wake_config(&self) -> WakeConfig {
-        self.wake
+        self
     }
 
     /// Wakes `index` if it is asleep: the slot re-enters classification
@@ -371,8 +361,8 @@ impl IncrementalArbiter {
     }
 
     /// Marks the whole fleet dirty: the next round is a full policy call
-    /// (budget or policy replacement invalidates every held award). Wakes
-    /// every sleeping slot.
+    /// (a budget step invalidates every held award). Wakes every sleeping
+    /// slot.
     pub fn mark_all_dirty(&mut self) {
         self.fleet_dirty = true;
         if self.wake.enabled() {
@@ -870,7 +860,7 @@ mod tests {
         let mut plain = IncrementalArbiter::new(0.05);
         let mut zeroed =
             IncrementalArbiter::new(0.05).with_wake(WakeConfig { steady_quanta: 4, horizon: 0 });
-        assert!(!zeroed.wake_config().enabled());
+        assert!(!zeroed.wake.enabled());
         let mut policy_a = PerformanceMarket::default();
         let mut policy_b = PerformanceMarket::default();
         let mut requests = vec![

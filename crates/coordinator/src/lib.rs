@@ -31,13 +31,16 @@
 //! Fleets are dynamic: applications [`Coordinator::register`] and
 //! [`Coordinator::retire`] while the run is in flight, the budget can step
 //! mid-run ([`Coordinator::set_budget`]), and the per-application stages of
-//! [`Coordinator::step`] shard across worker threads
-//! ([`Coordinator::with_workers`]) with output bit-identical to the
+//! [`Coordinator::step`] shard across a worker pool
+//! ([`Coordinator::with_pool`]) with output bit-identical to the
 //! sequential step at every worker count.
 //!
 //! ```
 //! use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
+//! use std::sync::Arc;
+//!
 //! use coordinator::{Coordinator, ManagedApp, PerformanceMarket};
+//! use exec::ExecPool;
 //! use seec::SeecRuntime;
 //! use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
 //!
@@ -58,10 +61,10 @@
 //! };
 //!
 //! // A 50 W machine budget arbitrated by the performance market, with the
-//! // per-app stages sharded across two worker threads (bit-identical to
-//! // the sequential step — the worker count is purely a performance knob).
-//! let mut coordinator =
-//!     Coordinator::new(50.0, Box::new(PerformanceMarket::default())).with_workers(2);
+//! // per-app stages sharded across a two-thread pool (bit-identical to
+//! // the sequential step — the thread count is purely a performance knob).
+//! let mut coordinator = Coordinator::new(50.0, Box::new(PerformanceMarket::default()))
+//!     .with_pool(Arc::new(ExecPool::new(2)));
 //! let resident = coordinator.register(managed(SplashBenchmark::Barnes, 1, 2.0));
 //!
 //! // Each quantum: the platform runs the apps, reports back, the

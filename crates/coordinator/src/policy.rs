@@ -37,9 +37,8 @@ pub struct AppRequest {
 /// A strategy for splitting a machine power budget into per-app envelopes.
 ///
 /// Policies are pluggable: implement the trait and hand the box to
-/// [`crate::Coordinator::new`] (or swap it mid-run with
-/// [`crate::Coordinator::set_policy`]). A minimal custom policy — strict
-/// priority, highest weight first, each app taking what it can absorb:
+/// [`crate::Coordinator::new`]. A minimal custom policy — strict priority,
+/// highest weight first, each app taking what it can absorb:
 ///
 /// ```
 /// use coordinator::{AppRequest, ArbitrationPolicy};

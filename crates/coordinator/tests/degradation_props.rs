@@ -16,10 +16,13 @@
 //!   after enough honest quanta; quarantine never sticks to an app whose
 //!   fault has cleared.
 
+use std::sync::Arc;
+
 use coordinator::invariants::{
     check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
 use coordinator::{AppHandle, Coordinator, HealthState, ManagedApp, WatchdogConfig, WeightedFair};
+use exec::ExecPool;
 use proptest::prelude::*;
 use seec::{ExplorationPolicy, SeecRuntime};
 use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
@@ -213,7 +216,7 @@ type Trace = Vec<(Vec<u64>, usize, u64, Vec<HealthState>)>;
 fn run_fleet(slots: &[Slot], quanta: usize, budget: f64, workers: usize) -> Trace {
     let mut coordinator = Coordinator::new(budget, Box::new(WeightedFair))
         .with_watchdog(WatchdogConfig::default())
-        .with_workers(workers);
+        .with_pool(Arc::new(ExecPool::new(workers)));
     let handles: Vec<AppHandle> = slots
         .iter()
         .enumerate()
@@ -263,7 +266,7 @@ proptest! {
         );
         let mut coordinator = Coordinator::new(budget, Box::new(WeightedFair))
             .with_watchdog(config)
-            .with_workers(workers);
+            .with_pool(Arc::new(ExecPool::new(workers)));
         let handles: Vec<AppHandle> = slots
             .iter()
             .enumerate()

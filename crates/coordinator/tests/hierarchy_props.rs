@@ -11,11 +11,13 @@
 //!   the same one the scenario fuzzer asserts for hierarchical runs.
 //! * **The flat coordinator is the 1-rack degenerate case** — a
 //!   [`DatacenterArbiter`] holding one rack (under a `StaticShare`
-//!   datacenter policy and unit headroom) produces byte-for-byte the
+//!   datacenter policy, which arbitrates the whole budget) produces byte-for-byte the
 //!   awards, decisions, and summaries of a flat [`Coordinator`] over the
 //!   same fleet, at every step. (Water-filling datacenter policies agree
 //!   only to within a division round-off — see the hierarchy module docs —
 //!   so the exact pin uses `StaticShare`.)
+
+use std::sync::Arc;
 
 use coordinator::invariants::{
     check_award_vector, check_hierarchy_conservation, check_summary_total, AwardedApp,
@@ -25,6 +27,7 @@ use coordinator::{
     AppHandle, ArbitrationPolicy, Coordinator, DatacenterArbiter, ManagedApp, PerformanceMarket,
     RackCoordinator, StaticShare, WeightedFair,
 };
+use exec::ExecPool;
 use proptest::prelude::*;
 use seec::{ExplorationPolicy, SeecRuntime};
 use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
@@ -180,12 +183,17 @@ proptest! {
         let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
         let dc_policy = policies().swap_remove(dc_policy_pick);
         let policy_name = dc_policy.name();
-        let mut datacenter = DatacenterArbiter::new(budget, dc_policy).with_workers(workers);
+        let mut datacenter = DatacenterArbiter::new(budget, dc_policy);
+        // Every rack shards its apps on one shared pool from the first app
+        // on, so a worker count above 1 genuinely exercises the pool.
+        let pool = Arc::new(ExecPool::new(workers));
         for rack_index in 0..racks {
             let rack_policy = policies().swap_remove(rack_policy_pick);
             datacenter.add_rack(RackCoordinator::new(
                 format!("rack-{rack_index}"),
-                Coordinator::new(budget, rack_policy),
+                Coordinator::new(budget, rack_policy)
+                    .with_pool(Arc::clone(&pool))
+                    .with_shard_threshold(0),
             ));
         }
         // Arbitrary partition: app i lands on rack `rack_of[i] % racks`.

@@ -39,6 +39,7 @@ use coordinator::{
     WakeConfig, WatchdogConfig, WeightedFair,
 };
 use obs::{Counter, Recorder};
+use exec::ExecPool;
 use proptest::prelude::*;
 use seec::{ExplorationPolicy, SeecRuntime};
 use std::sync::Arc;
@@ -387,7 +388,7 @@ fn drive_traced(
     budget_step: Option<(usize, f64)>,
 ) -> Trace {
     let mut coordinator = Coordinator::new(35.0, policy)
-        .with_workers(workers)
+        .with_pool(Arc::new(ExecPool::new(workers)))
         .with_shard_threshold(0);
     coordinator.set_schedule(schedule).unwrap();
     let handles: Vec<AppHandle> = slots
@@ -655,7 +656,7 @@ proptest! {
         let policy_name = policy.name();
         let recorder = Arc::new(Recorder::in_memory());
         let mut coordinator = Coordinator::new(35.0, policy)
-            .with_workers(workers)
+            .with_pool(Arc::new(ExecPool::new(workers)))
             .with_shard_threshold(0)
             .with_arbitration_tolerance(tolerance)
             .with_wake_schedule(WakeConfig { steady_quanta: steady, horizon })
@@ -738,7 +739,7 @@ proptest! {
         let policy = policies().swap_remove(policy_pick);
         let policy_name = policy.name();
         let mut coordinator = Coordinator::new(35.0, policy)
-            .with_workers(workers)
+            .with_pool(Arc::new(ExecPool::new(workers)))
             .with_shard_threshold(0)
             .with_arbitration_tolerance(tolerance);
         let handles: Vec<AppHandle> = slots
@@ -838,7 +839,7 @@ fn drive_with_registrations(
     absent_at: &[usize],
 ) -> Trace {
     let mut coordinator = Coordinator::new(35.0, policy)
-        .with_workers(workers)
+        .with_pool(Arc::new(ExecPool::new(workers)))
         .with_shard_threshold(0)
         .with_watchdog(FAST_LADDER);
     coordinator.set_schedule(schedule).unwrap();

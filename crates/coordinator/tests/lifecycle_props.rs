@@ -15,6 +15,8 @@
 //!   [`coordinator::invariants`] oracles, so the pins here and the
 //!   scenario fuzzer's oracles cannot drift apart.
 
+use std::sync::Arc;
+
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
@@ -22,6 +24,7 @@ use coordinator::{
     AppHandle, ArbitrationPolicy, Coordinator, ManagedApp, PerformanceMarket, StaticShare,
     WeightedFair,
 };
+use exec::ExecPool;
 use proptest::prelude::*;
 use seec::{ExplorationPolicy, SeecRuntime};
 use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
@@ -139,7 +142,7 @@ fn drive(
     // Threshold 0: even these small generated fleets exercise the pooled
     // (sharded) step rather than the inline one.
     let mut coordinator = Coordinator::new(35.0, policy)
-        .with_workers(workers)
+        .with_pool(Arc::new(ExecPool::new(workers)))
         .with_shard_threshold(0);
     let handles: Vec<AppHandle> = slots
         .iter()
@@ -235,7 +238,7 @@ proptest! {
         let policy = policies().swap_remove(policy_pick);
         let policy_name = policy.name();
         let mut coordinator = Coordinator::new(budget, policy)
-            .with_workers(workers)
+            .with_pool(Arc::new(ExecPool::new(workers)))
             .with_shard_threshold(0);
         let mut handles: Vec<AppHandle> = Vec::new();
         let mut next_app = 0usize;

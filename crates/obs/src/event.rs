@@ -2,11 +2,11 @@
 //!
 //! Events are the *discrete* facts of a run — lifecycle changes, health
 //! transitions, breaker trips, fuzz incidents — stamped with the quantum
-//! they happened on. They are emitted only from deterministic contexts:
-//! sequential driver code, or per-coordinator buffers drained in
-//! registration/rack order after the parallel phases complete (see
-//! `coordinator`). The stream on any [`Sink`] is therefore byte-identical
-//! run to run and at every worker count.
+//! they happened on. They are emitted only from deterministic contexts —
+//! driver-thread calls and the sequential stages of a coordinator step,
+//! never from pool workers (see `coordinator`) — so they stream in call
+//! order, and the stream on any [`Sink`] is byte-identical run to run and
+//! at every worker count.
 //!
 //! Event payloads are plain strings and numbers, not coordinator types —
 //! the telemetry crate sits below everything it observes, so nothing

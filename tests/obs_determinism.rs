@@ -20,6 +20,7 @@
 use std::sync::Arc;
 
 use coordinator::{Coordinator, ManagedApp, PerformanceMarket};
+use exec::ExecPool;
 use obs::{Counter, Recorder};
 use proptest::prelude::*;
 use seec::SeecRuntime;
@@ -31,11 +32,11 @@ use xeon_sim::XeonServer;
 /// `Copy` data, so this is a faithful byte-level transcript).
 fn drive(apps: usize, workers: usize, quanta: usize, observe: bool) -> Vec<String> {
     let server = XeonServer::dell_r410_calibrated();
-    let mut coordinator = Coordinator::new(120.0, Box::new(PerformanceMarket::default()));
-    coordinator.set_workers(workers);
     // Threshold 0: even tiny fleets go through the sharded path, so a
     // worker count > 1 genuinely exercises the pool.
-    coordinator.set_shard_threshold(0);
+    let mut coordinator = Coordinator::new(120.0, Box::new(PerformanceMarket::default()))
+        .with_pool(Arc::new(ExecPool::new(workers)))
+        .with_shard_threshold(0);
     if observe {
         coordinator.set_obs(Some(Arc::new(Recorder::in_memory())));
     }
