@@ -836,6 +836,28 @@ impl std::fmt::Debug for Coordinator {
     }
 }
 
+/// Counts `counter` (if any) and emits the event `kind` builds, stamped
+/// with `quantum`; without a recorder nothing is built. Shared by the flat
+/// coordinator and the datacenter so a lifecycle call is recorded the same
+/// way at every level. Must only be called from deterministic contexts —
+/// driver-thread lifecycle calls — never from pool workers.
+pub(crate) fn record(
+    observer: Option<&Recorder>,
+    quantum: usize,
+    counter: Option<Counter>,
+    kind: impl FnOnce() -> EventKind,
+) {
+    if let Some(observer) = observer {
+        if let Some(counter) = counter {
+            observer.count(counter);
+        }
+        observer.emit(Event {
+            quantum: quantum as u64,
+            kind: kind(),
+        });
+    }
+}
+
 impl Coordinator {
     /// A coordinator arbitrating `budget_watts` (machine power above idle)
     /// under `policy`.
@@ -889,20 +911,9 @@ impl Coordinator {
         self.observer.as_ref()
     }
 
-    /// Counts `counter` (if any) and emits the event `kind` builds, stamped
-    /// with the current quantum; without a recorder nothing is built. Must
-    /// only be called from deterministic contexts — driver-thread
-    /// lifecycle calls — never from pool workers.
+    /// [`record`] on this coordinator's recorder at its current quantum.
     fn record(&self, counter: Option<Counter>, kind: impl FnOnce() -> EventKind) {
-        if let Some(observer) = &self.observer {
-            if let Some(counter) = counter {
-                observer.count(counter);
-            }
-            observer.emit(Event {
-                quantum: self.quantum as u64,
-                kind: kind(),
-            });
-        }
+        record(self.observer.as_deref(), self.quantum, counter, kind);
     }
 
     /// Default shard threshold (see [`Self::with_shard_threshold`]): fleets
@@ -938,13 +949,12 @@ impl Coordinator {
         self
     }
 
-    /// Enables or disables the per-app watchdog (default: disabled). With a
+    /// Enables the per-app watchdog (default: disabled). With a
     /// config attached, every step runs the degradation ladder —
     /// [`HealthState`] transitions driven by stale heartbeats, non-finite
     /// telemetry, and persistent envelope overdraw — and quarantined apps
-    /// are pinned to [`WatchdogConfig::quarantine_floor_watts`]. With
-    /// `None`, the ladder never runs and the step is bit-identical to a
-    /// watchdog-free coordinator.
+    /// are pinned to [`WatchdogConfig::quarantine_floor_watts`]. Without
+    /// one, the ladder never runs.
     pub fn with_watchdog(mut self, config: WatchdogConfig) -> Self {
         self.watchdog = Some(config);
         self
@@ -2074,6 +2084,15 @@ mod tests {
         coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 10.0));
         coordinator.step(2.0).unwrap();
         assert_eq!(coordinator.quantum(), 2);
+        // An externally shared pool is adopted as-is, at the default
+        // threshold; a single-thread pool is dropped (everything inline).
+        let shared =
+            Coordinator::new(10.0, Box::new(StaticShare)).with_pool(Arc::new(ExecPool::new(3)));
+        assert_eq!(shared.pool.as_ref().map(|pool| pool.threads()), Some(3));
+        assert_eq!(shared.shard_threshold, Coordinator::DEFAULT_SHARD_THRESHOLD);
+        let single =
+            Coordinator::new(10.0, Box::new(StaticShare)).with_pool(Arc::new(ExecPool::new(1)));
+        assert!(single.pool.is_none());
     }
 
     #[test]

@@ -45,11 +45,11 @@
 
 use std::sync::Arc;
 
-use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
+use obs::{Counter, EventKind, Recorder, Stage, StageClock};
 use seec::SeecError;
 use xeon_sim::MachineMeter;
 
-use crate::coordinator::{AppHandle, Coordinator, ManagedApp, StepSummary};
+use crate::coordinator::{record, AppHandle, Coordinator, ManagedApp, StepSummary};
 use crate::policy::{AppRequest, ArbitrationPolicy};
 
 /// What a rack does when its fleet's physical draw exceeds the watt
@@ -311,15 +311,14 @@ impl RackCoordinator {
         self.shed_joules += contribution - headroom;
         // Breaker telemetry: admits run on the sequential driver thread in
         // report-arrival order, so direct emission stays deterministic.
-        if let Some(observer) = &self.observer {
-            observer.count(Counter::ClampEvents);
-            observer.emit(Event {
-                quantum: self.coordinator.quantum() as u64,
-                kind: EventKind::EnvelopeClamp {
-                    shed_joules: contribution - headroom,
-                },
-            });
-        }
+        record(
+            self.observer.as_deref(),
+            self.coordinator.quantum(),
+            Some(Counter::ClampEvents),
+            || EventKind::EnvelopeClamp {
+                shed_joules: contribution - headroom,
+            },
+        );
         (work_units * admitted, power_above_idle_watts * admitted)
     }
 
@@ -491,15 +490,14 @@ impl DatacenterArbiter {
     pub fn set_budget(&mut self, budget_watts: f64) {
         assert!(budget_watts > 0.0, "power budget must be positive");
         self.budget_watts = budget_watts;
-        if let Some(observer) = &self.observer {
-            observer.count(Counter::BudgetChanges);
-            observer.emit(Event {
-                quantum: self.quantum as u64,
-                kind: EventKind::BudgetChange {
-                    watts: budget_watts,
-                },
-            });
-        }
+        record(
+            self.observer.as_deref(),
+            self.quantum,
+            Some(Counter::BudgetChanges),
+            || EventKind::BudgetChange {
+                watts: budget_watts,
+            },
+        );
     }
 
     /// The next shared quantum index [`Self::step`] will run.

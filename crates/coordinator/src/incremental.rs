@@ -316,13 +316,9 @@ impl IncrementalArbiter {
     }
 
     /// Enables wake scheduling (see the module docs). Horizon 0 never
-    /// sleeps a slot, bit-identical to an unconfigured engine. Every
-    /// sleeping slot is woken, so the next round re-classifies the whole
-    /// fleet's awake set.
+    /// sleeps a slot, bit-identical to an unconfigured engine.
     pub fn with_wake(mut self, config: WakeConfig) -> Self {
-        self.wake_everyone();
         self.wake = config;
-        self.wheel.clear();
         self.wheel.resize_with(config.horizon, Vec::new);
         self
     }
