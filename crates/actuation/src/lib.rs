@@ -21,6 +21,14 @@
 //! combines several actuators into a joint search space the decision engine
 //! can optimise over.
 //!
+//! The decision engine runs on a [`ConfigTable`]: every joint
+//! configuration as a dense [`ConfigId`] with its declared effect
+//! precomputed. Declared effects belong to the platform, so there is one
+//! table per distinct action space. [`ConfigTable::new`] interns by
+//! content — setting counts, nominal indices, and the bits of every
+//! setting's predicted effect — and holds each table weakly, so every
+//! runtime built over equal specs shares one immutable table.
+//!
 //! ```
 //! use actuation::{Actuator, ActuatorSpec, Axis, Scope, SettingSpec, TableActuator};
 //!

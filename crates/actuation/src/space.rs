@@ -1,3 +1,5 @@
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::ActuationError;
@@ -197,9 +199,10 @@ impl ConfigurationSpace {
         }
     }
 
-    /// Builds the interned-configuration arena for this space: dense
+    /// The interned-configuration arena for this space: dense
     /// [`ConfigId`] handles, precomputed declared effects, and
-    /// speedup-/power-sorted indices. See [`ConfigTable`].
+    /// speedup-/power-sorted indices — shared with every other table over
+    /// equal specs. See [`ConfigTable::new`].
     pub fn table(&self) -> ConfigTable {
         ConfigTable::new(&self.specs.iter().collect::<Vec<_>>())
     }
@@ -289,8 +292,26 @@ impl std::fmt::Display for ConfigId {
 /// precomputes everything the decision loop needs per id: the declared joint
 /// effect and indices sorted by declared speedup and declared power. Setting
 /// decode/encode is O(arity) integer arithmetic; no configuration is stored.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The declared effects belong to the platform, not to an application, so
+/// there is one table per distinct action space. [`ConfigTable::new`]
+/// interns by content: a process-wide interner maps what the table is a
+/// function of — each actuator's setting count, its nominal index, and the
+/// bits of every setting's predicted effect on every axis — to a weak
+/// handle on the shared, immutable storage. Every runtime over equal specs
+/// holds the same storage, cloning a table is O(1), and the interner keeps
+/// a table alive only while some handle to it does.
+#[derive(Debug, Clone)]
 pub struct ConfigTable {
+    data: Arc<TableData>,
+}
+
+/// The immutable storage behind a [`ConfigTable`], shared by every handle
+/// to the same action space.
+#[derive(Debug)]
+struct TableData {
+    /// The content key the table was interned under (see [`content_key`]).
+    key: Vec<u64>,
     /// Settings per actuator, in configuration order.
     radices: Vec<usize>,
     /// Mixed-radix strides: `strides[last] == 1`, matching the iteration
@@ -306,46 +327,275 @@ pub struct ConfigTable {
     by_power: Vec<ConfigId>,
 }
 
+/// Live tables by content-key hash. Entries are weak, so the interner never
+/// keeps a table alive; dead entries are pruned on every miss.
+static INTERNER: Mutex<Vec<(u64, Weak<TableData>)>> = Mutex::new(Vec::new());
+
+/// The words a table is a function of, in actuator order: each spec's
+/// setting count and nominal index, then the f64 bits of every setting's
+/// predicted effect on performance, power and accuracy. The setting count
+/// prefix makes the encoding unambiguous, so equal keys mean equal tables.
+fn content_key<'a>(specs: &'a [&'a ActuatorSpec]) -> impl Iterator<Item = u64> + 'a {
+    specs.iter().flat_map(|spec| {
+        [spec.len() as u64, spec.nominal() as u64]
+            .into_iter()
+            .chain(spec.predicted_rows().flat_map(|row| row.map(f64::to_bits)))
+    })
+}
+
+/// A 64-bit hash of a content key, computed by streaming it (no allocation).
+fn key_hash(key: impl Iterator<Item = u64>) -> u64 {
+    key.fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+/// The live interned table with content-key hash `hash` that satisfies
+/// `same`, if any.
+fn find_live(
+    interner: &[(u64, Weak<TableData>)],
+    hash: u64,
+    same: impl Fn(&TableData) -> bool,
+) -> Option<Arc<TableData>> {
+    interner
+        .iter()
+        .filter(|(entry_hash, _)| *entry_hash == hash)
+        .find_map(|(_, weak)| weak.upgrade().filter(|data| same(data)))
+}
+
 impl ConfigTable {
-    /// Interns the space spanned by `specs`, in configuration order —
+    /// The table of the space spanned by `specs`, in configuration order —
     /// identical to [`ConfigurationSpace::table`] over the same specs,
     /// without cloning them into a space first.
+    ///
+    /// Interned by content: if a live table over equal specs exists, this
+    /// returns a handle to its storage, so every runtime built over the same
+    /// actuators shares one table. Otherwise the table is built from each
+    /// setting's predicted effects and registered for later callers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the space has more than `u32::MAX` configurations (see
+    /// [`Self::cardinality_of`]).
     pub fn new(specs: &[&ActuatorSpec]) -> Self {
+        let Some(cardinality) = Self::cardinality_of(specs.iter().copied()) else {
+            panic!(
+                "configuration space too large to intern (more than {} configurations)",
+                u32::MAX
+            );
+        };
+        let hash = key_hash(content_key(specs));
+        // Nothing below can panic while the lock is held, and the interner
+        // holds only weak handles, so a poisoned lock is safe to reuse.
+        let interner = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(data) = find_live(&interner, hash, |data| {
+            data.key.iter().copied().eq(content_key(specs))
+        }) {
+            return ConfigTable { data };
+        }
+        drop(interner);
+
+        let built = Arc::new(TableData::build(specs, cardinality));
+        let mut interner = INTERNER.lock().unwrap_or_else(PoisonError::into_inner);
+        interner.retain(|(_, weak)| weak.strong_count() > 0);
+        // A concurrent caller may have interned the same space meanwhile:
+        // share its table rather than registering a twin.
+        if let Some(data) = find_live(&interner, hash, |data| data.key == built.key) {
+            return ConfigTable { data };
+        }
+        interner.push((hash, Arc::downgrade(&built)));
+        ConfigTable { data: built }
+    }
+
+    /// Number of joint configurations the space spanned by `specs` holds —
+    /// 0 for no specs — or `None` when it exceeds `u32::MAX`, more than a
+    /// [`ConfigId`] can address, so no table can intern it.
+    pub fn cardinality_of<'a>(specs: impl IntoIterator<Item = &'a ActuatorSpec>) -> Option<usize> {
+        let mut specs = specs.into_iter();
+        let Some(first) = specs.next() else {
+            return Some(0);
+        };
+        specs
+            .try_fold(first.len(), |product, spec| product.checked_mul(spec.len()))
+            .filter(|&cardinality| cardinality <= u32::MAX as usize)
+    }
+
+    /// Number of live handles to this table's storage, this one included:
+    /// one per runtime (or other holder) over the same action space. The
+    /// interner itself holds none.
+    pub fn holders(&self) -> usize {
+        Arc::strong_count(&self.data)
+    }
+
+    /// Number of interned configurations (the space's cardinality).
+    pub fn len(&self) -> usize {
+        self.data.effects.len()
+    }
+
+    /// `true` when the space has no configurations.
+    pub fn is_empty(&self) -> bool {
+        self.data.effects.is_empty()
+    }
+
+    /// Number of actuators per configuration.
+    pub fn arity(&self) -> usize {
+        self.data.radices.len()
+    }
+
+    /// The id of the all-nominal configuration.
+    pub fn nominal(&self) -> ConfigId {
+        self.data.nominal
+    }
+
+    /// The setting chosen for actuator `pos` by configuration `id`.
+    #[inline]
+    pub fn setting(&self, id: ConfigId, pos: usize) -> SettingIndex {
+        (id.index() / self.data.strides[pos]) % self.data.radices[pos]
+    }
+
+    /// Decodes `id` into `out` (cleared and refilled), without allocating
+    /// when `out` already has capacity.
+    pub fn write_settings(&self, id: ConfigId, out: &mut Configuration) {
+        out.0.clear();
+        for pos in 0..self.arity() {
+            out.0.push(self.setting(id, pos));
+        }
+    }
+
+    /// Materialises `id` as an owned [`Configuration`] (boundary use only;
+    /// the hot path passes ids).
+    pub fn config_of(&self, id: ConfigId) -> Configuration {
+        let mut config = Configuration::new(Vec::with_capacity(self.arity()));
+        self.write_settings(id, &mut config);
+        config
+    }
+
+    /// Interns `config`, returning its id — or `None` if the configuration's
+    /// arity or any setting is out of range for the space.
+    pub fn id_of(&self, config: &Configuration) -> Option<ConfigId> {
+        let data = &*self.data;
+        if config.len() != data.radices.len() || data.effects.is_empty() {
+            return None;
+        }
+        let mut id = 0usize;
+        for (pos, &setting) in config.settings().iter().enumerate() {
+            if setting >= data.radices[pos] {
+                return None;
+            }
+            id += setting * data.strides[pos];
+        }
+        Some(ConfigId(id as u32))
+    }
+
+    /// The declared joint effect of `id`, bit-identical to
+    /// [`ConfigurationSpace::predicted_effect`] on the materialised
+    /// configuration.
+    #[inline]
+    pub fn declared_effect(&self, id: ConfigId) -> PredictedEffect {
+        self.data.effects[id.index()]
+    }
+
+    /// Ids sorted ascending by declared speedup (ties by id).
+    pub fn by_declared_speedup(&self) -> &[ConfigId] {
+        &self.data.by_speedup
+    }
+
+    /// Ids sorted ascending by declared power (ties by id).
+    pub fn by_declared_power(&self) -> &[ConfigId] {
+        &self.data.by_power
+    }
+
+    /// The declared power multiplier of the cheapest configuration (the
+    /// floor any power envelope must admit). 1.0 for an empty table.
+    pub fn min_declared_power(&self) -> f64 {
+        self.data
+            .by_power
+            .first()
+            .map_or(1.0, |&id| self.declared_effect(id).power)
+    }
+
+    /// The declared power multiplier of the most expensive configuration —
+    /// the per-table power ceiling an application can reach flat out. 1.0
+    /// for an empty table.
+    pub fn max_declared_power(&self) -> f64 {
+        self.data
+            .by_power
+            .last()
+            .map_or(1.0, |&id| self.declared_effect(id).power)
+    }
+
+    /// Number of single-actuator neighbours of any configuration.
+    pub fn neighbor_count(&self) -> usize {
+        self.data.radices.iter().map(|r| r - 1).sum()
+    }
+
+    /// The `k`-th neighbour of `id`, in the same order as
+    /// [`ConfigurationSpace::neighbors`]: actuators in position order, each
+    /// actuator's candidate settings ascending, skipping the current one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= neighbor_count()`.
+    pub fn neighbor(&self, id: ConfigId, mut k: usize) -> ConfigId {
+        for pos in 0..self.arity() {
+            let options = self.data.radices[pos] - 1;
+            if k < options {
+                let current = self.setting(id, pos);
+                // Candidates are 0..radix skipping `current`.
+                let candidate = if k < current { k } else { k + 1 };
+                let delta = candidate as isize - current as isize;
+                let new = id.index() as isize + delta * self.data.strides[pos] as isize;
+                return ConfigId(new as u32);
+            }
+            k -= options;
+        }
+        panic!("neighbor index out of range");
+    }
+}
+
+/// Two handles are equal when they share storage or their tables are equal
+/// (whatever specs they were interned from).
+impl PartialEq for ConfigTable {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.data, &*other.data);
+        Arc::ptr_eq(&self.data, &other.data)
+            || (a.radices == b.radices
+                && a.nominal == b.nominal
+                && a.effects == b.effects
+                && a.by_speedup == b.by_speedup
+                && a.by_power == b.by_power)
+    }
+}
+
+impl TableData {
+    /// Builds the table of `specs` (whose space holds `cardinality`
+    /// configurations) from each setting's predicted effects: one row per
+    /// setting, then one product of rows per id.
+    fn build(specs: &[&ActuatorSpec], cardinality: usize) -> Self {
         let radices: Vec<usize> = specs.iter().map(|spec| spec.len()).collect();
         let mut strides = vec![1usize; radices.len()];
         for pos in (0..radices.len().saturating_sub(1)).rev() {
             strides[pos] = strides[pos + 1] * radices[pos + 1];
         }
-        let cardinality = if radices.is_empty() {
-            0
-        } else {
-            radices.iter().product()
-        };
-        assert!(
-            cardinality <= u32::MAX as usize,
-            "configuration space too large to intern ({cardinality} configurations)"
-        );
-        let mut effects = Vec::with_capacity(cardinality);
-        let mut settings = vec![0usize; radices.len()];
-        for id in 0..cardinality {
-            decode_into(id, &radices, &strides, &mut settings);
-            let mut effect = PredictedEffect::nominal();
-            for (spec, &setting) in specs.iter().zip(settings.iter()) {
-                // Settings decoded from a valid id are always in range, so
-                // the per-axis lookups cannot fail; the multiplication order
-                // matches `ConfigurationSpace::predicted_effect` exactly.
-                effect.performance *= spec
-                    .predicted_effect(setting, Axis::Performance)
-                    .expect("decoded setting in range");
-                effect.power *= spec
-                    .predicted_effect(setting, Axis::Power)
-                    .expect("decoded setting in range");
-                effect.accuracy *= spec
-                    .predicted_effect(setting, Axis::Accuracy)
-                    .expect("decoded setting in range");
-            }
-            effects.push(effect);
-        }
+        let rows: Vec<Vec<[f64; 3]>> = specs
+            .iter()
+            .map(|spec| spec.predicted_rows().collect())
+            .collect();
+        let effects: Vec<PredictedEffect> = (0..cardinality)
+            .map(|id| {
+                // Actuators multiply in position order from the all-nominal
+                // effect, exactly as `ConfigurationSpace::predicted_effect`.
+                let mut effect = PredictedEffect::nominal();
+                for (pos, spec_rows) in rows.iter().enumerate() {
+                    let [performance, power, accuracy] =
+                        spec_rows[(id / strides[pos]) % radices[pos]];
+                    effect.performance *= performance;
+                    effect.power *= power;
+                    effect.accuracy *= accuracy;
+                }
+                effect
+            })
+            .collect();
         let mut by_speedup: Vec<ConfigId> = (0..cardinality as u32).map(ConfigId).collect();
         by_speedup.sort_by(|a, b| {
             effects[a.index()]
@@ -365,10 +615,15 @@ impl ConfigTable {
         let nominal = if cardinality == 0 {
             ConfigId(0)
         } else {
-            let nominal_settings: Vec<usize> = specs.iter().map(|spec| spec.nominal()).collect();
-            ConfigId(encode(&nominal_settings, &strides) as u32)
+            let id: usize = specs
+                .iter()
+                .zip(&strides)
+                .map(|(spec, &stride)| spec.nominal() * stride)
+                .sum();
+            ConfigId(id as u32)
         };
-        ConfigTable {
+        TableData {
+            key: content_key(specs).collect(),
             radices,
             strides,
             nominal,
@@ -377,142 +632,6 @@ impl ConfigTable {
             by_power,
         }
     }
-
-    /// Number of interned configurations (the space's cardinality).
-    pub fn len(&self) -> usize {
-        self.effects.len()
-    }
-
-    /// `true` when the space has no configurations.
-    pub fn is_empty(&self) -> bool {
-        self.effects.is_empty()
-    }
-
-    /// Number of actuators per configuration.
-    pub fn arity(&self) -> usize {
-        self.radices.len()
-    }
-
-    /// The id of the all-nominal configuration.
-    pub fn nominal(&self) -> ConfigId {
-        self.nominal
-    }
-
-    /// The setting chosen for actuator `pos` by configuration `id`.
-    #[inline]
-    pub fn setting(&self, id: ConfigId, pos: usize) -> SettingIndex {
-        (id.index() / self.strides[pos]) % self.radices[pos]
-    }
-
-    /// Decodes `id` into `out` (cleared and refilled), without allocating
-    /// when `out` already has capacity.
-    pub fn write_settings(&self, id: ConfigId, out: &mut Configuration) {
-        out.0.clear();
-        for pos in 0..self.radices.len() {
-            out.0.push(self.setting(id, pos));
-        }
-    }
-
-    /// Materialises `id` as an owned [`Configuration`] (boundary use only;
-    /// the hot path passes ids).
-    pub fn config_of(&self, id: ConfigId) -> Configuration {
-        let mut config = Configuration::new(Vec::with_capacity(self.radices.len()));
-        self.write_settings(id, &mut config);
-        config
-    }
-
-    /// Interns `config`, returning its id — or `None` if the configuration's
-    /// arity or any setting is out of range for the space.
-    pub fn id_of(&self, config: &Configuration) -> Option<ConfigId> {
-        if config.len() != self.radices.len() || self.effects.is_empty() {
-            return None;
-        }
-        let mut id = 0usize;
-        for (pos, &setting) in config.settings().iter().enumerate() {
-            if setting >= self.radices[pos] {
-                return None;
-            }
-            id += setting * self.strides[pos];
-        }
-        Some(ConfigId(id as u32))
-    }
-
-    /// The declared joint effect of `id`, bit-identical to
-    /// [`ConfigurationSpace::predicted_effect`] on the materialised
-    /// configuration.
-    #[inline]
-    pub fn declared_effect(&self, id: ConfigId) -> PredictedEffect {
-        self.effects[id.index()]
-    }
-
-    /// Ids sorted ascending by declared speedup (ties by id).
-    pub fn by_declared_speedup(&self) -> &[ConfigId] {
-        &self.by_speedup
-    }
-
-    /// Ids sorted ascending by declared power (ties by id).
-    pub fn by_declared_power(&self) -> &[ConfigId] {
-        &self.by_power
-    }
-
-    /// The declared power multiplier of the cheapest configuration (the
-    /// floor any power envelope must admit). 1.0 for an empty table.
-    pub fn min_declared_power(&self) -> f64 {
-        self.by_power
-            .first()
-            .map_or(1.0, |&id| self.effects[id.index()].power)
-    }
-
-    /// The declared power multiplier of the most expensive configuration —
-    /// the per-table power ceiling an application can reach flat out. 1.0
-    /// for an empty table.
-    pub fn max_declared_power(&self) -> f64 {
-        self.by_power
-            .last()
-            .map_or(1.0, |&id| self.effects[id.index()].power)
-    }
-
-    /// Number of single-actuator neighbours of any configuration.
-    pub fn neighbor_count(&self) -> usize {
-        self.radices.iter().map(|r| r - 1).sum()
-    }
-
-    /// The `k`-th neighbour of `id`, in the same order as
-    /// [`ConfigurationSpace::neighbors`]: actuators in position order, each
-    /// actuator's candidate settings ascending, skipping the current one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= neighbor_count()`.
-    pub fn neighbor(&self, id: ConfigId, mut k: usize) -> ConfigId {
-        for pos in 0..self.radices.len() {
-            let options = self.radices[pos] - 1;
-            if k < options {
-                let current = self.setting(id, pos);
-                // Candidates are 0..radix skipping `current`.
-                let candidate = if k < current { k } else { k + 1 };
-                let delta = candidate as isize - current as isize;
-                let new = id.index() as isize + delta * self.strides[pos] as isize;
-                return ConfigId(new as u32);
-            }
-            k -= options;
-        }
-        panic!("neighbor index out of range");
-    }
-}
-
-fn decode_into(id: usize, radices: &[usize], strides: &[usize], out: &mut [usize]) {
-    for pos in 0..radices.len() {
-        out[pos] = (id / strides[pos]) % radices[pos];
-    }
-}
-
-fn encode(settings: &[usize], strides: &[usize]) -> usize {
-    settings
-        .iter()
-        .zip(strides)
-        .map(|(&s, &stride)| s * stride)
-        .sum()
 }
 
 #[cfg(test)]
@@ -718,6 +837,83 @@ mod tests {
         assert_eq!(table.len(), 0);
         assert_eq!(table.neighbor_count(), 0);
         assert_eq!(table.id_of(&Configuration::new(vec![])), None);
+    }
+
+    /// `count` two-setting actuators whose "on" effect is `on`.
+    fn binary_specs(count: usize, on: f64) -> Vec<ActuatorSpec> {
+        (0..count)
+            .map(|i| {
+                ActuatorSpec::builder(format!("switch-{i}"))
+                    .setting(SettingSpec::new("off"))
+                    .setting(SettingSpec::new("on").effect(Axis::Performance, on))
+                    .build()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cardinality_is_checked_against_the_id_range() {
+        let cardinality = |count: usize| ConfigTable::cardinality_of(&binary_specs(count, 1.5));
+        assert_eq!(ConfigTable::cardinality_of(&[]), Some(0));
+        assert_eq!(cardinality(1), Some(2));
+        assert_eq!(cardinality(31), Some(1 << 31));
+        // 2^32 is one more than a u32 id can address; 2^64 wraps an
+        // unchecked usize product to zero.
+        assert_eq!(cardinality(32), None);
+        assert_eq!(cardinality(33), None);
+        assert_eq!(cardinality(64), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "too large")]
+    fn sixty_four_binary_actuators_do_not_intern_as_an_empty_table() {
+        let specs = binary_specs(64, 1.5);
+        let _ = ConfigTable::new(&specs.iter().collect::<Vec<_>>());
+    }
+
+    /// Interner entries whose key is `specs`' content key, dead or alive.
+    fn entries_for(specs: &[&ActuatorSpec]) -> usize {
+        let key: Vec<u64> = content_key(specs).collect();
+        let hash = key_hash(key.iter().copied());
+        INTERNER
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter(|(entry_hash, weak)| {
+                *entry_hash == hash && weak.upgrade().is_none_or(|data| data.key == key)
+            })
+            .count()
+    }
+
+    #[test]
+    fn a_miss_prunes_dead_entries() {
+        // Effects unique to this test, so no parallel test shares them.
+        let specs = binary_specs(3, 1.000_731);
+        let refs: Vec<&ActuatorSpec> = specs.iter().collect();
+        let table = ConfigTable::new(&refs);
+        assert_eq!(entries_for(&refs), 1);
+        drop(table);
+        // Any miss prunes every dead entry, this one included.
+        let other = binary_specs(3, 1.000_732);
+        let _other = ConfigTable::new(&other.iter().collect::<Vec<_>>());
+        assert_eq!(entries_for(&refs), 0);
+    }
+
+    #[test]
+    fn a_poisoned_interner_still_interns() {
+        let _ = std::thread::spawn(|| {
+            let _guard = INTERNER.lock();
+            panic!("poison the interner");
+        })
+        .join();
+        let specs = binary_specs(2, 1.000_733);
+        let refs: Vec<&ActuatorSpec> = specs.iter().collect();
+        let first = ConfigTable::new(&refs);
+        let second = ConfigTable::new(&refs);
+        assert_eq!(first.by_declared_power().as_ptr(), second.by_declared_power().as_ptr());
+        assert_eq!(first.holders(), 2);
+        assert_eq!(first.len(), 4);
     }
 
     #[test]

@@ -195,20 +195,35 @@ impl ActuatorSpec {
         index: SettingIndex,
         axis: Axis,
     ) -> Result<f64, ActuationError> {
-        let multiplier = self
+        let setting = self
             .setting(index)
-            .map(|s| s.effect_on(axis))
             .ok_or_else(|| ActuationError::UnknownSetting {
                 actuator: self.name.clone(),
                 requested: index,
                 available: self.settings.len(),
             })?;
-        let exponent = self.axis_exponent(axis);
-        Ok(if exponent == 1.0 {
-            multiplier
-        } else {
-            multiplier.powf(exponent)
+        Ok(shaped(setting.effect_on(axis), self.axis_exponent(axis)))
+    }
+
+    /// [`Self::predicted_effect`] of every setting, in index order, on
+    /// performance, power and accuracy — without the bounds check, since
+    /// every index visited exists.
+    pub(crate) fn predicted_rows(&self) -> impl Iterator<Item = [f64; 3]> + '_ {
+        const AXES: [Axis; 3] = [Axis::Performance, Axis::Power, Axis::Accuracy];
+        let exponents = AXES.map(|axis| self.axis_exponent(axis));
+        self.settings.iter().map(move |setting| {
+            std::array::from_fn(|i| shaped(setting.effect_on(AXES[i]), exponents[i]))
         })
+    }
+}
+
+/// A declared multiplier raised to its axis exponent, skipping the
+/// exponentiation when the exponent is 1.0.
+fn shaped(multiplier: f64, exponent: f64) -> f64 {
+    if exponent == 1.0 {
+        multiplier
+    } else {
+        multiplier.powf(exponent)
     }
 }
 

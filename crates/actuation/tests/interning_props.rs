@@ -1,26 +1,35 @@
 //! Property tests: configuration interning must round-trip for arbitrary
 //! spaces — `ConfigId` → settings → the same `ConfigId` — and the arena's
 //! precomputed effects and neighbour enumeration must agree exactly with
-//! the unmemoized `ConfigurationSpace` queries they replace.
+//! the unmemoized `ConfigurationSpace` queries they replace. The interned
+//! table must equal, bit for bit, the per-id construction it replaced
+//! (kept here as [`oracle`]), and the interner must share storage exactly
+//! between specs whose predictions are equal and hold no table alive.
 
 use actuation::{
-    ActuatorSpec, Axis, ConfigId, Configuration, ConfigurationSpace, SettingSpec,
+    ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, ConfigurationSpace, PredictedEffect,
+    SettingSpec,
 };
 use proptest::prelude::*;
 
 /// Builds a deterministic space from a shape vector: one actuator per
-/// entry, that many settings, with effects derived from the indices.
-fn space_from_shape(radices: &[usize]) -> ConfigurationSpace {
+/// entry, that many settings, with effects derived from the indices, and
+/// `power_exponent` as every actuator's power-axis exponent.
+fn space_from_shape(radices: &[usize], power_exponent: f64) -> ConfigurationSpace {
     let specs = radices
         .iter()
         .enumerate()
         .map(|(actuator, &settings)| {
-            let mut builder = ActuatorSpec::builder(format!("actuator-{actuator}"));
+            let mut builder = ActuatorSpec::builder(format!("actuator-{actuator}"))
+                .axis_exponent(Axis::Power, power_exponent);
             for setting in 0..settings {
                 builder = builder.setting(
                     SettingSpec::new(format!("s{setting}"))
                         .effect(Axis::Performance, 0.5 + setting as f64 * 0.7)
-                        .effect(Axis::Power, 0.3 + setting as f64 * (actuator + 1) as f64 * 0.4),
+                        .effect(
+                            Axis::Power,
+                            0.3 + setting as f64 * (actuator + 1) as f64 * 0.4,
+                        ),
                 );
             }
             builder
@@ -32,15 +41,86 @@ fn space_from_shape(radices: &[usize]) -> ConfigurationSpace {
     ConfigurationSpace::new(specs)
 }
 
+/// The per-id construction the interned table replaced, kept as the
+/// reference: every configuration's joint effect from
+/// `ConfigurationSpace::predicted_effect`, ids stably sorted by declared
+/// speedup and by declared power, and the nominal configuration's id.
+struct Oracle {
+    effects: Vec<PredictedEffect>,
+    by_speedup: Vec<ConfigId>,
+    by_power: Vec<ConfigId>,
+    nominal: ConfigId,
+}
+
+fn oracle(space: &ConfigurationSpace) -> Oracle {
+    let effects: Vec<PredictedEffect> = space
+        .iter()
+        .map(|config| {
+            space
+                .predicted_effect(&config)
+                .expect("valid configuration")
+        })
+        .collect();
+    let ids = || (0..effects.len() as u32).map(ConfigId);
+    let mut by_speedup: Vec<ConfigId> = ids().collect();
+    by_speedup.sort_by(|a, b| {
+        effects[a.index()]
+            .performance
+            .total_cmp(&effects[b.index()].performance)
+            .then(a.cmp(b))
+    });
+    let mut by_power: Vec<ConfigId> = ids().collect();
+    by_power.sort_by(|a, b| {
+        effects[a.index()]
+            .power
+            .total_cmp(&effects[b.index()].power)
+            .then(a.cmp(b))
+    });
+    let nominal = space
+        .iter()
+        .position(|config| config == space.nominal())
+        .map_or(ConfigId(0), |index| ConfigId(index as u32));
+    Oracle {
+        effects,
+        by_speedup,
+        by_power,
+        nominal,
+    }
+}
+
+/// Asserts `table` equals the oracle bit for bit.
+fn assert_matches_oracle(table: &ConfigTable, oracle: &Oracle) {
+    assert_eq!(table.len(), oracle.effects.len());
+    for (index, expected) in oracle.effects.iter().enumerate() {
+        let got = table.declared_effect(ConfigId(index as u32));
+        assert_eq!(
+            got.performance.to_bits(),
+            expected.performance.to_bits(),
+            "id {index}"
+        );
+        assert_eq!(got.power.to_bits(), expected.power.to_bits(), "id {index}");
+        assert_eq!(
+            got.accuracy.to_bits(),
+            expected.accuracy.to_bits(),
+            "id {index}"
+        );
+    }
+    assert_eq!(table.by_declared_speedup(), &oracle.by_speedup[..]);
+    assert_eq!(table.by_declared_power(), &oracle.by_power[..]);
+    assert_eq!(table.nominal(), oracle.nominal);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn interning_round_trips_and_matches_the_space(
         radices in proptest::collection::vec(1usize..5, 1..5),
+        exponent_index in 0usize..3,
     ) {
-        let space = space_from_shape(&radices);
+        let space = space_from_shape(&radices, [1.0, 1.15, 2.2][exponent_index]);
         let table = space.table();
+        assert_matches_oracle(&table, &oracle(&space));
         prop_assert_eq!(table.len(), space.cardinality());
         prop_assert_eq!(table.arity(), space.arity());
         prop_assert_eq!(table.config_of(table.nominal()), space.nominal());
@@ -95,4 +175,186 @@ proptest! {
             prop_assert!(table.declared_effect(pair[0]).power <= table.declared_effect(pair[1]).power);
         }
     }
+}
+
+// The tests below use effect values no other test in this binary declares,
+// so tables interned by tests running in parallel never share an entry.
+
+/// A two-actuator space with effects unique to the test that passes `tag`.
+fn tagged_specs(tag: f64) -> Vec<ActuatorSpec> {
+    let dvfs = ActuatorSpec::builder("dvfs")
+        .setting(
+            SettingSpec::new("slow")
+                .effect(Axis::Performance, 0.5 + tag)
+                .effect(Axis::Power, 0.4 + tag),
+        )
+        .setting(SettingSpec::new("nominal"))
+        .setting(
+            SettingSpec::new("fast")
+                .effect(Axis::Performance, 1.9 + tag)
+                .effect(Axis::Power, 2.7 + tag),
+        )
+        .nominal(1)
+        .build()
+        .expect("valid spec");
+    let cores = ActuatorSpec::builder("cores")
+        .setting(SettingSpec::new("1"))
+        .setting(
+            SettingSpec::new("2")
+                .effect(Axis::Performance, 1.8 + tag)
+                .effect(Axis::Power, 2.1 + tag)
+                .effect(Axis::Accuracy, 0.9 + tag),
+        )
+        .build()
+        .expect("valid spec");
+    vec![dvfs, cores]
+}
+
+fn table_of(specs: &[ActuatorSpec]) -> ConfigTable {
+    ConfigTable::new(&specs.iter().collect::<Vec<_>>())
+}
+
+fn shares_storage(a: &ConfigTable, b: &ConfigTable) -> bool {
+    a.by_declared_power().as_ptr() == b.by_declared_power().as_ptr()
+}
+
+#[test]
+fn equal_predictions_share_one_table() {
+    let specs = tagged_specs(0.001_173);
+    let first = table_of(&specs);
+    let second = table_of(&specs);
+    assert!(shares_storage(&first, &second));
+    let via_space = ConfigurationSpace::new(specs.clone()).table();
+    assert!(shares_storage(&first, &via_space));
+    assert_eq!(first.holders(), 3);
+    // Names, labels, delays and scopes are not part of the key: the table
+    // is a function of the predicted effects alone.
+    let renamed: Vec<ActuatorSpec> = specs
+        .iter()
+        .map(|spec| {
+            spec.settings()
+                .iter()
+                .enumerate()
+                .fold(
+                    ActuatorSpec::builder(format!("{}-renamed", spec.name())),
+                    |b, (i, setting)| {
+                        let mut renamed = SettingSpec::new(format!("setting {i}"));
+                        for axis in setting.declared_axes() {
+                            renamed = renamed.effect(axis, setting.effect_on(axis));
+                        }
+                        b.setting(renamed)
+                    },
+                )
+                .nominal(spec.nominal())
+                .delay(0.25)
+                .build()
+                .expect("valid spec")
+        })
+        .collect();
+    assert!(shares_storage(&first, &table_of(&renamed)));
+    // A unity exponent predicts the declared bits, so it shares too.
+    let unity: Vec<ActuatorSpec> = tagged_specs(0.001_173)
+        .into_iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            if i == 0 {
+                with_power_exponent(&spec, 1.0)
+            } else {
+                spec
+            }
+        })
+        .collect();
+    assert!(shares_storage(&first, &table_of(&unity)));
+}
+
+/// `spec` rebuilt with a power-axis exponent.
+fn with_power_exponent(spec: &ActuatorSpec, exponent: f64) -> ActuatorSpec {
+    spec.settings()
+        .iter()
+        .fold(ActuatorSpec::builder(spec.name()), |b, setting| {
+            b.setting(setting.clone())
+        })
+        .nominal(spec.nominal())
+        .axis_exponent(Axis::Power, exponent)
+        .build()
+        .expect("valid spec")
+}
+
+#[test]
+fn one_effect_bit_the_nominal_or_an_exponent_intern_apart() {
+    let tag = 0.002_339;
+    let base_specs = tagged_specs(tag);
+    let base = table_of(&base_specs);
+
+    // One effect, one ulp apart.
+    let mut bit_flipped = tagged_specs(tag);
+    let fast = f64::from_bits((1.9 + tag).to_bits() + 1);
+    bit_flipped[0] = bit_flipped[0]
+        .settings()
+        .iter()
+        .enumerate()
+        .fold(ActuatorSpec::builder("dvfs"), |b, (i, setting)| {
+            b.setting(if i == 2 {
+                setting.clone().effect(Axis::Performance, fast)
+            } else {
+                setting.clone()
+            })
+        })
+        .nominal(1)
+        .build()
+        .expect("valid spec");
+
+    // The same settings, another nominal index.
+    let mut renominated = tagged_specs(tag);
+    renominated[0] = renominated[0]
+        .settings()
+        .iter()
+        .fold(ActuatorSpec::builder("dvfs"), |b, setting| {
+            b.setting(setting.clone())
+        })
+        .nominal(2)
+        .build()
+        .expect("valid spec");
+
+    // The same settings, a convex power prior on one actuator.
+    let mut convex = tagged_specs(tag);
+    convex[1] = with_power_exponent(&convex[1], 1.15);
+
+    for (what, specs) in [
+        ("one effect bit", bit_flipped),
+        ("the nominal index", renominated),
+        ("an axis exponent", convex),
+    ] {
+        let table = table_of(&specs);
+        assert!(!shares_storage(&base, &table), "{what} must intern apart");
+        assert_ne!(base, table, "{what} must intern apart");
+        assert_matches_oracle(&table, &oracle(&ConfigurationSpace::new(specs)));
+    }
+    assert_matches_oracle(&base, &oracle(&ConfigurationSpace::new(base_specs)));
+}
+
+#[test]
+fn dropped_tables_are_not_kept_alive_and_rebuild() {
+    let specs = tagged_specs(0.003_517);
+    let first = table_of(&specs);
+    // The interner holds no strong reference: this handle is the only one.
+    assert_eq!(first.holders(), 1);
+    let second = first.clone();
+    assert!(shares_storage(&first, &second));
+    assert_eq!(first.holders(), 2);
+    drop(first);
+    drop(second);
+    let rebuilt = table_of(&specs);
+    assert_eq!(rebuilt.holders(), 1);
+    assert_matches_oracle(&rebuilt, &oracle(&ConfigurationSpace::new(specs)));
+}
+
+#[test]
+fn tables_are_shareable_across_threads() {
+    fn assert_traits<T: Send + Sync + Clone + PartialEq>() {}
+    assert_traits::<ConfigTable>();
+    let specs = tagged_specs(0.004_621);
+    let here = table_of(&specs);
+    let there = std::thread::scope(|scope| scope.spawn(|| table_of(&specs)).join().unwrap());
+    assert!(shares_storage(&here, &there));
 }

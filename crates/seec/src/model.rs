@@ -11,10 +11,12 @@
 //! ## Representation
 //!
 //! Configurations are interned into the [`ConfigTable`] arena and addressed
-//! by copyable [`ConfigId`] handles. Beliefs live in a dense `Vec` indexed
-//! by id — no hashing, no per-lookup allocation — and two sorted indices
-//! (by believed speedup and by believed power) are maintained incrementally
-//! as observations arrive.
+//! by copyable [`ConfigId`] handles. The table is shared by every model
+//! over the same action space; what a model owns is per-application state.
+//! Beliefs live in a dense `Vec` indexed by id — no hashing, no per-lookup
+//! allocation — and two sorted indices (by believed speedup and by believed
+//! power), started from the table's declared orders, are maintained
+//! incrementally as observations arrive.
 //!
 //! ## Selection
 //!
@@ -445,6 +447,13 @@ impl ActionModel {
     /// Number of distinct configurations observed at least once.
     pub fn observed_configurations(&self) -> usize {
         self.observed
+    }
+
+    /// The model's own sort orders, by believed speedup and by believed
+    /// power.
+    #[cfg(test)]
+    pub(crate) fn believed_orders(&self) -> (&[ConfigId], &[ConfigId]) {
+        (&self.by_speedup, &self.by_power)
     }
 }
 

@@ -130,17 +130,9 @@ impl SeecRuntimeBuilder {
     /// re-observed. This is the *phase-stale beliefs* experiment — a
     /// runtime that has settled one duty notch above the optimum only
     /// re-tries the cheaper configuration once its stale belief has aged
-    /// back toward the prior.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `halflife_periods` is NaN, zero, or negative (use
-    /// `f64::INFINITY` to disable).
+    /// back toward the prior. A NaN, zero, or negative halflife makes
+    /// [`Self::build`] fail (use `f64::INFINITY` to disable).
     pub fn belief_halflife(mut self, halflife_periods: f64) -> Self {
-        assert!(
-            halflife_periods > 0.0,
-            "belief halflife must be positive, got {halflife_periods}"
-        );
         self.belief_halflife = halflife_periods;
         self
     }
@@ -154,10 +146,19 @@ impl SeecRuntimeBuilder {
 
     /// Builds the runtime.
     ///
+    /// The runtime's action space is the [`ConfigTable`] of its actuators'
+    /// specs, interned by content: every runtime built over equal specs —
+    /// the same platform — shares one immutable table, so a launch builds
+    /// no table while the platform's table is live. What the runtime owns
+    /// is per-application state only: beliefs, their two sort orders and
+    /// ranks, and the exploration RNG.
+    ///
     /// # Errors
     ///
-    /// Returns [`SeecError::NoActuators`] when no actuator was registered, or
-    /// [`SeecError::InvalidParameter`] when an override target is not positive.
+    /// Returns [`SeecError::NoActuators`] when no actuator was registered,
+    /// or [`SeecError::InvalidParameter`] when an override target is not
+    /// positive, the belief halflife is NaN, zero, or negative, or the
+    /// actuators span more than `u32::MAX` configurations.
     pub fn build(self) -> Result<SeecRuntime, SeecError> {
         if self.actuators.is_empty() {
             return Err(SeecError::NoActuators);
@@ -168,6 +169,18 @@ impl SeecRuntimeBuilder {
                     "target heart rate must be positive, got {target}"
                 )));
             }
+        }
+        if self.belief_halflife.is_nan() || self.belief_halflife <= 0.0 {
+            return Err(SeecError::InvalidParameter(format!(
+                "belief halflife must be positive, got {}",
+                self.belief_halflife
+            )));
+        }
+        if ConfigTable::cardinality_of(self.actuators.iter().map(|a| a.spec())).is_none() {
+            return Err(SeecError::InvalidParameter(format!(
+                "the actuators span more than {} configurations",
+                u32::MAX
+            )));
         }
         let specs: Vec<&ActuatorSpec> = self.actuators.iter().map(|a| a.spec()).collect();
         let table = ConfigTable::new(&specs);
@@ -1116,10 +1129,193 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "halflife")]
-    fn non_positive_belief_halflife_panics() {
+    fn non_positive_belief_halflife_is_a_typed_error() {
+        let build = |halflife: f64| {
+            let registry = HeartbeatRegistry::new("app");
+            SeecRuntime::builder(registry.monitor())
+                .actuator(Box::new(TableActuator::new(dvfs_spec())))
+                .belief_halflife(halflife)
+                .build()
+        };
+        for bad in [f64::NAN, 0.0, -1.0] {
+            match build(bad) {
+                Err(SeecError::InvalidParameter(reason)) => {
+                    assert!(reason.contains("halflife"), "halflife {bad}: {reason}")
+                }
+                other => panic!("halflife {bad} must be rejected, got {other:?}"),
+            }
+        }
+        assert!(build(f64::INFINITY).is_ok());
+        assert!(build(2.0).is_ok());
+    }
+
+    /// `count` identical two-setting actuators.
+    fn binary_actuators(count: usize) -> Vec<Box<dyn Actuator>> {
+        (0..count)
+            .map(|i| {
+                let spec = ActuatorSpec::builder(format!("switch-{i}"))
+                    .setting(SettingSpec::new("off"))
+                    .setting(SettingSpec::new("on").effect(Axis::Performance, 1.01))
+                    .build()
+                    .unwrap();
+                Box::new(TableActuator::new(spec)) as Box<dyn Actuator>
+            })
+            .collect()
+    }
+
+    #[test]
+    fn action_spaces_beyond_u32_configurations_are_a_typed_error() {
+        // 2^33 configurations overflow a ConfigId; 2^64 also wraps a usize
+        // product to zero, which must not pass for an empty space.
+        for count in [33, 64] {
+            let registry = HeartbeatRegistry::new("app");
+            let result = SeecRuntime::builder(registry.monitor())
+                .actuators(binary_actuators(count))
+                .target_heart_rate(10.0)
+                .build();
+            assert!(
+                matches!(
+                    result,
+                    Err(SeecError::InvalidParameter(ref reason)) if reason.contains("configurations")
+                ),
+                "{count} binary actuators must be rejected, got {result:?}"
+            );
+        }
+    }
+
+    /// The action space of the calibrated Xeon platform's shape: 8 core
+    /// counts × 7 clocks × 10 duty cycles = 560 configurations, with the
+    /// convex utilisation-power prior on cores and duty.
+    fn xeon_shaped_actuators() -> Vec<Box<dyn Actuator>> {
+        let cores = (1..=8).fold(
+            ActuatorSpec::builder("cores").axis_exponent(Axis::Power, 1.15),
+            |builder, n| {
+                builder.setting(
+                    SettingSpec::new(format!("{n} cores"))
+                        .effect(Axis::Performance, n as f64)
+                        .effect(Axis::Power, n as f64),
+                )
+            },
+        );
+        let clock = (0..7).fold(ActuatorSpec::builder("clock"), |builder, step| {
+            let ratio = 1.0 + step as f64 * 0.133;
+            builder.setting(
+                SettingSpec::new(format!("p{step}"))
+                    .effect(Axis::Performance, ratio)
+                    .effect(Axis::Power, ratio.powf(2.2)),
+            )
+        });
+        let duty = (1..=10).fold(
+            ActuatorSpec::builder("active-cycles").axis_exponent(Axis::Power, 1.15),
+            |builder, step| {
+                let duty = step as f64 / 10.0;
+                builder.setting(
+                    SettingSpec::new(format!("{step}0%"))
+                        .effect(Axis::Performance, duty)
+                        .effect(Axis::Power, duty),
+                )
+            },
+        );
+        [cores.nominal(0), clock.nominal(0), duty.nominal(9)]
+            .into_iter()
+            .map(|builder| {
+                Box::new(TableActuator::new(builder.build().unwrap())) as Box<dyn Actuator>
+            })
+            .collect()
+    }
+
+    /// A runtime over [`xeon_shaped_actuators`] with a 40 beats/s goal.
+    fn xeon_shaped_runtime() -> (SeecRuntime, HeartbeatRegistry) {
         let registry = HeartbeatRegistry::new("app");
-        let _ = SeecRuntime::builder(registry.monitor()).belief_halflife(0.0);
+        registry
+            .issuer()
+            .set_goal(Goal::Performance(PerformanceGoal::heart_rate(40.0)));
+        let runtime = SeecRuntime::builder(registry.monitor())
+            .actuators(xeon_shaped_actuators())
+            .seed(21)
+            .build()
+            .unwrap();
+        (runtime, registry)
+    }
+
+    /// One closed-loop period on a platform whose true speedup is 80 % of
+    /// the declared one: beats at the delivered rate, a power sample, then
+    /// a decision.
+    fn xeon_shaped_period(
+        runtime: &mut SeecRuntime,
+        registry: &HeartbeatRegistry,
+        now: &mut f64,
+    ) -> Decision {
+        let declared = runtime
+            .model()
+            .table()
+            .declared_effect(runtime.current_config_id());
+        let rate = 10.0 * 0.8 * declared.performance;
+        for _ in 0..8 {
+            *now += 1.0 / rate;
+            registry.issuer().heartbeat(*now);
+        }
+        registry.monitor().record_power_sample(*now, 20.0 * declared.power);
+        runtime.decide(*now).unwrap()
+    }
+
+    /// Everything a runtime's model learned: belief bits and counts, then
+    /// both sort orders.
+    type LearnedState = (Vec<(u64, u64, u64)>, Vec<ConfigId>, Vec<ConfigId>);
+
+    fn learned_state(runtime: &SeecRuntime) -> LearnedState {
+        let model = runtime.model();
+        let beliefs = (0..model.table().len() as u32)
+            .map(|i| {
+                let belief = model.believed(ConfigId(i));
+                (belief.speedup.to_bits(), belief.powerup.to_bits(), belief.observations)
+            })
+            .collect();
+        let (by_speedup, by_power) = model.believed_orders();
+        (beliefs, by_speedup.to_vec(), by_power.to_vec())
+    }
+
+    #[test]
+    fn runtimes_over_equal_specs_share_one_table_but_learn_alone() {
+        // Reference: a runtime built and driven with no other holder of
+        // its action space.
+        let (mut alone, registry) = xeon_shaped_runtime();
+        let mut now = 0.0;
+        let alone_stream: Vec<Decision> = (0..60)
+            .map(|_| xeon_shaped_period(&mut alone, &registry, &mut now))
+            .collect();
+        let alone_state = learned_state(&alone);
+        let declared_speedup_order = alone.model().table().by_declared_speedup().to_vec();
+        drop(alone);
+
+        let (mut learner, _learner_registry) = xeon_shaped_runtime();
+        let (mut shared, registry) = xeon_shaped_runtime();
+        assert_eq!(learner.model().table().len(), 560);
+        assert_eq!(
+            learner.model().table().by_declared_power().as_ptr(),
+            shared.model().table().by_declared_power().as_ptr(),
+            "runtimes over equal specs must share one table"
+        );
+        assert_eq!(shared.model().table().holders(), 2);
+
+        // Interleave: the learner learns that the fastest configurations
+        // are slow, which reorders its speedup index, while the other
+        // runtime runs the reference loop.
+        let mut now = 0.0;
+        let mut shared_stream = Vec::new();
+        for period in 0..60 {
+            let id = declared_speedup_order[declared_speedup_order.len() - 1 - period % 40];
+            learner.model.observe_id(id, 0.05 + period as f64 * 0.001, 0.5);
+            shared_stream.push(xeon_shaped_period(&mut shared, &registry, &mut now));
+        }
+        assert_ne!(
+            learner.model().believed_orders().0,
+            learner.model().table().by_declared_speedup(),
+            "the learner's own speedup order must have moved"
+        );
+        assert_eq!(learner.model().table().by_declared_speedup(), &declared_speedup_order[..]);
+        assert_eq!(shared_stream, alone_stream);
+        assert_eq!(learned_state(&shared), alone_state);
     }
 
     #[test]
