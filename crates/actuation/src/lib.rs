@@ -17,14 +17,14 @@
 //!   or the whole system.
 //!
 //! The [`Actuator`] trait captures the "function that changes the setting";
-//! [`ActuatorSpec`] captures everything else. A [`ConfigurationSpace`]
-//! combines several actuators into a joint search space the decision engine
-//! can optimise over.
+//! [`ActuatorSpec`] captures everything else. Several actuators span a joint
+//! search space whose effects multiply across actuators.
 //!
 //! The decision engine runs on a [`ConfigTable`]: every joint
-//! configuration as a dense [`ConfigId`] with its declared effect
-//! precomputed. Declared effects belong to the platform, so there is one
-//! table per distinct action space. [`ConfigTable::new`] interns by
+//! configuration as a dense [`ConfigId`] — lexicographic over the setting
+//! indices, last actuator fastest — with its declared effect precomputed.
+//! Declared effects belong to the platform, so there is one table per
+//! distinct action space. [`ConfigTable::new`] interns by
 //! content — setting counts, nominal indices, and the bits of every
 //! setting's predicted effect — and holds each table weakly, so every
 //! runtime built over equal specs shares one immutable table.
@@ -59,5 +59,5 @@ mod spec;
 
 pub use actuator::{Actuator, FnActuator, TableActuator};
 pub use error::ActuationError;
-pub use space::{ConfigId, ConfigTable, Configuration, ConfigurationSpace, PredictedEffect};
+pub use space::{ConfigId, ConfigTable, Configuration, PredictedEffect};
 pub use spec::{ActuatorSpec, ActuatorSpecBuilder, Axis, Scope, SettingIndex, SettingSpec};

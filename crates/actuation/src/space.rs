@@ -2,7 +2,6 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::ActuationError;
 use crate::spec::{ActuatorSpec, Axis, SettingIndex};
 
 /// A joint configuration: one setting index per actuator, in actuator order.
@@ -102,172 +101,12 @@ impl Default for PredictedEffect {
     }
 }
 
-/// The joint search space spanned by a set of actuator specifications.
-///
-/// The space assumes effects compose multiplicatively across actuators —
-/// the same first-order model SEEC uses to seed its controllers before any
-/// runtime observation corrects it (DAC 2012 §3.3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ConfigurationSpace {
-    specs: Vec<ActuatorSpec>,
-}
-
-impl ConfigurationSpace {
-    /// Creates a space over the given actuator specifications.
-    pub fn new(specs: Vec<ActuatorSpec>) -> Self {
-        ConfigurationSpace { specs }
-    }
-
-    /// The actuator specifications, in configuration order.
-    pub fn specs(&self) -> &[ActuatorSpec] {
-        &self.specs
-    }
-
-    /// Number of actuators in the space.
-    pub fn arity(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// Total number of joint configurations.
-    pub fn cardinality(&self) -> usize {
-        if self.specs.is_empty() {
-            return 0;
-        }
-        self.specs.iter().map(ActuatorSpec::len).product()
-    }
-
-    /// The all-nominal configuration.
-    pub fn nominal(&self) -> Configuration {
-        Configuration::new(self.specs.iter().map(ActuatorSpec::nominal).collect())
-    }
-
-    /// Checks that `config` addresses every actuator with a valid setting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActuationError::UnknownSetting`] for the first actuator whose
-    /// setting index is out of range, or [`ActuationError::InvalidSpec`] when
-    /// the configuration arity does not match the space.
-    pub fn validate(&self, config: &Configuration) -> Result<(), ActuationError> {
-        if config.len() != self.specs.len() {
-            return Err(ActuationError::InvalidSpec(format!(
-                "configuration has {} entries but the space has {} actuators",
-                config.len(),
-                self.specs.len()
-            )));
-        }
-        for (spec, &setting) in self.specs.iter().zip(config.settings()) {
-            if setting >= spec.len() {
-                return Err(ActuationError::UnknownSetting {
-                    actuator: spec.name().to_string(),
-                    requested: setting,
-                    available: spec.len(),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Predicted joint effect of `config`, multiplying per-actuator effects.
-    ///
-    /// # Errors
-    ///
-    /// Propagates validation errors from [`Self::validate`].
-    pub fn predicted_effect(
-        &self,
-        config: &Configuration,
-    ) -> Result<PredictedEffect, ActuationError> {
-        self.validate(config)?;
-        let mut effect = PredictedEffect::nominal();
-        for (spec, &setting) in self.specs.iter().zip(config.settings()) {
-            effect.performance *= spec.predicted_effect(setting, Axis::Performance)?;
-            effect.power *= spec.predicted_effect(setting, Axis::Power)?;
-            effect.accuracy *= spec.predicted_effect(setting, Axis::Accuracy)?;
-        }
-        Ok(effect)
-    }
-
-    /// Iterates over every joint configuration in lexicographic order.
-    pub fn iter(&self) -> ConfigurationIter<'_> {
-        ConfigurationIter {
-            space: self,
-            next: if self.cardinality() == 0 {
-                None
-            } else {
-                Some(vec![0; self.specs.len()])
-            },
-        }
-    }
-
-    /// The interned-configuration arena for this space: dense
-    /// [`ConfigId`] handles, precomputed declared effects, and
-    /// speedup-/power-sorted indices — shared with every other table over
-    /// equal specs. See [`ConfigTable::new`].
-    pub fn table(&self) -> ConfigTable {
-        ConfigTable::new(&self.specs.iter().collect::<Vec<_>>())
-    }
-
-    /// Configurations that differ from `config` in exactly one actuator.
-    pub fn neighbors(&self, config: &Configuration) -> Vec<Configuration> {
-        let mut out = Vec::new();
-        for (pos, spec) in self.specs.iter().enumerate() {
-            let current = config.setting(pos).unwrap_or(spec.nominal());
-            for candidate in 0..spec.len() {
-                if candidate != current {
-                    let mut settings = config.settings().to_vec();
-                    settings[pos] = candidate;
-                    out.push(Configuration::new(settings));
-                }
-            }
-        }
-        out
-    }
-}
-
-impl FromIterator<ActuatorSpec> for ConfigurationSpace {
-    fn from_iter<I: IntoIterator<Item = ActuatorSpec>>(iter: I) -> Self {
-        ConfigurationSpace::new(iter.into_iter().collect())
-    }
-}
-
-/// Iterator over every configuration of a [`ConfigurationSpace`].
-#[derive(Debug)]
-pub struct ConfigurationIter<'a> {
-    space: &'a ConfigurationSpace,
-    next: Option<Vec<SettingIndex>>,
-}
-
-impl Iterator for ConfigurationIter<'_> {
-    type Item = Configuration;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let current = self.next.clone()?;
-        // Advance like an odometer, most-significant actuator first.
-        let mut following = current.clone();
-        let mut pos = following.len();
-        loop {
-            if pos == 0 {
-                self.next = None;
-                break;
-            }
-            pos -= 1;
-            following[pos] += 1;
-            if following[pos] < self.space.specs[pos].len() {
-                self.next = Some(following);
-                break;
-            }
-            following[pos] = 0;
-        }
-        Some(Configuration::new(current))
-    }
-}
-
 /// A small, copyable handle to one interned joint configuration.
 ///
-/// Ids are dense (`0..cardinality`) and ordered exactly like
-/// [`ConfigurationSpace::iter`] (lexicographic, last actuator fastest), so
-/// iterating ids in order visits the same configurations in the same order
-/// as iterating the space — without allocating a settings vector per step.
+/// Ids are dense (`0..cardinality`) and ordered lexicographically over the
+/// per-actuator setting indices, last actuator fastest, so iterating ids in
+/// order visits every joint configuration once without allocating a
+/// settings vector per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ConfigId(pub u32);
 
@@ -285,7 +124,8 @@ impl std::fmt::Display for ConfigId {
     }
 }
 
-/// The interned-configuration arena of a [`ConfigurationSpace`].
+/// The interned-configuration arena of the joint space spanned by a set of
+/// actuator specifications.
 ///
 /// Instead of materialising a `Vec<SettingIndex>` per joint configuration,
 /// the table identifies each configuration by a mixed-radix [`ConfigId`] and
@@ -314,12 +154,12 @@ struct TableData {
     key: Vec<u64>,
     /// Settings per actuator, in configuration order.
     radices: Vec<usize>,
-    /// Mixed-radix strides: `strides[last] == 1`, matching the iteration
-    /// order of [`ConfigurationSpace::iter`].
+    /// Mixed-radix strides: `strides[last] == 1`, so ids are lexicographic,
+    /// last actuator fastest.
     strides: Vec<usize>,
     nominal: ConfigId,
-    /// Declared joint effect of every id, bit-identical to
-    /// [`ConfigurationSpace::predicted_effect`].
+    /// Declared joint effect of every id: the product, in actuator order,
+    /// of each setting's predicted effect.
     effects: Vec<PredictedEffect>,
     /// Ids sorted ascending by (declared speedup, id).
     by_speedup: Vec<ConfigId>,
@@ -364,9 +204,8 @@ fn find_live(
 }
 
 impl ConfigTable {
-    /// The table of the space spanned by `specs`, in configuration order —
-    /// identical to [`ConfigurationSpace::table`] over the same specs,
-    /// without cloning them into a space first.
+    /// The table of the space spanned by `specs`, in configuration order.
+    /// This is the one way to build a table.
     ///
     /// Interned by content: if a live table over equal specs exists, this
     /// returns a handle to its storage, so every runtime built over the same
@@ -487,9 +326,9 @@ impl ConfigTable {
         Some(ConfigId(id as u32))
     }
 
-    /// The declared joint effect of `id`, bit-identical to
-    /// [`ConfigurationSpace::predicted_effect`] on the materialised
-    /// configuration.
+    /// The declared joint effect of `id`: starting from the all-nominal
+    /// effect, each actuator's predicted effect for its setting multiplied
+    /// in, in actuator order.
     #[inline]
     pub fn declared_effect(&self, id: ConfigId) -> PredictedEffect {
         self.data.effects[id.index()]
@@ -529,9 +368,9 @@ impl ConfigTable {
         self.data.radices.iter().map(|r| r - 1).sum()
     }
 
-    /// The `k`-th neighbour of `id`, in the same order as
-    /// [`ConfigurationSpace::neighbors`]: actuators in position order, each
-    /// actuator's candidate settings ascending, skipping the current one.
+    /// The `k`-th neighbour of `id` (a configuration that differs from it in
+    /// exactly one actuator): actuators in position order, each actuator's
+    /// candidate settings ascending, skipping the current one.
     ///
     /// # Panics
     ///
@@ -584,7 +423,7 @@ impl TableData {
         let effects: Vec<PredictedEffect> = (0..cardinality)
             .map(|id| {
                 // Actuators multiply in position order from the all-nominal
-                // effect, exactly as `ConfigurationSpace::predicted_effect`.
+                // effect.
                 let mut effect = PredictedEffect::nominal();
                 for (pos, spec_rows) in rows.iter().enumerate() {
                     let [performance, power, accuracy] =
@@ -639,7 +478,7 @@ mod tests {
     use super::*;
     use crate::spec::SettingSpec;
 
-    fn space() -> ConfigurationSpace {
+    fn table() -> ConfigTable {
         let dvfs = ActuatorSpec::builder("dvfs")
             .setting(
                 SettingSpec::new("slow")
@@ -664,73 +503,18 @@ mod tests {
             )
             .build()
             .unwrap();
-        ConfigurationSpace::new(vec![dvfs, cores])
-    }
-
-    #[test]
-    fn cardinality_and_nominal() {
-        let s = space();
-        assert_eq!(s.arity(), 2);
-        assert_eq!(s.cardinality(), 6);
-        assert_eq!(s.nominal(), Configuration::new(vec![1, 0]));
-        assert_eq!(ConfigurationSpace::new(vec![]).cardinality(), 0);
-    }
-
-    #[test]
-    fn iterator_visits_every_configuration_once() {
-        let s = space();
-        let all: Vec<_> = s.iter().collect();
-        assert_eq!(all.len(), 6);
-        let mut dedup = all.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 6);
-        for config in &all {
-            assert!(s.validate(config).is_ok());
-        }
-    }
-
-    #[test]
-    fn empty_space_iterates_nothing() {
-        let s = ConfigurationSpace::new(vec![]);
-        assert_eq!(s.iter().count(), 0);
+        ConfigTable::new(&[&dvfs, &cores])
     }
 
     #[test]
     fn predicted_effects_multiply() {
-        let s = space();
-        let effect = s
-            .predicted_effect(&Configuration::new(vec![0, 2]))
-            .unwrap();
+        let table = table();
+        let id = table.id_of(&Configuration::new(vec![0, 2])).unwrap();
+        let effect = table.declared_effect(id);
         assert!((effect.performance - 0.5 * 3.0).abs() < 1e-12);
         assert!((effect.power - 0.4 * 4.0).abs() < 1e-12);
         assert_eq!(effect.accuracy, 1.0);
         assert!((effect.efficiency() - 1.5 / 1.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn validation_rejects_bad_configurations() {
-        let s = space();
-        assert!(s.validate(&Configuration::new(vec![0])).is_err());
-        assert!(s.validate(&Configuration::new(vec![0, 9])).is_err());
-        assert!(s.predicted_effect(&Configuration::new(vec![5, 0])).is_err());
-    }
-
-    #[test]
-    fn neighbors_differ_in_exactly_one_position() {
-        let s = space();
-        let base = Configuration::new(vec![1, 1]);
-        let neighbors = s.neighbors(&base);
-        assert_eq!(neighbors.len(), 1 + 2);
-        for n in neighbors {
-            let diffs = n
-                .settings()
-                .iter()
-                .zip(base.settings())
-                .filter(|(a, b)| a != b)
-                .count();
-            assert_eq!(diffs, 1);
-        }
     }
 
     #[test]
@@ -744,40 +528,30 @@ mod tests {
     }
 
     #[test]
-    fn table_ids_match_iteration_order() {
-        let s = space();
-        let table = s.table();
-        assert_eq!(table.len(), s.cardinality());
-        assert_eq!(table.arity(), s.arity());
-        for (i, config) in s.iter().enumerate() {
+    fn table_ids_are_lexicographic_last_actuator_fastest() {
+        let table = table();
+        assert_eq!(table.len(), 6);
+        assert_eq!(table.arity(), 2);
+        let order: Vec<Vec<SettingIndex>> = (0..6)
+            .map(|i| table.config_of(ConfigId(i)).settings().to_vec())
+            .collect();
+        assert_eq!(
+            order,
+            [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]].map(Vec::from)
+        );
+        for (i, settings) in order.into_iter().enumerate() {
             let id = ConfigId(i as u32);
-            assert_eq!(table.config_of(id), config);
-            assert_eq!(table.id_of(&config), Some(id));
-            for pos in 0..config.len() {
-                assert_eq!(Some(table.setting(id, pos)), config.setting(pos));
-            }
+            assert_eq!(table.id_of(&Configuration::new(settings)), Some(id));
         }
-        assert_eq!(table.config_of(table.nominal()), s.nominal());
-    }
-
-    #[test]
-    fn table_effects_match_space_predictions() {
-        let s = space();
-        let table = s.table();
-        for (i, config) in s.iter().enumerate() {
-            let expected = s.predicted_effect(&config).unwrap();
-            let got = table.declared_effect(ConfigId(i as u32));
-            // Bit-identical, not merely close: the arena must be a drop-in
-            // replacement for on-the-fly prediction.
-            assert_eq!(expected.performance.to_bits(), got.performance.to_bits());
-            assert_eq!(expected.power.to_bits(), got.power.to_bits());
-            assert_eq!(expected.accuracy.to_bits(), got.accuracy.to_bits());
-        }
+        assert_eq!(
+            table.config_of(table.nominal()),
+            Configuration::new(vec![1, 0])
+        );
     }
 
     #[test]
     fn table_rejects_invalid_configurations() {
-        let table = space().table();
+        let table = table();
         assert_eq!(table.id_of(&Configuration::new(vec![0])), None);
         assert_eq!(table.id_of(&Configuration::new(vec![0, 9])), None);
         assert_eq!(table.id_of(&Configuration::new(vec![0, 0, 0])), None);
@@ -785,7 +559,7 @@ mod tests {
 
     #[test]
     fn sorted_indices_are_ordered() {
-        let table = space().table();
+        let table = table();
         let speedups: Vec<f64> = table
             .by_declared_speedup()
             .iter()
@@ -802,22 +576,8 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_enumeration_matches_space_neighbors() {
-        let s = space();
-        let table = s.table();
-        for (i, config) in s.iter().enumerate() {
-            let id = ConfigId(i as u32);
-            let expected = s.neighbors(&config);
-            assert_eq!(table.neighbor_count(), expected.len());
-            for (k, neighbor) in expected.iter().enumerate() {
-                assert_eq!(&table.config_of(table.neighbor(id, k)), neighbor);
-            }
-        }
-    }
-
-    #[test]
     fn power_ceiling_helpers_follow_the_sorted_index() {
-        let table = space().table();
+        let table = table();
         let powers: Vec<f64> = table
             .by_declared_power()
             .iter()
@@ -825,14 +585,14 @@ mod tests {
             .collect();
         assert_eq!(table.min_declared_power(), powers[0]);
         assert_eq!(table.max_declared_power(), *powers.last().unwrap());
-        let empty = ConfigurationSpace::new(vec![]).table();
+        let empty = ConfigTable::new(&[]);
         assert_eq!(empty.min_declared_power(), 1.0);
         assert_eq!(empty.max_declared_power(), 1.0);
     }
 
     #[test]
     fn empty_space_table_is_empty() {
-        let table = ConfigurationSpace::new(vec![]).table();
+        let table = ConfigTable::new(&[]);
         assert!(table.is_empty());
         assert_eq!(table.len(), 0);
         assert_eq!(table.neighbor_count(), 0);

@@ -1,21 +1,91 @@
 //! Property tests: configuration interning must round-trip for arbitrary
-//! spaces — `ConfigId` → settings → the same `ConfigId` — and the arena's
+//! spaces — `ConfigId` → settings → the same `ConfigId` — and the table's
 //! precomputed effects and neighbour enumeration must agree exactly with
-//! the unmemoized `ConfigurationSpace` queries they replace. The interned
-//! table must equal, bit for bit, the per-id construction it replaced
-//! (kept here as [`oracle`]), and the interner must share storage exactly
-//! between specs whose predictions are equal and hold no table alive.
+//! the unmemoized queries of [`Space`], a reference kept in this file that
+//! never calls `ConfigTable`. The interned table must equal, bit for bit,
+//! the per-id construction it replaced (kept here as [`oracle`]), and the
+//! interner must share storage exactly between specs whose predictions are
+//! equal and hold no table alive.
 
 use actuation::{
-    ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, ConfigurationSpace, PredictedEffect,
-    SettingSpec,
+    ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, PredictedEffect, SettingSpec,
 };
 use proptest::prelude::*;
+
+/// The reference joint space spanned by a set of actuator specs: an
+/// odometer over the setting indices and a per-spec product of predicted
+/// effects, computed on the fly for one configuration at a time.
+struct Space {
+    specs: Vec<ActuatorSpec>,
+}
+
+impl Space {
+    /// Every joint configuration, lexicographic over the setting indices,
+    /// last actuator fastest (none for no specs). The odometer counts
+    /// settings one at a time, so no cardinality is ever multiplied out.
+    fn configurations(&self) -> Vec<Configuration> {
+        let mut all = Vec::new();
+        if self.specs.is_empty() {
+            return all;
+        }
+        let mut current = vec![0; self.specs.len()];
+        loop {
+            all.push(Configuration::new(current.clone()));
+            let mut pos = current.len();
+            loop {
+                if pos == 0 {
+                    return all;
+                }
+                pos -= 1;
+                current[pos] += 1;
+                if current[pos] < self.specs[pos].len() {
+                    break;
+                }
+                current[pos] = 0;
+            }
+        }
+    }
+
+    /// The all-nominal configuration.
+    fn nominal(&self) -> Configuration {
+        Configuration::new(self.specs.iter().map(ActuatorSpec::nominal).collect())
+    }
+
+    /// Predicted joint effect of `config`: each actuator's predicted effect
+    /// for its setting, multiplied in actuator order from the all-nominal
+    /// effect.
+    fn predicted_effect(&self, config: &Configuration) -> PredictedEffect {
+        let mut effect = PredictedEffect::nominal();
+        for (spec, &setting) in self.specs.iter().zip(config.settings()) {
+            let on = |axis| spec.predicted_effect(setting, axis).expect("valid setting");
+            effect.performance *= on(Axis::Performance);
+            effect.power *= on(Axis::Power);
+            effect.accuracy *= on(Axis::Accuracy);
+        }
+        effect
+    }
+
+    /// Configurations that differ from `config` in exactly one actuator:
+    /// actuators in position order, candidate settings ascending.
+    fn neighbors(&self, config: &Configuration) -> Vec<Configuration> {
+        let mut out = Vec::new();
+        for (pos, spec) in self.specs.iter().enumerate() {
+            for candidate in 0..spec.len() {
+                if Some(candidate) != config.setting(pos) {
+                    let mut settings = config.settings().to_vec();
+                    settings[pos] = candidate;
+                    out.push(Configuration::new(settings));
+                }
+            }
+        }
+        out
+    }
+}
 
 /// Builds a deterministic space from a shape vector: one actuator per
 /// entry, that many settings, with effects derived from the indices, and
 /// `power_exponent` as every actuator's power-axis exponent.
-fn space_from_shape(radices: &[usize], power_exponent: f64) -> ConfigurationSpace {
+fn space_from_shape(radices: &[usize], power_exponent: f64) -> Space {
     let specs = radices
         .iter()
         .enumerate()
@@ -38,13 +108,13 @@ fn space_from_shape(radices: &[usize], power_exponent: f64) -> ConfigurationSpac
                 .expect("generated spec is valid")
         })
         .collect();
-    ConfigurationSpace::new(specs)
+    Space { specs }
 }
 
 /// The per-id construction the interned table replaced, kept as the
 /// reference: every configuration's joint effect from
-/// `ConfigurationSpace::predicted_effect`, ids stably sorted by declared
-/// speedup and by declared power, and the nominal configuration's id.
+/// [`Space::predicted_effect`], ids stably sorted by declared speedup and
+/// by declared power, and the nominal configuration's id.
 struct Oracle {
     effects: Vec<PredictedEffect>,
     by_speedup: Vec<ConfigId>,
@@ -52,14 +122,11 @@ struct Oracle {
     nominal: ConfigId,
 }
 
-fn oracle(space: &ConfigurationSpace) -> Oracle {
-    let effects: Vec<PredictedEffect> = space
+fn oracle(space: &Space) -> Oracle {
+    let configurations = space.configurations();
+    let effects: Vec<PredictedEffect> = configurations
         .iter()
-        .map(|config| {
-            space
-                .predicted_effect(&config)
-                .expect("valid configuration")
-        })
+        .map(|config| space.predicted_effect(config))
         .collect();
     let ids = || (0..effects.len() as u32).map(ConfigId);
     let mut by_speedup: Vec<ConfigId> = ids().collect();
@@ -76,9 +143,9 @@ fn oracle(space: &ConfigurationSpace) -> Oracle {
             .total_cmp(&effects[b.index()].power)
             .then(a.cmp(b))
     });
-    let nominal = space
+    let nominal = configurations
         .iter()
-        .position(|config| config == space.nominal())
+        .position(|config| *config == space.nominal())
         .map_or(ConfigId(0), |index| ConfigId(index as u32));
     Oracle {
         effects,
@@ -119,13 +186,14 @@ proptest! {
         exponent_index in 0usize..3,
     ) {
         let space = space_from_shape(&radices, [1.0, 1.15, 2.2][exponent_index]);
-        let table = space.table();
+        let table = table_of(&space.specs);
         assert_matches_oracle(&table, &oracle(&space));
-        prop_assert_eq!(table.len(), space.cardinality());
-        prop_assert_eq!(table.arity(), space.arity());
+        let configurations = space.configurations();
+        prop_assert_eq!(table.len(), configurations.len());
+        prop_assert_eq!(table.arity(), space.specs.len());
         prop_assert_eq!(table.config_of(table.nominal()), space.nominal());
 
-        for (index, config) in space.iter().enumerate() {
+        for (index, config) in configurations.into_iter().enumerate() {
             let id = ConfigId(index as u32);
 
             // ConfigId → settings → the same ConfigId.
@@ -139,7 +207,7 @@ proptest! {
             // Precomputed declared effects are bit-identical to the
             // space's on-the-fly prediction.
             let declared = table.declared_effect(id);
-            let predicted = space.predicted_effect(&config).expect("valid configuration");
+            let predicted = space.predicted_effect(&config);
             prop_assert_eq!(declared.performance.to_bits(), predicted.performance.to_bits());
             prop_assert_eq!(declared.power.to_bits(), predicted.power.to_bits());
             prop_assert_eq!(declared.accuracy.to_bits(), predicted.accuracy.to_bits());
@@ -224,8 +292,9 @@ fn equal_predictions_share_one_table() {
     let first = table_of(&specs);
     let second = table_of(&specs);
     assert!(shares_storage(&first, &second));
-    let via_space = ConfigurationSpace::new(specs.clone()).table();
-    assert!(shares_storage(&first, &via_space));
+    // Equal content in another allocation interns to the same table.
+    let copied = table_of(&specs.clone());
+    assert!(shares_storage(&first, &copied));
     assert_eq!(first.holders(), 3);
     // Names, labels, delays and scopes are not part of the key: the table
     // is a function of the predicted effects alone.
@@ -328,9 +397,9 @@ fn one_effect_bit_the_nominal_or_an_exponent_intern_apart() {
         let table = table_of(&specs);
         assert!(!shares_storage(&base, &table), "{what} must intern apart");
         assert_ne!(base, table, "{what} must intern apart");
-        assert_matches_oracle(&table, &oracle(&ConfigurationSpace::new(specs)));
+        assert_matches_oracle(&table, &oracle(&Space { specs }));
     }
-    assert_matches_oracle(&base, &oracle(&ConfigurationSpace::new(base_specs)));
+    assert_matches_oracle(&base, &oracle(&Space { specs: base_specs }));
 }
 
 #[test]
@@ -346,7 +415,7 @@ fn dropped_tables_are_not_kept_alive_and_rebuild() {
     drop(second);
     let rebuilt = table_of(&specs);
     assert_eq!(rebuilt.holders(), 1);
-    assert_matches_oracle(&rebuilt, &oracle(&ConfigurationSpace::new(specs)));
+    assert_matches_oracle(&rebuilt, &oracle(&Space { specs }));
 }
 
 #[test]

@@ -71,13 +71,6 @@ impl ReconfigurableCache {
         }
     }
 
-    /// Creates a cache with a specific SRAM model (topology / energy numbers).
-    pub fn with_sram(geometry: CacheGeometry, sram: SramModel) -> Self {
-        let mut cache = ReconfigurableCache::new(geometry);
-        cache.sram = sram;
-        cache
-    }
-
     /// The full-capacity geometry.
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry

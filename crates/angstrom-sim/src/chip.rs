@@ -179,21 +179,9 @@ impl AngstromChip {
         &self.tiles
     }
 
-    /// Mutable access to the tiles (for attaching probes, inspecting
-    /// counters, or modelling per-tile variation).
-    pub fn tiles_mut(&mut self) -> &mut [Tile] {
-        &mut self.tiles
-    }
-
     /// The network model.
     pub fn noc(&self) -> &NocModel {
         &self.noc
-    }
-
-    /// Mutable access to the network model (for installing AOR routing
-    /// tables or reconfiguring the bandwidth allocator).
-    pub fn noc_mut(&mut self) -> &mut NocModel {
-        &mut self.noc
     }
 
     /// Current simulation time, in seconds.

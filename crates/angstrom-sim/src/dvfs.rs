@@ -161,12 +161,6 @@ impl DvfsController {
         &self.energy_model
     }
 
-    /// Replaces the energy model (used to model process variation between
-    /// tiles).
-    pub fn set_energy_model(&mut self, model: CoreEnergyModel) {
-        self.energy_model = model;
-    }
-
     /// Dynamic + leakage energy of executing `cycles` cycles plus idling for
     /// `idle_seconds` at the current point, in joules.
     pub fn energy(&self, cycles: f64, idle_seconds: f64) -> f64 {

@@ -1,20 +1,18 @@
 //! Vendored, offline stand-in for the [`parking_lot`](https://docs.rs/parking_lot)
 //! crate.
 //!
-//! Wraps `std::sync` primitives behind parking_lot's poison-free API: lock
-//! acquisition returns guards directly instead of `Result`s. A poisoned lock
-//! (a thread panicked while holding it) propagates the panic, which matches
-//! how callers of the real parking_lot behave under the same failure.
+//! Wraps `std::sync::RwLock` behind parking_lot's poison-free API: lock
+//! acquisition returns guards directly instead of `Result`s. Like the real
+//! parking_lot, a lock whose holder panicked is not poisoned: the next
+//! caller gets the guard and sees whatever state the holder left.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-use std::sync::{
-    Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Reader-writer lock with parking_lot's non-poisoning guard API.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct RwLock<T>(StdRwLock<T>);
 
 impl<T> RwLock<T> {
@@ -32,32 +30,6 @@ impl<T> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Mutual-exclusion lock with parking_lot's non-poisoning guard API.
-#[derive(Debug, Default)]
-pub struct Mutex<T>(StdMutex<T>);
-
-impl<T> Mutex<T> {
-    /// Creates a mutex protecting `value`.
-    pub fn new(value: T) -> Self {
-        Mutex(StdMutex::new(value))
-    }
-
-    /// Acquires the mutex, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 #[cfg(test)]
@@ -65,17 +37,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rwlock_round_trips() {
+    fn rwlock_reads_back_its_writes() {
         let lock = RwLock::new(1);
         assert_eq!(*lock.read(), 1);
         *lock.write() += 1;
-        assert_eq!(lock.into_inner(), 2);
+        assert_eq!(*lock.read(), 2);
     }
 
     #[test]
-    fn mutex_round_trips() {
-        let m = Mutex::new("a".to_string());
-        m.lock().push('b');
-        assert_eq!(m.into_inner(), "ab");
+    fn a_panicked_writer_does_not_poison_the_lock() {
+        let lock = std::sync::Arc::new(RwLock::new(1));
+        let held = std::sync::Arc::clone(&lock);
+        let _ = std::thread::spawn(move || {
+            *held.write() = 2;
+            panic!("poison the lock");
+        })
+        .join();
+        assert_eq!(*lock.read(), 2);
     }
 }

@@ -7,9 +7,11 @@
 //!
 //! * the [`proptest!`] macro with an optional `#![proptest_config(...)]`
 //!   header and `arg in strategy` parameter lists,
-//! * range strategies (`0.5..2.0f64`, `0u32..8`, `1usize..=8`),
-//! * [`collection::vec`] for `Vec` strategies,
-//! * [`prop_assert!`], [`prop_assert_eq!`], and [`prop_assert_ne!`].
+//! * range strategies over `f64` (`0.5..2.0f64`) and over `u32`, `u64`
+//!   and `usize` (`0u32..8`, `1usize..=8`),
+//! * [`collection::vec`] for `Vec` strategies, sized by a fixed length or
+//!   a half-open range,
+//! * [`prop_assert!`] and [`prop_assert_eq!`].
 //!
 //! Unlike the real proptest, generation is **deterministic** (seeded from
 //! the test name) and failing cases are not shrunk — failures report the
@@ -112,14 +114,6 @@ impl Strategy for Range<f64> {
     }
 }
 
-impl Strategy for Range<f32> {
-    type Value = f32;
-
-    fn generate(&self, rng: &mut TestRng) -> f32 {
-        self.start + (rng.next_f64() as f32) * (self.end - self.start)
-    }
-}
-
 macro_rules! impl_strategy_int_ranges {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
@@ -145,12 +139,12 @@ macro_rules! impl_strategy_int_ranges {
     )*};
 }
 
-impl_strategy_int_ranges!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_strategy_int_ranges!(u32, u64, usize);
 
 /// Strategies over collections.
 pub mod collection {
     use super::{Strategy, TestRng};
-    use std::ops::{Range, RangeInclusive};
+    use std::ops::Range;
 
     /// A concrete collection-length range.
     ///
@@ -180,15 +174,6 @@ pub mod collection {
             SizeRange {
                 start: range.start,
                 end: range.end,
-            }
-        }
-    }
-
-    impl From<RangeInclusive<usize>> for SizeRange {
-        fn from(range: RangeInclusive<usize>) -> Self {
-            SizeRange {
-                start: *range.start(),
-                end: range.end() + 1,
             }
         }
     }
@@ -223,10 +208,7 @@ pub mod collection {
 
 /// Everything a property-test module needs in scope.
 pub mod prelude {
-    pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, proptest, ProptestConfig, Strategy,
-        TestCaseError, TestRng,
-    };
+    pub use crate::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 }
 
 /// Defines property tests.
@@ -322,25 +304,10 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Inequality assertion counterpart of [`prop_assert!`].
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            left != right,
-            "assertion failed: `{} != {}` (both: {:?})",
-            stringify!($left),
-            stringify!($right),
-            left
-        );
-    }};
-}
-
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::Strategy;
+    use crate::{Strategy, TestRng};
 
     #[test]
     fn rng_is_deterministic_per_name() {
@@ -381,7 +348,7 @@ mod tests {
         fn the_macro_itself_works(x in 1.0e-3..1.0f64, n in 1usize..=4) {
             prop_assert!(x > 0.0);
             prop_assert_eq!(n * 2, n + n);
-            prop_assert_ne!(n, 0);
+            prop_assert!(n != 0);
         }
     }
 }

@@ -68,7 +68,7 @@ macro_rules! impl_sample_int_range {
     )*};
 }
 
-impl_sample_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_int_range!(u32, u64, usize, i64);
 
 /// Generators constructible from a seed.
 pub trait SeedableRng: Sized {

@@ -4,7 +4,7 @@
 //! vendored `serde_json` crate renders that tree as text. This indirection
 //! keeps the derive macro trivial and the printer in one place.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// A JSON-like value tree: the intermediate representation every
 /// [`Serialize`] impl lowers into.
@@ -54,16 +54,6 @@ pub trait Serialize {
     fn to_value(&self) -> Value;
 }
 
-macro_rules! impl_serialize_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
-            }
-        }
-    )*};
-}
-
 macro_rules! impl_serialize_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -74,14 +64,7 @@ macro_rules! impl_serialize_uint {
     )*};
 }
 
-impl_serialize_int!(i8, i16, i32, i64, isize);
-impl_serialize_uint!(u8, u16, u32, u64, usize);
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
+impl_serialize_uint!(u8, u32, u64, usize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
@@ -92,18 +75,6 @@ impl Serialize for f64 {
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
-    }
-}
-
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
     }
 }
 
@@ -120,18 +91,6 @@ impl Serialize for String {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &mut T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
@@ -176,14 +135,6 @@ impl<T: Serialize> Serialize for BTreeSet<T> {
     }
 }
 
-impl<T: Serialize> Serialize for HashSet<T> {
-    fn to_value(&self) -> Value {
-        // No sort key without an Ord bound; callers needing deterministic
-        // output should prefer BTreeSet (as the workspace does).
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
         Value::Object(
@@ -217,10 +168,8 @@ macro_rules! impl_serialize_tuple {
 }
 
 impl_serialize_tuple! {
-    (A: 0)
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
 }
 
 #[cfg(test)]
@@ -230,7 +179,6 @@ mod tests {
     #[test]
     fn primitives_lower_to_expected_variants() {
         assert_eq!(3u32.to_value(), Value::UInt(3));
-        assert_eq!((-3i32).to_value(), Value::Int(-3));
         assert_eq!(1.5f64.to_value(), Value::Float(1.5));
         assert_eq!(true.to_value(), Value::Bool(true));
         assert_eq!("x".to_value(), Value::String("x".into()));

@@ -242,11 +242,6 @@ impl ManagedApp {
         &self.runtime
     }
 
-    /// Mutable access to the runtime (tuning, manual actuation).
-    pub fn runtime_mut(&mut self) -> &mut SeecRuntime {
-        &mut self.runtime
-    }
-
     /// The arbitration weight.
     pub fn weight(&self) -> f64 {
         self.weight
@@ -1275,11 +1270,6 @@ impl Coordinator {
     /// The application behind `handle`.
     pub fn app(&self, handle: AppHandle) -> &ManagedApp {
         &self.apps[handle.0]
-    }
-
-    /// Mutable access to the application behind `handle`.
-    pub fn app_mut(&mut self, handle: AppHandle) -> &mut ManagedApp {
-        &mut self.apps[handle.0]
     }
 
     /// Every registered application, in registration order.

@@ -207,17 +207,6 @@ impl Figure5 {
         Figure5::compute_scenarios(&scenario_mixes(seed), seed)
     }
 
-    /// Runs the *extended* scenario family
-    /// ([`workloads::extended_scenario_mixes`]): the 100-app arrival storm
-    /// and the 1200-app stepped-budget mix, exercising runtime
-    /// registration/retirement, mid-run budget steps, and the sharded
-    /// coordinator. Kept separate from [`Self::compute`] so `fig5.json`
-    /// stays byte-identical; the fig5 binary writes these to
-    /// `fig5_extended.json` under `--extended`.
-    pub fn compute_extended_with(seed: u64) -> Self {
-        Figure5::compute_scenarios(&extended_scenario_mixes(seed), seed)
-    }
-
     /// Runs the experiment over explicit scenarios (tests use reduced
     /// mixes).
     pub fn compute_scenarios(scenarios: &[Scenario], seed: u64) -> Self {

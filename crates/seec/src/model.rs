@@ -31,8 +31,8 @@
 //! The first two take a `max_powerup` cap on the believed power multiplier
 //! and consider only the admissible prefix of the power index;
 //! `f64::INFINITY` means unconstrained. Selection results are *identical*
-//! to a naive first-match scan over ids in order, which is
-//! [`actuation::ConfigurationSpace::iter`] order: every tie is broken
+//! to a naive first-match scan over ids in order, which is lexicographic
+//! over the setting indices, last actuator fastest: every tie is broken
 //! toward the smaller id, exactly what a lexicographic scan with strict
 //! comparisons produced.
 
@@ -496,7 +496,7 @@ fn reposition<F: Fn(ConfigId) -> f64>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actuation::{ActuatorSpec, Axis, Configuration, ConfigurationSpace, SettingSpec};
+    use actuation::{ActuatorSpec, Axis, Configuration, SettingSpec};
 
     fn table() -> ConfigTable {
         let dvfs = ActuatorSpec::builder("dvfs")
@@ -518,7 +518,7 @@ mod tests {
             )
             .build()
             .unwrap();
-        ConfigurationSpace::new(vec![dvfs, cores]).table()
+        ConfigTable::new(&[&dvfs, &cores])
     }
 
     /// The id of the configuration with the given (dvfs, cores) settings.
@@ -537,7 +537,7 @@ mod tests {
     }
 
     /// Reference implementation: the pre-arena first-match scans over ids
-    /// in order (= `ConfigurationSpace::iter` order), uncapped. The
+    /// in order (lexicographic, last actuator fastest), uncapped. The
     /// index-based selections must agree exactly.
     mod reference {
         use super::*;

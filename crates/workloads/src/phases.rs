@@ -58,12 +58,6 @@ impl Workload {
         }
     }
 
-    /// Creates a workload from an explicit profile (useful for what-if
-    /// studies and tests).
-    pub fn from_profile(profile: WorkloadProfile, seed: u64) -> Self {
-        Workload { profile, seed }
-    }
-
     /// The underlying profile.
     pub fn profile(&self) -> &WorkloadProfile {
         &self.profile
