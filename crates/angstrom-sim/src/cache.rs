@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::sram::SramModel;
+use crate::sram::DEFAULT_SRAM;
 
 /// Cache line size in bytes (fixed across the chip).
 pub const LINE_BYTES: f64 = 64.0;
@@ -48,7 +48,6 @@ pub struct ReconfigurableCache {
     enabled_ways: u32,
     /// log2 of the set-reduction factor (0 = all sets, 1 = half, 2 = quarter...).
     set_reduction_log2: u32,
-    sram: SramModel,
 }
 
 impl ReconfigurableCache {
@@ -67,18 +66,12 @@ impl ReconfigurableCache {
             geometry,
             enabled_ways: geometry.ways,
             set_reduction_log2: 0,
-            sram: SramModel::default(),
         }
     }
 
     /// The full-capacity geometry.
     pub fn geometry(&self) -> CacheGeometry {
         self.geometry
-    }
-
-    /// The SRAM model backing the arrays.
-    pub fn sram(&self) -> &SramModel {
-        &self.sram
     }
 
     /// Currently enabled ways.
@@ -172,18 +165,18 @@ impl ReconfigurableCache {
 
     /// Energy of `accesses` cache accesses at `voltage`, in joules.
     pub fn access_energy(&self, accesses: f64, voltage: f64) -> f64 {
-        self.sram.access_energy(voltage) * accesses
+        DEFAULT_SRAM.access_energy(voltage) * accesses
     }
 
     /// Leakage power of the enabled portion of the arrays at `voltage`, in watts.
     pub fn leakage_power(&self, voltage: f64) -> f64 {
-        self.sram
-            .leakage_power(self.effective_capacity_kb(), voltage)
+        DEFAULT_SRAM.leakage_power(self.effective_capacity_kb(), voltage)
     }
 
-    /// Whether the arrays operate reliably at `voltage` (see [`SramModel`]).
+    /// Whether the arrays operate reliably at `voltage` (see
+    /// [`crate::sram::SramModel`]).
     pub fn is_stable_at(&self, voltage: f64) -> bool {
-        self.sram.is_stable_at(voltage)
+        DEFAULT_SRAM.is_stable_at(voltage)
     }
 }
 

@@ -54,17 +54,20 @@ pub struct SramModel {
     pub leakage_per_kb_at_nominal: f64,
 }
 
+/// The default model — the arrays behind every Angstrom cache.
+pub(crate) const DEFAULT_SRAM: SramModel = SramModel {
+    topology: SramTopology::SubThresholdAssist,
+    // ~20 pJ per 64-byte line access at nominal voltage.
+    access_energy_at_nominal: 20.0e-12,
+    // ~0.15 mW of leakage per KB at nominal voltage: large enabled
+    // arrays cost real power, which is what makes way/set disabling
+    // (DAC 2012 §4.2.1) worth exposing to the runtime.
+    leakage_per_kb_at_nominal: 1.5e-4,
+};
+
 impl Default for SramModel {
     fn default() -> Self {
-        SramModel {
-            topology: SramTopology::SubThresholdAssist,
-            // ~20 pJ per 64-byte line access at nominal voltage.
-            access_energy_at_nominal: 20.0e-12,
-            // ~0.15 mW of leakage per KB at nominal voltage: large enabled
-            // arrays cost real power, which is what makes way/set disabling
-            // (DAC 2012 §4.2.1) worth exposing to the runtime.
-            leakage_per_kb_at_nominal: 1.5e-4,
-        }
+        DEFAULT_SRAM
     }
 }
 

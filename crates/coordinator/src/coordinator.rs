@@ -1,14 +1,13 @@
 //! The multi-application coordinator: N observe–decide–act loops on one
 //! shared quantum schedule, arbitrating one machine-level power budget.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use exec::ExecPool;
 use heartbeats::{HeartbeatMonitor, MonitorObservation};
 use obs::{Counter, Event, EventKind, Recorder, Stage, StageClock};
 use seec::{Decision, SeecError, SeecRuntime};
-use workloads::{HeartbeatedWorkload, QuantumDemand};
+use workloads::HeartbeatedWorkload;
 
 use crate::incremental::{ArbitrationSchedule, IncrementalArbiter, ScheduleError, WakeConfig};
 use crate::policy::{AppRequest, ArbitrationPolicy};
@@ -133,18 +132,16 @@ impl HealthTracker {
 }
 
 /// One application under coordination: its heartbeat-instrumented workload
-/// (the phase driver), the SEEC runtime that manages it, and its place on
-/// the shared schedule.
+/// (the phase driver) and the SEEC runtime that manages it. It is present
+/// from its [`Coordinator::register`] until its [`Coordinator::retire`].
 pub struct ManagedApp {
     name: Arc<str>,
     driver: HeartbeatedWorkload,
     monitor: HeartbeatMonitor,
     runtime: SeecRuntime,
     weight: f64,
-    arrival: usize,
+    /// The quantum [`Coordinator::retire`] stamped (`None` = still present).
     departure: Option<usize>,
-    /// Per-quantum demand phases; the app cycles through them while active.
-    phases: Vec<QuantumDemand>,
     /// Fallback estimate of the app's nominal-configuration power draw, in
     /// watts, used to convert watt envelopes into powerup caps until the
     /// runtime's own estimator has observed real samples. 0 = unknown.
@@ -161,7 +158,6 @@ impl std::fmt::Debug for ManagedApp {
         f.debug_struct("ManagedApp")
             .field("name", &self.name)
             .field("weight", &self.weight)
-            .field("arrival", &self.arrival)
             .field("departure", &self.departure)
             .field("awarded_watts", &self.awarded_watts)
             .finish_non_exhaustive()
@@ -180,9 +176,7 @@ impl ManagedApp {
             monitor,
             runtime,
             weight: 1.0,
-            arrival: 0,
             departure: None,
-            phases: Vec::new(),
             nominal_power_hint: 0.0,
             awarded_watts: 0.0,
             last_decision: None,
@@ -198,25 +192,6 @@ impl ManagedApp {
     pub fn with_weight(mut self, weight: f64) -> Self {
         assert!(weight.is_finite() && weight > 0.0, "weight must be positive");
         self.weight = weight;
-        self
-    }
-
-    /// Sets the shared-schedule quantum at which the app arrives (default 0).
-    pub fn with_arrival(mut self, quantum: usize) -> Self {
-        self.arrival = quantum;
-        self
-    }
-
-    /// Sets the shared-schedule quantum at which the app departs
-    /// (exclusive; default: never).
-    pub fn with_departure(mut self, quantum: usize) -> Self {
-        self.departure = Some(quantum);
-        self
-    }
-
-    /// Sets the app's per-quantum demand phases (cycled while active).
-    pub fn with_phases(mut self, phases: Vec<QuantumDemand>) -> Self {
-        self.phases = phases;
         self
     }
 
@@ -247,23 +222,14 @@ impl ManagedApp {
         self.weight
     }
 
-    /// Whether the app is present at shared quantum `quantum`.
+    /// Whether the app is present at shared quantum `quantum`: true until
+    /// the quantum [`Coordinator::retire`] stamped, false from it on.
     pub fn active_at(&self, quantum: usize) -> bool {
-        quantum >= self.arrival && self.departure.is_none_or(|d| quantum < d)
-    }
-
-    /// The demand phase the app presents at shared quantum `quantum`
-    /// (`None` when absent or without phases). Phases cycle, anchored at
-    /// the app's arrival.
-    pub fn demand_at(&self, quantum: usize) -> Option<&QuantumDemand> {
-        if !self.active_at(quantum) || self.phases.is_empty() {
-            return None;
-        }
-        Some(&self.phases[(quantum - self.arrival) % self.phases.len()])
+        self.departure.is_none_or(|d| quantum < d)
     }
 
     /// The watt envelope awarded at the most recent step (0 before the
-    /// first step or while absent).
+    /// first step or once retired).
     pub fn awarded_watts(&self) -> f64 {
         self.awarded_watts
     }
@@ -335,13 +301,10 @@ fn watchdog_app(
     config: &WatchdogConfig,
     quantum: usize,
 ) {
-    let beats = app.driver.emitted_beats();
     if !app.active_at(quantum) {
-        // Absent apps are not judged; syncing the beat cursor makes the
-        // staleness clock start at arrival, not registration.
-        app.health.last_beats = beats;
-        return;
+        return; // retired apps are not judged
     }
+    let beats = app.driver.emitted_beats();
     let fresh = beats != app.health.last_beats;
     app.health.last_beats = beats;
     let warming_up = app.health.judged_quanta < config.warmup_quanta;
@@ -692,12 +655,12 @@ struct FleetHot {
     fresh: Vec<bool>,
     /// Per-step scratch: the ascending slots that need a fresh snapshot
     /// this quantum — the round's participant list minus the participants
-    /// that are steady, have no fresh report, and whose schedule presence
-    /// is unchanged (they keep their buffered observation and request).
-    /// Slots registered since the last step are never steady, so they are
-    /// always on it. The watchdog loop binary-searches it: a slot moved up
-    /// or down the health ladder that is *not* on it (a sleeper, or a
-    /// steady participant) gets a late observation there.
+    /// that are steady and have no fresh report (they keep their buffered
+    /// observation and request). Slots registered or retired since the
+    /// last step are never steady, so they are always on it. The watchdog
+    /// loop binary-searches it: a slot moved up or down the health ladder
+    /// that is *not* on it (a sleeper, or a steady participant) gets a late
+    /// observation there.
     observe_list: Vec<u32>,
 }
 
@@ -764,10 +727,12 @@ struct FleetHot {
 ///
 /// Applications [`register`](Coordinator::register) and
 /// [`retire`](Coordinator::retire) at any point of the run — the fleet is
-/// not fixed at construction. A registered app is *present* while
-/// `arrival ≤ quantum < departure` ([`ManagedApp::active_at`]); absent apps
-/// are observed but awarded exactly 0 W and never decide. The budget itself
-/// can step mid-run via [`Coordinator::set_budget`].
+/// not fixed at construction. An app has two states: *active* from its
+/// registration (it takes part in the next step), then *retired* from the
+/// quantum [`Coordinator::retire`] stamps ([`ManagedApp::active_at`]).
+/// A retired app stays registered, so its handle and final state remain
+/// readable, but it is awarded exactly 0 W and never decides again. The
+/// budget itself can step mid-run via [`Coordinator::set_budget`].
 pub struct Coordinator {
     apps: Vec<ManagedApp>,
     policy: Box<dyn ArbitrationPolicy>,
@@ -797,11 +762,6 @@ pub struct Coordinator {
     /// set (everything, at tolerance 0) and tracks who sleeps; replaced by
     /// a fresh engine whenever the schedule changes.
     arbiter: IncrementalArbiter,
-    /// The wake calendar: quantum → slots whose `arrival` or `departure`
-    /// falls there. Drained at the top of each step so a sleeping app is
-    /// force-woken for the exact quantum its schedule presence flips.
-    /// Only maintained while wake scheduling is active.
-    wake_calendar: BTreeMap<usize, Vec<u32>>,
     /// Struct-of-arrays hot state parallel to `apps` (see [`FleetHot`]).
     hot: FleetHot,
     /// Simulation time of the most recent step (timestamps admission-
@@ -875,7 +835,6 @@ impl Coordinator {
             admission_feasibility: false,
             schedule: ArbitrationSchedule::default(),
             arbiter: IncrementalArbiter::new(0.0),
-            wake_calendar: BTreeMap::new(),
             hot: FleetHot::default(),
             last_now: 0.0,
             observations: Vec::new(),
@@ -1031,10 +990,10 @@ impl Coordinator {
     /// app-quanta).
     ///
     /// Sleepers wake early on every event the incremental engine's
-    /// invalidation rules name: a schedule presence flip (arrival or
-    /// departure, via the wake calendar), [`Self::retire`], a watchdog
-    /// health transition, or the whole-fleet invalidation of a budget
-    /// change (no app sleeps through an envelope change).
+    /// invalidation rules name: [`Self::retire`] (the only way an app's
+    /// presence changes), a watchdog health transition, or the whole-fleet
+    /// invalidation of a budget change (no app sleeps through an envelope
+    /// change). A newly registered app is awake from its first step.
     /// Otherwise the sleep deadline expires after `horizon` quanta and the
     /// app re-enters the fold. Reports delivered through [`Self::advance`]
     /// while asleep do *not* wake the app; they stay pending and re-enroll
@@ -1071,7 +1030,6 @@ impl Coordinator {
         if schedule != self.schedule {
             self.schedule = schedule;
             self.arbiter = IncrementalArbiter::new(schedule.tolerance).with_wake(schedule.wake);
-            self.rebuild_wake_calendar();
         }
         Ok(())
     }
@@ -1081,40 +1039,10 @@ impl Coordinator {
         self.schedule
     }
 
-    /// Rebuilds the wake calendar from every app's pending arrival and
-    /// departure quanta; cleared when wake scheduling is off (without
-    /// sleepers there is nothing to force-wake). Entries at the current
-    /// quantum are kept — the next step drains them, and a redundant wake
-    /// of an already-awake slot is a no-op.
-    fn rebuild_wake_calendar(&mut self) {
-        self.wake_calendar.clear();
-        if !self.schedule.wake.enabled() {
-            return;
-        }
-        let quantum = self.quantum;
-        for (index, app) in self.apps.iter().enumerate() {
-            if app.arrival >= quantum {
-                self.wake_calendar
-                    .entry(app.arrival)
-                    .or_default()
-                    .push(index as u32);
-            }
-            if let Some(departure) = app.departure {
-                if departure >= quantum {
-                    self.wake_calendar
-                        .entry(departure)
-                        .or_default()
-                        .push(index as u32);
-                }
-            }
-        }
-    }
-
-    /// Registers an application; returns its handle. May be called at any
-    /// point of the run: a mid-run registration takes part in arbitration
-    /// from the next [`Self::step`] onward (its default arrival of 0 makes
-    /// it present immediately; use [`ManagedApp::with_arrival`] to schedule
-    /// it later on the shared quantum schedule).
+    /// Registers an application — its arrival — and returns its handle.
+    /// May be called at any point of the run: the app is present, and
+    /// takes part in arbitration, from the next [`Self::step`] until it is
+    /// [retired](Self::retire).
     ///
     /// With [`Self::with_admission_control`] enabled, a registration after
     /// the first step is immediately decided under a zero powerup cap — the
@@ -1134,28 +1062,7 @@ impl Coordinator {
         self.hot.reported_power.push(None);
         self.hot.fresh.push(false);
         self.apps.push(app);
-        let handle = AppHandle(self.apps.len() - 1);
-        if self.schedule.wake.enabled() {
-            // Future presence flips go on the wake calendar; a transition
-            // at or before the current quantum needs no entry — the engine
-            // registers the new slot dirty (hence awake) anyway.
-            let app = &self.apps[handle.0];
-            if app.arrival > self.quantum {
-                self.wake_calendar
-                    .entry(app.arrival)
-                    .or_default()
-                    .push(handle.0 as u32);
-            }
-            if let Some(departure) = app.departure {
-                if departure > self.quantum {
-                    self.wake_calendar
-                        .entry(departure)
-                        .or_default()
-                        .push(handle.0 as u32);
-                }
-            }
-        }
-        handle
+        AppHandle(self.apps.len() - 1)
     }
 
     /// [`Self::register`] behind the admission feasibility pre-check:
@@ -1176,11 +1083,10 @@ impl Coordinator {
             // under the cap yet.
             let floor = app.nominal_power_watts();
             if floor > 0.0 {
-                let quantum = self.quantum;
                 let committed: f64 = self
                     .apps
                     .iter()
-                    .filter(|resident| resident.departure.is_none_or(|d| d > quantum))
+                    .filter(|resident| resident.departure.is_none())
                     .map(committed_floor_watts)
                     .sum();
                 let cap = self.budget_watts * Self::HEADROOM;
@@ -1202,15 +1108,17 @@ impl Coordinator {
         Ok(self.register(app))
     }
 
-    /// Retires an application at the current quantum: it is absent from the
-    /// next [`Self::step`] onward (awarded exactly 0 W, never decides), but
-    /// stays registered, so its handle, accessors, and final state remain
-    /// valid. Idempotent; an earlier scheduled departure is kept if it has
-    /// already passed.
+    /// Retires an application at the current quantum — its departure: it
+    /// is absent from the next [`Self::step`] onward (awarded exactly 0 W,
+    /// never decides), but stays registered, so its handle, accessors, and
+    /// final state remain valid. Idempotent: retiring a retired app changes
+    /// nothing and records nothing.
     pub fn retire(&mut self, handle: AppHandle) {
-        let quantum = self.quantum;
         let app = &mut self.apps[handle.0];
-        app.departure = Some(app.departure.map_or(quantum, |d| d.min(quantum)));
+        if app.departure.is_some() {
+            return;
+        }
+        app.departure = Some(self.quantum);
         self.arbiter.mark_dirty(handle.0);
         self.record(Some(Counter::Retirements), || EventKind::Retire {
             app: self.apps[handle.0].name().to_string(),
@@ -1347,33 +1255,25 @@ impl Coordinator {
             .as_ref()
             .map_or(fleet.max(1), |pool| Self::shard_size(fleet, pool.threads()));
 
-        // ---- Round open: force-wakes + the participant list ---------
-        // Presence transitions landing at this quantum wake their slots
-        // before the round's participant list is fixed (the calendar is
-        // empty without wake scheduling); then the engine opens the round —
-        // drains expired sleep deadlines, merges pending wakes — and its
-        // list (every slot, unless apps sleep) is what every per-app stage
-        // below iterates instead of the fleet.
-        while let Some(entry) = self.wake_calendar.first_entry() {
-            if *entry.key() > quantum {
-                break;
-            }
-            for index in entry.remove() {
-                self.arbiter.wake(index as usize);
-            }
-        }
+        // ---- Round open: the participant list ------------------------
+        // The engine opens the round — drains expired sleep deadlines,
+        // merges pending wakes (retirements among them) — and its list
+        // (every slot, unless apps sleep) is what every per-app stage below
+        // iterates instead of the fleet.
         self.arbiter.begin_round(fleet);
 
         // ---- Observe + build requests (per-app, sharded) ------------
         // Event-driven observation skipping (positive tolerance only): a
-        // participant that was clean at the last round, has reported
-        // nothing since, and whose schedule presence is unchanged already
-        // holds a current observation and request — it pays nothing for
-        // the quantum. Any report, lifecycle event, or fleet-wide
-        // invalidation re-enrolls it. Slots registered since the last step
-        // only grow the buffers: they are never steady, so the filter
-        // enrolls them. Sleepers are not observed; one the watchdog wakes
-        // mid-round gets a late observation in the watchdog loop below.
+        // participant that was clean at the last round and has reported
+        // nothing since already holds a current observation and request —
+        // it pays nothing for the quantum. Any report, lifecycle event, or
+        // fleet-wide invalidation re-enrolls it. Slots registered since the
+        // last step only grow the buffers: they are never steady, so the
+        // filter enrolls them. Presence needs no check of its own: it only
+        // changes at `retire`, whose mark keeps the slot off steady until a
+        // round has observed it absent. Sleepers are not observed; one the
+        // watchdog wakes mid-round gets a late observation in the watchdog
+        // loop below.
         let budget = self.budget_watts;
         self.observations.resize(fleet, MonitorObservation::default());
         self.requests.resize(
@@ -1391,12 +1291,10 @@ impl Coordinator {
             ..
         } = &mut self.hot;
         observe_list.clear();
-        let (arbiter, apps, requests) = (&self.arbiter, &self.apps, &self.requests);
+        let arbiter = &self.arbiter;
         observe_list.extend(arbiter.awake_slots().iter().copied().filter(|&index| {
             let index = index as usize;
-            !(arbiter.steady(index)
-                && !fresh[index]
-                && apps[index].active_at(quantum) == requests[index].active)
+            fresh[index] || !arbiter.steady(index)
         }));
         walk_list(
             pool.as_deref(),
@@ -1886,26 +1784,31 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_and_departures_follow_the_shared_schedule() {
+    fn registration_is_arrival_and_retirement_is_departure() {
         let mut coordinator = Coordinator::new(100.0, Box::new(StaticShare));
         let resident = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 15.0));
-        let visitor = coordinator.register(
-            managed_app(SplashBenchmark::Volrend, 2, 15.0)
-                .with_arrival(5)
-                .with_departure(10),
-        );
+        let mut visitor = None;
         let mut now = 0.0;
         for tick in 0..15 {
+            if tick == 5 {
+                visitor =
+                    Some(coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 15.0)));
+            }
+            if tick == 10 {
+                coordinator.retire(visitor.unwrap());
+            }
             now += 1.0;
             let summary = coordinator.step(now).unwrap();
             assert_eq!(summary.quantum, tick);
             let expected = if (5..10).contains(&tick) { 2 } else { 1 };
             assert_eq!(summary.active_apps, expected, "tick {tick}");
-            if !(5..10).contains(&tick) {
-                assert_eq!(coordinator.app(visitor).awarded_watts(), 0.0);
+            if let Some(visitor) = visitor {
+                let award = coordinator.app(visitor).awarded_watts();
+                assert_eq!(award > 0.0, tick < 10, "tick {tick}: visitor award {award}");
             }
         }
         assert!(coordinator.app(resident).active_at(14));
+        assert!(!coordinator.app(visitor.unwrap()).active_at(10));
         assert_eq!(coordinator.quantum(), 15);
     }
 
@@ -1924,21 +1827,6 @@ mod tests {
             coordinator.app(heavy).awarded_watts(),
             coordinator.app(light).awarded_watts()
         );
-    }
-
-    #[test]
-    fn demand_phases_cycle_from_arrival() {
-        let workload = Workload::new(SplashBenchmark::Barnes, 3);
-        let phases = workload.quanta(4);
-        let app = managed_app(SplashBenchmark::Barnes, 3, 10.0)
-            .with_phases(phases.clone())
-            .with_arrival(2);
-        assert!(app.demand_at(1).is_none());
-        assert_eq!(app.demand_at(2).unwrap(), &phases[0]);
-        assert_eq!(app.demand_at(5).unwrap(), &phases[3]);
-        assert_eq!(app.demand_at(6).unwrap(), &phases[0]);
-        let phaseless = managed_app(SplashBenchmark::Barnes, 3, 10.0);
-        assert!(phaseless.demand_at(0).is_none());
     }
 
     #[test]
@@ -2011,14 +1899,44 @@ mod tests {
         assert_eq!(summary.active_apps, 1);
         assert_eq!(coordinator.app(doomed).awarded_watts(), 0.0);
         assert!(coordinator.app(resident).active_at(coordinator.quantum()));
-        // Idempotent, and an earlier scheduled departure is kept.
-        coordinator.retire(doomed);
-        assert!(!coordinator.app(doomed).active_at(coordinator.quantum()));
-        let late = coordinator.register(
-            managed_app(SplashBenchmark::Raytrace, 3, 15.0).with_departure(2),
+        assert!(
+            !coordinator.app(doomed).active_at(3),
+            "absent from its retirement quantum"
         );
-        coordinator.retire(late);
-        assert!(!coordinator.app(late).active_at(3));
+        assert!(coordinator.app(doomed).active_at(2), "present before it");
+    }
+
+    #[test]
+    fn a_repeated_retire_is_a_no_op() {
+        let recorder = Arc::new(Recorder::in_memory());
+        let mut coordinator = Coordinator::new(100.0, Box::new(StaticShare))
+            .with_arbitration_tolerance(0.05)
+            .with_obs(Arc::clone(&recorder));
+        let resident = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 15.0));
+        let doomed = coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 15.0));
+        let mut now = 0.0;
+        drive_from(&mut coordinator, &[resident, doomed], 2, &mut now);
+        coordinator.retire(doomed);
+        drive_from(&mut coordinator, &[resident, doomed], 3, &mut now);
+        // Two rounds after the retirement the slot is clean again; a
+        // second retire must not mark it dirty, re-stamp its departure, or
+        // count and emit a second retirement.
+        assert!(coordinator.arbiter.steady(doomed.index()));
+        coordinator.retire(doomed);
+        assert!(
+            coordinator.arbiter.steady(doomed.index()),
+            "marked dirty again"
+        );
+        assert!(coordinator.app(doomed).active_at(1));
+        assert!(!coordinator.app(doomed).active_at(2));
+        assert_eq!(recorder.counter(Counter::Retirements), 1);
+        let retires = recorder
+            .snapshot()
+            .events
+            .iter()
+            .filter(|event| matches!(event.kind, EventKind::Retire { .. }))
+            .count();
+        assert_eq!(retires, 1);
     }
 
     #[test]
@@ -2097,11 +2015,10 @@ mod tests {
 
         coordinator
             .register(managed_app(SplashBenchmark::Barnes, 1, 15.0).with_weight(2.0));
-        coordinator.register(
-            managed_app(SplashBenchmark::Volrend, 2, 15.0)
-                .with_weight(3.0)
-                .with_arrival(10), // absent at quantum 0: excluded from the fold
-        );
+        // Retired before quantum 0: excluded from the fold.
+        let gone =
+            coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 15.0).with_weight(3.0));
+        coordinator.retire(gone);
         let request = coordinator.fleet_request();
         assert!(request.active);
         assert_eq!(request.weight, 2.0);
@@ -2607,40 +2524,6 @@ mod tests {
     }
 
     #[test]
-    fn the_wake_calendar_wakes_a_sleeper_for_its_departure_quantum() {
-        // Departure at quantum 10 with a 64-quantum sleep horizon: only the
-        // wake calendar can wake the app on time, long before its deadline.
-        let recorder = Arc::new(Recorder::in_memory());
-        let mut coordinator = Coordinator::new(60.0, Box::new(WeightedFair))
-            .with_arbitration_tolerance(0.05)
-            .with_wake_schedule(WakeConfig {
-                steady_quanta: 1,
-                horizon: 64,
-            })
-            .with_obs(Arc::clone(&recorder));
-        let handles = vec![
-            coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 20.0)),
-            coordinator
-                .register(managed_app(SplashBenchmark::OceanNonContiguous, 2, 20.0).with_departure(10)),
-        ];
-        let mut now = 0.0;
-        drive_from(&mut coordinator, &handles, 10, &mut now);
-        assert!(
-            recorder.counter(Counter::AppsSlept) > 0,
-            "both apps should have slept before the departure"
-        );
-        assert!(coordinator.awards()[1] > 0.0, "still present through quantum 9");
-        drive_from(&mut coordinator, &handles, 1, &mut now);
-        assert_eq!(
-            coordinator.awards()[1],
-            0.0,
-            "the departure quantum must force-wake the sleeper and zero its award"
-        );
-        let total: f64 = coordinator.awards().iter().sum();
-        assert!(total <= 60.0 * 0.95 + 1e-9, "budget overrun: {total}");
-    }
-
-    #[test]
     fn a_sleeping_app_force_wakes_when_the_watchdog_quarantines_it() {
         // A 64-quantum horizon with steady_quanta 1 puts the whole fleet to
         // sleep long before any deadline; the only thing that can strip a
@@ -2755,9 +2638,9 @@ mod tests {
 
     /// Drives a wake-scheduled, watchdog-guarded three-app fleet through a
     /// stall (app 0, then recovery) and a power misreport (app 1),
-    /// registering an absent app — arriving long after the run — every
-    /// quantum when `register_absent` is set.
-    fn watchdog_twin(register_absent: bool) -> WatchdogTwin {
+    /// registering an app and retiring it before it is ever stepped every
+    /// quantum when `register_transient` is set.
+    fn watchdog_twin(register_transient: bool) -> WatchdogTwin {
         let mut coordinator = Coordinator::new(60.0, Box::new(WeightedFair))
             .with_arbitration_tolerance(0.05)
             .with_wake_schedule(WakeConfig {
@@ -2774,11 +2657,13 @@ mod tests {
         let mut sleeper_transitions = Vec::new();
         let mut now = 0.0;
         for quantum in 0..40 {
-            if register_absent {
-                coordinator.register(
-                    managed_app(SplashBenchmark::Volrend, 100 + quantum as u64, 20.0)
-                        .with_arrival(1_000),
-                );
+            if register_transient {
+                let transient = coordinator.register(managed_app(
+                    SplashBenchmark::Volrend,
+                    100 + quantum as u64,
+                    20.0,
+                ));
+                coordinator.retire(transient);
             }
             now += 1.0;
             let stalled: &[usize] = if (8..16).contains(&quantum) { &[0] } else { &[] };
@@ -2830,8 +2715,9 @@ mod tests {
     fn a_watchdog_woken_sleeper_decides_the_same_whether_or_not_an_app_registers() {
         // A sleeper the watchdog moves wakes mid-round and is decided the
         // same quantum. Its award and decision must rest on a current
-        // observation either way: an unrelated registration (an absent app
-        // that only grows the fleet) must not change a single bit.
+        // observation either way: an unrelated registration (an app retired
+        // before its first step, which only grows the fleet) must not
+        // change a single bit.
         let (quiet, transitions) = watchdog_twin(false);
         let (growing, growing_transitions) = watchdog_twin(true);
         assert_eq!(transitions, growing_transitions);

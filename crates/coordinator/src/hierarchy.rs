@@ -244,8 +244,9 @@ impl RackCoordinator {
     /// Here the app's telemetry and its physical draw coincide — the
     /// common case. Harnesses that separate the two (a faulty application
     /// misreports what it actually drew) call [`Self::admit`] with the
-    /// physical truth and [`Self::advance_report`] with whatever the app
-    /// claims, so enforcement watches the rail rather than the claim.
+    /// physical truth and then [`Coordinator::advance`] on
+    /// [`Self::coordinator_mut`] with whatever the app claims, so
+    /// enforcement watches the rail rather than the claim.
     pub fn advance(
         &mut self,
         handle: AppHandle,
@@ -258,21 +259,6 @@ impl RackCoordinator {
         self.coordinator
             .advance(handle, start, end, admitted.0, admitted.1);
         admitted
-    }
-
-    /// Telemetry-only feedback: forwards the app's *claimed*
-    /// `(work, power)` to its runtime without touching the rack's physical
-    /// accounting (which [`Self::admit`] owns).
-    pub fn advance_report(
-        &mut self,
-        handle: AppHandle,
-        start: f64,
-        end: f64,
-        work_units: f64,
-        power_above_idle_watts: f64,
-    ) {
-        self.coordinator
-            .advance(handle, start, end, work_units, power_above_idle_watts);
     }
 
     /// The breaker: throttles one report so the interval's accumulated
@@ -721,7 +707,8 @@ mod tests {
             "idle",
             Coordinator::new(30.0, Box::new(StaticShare)),
         );
-        idle.register(managed_app(2, 100.0).with_arrival(1_000));
+        let retired = idle.register(managed_app(2, 100.0));
+        idle.retire(retired);
         datacenter.add_rack(idle);
         let empty = RackCoordinator::new(
             "empty",

@@ -55,9 +55,10 @@
 //! round's bucket) or an external event wakes it early:
 //!
 //! * [`IncrementalArbiter::wake`] — the caller saw this slot's request
-//!   move (a fresh report, a churn event, a presence transition);
+//!   move (a fresh report or a field change);
 //! * [`IncrementalArbiter::mark_dirty`] — lifecycle and health events
-//!   (which also force re-arbitration, as before);
+//!   (which also force re-arbitration): a retirement, the only event
+//!   that changes a slot's presence, arrives this way;
 //! * [`IncrementalArbiter::mark_all_dirty`] — a budget step wakes the
 //!   whole fleet (every held award is invalid).
 //!
@@ -325,9 +326,10 @@ impl IncrementalArbiter {
 
     /// Wakes `index` if it is asleep: the slot re-enters classification
     /// next round (its streak restarts). Callers **must** wake any slot
-    /// whose request may have moved — a churn event, a fresh report, a
-    /// presence transition — since the engine never reads a sleeping
-    /// slot's request row. No-op with the scheduler off.
+    /// whose request may have moved — a fresh report or a field change —
+    /// since the engine never reads a sleeping slot's request row; a
+    /// presence change (a retirement) goes through [`Self::mark_dirty`],
+    /// which wakes too. No-op with the scheduler off.
     pub fn wake(&mut self, index: usize) {
         if !self.wake.enabled() {
             return;

@@ -16,48 +16,17 @@
 //!   after enough honest quanta; quarantine never sticks to an app whose
 //!   fault has cleared.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{decode_slots, lifecycle, platform_outcome, Slot};
 use coordinator::invariants::{
     check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
-use coordinator::{AppHandle, Coordinator, HealthState, ManagedApp, WatchdogConfig, WeightedFair};
+use coordinator::{AppHandle, Coordinator, HealthState, WatchdogConfig, WeightedFair};
 use exec::ExecPool;
 use proptest::prelude::*;
-use seec::{ExplorationPolicy, SeecRuntime};
-use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
-
-fn actuators() -> Vec<Box<dyn actuation::Actuator>> {
-    use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
-    let dvfs = ActuatorSpec::builder("dvfs")
-        .setting(
-            SettingSpec::new("slow")
-                .effect(Axis::Performance, 0.5)
-                .effect(Axis::Power, 0.4),
-        )
-        .setting(SettingSpec::new("nominal"))
-        .setting(
-            SettingSpec::new("fast")
-                .effect(Axis::Performance, 2.0)
-                .effect(Axis::Power, 2.6),
-        )
-        .nominal(1)
-        .build()
-        .unwrap();
-    let cores = ActuatorSpec::builder("cores")
-        .setting(SettingSpec::new("1"))
-        .setting(
-            SettingSpec::new("2")
-                .effect(Axis::Performance, 1.9)
-                .effect(Axis::Power, 2.0),
-        )
-        .build()
-        .unwrap();
-    vec![
-        Box::new(TableActuator::new(dvfs)),
-        Box::new(TableActuator::new(cores)),
-    ]
-}
 
 /// The faults the proptest schedules, mirroring [`workloads::FaultKind`]
 /// at the telemetry boundary the coordinator actually sees.
@@ -76,19 +45,15 @@ enum Fault {
     Freeze,
 }
 
+/// One generated slot's fault window.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    seed: u64,
-    weight: f64,
-    target: f64,
-    arrival: usize,
-    departure: Option<usize>,
+struct FaultPlan {
     fault: Fault,
     fault_from: usize,
     fault_until: Option<usize>,
 }
 
-impl Slot {
+impl FaultPlan {
     fn fault_active(&self, quantum: usize) -> bool {
         if self.fault == Fault::None {
             return false;
@@ -100,25 +65,14 @@ impl Slot {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn decode_slots(
-    seeds: &[u64],
-    weights: &[f64],
-    targets: &[f64],
-    arrivals: &[usize],
-    departures: &[usize],
+fn decode_faults(
     fault_kinds: &[usize],
     fault_froms: &[usize],
     fault_lens: &[usize],
     quanta: usize,
-) -> Vec<Slot> {
-    seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            let arrival = arrivals[i] % quanta;
-            let departure =
-                (departures[i] > 0).then(|| (arrival + 1 + departures[i] % quanta).min(quanta));
+) -> Vec<FaultPlan> {
+    (0..fault_kinds.len())
+        .map(|i| {
             let fault = match fault_kinds[i] % 6 {
                 0 => Fault::None,
                 1 => Fault::Stall,
@@ -130,12 +84,7 @@ fn decode_slots(
             let fault_from = fault_froms[i] % quanta;
             let fault_until =
                 (fault_lens[i] > 0).then(|| fault_from + 1 + fault_lens[i] % quanta);
-            Slot {
-                seed,
-                weight: weights[i],
-                target: targets[i],
-                arrival,
-                departure,
+            FaultPlan {
                 fault,
                 fault_from,
                 fault_until,
@@ -144,59 +93,30 @@ fn decode_slots(
         .collect()
 }
 
-fn managed(slot: Slot, index: usize) -> ManagedApp {
-    let benchmark = SplashBenchmark::ALL[index % SplashBenchmark::ALL.len()];
-    let driver = HeartbeatedWorkload::new(Workload::new(benchmark, slot.seed));
-    driver.set_heart_rate_goal(slot.target);
-    let runtime = SeecRuntime::builder(driver.monitor())
-        .actuators(actuators())
-        .exploration(ExplorationPolicy {
-            epsilon: 0.0,
-            ..ExplorationPolicy::default()
-        })
-        .seed(slot.seed)
-        .build()
-        .unwrap();
-    let mut app = ManagedApp::new(driver, runtime)
-        .with_weight(slot.weight)
-        .with_arrival(slot.arrival)
-        .with_nominal_power_hint(10.0);
-    if let Some(departure) = slot.departure {
-        app = app.with_departure(departure);
-    }
-    app
-}
-
 /// Advances one quantum of the whole fleet against a platform that mirrors
 /// each app's declared effects exactly, filtered through its fault: the
 /// honest report is `10 x effect`, and the fault corrupts (or suppresses)
 /// what the coordinator hears. `frozen` carries each app's replayed report.
 fn advance_with_faults(
     coordinator: &mut Coordinator,
-    slots: &[Slot],
-    handles: &[AppHandle],
+    faults: &[FaultPlan],
+    handles: &[Option<AppHandle>],
     frozen: &mut [Option<(f64, f64)>],
     now: f64,
     quantum: usize,
 ) {
-    for (index, (&handle, slot)) in handles.iter().zip(slots).enumerate() {
+    for (index, (handle, plan)) in handles.iter().zip(faults).enumerate() {
+        let Some(handle) = *handle else { continue };
         if !coordinator.app(handle).active_at(quantum) {
             continue;
         }
-        let faulting = slot.fault_active(quantum);
-        if faulting && matches!(slot.fault, Fault::Stall | Fault::Crash) {
+        let faulting = plan.fault_active(quantum);
+        if faulting && matches!(plan.fault, Fault::Stall | Fault::Crash) {
             continue;
         }
-        let effect = {
-            let runtime = coordinator.app(handle).runtime();
-            runtime
-                .model()
-                .table()
-                .declared_effect(runtime.current_config_id())
-        };
-        let honest = (10.0 * effect.performance, 10.0 * effect.power);
+        let honest = platform_outcome(coordinator.app(handle).runtime());
         let (work, power) = if faulting {
-            match slot.fault {
+            match plan.fault {
                 Fault::NonFinite => (honest.0, f64::NAN),
                 Fault::Misreport => (honest.0, honest.1 * 3.0),
                 Fault::Freeze => frozen[index].unwrap_or(honest),
@@ -213,29 +133,40 @@ fn advance_with_faults(
 /// One full run: every step's award bits, summary, and health verdicts.
 type Trace = Vec<(Vec<u64>, usize, u64, Vec<HealthState>)>;
 
-fn run_fleet(slots: &[Slot], quanta: usize, budget: f64, workers: usize) -> Trace {
+fn run_fleet(
+    slots: &[Slot],
+    faults: &[FaultPlan],
+    quanta: usize,
+    budget: f64,
+    workers: usize,
+) -> Trace {
     let mut coordinator = Coordinator::new(budget, Box::new(WeightedFair))
         .with_watchdog(WatchdogConfig::default())
         .with_pool(Arc::new(ExecPool::new(workers)));
-    let handles: Vec<AppHandle> = slots
-        .iter()
-        .enumerate()
-        .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-        .collect();
+    let mut handles = vec![None; slots.len()];
     let mut frozen = vec![None; slots.len()];
     let mut trace = Vec::with_capacity(quanta);
     let mut now = 0.0;
     for quantum in 0..quanta {
+        lifecycle(&mut coordinator, slots, &mut handles, quantum);
         now += 1.0;
-        advance_with_faults(&mut coordinator, slots, &handles, &mut frozen, now, quantum);
+        advance_with_faults(
+            &mut coordinator,
+            faults,
+            &handles,
+            &mut frozen,
+            now,
+            quantum,
+        );
         let summary = coordinator.step(now).unwrap();
         trace.push((
             coordinator.awards().iter().map(|a| a.to_bits()).collect(),
             summary.active_apps,
             summary.awarded_watts_total.to_bits(),
-            handles
+            coordinator
+                .apps()
                 .iter()
-                .map(|&handle| coordinator.app(handle).health_state())
+                .map(|app| app.health_state())
                 .collect(),
         ));
     }
@@ -260,32 +191,27 @@ proptest! {
         let quanta = 16;
         let budget = 35.0;
         let config = WatchdogConfig::default();
-        let slots = decode_slots(
-            &seeds, &weights, &targets, &arrivals, &departures,
-            &fault_kinds, &fault_froms, &fault_lens, quanta,
-        );
+        let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
+        let faults = decode_faults(&fault_kinds, &fault_froms, &fault_lens, quanta);
         let mut coordinator = Coordinator::new(budget, Box::new(WeightedFair))
             .with_watchdog(config)
             .with_pool(Arc::new(ExecPool::new(workers)));
-        let handles: Vec<AppHandle> = slots
-            .iter()
-            .enumerate()
-            .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-            .collect();
+        let mut handles = vec![None; slots.len()];
         let mut frozen = vec![None; slots.len()];
         let mut now = 0.0;
         for quantum in 0..quanta {
+            lifecycle(&mut coordinator, &slots, &mut handles, quantum);
             now += 1.0;
-            advance_with_faults(&mut coordinator, &slots, &handles, &mut frozen, now, quantum);
+            advance_with_faults(&mut coordinator, &faults, &handles, &mut frozen, now, quantum);
             let summary = coordinator.step(now).unwrap();
 
             // Awards: finite, non-negative, 0 W when absent, and pinned to
             // the floor seat while quarantined (the quarantine request
             // ceiling is the floor envelope).
-            let judged: Vec<AwardedApp> = handles
+            let judged: Vec<AwardedApp> = coordinator
+                .apps()
                 .iter()
-                .map(|&handle| {
-                    let app = coordinator.app(handle);
+                .map(|app| {
                     let slot = AwardedApp {
                         active: app.active_at(quantum),
                         ceiling: None,
@@ -318,8 +244,7 @@ proptest! {
 
             // Ladder bookkeeping: a quarantine verdict always carries its
             // quantum, and readmission implies a prior quarantine.
-            for &handle in &handles {
-                let app = coordinator.app(handle);
+            for app in coordinator.apps() {
                 if app.health_state() == HealthState::Quarantined {
                     prop_assert!(app.quarantined_at().is_some());
                 }
@@ -343,13 +268,11 @@ proptest! {
     ) {
         let quanta = 12;
         let budget = 35.0;
-        let slots = decode_slots(
-            &seeds, &weights, &targets, &arrivals, &departures,
-            &fault_kinds, &fault_froms, &fault_lens, quanta,
-        );
-        let single = run_fleet(&slots, quanta, budget, 1);
+        let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
+        let faults = decode_faults(&fault_kinds, &fault_froms, &fault_lens, quanta);
+        let single = run_fleet(&slots, &faults, quanta, budget, 1);
         for workers in 2..=3 {
-            let sharded = run_fleet(&slots, quanta, budget, workers);
+            let sharded = run_fleet(&slots, &faults, quanta, budget, workers);
             prop_assert!(
                 single == sharded,
                 "worker count {} diverged from the sequential ladder",
@@ -374,12 +297,10 @@ proptest! {
         let slots: Vec<Slot> = seeds
             .iter()
             .enumerate()
-            .map(|(index, &seed)| Slot {
-                seed,
-                weight: 1.0 + index as f64,
-                target: 40.0,
-                arrival: 0,
-                departure: None,
+            .map(|(index, &seed)| Slot::resident(seed, 1.0 + index as f64, 40.0))
+            .collect();
+        let faults: Vec<FaultPlan> = (0..slots.len())
+            .map(|index| FaultPlan {
                 fault: if index == 0 { Fault::Stall } else { Fault::None },
                 fault_from: stall_from,
                 fault_until: Some(stall_from + stall_len),
@@ -387,24 +308,22 @@ proptest! {
             .collect();
         let mut coordinator =
             Coordinator::new(budget, Box::new(WeightedFair)).with_watchdog(config);
-        let handles: Vec<AppHandle> = slots
-            .iter()
-            .enumerate()
-            .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-            .collect();
+        let mut handles = vec![None; slots.len()];
+        lifecycle(&mut coordinator, &slots, &mut handles, 0);
+        let stalled_app = handles[0].expect("every slot arrives at quantum 0");
         let mut frozen = vec![None; slots.len()];
         let mut now = 0.0;
         let mut quarantined_during_stall = false;
         for quantum in 0..quanta {
             now += 1.0;
-            advance_with_faults(&mut coordinator, &slots, &handles, &mut frozen, now, quantum);
+            advance_with_faults(&mut coordinator, &faults, &handles, &mut frozen, now, quantum);
             coordinator.step(now).unwrap();
-            let stalled = coordinator.app(handles[0]);
+            let stalled = coordinator.app(stalled_app);
             if quantum >= stall_from && quantum < stall_from + stall_len {
                 quarantined_during_stall |=
                     stalled.health_state() == HealthState::Quarantined;
             }
-            for &handle in &handles[1..] {
+            for &handle in handles[1..].iter().flatten() {
                 prop_assert!(
                     coordinator.app(handle).health_state() != HealthState::Quarantined,
                     "an honest app was quarantined at quantum {quantum}"
@@ -415,7 +334,7 @@ proptest! {
         // acted; the honest tail outlives the readmission window, so it
         // must also have let go.
         prop_assert!(quarantined_during_stall, "the stalled app was never quarantined");
-        let stalled = coordinator.app(handles[0]);
+        let stalled = coordinator.app(stalled_app);
         prop_assert!(stalled.quarantined_at().is_some());
         prop_assert!(
             stalled.readmitted_at().is_some(),

@@ -5,7 +5,9 @@
 //!   partitions, the rack envelopes conserve the datacenter budget, every
 //!   rack's app awards conserve its envelope, and therefore the
 //!   app-awarded total across the whole datacenter conserves the budget
-//!   end to end. Absent apps and app-less racks are awarded exactly 0 W.
+//!   end to end. Retired apps and app-less racks are awarded exactly 0 W.
+//!   Each app registers on its rack at its arrival and retires at its
+//!   departure.
 //!   The conservation chain is the shared
 //!   [`coordinator::invariants::check_hierarchy_conservation`] oracle —
 //!   the same one the scenario fuzzer asserts for hierarchical runs.
@@ -17,117 +19,43 @@
 //!   only to within a division round-off — see the hierarchy module docs —
 //!   so the exact pin uses `StaticShare`.)
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{advance_present, decode_slots, lifecycle, managed, platform_outcome, policies, Slot};
 use coordinator::invariants::{
     check_award_vector, check_hierarchy_conservation, check_summary_total, AwardedApp,
     HierarchyTotals,
 };
-use coordinator::{
-    AppHandle, ArbitrationPolicy, Coordinator, DatacenterArbiter, ManagedApp, PerformanceMarket,
-    RackCoordinator, StaticShare, WeightedFair,
-};
+use coordinator::{AppHandle, Coordinator, DatacenterArbiter, RackCoordinator, StaticShare};
 use exec::ExecPool;
 use proptest::prelude::*;
-use seec::{ExplorationPolicy, SeecRuntime};
-use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
 
-fn actuators() -> Vec<Box<dyn actuation::Actuator>> {
-    use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
-    let dvfs = ActuatorSpec::builder("dvfs")
-        .setting(
-            SettingSpec::new("slow")
-                .effect(Axis::Performance, 0.5)
-                .effect(Axis::Power, 0.4),
-        )
-        .setting(SettingSpec::new("nominal"))
-        .setting(
-            SettingSpec::new("fast")
-                .effect(Axis::Performance, 2.0)
-                .effect(Axis::Power, 2.6),
-        )
-        .nominal(1)
-        .build()
-        .unwrap();
-    let cores = ActuatorSpec::builder("cores")
-        .setting(SettingSpec::new("1"))
-        .setting(
-            SettingSpec::new("2")
-                .effect(Axis::Performance, 1.9)
-                .effect(Axis::Power, 2.0),
-        )
-        .build()
-        .unwrap();
-    vec![
-        Box::new(TableActuator::new(dvfs)),
-        Box::new(TableActuator::new(cores)),
-    ]
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    seed: u64,
-    weight: f64,
-    target: f64,
-    arrival: usize,
-    departure: Option<usize>,
-}
-
-fn decode_slots(
-    seeds: &[u64],
-    weights: &[f64],
-    targets: &[f64],
-    arrivals: &[usize],
-    departures: &[usize],
-    quanta: usize,
-) -> Vec<Slot> {
-    seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            let arrival = arrivals[i] % quanta;
-            let departure =
-                (departures[i] > 0).then(|| (arrival + 1 + departures[i] % quanta).min(quanta));
-            Slot {
-                seed,
-                weight: weights[i],
-                target: targets[i],
-                arrival,
-                departure,
-            }
-        })
-        .collect()
-}
-
-fn managed(slot: Slot, index: usize) -> ManagedApp {
-    let benchmark = SplashBenchmark::ALL[index % SplashBenchmark::ALL.len()];
-    let driver = HeartbeatedWorkload::new(Workload::new(benchmark, slot.seed));
-    driver.set_heart_rate_goal(slot.target);
-    let runtime = SeecRuntime::builder(driver.monitor())
-        .actuators(actuators())
-        .exploration(ExplorationPolicy {
-            epsilon: 0.0,
-            ..ExplorationPolicy::default()
-        })
-        .seed(slot.seed)
-        .build()
-        .unwrap();
-    let mut app = ManagedApp::new(driver, runtime)
-        .with_weight(slot.weight)
-        .with_arrival(slot.arrival)
-        .with_nominal_power_hint(10.0);
-    if let Some(departure) = slot.departure {
-        app = app.with_departure(departure);
+/// The lifecycle calls of `quantum` on a datacenter, in slot order: slot
+/// `i` registers on rack `rack_of(i)` at its arrival and retires there at
+/// its departure. `handles[i]` is slot `i`'s rack and handle from its
+/// arrival on.
+fn rack_lifecycle(
+    datacenter: &mut DatacenterArbiter,
+    rack_of: impl Fn(usize) -> usize,
+    slots: &[Slot],
+    handles: &mut [Option<(usize, AppHandle)>],
+    quantum: usize,
+) {
+    for (index, &slot) in slots.iter().enumerate() {
+        if slot.arrival == quantum {
+            let rack = rack_of(index);
+            handles[index] = Some((
+                rack,
+                datacenter.rack_mut(rack).register(managed(slot, index)),
+            ));
+        }
+        if slot.departure == Some(quantum) {
+            let (rack, handle) = handles[index].expect("a departure follows its arrival");
+            datacenter.rack_mut(rack).retire(handle);
+        }
     }
-    app
-}
-
-fn policies() -> Vec<Box<dyn ArbitrationPolicy>> {
-    vec![
-        Box::new(StaticShare),
-        Box::new(WeightedFair),
-        Box::new(PerformanceMarket::default()),
-    ]
 }
 
 /// Advances every app of every rack one quantum against a platform that
@@ -136,28 +64,14 @@ fn advance_datacenter(datacenter: &mut DatacenterArbiter, now: f64, quantum: usi
     for rack_index in 0..datacenter.len() {
         for position in 0..datacenter.rack(rack_index).coordinator().len() {
             let handle = AppHandle::from_index(position);
-            if !datacenter
-                .rack(rack_index)
-                .coordinator()
-                .app(handle)
-                .active_at(quantum)
-            {
+            let app = datacenter.rack(rack_index).coordinator().app(handle);
+            if !app.active_at(quantum) {
                 continue;
             }
-            let effect = {
-                let runtime = datacenter.rack(rack_index).coordinator().app(handle).runtime();
-                runtime
-                    .model()
-                    .table()
-                    .declared_effect(runtime.current_config_id())
-            };
-            datacenter.rack_mut(rack_index).advance(
-                handle,
-                now - 1.0,
-                now,
-                10.0 * effect.performance,
-                10.0 * effect.power,
-            );
+            let (work, power) = platform_outcome(app.runtime());
+            datacenter
+                .rack_mut(rack_index)
+                .advance(handle, now - 1.0, now, work, power);
         }
     }
 }
@@ -197,14 +111,11 @@ proptest! {
             ));
         }
         // Arbitrary partition: app i lands on rack `rack_of[i] % racks`.
-        for (index, &slot) in slots.iter().enumerate() {
-            datacenter
-                .rack_mut(rack_of[index] % racks)
-                .register(managed(slot, index));
-        }
+        let mut handles = vec![None; slots.len()];
 
         let mut now = 0.0;
         for quantum in 0..quanta {
+            rack_lifecycle(&mut datacenter, |i| rack_of[i] % racks, &slots, &mut handles, quantum);
             now += 1.0;
             advance_datacenter(&mut datacenter, now, quantum);
             let summary = datacenter.step(now).unwrap();
@@ -281,40 +192,23 @@ proptest! {
 
         // Flat reference.
         let mut flat = Coordinator::new(budget, policies().swap_remove(rack_policy_pick));
-        let flat_handles: Vec<AppHandle> = slots
-            .iter()
-            .enumerate()
-            .map(|(index, &slot)| flat.register(managed(slot, index)))
-            .collect();
+        let mut flat_handles = vec![None; slots.len()];
 
         // The same fleet as the sole rack of a datacenter.
         let mut datacenter = DatacenterArbiter::new(budget, Box::new(StaticShare));
-        let mut rack = RackCoordinator::new(
+        datacenter.add_rack(RackCoordinator::new(
             "the-rack",
             Coordinator::new(budget, policies().swap_remove(rack_policy_pick)),
-        );
-        for (index, &slot) in slots.iter().enumerate() {
-            rack.register(managed(slot, index));
-        }
-        datacenter.add_rack(rack);
+        ));
+        let mut rack_handles = vec![None; slots.len()];
 
         let mut now = 0.0;
         for quantum in 0..quanta {
-            now += 1.0;
             // Drive both fleets identically.
-            for &handle in &flat_handles {
-                if !flat.app(handle).active_at(quantum) {
-                    continue;
-                }
-                let effect = {
-                    let runtime = flat.app(handle).runtime();
-                    runtime
-                        .model()
-                        .table()
-                        .declared_effect(runtime.current_config_id())
-                };
-                flat.advance(handle, now - 1.0, now, 10.0 * effect.performance, 10.0 * effect.power);
-            }
+            lifecycle(&mut flat, &slots, &mut flat_handles, quantum);
+            rack_lifecycle(&mut datacenter, |_| 0, &slots, &mut rack_handles, quantum);
+            now += 1.0;
+            advance_present(&mut flat, now);
             advance_datacenter(&mut datacenter, now, quantum);
 
             let flat_summary = flat.step(now).unwrap();
@@ -331,12 +225,11 @@ proptest! {
                 dc_summary.app_awarded_watts_total
             );
             prop_assert!(rack.coordinator().awards() == flat.awards());
-            for (position, &handle) in flat_handles.iter().enumerate() {
-                let flat_decision = flat.app(handle).last_decision();
-                let rack_decision = rack
-                    .coordinator()
-                    .app(AppHandle::from_index(position))
-                    .last_decision();
+            for (position, (flat_app, rack_app)) in
+                flat.apps().iter().zip(rack.coordinator().apps()).enumerate()
+            {
+                let flat_decision = flat_app.last_decision();
+                let rack_decision = rack_app.last_decision();
                 prop_assert!(
                     flat_decision == rack_decision,
                     "app {} decisions diverged at quantum {}",

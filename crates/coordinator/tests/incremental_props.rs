@@ -15,14 +15,15 @@
 //!   worker count, against a test-only full-fold reference step (observe
 //!   every app, one `arbitrate` call over the full request slice, every
 //!   present app decides — sequentially, with no engine at all), driven
-//!   through identical arrival/departure churn and a budget step on the
-//!   declared-effect synthetic platform. Every app's awarded envelope,
-//!   every decision, and every step summary must agree bitwise.
+//!   through identical churn (each app registered at its arrival and
+//!   retired at its departure) and a budget step on the declared-effect
+//!   synthetic platform. Every app's awarded envelope, every decision,
+//!   and every step summary must agree bitwise.
 //!
-//! A third, metamorphic contract holds at every schedule: registering an
-//! app that is not yet present is invisible to the residents — every
-//! resident's award and decision bits and every step summary stay the
-//! same, with the watchdog moving sleepers up and down its ladder.
+//! A third, metamorphic contract holds at every schedule: registering and
+//! retiring an app before it is ever stepped is invisible to the residents
+//! — every resident's award and decision bits and every step summary stay
+//! the same, with the watchdog moving sleepers up and down its ladder.
 //!
 //! Nonzero tolerances trade exactness for skipped work, so their contract
 //! is the invariant layer's, not bitwise identity: awards stay finite,
@@ -30,28 +31,25 @@
 //! apps, and the active total conserves the budget — checked through the
 //! shared [`coordinator::invariants`] oracles every round.
 
+mod common;
+
+use common::{
+    advance_present, decode_slots, lifecycle, managed, parts, platform_outcome, policies, Slot,
+    POWER_HINT,
+};
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
 use coordinator::{
-    AppHandle, AppRequest, ArbitrationPolicy, ArbitrationSchedule, Coordinator,
-    IncrementalArbiter, ManagedApp, PerformanceMarket, ScheduleError, StaticShare, StepSummary,
-    WakeConfig, WatchdogConfig, WeightedFair,
+    AppHandle, AppRequest, ArbitrationPolicy, ArbitrationSchedule, Coordinator, IncrementalArbiter,
+    ScheduleError, StepSummary, WakeConfig, WatchdogConfig, WeightedFair,
 };
 use obs::{Counter, Recorder};
 use exec::ExecPool;
 use proptest::prelude::*;
-use seec::{ExplorationPolicy, SeecRuntime};
+use seec::SeecRuntime;
 use std::sync::Arc;
-use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
-
-fn policies() -> Vec<Box<dyn ArbitrationPolicy>> {
-    vec![
-        Box::new(StaticShare),
-        Box::new(WeightedFair),
-        Box::new(PerformanceMarket::default()),
-    ]
-}
+use workloads::HeartbeatedWorkload;
 
 /// One generated quantum of engine-level churn, decoded from the parallel
 /// scalar vectors the vendored proptest generates.
@@ -255,108 +253,6 @@ proptest! {
 // Coordinator level: the engine embedded in the real step pipeline.
 // ---------------------------------------------------------------------
 
-/// A small action space whose declared effects the synthetic platform
-/// mirrors exactly (same shape as the unit suite's).
-fn actuators() -> Vec<Box<dyn actuation::Actuator>> {
-    use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
-    let dvfs = ActuatorSpec::builder("dvfs")
-        .setting(
-            SettingSpec::new("slow")
-                .effect(Axis::Performance, 0.5)
-                .effect(Axis::Power, 0.4),
-        )
-        .setting(SettingSpec::new("nominal"))
-        .setting(
-            SettingSpec::new("fast")
-                .effect(Axis::Performance, 2.0)
-                .effect(Axis::Power, 2.6),
-        )
-        .nominal(1)
-        .build()
-        .unwrap();
-    let cores = ActuatorSpec::builder("cores")
-        .setting(SettingSpec::new("1"))
-        .setting(
-            SettingSpec::new("2")
-                .effect(Axis::Performance, 1.9)
-                .effect(Axis::Power, 2.0),
-        )
-        .build()
-        .unwrap();
-    vec![
-        Box::new(TableActuator::new(dvfs)),
-        Box::new(TableActuator::new(cores)),
-    ]
-}
-
-/// One generated application slot.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    seed: u64,
-    weight: f64,
-    target: f64,
-    arrival: usize,
-    departure: Option<usize>,
-}
-
-fn decode_slots(
-    seeds: &[u64],
-    weights: &[f64],
-    targets: &[f64],
-    arrivals: &[usize],
-    departures: &[usize],
-    quanta: usize,
-) -> Vec<Slot> {
-    seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            let arrival = arrivals[i] % quanta;
-            let departure = (departures[i] > 0)
-                .then(|| (arrival + 1 + departures[i] % quanta).min(quanta));
-            Slot {
-                seed,
-                weight: weights[i],
-                target: targets[i],
-                arrival,
-                departure,
-            }
-        })
-        .collect()
-}
-
-/// Nominal-power hint every generated app registers with.
-const POWER_HINT: f64 = 10.0;
-
-/// The workload driver and SEEC runtime of one generated slot.
-fn parts(slot: Slot, index: usize) -> (HeartbeatedWorkload, SeecRuntime) {
-    let benchmark = SplashBenchmark::ALL[index % SplashBenchmark::ALL.len()];
-    let driver = HeartbeatedWorkload::new(Workload::new(benchmark, slot.seed));
-    driver.set_heart_rate_goal(slot.target);
-    let runtime = SeecRuntime::builder(driver.monitor())
-        .actuators(actuators())
-        .exploration(ExplorationPolicy {
-            epsilon: 0.0,
-            ..ExplorationPolicy::default()
-        })
-        .seed(slot.seed)
-        .build()
-        .unwrap();
-    (driver, runtime)
-}
-
-fn managed(slot: Slot, index: usize) -> ManagedApp {
-    let (driver, runtime) = parts(slot, index);
-    let mut app = ManagedApp::new(driver, runtime)
-        .with_weight(slot.weight)
-        .with_arrival(slot.arrival)
-        .with_nominal_power_hint(POWER_HINT);
-    if let Some(departure) = slot.departure {
-        app = app.with_departure(departure);
-    }
-    app
-}
-
 /// The full per-step trace, with awards captured as raw bits so the
 /// comparison is bitwise, not approximate.
 type Trace = Vec<(
@@ -364,17 +260,6 @@ type Trace = Vec<(
     Vec<u64>,
     Vec<Option<seec::Decision>>,
 )>;
-
-/// The (work, power) the declared-effect platform reports for one quantum
-/// of `runtime`'s current configuration: 10 beats/s and 10 W at nominal,
-/// scaled by the configuration's declared effects.
-fn platform_outcome(runtime: &SeecRuntime) -> (f64, f64) {
-    let effect = runtime
-        .model()
-        .table()
-        .declared_effect(runtime.current_config_id());
-    (10.0 * effect.performance, 10.0 * effect.power)
-}
 
 /// Drives a fleet for `quanta` steps against a platform mirroring each
 /// app's declared effects exactly, under `schedule`; `budget_step`
@@ -391,27 +276,18 @@ fn drive_traced(
         .with_pool(Arc::new(ExecPool::new(workers)))
         .with_shard_threshold(0);
     coordinator.set_schedule(schedule).unwrap();
-    let handles: Vec<AppHandle> = slots
-        .iter()
-        .enumerate()
-        .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-        .collect();
+    let mut handles = vec![None; slots.len()];
     let mut now = 0.0;
     let mut trace = Trace::new();
     for quantum in 0..quanta {
+        lifecycle(&mut coordinator, slots, &mut handles, quantum);
         if let Some((at, watts)) = budget_step {
             if at == quantum {
                 coordinator.set_budget(watts);
             }
         }
         now += 1.0;
-        for &handle in &handles {
-            if !coordinator.app(handle).active_at(quantum) {
-                continue;
-            }
-            let (work, power) = platform_outcome(coordinator.app(handle).runtime());
-            coordinator.advance(handle, now - 1.0, now, work, power);
-        }
+        advance_present(&mut coordinator, now);
         let summary = coordinator.step(now).unwrap();
         trace.push((
             summary,
@@ -420,9 +296,10 @@ fn drive_traced(
                 .iter()
                 .map(|award| award.to_bits())
                 .collect(),
-            handles
+            coordinator
+                .apps()
                 .iter()
-                .map(|&h| coordinator.app(h).last_decision())
+                .map(|app| app.last_decision())
                 .collect(),
         ));
     }
@@ -436,33 +313,34 @@ fn drive_traced(
 /// `policy.arbitrate` call over the full request slice under the
 /// headroomed budget, then lets every present app decide under its
 /// envelope, sequentially in registration order. The apps are rebuilt from
-/// the same slots (identically seeded drivers and runtimes) and see the
-/// same platform, so the coordinator's trace must equal this one bit for
-/// bit.
+/// the same slots (identically seeded drivers and runtimes), join the
+/// fleet in the same order at their arrival quanta and see the same
+/// platform, so the coordinator's trace must equal this one bit for bit.
 fn drive_reference(
     mut policy: Box<dyn ArbitrationPolicy>,
     slots: &[Slot],
     quanta: usize,
     budget_step: Option<(usize, f64)>,
 ) -> Trace {
-    let mut apps: Vec<(Slot, HeartbeatedWorkload, SeecRuntime, Option<seec::Decision>)> =
-        slots
-            .iter()
-            .enumerate()
-            .map(|(index, &slot)| {
-                let (driver, runtime) = parts(slot, index);
-                (slot, driver, runtime, None)
-            })
-            .collect();
-    let present = |slot: &Slot, quantum: usize| {
-        quantum >= slot.arrival && slot.departure.is_none_or(|departure| quantum < departure)
-    };
+    // The fleet in registration order.
+    let mut apps: Vec<(
+        Slot,
+        HeartbeatedWorkload,
+        SeecRuntime,
+        Option<seec::Decision>,
+    )> = Vec::new();
     let nominal = |runtime: &SeecRuntime| runtime.estimated_nominal_power().unwrap_or(POWER_HINT);
     let mut budget = 35.0;
     let mut now = 0.0;
     let mut trace = Trace::new();
     let mut awards = Vec::new();
     for quantum in 0..quanta {
+        for (index, &slot) in slots.iter().enumerate() {
+            if slot.arrival == quantum {
+                let (driver, runtime) = parts(slot, index);
+                apps.push((slot, driver, runtime, None));
+            }
+        }
         if let Some((at, watts)) = budget_step {
             if at == quantum {
                 budget = watts;
@@ -470,7 +348,7 @@ fn drive_reference(
         }
         now += 1.0;
         for (slot, driver, runtime, _) in &mut apps {
-            if present(slot, quantum) {
+            if slot.present(quantum) {
                 let (work, power) = platform_outcome(runtime);
                 driver.advance_metered(now - 1.0, now, work, power);
             }
@@ -494,7 +372,7 @@ fn drive_reference(
                 };
                 let nominal = nominal(runtime);
                 AppRequest {
-                    active: present(slot, quantum),
+                    active: slot.present(quantum),
                     weight: slot.weight,
                     urgency,
                     max_power_watts: if nominal > 0.0 {
@@ -516,7 +394,7 @@ fn drive_reference(
         for (((slot, _, runtime, decision), observation), &award) in
             apps.iter_mut().zip(&observations).zip(&awards)
         {
-            if !present(slot, quantum) {
+            if !slot.present(quantum) {
                 continue;
             }
             let nominal = nominal(runtime);
@@ -661,33 +539,25 @@ proptest! {
             .with_arbitration_tolerance(tolerance)
             .with_wake_schedule(WakeConfig { steady_quanta: steady, horizon })
             .with_obs(Arc::clone(&recorder));
-        let handles: Vec<AppHandle> = slots
-            .iter()
-            .enumerate()
-            .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-            .collect();
+        let mut handles = vec![None; slots.len()];
         let mut budget = 35.0;
         let mut now = 0.0;
         let mut active_app_quanta = 0u64;
         for quantum in 0..quanta {
+            lifecycle(&mut coordinator, &slots, &mut handles, quantum);
             if budget_step_at == quantum {
                 budget = budget_step_watts;
                 coordinator.set_budget(budget);
             }
             now += 1.0;
-            for &handle in &handles {
-                if !coordinator.app(handle).active_at(quantum) {
-                    continue;
-                }
-                let (work, power) = platform_outcome(coordinator.app(handle).runtime());
-                coordinator.advance(handle, now - 1.0, now, work, power);
-            }
+            advance_present(&mut coordinator, now);
             coordinator.step(now).unwrap();
 
-            let apps: Vec<AwardedApp> = handles
+            let apps: Vec<AwardedApp> = coordinator
+                .apps()
                 .iter()
-                .map(|&handle| {
-                    let active = coordinator.app(handle).active_at(quantum);
+                .map(|app| {
+                    let active = app.active_at(quantum);
                     active_app_quanta += active as u64;
                     AwardedApp { active, ceiling: None }
                 })
@@ -742,32 +612,24 @@ proptest! {
             .with_pool(Arc::new(ExecPool::new(workers)))
             .with_shard_threshold(0)
             .with_arbitration_tolerance(tolerance);
-        let handles: Vec<AppHandle> = slots
-            .iter()
-            .enumerate()
-            .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-            .collect();
+        let mut handles = vec![None; slots.len()];
         let mut budget = 35.0;
         let mut now = 0.0;
         for quantum in 0..quanta {
+            lifecycle(&mut coordinator, &slots, &mut handles, quantum);
             if budget_step_at == quantum {
                 budget = budget_step_watts;
                 coordinator.set_budget(budget);
             }
             now += 1.0;
-            for &handle in &handles {
-                if !coordinator.app(handle).active_at(quantum) {
-                    continue;
-                }
-                let (work, power) = platform_outcome(coordinator.app(handle).runtime());
-                coordinator.advance(handle, now - 1.0, now, work, power);
-            }
+            advance_present(&mut coordinator, now);
             let summary = coordinator.step(now).unwrap();
 
-            let apps: Vec<AwardedApp> = handles
+            let apps: Vec<AwardedApp> = coordinator
+                .apps()
                 .iter()
-                .map(|&handle| AwardedApp {
-                    active: coordinator.app(handle).active_at(quantum),
+                .map(|app| AwardedApp {
+                    active: app.active_at(quantum),
                     ceiling: None,
                 })
                 .collect();
@@ -825,44 +687,44 @@ fn decode_faults(
 }
 
 /// Drives `slots` under `schedule` with the watchdog on and each slot's
-/// `faults` injected, registering an absent app — arriving long after the
-/// run — before every quantum listed in `absent_at`. The trace holds the
-/// step summaries and the *resident* slots' award and decision bits, so a
-/// run with registrations and one without compare directly.
-fn drive_with_registrations(
+/// `faults` injected (each slot registered at its arrival and retired at
+/// its departure). Before every quantum listed in `transient_at` a
+/// transient app registers and retires before it is ever stepped, and the
+/// previous transient is retired once more. The trace holds the step
+/// summaries and the *resident* slots' award and decision bits, so a run
+/// with transients and one without compare directly.
+fn drive_with_transients(
     policy: Box<dyn ArbitrationPolicy>,
     slots: &[Slot],
     faults: &[Faults],
     quanta: usize,
     workers: usize,
     schedule: ArbitrationSchedule,
-    absent_at: &[usize],
+    transient_at: &[usize],
 ) -> Trace {
     let mut coordinator = Coordinator::new(35.0, policy)
         .with_pool(Arc::new(ExecPool::new(workers)))
         .with_shard_threshold(0)
         .with_watchdog(FAST_LADDER);
     coordinator.set_schedule(schedule).unwrap();
-    let handles: Vec<AppHandle> = slots
-        .iter()
-        .enumerate()
-        .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-        .collect();
+    let mut handles = vec![None; slots.len()];
+    let mut transient: Option<AppHandle> = None;
     let mut now = 0.0;
     let mut trace = Trace::new();
     for quantum in 0..quanta {
-        if absent_at.contains(&quantum) {
-            let absent = Slot {
-                seed: 1_000 + quantum as u64,
-                weight: 1.0,
-                target: 20.0,
-                arrival: quanta + 100,
-                departure: None,
-            };
-            coordinator.register(managed(absent, quantum));
+        lifecycle(&mut coordinator, slots, &mut handles, quantum);
+        if transient_at.contains(&quantum) {
+            if let Some(previous) = transient {
+                coordinator.retire(previous);
+            }
+            let slot = Slot::resident(1_000 + quantum as u64, 1.0, 20.0);
+            let handle = coordinator.register(managed(slot, quantum));
+            coordinator.retire(handle);
+            transient = Some(handle);
         }
         now += 1.0;
-        for (&handle, faults) in handles.iter().zip(faults) {
+        for (handle, faults) in handles.iter().zip(faults) {
+            let Some(handle) = *handle else { continue };
             if !coordinator.app(handle).active_at(quantum) || faults.stall.contains(&quantum) {
                 continue;
             }
@@ -871,14 +733,14 @@ fn drive_with_registrations(
             coordinator.advance(handle, now - 1.0, now, work, claimed * power);
         }
         let summary = coordinator.step(now).unwrap();
+        let residents = handles.iter().flatten();
         trace.push((
             summary,
-            coordinator.awards()[..handles.len()]
-                .iter()
-                .map(|award| award.to_bits())
+            residents
+                .clone()
+                .map(|&h| coordinator.awards()[h.index()].to_bits())
                 .collect(),
-            handles
-                .iter()
+            residents
                 .map(|&h| coordinator.app(h).last_decision())
                 .collect(),
         ));
@@ -889,14 +751,16 @@ fn drive_with_registrations(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Registration is invisible to the residents: registering absent apps
-    /// (arrival after the run) at random quanta leaves every resident's
-    /// award and decision bits, and every step summary, unchanged — under
-    /// any tolerance (0 included) and wake schedule (horizon 0 included),
-    /// with the watchdog quarantining and readmitting stalled and
-    /// misreporting apps (sleepers included), at 1 worker and at N.
+    /// Registration and retirement are invisible to the residents:
+    /// registering apps and retiring them before they are ever stepped
+    /// (and retiring them again later) at random quanta leaves every
+    /// resident's award and decision bits, and every step summary,
+    /// unchanged — under any tolerance (0 included) and wake schedule
+    /// (horizon 0 included), with residents arriving and departing and the
+    /// watchdog quarantining and readmitting stalled and misreporting apps
+    /// (sleepers included), at 1 worker and at N.
     #[test]
-    fn registering_absent_apps_leaves_every_resident_unchanged(
+    fn registering_and_retiring_apps_leaves_every_resident_unchanged(
         seeds in proptest::collection::vec(1u64..1_000_000, 1..7),
         weights in proptest::collection::vec(0.25..8.0f64, 7),
         targets in proptest::collection::vec(5.0..80.0f64, 7),
@@ -906,7 +770,7 @@ proptest! {
         stall_lengths in proptest::collection::vec(0usize..8, 7),
         misreport_starts in proptest::collection::vec(0usize..16, 7),
         misreport_lengths in proptest::collection::vec(0usize..8, 7),
-        absent_picks in proptest::collection::vec(0usize..3, 16),
+        transient_picks in proptest::collection::vec(0usize..3, 16),
         policy_pick in 0usize..3,
         workers in 2usize..6,
         tolerance in 0.0..0.5f64,
@@ -918,25 +782,25 @@ proptest! {
         let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
         let faults =
             decode_faults(&stall_starts, &stall_lengths, &misreport_starts, &misreport_lengths);
-        let absent_at: Vec<usize> =
-            (0..quanta).filter(|&quantum| absent_picks[quantum] == 0).collect();
+        let transient_at: Vec<usize> =
+            (0..quanta).filter(|&quantum| transient_picks[quantum] == 0).collect();
         let schedule = ArbitrationSchedule {
             tolerance: if exact == 0 { 0.0 } else { tolerance },
             wake: WakeConfig { steady_quanta: steady, horizon },
         };
         let policy = || policies().swap_remove(policy_pick);
         for workers in [1, workers] {
-            let run = |absent_at: &[usize]| {
-                drive_with_registrations(
-                    policy(), &slots, &faults, quanta, workers, schedule, absent_at,
+            let run = |transient_at: &[usize]| {
+                drive_with_transients(
+                    policy(), &slots, &faults, quanta, workers, schedule, transient_at,
                 )
             };
             let quiet = run(&[]);
-            let growing = run(&absent_at);
-            let diverged = quiet.iter().zip(&growing).position(|(a, b)| a != b);
+            let churning = run(&transient_at);
+            let diverged = quiet.iter().zip(&churning).position(|(a, b)| a != b);
             prop_assert!(
                 diverged.is_none(),
-                "registering absent apps at {absent_at:?} moved a resident at quantum \
+                "registering and retiring transients at {transient_at:?} moved a resident at quantum \
                  {diverged:?} ({} workers, {:?}, {} apps)",
                 workers,
                 schedule,
@@ -986,7 +850,7 @@ proptest! {
             tolerance,
             wake: WakeConfig { steady_quanta: steady, horizon },
         };
-        let slot = Slot { seed: 7, weight: 1.0, target: 20.0, arrival: 0, departure: None };
+        let slot = Slot::resident(7, 1.0, 20.0);
         let outcome = std::panic::catch_unwind(|| {
             let mut coordinator = Coordinator::new(35.0, Box::new(WeightedFair));
             let before = coordinator.schedule();

@@ -2,7 +2,8 @@
 //! lifecycle.
 //!
 //! * **Shard bit-identity** — for arbitrary fleets (sizes, weights,
-//!   targets, seeds, arrival/departure windows) and arbitrary worker
+//!   targets, seeds, arrival/departure windows — each app registered at
+//!   its arrival and retired at its departure) and arbitrary worker
 //!   counts, every step of the sharded coordinator produces byte-for-byte
 //!   the awards, decisions, applied configurations, and summaries of the
 //!   sequential coordinator. This is the guarantee that lets fig5 (and any
@@ -10,119 +11,22 @@
 //! * **Budget conservation under churn** — for every shipped policy and
 //!   arbitrary interleavings of register/retire events during a run, the
 //!   awards of present apps never exceed the headroomed budget, retired
-//!   and not-yet-arrived apps are awarded exactly 0 W, and every award is
+//!   apps are awarded exactly 0 W, and every award is
 //!   non-negative and finite. The checks are the shared
 //!   [`coordinator::invariants`] oracles, so the pins here and the
 //!   scenario fuzzer's oracles cannot drift apart.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{advance_present, decode_slots, lifecycle, managed, policies, Slot};
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
-use coordinator::{
-    AppHandle, ArbitrationPolicy, Coordinator, ManagedApp, PerformanceMarket, StaticShare,
-    WeightedFair,
-};
+use coordinator::{AppHandle, ArbitrationPolicy, Coordinator};
 use exec::ExecPool;
 use proptest::prelude::*;
-use seec::{ExplorationPolicy, SeecRuntime};
-use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};
-
-/// A small action space whose declared effects the synthetic platform
-/// mirrors exactly (same shape as the unit suite's).
-fn actuators() -> Vec<Box<dyn actuation::Actuator>> {
-    use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
-    let dvfs = ActuatorSpec::builder("dvfs")
-        .setting(
-            SettingSpec::new("slow")
-                .effect(Axis::Performance, 0.5)
-                .effect(Axis::Power, 0.4),
-        )
-        .setting(SettingSpec::new("nominal"))
-        .setting(
-            SettingSpec::new("fast")
-                .effect(Axis::Performance, 2.0)
-                .effect(Axis::Power, 2.6),
-        )
-        .nominal(1)
-        .build()
-        .unwrap();
-    let cores = ActuatorSpec::builder("cores")
-        .setting(SettingSpec::new("1"))
-        .setting(
-            SettingSpec::new("2")
-                .effect(Axis::Performance, 1.9)
-                .effect(Axis::Power, 2.0),
-        )
-        .build()
-        .unwrap();
-    vec![
-        Box::new(TableActuator::new(dvfs)),
-        Box::new(TableActuator::new(cores)),
-    ]
-}
-
-/// One generated application slot.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    seed: u64,
-    weight: f64,
-    target: f64,
-    arrival: usize,
-    departure: Option<usize>,
-}
-
-fn decode_slots(
-    seeds: &[u64],
-    weights: &[f64],
-    targets: &[f64],
-    arrivals: &[usize],
-    departures: &[usize],
-    quanta: usize,
-) -> Vec<Slot> {
-    seeds
-        .iter()
-        .enumerate()
-        .map(|(i, &seed)| {
-            let arrival = arrivals[i] % quanta;
-            // Departure scalar 0 = stays forever; otherwise a half-open
-            // window of at least one quantum.
-            let departure = (departures[i] > 0)
-                .then(|| (arrival + 1 + departures[i] % quanta).min(quanta));
-            Slot {
-                seed,
-                weight: weights[i],
-                target: targets[i],
-                arrival,
-                departure,
-            }
-        })
-        .collect()
-}
-
-fn managed(slot: Slot, index: usize) -> ManagedApp {
-    let benchmark = SplashBenchmark::ALL[index % SplashBenchmark::ALL.len()];
-    let driver = HeartbeatedWorkload::new(Workload::new(benchmark, slot.seed));
-    driver.set_heart_rate_goal(slot.target);
-    let runtime = SeecRuntime::builder(driver.monitor())
-        .actuators(actuators())
-        .exploration(ExplorationPolicy {
-            epsilon: 0.0,
-            ..ExplorationPolicy::default()
-        })
-        .seed(slot.seed)
-        .build()
-        .unwrap();
-    let mut app = ManagedApp::new(driver, runtime)
-        .with_weight(slot.weight)
-        .with_arrival(slot.arrival)
-        .with_nominal_power_hint(10.0);
-    if let Some(departure) = slot.departure {
-        app = app.with_departure(departure);
-    }
-    app
-}
 
 /// Drives a fleet for `quanta` steps against a platform mirroring each
 /// app's declared effects exactly, returning the full per-step trace
@@ -144,53 +48,25 @@ fn drive(
     let mut coordinator = Coordinator::new(35.0, policy)
         .with_pool(Arc::new(ExecPool::new(workers)))
         .with_shard_threshold(0);
-    let handles: Vec<AppHandle> = slots
-        .iter()
-        .enumerate()
-        .map(|(index, &slot)| coordinator.register(managed(slot, index)))
-        .collect();
+    let mut handles = vec![None; slots.len()];
     let mut now = 0.0;
     let mut trace = Trace::new();
     for quantum in 0..quanta {
+        lifecycle(&mut coordinator, slots, &mut handles, quantum);
         now += 1.0;
-        for &handle in &handles {
-            if !coordinator.app(handle).active_at(quantum) {
-                continue;
-            }
-            let effect = {
-                let runtime = coordinator.app(handle).runtime();
-                runtime
-                    .model()
-                    .table()
-                    .declared_effect(runtime.current_config_id())
-            };
-            coordinator.advance(
-                handle,
-                now - 1.0,
-                now,
-                10.0 * effect.performance,
-                10.0 * effect.power,
-            );
-        }
+        advance_present(&mut coordinator, now);
         let summary = coordinator.step(now).unwrap();
         trace.push((
             summary,
             coordinator.awards().to_vec(),
-            handles
+            coordinator
+                .apps()
                 .iter()
-                .map(|&h| coordinator.app(h).last_decision())
+                .map(|app| app.last_decision())
                 .collect(),
         ));
     }
     trace
-}
-
-fn policies() -> Vec<Box<dyn ArbitrationPolicy>> {
-    vec![
-        Box::new(StaticShare),
-        Box::new(WeightedFair),
-        Box::new(PerformanceMarket::default()),
-    ]
 }
 
 proptest! {
@@ -243,13 +119,11 @@ proptest! {
         let mut handles: Vec<AppHandle> = Vec::new();
         let mut next_app = 0usize;
         let mut register = |coordinator: &mut Coordinator, handles: &mut Vec<AppHandle>, seed: u64| {
-            let slot = Slot {
+            let slot = Slot::resident(
                 seed,
-                weight: weights[next_app % weights.len()],
-                target: targets[next_app % targets.len()],
-                arrival: 0,
-                departure: None,
-            };
+                weights[next_app % weights.len()],
+                targets[next_app % targets.len()],
+            );
             handles.push(coordinator.register(managed(slot, next_app)));
             next_app += 1;
         };
@@ -274,25 +148,7 @@ proptest! {
             }
 
             now += 1.0;
-            for &handle in &handles {
-                if !coordinator.app(handle).active_at(coordinator.quantum()) {
-                    continue;
-                }
-                let effect = {
-                    let runtime = coordinator.app(handle).runtime();
-                    runtime
-                        .model()
-                        .table()
-                        .declared_effect(runtime.current_config_id())
-                };
-                coordinator.advance(
-                    handle,
-                    now - 1.0,
-                    now,
-                    10.0 * effect.performance,
-                    10.0 * effect.power,
-                );
-            }
+            advance_present(&mut coordinator, now);
             let stepped_at = coordinator.quantum();
             let summary = coordinator.step(now).unwrap();
             prop_assert_eq!(summary.quantum, stepped_at);

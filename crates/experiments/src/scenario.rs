@@ -56,7 +56,9 @@ impl AppSim {
         self.spec.active_at(quantum)
     }
 
-    fn demand_at(&self, quantum: usize) -> &QuantumDemand {
+    /// The demand phase at shared quantum `quantum`; phases cycle from the
+    /// app's arrival.
+    fn phase_at(&self, quantum: usize) -> &QuantumDemand {
         &self.phases[(quantum - self.spec.arrival) % self.phases.len()]
     }
 
@@ -506,7 +508,7 @@ impl<'a> ScenarioRun<'a> {
                     Slot::Refused => unreachable!("refused apps never launch"),
                 };
                 let report =
-                    server.evaluate(&to_server_demand(sim.demand_at(quantum)), &configuration);
+                    server.evaluate(&to_server_demand(sim.phase_at(quantum)), &configuration);
                 rates[index] = report.work_units / report.seconds;
                 per_app_power[index] = report.power_above_idle_watts;
                 contention[layout.machine_of(&sim.spec)] +=
@@ -631,8 +633,6 @@ fn managed_for(server: &XeonServer, sim: &AppSim, seed: u64, index: usize) -> Ma
     let runtime = solo_runtime(server, &driver, seed, index);
     ManagedApp::new(driver, runtime)
         .with_weight(sim.spec.weight)
-        .with_arrival(sim.spec.arrival)
-        .with_phases(sim.phases.clone())
         .with_nominal_power_hint(sim.launch_power_watts)
 }
 

@@ -32,7 +32,8 @@ fn main() {
 
     let mut coordinator = Coordinator::new(CAP_WATTS, Box::new(PerformanceMarket::default()));
     let mut targets = Vec::new();
-    let mut handles = Vec::new();
+    // Each app's handle and its demand phases, one per quantum.
+    let mut apps = Vec::new();
     let mut flat_out_watts = 0.0;
     for (index, &(benchmark, weight)) in mixes.iter().enumerate() {
         let workload = Workload::new(benchmark, 7 + index as u64);
@@ -54,33 +55,29 @@ fn main() {
             .seed(7 + index as u64)
             .build()
             .expect("actuators registered");
-        handles.push(coordinator.register(
+        let handle = coordinator.register(
             angstrom_seec::coordinator::ManagedApp::new(driver, runtime)
                 .with_weight(weight)
-                .with_phases(phases)
                 .with_nominal_power_hint(launch_watts),
-        ));
+        );
+        apps.push((handle, phases));
         targets.push(target_rate);
     }
 
     let mut meter = MachineMeter::new(CAP_WATTS);
-    let mut work_done = vec![0.0f64; handles.len()];
+    let mut work_done = vec![0.0f64; apps.len()];
     let mut now = 0.0;
     for quantum in 0..QUANTA {
         let start = now;
         now += DT;
         let mut machine_watts = 0.0;
-        for (index, &handle) in handles.iter().enumerate() {
-            let demand = coordinator
-                .app(handle)
-                .demand_at(quantum)
-                .expect("phases cover the run")
-                .clone();
+        for (index, (handle, phases)) in apps.iter().enumerate() {
+            let (handle, demand) = (*handle, &phases[quantum]);
             let configuration = map_configuration(
                 &server,
                 coordinator.app(handle).runtime().current_configuration(),
             );
-            let report = server.evaluate(&to_server_demand(&demand), &configuration);
+            let report = server.evaluate(&to_server_demand(demand), &configuration);
             let work = report.work_units / report.seconds * DT;
             coordinator.advance(handle, start, now, work, report.power_above_idle_watts);
             work_done[index] += work;
@@ -93,7 +90,7 @@ fn main() {
     println!("machine cap: {CAP_WATTS:.0} W above idle  (flat out would draw {flat_out_watts:.0} W)");
     println!("policy: {}\n", coordinator.policy_name());
     println!("app        weight  target b/s  achieved b/s  award W  attainment");
-    for (index, &handle) in handles.iter().enumerate() {
+    for (index, &(handle, _)) in apps.iter().enumerate() {
         let app = coordinator.app(handle);
         let achieved = work_done[index] / (QUANTA as f64 * DT);
         println!(

@@ -17,6 +17,7 @@ use angstrom_seec::experiments::fig3::{map_configuration, xeon_actuators, CONVEX
 use angstrom_seec::prelude::*;
 use angstrom_seec::seec::control::PiController;
 use angstrom_seec::seec::ExplorationPolicy;
+use angstrom_seec::workloads::QuantumDemand;
 
 /// FNV-1a over the little-endian bytes of each folded word.
 struct Fnv(u64);
@@ -176,42 +177,48 @@ fn the_power_capped_coordinator_decision_stream_is_pinned() {
             .seed(seed)
             .build()
             .expect("actuators registered");
-        ManagedApp::new(driver, runtime)
-            .with_phases(phases)
-            .with_nominal_power_hint(launch_watts)
+        let app = ManagedApp::new(driver, runtime).with_nominal_power_hint(launch_watts);
+        (app, phases)
     };
 
     let mut coordinator =
         Coordinator::new(30.0, Box::new(PerformanceMarket::default())).with_admission_control(true);
-    let mut handles: Vec<AppHandle> = [
+    // Each app's demand phases, indexed by the shared quantum (the late
+    // arrival included: it joins its phase cycle mid-stream).
+    let mut handles: Vec<(AppHandle, Vec<QuantumDemand>)> = [
         (SplashBenchmark::OceanNonContiguous, 3),
         (SplashBenchmark::Barnes, 4),
         (SplashBenchmark::Volrend, 5),
     ]
     .into_iter()
-    .map(|(benchmark, seed)| coordinator.register(managed(benchmark, seed)))
+    .map(|(benchmark, seed)| {
+        let (app, phases) = managed(benchmark, seed);
+        (coordinator.register(app), phases)
+    })
     .collect();
 
     let mut digest = Fnv::new();
     let mut now = 0.0;
     for quantum in 0..QUANTA {
         if quantum == LATE {
-            let handle = coordinator.register(managed(SplashBenchmark::WaterSpatial, 6));
+            let (app, phases) = managed(SplashBenchmark::WaterSpatial, 6);
+            let handle = coordinator.register(app);
             digest.runtime(coordinator.app(handle).runtime());
-            handles.push(handle);
+            handles.push((handle, phases));
         }
         let start = now;
         now += DT;
-        for &handle in &handles {
+        for (handle, phases) in &handles {
+            let handle = *handle;
             let app = coordinator.app(handle);
-            let demand = app.demand_at(quantum).expect("phases cycle");
+            let demand = &phases[quantum % phases.len()];
             let configuration = map_configuration(&server, app.runtime().current_configuration());
             let report = server.evaluate(&to_server_demand(demand), &configuration);
             let work = report.work_units / report.seconds * DT;
             coordinator.advance(handle, start, now, work, report.power_above_idle_watts);
         }
         coordinator.step(now).expect("goals registered");
-        for &handle in &handles {
+        for &(handle, _) in &handles {
             let app = coordinator.app(handle);
             if let Some(decision) = app.last_decision() {
                 digest.word(u64::from(decision.configuration.0));
@@ -225,8 +232,14 @@ fn the_power_capped_coordinator_decision_stream_is_pinned() {
             digest.runtime(app.runtime());
         }
     }
-    let awarded: f64 = handles.iter().map(|&h| coordinator.app(h).awarded_watts()).sum();
-    assert!(awarded <= 30.0 + 1e-9, "awards {awarded} W exceed the budget");
+    let awarded: f64 = handles
+        .iter()
+        .map(|(h, _)| coordinator.app(*h).awarded_watts())
+        .sum();
+    assert!(
+        awarded <= 30.0 + 1e-9,
+        "awards {awarded} W exceed the budget"
+    );
     assert_eq!(
         digest.0, 0xa148_0c12_9fe2_de42,
         "coordinator decision stream moved; digest {:#018x}",
