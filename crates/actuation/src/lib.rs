@@ -59,5 +59,5 @@ mod spec;
 
 pub use actuator::{Actuator, FnActuator, TableActuator};
 pub use error::ActuationError;
-pub use space::{ConfigId, ConfigTable, Configuration, PredictedEffect};
+pub use space::{staircase, ConfigId, ConfigTable, Configuration, EffectKey, PredictedEffect};
 pub use spec::{ActuatorSpec, ActuatorSpecBuilder, Axis, Scope, SettingIndex, SettingSpec};

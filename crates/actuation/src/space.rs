@@ -124,13 +124,63 @@ impl std::fmt::Display for ConfigId {
     }
 }
 
+/// One configuration's effect as an inline sort key: its speedup and power
+/// multipliers next to its id, so a walk over a sorted order reads every
+/// key it compares without an indirect lookup.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EffectKey {
+    /// Speedup multiplier over nominal.
+    pub speedup: f64,
+    /// Power multiplier over nominal.
+    pub power: f64,
+    /// The configuration.
+    pub id: ConfigId,
+}
+
+impl EffectKey {
+    /// `true` when `self` sorts before `other` by (speedup, id).
+    #[inline]
+    pub fn slower_than(&self, other: &Self) -> bool {
+        self.speedup < other.speedup || (self.speedup == other.speedup && self.id < other.id)
+    }
+
+    /// `true` when `self` sorts before `other` by (power, id).
+    #[inline]
+    pub fn cheaper_than(&self, other: &Self) -> bool {
+        self.power < other.power || (self.power == other.power && self.id < other.id)
+    }
+}
+
+/// The Pareto staircase of `by_power` (keys ascending by (power, id)): every
+/// key whose speedup is at least `floor` and at least that of every key
+/// before it. `floor` is the fastest speedup of the keys that precede
+/// `by_power` in a longer order (`f64::NEG_INFINITY` for a whole order), so
+/// a span of an order can be re-climbed on its own. Speedups along the
+/// staircase never decrease, and runs of equal speedup are kept whole, so
+/// the fastest configuration within any power prefix — smallest id on
+/// ties — is on it.
+pub fn staircase(
+    by_power: impl IntoIterator<Item = EffectKey>,
+    floor: f64,
+) -> impl Iterator<Item = EffectKey> {
+    let mut fastest = floor;
+    by_power.into_iter().filter(move |key| {
+        let on = key.speedup >= fastest;
+        if on {
+            fastest = key.speedup;
+        }
+        on
+    })
+}
+
 /// The interned-configuration arena of the joint space spanned by a set of
 /// actuator specifications.
 ///
 /// Instead of materialising a `Vec<SettingIndex>` per joint configuration,
 /// the table identifies each configuration by a mixed-radix [`ConfigId`] and
 /// precomputes everything the decision loop needs per id: the declared joint
-/// effect and indices sorted by declared speedup and declared power. Setting
+/// effect, the ids sorted by declared speedup and by declared power as
+/// inline [`EffectKey`]s, and the declared Pareto staircase. Setting
 /// decode/encode is O(arity) integer arithmetic; no configuration is stored.
 ///
 /// The declared effects belong to the platform, not to an application, so
@@ -161,10 +211,12 @@ struct TableData {
     /// Declared joint effect of every id: the product, in actuator order,
     /// of each setting's predicted effect.
     effects: Vec<PredictedEffect>,
-    /// Ids sorted ascending by (declared speedup, id).
-    by_speedup: Vec<ConfigId>,
-    /// Ids sorted ascending by (declared power, id).
-    by_power: Vec<ConfigId>,
+    /// Declared keys sorted ascending by (speedup, id).
+    by_speedup: Vec<EffectKey>,
+    /// Declared keys sorted ascending by (power, id).
+    by_power: Vec<EffectKey>,
+    /// The [`staircase`] of `by_power`.
+    staircase: Vec<EffectKey>,
 }
 
 /// Live tables by content-key hash. Entries are weak, so the interner never
@@ -334,33 +386,34 @@ impl ConfigTable {
         self.data.effects[id.index()]
     }
 
-    /// Ids sorted ascending by declared speedup (ties by id).
-    pub fn by_declared_speedup(&self) -> &[ConfigId] {
+    /// Every id's declared key, ascending by (speedup, id).
+    pub fn by_declared_speedup(&self) -> &[EffectKey] {
         &self.data.by_speedup
     }
 
-    /// Ids sorted ascending by declared power (ties by id).
-    pub fn by_declared_power(&self) -> &[ConfigId] {
+    /// Every id's declared key, ascending by (power, id).
+    pub fn by_declared_power(&self) -> &[EffectKey] {
         &self.data.by_power
+    }
+
+    /// The declared Pareto staircase: the [`staircase`] of
+    /// [`Self::by_declared_power`], the only configurations worth running
+    /// while beliefs equal declared effects.
+    pub fn declared_staircase(&self) -> &[EffectKey] {
+        &self.data.staircase
     }
 
     /// The declared power multiplier of the cheapest configuration (the
     /// floor any power envelope must admit). 1.0 for an empty table.
     pub fn min_declared_power(&self) -> f64 {
-        self.data
-            .by_power
-            .first()
-            .map_or(1.0, |&id| self.declared_effect(id).power)
+        self.data.by_power.first().map_or(1.0, |key| key.power)
     }
 
     /// The declared power multiplier of the most expensive configuration —
     /// the per-table power ceiling an application can reach flat out. 1.0
     /// for an empty table.
     pub fn max_declared_power(&self) -> f64 {
-        self.data
-            .by_power
-            .last()
-            .map_or(1.0, |&id| self.declared_effect(id).power)
+        self.data.by_power.last().map_or(1.0, |key| key.power)
     }
 
     /// Number of single-actuator neighbours of any configuration.
@@ -435,22 +488,19 @@ impl TableData {
                 effect
             })
             .collect();
-        let mut by_speedup: Vec<ConfigId> = (0..cardinality as u32).map(ConfigId).collect();
-        by_speedup.sort_by(|a, b| {
-            effects[a.index()]
-                .performance
-                .partial_cmp(&effects[b.index()].performance)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
+        let mut by_speedup: Vec<EffectKey> = effects
+            .iter()
+            .enumerate()
+            .map(|(id, effect)| EffectKey {
+                speedup: effect.performance,
+                power: effect.power,
+                id: ConfigId(id as u32),
+            })
+            .collect();
+        by_speedup.sort_by(|a, b| a.speedup.total_cmp(&b.speedup).then(a.id.cmp(&b.id)));
         let mut by_power = by_speedup.clone();
-        by_power.sort_by(|a, b| {
-            effects[a.index()]
-                .power
-                .partial_cmp(&effects[b.index()].power)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(b))
-        });
+        by_power.sort_by(|a, b| a.power.total_cmp(&b.power).then(a.id.cmp(&b.id)));
+        let staircase = staircase(by_power.iter().copied(), f64::NEG_INFINITY).collect();
         let nominal = if cardinality == 0 {
             ConfigId(0)
         } else {
@@ -469,6 +519,7 @@ impl TableData {
             effects,
             by_speedup,
             by_power,
+            staircase,
         }
     }
 }
@@ -560,31 +611,29 @@ mod tests {
     #[test]
     fn sorted_indices_are_ordered() {
         let table = table();
-        let speedups: Vec<f64> = table
-            .by_declared_speedup()
-            .iter()
-            .map(|&id| table.declared_effect(id).performance)
-            .collect();
-        assert!(speedups.windows(2).all(|w| w[0] <= w[1]));
-        let powers: Vec<f64> = table
-            .by_declared_power()
-            .iter()
-            .map(|&id| table.declared_effect(id).power)
-            .collect();
-        assert!(powers.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(table.by_declared_speedup().len(), table.len());
+        let by_speedup = table.by_declared_speedup();
+        assert!(by_speedup.windows(2).all(|w| w[0].slower_than(&w[1])));
+        let by_power = table.by_declared_power();
+        assert!(by_power.windows(2).all(|w| w[0].cheaper_than(&w[1])));
+        assert_eq!(by_speedup.len(), table.len());
+        for key in by_speedup.iter().chain(by_power) {
+            let effect = table.declared_effect(key.id);
+            assert_eq!((key.speedup, key.power), (effect.performance, effect.power));
+        }
+        // Declared speedup/power: [0,0] 0.5/0.4, [0,1] 0.9/0.8,
+        // [1,0] 1/1, [0,2] 1.5/1.6, [1,1] 1.8/2, [1,2] 3/4 in power order:
+        // every step up in power buys speed, so all six are on the
+        // staircase.
+        let stair: Vec<ConfigId> = table.declared_staircase().iter().map(|key| key.id).collect();
+        assert_eq!(stair, [0, 1, 3, 2, 4, 5].map(ConfigId));
     }
 
     #[test]
     fn power_ceiling_helpers_follow_the_sorted_index() {
         let table = table();
-        let powers: Vec<f64> = table
-            .by_declared_power()
-            .iter()
-            .map(|&id| table.declared_effect(id).power)
-            .collect();
-        assert_eq!(table.min_declared_power(), powers[0]);
-        assert_eq!(table.max_declared_power(), *powers.last().unwrap());
+        let by_power = table.by_declared_power();
+        assert_eq!(table.min_declared_power(), by_power[0].power);
+        assert_eq!(table.max_declared_power(), by_power.last().unwrap().power);
         let empty = ConfigTable::new(&[]);
         assert_eq!(empty.min_declared_power(), 1.0);
         assert_eq!(empty.max_declared_power(), 1.0);

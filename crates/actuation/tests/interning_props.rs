@@ -8,7 +8,8 @@
 //! equal and hold no table alive.
 
 use actuation::{
-    ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, PredictedEffect, SettingSpec,
+    ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, EffectKey, PredictedEffect,
+    SettingSpec,
 };
 use proptest::prelude::*;
 
@@ -114,11 +115,14 @@ fn space_from_shape(radices: &[usize], power_exponent: f64) -> Space {
 /// The per-id construction the interned table replaced, kept as the
 /// reference: every configuration's joint effect from
 /// [`Space::predicted_effect`], ids stably sorted by declared speedup and
-/// by declared power, and the nominal configuration's id.
+/// by declared power, the nominal configuration's id, and the declared
+/// staircase: the power-ordered ids at least as fast as every id before
+/// them, found by comparing each id with all of its predecessors.
 struct Oracle {
     effects: Vec<PredictedEffect>,
     by_speedup: Vec<ConfigId>,
     by_power: Vec<ConfigId>,
+    staircase: Vec<ConfigId>,
     nominal: ConfigId,
 }
 
@@ -143,6 +147,15 @@ fn oracle(space: &Space) -> Oracle {
             .total_cmp(&effects[b.index()].power)
             .then(a.cmp(b))
     });
+    let staircase = (0..by_power.len())
+        .filter(|&at| {
+            let speedup = effects[by_power[at].index()].performance;
+            by_power[..at]
+                .iter()
+                .all(|earlier| effects[earlier.index()].performance <= speedup)
+        })
+        .map(|at| by_power[at])
+        .collect();
     let nominal = configurations
         .iter()
         .position(|config| *config == space.nominal())
@@ -151,6 +164,7 @@ fn oracle(space: &Space) -> Oracle {
         effects,
         by_speedup,
         by_power,
+        staircase,
         nominal,
     }
 }
@@ -172,8 +186,19 @@ fn assert_matches_oracle(table: &ConfigTable, oracle: &Oracle) {
             "id {index}"
         );
     }
-    assert_eq!(table.by_declared_speedup(), &oracle.by_speedup[..]);
-    assert_eq!(table.by_declared_power(), &oracle.by_power[..]);
+    let ids = |keys: &[EffectKey]| keys.iter().map(|key| key.id).collect::<Vec<_>>();
+    assert_eq!(ids(table.by_declared_speedup()), oracle.by_speedup);
+    assert_eq!(ids(table.by_declared_power()), oracle.by_power);
+    assert_eq!(ids(table.declared_staircase()), oracle.staircase);
+    let keys = table.by_declared_speedup().iter();
+    for key in keys
+        .chain(table.by_declared_power())
+        .chain(table.declared_staircase())
+    {
+        let effect = &oracle.effects[key.id.index()];
+        assert_eq!(key.speedup.to_bits(), effect.performance.to_bits());
+        assert_eq!(key.power.to_bits(), effect.power.to_bits());
+    }
     assert_eq!(table.nominal(), oracle.nominal);
 }
 
@@ -233,14 +258,11 @@ proptest! {
         let by_speedup = table.by_declared_speedup();
         prop_assert_eq!(by_speedup.len(), table.len());
         for pair in by_speedup.windows(2) {
-            prop_assert!(
-                table.declared_effect(pair[0]).performance
-                    <= table.declared_effect(pair[1]).performance
-            );
+            prop_assert!(pair[0].slower_than(&pair[1]));
         }
         let by_power = table.by_declared_power();
         for pair in by_power.windows(2) {
-            prop_assert!(table.declared_effect(pair[0]).power <= table.declared_effect(pair[1]).power);
+            prop_assert!(pair[0].cheaper_than(&pair[1]));
         }
     }
 }

@@ -29,6 +29,7 @@
 //! Violations are deduplicated by label — the fuzzer cares about incident
 //! *classes*, not how many quanta exhibited one.
 
+use actuation::{ActuatorSpec, ConfigTable};
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_cap_violation,
     check_hierarchy_conservation, check_perf_per_watt_cliff, check_starvation,
@@ -43,6 +44,7 @@ use scenario_fuzz::{violation_label, PolicyPathCounters, ScenarioOutcome};
 use workloads::Scenario;
 use xeon_sim::XeonServer;
 
+use crate::fig3::xeon_actuators;
 use crate::scenario::{Hook, Layout, Platform, ScenarioEnd, ScenarioRun, Slot, Stepped};
 
 /// Seed-mixing constant shared with the experiment cells.
@@ -404,7 +406,18 @@ pub fn probe_executor_obs(
     observer: Option<std::sync::Arc<Recorder>>,
 ) -> impl FnMut(&Scenario) -> ScenarioOutcome {
     let server = XeonServer::dell_r410_calibrated();
+    // Every execution builds runtimes over the server's joint action space
+    // (the coordinated arm) and over each of its actuators alone (the
+    // uncoordinated baseline), then drops them all. The interner holds
+    // tables weakly, so without these handles each execution would rebuild
+    // all four tables.
+    let actuators = xeon_actuators(&server);
+    let specs: Vec<&ActuatorSpec> = actuators.iter().map(|actuator| actuator.spec()).collect();
+    let tables: Vec<ConfigTable> = std::iter::once(ConfigTable::new(&specs))
+        .chain(specs.iter().map(|&spec| ConfigTable::new(&[spec])))
+        .collect();
     move |scenario: &Scenario| {
+        let _held = &tables;
         if let Some(observer) = &observer {
             observer.count(Counter::FuzzExecutions);
         }
@@ -480,6 +493,18 @@ mod tests {
                 scenario.name
             );
         }
+    }
+
+    #[test]
+    fn the_executor_holds_the_probe_tables_between_executions() {
+        let executor = probe_executor(7);
+        let actuators = xeon_actuators(&XeonServer::dell_r410_calibrated());
+        let specs: Vec<&ActuatorSpec> = actuators.iter().map(|actuator| actuator.spec()).collect();
+        assert!(ConfigTable::new(&specs).holders() >= 2);
+        for spec in specs {
+            assert!(ConfigTable::new(&[spec]).holders() >= 2, "{}", spec.name());
+        }
+        drop(executor);
     }
 
     #[test]

@@ -12,31 +12,40 @@
 //!
 //! Configurations are interned into the [`ConfigTable`] arena and addressed
 //! by copyable [`ConfigId`] handles. The table is shared by every model
-//! over the same action space; what a model owns is per-application state.
-//! Beliefs live in a dense `Vec` indexed by id — no hashing, no per-lookup
-//! allocation — and two sorted indices (by believed speedup and by believed
-//! power), started from the table's declared orders, are maintained
-//! incrementally as observations arrive.
+//! over the same action space, and it holds the declared effects: both
+//! declared sort orders as inline [`EffectKey`]s and the declared Pareto
+//! staircase. What a model owns is per-application state, sized by what it
+//! has observed, not by the space:
+//! - the beliefs of the observed ids, sorted by id, with an id bitset (an
+//!   unobserved id's belief is its declared effect);
+//! - those ids' keys in (speedup, id) and (power, id) order — merged with
+//!   the table's declared keys of the unobserved ids, they are the two
+//!   believed orders;
+//! - the *believed staircase*: every configuration at least as fast as
+//!   every cheaper one, in (power, id) order, shared with the table until
+//!   an observation changes it and then repaired locally.
 //!
 //! ## Selection
 //!
 //! The decision loop asks three questions, all over ids and all without
 //! materialising a configuration:
-//! - [`ActionModel::choose_id`]: the configuration to run next;
+//! - [`ActionModel::choose_id`]: the configuration to run next — two binary
+//!   searches on the staircase;
 //! - [`ActionModel::bracket_below_id`]: the low end of the time-division
-//!   schedule;
+//!   schedule — a walk down the believed speedup order;
 //! - [`ActionModel::cheapest_id`]: the floor every power envelope degrades
-//!   to.
+//!   to — the staircase's first key.
 //!
 //! The first two take a `max_powerup` cap on the believed power multiplier
-//! and consider only the admissible prefix of the power index;
-//! `f64::INFINITY` means unconstrained. Selection results are *identical*
-//! to a naive first-match scan over ids in order, which is lexicographic
-//! over the setting indices, last actuator fastest: every tie is broken
-//! toward the smaller id, exactly what a lexicographic scan with strict
-//! comparisons produced.
+//! and consider only the configurations within it; `f64::INFINITY` means
+//! unconstrained. Selection results are *identical* to a naive first-match
+//! scan over ids in order, which is lexicographic over the setting indices,
+//! last actuator fastest: every tie is broken toward the smaller id,
+//! exactly what a lexicographic scan with strict comparisons produced. The
+//! dense model this replaced is kept as the oracle of
+//! `tests/staircase_props.rs`.
 
-use actuation::{ConfigId, ConfigTable};
+use actuation::{staircase, ConfigId, ConfigTable, EffectKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -75,19 +84,155 @@ impl Default for ExplorationPolicy {
     }
 }
 
-/// The runtime's model of every configuration in a [`ConfigTable`].
+/// The set of observed ids: one bit per id of the table, held inline for
+/// tables of at most 128 configurations so a small space's model allocates
+/// nothing for it.
+#[derive(Debug, Clone)]
+enum ObservedSet {
+    Inline(u128),
+    Heap(Box<[u64]>),
+}
+
+impl ObservedSet {
+    fn for_table(len: usize) -> Self {
+        if len <= 128 {
+            ObservedSet::Inline(0)
+        } else {
+            ObservedSet::Heap(vec![0; len.div_ceil(64)].into_boxed_slice())
+        }
+    }
+
+    #[inline]
+    fn contains(&self, id: ConfigId) -> bool {
+        match self {
+            ObservedSet::Inline(bits) => bits >> id.0 & 1 == 1,
+            ObservedSet::Heap(words) => words[id.index() / 64] >> (id.0 % 64) & 1 == 1,
+        }
+    }
+
+    fn insert(&mut self, id: ConfigId) {
+        match self {
+            ObservedSet::Inline(bits) => *bits |= 1 << id.0,
+            ObservedSet::Heap(words) => words[id.index() / 64] |= 1 << (id.0 % 64),
+        }
+    }
+}
+
+/// One believed order: the table's declared keys of the unobserved ids
+/// merged with the model's learned keys, both ascending by `before`.
+/// Iterates from either end.
+struct Believed<'a, F> {
+    declared: &'a [EffectKey],
+    learned: &'a [EffectKey],
+    observed: &'a ObservedSet,
+    before: F,
+}
+
+impl<F: Fn(&EffectKey, &EffectKey) -> bool> Iterator for Believed<'_, F> {
+    type Item = EffectKey;
+
+    fn next(&mut self) -> Option<EffectKey> {
+        while let Some((first, rest)) = self.declared.split_first() {
+            if !self.observed.contains(first.id) {
+                break;
+            }
+            self.declared = rest;
+        }
+        let from_learned = match (self.declared.first(), self.learned.first()) {
+            (Some(declared), Some(learned)) => (self.before)(learned, declared),
+            (None, learned) => learned.is_some(),
+            (Some(_), None) => false,
+        };
+        let side = if from_learned { &mut self.learned } else { &mut self.declared };
+        let (&key, rest) = side.split_first()?;
+        *side = rest;
+        Some(key)
+    }
+}
+
+impl<F: Fn(&EffectKey, &EffectKey) -> bool> DoubleEndedIterator for Believed<'_, F> {
+    fn next_back(&mut self) -> Option<EffectKey> {
+        while let Some((last, rest)) = self.declared.split_last() {
+            if !self.observed.contains(last.id) {
+                break;
+            }
+            self.declared = rest;
+        }
+        let from_learned = match (self.declared.last(), self.learned.last()) {
+            (Some(declared), Some(learned)) => (self.before)(declared, learned),
+            (None, learned) => learned.is_some(),
+            (Some(_), None) => false,
+        };
+        let side = if from_learned { &mut self.learned } else { &mut self.declared };
+        let (&key, rest) = side.split_last()?;
+        *side = rest;
+        Some(key)
+    }
+}
+
+/// The keys of `by_power` from `from` (inclusive) up to `to` (exclusive;
+/// `None` = to the end), in (power, id) order.
+fn power_span<'a>(
+    by_power: &'a [EffectKey],
+    from: &EffectKey,
+    to: Option<&EffectKey>,
+) -> &'a [EffectKey] {
+    let end = to.map_or(by_power.len(), |to| {
+        by_power.partition_point(|key| key.cheaper_than(to))
+    });
+    &by_power[by_power.partition_point(|key| key.cheaper_than(from))..end]
+}
+
+/// The keys of `by_speedup` slower than `required`.
+fn below(by_speedup: &[EffectKey], required: f64) -> &[EffectKey] {
+    &by_speedup[..by_speedup.partition_point(|key| key.speedup < required)]
+}
+
+/// Inserts `value` at `at`, growing `values` by exactly one slot: a model
+/// learns about a handful of configurations, and a doubled capacity would
+/// outweigh them on small spaces.
+fn insert_exact<T>(values: &mut Vec<T>, at: usize, value: T) {
+    values.reserve_exact(1);
+    values.insert(at, value);
+}
+
+/// Replaces `old` in `keys` (ascending by `before`) with `new`, shifting the
+/// keys between their two positions by one.
+fn move_key(
+    keys: &mut [EffectKey],
+    old: EffectKey,
+    new: EffectKey,
+    before: impl Fn(&EffectKey, &EffectKey) -> bool,
+) {
+    let mut at = keys.partition_point(|other| before(other, &old));
+    debug_assert_eq!(keys[at].id, old.id);
+    while at > 0 && before(&new, &keys[at - 1]) {
+        keys[at] = keys[at - 1];
+        at -= 1;
+    }
+    while at + 1 < keys.len() && before(&keys[at + 1], &new) {
+        keys[at] = keys[at + 1];
+        at += 1;
+    }
+    keys[at] = new;
+}
+
+/// The runtime's model of every configuration in a [`ConfigTable`]: what
+/// it learned about the configurations it observed, over the declared
+/// effects the table shares with every model of the same action space.
 #[derive(Debug, Clone)]
 pub struct ActionModel {
     table: ConfigTable,
-    beliefs: Vec<BelievedEffect>,
-    /// Ids sorted ascending by (believed speedup, id).
-    by_speedup: Vec<ConfigId>,
-    /// Ids sorted ascending by (believed powerup, id).
-    by_power: Vec<ConfigId>,
-    /// id → position in `by_speedup` / `by_power`.
-    rank_speedup: Vec<u32>,
-    rank_power: Vec<u32>,
-    observed: usize,
+    /// Beliefs of the observed ids, ascending by id. Every other id's
+    /// belief is its declared effect.
+    learned: Vec<(ConfigId, BelievedEffect)>,
+    /// The ids `learned` holds.
+    observed: ObservedSet,
+    /// `learned` as keys, with `k` = `learned.len()`: ascending by
+    /// (speedup, id) in `keys[..k]` and by (power, id) in `keys[k..]`.
+    keys: Vec<EffectKey>,
+    /// The believed staircase; empty while it is the table's declared one.
+    staircase: Vec<EffectKey>,
     /// Exponential-moving-average weight given to a new observation.
     pub learning_rate: f64,
     policy: ExplorationPolicy,
@@ -102,39 +247,15 @@ pub struct ActionModel {
 }
 
 impl ActionModel {
-    /// Creates a model over `table` seeded from the declared effects.
+    /// Creates a model over `table` seeded from the declared effects: it
+    /// holds no belief of its own until the first observation.
     pub fn new(table: ConfigTable, seed: u64) -> Self {
-        let beliefs: Vec<BelievedEffect> = (0..table.len())
-            .map(|i| {
-                let declared = table.declared_effect(ConfigId(i as u32));
-                BelievedEffect {
-                    speedup: declared.performance,
-                    powerup: declared.power,
-                    observations: 0,
-                }
-            })
-            .collect();
-        // The declared-effect indices precomputed by the arena are the
-        // correct starting point: beliefs equal declared effects until the
-        // first observation.
-        let by_speedup = table.by_declared_speedup().to_vec();
-        let by_power = table.by_declared_power().to_vec();
-        let mut rank_speedup = vec![0u32; table.len()];
-        for (pos, id) in by_speedup.iter().enumerate() {
-            rank_speedup[id.index()] = pos as u32;
-        }
-        let mut rank_power = vec![0u32; table.len()];
-        for (pos, id) in by_power.iter().enumerate() {
-            rank_power[id.index()] = pos as u32;
-        }
         ActionModel {
+            observed: ObservedSet::for_table(table.len()),
             table,
-            beliefs,
-            by_speedup,
-            by_power,
-            rank_speedup,
-            rank_power,
-            observed: 0,
+            learned: Vec::new(),
+            keys: Vec::new(),
+            staircase: Vec::new(),
             learning_rate: 0.3,
             policy: ExplorationPolicy::default(),
             divergent_streak: 0,
@@ -182,49 +303,58 @@ impl ActionModel {
         self.belief_halflife
     }
 
-    /// One aging tick: every belief decays toward its declared prior by
-    /// the retention factor derived from the halflife, and the two sorted
-    /// selection indices are rebuilt to match. A no-op (early return,
-    /// nothing touched) when aging is disabled.
+    /// One aging tick: every learned belief decays toward its declared
+    /// prior by the retention factor derived from the halflife, and the
+    /// learned orders and the staircase are rebuilt to match. A no-op
+    /// (early return, nothing touched) when aging is disabled.
     ///
-    /// Unobserved beliefs already *equal* their declared priors, so the
-    /// decay leaves them bit-identical; observation counts are not aged —
-    /// they record how often a configuration was tried, not how fresh the
-    /// belief is.
+    /// Unobserved beliefs *are* their declared priors, which the decay
+    /// would leave bit-identical, so only observed ids are touched;
+    /// observation counts are not aged — they record how often a
+    /// configuration was tried, not how fresh the belief is.
     pub fn age_beliefs(&mut self) {
-        if self.aging_retention >= 1.0 {
+        if self.aging_retention >= 1.0 || self.learned.is_empty() {
             return;
         }
         let retention = self.aging_retention;
-        for (index, belief) in self.beliefs.iter_mut().enumerate() {
-            let declared = self.table.declared_effect(ConfigId(index as u32));
-            belief.speedup = declared.performance + (belief.speedup - declared.performance) * retention;
+        for (id, belief) in &mut self.learned {
+            let declared = self.table.declared_effect(*id);
+            belief.speedup =
+                declared.performance + (belief.speedup - declared.performance) * retention;
             belief.powerup = declared.power + (belief.powerup - declared.power) * retention;
         }
         // The decay is monotone per belief but not order-preserving across
-        // beliefs (each decays toward a different prior), so both indices
-        // are re-sorted wholesale. In-place, allocation-free, and O(n log n)
-        // on the aging path only — the unaged hot path never gets here.
-        let beliefs = &self.beliefs;
-        self.by_speedup
-            .sort_unstable_by(|&a, &b| {
-                beliefs[a.index()]
-                    .speedup
-                    .total_cmp(&beliefs[b.index()].speedup)
-                    .then(a.cmp(&b))
-            });
-        self.by_power.sort_unstable_by(|&a, &b| {
-            beliefs[a.index()]
-                .powerup
-                .total_cmp(&beliefs[b.index()].powerup)
-                .then(a.cmp(&b))
+        // beliefs (each decays toward a different prior), so both learned
+        // orders are re-sorted and the staircase re-climbed from scratch —
+        // on the aging path only; the unaged hot path never gets here.
+        let k = self.learned.len();
+        let learned = self.learned.iter().map(|&(id, belief)| EffectKey {
+            speedup: belief.speedup,
+            power: belief.powerup,
+            id,
         });
-        for (pos, id) in self.by_speedup.iter().enumerate() {
-            self.rank_speedup[id.index()] = pos as u32;
+        self.keys.clear();
+        self.keys.extend(learned.clone().chain(learned));
+        let (by_speedup, by_power) = self.keys.split_at_mut(k);
+        by_speedup.sort_unstable_by(|a, b| a.speedup.total_cmp(&b.speedup).then(a.id.cmp(&b.id)));
+        by_power.sort_unstable_by(|a, b| a.power.total_cmp(&b.power).then(a.id.cmp(&b.id)));
+        let by_power = Believed {
+            declared: self.table.by_declared_power(),
+            learned: &self.keys[k..],
+            observed: &self.observed,
+            before: EffectKey::cheaper_than,
+        };
+        self.staircase.clear();
+        self.staircase.extend(staircase(by_power, f64::NEG_INFINITY));
+    }
+
+    /// The believed staircase, copied out of the table first if it is
+    /// still the declared one.
+    fn staircase_mut(&mut self) -> &mut Vec<EffectKey> {
+        if self.staircase.is_empty() {
+            self.staircase = self.table.declared_staircase().to_vec();
         }
-        for (pos, id) in self.by_power.iter().enumerate() {
-            self.rank_power[id.index()] = pos as u32;
-        }
+        &mut self.staircase
     }
 
     /// The interned-configuration arena the model runs on.
@@ -232,10 +362,29 @@ impl ActionModel {
         &self.table
     }
 
-    /// The believed effect of the configuration `id`.
+    /// The believed effect of the configuration `id`: what the model
+    /// learned if `id` was observed, its declared effect otherwise.
     #[inline]
     pub fn believed(&self, id: ConfigId) -> BelievedEffect {
-        self.beliefs[id.index()]
+        if self.observed.contains(id) {
+            self.learned[self.learned.partition_point(|&(learned, _)| learned < id)].1
+        } else {
+            let declared = self.table.declared_effect(id);
+            BelievedEffect {
+                speedup: declared.performance,
+                powerup: declared.power,
+                observations: 0,
+            }
+        }
+    }
+
+    /// The believed Pareto staircase every selection reads: the
+    /// [`staircase`] of every id's believed key in (power, id) order.
+    pub fn believed_staircase(&self) -> &[EffectKey] {
+        match &self.staircase[..] {
+            [] => self.table.declared_staircase(),
+            owned => owned,
+        }
     }
 
     /// Records that running in `id` produced `observed_speedup` and
@@ -247,38 +396,52 @@ impl ActionModel {
         observed_speedup: f64,
         observed_powerup: f64,
     ) -> f64 {
-        let belief = &mut self.beliefs[id.index()];
-        let error = if belief.speedup > 0.0 {
-            ((observed_speedup - belief.speedup) / belief.speedup).abs()
+        let previous = self.believed(id);
+        let error = if previous.speedup > 0.0 {
+            ((observed_speedup - previous.speedup) / previous.speedup).abs()
         } else {
             1.0
         };
         let a = self.learning_rate;
+        let mut belief = previous;
         if observed_speedup.is_finite() && observed_speedup > 0.0 {
             belief.speedup = (1.0 - a) * belief.speedup + a * observed_speedup;
         }
         if observed_powerup.is_finite() && observed_powerup > 0.0 {
             belief.powerup = (1.0 - a) * belief.powerup + a * observed_powerup;
         }
-        if belief.observations == 0 {
-            self.observed += 1;
-        }
         belief.observations += 1;
-        let (speedup, powerup) = (belief.speedup, belief.powerup);
-        reposition(
-            &mut self.by_speedup,
-            &mut self.rank_speedup,
+        let old = EffectKey {
+            speedup: previous.speedup,
+            power: previous.powerup,
             id,
-            |other| self.beliefs[other.index()].speedup,
-            speedup,
-        );
-        reposition(
-            &mut self.by_power,
-            &mut self.rank_power,
+        };
+        let new = EffectKey {
+            speedup: belief.speedup,
+            power: belief.powerup,
             id,
-            |other| self.beliefs[other.index()].powerup,
-            powerup,
-        );
+        };
+        let k = self.learned.len();
+        match self.learned.binary_search_by_key(&id, |&(learned, _)| learned) {
+            Ok(at) => {
+                self.learned[at].1 = belief;
+                let (by_speedup, by_power) = self.keys.split_at_mut(k);
+                move_key(by_speedup, old, new, EffectKey::slower_than);
+                move_key(by_power, old, new, EffectKey::cheaper_than);
+            }
+            Err(at) => {
+                let by_speedup = self.keys[..k].partition_point(|key| key.slower_than(&new));
+                let by_power = self.keys[k..].partition_point(|key| key.cheaper_than(&new));
+                self.keys.reserve_exact(2);
+                self.keys.insert(by_speedup, new);
+                self.keys.insert(k + 1 + by_power, new);
+                insert_exact(&mut self.learned, at, (id, belief));
+                self.observed.insert(id);
+            }
+        }
+        if new != old {
+            self.repair_staircase(old, new);
+        }
 
         if error > self.policy.divergence_threshold {
             self.divergent_streak += 1;
@@ -288,6 +451,84 @@ impl ActionModel {
         error
     }
 
+    /// Repairs the believed staircase after one id's key moved from `old`
+    /// to `new` (the learned orders already hold `new`).
+    fn repair_staircase(&mut self, old: EffectKey, new: EffectKey) {
+        let stair = self.believed_staircase();
+        let at_old = stair.partition_point(|key| key.cheaper_than(&old));
+        let was_on = stair.get(at_old).is_some_and(|key| key.id == old.id);
+        if !was_on || (!old.cheaper_than(&new) && new.speedup >= old.speedup) {
+            // Nothing below the staircase can surface: `old` held nothing
+            // down (it was dominated itself), or `new`, no dearer and no
+            // slower, holds down everything `old` did.
+            self.promote(was_on.then_some(at_old), new);
+        } else {
+            self.reclimb(old, new);
+        }
+    }
+
+    /// The staircase repair when nothing below it can surface: the key at
+    /// `at_old` (if any) leaves, and `new` joins unless a cheaper key is
+    /// faster, displacing the run of slower keys after it.
+    fn promote(&mut self, at_old: Option<usize>, new: EffectKey) {
+        let stair = self.believed_staircase();
+        let at = stair.partition_point(|key| key.cheaper_than(&new));
+        if at > 0 && new.speedup < stair[at - 1].speedup {
+            // Dominated: then so was `old` (an on-staircase key that moves
+            // no dearer and no slower stays on), and nothing changes.
+            return;
+        }
+        let stair = self.staircase_mut();
+        if let Some(at_old) = at_old {
+            stair.remove(at_old);
+        }
+        let slower = stair[at..].partition_point(|key| key.speedup < new.speedup);
+        if slower == 0 {
+            insert_exact(stair, at, new);
+        } else {
+            stair[at] = new;
+            stair.drain(at + 1..at + slower);
+        }
+    }
+
+    /// The staircase repair in general. Keys cheaper than both positions
+    /// keep their staircase membership: the moved key is not among their
+    /// predecessors either way. So do the keys from the first staircase key
+    /// past both positions that is at least as fast as both speeds on: that
+    /// key keeps up with the moved one in both states, so the moved key
+    /// decides none of their memberships. Only the span between is
+    /// re-climbed, over the believed power order.
+    fn reclimb(&mut self, old: EffectKey, new: EffectKey) {
+        let stair = self.believed_staircase();
+        let (lo, hi) = if old.cheaper_than(&new) { (old, new) } else { (new, old) };
+        let start = stair.partition_point(|key| key.cheaper_than(&lo));
+        let past = stair.partition_point(|key| !hi.cheaper_than(key));
+        let top = old.speedup.max(new.speedup);
+        let mut end = past.max(stair.partition_point(|key| key.speedup < top));
+        let bound = stair.get(end).copied();
+        let floor = if start > 0 { stair[start - 1].speedup } else { f64::NEG_INFINITY };
+        self.staircase_mut();
+        let k = self.learned.len();
+        let span = Believed {
+            declared: power_span(self.table.by_declared_power(), &lo, bound.as_ref()),
+            learned: power_span(&self.keys[k..], &lo, bound.as_ref()),
+            observed: &self.observed,
+            before: EffectKey::cheaper_than,
+        };
+        let stair = &mut self.staircase;
+        let mut write = start;
+        for key in staircase(span, floor) {
+            if write < end {
+                stair[write] = key;
+            } else {
+                insert_exact(stair, write, key);
+                end += 1;
+            }
+            write += 1;
+        }
+        stair.drain(write..end);
+    }
+
     /// Whether the model considers itself diverged (exploration should take
     /// over the next decisions).
     pub fn is_diverged(&self) -> bool {
@@ -295,43 +536,23 @@ impl ActionModel {
     }
 
     /// Chooses the configuration to run next among those whose believed
-    /// powerup is at most `max_powerup` (the admissible prefix of the
-    /// power-sorted index; `f64::INFINITY` = unconstrained): the cheapest
-    /// (lowest believed power) one whose believed speedup meets
-    /// `required_speedup`, or, if none meets it, the one with the highest
-    /// believed speedup. With probability epsilon — or whenever the model
-    /// has diverged — a neighbouring configuration of `current` is explored
-    /// instead, unless it breaches the cap. Ties break toward the smaller
-    /// id, like the first-match scan this replaces. When even the cheapest
-    /// configuration exceeds the cap, the cheapest is returned: an
-    /// application cannot run in no configuration, so the envelope degrades
-    /// to "as cheap as the action space allows".
+    /// powerup is at most `max_powerup` (`f64::INFINITY` = unconstrained):
+    /// the cheapest (lowest believed power) one whose believed speedup
+    /// meets `required_speedup`, or, if none meets it, the one with the
+    /// highest believed speedup. With probability epsilon — or whenever the
+    /// model has diverged — a neighbouring configuration of `current` is
+    /// explored instead, unless it breaches the cap. Ties break toward the
+    /// smaller id, like the first-match scan this replaces. When even the
+    /// cheapest configuration exceeds the cap — or the cap is NaN — the
+    /// cheapest is returned: an application cannot run in no configuration,
+    /// so the envelope degrades to "as cheap as the action space allows".
     pub fn choose_id(
         &mut self,
         required_speedup: f64,
         current: ConfigId,
         max_powerup: f64,
     ) -> ConfigId {
-        // Admissible prefix of the power-sorted index (the whole index for
-        // an infinite cap), floored at one so the cheapest is always a
-        // candidate.
-        let admissible = self.power_boundary(max_powerup).max(1).min(self.by_power.len());
-        // Walk the power-sorted prefix: the first id meeting the speedup
-        // requirement is the cheapest meeting it (ties by id). Usually an
-        // early exit; the scan it replaced was always O(cardinality) with a
-        // settings-vector allocation per step.
-        let meeting = self.by_power[..admissible]
-            .iter()
-            .copied()
-            .find(|id| self.beliefs[id.index()].speedup >= required_speedup);
-        let exploit = meeting.unwrap_or_else(|| {
-            if admissible == self.by_power.len() {
-                self.fastest()
-            } else {
-                self.fastest_within(admissible)
-            }
-        });
-
+        let exploit = self.exploit(required_speedup, max_powerup);
         let explore =
             self.is_diverged() || self.rng.gen_bool(self.policy.epsilon.clamp(0.0, 1.0));
         if explore {
@@ -341,7 +562,7 @@ impl ActionModel {
                 let neighbor = self.table.neighbor(current, pick);
                 // An exploration step must not breach the power envelope;
                 // over-cap neighbours fall back to the exploit choice.
-                if self.beliefs[neighbor.index()].powerup <= max_powerup {
+                if self.believed(neighbor).powerup <= max_powerup {
                     return neighbor;
                 }
             }
@@ -349,41 +570,33 @@ impl ActionModel {
         exploit
     }
 
-    /// Length of the admissible prefix of the power-sorted index under
-    /// `max_powerup` (the whole index for an infinite cap).
-    fn power_boundary(&self, max_powerup: f64) -> usize {
-        if max_powerup == f64::INFINITY {
-            return self.by_power.len();
+    /// [`Self::choose_id`] without exploration: two binary searches on the
+    /// believed staircase.
+    fn exploit(&self, required_speedup: f64, max_powerup: f64) -> ConfigId {
+        let stair = self.believed_staircase();
+        // Every key cheaper than the first staircase key meeting the
+        // requirement is slower, so that key is the cheapest meeting it —
+        // if the cap admits it.
+        // A NaN requirement is met by nothing.
+        let meets = |key: &EffectKey| key.speedup >= required_speedup;
+        let meeting = stair.partition_point(|key| !meets(key));
+        if let Some(key) = stair.get(meeting).filter(|key| key.power <= max_powerup) {
+            return key.id;
         }
-        self.by_power
-            .partition_point(|id| self.beliefs[id.index()].powerup <= max_powerup)
-    }
-
-    /// The id with the highest believed speedup (smallest id on ties).
-    fn fastest(&self) -> ConfigId {
-        let top = *self.by_speedup.last().expect("non-empty space");
-        let top_speedup = self.beliefs[top.index()].speedup;
-        // Ids are ascending within an equal-speedup run, so the first id of
-        // the top run is the scan's answer.
-        self.by_speedup
-            [self.by_speedup.partition_point(|id| self.beliefs[id.index()].speedup < top_speedup)]
-    }
-
-    /// The id with the highest believed speedup among the first `admissible`
-    /// entries of the power-sorted index (smallest id on ties) — what
-    /// [`Self::fastest`] degrades to under a power envelope. Equals
-    /// `fastest()` when the whole index is admissible.
-    fn fastest_within(&self, admissible: usize) -> ConfigId {
-        let mut best = self.by_power[0];
-        let mut best_speedup = self.beliefs[best.index()].speedup;
-        for &id in &self.by_power[1..admissible] {
-            let speedup = self.beliefs[id.index()].speedup;
-            if speedup > best_speedup || (speedup == best_speedup && id < best) {
-                best = id;
-                best_speedup = speedup;
-            }
-        }
-        best
+        // Nothing admissible meets it: the fastest admissible. The last
+        // staircase key within the cap (the cheapest when none is: it is
+        // always admissible) is as fast as every cheaper key, and every
+        // cheaper key as fast as it is on its equal-speedup run, so the
+        // smallest id of that run wins.
+        let last = stair.partition_point(|key| key.power <= max_powerup).max(1) - 1;
+        let top = stair[last].speedup;
+        stair[..=last]
+            .iter()
+            .rev()
+            .take_while(|key| key.speedup == top)
+            .map(|key| key.id)
+            .min()
+            .expect("the run holds the last key")
     }
 
     /// The bracketing configuration *below* a required speedup: among the
@@ -392,43 +605,45 @@ impl ActionModel {
     /// = unconstrained), the fastest one (ties broken toward lower power,
     /// then smaller id), with its believed speedup. Used as the low end of
     /// time-division schedules so that the schedule alternates between
-    /// adjacent operating points rather than between extremes. Over-cap
-    /// configurations are skipped while walking down the speedup index; when
-    /// nothing under the requirement is admissible — or everything meets
-    /// it — the overall cheapest configuration is returned (the same floor
+    /// adjacent operating points rather than between extremes. The answer
+    /// need not be on the staircase: over-cap configurations are skipped
+    /// while walking down the believed speedup order; when nothing under
+    /// the requirement is admissible — or everything meets it — the overall
+    /// cheapest configuration is returned (the same floor
     /// [`Self::choose_id`] degrades to).
     pub fn bracket_below_id(
         &self,
         required_speedup: f64,
         max_powerup: f64,
     ) -> (ConfigId, f64) {
-        let boundary = self
-            .by_speedup
-            .partition_point(|id| self.beliefs[id.index()].speedup < required_speedup);
+        let below = Believed {
+            declared: below(self.table.by_declared_speedup(), required_speedup),
+            learned: below(&self.keys[..self.learned.len()], required_speedup),
+            observed: &self.observed,
+            before: EffectKey::slower_than,
+        };
         // Walk down from the fastest candidate, skipping over-cap entries;
         // the first admissible entry fixes the bracket's speedup and the
         // rest of its equal-speedup run competes on lowest power (ties by
-        // id). With an infinite cap nothing is skipped, so the walk is the
-        // original: the run below `boundary - 1`.
+        // id).
         let mut best: Option<(ConfigId, f64)> = None;
         let mut best_speedup = f64::NEG_INFINITY;
-        for &id in self.by_speedup[..boundary].iter().rev() {
-            let belief = self.beliefs[id.index()];
-            if belief.speedup < best_speedup {
+        for key in below.rev() {
+            if key.speedup < best_speedup {
                 break;
             }
-            if belief.powerup > max_powerup {
+            if key.power > max_powerup {
                 continue;
             }
-            best_speedup = belief.speedup;
+            best_speedup = key.speedup;
             let better = match best {
                 None => true,
                 Some((best_id, power)) => {
-                    belief.powerup < power || (belief.powerup == power && id < best_id)
+                    key.power < power || (key.power == power && key.id < best_id)
                 }
             };
             if better {
-                best = Some((id, belief.powerup));
+                best = Some((key.id, key.power));
             }
         }
         match best {
@@ -438,59 +653,17 @@ impl ActionModel {
     }
 
     /// The id with the lowest believed power (smallest id on ties), and its
-    /// believed speedup. Used as the low end of time-division schedules.
+    /// believed speedup: the first key of the staircase. Used as the low
+    /// end of time-division schedules.
     pub fn cheapest_id(&self) -> (ConfigId, f64) {
-        let id = self.by_power[0];
-        (id, self.beliefs[id.index()].speedup)
+        let key = self.believed_staircase()[0];
+        (key.id, key.speedup)
     }
 
     /// Number of distinct configurations observed at least once.
     pub fn observed_configurations(&self) -> usize {
-        self.observed
+        self.learned.len()
     }
-
-    /// The model's own sort orders, by believed speedup and by believed
-    /// power.
-    #[cfg(test)]
-    pub(crate) fn believed_orders(&self) -> (&[ConfigId], &[ConfigId]) {
-        (&self.by_speedup, &self.by_power)
-    }
-}
-
-/// Moves `id` to its sorted position after its key changed to `new_key`.
-/// `vec` is ordered by `(key, id)` ascending; `rank` maps id → position.
-fn reposition<F: Fn(ConfigId) -> f64>(
-    vec: &mut [ConfigId],
-    rank: &mut [u32],
-    id: ConfigId,
-    key_of: F,
-    new_key: f64,
-) {
-    let mut pos = rank[id.index()] as usize;
-    // Bubble toward the front while the predecessor sorts after (new_key, id).
-    while pos > 0 {
-        let prev = vec[pos - 1];
-        let prev_key = key_of(prev);
-        if prev_key < new_key || (prev_key == new_key && prev < id) {
-            break;
-        }
-        vec[pos] = prev;
-        rank[prev.index()] = pos as u32;
-        pos -= 1;
-    }
-    // Or toward the back while the successor sorts before (new_key, id).
-    while pos + 1 < vec.len() {
-        let next = vec[pos + 1];
-        let next_key = key_of(next);
-        if next_key > new_key || (next_key == new_key && next > id) {
-            break;
-        }
-        vec[pos] = next;
-        rank[next.index()] = pos as u32;
-        pos += 1;
-    }
-    vec[pos] = id;
-    rank[id.index()] = pos as u32;
 }
 
 #[cfg(test)]

@@ -150,8 +150,9 @@ impl SeecRuntimeBuilder {
     /// specs, interned by content: every runtime built over equal specs —
     /// the same platform — shares one immutable table, so a launch builds
     /// no table while the platform's table is live. What the runtime owns
-    /// is per-application state only: beliefs, their two sort orders and
-    /// ranks, and the exploration RNG.
+    /// is per-application state only: the beliefs of the configurations it
+    /// has observed, their two sort orders, the believed Pareto staircase,
+    /// and the exploration RNG.
     ///
     /// # Errors
     ///
@@ -426,13 +427,21 @@ impl SeecRuntime {
     ///
     /// # Errors
     ///
-    /// Same contract as [`Self::decide`].
+    /// Same contract as [`Self::decide`], plus
+    /// [`SeecError::InvalidParameter`] — and no decision — for a NaN cap,
+    /// which admits no configuration and cannot be met. Infinite, zero and
+    /// negative caps are valid.
     pub fn decide_under_power_cap(
         &mut self,
         now: f64,
         obs: &MonitorObservation,
         max_powerup: f64,
     ) -> Result<Decision, SeecError> {
+        if max_powerup.is_nan() {
+            return Err(SeecError::InvalidParameter(
+                "the powerup cap must not be NaN".to_string(),
+            ));
+        }
         let target = self
             .target_override
             .or(obs.target_heart_rate)
@@ -706,7 +715,7 @@ impl SeecRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actuation::{Axis, SettingSpec, TableActuator};
+    use actuation::{Axis, EffectKey, SettingSpec, TableActuator};
     use heartbeats::{Goal, HeartbeatRegistry, PerformanceGoal};
 
     fn dvfs_spec() -> ActuatorSpec {
@@ -1095,6 +1104,37 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_power_cap_is_rejected_without_deciding() {
+        let registry = HeartbeatRegistry::new("app");
+        registry
+            .issuer()
+            .set_goal(Goal::Performance(PerformanceGoal::heart_rate(10.0)));
+        let mut runtime = SeecRuntime::builder(registry.monitor())
+            .actuator(Box::new(TableActuator::new(dvfs_spec())))
+            .actuator(Box::new(TableActuator::new(cores_spec())))
+            .build()
+            .unwrap();
+        runtime.apply(&Configuration::new(vec![2, 2])).unwrap();
+        let mut now = 0.0;
+        for _ in 0..8 {
+            now += 0.05;
+            registry.issuer().heartbeat(now);
+        }
+        let observation = registry.monitor().observation();
+        assert!(matches!(
+            runtime.decide_under_power_cap(now, &observation, f64::NAN),
+            Err(SeecError::InvalidParameter(_))
+        ));
+        assert_eq!(runtime.decisions_made(), 0);
+        assert_eq!(runtime.current_configuration(), &Configuration::new(vec![2, 2]));
+        // Infinite, zero and negative caps still decide.
+        for cap in [f64::INFINITY, 0.0, -1.0] {
+            assert!(runtime.decide_under_power_cap(now, &observation, cap).is_ok());
+        }
+        assert_eq!(runtime.decisions_made(), 3);
+    }
+
+    #[test]
     fn infinite_belief_halflife_reproduces_the_unaged_run() {
         // The flag-gate pin: a runtime built with an explicit infinite
         // halflife takes byte-for-byte the decisions of one built without.
@@ -1260,8 +1300,8 @@ mod tests {
     }
 
     /// Everything a runtime's model learned: belief bits and counts, then
-    /// both sort orders.
-    type LearnedState = (Vec<(u64, u64, u64)>, Vec<ConfigId>, Vec<ConfigId>);
+    /// the believed staircase.
+    type LearnedState = (Vec<(u64, u64, u64)>, Vec<EffectKey>);
 
     fn learned_state(runtime: &SeecRuntime) -> LearnedState {
         let model = runtime.model();
@@ -1271,8 +1311,7 @@ mod tests {
                 (belief.speedup.to_bits(), belief.powerup.to_bits(), belief.observations)
             })
             .collect();
-        let (by_speedup, by_power) = model.believed_orders();
-        (beliefs, by_speedup.to_vec(), by_power.to_vec())
+        (beliefs, model.believed_staircase().to_vec())
     }
 
     #[test]
@@ -1286,6 +1325,7 @@ mod tests {
             .collect();
         let alone_state = learned_state(&alone);
         let declared_speedup_order = alone.model().table().by_declared_speedup().to_vec();
+        let declared_staircase = alone.model().table().declared_staircase().to_vec();
         drop(alone);
 
         let (mut learner, _learner_registry) = xeon_shaped_runtime();
@@ -1299,21 +1339,22 @@ mod tests {
         assert_eq!(shared.model().table().holders(), 2);
 
         // Interleave: the learner learns that the fastest configurations
-        // are slow, which reorders its speedup index, while the other
-        // runtime runs the reference loop.
+        // are slow, which reshapes its staircase, while the other runtime
+        // runs the reference loop.
         let mut now = 0.0;
         let mut shared_stream = Vec::new();
         for period in 0..60 {
-            let id = declared_speedup_order[declared_speedup_order.len() - 1 - period % 40];
+            let id = declared_speedup_order[declared_speedup_order.len() - 1 - period % 40].id;
             learner.model.observe_id(id, 0.05 + period as f64 * 0.001, 0.5);
             shared_stream.push(xeon_shaped_period(&mut shared, &registry, &mut now));
         }
         assert_ne!(
-            learner.model().believed_orders().0,
-            learner.model().table().by_declared_speedup(),
-            "the learner's own speedup order must have moved"
+            learner.model().believed_staircase(),
+            learner.model().table().declared_staircase(),
+            "the learner's own staircase must have moved"
         );
         assert_eq!(learner.model().table().by_declared_speedup(), &declared_speedup_order[..]);
+        assert_eq!(learner.model().table().declared_staircase(), &declared_staircase[..]);
         assert_eq!(shared_stream, alone_stream);
         assert_eq!(learned_state(&shared), alone_state);
     }
