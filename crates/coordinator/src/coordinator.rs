@@ -229,7 +229,7 @@ impl ManagedApp {
     }
 
     /// The watt envelope awarded at the most recent step (0 before the
-    /// first step or once retired).
+    /// first step, and from [`Coordinator::retire`] on).
     pub fn awarded_watts(&self) -> f64 {
         self.awarded_watts
     }
@@ -301,9 +301,6 @@ fn watchdog_app(
     config: &WatchdogConfig,
     quantum: usize,
 ) {
-    if !app.active_at(quantum) {
-        return; // retired apps are not judged
-    }
     let beats = app.driver.emitted_beats();
     let fresh = beats != app.health.last_beats;
     app.health.last_beats = beats;
@@ -468,15 +465,15 @@ fn request_for(
     }
 }
 
-/// Folds per-app requests into one fleet-level aggregate (see
+/// Folds the live apps' requests into one fleet-level aggregate (see
 /// [`Coordinator::fleet_request`] for the field semantics). Registration
 /// order, so every floating-point sum is deterministic.
-fn aggregate_requests(requests: &[AppRequest]) -> AppRequest {
+fn aggregate_requests<'a>(requests: impl Iterator<Item = &'a AppRequest>) -> AppRequest {
     let mut active = false;
     let mut weight = 0.0;
     let mut weighted_urgency = 0.0;
     let mut max_power_watts = 0.0;
-    for request in requests.iter().filter(|request| request.active) {
+    for request in requests {
         active = true;
         weight += request.weight;
         weighted_urgency += request.weight * request.urgency;
@@ -494,18 +491,17 @@ fn aggregate_requests(requests: &[AppRequest]) -> AppRequest {
 /// per-app stages of [`Coordinator::step`] share. `stage` receives the
 /// slot's global index, its app, and its observation and request rows.
 ///
-/// Without a `pool` the walk runs inline. With one, the fleet is cut into
-/// contiguous `shard`-sized chunks — exclusive `&mut` chunks even for the
+/// Without a `pool` the walk runs inline. With one, the list is cut into
+/// equal-count runs, one per pool thread ([`shards`]), each with exclusive
+/// `&mut` rows for the slot range it spans — exclusive even for the
 /// read-only observe stage, because boxed actuators make `ManagedApp`
-/// `Send` but not `Sync` — and each pool task walks the sub-list of `list`
-/// that falls in its chunk (found by `partition_point`). Every per-slot
-/// result depends only on that slot's rows, so the output is bit-identical
-/// at any worker count. A walk stops at its first error; the
-/// lowest-indexed error across chunks is returned, matching the inline
-/// walk's choice (slots already processed keep their results).
+/// `Send` but not `Sync`. Every per-slot result depends only on that slot's
+/// rows, so the output is bit-identical at any worker count. A walk stops
+/// at its first error; the lowest-indexed error across shards is returned,
+/// matching the inline walk's choice (slots already processed keep their
+/// results).
 fn walk_list<F>(
     pool: Option<&ExecPool>,
-    shard: usize,
     list: &[u32],
     apps: &mut [ManagedApp],
     observations: &mut [MonitorObservation],
@@ -521,31 +517,23 @@ where
         ) -> Result<(), SeecError>
         + Sync,
 {
-    struct Chunk<'a> {
-        base: usize,
-        list: &'a [u32],
-        apps: &'a mut [ManagedApp],
-        observations: &'a mut [MonitorObservation],
-        requests: &'a mut [AppRequest],
-        failure: Option<(usize, SeecError)>,
-    }
-    let walk = |chunk: &mut Chunk| {
-        for &index in chunk.list {
-            let (index, offset) = (index as usize, index as usize - chunk.base);
+    let walk = |shard: &mut Shard| {
+        for &index in shard.list {
+            let (index, offset) = (index as usize, index as usize - shard.base);
             let result = stage(
                 index,
-                &mut chunk.apps[offset],
-                &mut chunk.observations[offset],
-                &mut chunk.requests[offset],
+                &mut shard.apps[offset],
+                &mut shard.observations[offset],
+                &mut shard.requests[offset],
             );
             if let Err(err) = result {
-                chunk.failure = Some((index, err));
+                shard.failure = Some((index, err));
                 return;
             }
         }
     };
-    let Some(pool) = pool else {
-        let mut whole = Chunk {
+    let Some(pool) = pool.filter(|_| list.len() > 1) else {
+        let mut whole = Shard {
             base: 0,
             list,
             apps,
@@ -556,31 +544,62 @@ where
         walk(&mut whole);
         return whole.failure.map_or(Ok(()), |(_, err)| Err(err));
     };
-    let mut chunks: Vec<Chunk> = apps
-        .chunks_mut(shard)
-        .zip(observations.chunks_mut(shard))
-        .zip(requests.chunks_mut(shard))
-        .enumerate()
-        .map(|(chunk, ((apps, observations), requests))| {
-            let base = chunk * shard;
-            let lo = list.partition_point(|&index| (index as usize) < base);
-            let hi = list.partition_point(|&index| (index as usize) < base + apps.len());
-            Chunk {
-                base,
-                list: &list[lo..hi],
-                apps,
-                observations,
-                requests,
-                failure: None,
-            }
-        })
-        .collect();
-    pool.for_each_mut(&mut chunks, |_, chunk| walk(chunk));
-    chunks
+    let mut shards = shards(list, pool.threads(), apps, observations, requests);
+    pool.for_each_mut(&mut shards, |_, shard| walk(shard));
+    shards
         .into_iter()
-        .filter_map(|chunk| chunk.failure)
+        .filter_map(|shard| shard.failure)
         .min_by_key(|(index, _)| *index)
         .map_or(Ok(()), |(_, err)| Err(err))
+}
+
+/// One pool task's share of a [`walk_list`]: a run of the list and the
+/// rows of the slot range it spans, from `base` on.
+struct Shard<'a> {
+    base: usize,
+    list: &'a [u32],
+    apps: &'a mut [ManagedApp],
+    observations: &'a mut [MonitorObservation],
+    requests: &'a mut [AppRequest],
+    failure: Option<(usize, SeecError)>,
+}
+
+/// Cuts the ascending `list` into at most `runs` runs of equal count (their
+/// lengths differ by at most one) and hands each the rows from its first
+/// slot up to the next run's first slot — the last run to the end of the
+/// rows — so the shards' row ranges are disjoint. Balancing the count, not
+/// the slot range, keeps the shards even when the list bunches up: arrivals
+/// append and early slots retire, so live slots gather at high indices.
+fn shards<'a>(
+    list: &'a [u32],
+    runs: usize,
+    mut apps: &'a mut [ManagedApp],
+    mut observations: &'a mut [MonitorObservation],
+    mut requests: &'a mut [AppRequest],
+) -> Vec<Shard<'a>> {
+    let runs = runs.clamp(1, list.len().max(1));
+    let mut shards = Vec::with_capacity(runs);
+    let mut base = 0;
+    for run in 0..runs {
+        let (lo, hi) = (list.len() * run / runs, list.len() * (run + 1) / runs);
+        let end = list.get(hi).map_or(base + apps.len(), |&next| next as usize);
+        let (head, tail) = std::mem::take(&mut apps).split_at_mut(end - base);
+        apps = tail;
+        let (head_observations, tail) = std::mem::take(&mut observations).split_at_mut(end - base);
+        observations = tail;
+        let (head_requests, tail) = std::mem::take(&mut requests).split_at_mut(end - base);
+        requests = tail;
+        shards.push(Shard {
+            base,
+            list: &list[lo..hi],
+            apps: head,
+            observations: head_observations,
+            requests: head_requests,
+            failure: None,
+        });
+        base = end;
+    }
+    shards
 }
 
 /// The decide stage for one slot: records the award on the app and, when
@@ -688,8 +707,10 @@ struct FleetHot {
 ///
 /// Every step runs through an [`IncrementalArbiter`] configured by the
 /// coordinator's [`ArbitrationSchedule`]. The engine opens each round with
-/// an ascending participant list — every slot by default, the awake set
-/// under wake scheduling — and both per-app stages walk exactly that list:
+/// an ascending participant list — every present slot by default (plus the
+/// slots retired since the last step, for their one absent round), the
+/// awake set under wake scheduling — and both per-app stages walk exactly
+/// that list:
 /// observe (minus participants whose buffered snapshot is still current;
 /// a slot the watchdog moves mid-round gets a late observation instead)
 /// and decide (masked by the round's dirty set at a positive tolerance).
@@ -703,10 +724,11 @@ struct FleetHot {
 ///
 /// With a multi-thread pool attached ([`Coordinator::with_pool`]), the
 /// per-application stages — observe/request (1–2) and decide (3) — run on
-/// that **persistent** [`exec::ExecPool`]: the fleet is cut into
-/// contiguous shards and each pool task walks the part of the round's list
-/// that falls in its shard, while arbitration (the only stage that couples
-/// applications) stays a sequential fold over the full request list. The
+/// that **persistent** [`exec::ExecPool`]: the round's list is cut into
+/// equal-count runs, one per pool thread, and each pool task walks its run
+/// over the rows of the slot range it spans, while arbitration (the only
+/// stage that couples applications) stays a sequential fold over the full
+/// request list. The
 /// pool is reused across every quantum, so the steady-state step pays a
 /// wake-up instead of a per-step thread spawn.
 /// Because each application's observation, request, and decision are
@@ -716,11 +738,11 @@ struct FleetHot {
 /// at every worker count (pinned by the property suite,
 /// `tests/lifecycle_props.rs`).
 ///
-/// Sharding only engages once the registered fleet reaches the shard
-/// threshold ([`Coordinator::with_shard_threshold`], default
-/// [`Coordinator::DEFAULT_SHARD_THRESHOLD`] applications); below it, the
-/// fan-out hand-off costs more than the per-app work it spreads out, so
-/// the step runs inline. The threshold is purely a performance knob —
+/// Sharding only engages once the round's participant list reaches the
+/// shard threshold ([`Coordinator::with_shard_threshold`], default
+/// [`Coordinator::DEFAULT_SHARD_THRESHOLD`] slots); below it, the fan-out
+/// hand-off costs more than the per-app work it spreads out, so the step
+/// runs inline. The threshold is purely a performance knob —
 /// output is bit-identical on either side of it.
 ///
 /// # Application lifecycle
@@ -732,7 +754,15 @@ struct FleetHot {
 /// quantum [`Coordinator::retire`] stamps ([`ManagedApp::active_at`]).
 /// A retired app stays registered, so its handle and final state remain
 /// readable, but it is awarded exactly 0 W and never decides again. The
-/// budget itself can step mid-run via [`Coordinator::set_budget`].
+/// step after its retirement still lists it once — observing it absent and
+/// recording its 0 W award — and from then on it leaves every per-step and
+/// lifecycle walk (observe, watchdog, arbitrate, decide, summarise,
+/// [`Coordinator::fleet_request`], the admission feasibility sum), so step
+/// cost follows the live fleet, not every app ever registered. No app data
+/// moves: handles, [`Coordinator::len`], [`Coordinator::app`],
+/// [`Coordinator::apps`] and [`Coordinator::awards`] (0 W for retired
+/// slots) keep their registration-order meaning. The budget itself can
+/// step mid-run via [`Coordinator::set_budget`].
 pub struct Coordinator {
     apps: Vec<ManagedApp>,
     policy: Box<dyn ArbitrationPolicy>,
@@ -742,7 +772,7 @@ pub struct Coordinator {
     /// everything inline), attached by [`Self::with_pool`] and reused
     /// across every quantum.
     pool: Option<Arc<ExecPool>>,
-    /// Fleet size from which the per-app stages use the pool.
+    /// Participant count from which the per-app stages use the pool.
     shard_threshold: usize,
     /// Watchdog thresholds; `None` (the default) disables the degradation
     /// ladder entirely — the step is bit-identical to a pre-watchdog build.
@@ -764,6 +794,19 @@ pub struct Coordinator {
     arbiter: IncrementalArbiter,
     /// Struct-of-arrays hot state parallel to `apps` (see [`FleetHot`]).
     hot: FleetHot,
+    /// Ascending registration indices of the apps not yet retired — what
+    /// the watchdog, the summary, [`Self::fleet_request`] and the
+    /// admission feasibility sum walk. [`Self::retire`] only notes the
+    /// slot in `retired`; the next walker drops the retired entries in one
+    /// pass.
+    live: Vec<u32>,
+    /// Slots retired since `live` was last pruned (each at most once).
+    retired: Vec<u32>,
+    /// The admission feasibility sum — resident committed floors folded
+    /// in registration order — while no floor can have moved: registering
+    /// appends the newcomer's floor, and [`Self::step`] (where decisions
+    /// and power estimates move) and [`Self::retire`] drop it.
+    committed_floors: Option<f64>,
     /// Simulation time of the most recent step (timestamps admission-
     /// control decisions for mid-run registrations).
     last_now: f64,
@@ -836,6 +879,9 @@ impl Coordinator {
             schedule: ArbitrationSchedule::default(),
             arbiter: IncrementalArbiter::new(0.0),
             hot: FleetHot::default(),
+            live: Vec::new(),
+            retired: Vec::new(),
+            committed_floors: None,
             last_now: 0.0,
             observations: Vec::new(),
             requests: Vec::new(),
@@ -870,10 +916,10 @@ impl Coordinator {
         record(self.observer.as_deref(), self.quantum, counter, kind);
     }
 
-    /// Default shard threshold (see [`Self::with_shard_threshold`]): fleets
-    /// below 64 apps step inline even when a pool is attached, because at
-    /// that size the fan-out hand-off outgrows the per-app decide work it
-    /// spreads out.
+    /// Default shard threshold (see [`Self::with_shard_threshold`]): rounds
+    /// with fewer than 64 participants step inline even when a pool is
+    /// attached, because at that size the fan-out hand-off outgrows the
+    /// per-app decide work it spreads out.
     pub const DEFAULT_SHARD_THRESHOLD: usize = 64;
 
     /// The fraction of the budget actually handed out. The margin absorbs
@@ -885,7 +931,7 @@ impl Coordinator {
     /// Shards the per-application stages of [`Self::step`] across `pool`
     /// (default: everything inline on the caller's thread). The pool is
     /// reused across every quantum; a single-thread pool is ignored, and
-    /// thread counts above the fleet size simply leave workers idle.
+    /// thread counts above the participant count simply leave workers idle.
     /// Many coordinators (e.g. the racks of a
     /// [`crate::DatacenterArbiter`]) may share one pool. Sharded output is
     /// bit-identical to sequential output at every thread count — see the
@@ -895,9 +941,10 @@ impl Coordinator {
         self
     }
 
-    /// Sets the fleet size from which the per-application stages use the
-    /// worker pool (default [`Self::DEFAULT_SHARD_THRESHOLD`]; 0 = always).
-    /// Purely a performance knob: output is bit-identical on either side.
+    /// Sets the participant count from which the per-application stages use
+    /// the worker pool (default [`Self::DEFAULT_SHARD_THRESHOLD`]; 0 =
+    /// always). Purely a performance knob: output is bit-identical on
+    /// either side.
     pub fn with_shard_threshold(mut self, threshold: usize) -> Self {
         self.shard_threshold = threshold;
         self
@@ -939,6 +986,10 @@ impl Coordinator {
     /// (no decision yet), and the registrant itself, commit their full
     /// launch (nominal-configuration) power — the landing transient a
     /// launch storm pays all at once is exactly what the check must refuse.
+    /// The residents' committed floors are summed once and cached: each
+    /// registration adds its own floor to the cached sum, and only a step
+    /// or a retirement makes the next check refold the live apps, so a
+    /// burst of registrations between two steps costs O(1) each.
     /// A rejection raises an
     /// [`obs::EventKind::AdmissionRejected`] event on the
     /// telemetry stream. [`Self::register`] is never subject to the check —
@@ -1018,8 +1069,8 @@ impl Coordinator {
     /// [`Self::with_arbitration_tolerance`] and [`Self::with_wake_schedule`]
     /// for what each value does). Any change starts a fresh engine: held
     /// awards are discarded, every sleeper wakes, and the next step
-    /// re-arbitrates the whole fleet. Setting the current schedule again is
-    /// a no-op.
+    /// re-arbitrates every present app (retired apps stay out of every
+    /// walk). Setting the current schedule again is a no-op.
     ///
     /// # Errors
     ///
@@ -1029,7 +1080,7 @@ impl Coordinator {
         schedule.validate()?;
         if schedule != self.schedule {
             self.schedule = schedule;
-            self.arbiter = IncrementalArbiter::new(schedule.tolerance).with_wake(schedule.wake);
+            self.arbiter = self.arbiter.rescheduled(schedule);
         }
         Ok(())
     }
@@ -1058,9 +1109,13 @@ impl Coordinator {
         self.record(Some(Counter::Registrations), || EventKind::Register {
             app: app.name().to_string(),
         });
+        if let Some(committed) = &mut self.committed_floors {
+            *committed += committed_floor_watts(&app);
+        }
         self.hot.reported_work.push(None);
         self.hot.reported_power.push(None);
         self.hot.fresh.push(false);
+        self.live.push(self.apps.len() as u32);
         self.apps.push(app);
         AppHandle(self.apps.len() - 1)
     }
@@ -1083,12 +1138,19 @@ impl Coordinator {
             // under the cap yet.
             let floor = app.nominal_power_watts();
             if floor > 0.0 {
-                let committed: f64 = self
-                    .apps
-                    .iter()
-                    .filter(|resident| resident.departure.is_none())
-                    .map(committed_floor_watts)
-                    .sum();
+                let committed = match self.committed_floors {
+                    Some(committed) => committed,
+                    None => {
+                        self.prune_live();
+                        let apps = &self.apps;
+                        let committed: f64 = self
+                            .live
+                            .iter()
+                            .map(|&index| committed_floor_watts(&apps[index as usize]))
+                            .sum();
+                        *self.committed_floors.insert(committed)
+                    }
+                };
                 let cap = self.budget_watts * Self::HEADROOM;
                 if committed + floor > cap {
                     let error = AdmissionError {
@@ -1111,18 +1173,38 @@ impl Coordinator {
     /// Retires an application at the current quantum — its departure: it
     /// is absent from the next [`Self::step`] onward (awarded exactly 0 W,
     /// never decides), but stays registered, so its handle, accessors, and
-    /// final state remain valid. Idempotent: retiring a retired app changes
-    /// nothing and records nothing.
+    /// final state remain valid. After that one absent step no walk visits
+    /// it again. O(1): the live list drops it at the next walk. Idempotent:
+    /// retiring a retired app changes nothing and records nothing.
     pub fn retire(&mut self, handle: AppHandle) {
         let app = &mut self.apps[handle.0];
         if app.departure.is_some() {
             return;
         }
         app.departure = Some(self.quantum);
-        self.arbiter.mark_dirty(handle.0);
+        // Zeroed here, not by the absent step's decide walk alone: that
+        // walk stops at an app's decision error, and the slot departs
+        // after that round whether or not the walk reached it.
+        app.awarded_watts = 0.0;
+        self.arbiter.retire(handle.0);
+        self.retired.push(handle.0 as u32);
+        self.committed_floors = None;
         self.record(Some(Counter::Retirements), || EventKind::Retire {
             app: self.apps[handle.0].name().to_string(),
         });
+    }
+
+    /// Drops the apps retired since the last call from the live list — one
+    /// merge pass per step at most, however many apps retired, that reads
+    /// only the two index lists.
+    fn prune_live(&mut self) {
+        if self.retired.is_empty() {
+            return;
+        }
+        self.retired.sort_unstable();
+        let mut retired = self.retired.iter().peekable();
+        self.live.retain(|index| retired.next_if_eq(&index).is_none());
+        self.retired.clear();
     }
 
     /// Replaces the machine power budget (takes effect next step) — the
@@ -1205,21 +1287,39 @@ impl Coordinator {
     ///   ceilings (water-filling at the datacenter level then returns a
     ///   rack's surplus to racks that can still use it).
     ///
-    /// Observes the fleet (one lock per app, same snapshot `step` would
+    /// Observes the live apps (one lock per app, same snapshot `step` would
     /// take; the warmed buffers are reused by the following `step`, whose
     /// own observation of an unchanged fleet yields identical values).
     /// Deterministic: the folds run in registration order.
     pub fn fleet_request(&mut self) -> AppRequest {
         let quantum = self.quantum;
         let budget = self.budget_watts;
-        self.observations.clear();
-        self.requests.clear();
-        for app in &self.apps {
-            let observation = app.monitor.observation();
-            self.requests.push(request_for(app, &observation, quantum, budget));
-            self.observations.push(observation);
+        self.prune_live();
+        self.grow_rows();
+        for &index in &self.live {
+            let index = index as usize;
+            let app = &self.apps[index];
+            self.observations[index] = app.monitor.observation();
+            self.requests[index] = request_for(app, &self.observations[index], quantum, budget);
         }
-        aggregate_requests(&self.requests)
+        let requests = &self.requests;
+        aggregate_requests(self.live.iter().map(|&index| &requests[index as usize]))
+    }
+
+    /// Grows the observation and request rows to one per registered app;
+    /// a new row is overwritten before anything reads it.
+    fn grow_rows(&mut self) {
+        let fleet = self.apps.len();
+        self.observations.resize(fleet, MonitorObservation::default());
+        self.requests.resize(
+            fleet,
+            AppRequest {
+                active: false,
+                weight: 1.0,
+                urgency: 1.0,
+                max_power_watts: 0.0,
+            },
+        );
     }
 
     /// Runs one coordinated quantum at simulation time `now`:
@@ -1227,8 +1327,8 @@ impl Coordinator {
     /// decide under its envelope. Advances the shared quantum counter.
     ///
     /// The per-application stages shard across the attached worker pool
-    /// (see [`Self::with_pool`], once the fleet reaches the shard
-    /// threshold); the output is bit-identical at every worker count (see
+    /// (see [`Self::with_pool`], once the participant list reaches the
+    /// shard threshold); the output is bit-identical at every worker count (see
     /// the type-level sharding notes).
     ///
     /// # Errors
@@ -1246,21 +1346,23 @@ impl Coordinator {
         let observer = self.observer.clone();
         let mut clock = observer.as_ref().map(|_| StageClock::start());
         let fleet = self.apps.len();
-        // The pool only engages from the shard threshold up, and only when
-        // it splits the fleet into more than one shard.
-        let pool = self.pool.clone().filter(|pool| {
-            fleet >= self.shard_threshold && Self::shard_size(fleet, pool.threads()) < fleet
-        });
-        let shard = pool
-            .as_ref()
-            .map_or(fleet.max(1), |pool| Self::shard_size(fleet, pool.threads()));
+        // Decisions and power estimates move below: the cached feasibility
+        // sum is stale from here on.
+        self.committed_floors = None;
+        self.prune_live();
 
         // ---- Round open: the participant list ------------------------
-        // The engine opens the round — drains expired sleep deadlines,
-        // merges pending wakes (retirements among them) — and its list
-        // (every slot, unless apps sleep) is what every per-app stage below
-        // iterates instead of the fleet.
-        self.arbiter.begin_round(fleet);
+        // The engine opens the round — drops last round's departures,
+        // drains expired sleep deadlines, merges pending wakes
+        // (retirements among them) — and its list (every present slot plus
+        // this round's departures, unless apps sleep) is what every per-app
+        // stage below iterates instead of the fleet. The pool only engages
+        // from the shard threshold of participants up.
+        let participants = self.arbiter.begin_round(fleet).len();
+        let pool = self
+            .pool
+            .clone()
+            .filter(|_| participants >= self.shard_threshold);
 
         // ---- Observe + build requests (per-app, sharded) ------------
         // Event-driven observation skipping (positive tolerance only): a
@@ -1275,16 +1377,7 @@ impl Coordinator {
         // watchdog wakes mid-round gets a late observation in the watchdog
         // loop below.
         let budget = self.budget_watts;
-        self.observations.resize(fleet, MonitorObservation::default());
-        self.requests.resize(
-            fleet,
-            AppRequest {
-                active: false,
-                weight: 1.0,
-                urgency: 1.0,
-                max_power_watts: 0.0,
-            },
-        );
+        self.grow_rows();
         let FleetHot {
             fresh,
             observe_list,
@@ -1298,7 +1391,6 @@ impl Coordinator {
         }));
         walk_list(
             pool.as_deref(),
-            shard,
             &self.hot.observe_list,
             &mut self.apps,
             &mut self.observations,
@@ -1316,18 +1408,19 @@ impl Coordinator {
 
         // ---- Watchdog (sequential, registration order) --------------
         // Runs between request building and arbitration so quarantine
-        // rewrites are part of the same fold every policy sees. With no
-        // watchdog configured this is a no-op branch, keeping the step
+        // rewrites are part of the same fold every policy sees. Walks the
+        // live apps, sleepers included (retired apps are not judged). With
+        // no watchdog configured this is a no-op branch, keeping the step
         // bit-identical to a pre-watchdog build.
         if let Some(config) = self.watchdog {
             let mut late_observed = 0;
-            for (index, ((app, request), observation)) in self
-                .apps
-                .iter_mut()
-                .zip(self.requests.iter_mut())
-                .zip(self.observations.iter_mut())
-                .enumerate()
-            {
+            for &index in &self.live {
+                let index = index as usize;
+                let (app, request, observation) = (
+                    &mut self.apps[index],
+                    &mut self.requests[index],
+                    &mut self.observations[index],
+                );
                 let before = app.health.state;
                 let first_quarantine = app.health.quarantined_at.is_none();
                 let reported_work = self.hot.reported_work[index].take();
@@ -1436,7 +1529,6 @@ impl Coordinator {
         let decide_observer = observer.as_deref();
         walk_list(
             pool.as_deref(),
-            shard,
             self.arbiter.awake_slots(),
             &mut self.apps,
             &mut self.observations,
@@ -1448,19 +1540,17 @@ impl Coordinator {
         )?;
 
         // ---- Summarise (sequential, fixed order) --------------------
-        // The awarded-watts total is folded in registration order whatever
-        // the worker count, so the summary is part of the bit-identity
-        // guarantee rather than an exception to it.
-        let mut active_apps = 0;
-        let mut awarded_total = 0.0;
+        // The awarded-watts total is folded over the live apps in
+        // registration order whatever the worker count, so the summary is
+        // part of the bit-identity guarantee rather than an exception to
+        // it.
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
             observer.time(Stage::Decide, clock.lap());
         }
-        for (app, &award) in self.apps.iter().zip(&self.awards) {
-            if app.active_at(quantum) {
-                active_apps += 1;
-                awarded_total += award;
-            }
+        let active_apps = self.live.len();
+        let mut awarded_total = 0.0;
+        for &index in &self.live {
+            awarded_total += self.awards[index as usize];
         }
 
         // The report-freshness flags describe "since the last step"; this
@@ -1491,16 +1581,6 @@ impl Coordinator {
     /// decisions for that quantum).
     pub(crate) fn skip_quantum(&mut self) {
         self.quantum += 1;
-    }
-
-    /// Contiguous chunk length that spreads `apps` across `workers` shards
-    /// (the whole fleet when a single worker suffices). Never zero.
-    fn shard_size(apps: usize, workers: usize) -> usize {
-        if workers <= 1 || apps <= 1 {
-            apps.max(1)
-        } else {
-            apps.div_ceil(workers.min(apps))
-        }
     }
 
     /// Feeds one quantum's outcome back to an application: the platform
@@ -1886,6 +1966,54 @@ mod tests {
     }
 
     #[test]
+    fn shards_split_a_skewed_list_into_equal_counts() {
+        // Arrivals append and early slots retire, so a churning fleet's
+        // list bunches up at high slots: here one early survivor and a
+        // dense tail of 11 of 40 slots.
+        let fleet = 40;
+        let mut apps: Vec<ManagedApp> = (0..fleet)
+            .map(|i| managed_app(SplashBenchmark::ALL[i % 4], i as u64 + 1, 10.0))
+            .collect();
+        let mut observations = vec![MonitorObservation::default(); fleet];
+        let mut requests = vec![
+            AppRequest {
+                active: true,
+                weight: 1.0,
+                urgency: 1.0,
+                max_power_watts: 1.0,
+            };
+            fleet
+        ];
+        let list: Vec<u32> = std::iter::once(3).chain(29..40).collect();
+        for runs in [2, 3, 5, 12, 64] {
+            let shards = shards(&list, runs, &mut apps, &mut observations, &mut requests);
+            let lengths: Vec<usize> = shards.iter().map(|shard| shard.list.len()).collect();
+            assert_eq!(shards.len(), runs.min(list.len()), "{runs} runs: {lengths:?}");
+            let (shortest, longest) = (lengths.iter().min(), lengths.iter().max());
+            assert!(
+                longest.unwrap() - shortest.unwrap() <= 1,
+                "{runs} runs: {lengths:?}"
+            );
+            // The runs cover the list in order, each inside its own rows,
+            // and the rows tile the fleet.
+            let walked: Vec<u32> = shards.iter().flat_map(|shard| shard.list.to_vec()).collect();
+            assert_eq!(walked, list);
+            let mut base = 0;
+            for shard in &shards {
+                assert_eq!(shard.base, base);
+                assert_eq!(shard.observations.len(), shard.apps.len());
+                assert_eq!(shard.requests.len(), shard.apps.len());
+                assert!(shard
+                    .list
+                    .iter()
+                    .all(|&index| (base..base + shard.apps.len()).contains(&(index as usize))));
+                base += shard.apps.len();
+            }
+            assert_eq!(base, fleet);
+        }
+    }
+
+    #[test]
     fn retire_makes_an_app_absent_from_the_next_step() {
         let mut coordinator = Coordinator::new(100.0, Box::new(StaticShare));
         let resident = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 15.0));
@@ -1904,6 +2032,28 @@ mod tests {
             "absent from its retirement quantum"
         );
         assert!(coordinator.app(doomed).active_at(2), "present before it");
+    }
+
+    #[test]
+    fn a_retired_app_reads_zero_watts_even_when_its_absent_step_fails() {
+        // The absent step's decide walk stops at the first decision error,
+        // and the retired slot leaves every walk after that round anyway:
+        // its envelope must read 0 W from the retirement on.
+        let mut coordinator = Coordinator::new(100.0, Box::new(StaticShare));
+        let failing = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 15.0));
+        let doomed = coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 15.0));
+        for tick in 0..3 {
+            coordinator.step(tick as f64 + 1.0).unwrap();
+        }
+        assert!(coordinator.app(doomed).awarded_watts() > 0.0);
+        let issuer = coordinator.app(failing).driver().registry().issuer();
+        issuer.clear_goal(heartbeats::GoalKind::Performance);
+        coordinator.retire(doomed);
+        assert!(matches!(coordinator.step(4.0), Err(SeecError::NoGoal)));
+        coordinator.app(failing).driver().set_heart_rate_goal(15.0);
+        coordinator.step(5.0).unwrap();
+        assert_eq!(coordinator.app(doomed).awarded_watts(), 0.0);
+        assert_eq!(coordinator.awards()[doomed.index()], 0.0);
     }
 
     #[test]

@@ -16,13 +16,21 @@
 //!
 //! # One list round
 //!
-//! Every round runs over an ascending **participant list**: `0..n` with the
-//! wake scheduler off, the awake set with it on (see below). The engine
-//! classifies, folds, and — only when the horizon is positive — puts slots
-//! to sleep over that list alone, so there is one round shape for every
-//! schedule; the callers' per-app stages (the [`crate::Coordinator`]'s
-//! observe and decide walks) iterate the same list through
-//! [`IncrementalArbiter::begin_round`] and [`IncrementalArbiter::awake_slots`].
+//! Every round runs over an ascending **participant list**: every slot not
+//! departed with the wake scheduler off, the awake set with it on (see
+//! below). The engine classifies, folds, and — only when the horizon is
+//! positive — puts slots to sleep over that list alone, so there is one
+//! round shape for every schedule; the callers' per-app stages (the
+//! [`crate::Coordinator`]'s observe and decide walks) iterate the same list
+//! through [`IncrementalArbiter::begin_round`] and
+//! [`IncrementalArbiter::awake_slots`].
+//!
+//! A slot handed to [`IncrementalArbiter::retire`] stays on the list for
+//! exactly one more round, which sees its request absent and awards it
+//! exactly 0 W; then it **departs** and no later round lists it — not a
+//! budget step's whole-fleet wake, not a deadline, not a pending wake, and
+//! not the fresh engine of a schedule change. Its award stays 0 W. So a
+//! round costs O(present slots), however many slots have ever existed.
 //!
 //! # Tolerance-0 determinism
 //!
@@ -30,10 +38,15 @@
 //! quantum (a request delta of exactly zero is not *strictly inside* a zero
 //! tolerance), and nothing ever sleeps, so the round falls through to one
 //! [`ArbitrationPolicy::arbitrate`] call over the full request slice —
-//! byte-for-byte the plain full fold. The differential suite
-//! (`tests/incremental_props.rs`) pins this against the bare policy and,
-//! with the coordinator on top, against a test-only full-fold reference
-//! step across policies, fleets, churn, and worker counts.
+//! byte-for-byte the plain full fold. Once slots have departed, the round
+//! folds the whole budget over the participants instead: the compacted
+//! fold for index-invariant policies (it only drops inactive rows, so
+//! every award keeps its bits) and the fleet-length masked fold for the
+//! rest, where departed rows are inactive just as in the full slice. The
+//! differential suite (`tests/incremental_props.rs`) pins this against the
+//! bare policy and, with the coordinator on top, against a test-only
+//! full-fold reference step across policies, fleets, churn, and worker
+//! counts.
 //!
 //! # Budget conservation at any tolerance
 //!
@@ -57,8 +70,9 @@
 //! * [`IncrementalArbiter::wake`] — the caller saw this slot's request
 //!   move (a fresh report or a field change);
 //! * [`IncrementalArbiter::mark_dirty`] — lifecycle and health events
-//!   (which also force re-arbitration): a retirement, the only event
-//!   that changes a slot's presence, arrives this way;
+//!   (which also force re-arbitration); [`IncrementalArbiter::retire`],
+//!   the only event that changes a slot's presence, marks its slot this
+//!   way;
 //! * [`IncrementalArbiter::mark_all_dirty`] — a budget step wakes the
 //!   whole fleet (every held award is invalid).
 //!
@@ -69,9 +83,9 @@
 //! sub-tolerance drift.
 //!
 //! Horizon `0` disables the scheduler: no slot is ever put to sleep, so the
-//! participant list stays `0..n` and the round is exactly the one an
-//! unconfigured engine runs (pinned, with the coordinator on top, by
-//! `tests/incremental_props.rs`).
+//! participant list stays every slot not departed and the round is exactly
+//! the one an unconfigured engine runs (pinned, with the coordinator on
+//! top, by `tests/incremental_props.rs`).
 //!
 //! For the residual fold itself, policies that declare
 //! [`ArbitrationPolicy::index_invariant`] are called over a *compacted*
@@ -91,8 +105,8 @@ pub struct WakeConfig {
     pub steady_quanta: u32,
     /// Upper bound, in rounds, on how long a slot may sleep before it is
     /// re-classified. `0` disables wake scheduling entirely (no slot ever
-    /// sleeps, so every round's participant list is the whole fleet —
-    /// bit-identical to an unconfigured engine).
+    /// sleeps, so every round's participant list is every slot not departed
+    /// — bit-identical to an unconfigured engine).
     pub horizon: usize,
 }
 
@@ -186,8 +200,10 @@ pub struct IncrementalOutcome {
     /// Active applications that slept through the round entirely — not even
     /// classified (wake scheduling only; always 0 with the scheduler off).
     pub slept: usize,
-    /// Whether the round degenerated to one full-fleet policy call (always
-    /// true at tolerance 0).
+    /// Whether every slot still in the fleet — neither asleep nor departed
+    /// — re-entered the fold under the whole budget (always true at
+    /// tolerance 0). Without departed slots this is one policy call over
+    /// the full request slice.
     pub full: bool,
 }
 
@@ -242,6 +258,16 @@ pub struct IncrementalArbiter {
     /// Σ held awards over sleeping slots (their requests cannot move while
     /// asleep, so the sum is exact and the residual stays O(awake)).
     sleeping_held_sum: f64,
+    /// Whether each slot has left the participant list for good (see
+    /// [`Self::retire`]).
+    departed: Vec<bool>,
+    /// How many slots have departed.
+    departed_count: usize,
+    /// Slots handed to [`Self::retire`] since the last round: each takes
+    /// part in exactly one more round, then departs.
+    departing: Vec<u32>,
+    /// Whether the last round departed a slot that is still on the list.
+    departures_due: bool,
     /// Monotone round counter driving the wheel.
     round: u64,
     /// Whether [`Self::begin_round`] already ran for the current round.
@@ -270,6 +296,10 @@ impl Default for IncrementalArbiter {
             compact_map: Vec::new(),
             sleeping_active: 0,
             sleeping_held_sum: 0.0,
+            departed: Vec::new(),
+            departed_count: 0,
+            departing: Vec::new(),
+            departures_due: false,
             round: 0,
             round_begun: false,
         }
@@ -324,6 +354,25 @@ impl IncrementalArbiter {
         self
     }
 
+    /// A fresh engine under `schedule` — no held awards, nobody asleep, the
+    /// next round re-arbitrates every slot — that keeps this engine's
+    /// departures: departed slots stay off its participant list, and a slot
+    /// retired since the last round still gets its one absent round.
+    pub(crate) fn rescheduled(&self, schedule: ArbitrationSchedule) -> IncrementalArbiter {
+        let mut fresh = IncrementalArbiter::new(schedule.tolerance).with_wake(schedule.wake);
+        let fleet = self.departed.len();
+        fresh.sleeping.resize(fleet, false);
+        fresh.streak.resize(fleet, 0);
+        fresh.deadline.resize(fleet, 0);
+        fresh.departed.clone_from(&self.departed);
+        fresh.departed_count = self.departed_count;
+        fresh.departing.clone_from(&self.departing);
+        fresh
+            .awake
+            .extend((0..fleet as u32).filter(|&index| !self.departed[index as usize]));
+        fresh
+    }
+
     /// Wakes `index` if it is asleep: the slot re-enters classification
     /// next round (its streak restarts). Callers **must** wake any slot
     /// whose request may have moved — a fresh report or a field change —
@@ -358,9 +407,18 @@ impl IncrementalArbiter {
         self.marked[index] = true;
     }
 
-    /// Marks the whole fleet dirty: the next round is a full policy call
-    /// (a budget step invalidates every held award). Wakes every sleeping
-    /// slot.
+    /// Hands a departing slot to the engine: it takes part in exactly one
+    /// more round — which sees its request absent and awards it exactly
+    /// 0 W — and then leaves the participant list for good. Marks it dirty
+    /// (which wakes it), so that round cannot skip it.
+    pub fn retire(&mut self, index: usize) {
+        self.mark_dirty(index);
+        self.departing.push(index as u32);
+    }
+
+    /// Marks the whole fleet dirty: the next round re-arbitrates every
+    /// present slot (a budget step invalidates every held award). Wakes
+    /// every sleeping slot.
     pub fn mark_all_dirty(&mut self) {
         self.fleet_dirty = true;
         if self.wake.enabled() {
@@ -368,19 +426,22 @@ impl IncrementalArbiter {
         }
     }
 
-    /// Wakes every sleeping slot and rebuilds the awake list as the whole
-    /// fleet; clears the wheel (every entry is now stale).
+    /// Wakes every sleeping slot — each one is on the wheel, so this is
+    /// O(sleepers), and departed slots (never asleep) stay gone; clears the
+    /// wheel (every entry is now stale). The next round's whole-fleet mark
+    /// restarts every streak.
     fn wake_everyone(&mut self) {
         for bucket in &mut self.wheel {
-            bucket.clear();
+            for index in bucket.drain(..) {
+                let slot = index as usize;
+                if self.sleeping[slot] {
+                    self.sleeping[slot] = false;
+                    self.pending_wakes.push(index);
+                }
+            }
         }
-        self.sleeping.iter_mut().for_each(|sleeping| *sleeping = false);
-        self.streak.iter_mut().for_each(|streak| *streak = 0);
         self.sleeping_active = 0;
         self.sleeping_held_sum = 0.0;
-        self.pending_wakes.clear();
-        self.awake.clear();
-        self.awake.extend(0..self.sleeping.len() as u32);
     }
 
     /// The dirty mask of the most recent [`Self::arbitrate`] round, one
@@ -405,7 +466,7 @@ impl IncrementalArbiter {
     /// The ascending indices participating in the current round: after
     /// [`Self::begin_round`] (or [`Self::arbitrate`], which begins the
     /// round itself) this is every non-sleeping slot plus any slot woken
-    /// mid-round — every slot with the scheduler off.
+    /// mid-round — every slot not departed with the scheduler off.
     pub fn awake_slots(&self) -> &[u32] {
         &self.awake
     }
@@ -421,25 +482,37 @@ impl IncrementalArbiter {
     }
 
     /// Starts a round: grows the per-slot columns to `fleet` slots (new
-    /// slots join the participant list), and — with the scheduler on —
-    /// drops last round's sleepers from the list, drains the wheel bucket
-    /// whose deadline is due, and merges every pending wake. Idempotent per
-    /// round; [`Self::arbitrate`] calls it itself when the caller did not.
-    /// Returns the ascending participant list (`0..fleet` with the
-    /// scheduler off) so callers can run their own per-slot stages —
-    /// observation, request building — over exactly the round's slots.
+    /// slots join the participant list), drops the slots that departed
+    /// last round from the list, and — with the scheduler on — drops last
+    /// round's sleepers, drains the wheel bucket whose deadline is due, and
+    /// merges every pending wake. Idempotent per round; [`Self::arbitrate`]
+    /// calls it itself when the caller did not. Returns the ascending
+    /// participant list (every slot not departed, with the scheduler off)
+    /// so callers can run their own per-slot stages — observation, request
+    /// building — over exactly the round's slots.
     pub fn begin_round(&mut self, fleet: usize) -> &[u32] {
         if self.round_begun {
             return &self.awake;
         }
         self.round_begun = true;
         self.ensure_capacity(fleet);
+        if self.wake.enabled() || self.departures_due {
+            // Last round's sleepers and departures leave the participant
+            // list only now, so the list kept naming them for the caller's
+            // post-arbitrate stages. A departure's dirty flag is cleared,
+            // so the mask stays false off the list (sleepers fell asleep
+            // clean).
+            let (sleeping, departed, dirty) = (&self.sleeping, &self.departed, &mut self.dirty);
+            self.awake.retain(|&index| {
+                let slot = index as usize;
+                if departed[slot] {
+                    dirty[slot] = false;
+                }
+                !sleeping[slot] && !departed[slot]
+            });
+            self.departures_due = false;
+        }
         if self.wake.enabled() {
-            // Last round's sleepers leave the participant list only now, so
-            // the list kept naming them for the caller's post-arbitrate
-            // stages.
-            let sleeping = &self.sleeping;
-            self.awake.retain(|&index| !sleeping[index as usize]);
             // Deadline expiry: drain this round's wheel bucket. Entries
             // whose deadline moved (woken early, re-slept later) are stale —
             // skipped.
@@ -476,6 +549,7 @@ impl IncrementalArbiter {
             self.sleeping.resize(fleet, false);
             self.streak.resize(fleet, 0);
             self.deadline.resize(fleet, 0);
+            self.departed.resize(fleet, false);
             // New indices are above every existing one: the list stays
             // sorted.
             self.awake.extend(old as u32..fleet as u32);
@@ -488,11 +562,14 @@ impl IncrementalArbiter {
                     self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
                 }
             }
+            self.departed_count -= self.departed[fleet..].iter().filter(|&&gone| gone).count();
             self.sleeping.truncate(fleet);
             self.streak.truncate(fleet);
             self.deadline.truncate(fleet);
+            self.departed.truncate(fleet);
             self.awake.retain(|&index| (index as usize) < fleet);
             self.pending_wakes.retain(|&index| (index as usize) < fleet);
+            self.departing.retain(|&index| (index as usize) < fleet);
             for bucket in &mut self.wheel {
                 bucket.retain(|&index| (index as usize) < fleet);
             }
@@ -561,7 +638,9 @@ impl IncrementalArbiter {
             },
         );
         self.held.resize(fleet, 0.0);
-        self.dirty.clear();
+        // Only participants' flags can change: every slot off the list is
+        // already clean in the mask, and every marked slot is on it (a mark
+        // wakes its slot).
         self.dirty.resize(fleet, false);
 
         // ---- Classify the participants -----------------------------
@@ -573,6 +652,7 @@ impl IncrementalArbiter {
             let delta = request_delta(&requests[slot], &self.last_requests[slot]);
             let moved = delta.partial_cmp(&self.tolerance) != Some(std::cmp::Ordering::Less);
             let dirty = self.fleet_dirty || self.marked[slot] || moved;
+            self.marked[slot] = false;
             self.dirty[slot] = dirty;
             if dirty {
                 dirty_count += 1;
@@ -581,11 +661,13 @@ impl IncrementalArbiter {
                 self.streak[slot] = self.streak[slot].saturating_add(1);
             }
         }
-        self.marked.iter_mut().for_each(|marked| *marked = false);
         self.fleet_dirty = false;
 
+        // Every slot still in the fleet — neither asleep nor departed — is
+        // dirty. With no departed slot that is the whole request slice.
+        let full = dirty_count == self.awake.len() && self.awake.len() + self.departed_count == fleet;
         let mut outcome = IncrementalOutcome {
-            full: dirty_count == fleet,
+            full,
             slept: self.sleeping_active,
             ..IncrementalOutcome::default()
         };
@@ -601,7 +683,7 @@ impl IncrementalArbiter {
             }
         }
 
-        if outcome.full {
+        if full && self.departed_count == 0 {
             // Every slot participates and is dirty (always at tolerance 0;
             // otherwise the first round or a fleet-wide invalidation):
             // byte-for-byte the plain full fold.
@@ -624,7 +706,10 @@ impl IncrementalArbiter {
             // Clean awards clamp to the current ceiling (clamping only
             // shrinks), then the dirty set is arbitrated under the residual
             // budget — the delta update of the water level / clearing
-            // price.
+            // price. A full round over a fleet with departed slots holds
+            // nothing, so it folds the whole budget, exactly like the plain
+            // call: departed slots are inactive, and deleting inactive rows
+            // is what index invariance promises not to notice.
             let mut held_total = self.sleeping_held_sum;
             for &index in &self.awake {
                 let slot = index as usize;
@@ -635,7 +720,11 @@ impl IncrementalArbiter {
                 self.held[slot] = held;
                 held_total += held;
             }
-            let residual = (budget_watts - held_total).max(0.0);
+            let residual = if full {
+                budget_watts
+            } else {
+                (budget_watts - held_total).max(0.0)
+            };
             if policy.index_invariant() {
                 // Compacted fold: just the dirty rows, in ascending slot
                 // order — identical participants, identical award bits.
@@ -682,6 +771,17 @@ impl IncrementalArbiter {
 
         if self.wake.enabled() {
             self.sleep_steady_slots(requests);
+        }
+        // This was the departing slots' absent round: they stay on the list
+        // for the caller's decide stage and leave it when the next round
+        // begins.
+        for index in self.departing.drain(..) {
+            let gone = &mut self.departed[index as usize];
+            if !*gone {
+                *gone = true;
+                self.departed_count += 1;
+                self.departures_due = true;
+            }
         }
         self.round += 1;
         self.round_begun = false;
@@ -831,6 +931,53 @@ mod tests {
         let round = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         assert!(round.full, "both slots dirty");
         assert_eq!(awards[0], 0.0, "absent slots are awarded exactly 0");
+    }
+
+    #[test]
+    fn a_retired_slot_leaves_the_list_after_one_absent_round() {
+        let config = WakeConfig {
+            steady_quanta: 1,
+            horizon: 4,
+        };
+        let mut engine = IncrementalArbiter::new(0.05).with_wake(config);
+        let mut policy = WeightedFair;
+        let mut requests = vec![request(1.0, 1.0, 40.0); 3];
+        let mut awards = Vec::new();
+        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        assert!(engine.is_sleeping(1));
+        // The caller retires slot 1 (its request turns absent): it wakes,
+        // and its one absent round re-arbitrates it to exactly 0 W and
+        // still lists it for the caller's decide stage.
+        requests[1].active = false;
+        engine.retire(1);
+        let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        assert_eq!(round.rearbitrated, 0);
+        assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
+        assert!(engine.awake_slots().contains(&1));
+        // From then on no wake path brings it back: a budget step, the
+        // deadline wheel, nor the fresh engine of a schedule change.
+        engine.mark_all_dirty();
+        assert_eq!(engine.begin_round(3), &[0, 2]);
+        for _ in 0..2 * config.horizon {
+            let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+            assert!(!engine.awake_slots().contains(&1));
+            assert_eq!(round.slept + round.skipped + round.rearbitrated, 2);
+            assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
+        }
+        let mut fresh = engine.rescheduled(ArbitrationSchedule::default());
+        assert_eq!(fresh.begin_round(3), &[0, 2]);
+        let round = fresh.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        assert!(round.full, "every present slot re-arbitrates");
+        assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
+        // A slot retired before the schedule changes still gets its absent
+        // round on the fresh engine, then leaves.
+        requests[2].active = false;
+        fresh.retire(2);
+        let mut fresh = fresh.rescheduled(ArbitrationSchedule::default());
+        fresh.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        assert_eq!(fresh.awake_slots(), &[0, 2]);
+        assert_eq!(fresh.begin_round(3), &[0]);
     }
 
     #[test]

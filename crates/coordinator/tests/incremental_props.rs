@@ -25,6 +25,11 @@
 //! — every resident's award and decision bits and every step summary stay
 //! the same, with the watchdog moving sleepers up and down its ladder.
 //!
+//! A retired app takes part in exactly one more round, then leaves every
+//! per-step walk: under churn, a budget step and a schedule change, no
+//! step observes more than its live apps plus the ones retired since the
+//! last step, and at tolerance 0 the run still equals the reference step.
+//!
 //! Nonzero tolerances trade exactness for skipped work, so their contract
 //! is the invariant layer's, not bitwise identity: awards stay finite,
 //! non-negative, within each app's absorption ceiling, zero for absent
@@ -41,8 +46,9 @@ use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
 use coordinator::{
-    AppHandle, AppRequest, ArbitrationPolicy, ArbitrationSchedule, Coordinator, IncrementalArbiter,
-    ScheduleError, StepSummary, WakeConfig, WatchdogConfig, WeightedFair,
+    AppHandle, AppRequest, ArbitrationPolicy, ArbitrationSchedule, AwardHysteresis, Coordinator,
+    IncrementalArbiter, PerformanceMarket, ScheduleError, StarvationFloor, StepSummary, WakeConfig,
+    WatchdogConfig, WeightedFair,
 };
 use obs::{Counter, Recorder};
 use exec::ExecPool;
@@ -804,6 +810,139 @@ proptest! {
                  {diverged:?} ({} workers, {:?}, {} apps)",
                 workers,
                 schedule,
+                slots.len()
+            );
+        }
+    }
+}
+
+/// The three base policies and the two wrappers: the stateful
+/// [`AwardHysteresis`] (folded fleet-length and masked) and the
+/// [`StarvationFloor`] (index-invariant, like its inner policy).
+fn five_policies() -> Vec<Box<dyn ArbitrationPolicy>> {
+    let mut all = policies();
+    all.push(Box::new(AwardHysteresis::new(
+        Box::new(PerformanceMarket::default()),
+        0.05,
+    )));
+    all.push(Box::new(StarvationFloor::new(Box::new(WeightedFair), 0.2)));
+    all
+}
+
+/// Drives `slots` like [`drive_traced`], with a budget step at
+/// `budget_step` and a switch to `switch_to` at `switch_at` (a fresh
+/// engine), and checks every step's `AppsObserved` against its live apps
+/// plus the apps retired since the previous step.
+#[allow(clippy::too_many_arguments)]
+fn drive_departures(
+    policy: Box<dyn ArbitrationPolicy>,
+    slots: &[Slot],
+    quanta: usize,
+    workers: usize,
+    schedule: ArbitrationSchedule,
+    switch_to: ArbitrationSchedule,
+    switch_at: usize,
+    budget_step: (usize, f64),
+) -> Result<Trace, proptest::TestCaseError> {
+    let recorder = Arc::new(Recorder::in_memory());
+    let mut coordinator = Coordinator::new(35.0, policy)
+        .with_pool(Arc::new(ExecPool::new(workers)))
+        .with_shard_threshold(0)
+        .with_obs(Arc::clone(&recorder));
+    coordinator.set_schedule(schedule).unwrap();
+    let mut handles = vec![None; slots.len()];
+    let mut now = 0.0;
+    let mut trace = Trace::new();
+    for quantum in 0..quanta {
+        lifecycle(&mut coordinator, slots, &mut handles, quantum);
+        if quantum == budget_step.0 {
+            coordinator.set_budget(budget_step.1);
+        }
+        if quantum == switch_at {
+            coordinator.set_schedule(switch_to).unwrap();
+        }
+        now += 1.0;
+        advance_present(&mut coordinator, now);
+        let observed_before = recorder.counter(Counter::AppsObserved);
+        let summary = coordinator.step(now).unwrap();
+        let observed = recorder.counter(Counter::AppsObserved) - observed_before;
+        let live = slots.iter().filter(|slot| slot.present(quantum)).count();
+        let retired = slots.iter().filter(|slot| slot.departure == Some(quantum)).count();
+        prop_assert!(
+            observed <= (live + retired) as u64,
+            "quantum {quantum}: observed {observed} apps, {live} live and {retired} just retired"
+        );
+        let apps: Vec<AwardedApp> = coordinator
+            .apps()
+            .iter()
+            .map(|app| AwardedApp {
+                active: app.active_at(quantum),
+                ceiling: None,
+            })
+            .collect();
+        let violations = check_award_vector(coordinator.awards(), &apps);
+        prop_assert!(violations.is_empty(), "quantum {quantum}: {violations:?}");
+        trace.push((
+            summary,
+            coordinator.awards().iter().map(|award| award.to_bits()).collect(),
+            coordinator.apps().iter().map(|app| app.last_decision()).collect(),
+        ));
+    }
+    Ok(trace)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Retired apps leave every walk after one absent round. Through
+    /// register/retire churn, a budget step and a schedule change (which
+    /// builds a fresh engine), for all five policies, with the wake
+    /// scheduler on and off, at 1 worker and at 3: no step observes more
+    /// than its live apps plus the apps retired since the last step, and
+    /// absent apps hold exactly 0 W. At tolerance 0 every award, decision
+    /// and summary equals the full-fold reference step bit for bit. At
+    /// tolerance 0.05 no full-fold reference exists, so the 3-worker run
+    /// must equal the 1-worker run bit for bit instead.
+    #[test]
+    fn departed_slots_leave_every_walk(
+        seeds in proptest::collection::vec(1u64..1_000_000, 2..9),
+        weights in proptest::collection::vec(0.25..8.0f64, 9),
+        targets in proptest::collection::vec(5.0..80.0f64, 9),
+        arrivals in proptest::collection::vec(0usize..12, 9),
+        departures in proptest::collection::vec(0usize..12, 9),
+        policy_pick in 0usize..5,
+        exact_pick in 0usize..2,
+        wake_pick in 0usize..2,
+        switch_at in 0usize..12,
+        budget_step_at in 0usize..12,
+        budget_step_watts in 10.0..60.0f64,
+    ) {
+        let quanta = 12;
+        let slots = decode_slots(&seeds, &weights, &targets, &arrivals, &departures, quanta);
+        let (exact, wake_first) = (exact_pick == 0, wake_pick == 0);
+        let tolerance = if exact { 0.0 } else { 0.05 };
+        let schedule = |wake: bool| ArbitrationSchedule {
+            tolerance,
+            wake: if wake { WakeConfig { steady_quanta: 1, horizon: 4 } } else { WakeConfig::OFF },
+        };
+        let budget_step = (budget_step_at, budget_step_watts);
+        let policy = || five_policies().swap_remove(policy_pick);
+        let run = |workers| {
+            drive_departures(
+                policy(), &slots, quanta, workers, schedule(wake_first), schedule(!wake_first),
+                switch_at, budget_step,
+            )
+        };
+        let (single, sharded) = (run(1)?, run(3)?);
+        let reference = exact.then(|| drive_reference(policy(), &slots, quanta, Some(budget_step)));
+        let expected = reference.as_ref().unwrap_or(&single);
+        for (workers, trace) in [(1, &single), (3, &sharded)] {
+            let diverged = expected.iter().zip(trace).position(|(a, b)| a != b);
+            prop_assert!(
+                diverged.is_none(),
+                "{} at tolerance {tolerance}, wake first {wake_first}, {workers} workers: \
+                 diverged at quantum {diverged:?} over {} apps",
+                policy().name(),
                 slots.len()
             );
         }

@@ -15,16 +15,19 @@
 //!   non-negative and finite. The checks are the shared
 //!   [`coordinator::invariants`] oracles, so the pins here and the
 //!   scenario fuzzer's oracles cannot drift apart.
+//! * **Cached admission feasibility** — through arbitrary interleavings of
+//!   every lifecycle call, each `try_register` decides exactly as a full
+//!   scan of the residents' committed floors would, to the bit.
 
 mod common;
 
 use std::sync::Arc;
 
-use common::{advance_present, decode_slots, lifecycle, managed, policies, Slot};
+use common::{advance_present, decode_slots, lifecycle, managed, parts, policies, Slot};
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
-use coordinator::{AppHandle, ArbitrationPolicy, Coordinator};
+use coordinator::{AdmissionError, AppHandle, ArbitrationPolicy, Coordinator, ManagedApp};
 use exec::ExecPool;
 use proptest::prelude::*;
 
@@ -177,6 +180,102 @@ proptest! {
                 "{policy_name}: summary total {} vs recomputed {total}",
                 summary.awarded_watts_total
             );
+        }
+    }
+}
+
+/// The admission feasibility verdict from a full scan: every resident's
+/// committed floor — its cheapest-configuration draw once decided, its
+/// launch power before — folded in registration order against the
+/// headroomed budget. `Err` carries the headroom a refusal reports.
+fn feasibility_oracle(coordinator: &Coordinator, registrant: &ManagedApp) -> Result<(), f64> {
+    let floor = registrant.nominal_power_watts();
+    if floor <= 0.0 {
+        return Ok(());
+    }
+    let quantum = coordinator.quantum();
+    let committed: f64 = coordinator
+        .apps()
+        .iter()
+        .filter(|app| app.active_at(quantum))
+        .map(|app| {
+            if app.last_decision().is_some() {
+                app.nominal_power_watts() * app.runtime().model().table().min_declared_power()
+            } else {
+                app.nominal_power_watts()
+            }
+        })
+        .sum();
+    let cap = coordinator.budget_watts() * 0.95;
+    if committed + floor > cap {
+        Err((cap - committed).max(0.0))
+    } else {
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `try_register` keeps its feasibility sum across calls. Over random
+    /// interleavings of `register`, `try_register`, `retire`, `advance`,
+    /// `set_budget` and `step` — with admission control on or off, and
+    /// registrants of varied (and unknown) launch power — every
+    /// `try_register` must agree with the full-scan oracle: the same
+    /// admission or refusal, and a refusal's headroom equal to the bit.
+    #[test]
+    fn cached_feasibility_matches_a_full_scan(
+        ops in proptest::collection::vec(0usize..6, 24..96),
+        picks in proptest::collection::vec(0usize..1_000, 96),
+        hints in proptest::collection::vec(0.0..24.0f64, 96),
+        budgets in proptest::collection::vec(8.0..120.0f64, 96),
+        admission_control in 0usize..2,
+    ) {
+        let mut coordinator = Coordinator::new(35.0, policies().swap_remove(picks[0] % 3))
+            .with_admission_feasibility(true)
+            .with_admission_control(admission_control == 0);
+        let mut handles: Vec<AppHandle> = Vec::new();
+        let mut now = 0.0;
+        for (i, &op) in ops.iter().enumerate() {
+            // A hint of exactly 0 W (unknown launch power) one time in six.
+            let app = |index: usize| {
+                let (driver, runtime) = parts(Slot::resident(index as u64 + 1, 1.0, 30.0), index);
+                let hint = if picks[i] % 6 == 0 { 0.0 } else { hints[i] };
+                ManagedApp::new(driver, runtime).with_nominal_power_hint(hint)
+            };
+            match op {
+                0 => handles.push(coordinator.register(app(handles.len()))),
+                1 => {
+                    let registrant = app(handles.len());
+                    let expected = feasibility_oracle(&coordinator, &registrant);
+                    match (coordinator.try_register(registrant), expected) {
+                        (Ok(handle), Ok(())) => handles.push(handle),
+                        (Err(AdmissionError { headroom_watts, .. }), Err(headroom)) => {
+                            prop_assert_eq!(headroom_watts.to_bits(), headroom.to_bits());
+                        }
+                        (actual, expected) => {
+                            prop_assert!(
+                                false,
+                                "op {i}: try_register gave {actual:?}, the full scan {expected:?}"
+                            );
+                        }
+                    }
+                }
+                2 => {
+                    if !handles.is_empty() {
+                        coordinator.retire(handles[picks[i] % handles.len()]);
+                    }
+                }
+                3 => {
+                    now += 1.0;
+                    advance_present(&mut coordinator, now);
+                }
+                4 => coordinator.set_budget(budgets[i]),
+                _ => {
+                    now += 1.0;
+                    coordinator.step(now).unwrap();
+                }
+            }
         }
     }
 }

@@ -190,7 +190,9 @@ impl SeecRuntimeBuilder {
         let mut model = ActionModel::new(table, self.seed);
         model.set_policy(self.policy);
         model.set_belief_halflife(self.belief_halflife);
-        let mut history = std::collections::VecDeque::with_capacity(HISTORY_CAPACITY);
+        // Grown on demand: most runtimes apply far fewer segments than the
+        // ring holds.
+        let mut history = std::collections::VecDeque::new();
         history.push_back(AppliedSegment {
             start: f64::NEG_INFINITY,
             id: current_id,
@@ -221,7 +223,7 @@ impl SeecRuntimeBuilder {
 const MIN_LEARN_FRACTION: f64 = 0.5;
 
 /// Number of applied-configuration segments retained for window attribution
-/// (a fixed-capacity ring: pushing at capacity evicts the oldest).
+/// (a bounded ring: pushing at capacity evicts the oldest).
 const HISTORY_CAPACITY: usize = 128;
 
 /// Time-weighted effects applied over one observation window.
