@@ -487,6 +487,19 @@ fn aggregate_requests<'a>(requests: impl Iterator<Item = &'a AppRequest>) -> App
     }
 }
 
+/// The apps not yet retired, with their registration indices, in
+/// registration order: the engine's `present` list minus the slots retired
+/// since the last step (present until their absent round).
+fn present_apps<'a>(
+    present: &'a [u32],
+    apps: &'a [ManagedApp],
+) -> impl Iterator<Item = (usize, &'a ManagedApp)> {
+    present
+        .iter()
+        .map(|&index| (index as usize, &apps[index as usize]))
+        .filter(|(_, app)| app.departure.is_none())
+}
+
 /// Runs `stage` on every slot the ascending `list` names — the walk both
 /// per-app stages of [`Coordinator::step`] share. `stage` receives the
 /// slot's global index, its app, and its observation and request rows.
@@ -715,8 +728,9 @@ struct FleetHot {
 /// a slot the watchdog moves mid-round gets a late observation instead)
 /// and decide (masked by the round's dirty set at a positive tolerance).
 /// A registration only grows the buffers; it never re-observes the fleet.
-/// At the default schedule (tolerance 0, no wake scheduling) every slot is
-/// dirty every quantum, so the round is the plain full fold — pinned
+/// At the default schedule (tolerance 0, no wake scheduling) every present
+/// slot is dirty every quantum, so the awards are the plain full fold's —
+/// pinned
 /// bit-for-bit against a test-only full-fold reference step by
 /// `tests/incremental_props.rs`.
 ///
@@ -758,7 +772,10 @@ struct FleetHot {
 /// recording its 0 W award — and from then on it leaves every per-step and
 /// lifecycle walk (observe, watchdog, arbitrate, decide, summarise,
 /// [`Coordinator::fleet_request`], the admission feasibility sum), so step
-/// cost follows the live fleet, not every app ever registered. No app data
+/// cost follows the live fleet, not every app ever registered. The engine's
+/// present list is the one record of which slots still take part; the
+/// coordinator's walks read it and skip the slots retired since the last
+/// step (present until their absent round closes). No app data
 /// moves: handles, [`Coordinator::len`], [`Coordinator::app`],
 /// [`Coordinator::apps`] and [`Coordinator::awards`] (0 W for retired
 /// slots) keep their registration-order meaning. The budget itself can
@@ -789,19 +806,12 @@ pub struct Coordinator {
     schedule: ArbitrationSchedule,
     /// The arbitration engine every step runs through. It opens each round
     /// with the participant list the per-app stages walk, folds the dirty
-    /// set (everything, at tolerance 0) and tracks who sleeps; replaced by
-    /// a fresh engine whenever the schedule changes.
+    /// set (everything, at tolerance 0), tracks who sleeps, and holds the
+    /// present list every other walk reads; switched in place whenever
+    /// the schedule changes.
     arbiter: IncrementalArbiter,
     /// Struct-of-arrays hot state parallel to `apps` (see [`FleetHot`]).
     hot: FleetHot,
-    /// Ascending registration indices of the apps not yet retired — what
-    /// the watchdog, the summary, [`Self::fleet_request`] and the
-    /// admission feasibility sum walk. [`Self::retire`] only notes the
-    /// slot in `retired`; the next walker drops the retired entries in one
-    /// pass.
-    live: Vec<u32>,
-    /// Slots retired since `live` was last pruned (each at most once).
-    retired: Vec<u32>,
     /// The admission feasibility sum — resident committed floors folded
     /// in registration order — while no floor can have moved: registering
     /// appends the newcomer's floor, and [`Self::step`] (where decisions
@@ -879,8 +889,6 @@ impl Coordinator {
             schedule: ArbitrationSchedule::default(),
             arbiter: IncrementalArbiter::new(0.0),
             hot: FleetHot::default(),
-            live: Vec::new(),
-            retired: Vec::new(),
             committed_floors: None,
             last_now: 0.0,
             observations: Vec::new(),
@@ -1067,8 +1075,9 @@ impl Coordinator {
 
     /// Replaces the arbitration schedule (see
     /// [`Self::with_arbitration_tolerance`] and [`Self::with_wake_schedule`]
-    /// for what each value does). Any change starts a fresh engine: held
-    /// awards are discarded, every sleeper wakes, and the next step
+    /// for what each value does). Any change restarts the engine as a
+    /// fresh one would start: held awards are discarded, every sleeper
+    /// wakes, and the next step
     /// re-arbitrates every present app (retired apps stay out of every
     /// walk). Setting the current schedule again is a no-op.
     ///
@@ -1080,7 +1089,7 @@ impl Coordinator {
         schedule.validate()?;
         if schedule != self.schedule {
             self.schedule = schedule;
-            self.arbiter = self.arbiter.rescheduled(schedule);
+            self.arbiter.set_schedule(schedule);
         }
         Ok(())
     }
@@ -1115,8 +1124,10 @@ impl Coordinator {
         self.hot.reported_work.push(None);
         self.hot.reported_power.push(None);
         self.hot.fresh.push(false);
-        self.live.push(self.apps.len() as u32);
         self.apps.push(app);
+        // The engine holds the present list every walk reads: the newcomer
+        // is on it from now, not from its first step.
+        self.arbiter.ensure_capacity(self.apps.len());
         AppHandle(self.apps.len() - 1)
     }
 
@@ -1141,12 +1152,8 @@ impl Coordinator {
                 let committed = match self.committed_floors {
                     Some(committed) => committed,
                     None => {
-                        self.prune_live();
-                        let apps = &self.apps;
-                        let committed: f64 = self
-                            .live
-                            .iter()
-                            .map(|&index| committed_floor_watts(&apps[index as usize]))
+                        let committed: f64 = present_apps(self.arbiter.present(), &self.apps)
+                            .map(|(_, app)| committed_floor_watts(app))
                             .sum();
                         *self.committed_floors.insert(committed)
                     }
@@ -1174,8 +1181,9 @@ impl Coordinator {
     /// is absent from the next [`Self::step`] onward (awarded exactly 0 W,
     /// never decides), but stays registered, so its handle, accessors, and
     /// final state remain valid. After that one absent step no walk visits
-    /// it again. O(1): the live list drops it at the next walk. Idempotent:
-    /// retiring a retired app changes nothing and records nothing.
+    /// it again. O(1): the engine drops it from its present list once that
+    /// step's round closes. Idempotent: retiring a retired app changes
+    /// nothing and records nothing.
     pub fn retire(&mut self, handle: AppHandle) {
         let app = &mut self.apps[handle.0];
         if app.departure.is_some() {
@@ -1187,24 +1195,10 @@ impl Coordinator {
         // after that round whether or not the walk reached it.
         app.awarded_watts = 0.0;
         self.arbiter.retire(handle.0);
-        self.retired.push(handle.0 as u32);
         self.committed_floors = None;
         self.record(Some(Counter::Retirements), || EventKind::Retire {
             app: self.apps[handle.0].name().to_string(),
         });
-    }
-
-    /// Drops the apps retired since the last call from the live list — one
-    /// merge pass per step at most, however many apps retired, that reads
-    /// only the two index lists.
-    fn prune_live(&mut self) {
-        if self.retired.is_empty() {
-            return;
-        }
-        self.retired.sort_unstable();
-        let mut retired = self.retired.iter().peekable();
-        self.live.retain(|index| retired.next_if_eq(&index).is_none());
-        self.retired.clear();
     }
 
     /// Replaces the machine power budget (takes effect next step) — the
@@ -1294,16 +1288,15 @@ impl Coordinator {
     pub fn fleet_request(&mut self) -> AppRequest {
         let quantum = self.quantum;
         let budget = self.budget_watts;
-        self.prune_live();
         self.grow_rows();
-        for &index in &self.live {
-            let index = index as usize;
-            let app = &self.apps[index];
+        for (index, app) in present_apps(self.arbiter.present(), &self.apps) {
             self.observations[index] = app.monitor.observation();
             self.requests[index] = request_for(app, &self.observations[index], quantum, budget);
         }
         let requests = &self.requests;
-        aggregate_requests(self.live.iter().map(|&index| &requests[index as usize]))
+        aggregate_requests(
+            present_apps(self.arbiter.present(), &self.apps).map(|(index, _)| &requests[index]),
+        )
     }
 
     /// Grows the observation and request rows to one per registered app;
@@ -1349,7 +1342,6 @@ impl Coordinator {
         // Decisions and power estimates move below: the cached feasibility
         // sum is stale from here on.
         self.committed_floors = None;
-        self.prune_live();
 
         // ---- Round open: the participant list ------------------------
         // The engine opens the round — drops last round's departures,
@@ -1409,18 +1401,23 @@ impl Coordinator {
         // ---- Watchdog (sequential, registration order) --------------
         // Runs between request building and arbitration so quarantine
         // rewrites are part of the same fold every policy sees. Walks the
-        // live apps, sleepers included (retired apps are not judged). With
-        // no watchdog configured this is a no-op branch, keeping the step
-        // bit-identical to a pre-watchdog build.
+        // engine's present list, sleepers included (retired apps are not
+        // judged). With no watchdog configured this is a no-op branch,
+        // keeping the step bit-identical to a pre-watchdog build.
         if let Some(config) = self.watchdog {
             let mut late_observed = 0;
-            for &index in &self.live {
-                let index = index as usize;
+            // By position: a transition marks its slot dirty, which only
+            // touches the engine's wake state, never the present list.
+            for position in 0..self.arbiter.present().len() {
+                let index = self.arbiter.present()[position] as usize;
                 let (app, request, observation) = (
                     &mut self.apps[index],
                     &mut self.requests[index],
                     &mut self.observations[index],
                 );
+                if app.departure.is_some() {
+                    continue;
+                }
                 let before = app.health.state;
                 let first_quarantine = app.health.quarantined_at.is_none();
                 let reported_work = self.hot.reported_work[index].take();
@@ -1476,8 +1473,8 @@ impl Coordinator {
 
         // ---- Arbitrate (sequential deterministic fold) --------------
         // The engine re-arbitrates only the round's dirty set against the
-        // residual budget; at tolerance 0 every app is dirty and the engine
-        // makes byte-for-byte the plain full-fold policy call.
+        // residual budget; at tolerance 0 every present app is dirty and
+        // the awards are byte-for-byte the plain full fold's.
         let outcome = self.arbiter.arbitrate(
             self.policy.as_mut(),
             self.budget_watts * Self::HEADROOM,
@@ -1540,16 +1537,19 @@ impl Coordinator {
         )?;
 
         // ---- Summarise (sequential, fixed order) --------------------
-        // The awarded-watts total is folded over the live apps in
+        // The awarded-watts total is folded over the present apps in
         // registration order whatever the worker count, so the summary is
         // part of the bit-identity guarantee rather than an exception to
-        // it.
+        // it. After the round the engine's present list is exactly the
+        // apps not retired: this round's departures left it as the round
+        // closed, and nothing retires mid-step.
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
             observer.time(Stage::Decide, clock.lap());
         }
-        let active_apps = self.live.len();
+        let present = self.arbiter.present();
+        let active_apps = present.len();
         let mut awarded_total = 0.0;
-        for &index in &self.live {
+        for &index in present {
             awarded_total += self.awards[index as usize];
         }
 
@@ -2290,6 +2290,25 @@ mod tests {
         );
         assert_eq!(coordinator.app(liar).quarantined_at(), Some(1));
         assert_eq!(coordinator.app(honest).health_state(), HealthState::Healthy);
+    }
+
+    #[test]
+    fn the_watchdog_does_not_judge_a_retired_app() {
+        // Retired before the step its NaN report would quarantine it in:
+        // the slot is still present for that absent round, but the
+        // watchdog skips it.
+        let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair))
+            .with_watchdog(WatchdogConfig::default());
+        let honest = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 1000.0));
+        let liar = coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 1000.0));
+        coordinator.step(1.0).unwrap();
+        advance_honestly(&mut coordinator, honest, 2.0);
+        coordinator.advance(liar, 1.0, 2.0, 10.0, f64::NAN);
+        coordinator.retire(liar);
+        let before = coordinator.app(liar).health_state();
+        coordinator.step(2.0).unwrap();
+        assert_eq!(coordinator.app(liar).health_state(), before);
+        assert_eq!(coordinator.app(liar).quarantined_at(), None);
     }
 
     #[test]

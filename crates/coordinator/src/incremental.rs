@@ -16,37 +16,39 @@
 //!
 //! # One list round
 //!
-//! Every round runs over an ascending **participant list**: every slot not
-//! departed with the wake scheduler off, the awake set with it on (see
-//! below). The engine classifies, folds, and — only when the horizon is
-//! positive — puts slots to sleep over that list alone, so there is one
+//! The engine keeps the ascending list of **present** slots
+//! ([`IncrementalArbiter::present`]): every slot it has seen that has not
+//! departed. Every round runs over an ascending **participant list**: the
+//! present slots with the wake scheduler off, the awake ones with it on
+//! (see below). The engine classifies, folds, and — only when the horizon
+//! is positive — puts slots to sleep over that list alone, so there is one
 //! round shape for every schedule; the callers' per-app stages (the
 //! [`crate::Coordinator`]'s observe and decide walks) iterate the same list
 //! through [`IncrementalArbiter::begin_round`] and
 //! [`IncrementalArbiter::awake_slots`].
 //!
-//! A slot handed to [`IncrementalArbiter::retire`] stays on the list for
-//! exactly one more round, which sees its request absent and awards it
-//! exactly 0 W; then it **departs** and no later round lists it — not a
-//! budget step's whole-fleet wake, not a deadline, not a pending wake, and
-//! not the fresh engine of a schedule change. Its award stays 0 W. So a
-//! round costs O(present slots), however many slots have ever existed.
+//! A slot the coordinator retires stays present for exactly one more
+//! round, which sees its request absent and awards it exactly 0 W; then it
+//! **departs**: it leaves the present list at once and the participant
+//! list when the next round begins, and nothing re-adds it — not a budget
+//! step's whole-fleet wake, not a deadline, not a pending wake, not a
+//! schedule change. Its award stays 0 W. So a round costs O(present
+//! slots), however many slots have ever existed.
 //!
 //! # Tolerance-0 determinism
 //!
 //! The degenerate tolerance `0.0` marks **every** application dirty every
 //! quantum (a request delta of exactly zero is not *strictly inside* a zero
-//! tolerance), and nothing ever sleeps, so the round falls through to one
-//! [`ArbitrationPolicy::arbitrate`] call over the full request slice —
-//! byte-for-byte the plain full fold. Once slots have departed, the round
-//! folds the whole budget over the participants instead: the compacted
-//! fold for index-invariant policies (it only drops inactive rows, so
-//! every award keeps its bits) and the fleet-length masked fold for the
-//! rest, where departed rows are inactive just as in the full slice. The
-//! differential suite (`tests/incremental_props.rs`) pins this against the
-//! bare policy and, with the coordinator on top, against a test-only
-//! full-fold reference step across policies, fleets, churn, and worker
-//! counts.
+//! tolerance), and nothing ever sleeps, so every present slot re-enters
+//! the fold under the whole budget. Index-invariant policies are called
+//! over the compacted participant rows — with nothing departed that is the
+//! full request slice, and a departed row is inactive, which index
+//! invariance promises not to notice — and the rest over the fleet-length
+//! masked slice, which at tolerance 0 *is* the request slice. Either way
+//! the awards are byte-for-byte the plain full fold's. The differential
+//! suite (`tests/incremental_props.rs`) pins this against the bare policy
+//! and, with the coordinator on top, against a test-only full-fold
+//! reference step across policies, fleets, churn, and worker counts.
 //!
 //! # Budget conservation at any tolerance
 //!
@@ -70,9 +72,8 @@
 //! * [`IncrementalArbiter::wake`] — the caller saw this slot's request
 //!   move (a fresh report or a field change);
 //! * [`IncrementalArbiter::mark_dirty`] — lifecycle and health events
-//!   (which also force re-arbitration); [`IncrementalArbiter::retire`],
-//!   the only event that changes a slot's presence, marks its slot this
-//!   way;
+//!   (which also force re-arbitration); a retirement, the only event that
+//!   changes a slot's presence, marks its slot this way;
 //! * [`IncrementalArbiter::mark_all_dirty`] — a budget step wakes the
 //!   whole fleet (every held award is invalid).
 //!
@@ -83,7 +84,7 @@
 //! sub-tolerance drift.
 //!
 //! Horizon `0` disables the scheduler: no slot is ever put to sleep, so the
-//! participant list stays every slot not departed and the round is exactly
+//! participant list stays the present slots and the round is exactly
 //! the one an unconfigured engine runs (pinned, with the coordinator on
 //! top, by `tests/incremental_props.rs`).
 //!
@@ -105,8 +106,8 @@ pub struct WakeConfig {
     pub steady_quanta: u32,
     /// Upper bound, in rounds, on how long a slot may sleep before it is
     /// re-classified. `0` disables wake scheduling entirely (no slot ever
-    /// sleeps, so every round's participant list is every slot not departed
-    /// — bit-identical to an unconfigured engine).
+    /// sleeps, so every round's participant list is every present slot —
+    /// bit-identical to an unconfigured engine).
     pub horizon: usize,
 }
 
@@ -200,10 +201,8 @@ pub struct IncrementalOutcome {
     /// Active applications that slept through the round entirely — not even
     /// classified (wake scheduling only; always 0 with the scheduler off).
     pub slept: usize,
-    /// Whether every slot still in the fleet — neither asleep nor departed
-    /// — re-entered the fold under the whole budget (always true at
-    /// tolerance 0). Without departed slots this is one policy call over
-    /// the full request slice.
+    /// Whether every present slot — none asleep — re-entered the fold
+    /// under the whole budget (always true at tolerance 0).
     pub full: bool,
 }
 
@@ -250,24 +249,25 @@ pub struct IncrementalArbiter {
     /// Slots woken since the last merge, not yet in `awake`.
     pending_wakes: Vec<u32>,
     merge_scratch: Vec<u32>,
-    /// Original slot index of each row of a compacted policy call.
-    compact_map: Vec<u32>,
+    /// Ascending dirty participants of the current round — the rows of a
+    /// compacted policy call.
+    dirty_slots: Vec<u32>,
     /// Sleeping slots whose snapshot request is active (the `slept` ledger
     /// entry, maintained incrementally).
     sleeping_active: usize,
     /// Σ held awards over sleeping slots (their requests cannot move while
     /// asleep, so the sum is exact and the residual stays O(awake)).
     sleeping_held_sum: f64,
-    /// Whether each slot has left the participant list for good (see
-    /// [`Self::retire`]).
-    departed: Vec<bool>,
-    /// How many slots have departed.
-    departed_count: usize,
+    /// Ascending indices of every slot seen and not departed (see
+    /// [`Self::present`]): the participants plus the sleepers.
+    present: Vec<u32>,
     /// Slots handed to [`Self::retire`] since the last round: each takes
     /// part in exactly one more round, then departs.
     departing: Vec<u32>,
-    /// Whether the last round departed a slot that is still on the list.
-    departures_due: bool,
+    /// Ascending slots that departed at the end of the last round: already
+    /// off `present`, still on `awake` for the caller's decide stage until
+    /// the next [`Self::begin_round`] drops them.
+    departed: Vec<u32>,
     /// Monotone round counter driving the wheel.
     round: u64,
     /// Whether [`Self::begin_round`] already ran for the current round.
@@ -293,13 +293,12 @@ impl Default for IncrementalArbiter {
             awake: Vec::new(),
             pending_wakes: Vec::new(),
             merge_scratch: Vec::new(),
-            compact_map: Vec::new(),
+            dirty_slots: Vec::new(),
             sleeping_active: 0,
             sleeping_held_sum: 0.0,
-            departed: Vec::new(),
-            departed_count: 0,
+            present: Vec::new(),
             departing: Vec::new(),
-            departures_due: false,
+            departed: Vec::new(),
             round: 0,
             round_begun: false,
         }
@@ -354,23 +353,16 @@ impl IncrementalArbiter {
         self
     }
 
-    /// A fresh engine under `schedule` — no held awards, nobody asleep, the
-    /// next round re-arbitrates every slot — that keeps this engine's
-    /// departures: departed slots stay off its participant list, and a slot
-    /// retired since the last round still gets its one absent round.
-    pub(crate) fn rescheduled(&self, schedule: ArbitrationSchedule) -> IncrementalArbiter {
-        let mut fresh = IncrementalArbiter::new(schedule.tolerance).with_wake(schedule.wake);
-        let fleet = self.departed.len();
-        fresh.sleeping.resize(fleet, false);
-        fresh.streak.resize(fleet, 0);
-        fresh.deadline.resize(fleet, 0);
-        fresh.departed.clone_from(&self.departed);
-        fresh.departed_count = self.departed_count;
-        fresh.departing.clone_from(&self.departing);
-        fresh
-            .awake
-            .extend((0..fleet as u32).filter(|&index| !self.departed[index as usize]));
-        fresh
+    /// Switches to `schedule` in place, as a fresh engine over the same
+    /// present slots would start: every held award is invalid (the next
+    /// round re-arbitrates every present slot) and every sleeper wakes,
+    /// while departed slots stay gone and a slot retired since the last
+    /// round still gets its one absent round.
+    pub(crate) fn set_schedule(&mut self, schedule: ArbitrationSchedule) {
+        self.mark_all_dirty();
+        self.tolerance = schedule.tolerance;
+        self.wake = schedule.wake;
+        self.wheel.resize_with(schedule.wake.horizon, Vec::new);
     }
 
     /// Wakes `index` if it is asleep: the slot re-enters classification
@@ -408,10 +400,11 @@ impl IncrementalArbiter {
     }
 
     /// Hands a departing slot to the engine: it takes part in exactly one
-    /// more round — which sees its request absent and awards it exactly
-    /// 0 W — and then leaves the participant list for good. Marks it dirty
-    /// (which wakes it), so that round cannot skip it.
-    pub fn retire(&mut self, index: usize) {
+    /// more round and then leaves the present and participant lists for
+    /// good. The caller must have made its request inactive, so that round
+    /// awards it exactly 0 W — the award every later round copies out.
+    /// Marks it dirty (which wakes it), so that round cannot skip it.
+    pub(crate) fn retire(&mut self, index: usize) {
         self.mark_dirty(index);
         self.departing.push(index as u32);
     }
@@ -427,9 +420,9 @@ impl IncrementalArbiter {
     }
 
     /// Wakes every sleeping slot — each one is on the wheel, so this is
-    /// O(sleepers), and departed slots (never asleep) stay gone; clears the
-    /// wheel (every entry is now stale). The next round's whole-fleet mark
-    /// restarts every streak.
+    /// O(sleepers), and departed slots (never asleep) stay gone; empties
+    /// the wheel (every entry is now stale). The next round's whole-fleet
+    /// mark restarts every streak.
     fn wake_everyone(&mut self) {
         for bucket in &mut self.wheel {
             for index in bucket.drain(..) {
@@ -466,9 +459,19 @@ impl IncrementalArbiter {
     /// The ascending indices participating in the current round: after
     /// [`Self::begin_round`] (or [`Self::arbitrate`], which begins the
     /// round itself) this is every non-sleeping slot plus any slot woken
-    /// mid-round — every slot not departed with the scheduler off.
+    /// mid-round — every present slot with the scheduler off. After the
+    /// round it still names the slots that departed at its end.
     pub fn awake_slots(&self) -> &[u32] {
         &self.awake
+    }
+
+    /// The ascending indices of every present slot — each slot the engine
+    /// has seen (through [`Self::begin_round`] or a growing request slice)
+    /// that has not departed, sleepers included. A slot retired since the
+    /// last round is still present: it leaves at the end of its absent
+    /// round.
+    pub fn present(&self) -> &[u32] {
+        &self.present
     }
 
     /// Whether `index` can skip the coming quantum entirely: it was clean
@@ -487,8 +490,8 @@ impl IncrementalArbiter {
     /// round's sleepers, drains the wheel bucket whose deadline is due, and
     /// merges every pending wake. Idempotent per round; [`Self::arbitrate`]
     /// calls it itself when the caller did not. Returns the ascending
-    /// participant list (every slot not departed, with the scheduler off)
-    /// so callers can run their own per-slot stages — observation, request
+    /// participant list (the present slots, with the scheduler off) so
+    /// callers can run their own per-slot stages — observation, request
     /// building — over exactly the round's slots.
     pub fn begin_round(&mut self, fleet: usize) -> &[u32] {
         if self.round_begun {
@@ -496,23 +499,20 @@ impl IncrementalArbiter {
         }
         self.round_begun = true;
         self.ensure_capacity(fleet);
-        if self.wake.enabled() || self.departures_due {
-            // Last round's sleepers and departures leave the participant
-            // list only now, so the list kept naming them for the caller's
-            // post-arbitrate stages. A departure's dirty flag is cleared,
-            // so the mask stays false off the list (sleepers fell asleep
-            // clean).
-            let (sleeping, departed, dirty) = (&self.sleeping, &self.departed, &mut self.dirty);
-            self.awake.retain(|&index| {
-                let slot = index as usize;
-                if departed[slot] {
-                    dirty[slot] = false;
-                }
-                !sleeping[slot] && !departed[slot]
-            });
-            self.departures_due = false;
+        // Last round's departures and sleepers leave the participant list
+        // only now, so the list kept naming them for the caller's
+        // post-arbitrate stages. A departure's dirty flag is cleared, so
+        // the mask stays false off the list (sleepers fell asleep clean).
+        if !self.departed.is_empty() {
+            for &index in &self.departed {
+                self.dirty[index as usize] = false;
+            }
+            drop_sorted(&mut self.awake, &self.departed);
+            self.departed.clear();
         }
         if self.wake.enabled() {
+            let sleeping = &self.sleeping;
+            self.awake.retain(|&index| !sleeping[index as usize]);
             // Deadline expiry: drain this round's wheel bucket. Entries
             // whose deadline moved (woken early, re-slept later) are stale —
             // skipped.
@@ -541,17 +541,20 @@ impl IncrementalArbiter {
     }
 
     /// Grows (or shrinks) the per-slot round columns to `fleet` slots; new
-    /// slots join the participant list (they are dirty by definition).
-    fn ensure_capacity(&mut self, fleet: usize) {
+    /// slots are present and join the participant list (they are dirty by
+    /// definition). [`Self::begin_round`] grows to its fleet itself; the
+    /// coordinator also grows at registration, so a newcomer is present
+    /// before its first step.
+    pub(crate) fn ensure_capacity(&mut self, fleet: usize) {
         assert!(fleet <= u32::MAX as usize, "fleet exceeds u32 slot indices");
         let old = self.sleeping.len();
         if fleet > old {
             self.sleeping.resize(fleet, false);
             self.streak.resize(fleet, 0);
             self.deadline.resize(fleet, 0);
-            self.departed.resize(fleet, false);
-            // New indices are above every existing one: the list stays
+            // New indices are above every existing one: the lists stay
             // sorted.
+            self.present.extend(old as u32..fleet as u32);
             self.awake.extend(old as u32..fleet as u32);
         } else if fleet < old {
             for slot in fleet..old {
@@ -562,16 +565,20 @@ impl IncrementalArbiter {
                     self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
                 }
             }
-            self.departed_count -= self.departed[fleet..].iter().filter(|&&gone| gone).count();
             self.sleeping.truncate(fleet);
             self.streak.truncate(fleet);
             self.deadline.truncate(fleet);
-            self.departed.truncate(fleet);
-            self.awake.retain(|&index| (index as usize) < fleet);
-            self.pending_wakes.retain(|&index| (index as usize) < fleet);
-            self.departing.retain(|&index| (index as usize) < fleet);
-            for bucket in &mut self.wheel {
-                bucket.retain(|&index| (index as usize) < fleet);
+            for list in [
+                &mut self.present,
+                &mut self.awake,
+                &mut self.pending_wakes,
+                &mut self.departing,
+                &mut self.departed,
+            ]
+            .into_iter()
+            .chain(&mut self.wheel)
+            {
+                list.retain(|&index| (index as usize) < fleet);
             }
         }
     }
@@ -646,7 +653,11 @@ impl IncrementalArbiter {
         // ---- Classify the participants -----------------------------
         // "Moved" unless the delta is *strictly inside* the tolerance, so
         // tolerance 0 marks everything and a NaN delta always re-enters.
-        let mut dirty_count = 0;
+        let mut outcome = IncrementalOutcome {
+            slept: self.sleeping_active,
+            ..IncrementalOutcome::default()
+        };
+        self.dirty_slots.clear();
         for &index in &self.awake {
             let slot = index as usize;
             let delta = request_delta(&requests[slot], &self.last_requests[slot]);
@@ -655,61 +666,34 @@ impl IncrementalArbiter {
             self.marked[slot] = false;
             self.dirty[slot] = dirty;
             if dirty {
-                dirty_count += 1;
+                self.dirty_slots.push(index);
                 self.streak[slot] = 0;
+                outcome.rearbitrated += usize::from(requests[slot].active);
             } else {
                 self.streak[slot] = self.streak[slot].saturating_add(1);
+                outcome.skipped += usize::from(requests[slot].active);
             }
         }
         self.fleet_dirty = false;
 
-        // Every slot still in the fleet — neither asleep nor departed — is
-        // dirty. With no departed slot that is the whole request slice.
-        let full = dirty_count == self.awake.len() && self.awake.len() + self.departed_count == fleet;
-        let mut outcome = IncrementalOutcome {
-            full,
-            slept: self.sleeping_active,
-            ..IncrementalOutcome::default()
-        };
-        for &index in &self.awake {
-            let slot = index as usize;
-            if !requests[slot].active {
-                continue;
-            }
-            if self.dirty[slot] {
-                outcome.rearbitrated += 1;
-            } else {
-                outcome.skipped += 1;
-            }
-        }
+        // Every present slot is awake and dirty (the participants are
+        // present slots, so equal lengths mean equal sets).
+        let full = self.dirty_slots.len() == self.present.len();
+        outcome.full = full;
 
-        if full && self.departed_count == 0 {
-            // Every slot participates and is dirty (always at tolerance 0;
-            // otherwise the first round or a fleet-wide invalidation):
-            // byte-for-byte the plain full fold.
-            policy.arbitrate(budget_watts, requests, awards);
-            self.last_requests.copy_from_slice(requests);
-            self.held.copy_from_slice(awards);
-        } else if dirty_count == 0 {
-            // Fully steady round: clamp the participants' held awards, keep
-            // the sleepers', no policy call — the event-driven skip the
-            // engine exists for.
-            for &index in &self.awake {
-                let slot = index as usize;
-                self.held[slot] =
-                    self.held[slot].min(requests[slot].max_power_watts.max(0.0));
-            }
-            awards.clear();
-            awards.extend_from_slice(&self.held);
+        // ---- Hold clean + sleeping, fold the dirty residual --------
+        // Clean awards clamp to the current ceiling (clamping only
+        // shrinks), then the dirty set is arbitrated under the residual
+        // budget — the delta update of the water level / clearing price. A
+        // full round (always at tolerance 0; otherwise the first round or a
+        // fleet-wide invalidation) holds nothing, so it folds the whole
+        // budget, and it calls the policy even over an empty fleet, so a
+        // stateful policy sees every round the plain full fold would. A
+        // round with nothing dirty calls no policy at all — the
+        // event-driven skip the engine exists for.
+        let residual = if full {
+            budget_watts
         } else {
-            // ---- Hold clean + sleeping, fold the dirty residual ----
-            // Clean awards clamp to the current ceiling (clamping only
-            // shrinks), then the dirty set is arbitrated under the residual
-            // budget — the delta update of the water level / clearing
-            // price. A full round over a fleet with departed slots holds
-            // nothing, so it folds the whole budget, exactly like the plain
-            // call: departed slots are inactive, and deleting inactive rows
-            // is what index invariance promises not to notice.
             let mut held_total = self.sleeping_held_sum;
             for &index in &self.awake {
                 let slot = index as usize;
@@ -720,33 +704,22 @@ impl IncrementalArbiter {
                 self.held[slot] = held;
                 held_total += held;
             }
-            let residual = if full {
-                budget_watts
-            } else {
-                (budget_watts - held_total).max(0.0)
-            };
+            (budget_watts - held_total).max(0.0)
+        };
+        if full || !self.dirty_slots.is_empty() {
+            self.scratch_requests.clear();
             if policy.index_invariant() {
                 // Compacted fold: just the dirty rows, in ascending slot
                 // order — identical participants, identical award bits.
-                self.scratch_requests.clear();
-                self.compact_map.clear();
-                for &index in &self.awake {
-                    let slot = index as usize;
-                    if self.dirty[slot] {
-                        self.compact_map.push(index);
-                        self.scratch_requests.push(requests[slot]);
-                    }
-                }
+                self.scratch_requests
+                    .extend(self.dirty_slots.iter().map(|&index| requests[index as usize]));
                 policy.arbitrate(residual, &self.scratch_requests, &mut self.scratch_awards);
-                for (row, &index) in self.compact_map.iter().enumerate() {
-                    let slot = index as usize;
-                    self.last_requests[slot] = requests[slot];
-                    self.held[slot] = self.scratch_awards[row];
+                for (&index, &award) in self.dirty_slots.iter().zip(&self.scratch_awards) {
+                    self.held[index as usize] = award;
                 }
             } else {
                 // Stateful per-slot policies keep fleet-length alignment:
                 // clean and sleeping slots are masked inactive.
-                self.scratch_requests.clear();
                 self.scratch_requests.extend(
                     requests
                         .iter()
@@ -757,31 +730,32 @@ impl IncrementalArbiter {
                         }),
                 );
                 policy.arbitrate(residual, &self.scratch_requests, &mut self.scratch_awards);
-                for &index in &self.awake {
-                    let slot = index as usize;
-                    if self.dirty[slot] {
-                        self.last_requests[slot] = requests[slot];
-                        self.held[slot] = self.scratch_awards[slot];
-                    }
+                for &index in &self.dirty_slots {
+                    self.held[index as usize] = self.scratch_awards[index as usize];
                 }
             }
-            awards.clear();
-            awards.extend_from_slice(&self.held);
+            for &index in &self.dirty_slots {
+                self.last_requests[index as usize] = requests[index as usize];
+            }
         }
+        awards.clear();
+        awards.extend_from_slice(&self.held);
 
         if self.wake.enabled() {
             self.sleep_steady_slots(requests);
         }
-        // This was the departing slots' absent round: they stay on the list
-        // for the caller's decide stage and leave it when the next round
-        // begins.
-        for index in self.departing.drain(..) {
-            let gone = &mut self.departed[index as usize];
-            if !*gone {
-                *gone = true;
-                self.departed_count += 1;
-                self.departures_due = true;
-            }
+        // This was the departing slots' absent round: they leave the
+        // present list now, and the participant list — which the caller's
+        // decide stage still walks — when the next round begins.
+        if !self.departing.is_empty() {
+            self.departing.sort_unstable();
+            self.departing.dedup();
+            debug_assert!(
+                self.departing.iter().all(|&index| self.held[index as usize] == 0.0),
+                "a retired slot's request must be inactive in its absent round"
+            );
+            drop_sorted(&mut self.present, &self.departing);
+            std::mem::swap(&mut self.departed, &mut self.departing);
         }
         self.round += 1;
         self.round_begun = false;
@@ -810,6 +784,16 @@ impl IncrementalArbiter {
             self.sleeping_held_sum += self.held[slot];
         }
     }
+}
+
+/// Removes from the ascending `list` every index in the ascending `gone`,
+/// in one merge pass over both.
+fn drop_sorted(list: &mut Vec<u32>, gone: &[u32]) {
+    let mut gone = gone.iter().copied().peekable();
+    list.retain(|&index| {
+        while gone.next_if(|&next| next < index).is_some() {}
+        gone.next_if_eq(&index).is_none()
+    });
 }
 
 #[cfg(test)]
@@ -955,8 +939,9 @@ mod tests {
         assert_eq!(round.rearbitrated, 0);
         assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         assert!(engine.awake_slots().contains(&1));
+        assert_eq!(engine.present(), &[0, 2], "it left the present list at once");
         // From then on no wake path brings it back: a budget step, the
-        // deadline wheel, nor the fresh engine of a schedule change.
+        // deadline wheel, nor a schedule change.
         engine.mark_all_dirty();
         assert_eq!(engine.begin_round(3), &[0, 2]);
         for _ in 0..2 * config.horizon {
@@ -965,19 +950,23 @@ mod tests {
             assert_eq!(round.slept + round.skipped + round.rearbitrated, 2);
             assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         }
-        let mut fresh = engine.rescheduled(ArbitrationSchedule::default());
-        assert_eq!(fresh.begin_round(3), &[0, 2]);
-        let round = fresh.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        engine.set_schedule(ArbitrationSchedule::default());
+        assert_eq!(engine.begin_round(3), &[0, 2]);
+        let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
         assert!(round.full, "every present slot re-arbitrates");
         assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         // A slot retired before the schedule changes still gets its absent
-        // round on the fresh engine, then leaves.
+        // round under the new schedule, then leaves.
         requests[2].active = false;
-        fresh.retire(2);
-        let mut fresh = fresh.rescheduled(ArbitrationSchedule::default());
-        fresh.arbitrate(&mut policy, 60.0, &requests, &mut awards);
-        assert_eq!(fresh.awake_slots(), &[0, 2]);
-        assert_eq!(fresh.begin_round(3), &[0]);
+        engine.retire(2);
+        engine.set_schedule(ArbitrationSchedule {
+            tolerance: 0.05,
+            wake: config,
+        });
+        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        assert_eq!(engine.awake_slots(), &[0, 2]);
+        assert_eq!(engine.present(), &[0]);
+        assert_eq!(engine.begin_round(3), &[0]);
     }
 
     #[test]

@@ -896,7 +896,7 @@ proptest! {
 
     /// Retired apps leave every walk after one absent round. Through
     /// register/retire churn, a budget step and a schedule change (which
-    /// builds a fresh engine), for all five policies, with the wake
+    /// restarts the engine in place), for all five policies, with the wake
     /// scheduler on and off, at 1 worker and at 3: no step observes more
     /// than its live apps plus the apps retired since the last step, and
     /// absent apps hold exactly 0 W. At tolerance 0 every award, decision
