@@ -2293,6 +2293,26 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_report_time_neither_panics_nor_poisons_the_window() {
+        let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair));
+        let app = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 1000.0));
+        coordinator.step(1.0).unwrap();
+        advance_honestly(&mut coordinator, app, 2.0);
+        let monitor = coordinator.app(app).driver().monitor();
+        let beats = monitor.stats().total_beats;
+        let last = monitor.last_beat_timestamp();
+        coordinator.advance(app, f64::NAN, 3.0, 10.0, 5.0);
+        coordinator.advance(app, 2.0, f64::INFINITY, 10.0, 5.0);
+        assert_eq!(monitor.stats().total_beats, beats);
+        assert_eq!(monitor.last_beat_timestamp(), last);
+        coordinator.step(3.0).unwrap();
+        // Time still only moves forward from the last finite beat.
+        advance_honestly(&mut coordinator, app, 3.0);
+        assert!(monitor.stats().total_beats > beats);
+        assert_eq!(monitor.last_beat_timestamp(), Some(3.0));
+    }
+
+    #[test]
     fn the_watchdog_does_not_judge_a_retired_app() {
         // Retired before the step its NaN report would quarantine it in:
         // the slot is still present for that absent round, but the

@@ -12,6 +12,11 @@ pub enum HeartbeatError {
         /// Timestamp supplied for the new beat, in seconds.
         supplied: f64,
     },
+    /// A heartbeat was emitted with a NaN or infinite timestamp.
+    NonFiniteTime {
+        /// Timestamp supplied for the new beat.
+        supplied: f64,
+    },
     /// A tag was referenced (e.g. for tagged latency) that has never been emitted.
     UnknownTag(String),
     /// A goal parameter was invalid (non-positive target, empty window, ...).
@@ -25,6 +30,9 @@ impl fmt::Display for HeartbeatError {
                 f,
                 "heartbeat timestamp {supplied} s precedes previous beat at {previous} s"
             ),
+            HeartbeatError::NonFiniteTime { supplied } => {
+                write!(f, "heartbeat timestamp {supplied} is not finite")
+            }
             HeartbeatError::UnknownTag(tag) => write!(f, "unknown heartbeat tag `{tag}`"),
             HeartbeatError::InvalidGoal(reason) => write!(f, "invalid goal: {reason}"),
         }
@@ -48,6 +56,8 @@ mod tests {
             supplied: 5.0,
         };
         assert!(err.to_string().contains("precedes"));
+        let err = HeartbeatError::NonFiniteTime { supplied: f64::NAN };
+        assert!(err.to_string().contains("not finite"));
     }
 
     #[test]

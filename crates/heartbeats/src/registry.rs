@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::HeartbeatError;
 use crate::goal::{Goal, GoalKind};
-use crate::record::{BeatSeq, HeartbeatRecord, Tag};
+use crate::record::{BeatSeq, Tag};
 use crate::window::{HeartRateStats, Window};
 
 /// Default number of beats retained in the observation window.
@@ -51,28 +51,49 @@ struct Inner {
     name: Arc<str>,
     window: Window,
     goals: Vec<Goal>,
-    next_seq: BeatSeq,
     /// Power samples attributed to this application by the platform, in
-    /// (timestamp, watts) pairs. Retained for the same horizon as the
-    /// window, in a ring so eviction is O(1).
-    power_samples: VecDeque<(f64, f64)>,
+    /// watts, oldest first. Retained for the same horizon as the window,
+    /// in a ring so eviction is O(1); only their mean is ever observed, so
+    /// the sample times are not kept.
+    power_samples: VecDeque<f64>,
     max_power_samples: usize,
 }
 
 impl Inner {
-    fn record(&mut self, record: HeartbeatRecord) -> Result<BeatSeq, HeartbeatError> {
-        if let Some(last) = self.window.last_timestamp() {
-            if record.timestamp < last {
-                return Err(HeartbeatError::NonMonotonicTime {
-                    previous: last,
-                    supplied: record.timestamp,
-                });
-            }
+    /// Checks that a beat may be stamped at `timestamp`: finite, and not
+    /// earlier than the previous beat.
+    fn admit(&self, timestamp: f64) -> Result<(), HeartbeatError> {
+        if !timestamp.is_finite() {
+            return Err(HeartbeatError::NonFiniteTime {
+                supplied: timestamp,
+            });
         }
-        let seq = record.seq;
-        self.window.push(record);
-        self.next_seq = seq + 1;
+        match self.window.last_timestamp() {
+            Some(last) if timestamp < last => Err(HeartbeatError::NonMonotonicTime {
+                previous: last,
+                supplied: timestamp,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    fn beat(
+        &mut self,
+        timestamp: f64,
+        tag: Option<Tag>,
+        distortion: Option<f64>,
+    ) -> Result<BeatSeq, HeartbeatError> {
+        self.admit(timestamp)?;
+        let seq = self.window.total_beats();
+        self.window.push_beat(timestamp, tag, distortion);
         Ok(seq)
+    }
+
+    fn record_power(&mut self, watts: f64) {
+        if self.power_samples.len() == self.max_power_samples {
+            self.power_samples.pop_front();
+        }
+        self.power_samples.push_back(watts);
     }
 
     fn target_heart_rate(&self) -> Option<f64> {
@@ -90,7 +111,7 @@ impl Inner {
         if self.power_samples.is_empty() {
             return None;
         }
-        let sum: f64 = self.power_samples.iter().map(|(_, w)| w).sum();
+        let sum: f64 = self.power_samples.iter().sum();
         Some(sum / self.power_samples.len() as f64)
     }
 }
@@ -123,7 +144,6 @@ impl HeartbeatRegistry {
                 name: Arc::from(name.into()),
                 window: Window::new(window),
                 goals: Vec::new(),
-                next_seq: 0,
                 power_samples: VecDeque::with_capacity(window.max(DEFAULT_WINDOW)),
                 max_power_samples: window.max(DEFAULT_WINDOW),
             })),
@@ -166,12 +186,43 @@ impl HeartbeatIssuer {
     ///
     /// # Errors
     ///
-    /// Returns [`HeartbeatError::NonMonotonicTime`] when `now` precedes the
-    /// previous beat.
+    /// Returns [`HeartbeatError::NonFiniteTime`] when `now` is NaN or
+    /// infinite, and [`HeartbeatError::NonMonotonicTime`] when `now`
+    /// precedes the previous beat.
     pub fn try_heartbeat(&self, now: f64) -> Result<BeatSeq, HeartbeatError> {
+        self.inner.write().beat(now, None, None)
+    }
+
+    /// Emits one plain heartbeat at each of `timestamps`, in order, under a
+    /// single lock acquisition, and with each beat records a platform power
+    /// sample of `power_watts` when one is given. Returns the number of
+    /// beats emitted.
+    ///
+    /// This is the ingestion path of a whole quantum: it leaves the
+    /// registry exactly as calling [`Self::try_heartbeat`] and then
+    /// [`HeartbeatMonitor::record_power_sample`] once per beat would.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first timestamp that [`Self::try_heartbeat`] would
+    /// reject and returns its error. The beats before it (and their power
+    /// samples) stay recorded, as they would one call at a time.
+    pub fn heartbeats(
+        &self,
+        timestamps: impl IntoIterator<Item = f64>,
+        power_watts: Option<f64>,
+    ) -> Result<u64, HeartbeatError> {
         let mut inner = self.inner.write();
-        let seq = inner.next_seq;
-        inner.record(HeartbeatRecord::new(seq, now))
+        let mut emitted = 0;
+        for timestamp in timestamps {
+            inner.admit(timestamp)?;
+            inner.window.push_beat(timestamp, None, None);
+            if let Some(watts) = power_watts {
+                inner.record_power(watts);
+            }
+            emitted += 1;
+        }
+        Ok(emitted)
     }
 
     /// Emits a heartbeat, panicking on non-monotonic time.
@@ -182,42 +233,37 @@ impl HeartbeatIssuer {
     ///
     /// # Panics
     ///
-    /// Panics if `now` precedes the timestamp of the previous beat.
+    /// Panics if `now` is not finite or precedes the timestamp of the
+    /// previous beat.
     pub fn heartbeat(&self, now: f64) -> BeatSeq {
         self.try_heartbeat(now)
-            .expect("heartbeat timestamps must be monotonically non-decreasing")
+            .expect("heartbeat timestamps must be finite and monotonically non-decreasing")
     }
 
     /// Emits a tagged heartbeat (see [`Tag`]).
     ///
     /// # Errors
     ///
-    /// Returns [`HeartbeatError::NonMonotonicTime`] when `now` precedes the
-    /// previous beat.
+    /// As [`Self::try_heartbeat`].
     pub fn tagged_heartbeat(
         &self,
         now: f64,
         tag: impl Into<Tag>,
     ) -> Result<BeatSeq, HeartbeatError> {
-        let mut inner = self.inner.write();
-        let seq = inner.next_seq;
-        inner.record(HeartbeatRecord::new(seq, now).with_tag(tag))
+        self.inner.write().beat(now, Some(tag.into()), None)
     }
 
     /// Emits a heartbeat carrying an accuracy (distortion) report.
     ///
     /// # Errors
     ///
-    /// Returns [`HeartbeatError::NonMonotonicTime`] when `now` precedes the
-    /// previous beat.
+    /// As [`Self::try_heartbeat`].
     pub fn heartbeat_with_distortion(
         &self,
         now: f64,
         distortion: f64,
     ) -> Result<BeatSeq, HeartbeatError> {
-        let mut inner = self.inner.write();
-        let seq = inner.next_seq;
-        inner.record(HeartbeatRecord::new(seq, now).with_distortion(distortion))
+        self.inner.write().beat(now, None, Some(distortion))
     }
 
     /// Registers (or replaces) the goal of the same kind.
@@ -358,14 +404,16 @@ impl HeartbeatMonitor {
     /// Records a platform-attributed power sample (timestamp seconds, watts).
     ///
     /// Power is measured by the platform (e.g. the WattsUp meter in §5.2 or
-    /// Angstrom's energy sensors in §4.1), not by the application, so the
-    /// sample enters through the monitor side of the API.
+    /// Angstrom's energy sensors in §4.1), not by the application, so a
+    /// lone sample enters through the monitor side of the API. A platform
+    /// that reports a quantum's beats for the application hands their
+    /// samples to [`HeartbeatIssuer::heartbeats`] instead.
+    ///
+    /// Only the mean of the retained samples is observed, so `now` is not
+    /// kept.
     pub fn record_power_sample(&self, now: f64, watts: f64) {
-        let mut inner = self.inner.write();
-        if inner.power_samples.len() == inner.max_power_samples {
-            inner.power_samples.pop_front();
-        }
-        inner.power_samples.push_back((now, watts));
+        let _ = now;
+        self.inner.write().record_power(watts);
     }
 
     /// Mean of the retained power samples, in watts.
@@ -409,6 +457,65 @@ mod tests {
         assert!(matches!(err, HeartbeatError::NonMonotonicTime { .. }));
         // Equal timestamps are fine.
         assert!(issuer.try_heartbeat(1.0).is_ok());
+    }
+
+    #[test]
+    fn non_finite_time_is_rejected_and_leaves_the_window_untouched() {
+        let registry = HeartbeatRegistry::new("app");
+        let issuer = registry.issuer();
+        let monitor = registry.monitor();
+        issuer.heartbeat(1.0);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = issuer.try_heartbeat(bad).unwrap_err();
+            assert!(matches!(err, HeartbeatError::NonFiniteTime { .. }));
+            assert!(issuer.tagged_heartbeat(bad, "frame").is_err());
+            assert!(issuer.heartbeat_with_distortion(bad, 0.1).is_err());
+        }
+        assert_eq!(monitor.stats().total_beats, 1);
+        assert_eq!(monitor.last_beat_timestamp(), Some(1.0));
+        // The monotonic check still holds against the last finite beat.
+        let err = issuer.try_heartbeat(0.5).unwrap_err();
+        assert!(matches!(err, HeartbeatError::NonMonotonicTime { .. }));
+    }
+
+    #[test]
+    fn a_batch_equals_one_call_per_beat() {
+        let batched = HeartbeatRegistry::with_window("app", 4);
+        let single = HeartbeatRegistry::with_window("app", 4);
+        let stamps = [0.5, 0.5, 0.75, 1.0, 2.0, 2.5];
+        assert_eq!(batched.issuer().heartbeats(stamps, Some(7.5)), Ok(6));
+        for &t in &stamps {
+            single.issuer().heartbeat(t);
+            single.monitor().record_power_sample(t, 7.5);
+        }
+        assert_eq!(
+            batched.monitor().observation(),
+            single.monitor().observation()
+        );
+        assert_eq!(batched.monitor().stats(), single.monitor().stats());
+        // Without a power reading only the beats are recorded.
+        assert_eq!(batched.issuer().heartbeats([3.0], None), Ok(1));
+        assert_eq!(batched.monitor().stats().total_beats, 7);
+        assert_eq!(batched.monitor().mean_power(), Some(7.5));
+    }
+
+    #[test]
+    fn a_batch_stops_at_the_first_rejected_beat() {
+        let registry = HeartbeatRegistry::new("app");
+        let issuer = registry.issuer();
+        let monitor = registry.monitor();
+        let err = issuer
+            .heartbeats([1.0, 2.0, f64::NAN, 3.0], Some(5.0))
+            .unwrap_err();
+        assert!(matches!(err, HeartbeatError::NonFiniteTime { .. }));
+        assert_eq!(monitor.stats().total_beats, 2);
+        assert_eq!(monitor.last_beat_timestamp(), Some(2.0));
+        let err = issuer.heartbeats([2.5, 1.5], Some(5.0)).unwrap_err();
+        assert!(matches!(err, HeartbeatError::NonMonotonicTime { .. }));
+        assert_eq!(monitor.stats().total_beats, 3);
+        assert_eq!(monitor.mean_power(), Some(5.0));
+        assert_eq!(issuer.heartbeats(std::iter::empty(), Some(9.0)), Ok(0));
+        assert_eq!(monitor.mean_power(), Some(5.0));
     }
 
     #[test]

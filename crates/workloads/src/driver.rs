@@ -103,16 +103,20 @@ impl HeartbeatedWorkload {
     /// `work_per_beat` units crossed, all stamped at `now` (within a quantum
     /// the substrate does not resolve finer timing). Returns the number of
     /// heartbeats emitted.
+    ///
+    /// A NaN, infinite or negative `work_units`, or a non-finite `now`,
+    /// credits no work and emits nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a beat is due and `now` precedes the previous beat.
     pub fn advance(&mut self, now: f64, work_units: f64) -> u64 {
-        self.completed_work += work_units.max(0.0);
-        let due = (self.completed_work / self.work_per_beat).floor() as u64;
-        let mut emitted = 0;
-        while self.emitted_beats < due {
-            self.issuer.heartbeat(now);
-            self.emitted_beats += 1;
-            emitted += 1;
+        if !now.is_finite() {
+            return 0;
         }
-        emitted
+        self.credit(work_units);
+        let beats = self.beats_due() - self.emitted_beats;
+        self.emit(std::iter::repeat_n(now, beats as usize), None)
     }
 
     /// Reports that the substrate completed `work_units` of application
@@ -129,6 +133,15 @@ impl HeartbeatedWorkload {
     /// controller that must track a target closely. The interpolated form
     /// removes that bias and keeps the power-sample horizon aligned with
     /// the beat window. Returns the number of beats emitted.
+    ///
+    /// The quantum's beats and samples enter the registry in one batch
+    /// ([`HeartbeatIssuer::heartbeats`]). A NaN, infinite or negative
+    /// `work_units`, or a non-finite `start` or `end`, credits no work and
+    /// emits nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a beat is due and `start` precedes the previous beat.
     pub fn advance_metered(
         &mut self,
         start: f64,
@@ -136,26 +149,51 @@ impl HeartbeatedWorkload {
         work_units: f64,
         power_above_idle_watts: f64,
     ) -> u64 {
-        let work_units = work_units.max(0.0);
+        // A non-finite endpoint makes the difference non-finite too.
+        if !(end - start).is_finite() {
+            return 0;
+        }
         let span = (end - start).max(0.0);
         let before = self.completed_work;
-        self.completed_work += work_units;
-        let due = (self.completed_work / self.work_per_beat).floor() as u64;
-        let monitor = self.registry.monitor();
-        let mut emitted = 0;
-        while self.emitted_beats < due {
-            let boundary = (self.emitted_beats + 1) as f64 * self.work_per_beat;
+        let work_units = self.credit(work_units);
+        let per_beat = self.work_per_beat;
+        let stamps = (self.emitted_beats + 1..=self.beats_due()).map(|beat| {
+            let boundary = beat as f64 * per_beat;
             let fraction = if work_units > 0.0 {
                 ((boundary - before) / work_units).clamp(0.0, 1.0)
             } else {
                 1.0
             };
-            let timestamp = start + fraction * span;
-            self.issuer.heartbeat(timestamp);
-            monitor.record_power_sample(timestamp, power_above_idle_watts);
-            self.emitted_beats += 1;
-            emitted += 1;
-        }
+            start + fraction * span
+        });
+        self.emit(stamps, Some(power_above_idle_watts))
+    }
+
+    /// Adds `work_units` to the completed work, or nothing unless it is
+    /// finite and positive, and returns the amount credited.
+    fn credit(&mut self, work_units: f64) -> f64 {
+        let credited = if work_units.is_finite() {
+            work_units.max(0.0)
+        } else {
+            0.0
+        };
+        self.completed_work += credited;
+        credited
+    }
+
+    /// Total beats due for the work completed so far.
+    fn beats_due(&self) -> u64 {
+        (self.completed_work / self.work_per_beat).floor() as u64
+    }
+
+    /// Emits one beat at each of `stamps`, with one power sample each if
+    /// given.
+    fn emit(&mut self, stamps: impl Iterator<Item = f64>, power: Option<f64>) -> u64 {
+        let emitted = self
+            .issuer
+            .heartbeats(stamps, power)
+            .expect("heartbeat timestamps must be monotonically non-decreasing");
+        self.emitted_beats += emitted;
         emitted
     }
 }
@@ -220,6 +258,38 @@ mod tests {
         // Degenerate inputs are safe.
         assert_eq!(app.advance_metered(16.0, 16.0, 0.0, 30.0), 0);
         assert_eq!(app.advance_metered(17.0, 16.0, 10.0, 30.0), 10);
+    }
+
+    #[test]
+    fn non_finite_times_or_work_credit_nothing() {
+        let mut app = instrumented();
+        assert_eq!(app.advance_metered(0.0, 1.0, 2.0, 10.0), 2);
+        for (start, end) in [(f64::NAN, 2.0), (1.0, f64::NAN), (1.0, f64::INFINITY)] {
+            assert_eq!(app.advance_metered(start, end, 3.0, 10.0), 0);
+        }
+        assert_eq!(app.advance(f64::NAN, 3.0), 0);
+        assert_eq!(app.advance(f64::NEG_INFINITY, 3.0), 0);
+        for work in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -4.0] {
+            assert_eq!(app.advance_metered(1.0, 2.0, work, 10.0), 0);
+            assert_eq!(app.advance(2.0, work), 0);
+        }
+        assert_eq!(app.completed_work(), 2.0);
+        assert_eq!(app.emitted_beats(), 2);
+        // The window was not poisoned: a later, earlier-than-NaN beat is
+        // still judged against the last finite one and accepted.
+        let monitor = app.monitor();
+        assert_eq!(monitor.last_beat_timestamp(), Some(1.0));
+        assert_eq!(app.advance_metered(1.0, 2.0, 1.0, 10.0), 1);
+        assert_eq!(monitor.stats().total_beats, 3);
+        assert_eq!(monitor.last_beat_timestamp(), Some(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "monotonically")]
+    fn time_running_backwards_still_panics() {
+        let mut app = instrumented();
+        app.advance_metered(5.0, 6.0, 1.0, 10.0);
+        app.advance_metered(3.0, 4.0, 1.0, 10.0);
     }
 
     #[test]
