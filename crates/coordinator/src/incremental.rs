@@ -799,7 +799,9 @@ fn drop_sorted(list: &mut Vec<u32>, gone: &[u32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{PerformanceMarket, StaticShare, WeightedFair};
+    use crate::policy::{
+        AwardHysteresis, PerformanceMarket, StarvationFloor, StaticShare, WeightedFair,
+    };
 
     fn request(weight: f64, urgency: f64, ceiling: f64) -> AppRequest {
         AppRequest {
@@ -976,18 +978,6 @@ mod tests {
     }
 
     // ---- Wake scheduler ------------------------------------------------
-
-    /// Wrapper that hides a policy's index invariance, forcing the masked
-    /// fallback — used to pin compacted == masked bitwise.
-    struct MaskedOnly<P: ArbitrationPolicy>(P);
-    impl<P: ArbitrationPolicy> ArbitrationPolicy for MaskedOnly<P> {
-        fn name(&self) -> &'static str {
-            "masked-only"
-        }
-        fn arbitrate(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
-            self.0.arbitrate(budget, requests, awards);
-        }
-    }
 
     #[test]
     fn horizon_zero_wake_config_is_bit_identical_to_no_wake_config() {
@@ -1240,62 +1230,106 @@ mod tests {
         assert_eq!(ledger, churning_fleet_trace(2_000, 24), "the trace is deterministic");
     }
 
+    /// Test-only masked oracle: the wrapped policy sees the fleet-length
+    /// request slice with every slot off the round's dirty list masked
+    /// inactive (`active && dirty`), one award per slot — the plain
+    /// full-slice fold every call form must reproduce bit for bit.
+    struct MaskedOracle(Box<dyn ArbitrationPolicy>);
+    impl ArbitrationPolicy for MaskedOracle {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn arbitrate(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
+            self.0.arbitrate(budget, requests, awards);
+        }
+    }
+
+    /// The five policies of the property suite (the three stateless ones,
+    /// the stateful [`AwardHysteresis`] and the [`StarvationFloor`]) plus
+    /// the fuzz probe's slew-limited hysteresis market.
+    fn oracle_policies() -> Vec<Box<dyn ArbitrationPolicy>> {
+        vec![
+            Box::new(StaticShare),
+            Box::new(WeightedFair),
+            Box::new(PerformanceMarket::default()),
+            Box::new(AwardHysteresis::new(Box::new(PerformanceMarket::default()), 0.05)),
+            Box::new(StarvationFloor::new(Box::new(WeightedFair), 0.2)),
+            Box::new(
+                AwardHysteresis::new(Box::new(PerformanceMarket::default()), 0.02)
+                    .with_max_step_fraction(0.02),
+            ),
+        ]
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// Partial rounds hand index-invariant policies a compacted slice
-        /// of just the dirty rows; the fleet-length masked fold (what
-        /// stateful policies get) must produce the same award bits — for
-        /// every shipped policy, random budgets and moved slots, with the
-        /// wake scheduler off (horizon 0) and on.
+        /// The engine's policy call must produce the masked oracle's award
+        /// bits and ledger for every policy, at tolerance 0 and positive
+        /// tolerances, with the wake scheduler off (horizon 0) and on,
+        /// through request moves, registrations and retirements.
         #[test]
-        fn compacted_and_masked_residual_folds_are_bit_identical(
+        fn the_engine_fold_matches_the_masked_oracle(
             budgets in proptest::collection::vec(1.0..400.0f64, 10),
-            actives in proptest::collection::vec(0usize..4, 16),
-            weights in proptest::collection::vec(0.1..8.0f64, 16),
-            ceilings in proptest::collection::vec(0.5..100.0f64, 16),
-            moved_slots in proptest::collection::vec(0usize..16, 20),
+            actives in proptest::collection::vec(0usize..4, 12),
+            weights in proptest::collection::vec(0.1..8.0f64, 32),
+            ceilings in proptest::collection::vec(0.5..100.0f64, 32),
+            moved_slots in proptest::collection::vec(0usize..32, 20),
             moved_urgencies in proptest::collection::vec(0.05..10.0f64, 20),
+            churn in proptest::collection::vec(0usize..4, 10),
+            retired_slots in proptest::collection::vec(0usize..32, 10),
+            zero_tolerance in 0usize..4,
             tolerance in 0.001..0.3f64,
             horizon in 0usize..9,
         ) {
+            // One case in four runs at tolerance 0.
+            let tolerance = if zero_tolerance == 0 { 0.0 } else { tolerance };
             let config = WakeConfig { steady_quanta: 1, horizon };
-            let policies: [(Box<dyn ArbitrationPolicy>, Box<dyn ArbitrationPolicy>); 3] = [
-                (Box::new(StaticShare), Box::new(MaskedOnly(StaticShare))),
-                (Box::new(WeightedFair), Box::new(MaskedOnly(WeightedFair))),
-                (
-                    Box::new(PerformanceMarket::default()),
-                    Box::new(MaskedOnly(PerformanceMarket::default())),
-                ),
-            ];
-            for (mut fast, mut slow) in policies {
-                proptest::prop_assert!(fast.index_invariant() && !slow.index_invariant());
-                let mut compacted = IncrementalArbiter::new(tolerance).with_wake(config);
+            for (policy, inner) in oracle_policies().into_iter().zip(oracle_policies()) {
+                let mut policy = policy;
+                let mut oracle = MaskedOracle(inner);
+                let mut engine = IncrementalArbiter::new(tolerance).with_wake(config);
                 let mut masked = IncrementalArbiter::new(tolerance).with_wake(config);
                 // One slot in four starts absent.
-                let mut requests: Vec<AppRequest> = (0..16)
+                let mut requests: Vec<AppRequest> = (0..actives.len())
                     .map(|i| AppRequest {
                         active: actives[i] != 0,
                         ..request(weights[i], 1.0, ceilings[i])
                     })
                     .collect();
+                let mut retired = vec![false; requests.len()];
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 for (round, &budget) in budgets.iter().enumerate() {
-                    // Move two slots; wake them in both engines.
-                    for pick in [2 * round, 2 * round + 1] {
-                        let slot = moved_slots[pick];
-                        requests[slot].urgency = moved_urgencies[pick];
-                        compacted.wake(slot);
-                        masked.wake(slot);
+                    // Churn: register a slot (bit 0), retire one (bit 1).
+                    if churn[round] & 1 == 1 {
+                        let slot = requests.len();
+                        requests.push(request(weights[slot % 32], 1.0, ceilings[slot % 32]));
+                        retired.push(false);
                     }
-                    let oa = compacted.arbitrate(fast.as_mut(), budget, &requests, &mut a);
-                    let ob = masked.arbitrate(slow.as_mut(), budget, &requests, &mut b);
+                    let slot = retired_slots[round] % requests.len();
+                    if churn[round] & 2 == 2 && !retired[slot] {
+                        retired[slot] = true;
+                        requests[slot].active = false;
+                        engine.retire(slot);
+                        masked.retire(slot);
+                    }
+                    // Move two live slots; wake them in both engines.
+                    for pick in [2 * round, 2 * round + 1] {
+                        let slot = moved_slots[pick] % requests.len();
+                        if !retired[slot] {
+                            requests[slot].urgency = moved_urgencies[pick];
+                            engine.wake(slot);
+                            masked.wake(slot);
+                        }
+                    }
+                    let oa = engine.arbitrate(policy.as_mut(), budget, &requests, &mut a);
+                    let ob = masked.arbitrate(&mut oracle, budget, &requests, &mut b);
                     let bits_a: Vec<u64> = a.iter().map(|w| w.to_bits()).collect();
                     let bits_b: Vec<u64> = b.iter().map(|w| w.to_bits()).collect();
                     proptest::prop_assert!(
                         bits_a == bits_b && oa == ob,
                         "{} round {round}: {a:?} / {oa:?} vs {b:?} / {ob:?}",
-                        fast.name()
+                        policy.name()
                     );
                 }
             }
