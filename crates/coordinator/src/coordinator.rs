@@ -800,11 +800,8 @@ pub struct Coordinator {
     /// Whether [`Self::try_register`] runs the admission feasibility
     /// pre-check (see [`Self::with_admission_feasibility`]).
     admission_feasibility: bool,
-    /// The arbitration schedule the engine runs under (see
-    /// [`Self::set_schedule`]); the default re-arbitrates every app every
-    /// quantum.
-    schedule: ArbitrationSchedule,
-    /// The arbitration engine every step runs through. It opens each round
+    /// The arbitration engine every step runs through, under its schedule
+    /// (see [`Self::set_schedule`]). It opens each round
     /// with the participant list the per-app stages walk, folds the dirty
     /// set (everything, at tolerance 0), tracks who sleeps, and holds the
     /// present list every other walk reads; switched in place whenever
@@ -886,8 +883,8 @@ impl Coordinator {
             watchdog: None,
             admission_control: false,
             admission_feasibility: false,
-            schedule: ArbitrationSchedule::default(),
-            arbiter: IncrementalArbiter::new(0.0),
+            arbiter: IncrementalArbiter::new(ArbitrationSchedule::default())
+                .expect("the default schedule is valid"),
             hot: FleetHot::default(),
             committed_floors: None,
             last_now: 0.0,
@@ -1028,7 +1025,7 @@ impl Coordinator {
     pub fn with_arbitration_tolerance(mut self, tolerance: f64) -> Self {
         let schedule = ArbitrationSchedule {
             tolerance,
-            ..self.schedule
+            ..self.schedule()
         };
         if let Err(err) = self.set_schedule(schedule) {
             panic!("{err}");
@@ -1066,7 +1063,7 @@ impl Coordinator {
     pub fn with_wake_schedule(mut self, config: WakeConfig) -> Self {
         let schedule = ArbitrationSchedule {
             wake: config,
-            ..self.schedule
+            ..self.schedule()
         };
         self.set_schedule(schedule)
             .expect("the schedule's tolerance was already validated");
@@ -1087,8 +1084,7 @@ impl Coordinator {
     /// tolerance; the schedule is left unchanged.
     pub fn set_schedule(&mut self, schedule: ArbitrationSchedule) -> Result<(), ScheduleError> {
         schedule.validate()?;
-        if schedule != self.schedule {
-            self.schedule = schedule;
+        if schedule != self.schedule() {
             self.arbiter.set_schedule(schedule);
         }
         Ok(())
@@ -1096,7 +1092,7 @@ impl Coordinator {
 
     /// The arbitration schedule every step runs under.
     pub fn schedule(&self) -> ArbitrationSchedule {
-        self.schedule
+        self.arbiter.schedule()
     }
 
     /// Registers an application — its arrival — and returns its handle.
@@ -1522,7 +1518,7 @@ impl Coordinator {
         // decision stand. At a positive tolerance the dirty mask rides
         // along: clean apps skip the whole decide quantum.
         let awards = &self.awards;
-        let dirty = (self.schedule.tolerance > 0.0).then(|| self.arbiter.dirty_mask());
+        let dirty = (self.schedule().tolerance > 0.0).then(|| self.arbiter.dirty_mask());
         let decide_observer = observer.as_deref();
         walk_list(
             pool.as_deref(),

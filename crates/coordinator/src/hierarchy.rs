@@ -368,6 +368,8 @@ pub struct DatacenterArbiter {
     budget_watts: f64,
     quantum: usize,
     requests: Vec<AppRequest>,
+    /// Every rack's index, in order: the policy's participant list.
+    rack_slots: Vec<u32>,
     awards: Vec<f64>,
     /// Telemetry recorder propagated to every rack.
     observer: Option<Arc<Recorder>>,
@@ -401,6 +403,7 @@ impl DatacenterArbiter {
             budget_watts,
             quantum: 0,
             requests: Vec::new(),
+            rack_slots: Vec::new(),
             awards: Vec::new(),
             observer: None,
         }
@@ -432,6 +435,7 @@ impl DatacenterArbiter {
         if self.observer.is_some() {
             rack.set_obs(self.observer.clone());
         }
+        self.rack_slots.push(u32::try_from(self.racks.len()).expect("rack count fits u32"));
         self.racks.push(rack);
         self.racks.len() - 1
     }
@@ -530,8 +534,12 @@ impl DatacenterArbiter {
         );
 
         // ---- Phase 2: arbitrate (sequential deterministic fold) -----
-        self.policy
-            .arbitrate(self.budget_watts, &self.requests, &mut self.awards);
+        self.policy.arbitrate(
+            self.budget_watts,
+            &self.requests,
+            &self.rack_slots,
+            &mut self.awards,
+        );
 
         // ---- Phase 3: step each rack under its envelope (rack order) -
         let mut active_racks = 0;

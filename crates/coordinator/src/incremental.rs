@@ -40,15 +40,14 @@
 //! The degenerate tolerance `0.0` marks **every** application dirty every
 //! quantum (a request delta of exactly zero is not *strictly inside* a zero
 //! tolerance), and nothing ever sleeps, so every present slot re-enters
-//! the fold under the whole budget. Index-invariant policies are called
-//! over the compacted participant rows — with nothing departed that is the
-//! full request slice, and a departed row is inactive, which index
-//! invariance promises not to notice — and the rest over the fleet-length
-//! masked slice, which at tolerance 0 *is* the request slice. Either way
-//! the awards are byte-for-byte the plain full fold's. The differential
-//! suite (`tests/incremental_props.rs`) pins this against the bare policy
-//! and, with the coordinator on top, against a test-only full-fold
-//! reference step across policies, fleets, churn, and worker counts.
+//! the fold under the whole budget. The policy's participant list is then
+//! every present slot — every slot, with nothing departed, and a departed
+//! row is inactive, which a full fold awards 0 W and leaves out of every
+//! sum — so the awards are byte-for-byte the plain full fold's. The
+//! differential suite (`tests/incremental_props.rs`) pins this against the
+//! bare policy over the identity list and, with the coordinator on top,
+//! against a test-only full-fold reference step across policies, fleets,
+//! churn, and worker counts.
 //!
 //! # Budget conservation at any tolerance
 //!
@@ -62,7 +61,7 @@
 //! # Wake scheduling: O(awake) rounds
 //!
 //! Even with a tolerance, classifying every slot is an O(fleet) memory walk
-//! per quantum. [`IncrementalArbiter::with_wake`] turns the engine
+//! per quantum. A schedule's [`WakeConfig`] turns the engine
 //! event-driven: a slot whose request stayed inside the tolerance for
 //! [`WakeConfig::steady_quanta`] consecutive rounds is put to **sleep** with
 //! a bounded [`WakeConfig::horizon`] — it leaves the participant list and
@@ -88,16 +87,16 @@
 //! the one an unconfigured engine runs (pinned, with the coordinator on
 //! top, by `tests/incremental_props.rs`).
 //!
-//! For the residual fold itself, policies that declare
-//! [`ArbitrationPolicy::index_invariant`] are called over a *compacted*
-//! slice holding just the dirty slots (identical participant values in
-//! identical relative order — identical partial sums, identical award
-//! bits, pinned against the masked fold for every shipped policy);
-//! stateful per-slot policies fall back to the fleet-length masked slice.
+//! The residual fold is one policy call over the request slice as it
+//! stands, with the round's ascending dirty slots as the participant list:
+//! no row is copied, and no row off the list is read. The award bits are
+//! those of a full-slice call with every clean slot masked inactive —
+//! pinned for every shipped policy, [`crate::AwardHysteresis`] included,
+//! against a test-only masked oracle in this module's tests.
 
 use crate::policy::{AppRequest, ArbitrationPolicy};
 
-/// Wake-scheduler knobs for [`IncrementalArbiter::with_wake`].
+/// Wake-scheduler knobs of an [`ArbitrationSchedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WakeConfig {
     /// Consecutive clean (sub-tolerance) rounds before a slot sleeps.
@@ -140,9 +139,9 @@ impl WakeConfig {
 /// full fold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArbitrationSchedule {
-    /// Largest relative request movement (see [`IncrementalArbiter::new`])
-    /// a slot may show and still hold its award; 0 re-arbitrates every
-    /// slot every round. Must be finite and non-negative.
+    /// Largest relative movement of any request field a slot may show and
+    /// still hold its award; 0 re-arbitrates every slot every round. Must
+    /// be finite and non-negative.
     pub tolerance: f64,
     /// The wake scheduler ([`WakeConfig::OFF`] keeps every slot awake).
     pub wake: WakeConfig,
@@ -213,7 +212,8 @@ pub struct IncrementalOutcome {
 /// [`ArbitrationSchedule`] ([`crate::Coordinator::set_schedule`]).
 #[derive(Debug)]
 pub struct IncrementalArbiter {
-    tolerance: f64,
+    /// The tolerance and wake scheduler every round runs under.
+    schedule: ArbitrationSchedule,
     /// Request snapshot at each slot's last arbitration (struct-of-arrays:
     /// one dense request row per app, streamed in slot order).
     last_requests: Vec<AppRequest>,
@@ -226,10 +226,7 @@ pub struct IncrementalArbiter {
     dirty: Vec<bool>,
     /// Force a full round (budget change, or first round).
     fleet_dirty: bool,
-    scratch_requests: Vec<AppRequest>,
-    scratch_awards: Vec<f64>,
     // ---- Wake-scheduler state (inert while `wake.horizon == 0`) ----
-    wake: WakeConfig,
     /// Whether each slot is currently asleep (skipping whole rounds).
     sleeping: Vec<bool>,
     /// Consecutive clean rounds per slot; reset on any dirty round or wake.
@@ -249,8 +246,8 @@ pub struct IncrementalArbiter {
     /// Slots woken since the last merge, not yet in `awake`.
     pending_wakes: Vec<u32>,
     merge_scratch: Vec<u32>,
-    /// Ascending dirty participants of the current round — the rows of a
-    /// compacted policy call.
+    /// Ascending dirty participants of the current round — the policy
+    /// call's participant list.
     dirty_slots: Vec<u32>,
     /// Sleeping slots whose snapshot request is active (the `slept` ledger
     /// entry, maintained incrementally).
@@ -274,37 +271,6 @@ pub struct IncrementalArbiter {
     round_begun: bool,
 }
 
-impl Default for IncrementalArbiter {
-    fn default() -> Self {
-        IncrementalArbiter {
-            tolerance: 0.0,
-            last_requests: Vec::new(),
-            held: Vec::new(),
-            marked: Vec::new(),
-            dirty: Vec::new(),
-            fleet_dirty: false,
-            scratch_requests: Vec::new(),
-            scratch_awards: Vec::new(),
-            wake: WakeConfig::OFF,
-            sleeping: Vec::new(),
-            streak: Vec::new(),
-            deadline: Vec::new(),
-            wheel: Vec::new(),
-            awake: Vec::new(),
-            pending_wakes: Vec::new(),
-            merge_scratch: Vec::new(),
-            dirty_slots: Vec::new(),
-            sleeping_active: 0,
-            sleeping_held_sum: 0.0,
-            present: Vec::new(),
-            departing: Vec::new(),
-            departed: Vec::new(),
-            round: 0,
-            round_begun: false,
-        }
-    }
-}
-
 /// Largest relative per-field movement between two requests; infinite when
 /// presence flipped, NaN-propagating so non-finite fields always re-enter
 /// the fold.
@@ -322,46 +288,56 @@ fn request_delta(current: &AppRequest, snapshot: &AppRequest) -> f64 {
 }
 
 impl IncrementalArbiter {
-    /// An engine that re-arbitrates slots whose request moved by at least
-    /// `tolerance` (largest relative field movement; 0 = every round).
+    /// An engine running `schedule`: a slot re-arbitrates when its request
+    /// moved by at least the tolerance (largest relative field movement;
+    /// 0 = every round), and the wake scheduler puts steady slots to sleep
+    /// (horizon 0 never does; see the module docs).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless the tolerance is finite and non-negative
-    /// ([`crate::Coordinator::set_schedule`] reports the same condition as
-    /// a [`ScheduleError`]).
-    pub fn new(tolerance: f64) -> Self {
-        let schedule = ArbitrationSchedule {
-            tolerance,
-            ..ArbitrationSchedule::default()
-        };
-        if let Err(err) = schedule.validate() {
-            panic!("{err}");
-        }
-        IncrementalArbiter {
-            tolerance,
+    /// [`ScheduleError::InvalidTolerance`] unless the tolerance is finite
+    /// and non-negative.
+    pub fn new(schedule: ArbitrationSchedule) -> Result<Self, ScheduleError> {
+        schedule.validate()?;
+        Ok(IncrementalArbiter {
+            schedule,
+            last_requests: Vec::new(),
+            held: Vec::new(),
+            marked: Vec::new(),
+            dirty: Vec::new(),
             fleet_dirty: true,
-            ..IncrementalArbiter::default()
-        }
+            sleeping: Vec::new(),
+            streak: Vec::new(),
+            deadline: Vec::new(),
+            wheel: vec![Vec::new(); schedule.wake.horizon],
+            awake: Vec::new(),
+            pending_wakes: Vec::new(),
+            merge_scratch: Vec::new(),
+            dirty_slots: Vec::new(),
+            sleeping_active: 0,
+            sleeping_held_sum: 0.0,
+            present: Vec::new(),
+            departing: Vec::new(),
+            departed: Vec::new(),
+            round: 0,
+            round_begun: false,
+        })
     }
 
-    /// Enables wake scheduling (see the module docs). Horizon 0 never
-    /// sleeps a slot, bit-identical to an unconfigured engine.
-    pub fn with_wake(mut self, config: WakeConfig) -> Self {
-        self.wake = config;
-        self.wheel.resize_with(config.horizon, Vec::new);
-        self
+    /// The schedule every round runs under.
+    pub fn schedule(&self) -> ArbitrationSchedule {
+        self.schedule
     }
 
     /// Switches to `schedule` in place, as a fresh engine over the same
     /// present slots would start: every held award is invalid (the next
     /// round re-arbitrates every present slot) and every sleeper wakes,
     /// while departed slots stay gone and a slot retired since the last
-    /// round still gets its one absent round.
+    /// round still gets its one absent round. The caller validates the
+    /// schedule.
     pub(crate) fn set_schedule(&mut self, schedule: ArbitrationSchedule) {
         self.mark_all_dirty();
-        self.tolerance = schedule.tolerance;
-        self.wake = schedule.wake;
+        self.schedule = schedule;
         self.wheel.resize_with(schedule.wake.horizon, Vec::new);
     }
 
@@ -372,7 +348,7 @@ impl IncrementalArbiter {
     /// presence change (a retirement) goes through [`Self::mark_dirty`],
     /// which wakes too. No-op with the scheduler off.
     pub fn wake(&mut self, index: usize) {
-        if !self.wake.enabled() {
+        if !self.schedule.wake.enabled() {
             return;
         }
         if index < self.sleeping.len() && self.sleeping[index] {
@@ -414,7 +390,7 @@ impl IncrementalArbiter {
     /// every sleeping slot.
     pub fn mark_all_dirty(&mut self) {
         self.fleet_dirty = true;
-        if self.wake.enabled() {
+        if self.schedule.wake.enabled() {
             self.wake_everyone();
         }
     }
@@ -478,7 +454,7 @@ impl IncrementalArbiter {
     /// at the most recent round, so — absent a fresh report or a new mark —
     /// its observation and request are already current.
     pub fn steady(&self, index: usize) -> bool {
-        self.tolerance > 0.0
+        self.schedule.tolerance > 0.0
             && !self.fleet_dirty
             && self.dirty.get(index).is_some_and(|&dirty| !dirty)
             && self.marked.get(index).is_none_or(|&marked| !marked)
@@ -510,13 +486,13 @@ impl IncrementalArbiter {
             drop_sorted(&mut self.awake, &self.departed);
             self.departed.clear();
         }
-        if self.wake.enabled() {
+        if self.schedule.wake.enabled() {
             let sleeping = &self.sleeping;
             self.awake.retain(|&index| !sleeping[index as usize]);
             // Deadline expiry: drain this round's wheel bucket. Entries
             // whose deadline moved (woken early, re-slept later) are stale —
             // skipped.
-            let bucket = (self.round % self.wake.horizon as u64) as usize;
+            let bucket = (self.round % self.schedule.wake.horizon as u64) as usize;
             let mut due = std::mem::take(&mut self.wheel[bucket]);
             for &index in &due {
                 let slot = index as usize;
@@ -614,12 +590,14 @@ impl IncrementalArbiter {
     }
 
     /// One incremental round: splits `budget_watts` across `requests` into
-    /// `awards` through `policy`, re-arbitrating only the dirty slots of
-    /// the round's participant list (see the module docs). Slots never seen
-    /// before are dirty by definition; growing or shrinking the slice
-    /// resets the new/old slots accordingly. The round classifies the
-    /// participants, folds the dirty residual against `Σ sleeping held +
-    /// Σ clean held`, then (scheduler on) puts steady slots to sleep —
+    /// `awards` (one per slot) through `policy`, re-arbitrating only the
+    /// dirty slots of the round's participant list (see the module docs).
+    /// Slots never seen before are dirty by definition; growing or
+    /// shrinking the slice resets the new/old slots accordingly. The round
+    /// classifies the participants, hands the policy `requests` with the
+    /// ascending dirty slots as its participant list under the residual
+    /// `budget − Σ sleeping held − Σ clean held`, scatters the awards into
+    /// the held column, then (scheduler on) puts steady slots to sleep —
     /// O(participants) except for the fleet-length award copy-out and the
     /// (vectorised) mask memsets.
     pub fn arbitrate(
@@ -635,15 +613,7 @@ impl IncrementalArbiter {
         // observe stage) still join this round's classification.
         self.merge_pending();
         self.marked.resize(fleet, true);
-        self.last_requests.resize(
-            fleet,
-            AppRequest {
-                active: false,
-                weight: 1.0,
-                urgency: 1.0,
-                max_power_watts: 0.0,
-            },
-        );
+        self.last_requests.resize(fleet, AppRequest::ABSENT);
         self.held.resize(fleet, 0.0);
         // Only participants' flags can change: every slot off the list is
         // already clean in the mask, and every marked slot is on it (a mark
@@ -661,7 +631,7 @@ impl IncrementalArbiter {
         for &index in &self.awake {
             let slot = index as usize;
             let delta = request_delta(&requests[slot], &self.last_requests[slot]);
-            let moved = delta.partial_cmp(&self.tolerance) != Some(std::cmp::Ordering::Less);
+            let moved = delta.partial_cmp(&self.schedule.tolerance) != Some(std::cmp::Ordering::Less);
             let dirty = self.fleet_dirty || self.marked[slot] || moved;
             self.marked[slot] = false;
             self.dirty[slot] = dirty;
@@ -707,41 +677,17 @@ impl IncrementalArbiter {
             (budget_watts - held_total).max(0.0)
         };
         if full || !self.dirty_slots.is_empty() {
-            self.scratch_requests.clear();
-            if policy.index_invariant() {
-                // Compacted fold: just the dirty rows, in ascending slot
-                // order — identical participants, identical award bits.
-                self.scratch_requests
-                    .extend(self.dirty_slots.iter().map(|&index| requests[index as usize]));
-                policy.arbitrate(residual, &self.scratch_requests, &mut self.scratch_awards);
-                for (&index, &award) in self.dirty_slots.iter().zip(&self.scratch_awards) {
-                    self.held[index as usize] = award;
-                }
-            } else {
-                // Stateful per-slot policies keep fleet-length alignment:
-                // clean and sleeping slots are masked inactive.
-                self.scratch_requests.extend(
-                    requests
-                        .iter()
-                        .zip(&self.dirty)
-                        .map(|(request, &dirty)| AppRequest {
-                            active: request.active && dirty,
-                            ..*request
-                        }),
-                );
-                policy.arbitrate(residual, &self.scratch_requests, &mut self.scratch_awards);
-                for &index in &self.dirty_slots {
-                    self.held[index as usize] = self.scratch_awards[index as usize];
-                }
-            }
-            for &index in &self.dirty_slots {
+            // `awards` holds the dirty slots' awards until the copy-out.
+            policy.arbitrate(residual, requests, &self.dirty_slots, awards);
+            for (&index, &award) in self.dirty_slots.iter().zip(awards.iter()) {
+                self.held[index as usize] = award;
                 self.last_requests[index as usize] = requests[index as usize];
             }
         }
         awards.clear();
         awards.extend_from_slice(&self.held);
 
-        if self.wake.enabled() {
+        if self.schedule.wake.enabled() {
             self.sleep_steady_slots(requests);
         }
         // This was the departing slots' absent round: they leave the
@@ -767,8 +713,8 @@ impl IncrementalArbiter {
     /// participant list until the next [`Self::begin_round`], so the
     /// caller's decide stage still sees this round's full participant set.
     fn sleep_steady_slots(&mut self, requests: &[AppRequest]) {
-        let steady_quanta = self.wake.steady_quanta.max(1);
-        let horizon = self.wake.horizon as u64;
+        let steady_quanta = self.schedule.wake.steady_quanta.max(1);
+        let horizon = self.schedule.wake.horizon as u64;
         for &index in &self.awake {
             let slot = index as usize;
             if self.dirty[slot] || self.streak[slot] < steady_quanta {
@@ -812,6 +758,10 @@ mod tests {
         }
     }
 
+    fn arbiter(tolerance: f64, wake: WakeConfig) -> IncrementalArbiter {
+        IncrementalArbiter::new(ArbitrationSchedule { tolerance, wake }).unwrap()
+    }
+
     #[test]
     fn tolerance_zero_is_bitwise_identical_to_the_full_fold() {
         let requests = vec![
@@ -830,12 +780,12 @@ mod tests {
         ] {
             let mut full = make();
             let mut wrapped = make();
-            let mut engine = IncrementalArbiter::new(0.0);
+            let mut engine = arbiter(0.0, WakeConfig::OFF);
             let mut expected = Vec::new();
             let mut actual = Vec::new();
             for round in 0..4 {
                 let budget = 60.0 + round as f64;
-                full.arbitrate(budget, &requests, &mut expected);
+                full.arbitrate(budget, &requests, &[0, 1, 2, 3], &mut expected);
                 let outcome =
                     engine.arbitrate(wrapped.as_mut(), budget, &requests, &mut actual);
                 assert!(outcome.full, "tolerance 0 always runs the full fold");
@@ -853,7 +803,7 @@ mod tests {
     fn steady_requests_skip_and_hold_their_awards() {
         let requests = vec![request(1.0, 1.0, 40.0), request(1.0, 1.0, 40.0)];
         let mut policy = WeightedFair;
-        let mut engine = IncrementalArbiter::new(0.05);
+        let mut engine = arbiter(0.05, WakeConfig::OFF);
         let mut awards = Vec::new();
         let first = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         assert!(first.full, "everything is dirty on the first round");
@@ -874,7 +824,7 @@ mod tests {
             request(1.0, 1.0, 40.0),
         ];
         let mut policy = PerformanceMarket::default();
-        let mut engine = IncrementalArbiter::new(0.02);
+        let mut engine = arbiter(0.02, WakeConfig::OFF);
         let mut awards = Vec::new();
         engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
         requests[1].urgency = 3.0; // far past the tolerance
@@ -891,7 +841,7 @@ mod tests {
     fn lifecycle_marks_and_budget_changes_force_rearbitration() {
         let requests = vec![request(1.0, 1.0, 40.0), request(1.0, 1.0, 40.0)];
         let mut policy = WeightedFair;
-        let mut engine = IncrementalArbiter::new(0.1);
+        let mut engine = arbiter(0.1, WakeConfig::OFF);
         let mut awards = Vec::new();
         engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         engine.mark_dirty(0);
@@ -908,7 +858,7 @@ mod tests {
     fn presence_flips_and_new_slots_are_always_dirty() {
         let mut requests = vec![request(1.0, 1.0, 40.0)];
         let mut policy = StaticShare;
-        let mut engine = IncrementalArbiter::new(0.5);
+        let mut engine = arbiter(0.5, WakeConfig::OFF);
         let mut awards = Vec::new();
         engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
         // A newly-registered slot and a departure both re-enter the fold.
@@ -925,7 +875,7 @@ mod tests {
             steady_quanta: 1,
             horizon: 4,
         };
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(config);
+        let mut engine = arbiter(0.05, config);
         let mut policy = WeightedFair;
         let mut requests = vec![request(1.0, 1.0, 40.0); 3];
         let mut awards = Vec::new();
@@ -972,19 +922,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tolerance")]
-    fn non_finite_tolerance_panics() {
-        let _ = IncrementalArbiter::new(f64::NAN);
+    fn non_finite_tolerance_is_refused() {
+        for tolerance in [f64::NAN, f64::INFINITY, -0.1] {
+            let schedule = ArbitrationSchedule {
+                tolerance,
+                wake: WakeConfig::default(),
+            };
+            let refused = IncrementalArbiter::new(schedule).unwrap_err();
+            assert!(
+                matches!(refused, ScheduleError::InvalidTolerance(t) if t.to_bits() == tolerance.to_bits()),
+                "{refused:?}"
+            );
+        }
     }
 
     // ---- Wake scheduler ------------------------------------------------
 
     #[test]
     fn horizon_zero_wake_config_is_bit_identical_to_no_wake_config() {
-        let mut plain = IncrementalArbiter::new(0.05);
+        let mut plain = arbiter(0.05, WakeConfig::OFF);
         let mut zeroed =
-            IncrementalArbiter::new(0.05).with_wake(WakeConfig { steady_quanta: 4, horizon: 0 });
-        assert!(!zeroed.wake.enabled());
+            arbiter(0.05, WakeConfig { steady_quanta: 4, horizon: 0 });
+        assert!(!zeroed.schedule.wake.enabled());
         let mut policy_a = PerformanceMarket::default();
         let mut policy_b = PerformanceMarket::default();
         let mut requests = vec![
@@ -1015,7 +974,7 @@ mod tests {
             steady_quanta: 2,
             horizon: 8,
         };
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(config);
+        let mut engine = arbiter(0.05, config);
         let mut policy = PerformanceMarket::default();
         let requests = vec![
             request(1.0, 1.0, 40.0),
@@ -1058,7 +1017,7 @@ mod tests {
             steady_quanta: 1,
             horizon: 3,
         };
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(config);
+        let mut engine = arbiter(0.05, config);
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0)];
         let mut awards = Vec::new();
@@ -1081,7 +1040,7 @@ mod tests {
 
     #[test]
     fn an_external_wake_reenters_a_changed_request_and_conserves_budget() {
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(WakeConfig {
+        let mut engine = arbiter(0.05, WakeConfig {
             steady_quanta: 1,
             horizon: 16,
         });
@@ -1111,7 +1070,7 @@ mod tests {
 
     #[test]
     fn fleet_invalidation_wakes_everyone_for_a_full_fold() {
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(WakeConfig {
+        let mut engine = arbiter(0.05, WakeConfig {
             steady_quanta: 1,
             horizon: 16,
         });
@@ -1168,7 +1127,7 @@ mod tests {
             })
             .collect();
         let budget = 10.0 * slots as f64;
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(WakeConfig::default());
+        let mut engine = arbiter(0.05, WakeConfig::default());
         let mut policy = PerformanceMarket::default();
         let mut awards = Vec::new();
         let mut ledger = FleetLedger::default();
@@ -1232,15 +1191,35 @@ mod tests {
 
     /// Test-only masked oracle: the wrapped policy sees the fleet-length
     /// request slice with every slot off the round's dirty list masked
-    /// inactive (`active && dirty`), one award per slot — the plain
-    /// full-slice fold every call form must reproduce bit for bit.
+    /// inactive (`active && dirty`) under the identity list `0..n` — the
+    /// plain full-slice fold — and hands back the participants' awards.
     struct MaskedOracle(Box<dyn ArbitrationPolicy>);
     impl ArbitrationPolicy for MaskedOracle {
         fn name(&self) -> &'static str {
             self.0.name()
         }
-        fn arbitrate(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
-            self.0.arbitrate(budget, requests, awards);
+        fn arbitrate(
+            &mut self,
+            budget: f64,
+            requests: &[AppRequest],
+            participants: &[u32],
+            awards: &mut Vec<f64>,
+        ) {
+            let mut masked: Vec<AppRequest> = requests
+                .iter()
+                .map(|request| AppRequest {
+                    active: false,
+                    ..*request
+                })
+                .collect();
+            for &slot in participants {
+                masked[slot as usize].active = requests[slot as usize].active;
+            }
+            let every: Vec<u32> = (0..requests.len() as u32).collect();
+            let mut fleet = Vec::new();
+            self.0.arbitrate(budget, &masked, &every, &mut fleet);
+            awards.clear();
+            awards.extend(participants.iter().map(|&slot| fleet[slot as usize]));
         }
     }
 
@@ -1271,12 +1250,13 @@ mod tests {
         #[test]
         fn the_engine_fold_matches_the_masked_oracle(
             budgets in proptest::collection::vec(1.0..400.0f64, 10),
+            budget_steps in proptest::collection::vec(0usize..3, 10),
             actives in proptest::collection::vec(0usize..4, 12),
             weights in proptest::collection::vec(0.1..8.0f64, 32),
             ceilings in proptest::collection::vec(0.5..100.0f64, 32),
             moved_slots in proptest::collection::vec(0usize..32, 20),
             moved_urgencies in proptest::collection::vec(0.05..10.0f64, 20),
-            churn in proptest::collection::vec(0usize..4, 10),
+            churn in proptest::collection::vec(0usize..8, 10),
             retired_slots in proptest::collection::vec(0usize..32, 10),
             zero_tolerance in 0usize..4,
             tolerance in 0.001..0.3f64,
@@ -1288,8 +1268,8 @@ mod tests {
             for (policy, inner) in oracle_policies().into_iter().zip(oracle_policies()) {
                 let mut policy = policy;
                 let mut oracle = MaskedOracle(inner);
-                let mut engine = IncrementalArbiter::new(tolerance).with_wake(config);
-                let mut masked = IncrementalArbiter::new(tolerance).with_wake(config);
+                let mut engine = arbiter(tolerance, config);
+                let mut masked = arbiter(tolerance, config);
                 // One slot in four starts absent.
                 let mut requests: Vec<AppRequest> = (0..actives.len())
                     .map(|i| AppRequest {
@@ -1299,12 +1279,25 @@ mod tests {
                     .collect();
                 let mut retired = vec![false; requests.len()];
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                for (round, &budget) in budgets.iter().enumerate() {
-                    // Churn: register a slot (bit 0), retire one (bit 1).
+                let mut budget = budgets[0];
+                for round in 0..budgets.len() {
+                    // The budget steps one round in three, so holds happen.
+                    if budget_steps[round] == 0 {
+                        budget = budgets[round];
+                    }
+                    // Churn: register a slot (bit 0), retire one (bit 1),
+                    // register one that retires before its first round
+                    // (bit 2) — the fleet grows while no active set moves.
                     if churn[round] & 1 == 1 {
                         let slot = requests.len();
                         requests.push(request(weights[slot % 32], 1.0, ceilings[slot % 32]));
                         retired.push(false);
+                    }
+                    if churn[round] & 4 == 4 {
+                        requests.push(AppRequest::ABSENT);
+                        retired.push(true);
+                        engine.retire(requests.len() - 1);
+                        masked.retire(requests.len() - 1);
                     }
                     let slot = retired_slots[round] % requests.len();
                     if churn[round] & 2 == 2 && !retired[slot] {
@@ -1338,7 +1331,7 @@ mod tests {
 
     #[test]
     fn begin_round_exposes_the_awake_list_for_caller_stages() {
-        let mut engine = IncrementalArbiter::new(0.05).with_wake(WakeConfig {
+        let mut engine = arbiter(0.05, WakeConfig {
             steady_quanta: 1,
             horizon: 8,
         });
@@ -1354,7 +1347,7 @@ mod tests {
         assert!(engine.begin_round(2).is_empty());
         // Without wake scheduling every round lists the whole fleet, steady
         // or not, and a grown fleet joins the list in order.
-        let mut off = IncrementalArbiter::new(0.05);
+        let mut off = arbiter(0.05, WakeConfig::OFF);
         assert_eq!(off.begin_round(2), &[0, 1]);
         for _ in 0..3 {
             off.arbitrate(&mut policy, 50.0, &requests, &mut awards);

@@ -11,10 +11,10 @@
 //!   workload driver plus the [`seec::SeecRuntime`] managing it), steps all
 //!   of their decision loops on one shared simulated-time quantum schedule,
 //!   and arbitrates a machine-level power budget across them every quantum.
-//! * [`ArbitrationPolicy`] — the pluggable budget-splitting strategy:
-//!   [`StaticShare`] (equal shares), [`WeightedFair`] (water-filling by
-//!   priority weight), and [`PerformanceMarket`] (bidding by
-//!   `weight × heartbeat-gap urgency`).
+//! * [`ArbitrationPolicy`] — the pluggable budget-splitting strategy, one
+//!   call over a participant list: [`StaticShare`] (equal shares),
+//!   [`WeightedFair`] (water-filling by priority weight), and
+//!   [`PerformanceMarket`] (bidding by `weight × heartbeat-gap urgency`).
 //! * [`RackCoordinator`] / [`DatacenterArbiter`] — the same structure one
 //!   level up: racks fold their fleets into aggregate requests
 //!   ([`Coordinator::fleet_request`]), the datacenter re-runs an

@@ -34,11 +34,23 @@ pub struct AppRequest {
     pub max_power_watts: f64,
 }
 
+impl AppRequest {
+    /// An absent slot's row: the filler of slot-indexed request columns.
+    pub(crate) const ABSENT: AppRequest = AppRequest {
+        active: false,
+        weight: 1.0,
+        urgency: 1.0,
+        max_power_watts: 0.0,
+    };
+}
+
 /// A strategy for splitting a machine power budget into per-app envelopes.
 ///
 /// Policies are pluggable: implement the trait and hand the box to
-/// [`crate::Coordinator::new`]. A minimal custom policy — strict priority,
-/// highest weight first, each app taking what it can absorb:
+/// [`crate::Coordinator::new`]. A call names its participants: ascending
+/// slot indices into the request slice (the engine's dirty slots, the
+/// datacenter's racks). A minimal custom policy — strict priority, highest
+/// weight first, each app taking what it can absorb:
 ///
 /// ```
 /// use coordinator::{AppRequest, ArbitrationPolicy};
@@ -50,21 +62,26 @@ pub struct AppRequest {
 ///         "strict-priority"
 ///     }
 ///
-///     fn arbitrate(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
+///     fn arbitrate(
+///         &mut self,
+///         budget: f64,
+///         requests: &[AppRequest],
+///         participants: &[u32],
+///         awards: &mut Vec<f64>,
+///     ) {
 ///         awards.clear();
-///         awards.resize(requests.len(), 0.0);
-///         // Highest weight first; ties resolve by index for determinism.
-///         let mut order: Vec<usize> = (0..requests.len()).collect();
-///         order.sort_by(|&a, &b| {
-///             requests[b].weight.total_cmp(&requests[a].weight).then(a.cmp(&b))
-///         });
+///         awards.resize(participants.len(), 0.0);
+///         let row = |k: usize| &requests[participants[k] as usize];
+///         // Highest weight first; ties resolve by slot for determinism.
+///         let mut order: Vec<usize> = (0..participants.len()).collect();
+///         order.sort_by(|&a, &b| row(b).weight.total_cmp(&row(a).weight).then(a.cmp(&b)));
 ///         let mut remaining = budget;
-///         for i in order {
-///             if !requests[i].active || remaining <= 0.0 {
+///         for k in order {
+///             if !row(k).active || remaining <= 0.0 {
 ///                 continue;
 ///             }
-///             awards[i] = requests[i].max_power_watts.clamp(0.0, remaining);
-///             remaining -= awards[i];
+///             awards[k] = row(k).max_power_watts.clamp(0.0, remaining);
+///             remaining -= awards[k];
 ///         }
 ///     }
 /// }
@@ -75,37 +92,46 @@ pub struct AppRequest {
 ///     AppRequest { active: false, weight: 9.0, urgency: 1.0, max_power_watts: 40.0 },
 /// ];
 /// let mut awards = Vec::new();
-/// StrictPriority.arbitrate(50.0, &requests, &mut awards);
+/// StrictPriority.arbitrate(50.0, &requests, &[0, 1, 2], &mut awards);
 /// assert_eq!(awards, vec![10.0, 40.0, 0.0]); // heavy first, absent app 0 W
 /// assert!(awards.iter().sum::<f64>() <= 50.0); // budget conserved
+///
+/// // Slot 1 sits this call out: its row is never read.
+/// StrictPriority.arbitrate(50.0, &requests, &[0, 2], &mut awards);
+/// assert_eq!(awards, vec![40.0, 0.0]);
 /// ```
 pub trait ArbitrationPolicy: Send {
     /// Short policy name for reports and JSON output.
     fn name(&self) -> &'static str;
 
-    /// Splits `budget_watts` across `requests`, writing one award (watts)
-    /// per request into `awards` (cleared first, so the buffer is reusable).
+    /// Splits `budget_watts` among `participants` — ascending indices into
+    /// the slot-indexed `requests` — writing the award (watts) of
+    /// `participants[k]` into `awards[k]` (`awards` is cleared first, so the
+    /// buffer is reusable).
     ///
-    /// Contract: `awards.len() == requests.len()`, every award is
-    /// non-negative and finite, inactive requests are awarded 0, and the
-    /// sum of awards is at most `budget_watts` (within floating-point
-    /// round-off).
-    fn arbitrate(&mut self, budget_watts: f64, requests: &[AppRequest], awards: &mut Vec<f64>);
+    /// Contract: `awards.len() == participants.len()`, no row off the list
+    /// is read, every award is non-negative and finite, inactive
+    /// participants are awarded 0, and the sum of awards is at most
+    /// `budget_watts` (within floating-point round-off). The shipped
+    /// stateless policies fold the listed rows in list order, so their
+    /// awards depend only on those rows' values and order; a stateful
+    /// policy ([`AwardHysteresis`]) keys its held state on the slot indices
+    /// it is handed.
+    fn arbitrate(
+        &mut self,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        participants: &[u32],
+        awards: &mut Vec<f64>,
+    );
+}
 
-    /// True when every award depends only on the *participating* requests —
-    /// their values and their relative order — never on absolute slot
-    /// indices or on state carried between calls. Deleting inactive rows
-    /// from the slice then leaves every surviving award bit-identical
-    /// (water-filling folds its participants in ascending index order, so
-    /// the partial sums are unchanged). The incremental engine's wake
-    /// scheduler uses this to arbitrate a *compacted* slice of just the
-    /// dirty slots instead of a fleet-length masked one.
-    ///
-    /// Defaults to `false`: stateful policies that key held state on slot
-    /// position (e.g. [`AwardHysteresis`]) must never be compacted.
-    fn index_invariant(&self) -> bool {
-        false
-    }
+/// The participants' rows of `requests`, in list order.
+fn rows<'a>(
+    requests: &'a [AppRequest],
+    participants: &'a [u32],
+) -> impl Iterator<Item = &'a AppRequest> {
+    participants.iter().map(|&slot| &requests[slot as usize])
 }
 
 /// Equal static shares: the budget divided by the number of present
@@ -120,25 +146,26 @@ impl ArbitrationPolicy for StaticShare {
         "static-share"
     }
 
-    fn index_invariant(&self) -> bool {
-        true // stateless; awards depend on the active count and each row
-    }
-
-    fn arbitrate(&mut self, budget_watts: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
+    fn arbitrate(
+        &mut self,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        participants: &[u32],
+        awards: &mut Vec<f64>,
+    ) {
         awards.clear();
-        let active = requests.iter().filter(|r| r.active).count();
+        let active = rows(requests, participants).filter(|r| r.active).count();
         if active == 0 || budget_watts.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            awards.extend(std::iter::repeat_n(0.0, requests.len()));
+            awards.extend(std::iter::repeat_n(0.0, participants.len()));
             return;
         }
         if budget_watts.is_infinite() {
-            award_ceilings(requests, awards);
+            award_ceilings(requests, participants, awards);
             return;
         }
         let share = budget_watts / active as f64;
         awards.extend(
-            requests
-                .iter()
+            rows(requests, participants)
                 .map(|r| if r.active { share.min(r.max_power_watts.max(0.0)) } else { 0.0 }),
         );
     }
@@ -156,12 +183,14 @@ impl ArbitrationPolicy for WeightedFair {
         "weighted-fair"
     }
 
-    fn index_invariant(&self) -> bool {
-        true // stateless water-fill in ascending index order
-    }
-
-    fn arbitrate(&mut self, budget_watts: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
-        water_fill(budget_watts, requests, awards, |r| r.weight);
+    fn arbitrate(
+        &mut self,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        participants: &[u32],
+        awards: &mut Vec<f64>,
+    ) {
+        water_fill(budget_watts, requests, participants, awards, |r| r.weight);
     }
 }
 
@@ -193,13 +222,15 @@ impl ArbitrationPolicy for PerformanceMarket {
         "performance-market"
     }
 
-    fn index_invariant(&self) -> bool {
-        true // stateless water-fill over per-row bids
-    }
-
-    fn arbitrate(&mut self, budget_watts: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
+    fn arbitrate(
+        &mut self,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        participants: &[u32],
+        awards: &mut Vec<f64>,
+    ) {
         let (lo, hi) = (self.min_urgency, self.max_urgency);
-        water_fill(budget_watts, requests, awards, |r| {
+        water_fill(budget_watts, requests, participants, awards, |r| {
             let urgency = if r.urgency.is_finite() && r.urgency > 0.0 {
                 r.urgency.clamp(lo, hi)
             } else {
@@ -224,9 +255,11 @@ impl ArbitrationPolicy for PerformanceMarket {
 /// the previous awards are re-issued unchanged.
 ///
 /// Reuse is refused (the proposal is always adopted) whenever it could be
-/// unsound or mask a real change: the fleet's size or active set changed,
-/// the budget dropped below what the held vector spends, or any held award
-/// now exceeds a request's absorption ceiling.
+/// unsound or mask a real change: the fleet's size (the request slice's
+/// length) or the set of active participants changed, the budget dropped
+/// below what the held vector spends, or any held award now exceeds a
+/// request's absorption ceiling. Held awards are keyed on the slot indices
+/// of the participants.
 ///
 /// A dead band alone cannot damp a *large*-amplitude limit cycle — when the
 /// market swings an award by a third of the budget each quantum, every
@@ -249,26 +282,34 @@ impl ArbitrationPolicy for PerformanceMarket {
 ///     AppRequest { active: true, weight: 1.0, urgency: 1.0, max_power_watts: 100.0 },
 ///     AppRequest { active: true, weight: 1.0, urgency: 1.0, max_power_watts: 100.0 },
 /// ];
-/// policy.arbitrate(60.0, &requests, &mut awards);
+/// policy.arbitrate(60.0, &requests, &[0, 1], &mut awards);
 /// assert_eq!(awards, vec![30.0, 30.0]);
 ///
 /// // A sub-dead-band wiggle (weight 1.0 -> 1.05 proposes ~0.7 W of
 /// // movement, under 5% of 60 W): the held vector is re-issued.
 /// requests[0].weight = 1.05;
-/// policy.arbitrate(60.0, &requests, &mut awards);
+/// policy.arbitrate(60.0, &requests, &[0, 1], &mut awards);
 /// assert_eq!(awards, vec![30.0, 30.0]);
 ///
 /// // A real shift (weight 3.0) clears the band and is adopted.
 /// requests[0].weight = 3.0;
-/// policy.arbitrate(60.0, &requests, &mut awards);
+/// policy.arbitrate(60.0, &requests, &[0, 1], &mut awards);
 /// assert_eq!(awards, vec![45.0, 15.0]);
 /// ```
 pub struct AwardHysteresis {
     inner: Box<dyn ArbitrationPolicy>,
     dead_band_fraction: f64,
     max_step_fraction: f64,
+    /// The request slice's length at the last adoption.
+    held_fleet: usize,
+    /// The ascending active participants at the last adoption, and the
+    /// award each holds.
+    held_slots: Vec<u32>,
     held_awards: Vec<f64>,
-    held_active: Vec<bool>,
+    /// The inner policy's awards, one per participant.
+    fresh: Vec<f64>,
+    /// This call's active participants, and their proposed awards.
+    active: Vec<u32>,
     proposal: Vec<f64>,
 }
 
@@ -285,8 +326,11 @@ impl AwardHysteresis {
                 0.0
             },
             max_step_fraction: 0.0,
+            held_fleet: 0,
+            held_slots: Vec::new(),
             held_awards: Vec::new(),
-            held_active: Vec::new(),
+            fresh: Vec::new(),
+            active: Vec::new(),
             proposal: Vec::new(),
         }
     }
@@ -316,43 +360,6 @@ impl AwardHysteresis {
     pub fn max_step_fraction(&self) -> f64 {
         self.max_step_fraction
     }
-
-    /// True when the held vector is still *structurally* valid: same fleet
-    /// shape and active set, finite budget, and under every absorption
-    /// ceiling. Affordability is judged separately — a hold needs the held
-    /// spend to fit the budget outright, while the slew path can scale the
-    /// vector down to fit.
-    fn structurally_reusable(&self, budget: f64, requests: &[AppRequest], proposal: &[f64]) -> bool {
-        self.held_awards.len() == proposal.len()
-            && budget.is_finite()
-            && !self
-                .held_active
-                .iter()
-                .zip(requests)
-                .any(|(&held, request)| held != request.active)
-            && self
-                .held_awards
-                .iter()
-                .zip(requests)
-                .all(|(&held, request)| held <= request.max_power_watts.max(0.0) + 1e-9)
-    }
-
-    /// True when the held vector can stand in for `proposal` this quantum:
-    /// same fleet shape and active set, still affordable under `budget`,
-    /// under every ceiling, and within the dead band of the proposal.
-    fn can_hold(&self, budget: f64, requests: &[AppRequest], proposal: &[f64]) -> bool {
-        if !self.structurally_reusable(budget, requests, proposal) {
-            return false;
-        }
-        if self.held_awards.iter().sum::<f64>() > budget * (1.0 + 1e-9) {
-            return false;
-        }
-        let band = self.dead_band_fraction * budget;
-        self.held_awards
-            .iter()
-            .zip(proposal)
-            .all(|(&held, &fresh)| (fresh - held).abs() <= band)
-    }
 }
 
 impl std::fmt::Debug for AwardHysteresis {
@@ -369,14 +376,49 @@ impl ArbitrationPolicy for AwardHysteresis {
         "award-hysteresis"
     }
 
-    fn arbitrate(&mut self, budget_watts: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
-        self.inner.arbitrate(budget_watts, requests, &mut self.proposal);
+    fn arbitrate(
+        &mut self,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        participants: &[u32],
+        awards: &mut Vec<f64>,
+    ) {
+        self.inner
+            .arbitrate(budget_watts, requests, participants, &mut self.fresh);
+        // Inactive participants are awarded 0 W and hold nothing.
+        self.active.clear();
+        self.proposal.clear();
+        for (&slot, &fresh) in participants.iter().zip(&self.fresh) {
+            if requests[slot as usize].active {
+                self.active.push(slot);
+                self.proposal.push(fresh);
+            }
+        }
+        // The held vector is structurally valid with the same fleet shape and
+        // active participants, a finite budget, and no held award above its
+        // ceiling. A hold also needs the held spend to fit the budget
+        // outright, while the slew path can scale the vector down to fit.
+        let reusable = self.held_fleet == requests.len()
+            && budget_watts.is_finite()
+            && self.active == self.held_slots
+            && self
+                .held_slots
+                .iter()
+                .zip(&self.held_awards)
+                .all(|(&slot, &held)| {
+                    held <= requests[slot as usize].max_power_watts.max(0.0) + 1e-9
+                });
+        let band = self.dead_band_fraction * budget_watts;
         let hold = self.dead_band_fraction > 0.0
-            && self.can_hold(budget_watts, requests, &self.proposal);
+            && reusable
+            && self.held_awards.iter().sum::<f64>() <= budget_watts * (1.0 + 1e-9)
+            && self
+                .held_awards
+                .iter()
+                .zip(&self.proposal)
+                .all(|(&held, &fresh)| (fresh - held).abs() <= band);
         if !hold {
-            if self.max_step_fraction > 0.0
-                && self.structurally_reusable(budget_watts, requests, &self.proposal)
-            {
+            if self.max_step_fraction > 0.0 && reusable {
                 // Slew toward the released proposal: scale the held vector
                 // down if a budget cut made it unaffordable, then move the
                 // whole vector proportionally so no award steps more than
@@ -402,14 +444,21 @@ impl ArbitrationPolicy for AwardHysteresis {
                     *held += advance * (fresh - *held);
                 }
             } else {
-                self.held_awards.clear();
-                self.held_awards.extend_from_slice(&self.proposal);
-                self.held_active.clear();
-                self.held_active.extend(requests.iter().map(|r| r.active));
+                self.held_fleet = requests.len();
+                std::mem::swap(&mut self.held_slots, &mut self.active);
+                std::mem::swap(&mut self.held_awards, &mut self.proposal);
             }
         }
+        // Either way the held slots are this call's active participants.
+        let mut held = self.held_awards.iter();
         awards.clear();
-        awards.extend_from_slice(&self.held_awards);
+        awards.extend(rows(requests, participants).map(|request| {
+            if request.active {
+                *held.next().expect("one held award per active participant")
+            } else {
+                0.0
+            }
+        }));
     }
 }
 
@@ -436,14 +485,14 @@ impl ArbitrationPolicy for AwardHysteresis {
 /// let mut awards = Vec::new();
 /// // A 20% floor reserves 10 W per app; the inner policy splits the rest.
 /// let mut policy = StarvationFloor::new(Box::new(WeightedFair), 0.2);
-/// policy.arbitrate(100.0, &requests, &mut awards);
+/// policy.arbitrate(100.0, &requests, &[0, 1], &mut awards);
 /// assert!(awards[1] >= 10.0);
 /// assert!(awards.iter().sum::<f64>() <= 100.0 + 1e-9);
 /// ```
 pub struct StarvationFloor {
     inner: Box<dyn ArbitrationPolicy>,
     floor_share: f64,
-    floors: Vec<f64>,
+    /// Slot-indexed like the requests; only participants' rows are written.
     adjusted: Vec<AppRequest>,
     inner_awards: Vec<f64>,
 }
@@ -460,7 +509,6 @@ impl StarvationFloor {
             } else {
                 0.0
             },
-            floors: Vec::new(),
             adjusted: Vec::new(),
             inner_awards: Vec::new(),
         }
@@ -486,71 +534,73 @@ impl ArbitrationPolicy for StarvationFloor {
         "starvation-floor"
     }
 
-    fn index_invariant(&self) -> bool {
-        // Floors are per-row functions of the active count; invariance is
-        // inherited from whatever divides the rest.
-        self.inner.index_invariant()
-    }
-
-    fn arbitrate(&mut self, budget_watts: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
-        let active = requests.iter().filter(|r| r.active).count();
+    fn arbitrate(
+        &mut self,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        participants: &[u32],
+        awards: &mut Vec<f64>,
+    ) {
+        let active = rows(requests, participants).filter(|r| r.active).count();
         if active == 0
             || self.floor_share <= 0.0
             || !budget_watts.is_finite()
             || budget_watts.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
         {
             // Nothing to reserve: degenerate cases fall through unchanged.
-            self.inner.arbitrate(budget_watts, requests, awards);
+            self.inner
+                .arbitrate(budget_watts, requests, participants, awards);
             return;
         }
+        // Each participant's seat is its award's first term.
         let seat = self.floor_share * budget_watts / active as f64;
-        self.floors.clear();
-        self.floors.extend(requests.iter().map(|request| {
+        awards.clear();
+        awards.extend(rows(requests, participants).map(|request| {
             if request.active {
                 seat.min(request.max_power_watts.max(0.0))
             } else {
                 0.0
             }
         }));
-        let reserved: f64 = self.floors.iter().sum();
+        let reserved: f64 = awards.iter().sum();
         // The inner pass sees each ceiling reduced by the seat already
         // granted, so `floor + inner` never exceeds what an app can absorb.
-        self.adjusted.clear();
-        self.adjusted
-            .extend(requests.iter().zip(&self.floors).map(|(request, &floor)| {
-                AppRequest {
-                    max_power_watts: (request.max_power_watts - floor).max(0.0),
-                    ..*request
-                }
-            }));
+        // It gets the same list, so a stateful inner policy still sees
+        // slot indices.
+        self.adjusted.resize(requests.len(), AppRequest::ABSENT);
+        for (&slot, &floor) in participants.iter().zip(awards.iter()) {
+            let request = requests[slot as usize];
+            self.adjusted[slot as usize] = AppRequest {
+                max_power_watts: (request.max_power_watts - floor).max(0.0),
+                ..request
+            };
+        }
         self.inner.arbitrate(
             (budget_watts - reserved).max(0.0),
             &self.adjusted,
+            participants,
             &mut self.inner_awards,
         );
-        awards.clear();
-        awards.extend(
-            self.floors
-                .iter()
-                .zip(&self.inner_awards)
-                .map(|(&floor, &inner)| floor + inner),
-        );
+        for (award, &inner) in awards.iter_mut().zip(&self.inner_awards) {
+            *award += inner;
+        }
     }
 }
 
-/// Water-filling proportional division: split `budget_watts` among active
-/// requests proportionally to `key`, clamping each award at the request's
-/// `max_power_watts` and re-dividing the freed surplus among the unclamped
-/// until the budget is exhausted or everyone is clamped. Deterministic:
-/// requests are processed in index order every round.
+/// Water-filling proportional division: split `budget_watts` among the
+/// active participants proportionally to `key`, clamping each award at the
+/// request's `max_power_watts` and re-dividing the freed surplus among the
+/// unclamped until the budget is exhausted or everyone is clamped.
+/// Deterministic: participants are processed in list order every round.
 fn water_fill<K: Fn(&AppRequest) -> f64>(
     budget_watts: f64,
     requests: &[AppRequest],
+    participants: &[u32],
     awards: &mut Vec<f64>,
     key: K,
 ) {
     awards.clear();
-    awards.extend(std::iter::repeat_n(0.0, requests.len()));
+    awards.extend(std::iter::repeat_n(0.0, participants.len()));
     if budget_watts.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
         return;
     }
@@ -558,16 +608,15 @@ fn water_fill<K: Fn(&AppRequest) -> f64>(
         // An unbounded budget has no proportional division to do (and the
         // arithmetic below would produce non-finite awards): everyone gets
         // what they can absorb.
-        award_ceilings(requests, awards);
+        award_ceilings(requests, participants, awards);
         return;
     }
-    // `open[i]`: still participating in proportional division.
-    let mut open: Vec<bool> = requests.iter().map(|r| r.active).collect();
+    // `open[k]`: still participating in proportional division.
+    let mut open: Vec<bool> = rows(requests, participants).map(|r| r.active).collect();
     let mut remaining = budget_watts;
     // Each round clamps at least one request, so at most `len` rounds.
-    for _ in 0..requests.len() {
-        let total_key: f64 = requests
-            .iter()
+    for _ in 0..participants.len() {
+        let total_key: f64 = rows(requests, participants)
             .zip(&open)
             .filter(|(_, &o)| o)
             .map(|(r, _)| key(r).max(0.0))
@@ -579,26 +628,26 @@ fn water_fill<K: Fn(&AppRequest) -> f64>(
         }
         let mut clamped_any = false;
         let per_key = remaining / total_key;
-        for (i, request) in requests.iter().enumerate() {
-            if !open[i] {
+        for (k, request) in rows(requests, participants).enumerate() {
+            if !open[k] {
                 continue;
             }
             let share = per_key * key(request).max(0.0);
             let ceiling = request.max_power_watts.max(0.0);
-            if awards[i] + share >= ceiling {
+            if awards[k] + share >= ceiling {
                 // Clamp and leave the pool; the surplus stays in
                 // `remaining` for the next round.
-                remaining -= ceiling - awards[i];
-                awards[i] = ceiling;
-                open[i] = false;
+                remaining -= ceiling - awards[k];
+                awards[k] = ceiling;
+                open[k] = false;
                 clamped_any = true;
             }
         }
         if !clamped_any {
             // No ceilings hit: hand out the proportional shares and stop.
-            for (i, request) in requests.iter().enumerate() {
-                if open[i] {
-                    awards[i] += per_key * key(request).max(0.0);
+            for (k, request) in rows(requests, participants).enumerate() {
+                if open[k] {
+                    awards[k] += per_key * key(request).max(0.0);
                 }
             }
             break;
@@ -610,13 +659,13 @@ fn water_fill<K: Fn(&AppRequest) -> f64>(
     );
 }
 
-/// Awards every active request its absorption ceiling — the degenerate
+/// Awards every active participant its absorption ceiling — the degenerate
 /// division under an unbounded budget. Ceilings are saturated at
 /// `f64::MAX` so the "every award is finite" contract holds even for
 /// requests that declared an infinite ceiling.
-fn award_ceilings(requests: &[AppRequest], awards: &mut Vec<f64>) {
+fn award_ceilings(requests: &[AppRequest], participants: &[u32], awards: &mut Vec<f64>) {
     awards.clear();
-    awards.extend(requests.iter().map(|request| {
+    awards.extend(rows(requests, participants).map(|request| {
         if request.active {
             request.max_power_watts.clamp(0.0, f64::MAX)
         } else {
@@ -642,6 +691,18 @@ mod tests {
         awards.iter().sum()
     }
 
+    /// The full-slice call: every slot takes part, in slot order.
+    trait Fold {
+        fn fold(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>);
+    }
+
+    impl<P: ArbitrationPolicy + ?Sized> Fold for P {
+        fn fold(&mut self, budget: f64, requests: &[AppRequest], awards: &mut Vec<f64>) {
+            let every: Vec<u32> = (0..requests.len() as u32).collect();
+            self.arbitrate(budget, requests, &every, awards);
+        }
+    }
+
     #[test]
     fn static_share_divides_equally_and_zeroes_absent_apps() {
         let mut policy = StaticShare;
@@ -654,7 +715,7 @@ mod tests {
             },
             request(4.0, 1.0, 100.0),
         ];
-        policy.arbitrate(60.0, &requests, &mut awards);
+        policy.fold(60.0, &requests, &mut awards);
         assert_eq!(awards, vec![30.0, 0.0, 30.0]);
         assert_eq!(policy.name(), "static-share");
     }
@@ -663,7 +724,7 @@ mod tests {
     fn static_share_clamps_to_what_an_app_can_absorb() {
         let mut policy = StaticShare;
         let mut awards = Vec::new();
-        policy.arbitrate(100.0, &[request(1.0, 1.0, 10.0), request(1.0, 1.0, 100.0)], &mut awards);
+        policy.fold(100.0, &[request(1.0, 1.0, 10.0), request(1.0, 1.0, 100.0)], &mut awards);
         // The clamped app's surplus is NOT redistributed: that is the point.
         assert_eq!(awards, vec![10.0, 50.0]);
     }
@@ -672,7 +733,7 @@ mod tests {
     fn weighted_fair_is_proportional_and_water_fills() {
         let mut policy = WeightedFair;
         let mut awards = Vec::new();
-        policy.arbitrate(
+        policy.fold(
             90.0,
             &[request(1.0, 1.0, 1000.0), request(2.0, 1.0, 1000.0)],
             &mut awards,
@@ -680,7 +741,7 @@ mod tests {
         assert!((awards[0] - 30.0).abs() < 1e-9);
         assert!((awards[1] - 60.0).abs() < 1e-9);
         // Clamp the heavy app at 40 W: its surplus flows to the light one.
-        policy.arbitrate(
+        policy.fold(
             90.0,
             &[request(1.0, 1.0, 1000.0), request(2.0, 1.0, 40.0)],
             &mut awards,
@@ -695,7 +756,7 @@ mod tests {
         let mut policy = PerformanceMarket::default();
         let mut awards = Vec::new();
         // Equal weights; app 0 is on goal (urgency 1), app 1 is 3x behind.
-        policy.arbitrate(
+        policy.fold(
             80.0,
             &[request(1.0, 1.0, 1000.0), request(1.0, 3.0, 1000.0)],
             &mut awards,
@@ -703,7 +764,7 @@ mod tests {
         assert!((awards[0] - 20.0).abs() < 1e-9);
         assert!((awards[1] - 60.0).abs() < 1e-9);
         // Urgency is clamped: a starving app cannot corner the budget.
-        policy.arbitrate(
+        policy.fold(
             80.0,
             &[request(1.0, 1.0, 1000.0), request(1.0, 1.0e9, 1000.0)],
             &mut awards,
@@ -711,7 +772,7 @@ mod tests {
         assert!(awards[0] > 0.0);
         assert!((awards[1] / awards[0] - policy.max_urgency).abs() < 1e-9);
         // Unobservable progress bids the ceiling, not NaN.
-        policy.arbitrate(
+        policy.fold(
             80.0,
             &[request(1.0, f64::NAN, 1000.0), request(1.0, 1.0, 1000.0)],
             &mut awards,
@@ -727,13 +788,13 @@ mod tests {
             active: false,
             ..request(1.0, 1.0, 100.0)
         }];
-        StaticShare.arbitrate(100.0, &inactive, &mut awards);
+        StaticShare.fold(100.0, &inactive, &mut awards);
         assert_eq!(awards, vec![0.0]);
-        WeightedFair.arbitrate(100.0, &inactive, &mut awards);
+        WeightedFair.fold(100.0, &inactive, &mut awards);
         assert_eq!(awards, vec![0.0]);
-        PerformanceMarket::default().arbitrate(100.0, &inactive, &mut awards);
+        PerformanceMarket::default().fold(100.0, &inactive, &mut awards);
         assert_eq!(awards, vec![0.0]);
-        StaticShare.arbitrate(100.0, &[], &mut awards);
+        StaticShare.fold(100.0, &[], &mut awards);
         assert!(awards.is_empty());
     }
 
@@ -756,7 +817,7 @@ mod tests {
             Box::new(PerformanceMarket::default()),
         ];
         for policy in &mut policies {
-            policy.arbitrate(f64::INFINITY, &requests, &mut awards);
+            policy.fold(f64::INFINITY, &requests, &mut awards);
             assert!(
                 awards.iter().all(|a| a.is_finite() && *a >= 0.0),
                 "{}: {awards:?}",
@@ -773,29 +834,41 @@ mod tests {
         assert_eq!(policy.name(), "award-hysteresis");
         let mut awards = Vec::new();
         let mut requests = vec![request(1.0, 1.0, 1000.0), request(1.0, 1.0, 1000.0)];
-        policy.arbitrate(80.0, &requests, &mut awards);
+        policy.fold(80.0, &requests, &mut awards);
         assert_eq!(awards, vec![40.0, 40.0]);
 
         // An urgency limit-cycle inside the band is flattened out.
         for step in 0..6 {
             requests[step % 2].urgency = 1.05;
             requests[(step + 1) % 2].urgency = 1.0;
-            policy.arbitrate(80.0, &requests, &mut awards);
+            policy.fold(80.0, &requests, &mut awards);
             assert_eq!(awards, vec![40.0, 40.0], "held through wiggle {step}");
         }
 
         // An app departing invalidates the held vector immediately.
         requests[1].active = false;
-        policy.arbitrate(80.0, &requests, &mut awards);
+        policy.fold(80.0, &requests, &mut awards);
         assert_eq!(awards[1], 0.0);
         assert!(awards[0] > 40.0);
 
         // A budget step below the held spend also forces re-adoption.
         requests[1].active = true;
-        policy.arbitrate(80.0, &requests, &mut awards);
+        policy.fold(80.0, &requests, &mut awards);
         let before: f64 = total(&awards);
-        policy.arbitrate(30.0, &requests, &mut awards);
+        policy.fold(30.0, &requests, &mut awards);
         assert!(total(&awards) <= 30.0 + 1e-9, "was {before}, now {awards:?}");
+
+        // A sub-band wiggle while the fleet grows by an absent slot (one
+        // registered and retired before its first step): the active set is
+        // unchanged, but the fleet's shape is not, so the proposal is
+        // adopted rather than held.
+        policy.fold(30.0, &requests, &mut awards);
+        requests[0].urgency = 1.05;
+        requests.push(AppRequest::ABSENT);
+        policy.fold(30.0, &requests, &mut awards);
+        let mut fresh = Vec::new();
+        PerformanceMarket::default().fold(30.0, &requests, &mut fresh);
+        assert_eq!(awards, fresh, "a grown fleet adopts");
     }
 
     #[test]
@@ -808,7 +881,13 @@ mod tests {
             fn name(&self) -> &'static str {
                 "swing"
             }
-            fn arbitrate(&mut self, budget: f64, _: &[AppRequest], awards: &mut Vec<f64>) {
+            fn arbitrate(
+                &mut self,
+                budget: f64,
+                _: &[AppRequest],
+                _: &[u32],
+                awards: &mut Vec<f64>,
+            ) {
                 let hi = 0.75 * budget;
                 let lo = 0.25 * budget;
                 awards.clear();
@@ -825,9 +904,9 @@ mod tests {
         // Without the slew limit every swing is adopted whole.
         let mut bare = AwardHysteresis::new(Box::new(Swing(0)), 0.02);
         let mut awards = Vec::new();
-        bare.arbitrate(100.0, &requests, &mut awards);
+        bare.fold(100.0, &requests, &mut awards);
         let first = awards.clone();
-        bare.arbitrate(100.0, &requests, &mut awards);
+        bare.fold(100.0, &requests, &mut awards);
         assert!((awards[0] - first[0]).abs() > 2.0, "swing passes the band");
 
         // With it, no award ever moves more than the step per quantum and
@@ -838,7 +917,7 @@ mod tests {
         assert_eq!(damped.max_step_fraction(), 0.02);
         let mut previous: Option<Vec<f64>> = None;
         for quantum in 0..50 {
-            damped.arbitrate(100.0, &requests, &mut awards);
+            damped.fold(100.0, &requests, &mut awards);
             assert!(total(&awards) <= 100.0 + 1e-9);
             if let Some(previous) = previous {
                 let widest = awards
@@ -854,7 +933,7 @@ mod tests {
         // A fleet change still releases the vector outright.
         let mut changed = requests.clone();
         changed[1].active = false;
-        damped.arbitrate(100.0, &changed, &mut awards);
+        damped.fold(100.0, &changed, &mut awards);
         assert_eq!(awards.len(), 2);
     }
 
@@ -866,8 +945,8 @@ mod tests {
         let mut b = Vec::new();
         for urgency in [1.0, 4.0, 0.5, 2.0] {
             let requests = [request(1.0, urgency, 1000.0), request(2.0, 1.0, 50.0)];
-            wrapped.arbitrate(90.0, &requests, &mut a);
-            bare.arbitrate(90.0, &requests, &mut b);
+            wrapped.fold(90.0, &requests, &mut a);
+            bare.fold(90.0, &requests, &mut b);
             assert_eq!(a, b);
         }
     }
@@ -884,13 +963,13 @@ mod tests {
         ];
         let mut bare = PerformanceMarket::default();
         let mut awards = Vec::new();
-        bare.arbitrate(100.0, &requests, &mut awards);
+        bare.fold(100.0, &requests, &mut awards);
         let starved = awards[1];
 
         let mut floored =
             StarvationFloor::new(Box::new(PerformanceMarket::default()), 0.2);
         assert_eq!(floored.name(), "starvation-floor");
-        floored.arbitrate(100.0, &requests, &mut awards);
+        floored.fold(100.0, &requests, &mut awards);
         assert!(awards[1] >= 10.0, "floor seat guaranteed, got {}", awards[1]);
         assert!(awards[1] > starved);
         assert_eq!(awards[2], 0.0, "absent apps get no seat");
@@ -904,7 +983,7 @@ mod tests {
         let requests = [request(1.0, 1.0, 2.0), request(1.0, 1.0, 1000.0)];
         let mut policy = StarvationFloor::new(Box::new(WeightedFair), 0.2);
         let mut awards = Vec::new();
-        policy.arbitrate(100.0, &requests, &mut awards);
+        policy.fold(100.0, &requests, &mut awards);
         assert!(awards[0] <= 2.0 + 1e-9, "never above the ceiling: {awards:?}");
         assert!(total(&awards) > 95.0, "freed seat reused: {awards:?}");
         assert!(total(&awards) <= 100.0 + 1e-9);
@@ -919,15 +998,15 @@ mod tests {
         let requests = [request(1.0, 1.0, f64::INFINITY), request(2.0, 1.0, 40.0)];
         let mut awards = Vec::new();
         for policy in &mut policies {
-            policy.arbitrate(f64::INFINITY, &requests, &mut awards);
+            policy.fold(f64::INFINITY, &requests, &mut awards);
             assert!(
                 awards.iter().all(|a| a.is_finite() && *a >= 0.0),
                 "{}: {awards:?}",
                 policy.name()
             );
-            policy.arbitrate(0.0, &requests, &mut awards);
+            policy.fold(0.0, &requests, &mut awards);
             assert_eq!(awards, vec![0.0, 0.0], "{}", policy.name());
-            policy.arbitrate(f64::NAN, &requests, &mut awards);
+            policy.fold(f64::NAN, &requests, &mut awards);
             assert_eq!(awards, vec![0.0, 0.0], "{}", policy.name());
         }
     }
@@ -936,7 +1015,7 @@ mod tests {
     fn everyone_clamped_leaves_budget_unspent() {
         let mut policy = WeightedFair;
         let mut awards = Vec::new();
-        policy.arbitrate(100.0, &[request(1.0, 1.0, 10.0), request(5.0, 1.0, 15.0)], &mut awards);
+        policy.fold(100.0, &[request(1.0, 1.0, 10.0), request(5.0, 1.0, 15.0)], &mut awards);
         assert_eq!(awards, vec![10.0, 15.0]);
     }
 }

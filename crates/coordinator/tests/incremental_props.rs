@@ -141,9 +141,10 @@ proptest! {
             &flipped_slots, &budget_scales, &marked_slots,
         );
         let mut requests = initial_requests(&actives, &weights, &urgencies, &ceilings);
+        let every: Vec<u32> = (0..requests.len() as u32).collect();
         for (policy_index, mut full) in policies().into_iter().enumerate() {
             let mut wrapped = policies().swap_remove(policy_index);
-            let mut engine = IncrementalArbiter::new(0.0);
+            let mut engine = IncrementalArbiter::new(ArbitrationSchedule::default()).unwrap();
             let mut expected = Vec::new();
             let mut actual = Vec::new();
             let mut budget = budget;
@@ -158,7 +159,7 @@ proptest! {
                 budget *= round.budget_scale;
                 engine.mark_dirty(round.marked_slot % requests.len());
 
-                full.arbitrate(budget, &requests, &mut expected);
+                full.arbitrate(budget, &requests, &every, &mut expected);
                 let outcome = engine.arbitrate(wrapped.as_mut(), budget, &requests, &mut actual);
                 prop_assert!(outcome.full, "tolerance 0 always degenerates to the full fold");
                 prop_assert_eq!(outcome.skipped, 0);
@@ -202,7 +203,11 @@ proptest! {
         let mut requests = initial_requests(&actives, &weights, &urgencies, &ceilings);
         for (policy_index, _) in policies().iter().enumerate() {
             let mut policy = policies().swap_remove(policy_index);
-            let mut engine = IncrementalArbiter::new(tolerance);
+            let mut engine = IncrementalArbiter::new(ArbitrationSchedule {
+                tolerance,
+                wake: WakeConfig::OFF,
+            })
+            .unwrap();
             let mut awards = Vec::new();
             let mut budget = budget;
             let mut skipped = 0usize;
@@ -390,7 +395,8 @@ fn drive_reference(
             })
             .collect();
         // One fold over the full request slice.
-        policy.arbitrate(budget * 0.95, &requests, &mut awards);
+        let every: Vec<u32> = (0..requests.len() as u32).collect();
+        policy.arbitrate(budget * 0.95, &requests, &every, &mut awards);
         // Every present app decides under its envelope.
         let mut summary = StepSummary {
             quantum,
@@ -817,8 +823,8 @@ proptest! {
 }
 
 /// The three base policies and the two wrappers: the stateful
-/// [`AwardHysteresis`] (folded fleet-length and masked) and the
-/// [`StarvationFloor`] (index-invariant, like its inner policy).
+/// [`AwardHysteresis`] (its held awards keyed on the slots it is handed)
+/// and the [`StarvationFloor`] (handing its inner policy the same list).
 fn five_policies() -> Vec<Box<dyn ArbitrationPolicy>> {
     let mut all = policies();
     all.push(Box::new(AwardHysteresis::new(
