@@ -1265,8 +1265,7 @@ mod tests {
             // One case in four runs at tolerance 0.
             let tolerance = if zero_tolerance == 0 { 0.0 } else { tolerance };
             let config = WakeConfig { steady_quanta: 1, horizon };
-            for (policy, inner) in oracle_policies().into_iter().zip(oracle_policies()) {
-                let mut policy = policy;
+            for (mut policy, inner) in oracle_policies().into_iter().zip(oracle_policies()) {
                 let mut oracle = MaskedOracle(inner);
                 let mut engine = arbiter(tolerance, config);
                 let mut masked = arbiter(tolerance, config);

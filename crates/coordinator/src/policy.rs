@@ -611,16 +611,15 @@ fn water_fill<K: Fn(&AppRequest) -> f64>(
         award_ceilings(requests, participants, awards);
         return;
     }
-    // `open[k]`: still participating in proportional division.
-    let mut open: Vec<bool> = rows(requests, participants).map(|r| r.active).collect();
+    // Per participant, gathered once: its bid, its ceiling, and whether it
+    // is still open for proportional division.
+    let mut pool: Vec<(f64, f64, bool)> = rows(requests, participants)
+        .map(|r| (key(r).max(0.0), r.max_power_watts.max(0.0), r.active))
+        .collect();
     let mut remaining = budget_watts;
     // Each round clamps at least one request, so at most `len` rounds.
     for _ in 0..participants.len() {
-        let total_key: f64 = rows(requests, participants)
-            .zip(&open)
-            .filter(|(_, &o)| o)
-            .map(|(r, _)| key(r).max(0.0))
-            .sum();
+        let total_key: f64 = pool.iter().filter(|p| p.2).map(|p| p.0).sum();
         if total_key.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
             || remaining.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
         {
@@ -628,26 +627,21 @@ fn water_fill<K: Fn(&AppRequest) -> f64>(
         }
         let mut clamped_any = false;
         let per_key = remaining / total_key;
-        for (k, request) in rows(requests, participants).enumerate() {
-            if !open[k] {
-                continue;
-            }
-            let share = per_key * key(request).max(0.0);
-            let ceiling = request.max_power_watts.max(0.0);
-            if awards[k] + share >= ceiling {
+        for (award, (bid, ceiling, open)) in awards.iter_mut().zip(&mut pool) {
+            if *open && *award + per_key * *bid >= *ceiling {
                 // Clamp and leave the pool; the surplus stays in
                 // `remaining` for the next round.
-                remaining -= ceiling - awards[k];
-                awards[k] = ceiling;
-                open[k] = false;
+                remaining -= *ceiling - *award;
+                *award = *ceiling;
+                *open = false;
                 clamped_any = true;
             }
         }
         if !clamped_any {
             // No ceilings hit: hand out the proportional shares and stop.
-            for (k, request) in rows(requests, participants).enumerate() {
-                if open[k] {
-                    awards[k] += per_key * key(request).max(0.0);
+            for (award, &(bid, _, open)) in awards.iter_mut().zip(&pool) {
+                if open {
+                    *award += per_key * bid;
                 }
             }
             break;
