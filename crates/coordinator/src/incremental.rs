@@ -325,7 +325,7 @@ impl IncrementalArbiter {
     }
 
     /// The schedule every round runs under.
-    pub fn schedule(&self) -> ArbitrationSchedule {
+    pub(crate) fn schedule(&self) -> ArbitrationSchedule {
         self.schedule
     }
 

@@ -306,10 +306,8 @@ pub struct AwardHysteresis {
     /// award each holds.
     held_slots: Vec<u32>,
     held_awards: Vec<f64>,
-    /// The inner policy's awards, one per participant.
-    fresh: Vec<f64>,
-    /// This call's active participants, and their proposed awards.
-    active: Vec<u32>,
+    /// The inner policy's awards, then the active participants' share of
+    /// them in list order.
     proposal: Vec<f64>,
 }
 
@@ -329,8 +327,6 @@ impl AwardHysteresis {
             held_fleet: 0,
             held_slots: Vec::new(),
             held_awards: Vec::new(),
-            fresh: Vec::new(),
-            active: Vec::new(),
             proposal: Vec::new(),
         }
     }
@@ -384,23 +380,30 @@ impl ArbitrationPolicy for AwardHysteresis {
         awards: &mut Vec<f64>,
     ) {
         self.inner
-            .arbitrate(budget_watts, requests, participants, &mut self.fresh);
-        // Inactive participants are awarded 0 W and hold nothing.
-        self.active.clear();
-        self.proposal.clear();
-        for (&slot, &fresh) in participants.iter().zip(&self.fresh) {
+            .arbitrate(budget_watts, requests, participants, &mut self.proposal);
+        // Inactive participants are awarded 0 W and hold nothing: keep the
+        // active participants' proposals.
+        let active = || {
+            participants
+                .iter()
+                .copied()
+                .filter(|&slot| requests[slot as usize].active)
+        };
+        let mut kept = 0;
+        for (k, &slot) in participants.iter().enumerate() {
             if requests[slot as usize].active {
-                self.active.push(slot);
-                self.proposal.push(fresh);
+                self.proposal[kept] = self.proposal[k];
+                kept += 1;
             }
         }
+        self.proposal.truncate(kept);
         // The held vector is structurally valid with the same fleet shape and
         // active participants, a finite budget, and no held award above its
         // ceiling. A hold also needs the held spend to fit the budget
         // outright, while the slew path can scale the vector down to fit.
         let reusable = self.held_fleet == requests.len()
             && budget_watts.is_finite()
-            && self.active == self.held_slots
+            && active().eq(self.held_slots.iter().copied())
             && self
                 .held_slots
                 .iter()
@@ -445,7 +448,8 @@ impl ArbitrationPolicy for AwardHysteresis {
                 }
             } else {
                 self.held_fleet = requests.len();
-                std::mem::swap(&mut self.held_slots, &mut self.active);
+                self.held_slots.clear();
+                self.held_slots.extend(active());
                 std::mem::swap(&mut self.held_awards, &mut self.proposal);
             }
         }
