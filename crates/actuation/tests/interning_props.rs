@@ -5,7 +5,11 @@
 //! never calls `ConfigTable`. The interned table must equal, bit for bit,
 //! the per-id construction it replaced (kept here as [`oracle`]), and the
 //! interner must share storage exactly between specs whose predictions are
-//! equal and hold no table alive.
+//! equal and hold no table alive. Specs built from arbitrary declarations
+//! must answer every query exactly as a plain per-axis map of their
+//! declarations ([`Reference`]) does.
+
+use std::collections::BTreeMap;
 
 use actuation::{
     ActuatorSpec, Axis, ConfigId, ConfigTable, Configuration, EffectKey, PredictedEffect,
@@ -127,11 +131,13 @@ struct Oracle {
 }
 
 fn oracle(space: &Space) -> Oracle {
+    oracle_with(space, |config| space.predicted_effect(config))
+}
+
+/// [`oracle`] with each configuration's joint effect taken from `effect`.
+fn oracle_with(space: &Space, effect: impl Fn(&Configuration) -> PredictedEffect) -> Oracle {
     let configurations = space.configurations();
-    let effects: Vec<PredictedEffect> = configurations
-        .iter()
-        .map(|config| space.predicted_effect(config))
-        .collect();
+    let effects: Vec<PredictedEffect> = configurations.iter().map(effect).collect();
     let ids = || (0..effects.len() as u32).map(ConfigId);
     let mut by_speedup: Vec<ConfigId> = ids().collect();
     by_speedup.sort_by(|a, b| {
@@ -264,6 +270,168 @@ proptest! {
         for pair in by_power.windows(2) {
             prop_assert!(pair[0].cheaper_than(&pair[1]));
         }
+    }
+}
+
+const AXES: [Axis; 3] = [Axis::Performance, Axis::Power, Axis::Accuracy];
+
+/// A deterministic stream of draws in `[0, 1)`, cycling through `raw`.
+struct Draws<'a> {
+    raw: &'a [f64],
+    at: usize,
+}
+
+impl Draws<'_> {
+    fn next(&mut self) -> f64 {
+        let draw = self.raw[self.at % self.raw.len()];
+        self.at += 1;
+        draw
+    }
+
+    /// A draw in `0..bound`.
+    fn below(&mut self, bound: usize) -> usize {
+        ((self.next() * bound as f64) as usize).min(bound - 1)
+    }
+}
+
+/// What one actuator declared, kept as plain per-axis maps: each
+/// setting's declared multipliers, the declared exponents, the nominal.
+/// A re-declared axis overwrites, so the last declaration wins.
+struct Reference {
+    settings: Vec<BTreeMap<Axis, f64>>,
+    exponents: BTreeMap<Axis, f64>,
+    nominal: usize,
+}
+
+impl Reference {
+    fn effect_on(&self, index: usize, axis: Axis) -> f64 {
+        self.settings[index].get(&axis).copied().unwrap_or(1.0)
+    }
+
+    fn axis_exponent(&self, axis: Axis) -> f64 {
+        self.exponents.get(&axis).copied().unwrap_or(1.0)
+    }
+
+    /// The declared multiplier raised to the axis exponent, with the
+    /// exponentiation skipped at 1.0.
+    fn predicted(&self, index: usize, axis: Axis) -> f64 {
+        let (multiplier, exponent) = (self.effect_on(index, axis), self.axis_exponent(axis));
+        if exponent == 1.0 {
+            multiplier
+        } else {
+            multiplier.powf(exponent)
+        }
+    }
+}
+
+/// One actuator built from arbitrary declarations, next to the
+/// [`Reference`] of what it declared: one to four settings, each with up
+/// to four effect declarations on random axes (so axes repeat), up to
+/// four exponent declarations drawn from 1.0 and other positive values,
+/// and an arbitrary nominal index.
+fn declared_actuator(draws: &mut Draws, name: usize) -> (ActuatorSpec, Reference) {
+    let mut builder = ActuatorSpec::builder(format!("actuator-{name}"));
+    let mut reference = Reference {
+        settings: Vec::new(),
+        exponents: BTreeMap::new(),
+        nominal: 0,
+    };
+    for index in 0..1 + draws.below(4) {
+        let mut setting = SettingSpec::new(format!("s{index}"));
+        let mut declared = BTreeMap::new();
+        for _ in 0..draws.below(5) {
+            let axis = AXES[draws.below(3)];
+            let multiplier = 0.05 + 4.0 * draws.next();
+            setting = setting.effect(axis, multiplier);
+            declared.insert(axis, multiplier);
+        }
+        builder = builder.setting(setting);
+        reference.settings.push(declared);
+    }
+    for _ in 0..draws.below(5) {
+        let axis = AXES[draws.below(3)];
+        let draw = draws.next();
+        let exponent = if draw < 0.4 { 1.0 } else { 0.25 + 2.0 * draw };
+        builder = builder.axis_exponent(axis, exponent);
+        reference.exponents.insert(axis, exponent);
+    }
+    reference.nominal = draws.below(reference.settings.len());
+    let spec = builder
+        .nominal(reference.nominal)
+        .build()
+        .expect("declarations are valid");
+    (spec, reference)
+}
+
+/// Asserts `spec` answers every per-setting and per-axis query exactly as
+/// `reference` does.
+fn assert_matches_reference(spec: &ActuatorSpec, reference: &Reference) {
+    assert_eq!(spec.len(), reference.settings.len());
+    assert_eq!(spec.nominal(), reference.nominal);
+    for (index, declared) in reference.settings.iter().enumerate() {
+        let setting = spec.setting(index).expect("setting exists");
+        assert_eq!(
+            setting.declared_axes().collect::<Vec<_>>(),
+            declared.keys().copied().collect::<Vec<_>>()
+        );
+        for axis in AXES {
+            assert_eq!(
+                setting.effect_on(axis).to_bits(),
+                reference.effect_on(index, axis).to_bits()
+            );
+            assert_eq!(
+                spec.predicted_effect(index, axis)
+                    .expect("in range")
+                    .to_bits(),
+                reference.predicted(index, axis).to_bits()
+            );
+        }
+    }
+    let mut affected: Vec<Axis> = reference
+        .settings
+        .iter()
+        .flat_map(|s| s.keys().copied())
+        .collect();
+    affected.sort();
+    affected.dedup();
+    assert_eq!(spec.affected_axes(), affected);
+    for axis in AXES {
+        assert_eq!(
+            spec.axis_exponent(axis).to_bits(),
+            reference.axis_exponent(axis).to_bits()
+        );
+    }
+    assert!(spec.predicted_effect(spec.len(), Axis::Power).is_err());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn specs_answer_as_their_declarations(
+        raw in proptest::collection::vec(0.0..1.0f64, 8..200),
+        actuators in 1usize..5,
+    ) {
+        let mut draws = Draws { raw: &raw, at: 0 };
+        let (specs, references): (Vec<ActuatorSpec>, Vec<Reference>) =
+            (0..actuators).map(|name| declared_actuator(&mut draws, name)).unzip();
+        for (spec, reference) in specs.iter().zip(&references) {
+            assert_matches_reference(spec, reference);
+        }
+        // The interned table equals the one built from the reference's
+        // predicted rows.
+        let table = table_of(&specs);
+        let space = Space { specs };
+        let expected = oracle_with(&space, |config| {
+            let mut effect = PredictedEffect::nominal();
+            for (reference, &setting) in references.iter().zip(config.settings()) {
+                effect.performance *= reference.predicted(setting, Axis::Performance);
+                effect.power *= reference.predicted(setting, Axis::Power);
+                effect.accuracy *= reference.predicted(setting, Axis::Accuracy);
+            }
+            effect
+        });
+        assert_matches_oracle(&table, &expected);
     }
 }
 
