@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use crate::error::ActuationError;
 use crate::spec::{ActuatorSpec, SettingIndex};
 
@@ -39,15 +41,21 @@ pub trait Actuator: Send {
 /// Useful for tests, for modelling application-level knobs whose effect is
 /// fully captured by the declared multipliers, and as the building block of
 /// substrate actuators that apply the setting elsewhere before recording it.
+///
+/// The spec is held behind an [`Arc`], so every actuator built from one
+/// shared spec (a platform's `Scope::Global` knobs, say) reads the same
+/// storage, and cloning an actuator is O(1) in the spec's size.
 #[derive(Debug, Clone)]
 pub struct TableActuator {
-    spec: ActuatorSpec,
+    spec: Arc<ActuatorSpec>,
     current: SettingIndex,
 }
 
 impl TableActuator {
-    /// Creates the actuator positioned at the spec's nominal setting.
-    pub fn new(spec: ActuatorSpec) -> Self {
+    /// Creates the actuator positioned at the spec's nominal setting. Takes
+    /// an owned spec or a shared `Arc<ActuatorSpec>`.
+    pub fn new(spec: impl Into<Arc<ActuatorSpec>>) -> Self {
+        let spec = spec.into();
         let current = spec.nominal();
         TableActuator { spec, current }
     }
@@ -84,7 +92,7 @@ pub struct FnActuator<F>
 where
     F: FnMut(SettingIndex) -> Result<(), String> + Send,
 {
-    spec: ActuatorSpec,
+    spec: Arc<ActuatorSpec>,
     current: SettingIndex,
     apply_fn: F,
 }
@@ -96,8 +104,10 @@ where
     /// Creates the actuator positioned at the spec's nominal setting.
     ///
     /// The closure is *not* invoked for the initial nominal position; the
-    /// platform is assumed to start in its nominal configuration.
-    pub fn new(spec: ActuatorSpec, apply_fn: F) -> Self {
+    /// platform is assumed to start in its nominal configuration. Takes an
+    /// owned spec or a shared `Arc<ActuatorSpec>`.
+    pub fn new(spec: impl Into<Arc<ActuatorSpec>>, apply_fn: F) -> Self {
+        let spec = spec.into();
         let current = spec.nominal();
         FnActuator {
             spec,
@@ -179,6 +189,19 @@ mod tests {
         let err = act.apply(5).unwrap_err();
         assert!(matches!(err, ActuationError::UnknownSetting { .. }));
         assert_eq!(act.current(), 1, "failed apply leaves setting unchanged");
+    }
+
+    #[test]
+    fn actuators_over_one_shared_spec_read_the_same_storage() {
+        let shared = Arc::new(spec());
+        let table = TableActuator::new(Arc::clone(&shared));
+        let forwarding = FnActuator::new(Arc::clone(&shared), |_| Ok(()));
+        assert!(std::ptr::eq(table.spec(), &*shared));
+        assert!(std::ptr::eq(forwarding.spec(), &*shared));
+        let cloned = table.clone();
+        assert!(std::ptr::eq(cloned.spec(), &*shared));
+        assert_eq!(Arc::strong_count(&shared), 4);
+        assert_eq!(*TableActuator::new(spec()).spec(), *shared);
     }
 
     #[test]

@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::error::ActuationError;
@@ -32,6 +30,16 @@ impl std::fmt::Display for Axis {
     }
 }
 
+impl Axis {
+    /// Every axis, in declaration (and sort) order.
+    pub(crate) const ALL: [Axis; 3] = [Axis::Performance, Axis::Power, Axis::Accuracy];
+
+    /// The axis's position in [`Self::ALL`], which indexes per-axis arrays.
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Whether an actuator affects only the application that registered it or
 /// the whole system (DAC 2012 §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -50,10 +58,25 @@ pub enum Scope {
 /// Effects are multipliers relative to the actuator's *nominal* setting,
 /// whose effect is 1.0 on every axis. An axis with no declared effect is
 /// assumed to be unaffected (multiplier 1.0).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Effects are held inline, one slot per [`Axis`], so a setting allocates
+/// nothing beyond its label. Once the setting is part of a built
+/// [`ActuatorSpec`] it also carries its predicted row (see
+/// [`ActuatorSpec::predicted_effect`]); equality compares only the label
+/// and the declared effects.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SettingSpec {
     label: String,
-    effects: BTreeMap<Axis, f64>,
+    effects: [Option<f64>; 3],
+    /// The predicted effect on every axis, filled in by
+    /// [`ActuatorSpecBuilder::build`].
+    predicted: [f64; 3],
+}
+
+impl PartialEq for SettingSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.label == other.label && self.effects == other.effects
+    }
 }
 
 impl SettingSpec {
@@ -62,14 +85,15 @@ impl SettingSpec {
     pub fn new(label: impl Into<String>) -> Self {
         SettingSpec {
             label: label.into(),
-            effects: BTreeMap::new(),
+            effects: [None; 3],
+            predicted: [1.0; 3],
         }
     }
 
     /// Declares the effect of this setting on `axis` as a multiplier over the
-    /// nominal setting.
+    /// nominal setting. Declaring an axis again replaces its multiplier.
     pub fn effect(mut self, axis: Axis, multiplier: f64) -> Self {
-        self.effects.insert(axis, multiplier);
+        self.effects[axis.index()] = Some(multiplier);
         self
     }
 
@@ -80,12 +104,14 @@ impl SettingSpec {
 
     /// Multiplier this setting applies to `axis` (1.0 when undeclared).
     pub fn effect_on(&self, axis: Axis) -> f64 {
-        self.effects.get(&axis).copied().unwrap_or(1.0)
+        self.effects[axis.index()].unwrap_or(1.0)
     }
 
-    /// Axes with explicitly declared effects.
+    /// Axes with explicitly declared effects, in [`Axis`] order.
     pub fn declared_axes(&self) -> impl Iterator<Item = Axis> + '_ {
-        self.effects.keys().copied()
+        Axis::ALL
+            .into_iter()
+            .filter(|axis| self.effects[axis.index()].is_some())
     }
 }
 
@@ -104,7 +130,7 @@ pub struct ActuatorSpec {
     /// allocator whose power grows as `n^1.15` on platforms where
     /// utilisation-power is super-linear — without re-tabulating every
     /// setting.
-    axis_exponents: BTreeMap<Axis, f64>,
+    axis_exponents: [Option<f64>; 3],
 }
 
 impl ActuatorSpec {
@@ -116,7 +142,7 @@ impl ActuatorSpec {
             nominal: 0,
             delay: 0.0,
             scope: Scope::default(),
-            axis_exponents: BTreeMap::new(),
+            axis_exponents: [None; 3],
         }
     }
 
@@ -163,20 +189,20 @@ impl ActuatorSpec {
 
     /// Union of the axes any setting declares an effect on.
     pub fn affected_axes(&self) -> Vec<Axis> {
-        let mut axes: Vec<Axis> = self
-            .settings
-            .iter()
-            .flat_map(|s| s.declared_axes())
-            .collect();
-        axes.sort();
-        axes.dedup();
-        axes
+        Axis::ALL
+            .into_iter()
+            .filter(|axis| {
+                self.settings
+                    .iter()
+                    .any(|s| s.effects[axis.index()].is_some())
+            })
+            .collect()
     }
 
     /// Exponent applied to declared multipliers on `axis` when predicting
     /// effects (1.0 — the linear default — when none was declared).
     pub fn axis_exponent(&self, axis: Axis) -> f64 {
-        self.axis_exponents.get(&axis).copied().unwrap_or(1.0)
+        self.axis_exponents[axis.index()].unwrap_or(1.0)
     }
 
     /// Predicted multiplier of setting `index` on `axis`, relative to
@@ -185,16 +211,13 @@ impl ActuatorSpec {
     /// The exponentiation is skipped entirely (not computed as `m.powf(1.0)`)
     /// when the exponent is 1.0, so linear specs predict the exact declared
     /// bits — existing decision paths are unchanged unless an exponent is
-    /// explicitly declared.
+    /// explicitly declared. Every setting's prediction is computed once,
+    /// when the spec is built, so this is a lookup.
     ///
     /// # Errors
     ///
     /// Returns [`ActuationError::UnknownSetting`] when `index` is out of range.
-    pub fn predicted_effect(
-        &self,
-        index: SettingIndex,
-        axis: Axis,
-    ) -> Result<f64, ActuationError> {
+    pub fn predicted_effect(&self, index: SettingIndex, axis: Axis) -> Result<f64, ActuationError> {
         let setting = self
             .setting(index)
             .ok_or_else(|| ActuationError::UnknownSetting {
@@ -202,18 +225,13 @@ impl ActuatorSpec {
                 requested: index,
                 available: self.settings.len(),
             })?;
-        Ok(shaped(setting.effect_on(axis), self.axis_exponent(axis)))
+        Ok(setting.predicted[axis.index()])
     }
 
     /// [`Self::predicted_effect`] of every setting, in index order, on
-    /// performance, power and accuracy — without the bounds check, since
-    /// every index visited exists.
+    /// performance, power and accuracy: the rows stored at build time.
     pub(crate) fn predicted_rows(&self) -> impl Iterator<Item = [f64; 3]> + '_ {
-        const AXES: [Axis; 3] = [Axis::Performance, Axis::Power, Axis::Accuracy];
-        let exponents = AXES.map(|axis| self.axis_exponent(axis));
-        self.settings.iter().map(move |setting| {
-            std::array::from_fn(|i| shaped(setting.effect_on(AXES[i]), exponents[i]))
-        })
+        self.settings.iter().map(|setting| setting.predicted)
     }
 }
 
@@ -235,7 +253,7 @@ pub struct ActuatorSpecBuilder {
     nominal: SettingIndex,
     delay: f64,
     scope: Scope,
-    axis_exponents: BTreeMap<Axis, f64>,
+    axis_exponents: [Option<f64>; 3],
 }
 
 impl ActuatorSpecBuilder {
@@ -272,8 +290,9 @@ impl ActuatorSpecBuilder {
     /// Declares an exponent applied to every setting's multiplier on `axis`
     /// when predicting effects (default 1.0 — linear). Exponent 1.0 is a
     /// no-op: predictions return the declared multipliers bit-for-bit.
+    /// Declaring an axis again replaces its exponent.
     pub fn axis_exponent(mut self, axis: Axis, exponent: f64) -> Self {
-        self.axis_exponents.insert(axis, exponent);
+        self.axis_exponents[axis.index()] = Some(exponent);
         self
     }
 
@@ -284,7 +303,10 @@ impl ActuatorSpecBuilder {
     /// Returns [`ActuationError::InvalidSpec`] if there are no settings, the
     /// nominal index is out of range, the delay is negative/non-finite, or
     /// any effect multiplier is non-positive or non-finite.
-    pub fn build(self) -> Result<ActuatorSpec, ActuationError> {
+    ///
+    /// Stores each setting's predicted effect on every axis (its declared
+    /// multiplier raised to the axis exponent) with the setting.
+    pub fn build(mut self) -> Result<ActuatorSpec, ActuationError> {
         if self.settings.is_empty() {
             return Err(ActuationError::InvalidSpec(format!(
                 "actuator `{}` declares no settings",
@@ -317,13 +339,18 @@ impl ActuatorSpecBuilder {
                 }
             }
         }
-        for (&axis, &exponent) in &self.axis_exponents {
-            if !exponent.is_finite() || exponent <= 0.0 {
+        for (axis, exponent) in Axis::ALL.into_iter().zip(self.axis_exponents) {
+            if let Some(exponent) = exponent.filter(|e| !e.is_finite() || *e <= 0.0) {
                 return Err(ActuationError::InvalidSpec(format!(
                     "axis exponent on {axis} of `{}` must be positive and finite, got {exponent}",
                     self.name
                 )));
             }
+        }
+        let exponents = self.axis_exponents.map(|exponent| exponent.unwrap_or(1.0));
+        for setting in &mut self.settings {
+            setting.predicted =
+                std::array::from_fn(|i| shaped(setting.effects[i].unwrap_or(1.0), exponents[i]));
         }
         Ok(ActuatorSpec {
             name: self.name,
@@ -369,10 +396,7 @@ mod tests {
         assert_eq!(spec.nominal(), 1);
         assert_eq!(spec.delay(), 0.001);
         assert_eq!(spec.scope(), Scope::Global);
-        assert_eq!(
-            spec.affected_axes(),
-            vec![Axis::Performance, Axis::Power]
-        );
+        assert_eq!(spec.affected_axes(), vec![Axis::Performance, Axis::Power]);
     }
 
     #[test]
@@ -490,7 +514,10 @@ mod tests {
                 .axis_exponent(Axis::Power, bad)
                 .build()
                 .unwrap_err();
-            assert!(matches!(err, ActuationError::InvalidSpec(_)), "exponent {bad}");
+            assert!(
+                matches!(err, ActuationError::InvalidSpec(_)),
+                "exponent {bad}"
+            );
         }
     }
 

@@ -9,6 +9,8 @@
 //! adaptation*, *uncoordinated adaptation*, *SEEC*, the *static oracle*, and
 //! the *dynamic oracle*, normalised to the dynamic oracle (DAC 2012 §5.2).
 
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use actuation::{Actuator, ActuatorSpec, Axis, Configuration, SettingSpec, TableActuator};
 use serde::{Deserialize, Serialize};
 use workloads::{HeartbeatedWorkload, QuantumDemand, SplashBenchmark, Workload};
@@ -290,17 +292,29 @@ impl Figure3 {
     /// Geometric-mean ratio of SEEC to the static oracle across benchmarks —
     /// the multiplier Figure 4 applies to the Angstrom static oracle.
     pub fn seec_vs_static_oracle(&self) -> f64 {
-        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.static_oracle)))
+        geometric_mean(
+            self.rows
+                .iter()
+                .map(|r| safe_ratio(r.seec, r.static_oracle)),
+        )
     }
 
     /// Geometric-mean ratio of SEEC to uncoordinated adaptation.
     pub fn seec_vs_uncoordinated(&self) -> f64 {
-        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.uncoordinated)))
+        geometric_mean(
+            self.rows
+                .iter()
+                .map(|r| safe_ratio(r.seec, r.uncoordinated)),
+        )
     }
 
     /// Geometric-mean fraction of the dynamic oracle that SEEC achieves.
     pub fn seec_fraction_of_dynamic_oracle(&self) -> f64 {
-        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.dynamic_oracle)))
+        geometric_mean(
+            self.rows
+                .iter()
+                .map(|r| safe_ratio(r.seec, r.dynamic_oracle)),
+        )
     }
 
     /// Per-benchmark SEEC / static-oracle multipliers (Figure 4 input).
@@ -380,7 +394,84 @@ fn geometric_mean<I: Iterator<Item = f64>>(values: I) -> f64 {
 /// under the convex model. The default server's exponent is 1.0, where the
 /// prior is skipped entirely and the declared effects are bit-for-bit the
 /// historical linear ones.
+///
+/// The specs belong to the platform, not to an application, so every call
+/// over equal server parameters (core count, utilisation-power exponent,
+/// P-state frequencies) shares one set of them: each actuator holds an
+/// `Arc` of the server's spec, and only the current setting is per call.
+/// A process-wide memo holds each live set weakly, so the specs are built
+/// again only once every actuator over them has been dropped.
 pub fn xeon_actuators(server: &XeonServer) -> Vec<Box<dyn Actuator>> {
+    shared_xeon_specs(server)
+        .into_iter()
+        .map(|spec| Box::new(TableActuator::new(spec)) as Box<dyn Actuator>)
+        .collect()
+}
+
+/// What a Xeon actuator set is a function of: the core count, the bits of
+/// the utilisation-power exponent, and the bits of every P-state
+/// frequency, fastest first.
+#[derive(Debug)]
+struct XeonSpecKey {
+    cores: usize,
+    utilization_exponent: u64,
+    frequencies: Vec<u64>,
+}
+
+impl XeonSpecKey {
+    fn of(server: &XeonServer) -> Self {
+        XeonSpecKey {
+            cores: server.total_cores(),
+            utilization_exponent: server.utilization_power_exponent().to_bits(),
+            frequencies: server
+                .pstates()
+                .frequencies()
+                .iter()
+                .map(|f| f.to_bits())
+                .collect(),
+        }
+    }
+
+    fn matches(&self, server: &XeonServer) -> bool {
+        self.cores == server.total_cores()
+            && self.utilization_exponent == server.utilization_power_exponent().to_bits()
+            && self.frequencies.iter().copied().eq(server
+                .pstates()
+                .frequencies()
+                .iter()
+                .map(|f| f.to_bits()))
+    }
+}
+
+/// Live Xeon actuator sets (cores, clock, active cycles) by the server
+/// parameters they were built from. Entries are weak, so the memo never
+/// keeps a set alive, and dead ones are pruned on every miss.
+static XEON_SPECS: Mutex<Vec<(XeonSpecKey, [Weak<ActuatorSpec>; 3])>> = Mutex::new(Vec::new());
+
+/// The server's cores, clock and active-cycles specs: the live set built
+/// for equal server parameters if some actuator still holds it, otherwise
+/// a fresh [`xeon_specs`] build, registered for later callers.
+fn shared_xeon_specs(server: &XeonServer) -> [Arc<ActuatorSpec>; 3] {
+    // The memo holds only weak handles and a build panics before anything
+    // is registered, so a poisoned lock is safe to reuse.
+    let mut memo = XEON_SPECS.lock().unwrap_or_else(PoisonError::into_inner);
+    let live = memo.iter().filter(|(key, _)| key.matches(server)).find_map(
+        |(_, [cores, clock, cycles])| Some([cores.upgrade()?, clock.upgrade()?, cycles.upgrade()?]),
+    );
+    if let Some(specs) = live {
+        return specs;
+    }
+    memo.retain(|(_, specs)| specs.iter().all(|spec| spec.strong_count() > 0));
+    let specs = xeon_specs(server).map(Arc::new);
+    memo.push((
+        XeonSpecKey::of(server),
+        specs.each_ref().map(Arc::downgrade),
+    ));
+    specs
+}
+
+/// Builds the three specs [`xeon_actuators`] hands out, in actuator order.
+fn xeon_specs(server: &XeonServer) -> [ActuatorSpec; 3] {
     let min_freq = server.pstates().min_frequency();
     let utilization_exponent = server.utilization_power_exponent();
     let cores_spec = {
@@ -429,11 +520,7 @@ pub fn xeon_actuators(server: &XeonServer) -> Vec<Box<dyn Actuator>> {
         }
         builder.nominal(9).delay(0.0).build().expect("valid spec")
     };
-    vec![
-        Box::new(TableActuator::new(cores_spec)),
-        Box::new(TableActuator::new(clock_spec)),
-        Box::new(TableActuator::new(idle_spec)),
-    ]
+    [cores_spec, clock_spec, idle_spec]
 }
 
 /// Maps a SEEC joint configuration (cores, clock, active-cycles) onto the
@@ -587,6 +674,107 @@ mod tests {
         assert!((mapped.active_cycle_fraction - 1.0).abs() < 1e-12);
     }
 
+    /// The two named servers every figure runs on.
+    fn named_servers() -> [XeonServer; 2] {
+        [XeonServer::dell_r410(), XeonServer::dell_r410_calibrated()]
+    }
+
+    /// Whether two actuator sets read the same spec storage, actuator by
+    /// actuator.
+    fn share_specs(a: &[Box<dyn Actuator>], b: &[Box<dyn Actuator>]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(a, b)| std::ptr::eq(a.spec(), b.spec()))
+    }
+
+    #[test]
+    fn memoised_specs_equal_a_fresh_build() {
+        for server in named_servers() {
+            let fresh = xeon_specs(&server);
+            let actuators = xeon_actuators(&server);
+            assert_eq!(actuators.len(), fresh.len());
+            for (actuator, fresh) in actuators.iter().zip(&fresh) {
+                let spec = actuator.spec();
+                // Names, labels, delays, scopes and exponents included.
+                assert_eq!(spec, fresh);
+                assert_eq!(spec.delay().to_bits(), fresh.delay().to_bits());
+                for (index, setting) in fresh.settings().iter().enumerate() {
+                    assert_eq!(spec.settings()[index].label(), setting.label());
+                    for axis in [Axis::Performance, Axis::Power, Axis::Accuracy] {
+                        assert_eq!(
+                            spec.predicted_effect(index, axis).unwrap().to_bits(),
+                            fresh.predicted_effect(index, axis).unwrap().to_bits()
+                        );
+                    }
+                }
+                assert_eq!(actuator.current(), fresh.nominal());
+            }
+        }
+    }
+
+    #[test]
+    fn each_server_gets_its_own_specs_and_calls_share_them() {
+        let [default, calibrated] = named_servers().map(|server| xeon_actuators(&server));
+        assert!(!std::ptr::eq(default[0].spec(), calibrated[0].spec()));
+        assert_ne!(default[0].spec(), calibrated[0].spec());
+        assert_ne!(default[2].spec(), calibrated[2].spec());
+        for server in named_servers() {
+            let a = xeon_actuators(&server);
+            let b = xeon_actuators(&server);
+            assert!(share_specs(&a, &b));
+        }
+    }
+
+    #[test]
+    fn calls_from_four_threads_agree() {
+        for server in named_servers() {
+            let here = xeon_actuators(&server);
+            let there: Vec<Vec<Box<dyn Actuator>>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..4)
+                    .map(|_| scope.spawn(|| xeon_actuators(&server)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for actuators in &there {
+                assert!(share_specs(&here, actuators));
+            }
+        }
+    }
+
+    /// Memo entries built for `server`'s parameters, dead or alive.
+    fn entries_for(server: &XeonServer) -> usize {
+        XEON_SPECS
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter(|(key, _)| key.matches(server))
+            .count()
+    }
+
+    #[test]
+    fn dropped_specs_are_not_kept_alive_and_rebuild() {
+        // An exponent no other test uses, so no parallel test holds these
+        // specs.
+        let server = XeonServer::dell_r410().with_utilization_power_exponent(1.000_731);
+        let first = shared_xeon_specs(&server);
+        assert!(first.iter().all(|spec| Arc::strong_count(spec) == 1));
+        let weak = first.each_ref().map(Arc::downgrade);
+        drop(first);
+        assert!(weak.iter().all(|spec| spec.upgrade().is_none()));
+        let rebuilt = shared_xeon_specs(&server);
+        assert!(rebuilt.iter().all(|spec| Arc::strong_count(spec) == 1));
+        for (rebuilt, fresh) in rebuilt.iter().zip(xeon_specs(&server)) {
+            assert_eq!(**rebuilt, fresh);
+        }
+        assert_eq!(entries_for(&server), 1);
+        drop(rebuilt);
+        // Any miss prunes every dead entry, this one included.
+        let other = XeonServer::dell_r410().with_utilization_power_exponent(1.000_732);
+        let _other = xeon_actuators(&other);
+        assert_eq!(entries_for(&server), 0);
+    }
+
     #[test]
     fn map_configuration_reaches_the_fastest_state() {
         let server = XeonServer::dell_r410();
@@ -682,11 +870,16 @@ mod tests {
         let fig = Figure3::compute_with(7, 30);
         assert_eq!(fig.rows.len(), 5);
         for row in &fig.rows {
-            assert!(row.dynamic_oracle >= row.static_oracle * 0.999,
-                "{}: dynamic oracle must dominate the static oracle", row.benchmark);
-            assert!(row.static_oracle >= row.no_adaptation * 0.999,
+            assert!(
+                row.dynamic_oracle >= row.static_oracle * 0.999,
+                "{}: dynamic oracle must dominate the static oracle",
+                row.benchmark
+            );
+            assert!(
+                row.static_oracle >= row.no_adaptation * 0.999,
                 "{}: the static oracle adapts per benchmark and cannot lose to no adaptation",
-                row.benchmark);
+                row.benchmark
+            );
             assert!(row.seec > 0.0 && row.uncoordinated > 0.0);
             let [na, un, se, dy] = row.normalized();
             assert!(na <= 1.0 + 1e-9 && un <= 1.2 && se <= 1.0 + 1e-9);

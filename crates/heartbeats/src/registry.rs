@@ -89,6 +89,16 @@ impl Inner {
         Ok(seq)
     }
 
+    /// Admits and pushes one plain beat, with a power sample if given.
+    fn ingest(&mut self, timestamp: f64, power_watts: Option<f64>) -> Result<(), HeartbeatError> {
+        self.admit(timestamp)?;
+        self.window.push_beat(timestamp, None, None);
+        if let Some(watts) = power_watts {
+            self.record_power(watts);
+        }
+        Ok(())
+    }
+
     fn record_power(&mut self, watts: f64) {
         if self.power_samples.len() == self.max_power_samples {
             self.power_samples.pop_front();
@@ -202,24 +212,50 @@ impl HeartbeatIssuer {
     /// registry exactly as calling [`Self::try_heartbeat`] and then
     /// [`HeartbeatMonitor::record_power_sample`] once per beat would.
     ///
+    /// A batch longer than the window and the power-sample ring retain
+    /// costs what that horizon costs, not what the batch holds. Only three
+    /// things of it stay observable: the beat count, its first beat (the
+    /// first ever, on a fresh registry) and its last beats and samples up
+    /// to the horizon. So only the first timestamp and that tail are read,
+    /// the tail from the back, and the beats between are counted. The
+    /// timestamps between are never read and must not be earlier than the
+    /// first or later than the tail's first, as in any non-decreasing
+    /// sequence.
+    ///
     /// # Errors
     ///
-    /// Stops at the first timestamp that [`Self::try_heartbeat`] would
-    /// reject and returns its error. The beats before it (and their power
-    /// samples) stay recorded, as they would one call at a time.
-    pub fn heartbeats(
+    /// Stops at the first timestamp read that [`Self::try_heartbeat`]
+    /// would reject and returns its error. The beats before it (and their
+    /// power samples) stay recorded, as they would one call at a time.
+    pub fn heartbeats<I>(
         &self,
-        timestamps: impl IntoIterator<Item = f64>,
+        timestamps: I,
         power_watts: Option<f64>,
-    ) -> Result<u64, HeartbeatError> {
+    ) -> Result<u64, HeartbeatError>
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: DoubleEndedIterator + ExactSizeIterator,
+    {
+        let mut timestamps = timestamps.into_iter();
         let mut inner = self.inner.write();
+        let beats = timestamps.len();
+        let horizon = inner.max_power_samples;
+        if beats > horizon + 1 {
+            // The beats between the first and the tail are evicted from
+            // the window and the ring before anyone can read them.
+            let first = timestamps.next().expect("the batch is not empty");
+            let mut tail: Vec<f64> = timestamps.rev().take(horizon).collect();
+            tail.reverse();
+            inner.ingest(first, power_watts)?;
+            inner.window.count_evicted((beats - 1 - horizon) as u64);
+            for timestamp in tail {
+                inner.ingest(timestamp, power_watts)?;
+            }
+            return Ok(beats as u64);
+        }
         let mut emitted = 0;
         for timestamp in timestamps {
-            inner.admit(timestamp)?;
-            inner.window.push_beat(timestamp, None, None);
-            if let Some(watts) = power_watts {
-                inner.record_power(watts);
-            }
+            inner.ingest(timestamp, power_watts)?;
             emitted += 1;
         }
         Ok(emitted)
@@ -497,6 +533,38 @@ mod tests {
         assert_eq!(batched.issuer().heartbeats([3.0], None), Ok(1));
         assert_eq!(batched.monitor().stats().total_beats, 7);
         assert_eq!(batched.monitor().mean_power(), Some(7.5));
+    }
+
+    #[test]
+    fn a_batch_beyond_the_horizon_equals_one_call_per_beat() {
+        // Window 4 (power ring 64) and window 100 (ring 100).
+        for window in [4, 100] {
+            let batched = HeartbeatRegistry::with_window("app", window);
+            let single = HeartbeatRegistry::with_window("app", window);
+            for registry in [&batched, &single] {
+                let issuer = registry.issuer();
+                issuer.tagged_heartbeat(0.0, "frame").unwrap();
+                issuer.heartbeat_with_distortion(0.5, 0.25).unwrap();
+            }
+            let stamps: Vec<f64> = (0..1_000)
+                .map(|beat| 1.0 + (beat / 3) as f64 * 0.5)
+                .collect();
+            assert_eq!(
+                batched
+                    .issuer()
+                    .heartbeats(stamps.iter().copied(), Some(7.5)),
+                Ok(1_000)
+            );
+            for &t in &stamps {
+                single.issuer().heartbeat(t);
+                single.monitor().record_power_sample(t, 7.5);
+            }
+            let (a, b) = (batched.monitor(), single.monitor());
+            assert_eq!(a.observation(), b.observation());
+            assert_eq!(a.stats(), b.stats());
+            assert_eq!(a.stats().total_beats, 1_002);
+            assert_eq!(a.tagged_latency(&Tag::new("frame")), None);
+        }
     }
 
     #[test]

@@ -205,6 +205,14 @@ impl Window {
         self.total_beats += 1;
     }
 
+    /// Counts `beats` plain beats as pushed without storing them: a batch
+    /// whose middle beats are evicted before they can be read. The caller
+    /// pushes at least `capacity` more beats before the window is read, so
+    /// the ring ends as it would have had the beats been pushed.
+    pub(crate) fn count_evicted(&mut self, beats: u64) {
+        self.total_beats += beats;
+    }
+
     /// Heart-rate statistics over the retained beats.
     ///
     /// The *instant* rate uses the last two beats, the *window* rate uses the

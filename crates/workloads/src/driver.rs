@@ -116,7 +116,7 @@ impl HeartbeatedWorkload {
         }
         self.credit(work_units);
         let beats = self.beats_due() - self.emitted_beats;
-        self.emit(std::iter::repeat_n(now, beats as usize), None)
+        self.emit((0..beats as usize).map(|_| now), None)
     }
 
     /// Reports that the substrate completed `work_units` of application
@@ -135,7 +135,9 @@ impl HeartbeatedWorkload {
     /// the beat window. Returns the number of beats emitted.
     ///
     /// The quantum's beats and samples enter the registry in one batch
-    /// ([`HeartbeatIssuer::heartbeats`]). A NaN, infinite or negative
+    /// ([`HeartbeatIssuer::heartbeats`]), which reads only the stamps that
+    /// stay observable, so a report claiming millions of beats costs what
+    /// a window-sized one does. A NaN, infinite or negative
     /// `work_units`, or a non-finite `start` or `end`, credits no work and
     /// emits nothing.
     ///
@@ -157,8 +159,10 @@ impl HeartbeatedWorkload {
         let before = self.completed_work;
         let work_units = self.credit(work_units);
         let per_beat = self.work_per_beat;
-        let stamps = (self.emitted_beats + 1..=self.beats_due()).map(|beat| {
-            let boundary = beat as f64 * per_beat;
+        // Beat `b + 1` crosses its work boundary at this stamp; the stamp is
+        // closed-form in `b`, so the registry can read any beat's stamp.
+        let stamps = (self.emitted_beats as usize..self.beats_due() as usize).map(|b| {
+            let boundary = (b as u64 + 1) as f64 * per_beat;
             let fraction = if work_units > 0.0 {
                 ((boundary - before) / work_units).clamp(0.0, 1.0)
             } else {
@@ -187,8 +191,13 @@ impl HeartbeatedWorkload {
     }
 
     /// Emits one beat at each of `stamps`, with one power sample each if
-    /// given.
-    fn emit(&mut self, stamps: impl Iterator<Item = f64>, power: Option<f64>) -> u64 {
+    /// given. A report claiming more beats than the window holds costs
+    /// only what stays observable (see [`HeartbeatIssuer::heartbeats`]).
+    fn emit(
+        &mut self,
+        stamps: impl DoubleEndedIterator<Item = f64> + ExactSizeIterator,
+        power: Option<f64>,
+    ) -> u64 {
         let emitted = self
             .issuer
             .heartbeats(stamps, power)
@@ -233,7 +242,10 @@ mod tests {
             app.advance(i as f64 * 0.1, 1.0); // 10 work units (beats) per second
         }
         let rate = app.monitor().window_heart_rate();
-        assert!((rate - 10.0).abs() < 0.5, "expected ~10 beats/s, got {rate}");
+        assert!(
+            (rate - 10.0).abs() < 0.5,
+            "expected ~10 beats/s, got {rate}"
+        );
     }
 
     #[test]
