@@ -54,6 +54,29 @@ pub struct TableActuator {
 impl TableActuator {
     /// Creates the actuator positioned at the spec's nominal setting. Takes
     /// an owned spec or a shared `Arc<ActuatorSpec>`.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    ///
+    /// use actuation::{Actuator, ActuatorSpec, Axis, Scope, SettingSpec, TableActuator};
+    ///
+    /// // A chip-wide clock knob, built once and shared by every application.
+    /// let clock = Arc::new(
+    ///     ActuatorSpec::builder("clock")
+    ///         .scope(Scope::Global)
+    ///         .setting(SettingSpec::new("1.6GHz"))
+    ///         .setting(SettingSpec::new("2.4GHz").effect(Axis::Performance, 1.5).effect(Axis::Power, 2.4))
+    ///         .build()
+    ///         .expect("spec is well formed"),
+    /// );
+    /// let mut mine = TableActuator::new(Arc::clone(&clock));
+    /// let theirs = TableActuator::new(Arc::clone(&clock));
+    /// mine.apply(1).expect("setting exists");
+    /// // The spec is shared; the current setting is each actuator's own.
+    /// assert!(std::ptr::eq(mine.spec(), theirs.spec()));
+    /// assert_eq!((mine.current(), theirs.current()), (1, 0));
+    /// assert_eq!(mine.spec().predicted_effect(1, Axis::Power), Ok(2.4));
+    /// ```
     pub fn new(spec: impl Into<Arc<ActuatorSpec>>) -> Self {
         let spec = spec.into();
         let current = spec.nominal();

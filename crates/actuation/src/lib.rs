@@ -20,14 +20,20 @@
 //! [`ActuatorSpec`] captures everything else. Several actuators span a joint
 //! search space whose effects multiply across actuators.
 //!
+//! A spec is cheap to build and free to share. Effects and exponents sit in
+//! fixed per-axis arrays, and [`ActuatorSpecBuilder::build`] stores every
+//! setting's predicted effect with the setting. [`TableActuator`] and
+//! [`FnActuator`] hold their spec behind an `Arc`, so a platform builds its
+//! `Scope::Global` specs once and every application's actuators share them.
+//!
 //! The decision engine runs on a [`ConfigTable`]: every joint
 //! configuration as a dense [`ConfigId`] — lexicographic over the setting
 //! indices, last actuator fastest — with its declared effect precomputed.
 //! Declared effects belong to the platform, so there is one table per
 //! distinct action space. [`ConfigTable::new`] interns by
 //! content — setting counts, nominal indices, and the bits of every
-//! setting's predicted effect — and holds each table weakly, so every
-//! runtime built over equal specs shares one immutable table.
+//! setting's stored predicted effect — and holds each table weakly, so
+//! every runtime built over equal specs shares one immutable table.
 //!
 //! ```
 //! use actuation::{Actuator, ActuatorSpec, Axis, Scope, SettingSpec, TableActuator};

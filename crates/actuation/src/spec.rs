@@ -1,3 +1,5 @@
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::ActuationError;
@@ -59,15 +61,19 @@ pub enum Scope {
 /// whose effect is 1.0 on every axis. An axis with no declared effect is
 /// assumed to be unaffected (multiplier 1.0).
 ///
-/// Effects are held inline, one slot per [`Axis`], so a setting allocates
-/// nothing beyond its label. Once the setting is part of a built
+/// Effects are held inline, one slot per [`Axis`], and a label given as a
+/// `&'static str` is borrowed, not copied, so a setting with a literal
+/// label allocates nothing. Once the setting is part of a built
 /// [`ActuatorSpec`] it also carries its predicted row (see
 /// [`ActuatorSpec::predicted_effect`]); equality compares only the label
 /// and the declared effects.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SettingSpec {
-    label: String,
-    effects: [Option<f64>; 3],
+    label: Cow<'static, str>,
+    /// Declared multipliers, 1.0 where `declared` has no bit.
+    effects: [f64; 3],
+    /// Bit `i` is set when axis `Axis::ALL[i]` has a declared effect.
+    declared: u8,
     /// The predicted effect on every axis, filled in by
     /// [`ActuatorSpecBuilder::build`].
     predicted: [f64; 3],
@@ -75,17 +81,20 @@ pub struct SettingSpec {
 
 impl PartialEq for SettingSpec {
     fn eq(&self, other: &Self) -> bool {
-        self.label == other.label && self.effects == other.effects
+        self.label == other.label
+            && self.declared == other.declared
+            && self.effects == other.effects
     }
 }
 
 impl SettingSpec {
-    /// Creates a setting with the given human-readable label and no declared
-    /// effects (all multipliers 1.0).
-    pub fn new(label: impl Into<String>) -> Self {
+    /// Creates a setting with the given human-readable label (a `String`
+    /// or a `&'static str`) and no declared effects (all multipliers 1.0).
+    pub fn new(label: impl Into<Cow<'static, str>>) -> Self {
         SettingSpec {
             label: label.into(),
-            effects: [None; 3],
+            effects: [1.0; 3],
+            declared: 0,
             predicted: [1.0; 3],
         }
     }
@@ -93,7 +102,8 @@ impl SettingSpec {
     /// Declares the effect of this setting on `axis` as a multiplier over the
     /// nominal setting. Declaring an axis again replaces its multiplier.
     pub fn effect(mut self, axis: Axis, multiplier: f64) -> Self {
-        self.effects[axis.index()] = Some(multiplier);
+        self.effects[axis.index()] = multiplier;
+        self.declared |= 1 << axis.index();
         self
     }
 
@@ -104,22 +114,29 @@ impl SettingSpec {
 
     /// Multiplier this setting applies to `axis` (1.0 when undeclared).
     pub fn effect_on(&self, axis: Axis) -> f64 {
-        self.effects[axis.index()].unwrap_or(1.0)
+        self.effects[axis.index()]
     }
 
     /// Axes with explicitly declared effects, in [`Axis`] order.
     pub fn declared_axes(&self) -> impl Iterator<Item = Axis> + '_ {
-        Axis::ALL
-            .into_iter()
-            .filter(|axis| self.effects[axis.index()].is_some())
+        Axis::ALL.into_iter().filter(|&axis| self.declares(axis))
+    }
+
+    /// Whether this setting declares an effect on `axis`.
+    fn declares(&self, axis: Axis) -> bool {
+        self.declared & (1 << axis.index()) != 0
     }
 }
 
 /// Static description of an actuator: everything except the function that
 /// actually changes the setting (see [`crate::Actuator`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The one way to make a spec is [`Self::builder`]: its `build` validates
+/// the declarations and stores every setting's predicted row, so a spec's
+/// rows always agree with its effects and exponents.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActuatorSpec {
-    name: String,
+    name: Cow<'static, str>,
     settings: Vec<SettingSpec>,
     nominal: SettingIndex,
     delay: f64,
@@ -134,8 +151,9 @@ pub struct ActuatorSpec {
 }
 
 impl ActuatorSpec {
-    /// Starts building a spec for an actuator called `name`.
-    pub fn builder(name: impl Into<String>) -> ActuatorSpecBuilder {
+    /// Starts building a spec for an actuator called `name` (a `String` or
+    /// a `&'static str`).
+    pub fn builder(name: impl Into<Cow<'static, str>>) -> ActuatorSpecBuilder {
         ActuatorSpecBuilder {
             name: name.into(),
             settings: Vec::new(),
@@ -191,11 +209,7 @@ impl ActuatorSpec {
     pub fn affected_axes(&self) -> Vec<Axis> {
         Axis::ALL
             .into_iter()
-            .filter(|axis| {
-                self.settings
-                    .iter()
-                    .any(|s| s.effects[axis.index()].is_some())
-            })
+            .filter(|axis| self.settings.iter().any(|setting| setting.declares(*axis)))
             .collect()
     }
 
@@ -217,11 +231,15 @@ impl ActuatorSpec {
     /// # Errors
     ///
     /// Returns [`ActuationError::UnknownSetting`] when `index` is out of range.
-    pub fn predicted_effect(&self, index: SettingIndex, axis: Axis) -> Result<f64, ActuationError> {
+    pub fn predicted_effect(
+        &self,
+        index: SettingIndex,
+        axis: Axis,
+    ) -> Result<f64, ActuationError> {
         let setting = self
             .setting(index)
             .ok_or_else(|| ActuationError::UnknownSetting {
-                actuator: self.name.clone(),
+                actuator: self.name.to_string(),
                 requested: index,
                 available: self.settings.len(),
             })?;
@@ -248,7 +266,7 @@ fn shaped(multiplier: f64, exponent: f64) -> f64 {
 /// Builder for [`ActuatorSpec`] (see [`ActuatorSpec::builder`]).
 #[derive(Debug, Clone)]
 pub struct ActuatorSpecBuilder {
-    name: String,
+    name: Cow<'static, str>,
     settings: Vec<SettingSpec>,
     nominal: SettingIndex,
     delay: f64,
@@ -349,8 +367,7 @@ impl ActuatorSpecBuilder {
         }
         let exponents = self.axis_exponents.map(|exponent| exponent.unwrap_or(1.0));
         for setting in &mut self.settings {
-            setting.predicted =
-                std::array::from_fn(|i| shaped(setting.effects[i].unwrap_or(1.0), exponents[i]));
+            setting.predicted = std::array::from_fn(|i| shaped(setting.effects[i], exponents[i]));
         }
         Ok(ActuatorSpec {
             name: self.name,
@@ -396,7 +413,10 @@ mod tests {
         assert_eq!(spec.nominal(), 1);
         assert_eq!(spec.delay(), 0.001);
         assert_eq!(spec.scope(), Scope::Global);
-        assert_eq!(spec.affected_axes(), vec![Axis::Performance, Axis::Power]);
+        assert_eq!(
+            spec.affected_axes(),
+            vec![Axis::Performance, Axis::Power]
+        );
     }
 
     #[test]
@@ -514,10 +534,7 @@ mod tests {
                 .axis_exponent(Axis::Power, bad)
                 .build()
                 .unwrap_err();
-            assert!(
-                matches!(err, ActuationError::InvalidSpec(_)),
-                "exponent {bad}"
-            );
+            assert!(matches!(err, ActuationError::InvalidSpec(_)), "exponent {bad}");
         }
     }
 

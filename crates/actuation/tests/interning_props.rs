@@ -530,9 +530,10 @@ fn equal_predictions_share_one_table() {
 fn with_power_exponent(spec: &ActuatorSpec, exponent: f64) -> ActuatorSpec {
     spec.settings()
         .iter()
-        .fold(ActuatorSpec::builder(spec.name()), |b, setting| {
-            b.setting(setting.clone())
-        })
+        .fold(
+            ActuatorSpec::builder(spec.name().to_owned()),
+            |b, setting| b.setting(setting.clone()),
+        )
         .nominal(spec.nominal())
         .axis_exponent(Axis::Power, exponent)
         .build()

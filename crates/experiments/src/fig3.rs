@@ -292,29 +292,17 @@ impl Figure3 {
     /// Geometric-mean ratio of SEEC to the static oracle across benchmarks —
     /// the multiplier Figure 4 applies to the Angstrom static oracle.
     pub fn seec_vs_static_oracle(&self) -> f64 {
-        geometric_mean(
-            self.rows
-                .iter()
-                .map(|r| safe_ratio(r.seec, r.static_oracle)),
-        )
+        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.static_oracle)))
     }
 
     /// Geometric-mean ratio of SEEC to uncoordinated adaptation.
     pub fn seec_vs_uncoordinated(&self) -> f64 {
-        geometric_mean(
-            self.rows
-                .iter()
-                .map(|r| safe_ratio(r.seec, r.uncoordinated)),
-        )
+        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.uncoordinated)))
     }
 
     /// Geometric-mean fraction of the dynamic oracle that SEEC achieves.
     pub fn seec_fraction_of_dynamic_oracle(&self) -> f64 {
-        geometric_mean(
-            self.rows
-                .iter()
-                .map(|r| safe_ratio(r.seec, r.dynamic_oracle)),
-        )
+        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.dynamic_oracle)))
     }
 
     /// Per-benchmark SEEC / static-oracle multipliers (Figure 4 input).
@@ -433,13 +421,10 @@ impl XeonSpecKey {
     }
 
     fn matches(&self, server: &XeonServer) -> bool {
+        let frequencies = server.pstates().frequencies().iter().map(|f| f.to_bits());
         self.cores == server.total_cores()
             && self.utilization_exponent == server.utilization_power_exponent().to_bits()
-            && self.frequencies.iter().copied().eq(server
-                .pstates()
-                .frequencies()
-                .iter()
-                .map(|f| f.to_bits()))
+            && self.frequencies.iter().copied().eq(frequencies)
     }
 }
 
@@ -455,18 +440,18 @@ fn shared_xeon_specs(server: &XeonServer) -> [Arc<ActuatorSpec>; 3] {
     // The memo holds only weak handles and a build panics before anything
     // is registered, so a poisoned lock is safe to reuse.
     let mut memo = XEON_SPECS.lock().unwrap_or_else(PoisonError::into_inner);
-    let live = memo.iter().filter(|(key, _)| key.matches(server)).find_map(
-        |(_, [cores, clock, cycles])| Some([cores.upgrade()?, clock.upgrade()?, cycles.upgrade()?]),
-    );
+    let live = memo
+        .iter()
+        .filter(|(key, _)| key.matches(server))
+        .find_map(|(_, [cores, clock, cycles])| {
+            Some([cores.upgrade()?, clock.upgrade()?, cycles.upgrade()?])
+        });
     if let Some(specs) = live {
         return specs;
     }
     memo.retain(|(_, specs)| specs.iter().all(|spec| spec.strong_count() > 0));
     let specs = xeon_specs(server).map(Arc::new);
-    memo.push((
-        XeonSpecKey::of(server),
-        specs.each_ref().map(Arc::downgrade),
-    ));
+    memo.push((XeonSpecKey::of(server), specs.each_ref().map(Arc::downgrade)));
     specs
 }
 
@@ -728,16 +713,29 @@ mod tests {
 
     #[test]
     fn calls_from_four_threads_agree() {
-        for server in named_servers() {
-            let here = xeon_actuators(&server);
-            let there: Vec<Vec<Box<dyn Actuator>>> = std::thread::scope(|scope| {
+        // The last server's exponent is unique to this test, so its four
+        // calls race on one miss.
+        let unique = XeonServer::dell_r410().with_utilization_power_exponent(1.000_733);
+        let [default, calibrated] = named_servers();
+        for server in [default, calibrated, unique] {
+            let start = std::sync::Barrier::new(4);
+            let sets: Vec<Vec<Box<dyn Actuator>>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..4)
-                    .map(|_| scope.spawn(|| xeon_actuators(&server)))
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            xeon_actuators(&server)
+                        })
+                    })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
-            for actuators in &there {
-                assert!(share_specs(&here, actuators));
+            for actuators in &sets {
+                assert!(share_specs(&sets[0], actuators));
+            }
+            assert!(share_specs(&sets[0], &xeon_actuators(&server)));
+            for (spec, fresh) in sets[0].iter().zip(xeon_specs(&server)) {
+                assert_eq!(*spec.spec(), fresh);
             }
         }
     }
@@ -870,16 +868,11 @@ mod tests {
         let fig = Figure3::compute_with(7, 30);
         assert_eq!(fig.rows.len(), 5);
         for row in &fig.rows {
-            assert!(
-                row.dynamic_oracle >= row.static_oracle * 0.999,
-                "{}: dynamic oracle must dominate the static oracle",
-                row.benchmark
-            );
-            assert!(
-                row.static_oracle >= row.no_adaptation * 0.999,
+            assert!(row.dynamic_oracle >= row.static_oracle * 0.999,
+                "{}: dynamic oracle must dominate the static oracle", row.benchmark);
+            assert!(row.static_oracle >= row.no_adaptation * 0.999,
                 "{}: the static oracle adapts per benchmark and cannot lose to no adaptation",
-                row.benchmark
-            );
+                row.benchmark);
             assert!(row.seec > 0.0 && row.uncoordinated > 0.0);
             let [na, un, se, dy] = row.normalized();
             assert!(na <= 1.0 + 1e-9 && un <= 1.2 && se <= 1.0 + 1e-9);

@@ -212,15 +212,13 @@ impl HeartbeatIssuer {
     /// registry exactly as calling [`Self::try_heartbeat`] and then
     /// [`HeartbeatMonitor::record_power_sample`] once per beat would.
     ///
-    /// A batch longer than the window and the power-sample ring retain
-    /// costs what that horizon costs, not what the batch holds. Only three
-    /// things of it stay observable: the beat count, its first beat (the
-    /// first ever, on a fresh registry) and its last beats and samples up
-    /// to the horizon. So only the first timestamp and that tail are read,
-    /// the tail from the back, and the beats between are counted. The
-    /// timestamps between are never read and must not be earlier than the
-    /// first or later than the tail's first, as in any non-decreasing
-    /// sequence.
+    /// A batch longer than the power-sample ring (never shorter than the
+    /// window) costs what the ring holds, not what the batch claims. It
+    /// reads only what stays observable: its first timestamp (the first
+    /// beat ever, on a fresh registry) and, from the back, the last
+    /// ring-length timestamps. The beats between are only counted; their
+    /// timestamps are never read or checked, so such a batch must be
+    /// non-decreasing, as the beats of one report are.
     ///
     /// # Errors
     ///
@@ -241,8 +239,8 @@ impl HeartbeatIssuer {
         let beats = timestamps.len();
         let horizon = inner.max_power_samples;
         if beats > horizon + 1 {
-            // The beats between the first and the tail are evicted from
-            // the window and the ring before anyone can read them.
+            // The beats between the first and the tail would be evicted
+            // from the window and the ring before anyone could read them.
             let first = timestamps.next().expect("the batch is not empty");
             let mut tail: Vec<f64> = timestamps.rev().take(horizon).collect();
             tail.reverse();

@@ -116,7 +116,7 @@ impl HeartbeatedWorkload {
         }
         self.credit(work_units);
         let beats = self.beats_due() - self.emitted_beats;
-        self.emit((0..beats as usize).map(|_| now), None)
+        self.emit(std::iter::repeat_n(now, beats as usize), None)
     }
 
     /// Reports that the substrate completed `work_units` of application
@@ -242,10 +242,7 @@ mod tests {
             app.advance(i as f64 * 0.1, 1.0); // 10 work units (beats) per second
         }
         let rate = app.monitor().window_heart_rate();
-        assert!(
-            (rate - 10.0).abs() < 0.5,
-            "expected ~10 beats/s, got {rate}"
-        );
+        assert!((rate - 10.0).abs() < 0.5, "expected ~10 beats/s, got {rate}");
     }
 
     #[test]
