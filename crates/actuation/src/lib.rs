@@ -21,8 +21,9 @@
 //! search space whose effects multiply across actuators.
 //!
 //! A spec is cheap to build and free to share. Effects and exponents sit in
-//! fixed per-axis arrays, and [`ActuatorSpecBuilder::build`] stores every
-//! setting's predicted effect with the setting. [`TableActuator`] and
+//! fixed per-axis arrays, labels and names given as `&'static str` are
+//! borrowed, and [`ActuatorSpecBuilder::build`] stores every setting's
+//! predicted effect with the setting. [`TableActuator`] and
 //! [`FnActuator`] hold their spec behind an `Arc`, so a platform builds its
 //! `Scope::Global` specs once and every application's actuators share them.
 //!
