@@ -190,7 +190,10 @@ impl ManagedApp {
     ///
     /// Panics unless the weight is positive and finite.
     pub fn with_weight(mut self, weight: f64) -> Self {
-        assert!(weight.is_finite() && weight > 0.0, "weight must be positive");
+        assert!(
+            weight.is_finite() && weight > 0.0,
+            "weight must be positive"
+        );
         self.weight = weight;
         self
     }
@@ -348,7 +351,11 @@ fn watchdog_app(
     match app.health.state {
         HealthState::Quarantined => {
             let clean = fresh && !non_finite && !overdraw;
-            app.health.clean_quanta = if clean { app.health.clean_quanta + 1 } else { 0 };
+            app.health.clean_quanta = if clean {
+                app.health.clean_quanta + 1
+            } else {
+                0
+            };
             if app.health.clean_quanta >= config.readmit_quanta {
                 app.health.state = HealthState::Readmitted;
                 app.health.readmitted_at = Some(quantum);
@@ -482,7 +489,11 @@ fn aggregate_requests<'a>(requests: impl Iterator<Item = &'a AppRequest>) -> App
     AppRequest {
         active,
         weight: if weight > 0.0 { weight } else { 1.0 },
-        urgency: if weight > 0.0 { weighted_urgency / weight } else { 1.0 },
+        urgency: if weight > 0.0 {
+            weighted_urgency / weight
+        } else {
+            1.0
+        },
         max_power_watts,
     }
 }
@@ -595,7 +606,9 @@ fn shards<'a>(
     let mut base = 0;
     for run in 0..runs {
         let (lo, hi) = (list.len() * run / runs, list.len() * (run + 1) / runs);
-        let end = list.get(hi).map_or(base + apps.len(), |&next| next as usize);
+        let end = list
+            .get(hi)
+            .map_or(base + apps.len(), |&next| next as usize);
         let (head, tail) = std::mem::take(&mut apps).split_at_mut(end - base);
         apps = tail;
         let (head_observations, tail) = std::mem::take(&mut observations).split_at_mut(end - base);
@@ -656,7 +669,10 @@ fn decide_one(
     // from pool workers keeps the bucket counts deterministic; only the
     // wall-clock values vary.
     let clock = observer.map(|_| StageClock::start());
-    app.last_decision = Some(app.runtime.decide_under_power_cap(now, observation, max_powerup)?);
+    app.last_decision = Some(
+        app.runtime
+            .decide_under_power_cap(now, observation, max_powerup)?,
+    );
     if let (Some(observer), Some(clock)) = (observer, clock) {
         observer.count(if dirty.is_some() {
             Counter::AppsRearbitrated
@@ -1109,7 +1125,9 @@ impl Coordinator {
     pub fn register(&mut self, mut app: ManagedApp) -> AppHandle {
         if self.admission_control && self.quantum > 0 {
             let observation = app.monitor.observation();
-            let _ = app.runtime.decide_under_power_cap(self.last_now, &observation, 0.0);
+            let _ = app
+                .runtime
+                .decide_under_power_cap(self.last_now, &observation, 0.0);
         }
         self.record(Some(Counter::Registrations), || EventKind::Register {
             app: app.name().to_string(),
@@ -1299,7 +1317,8 @@ impl Coordinator {
     /// a new row is overwritten before anything reads it.
     fn grow_rows(&mut self) {
         let fleet = self.apps.len();
-        self.observations.resize(fleet, MonitorObservation::default());
+        self.observations
+            .resize(fleet, MonitorObservation::default());
         self.requests.resize(
             fleet,
             AppRequest {
@@ -1418,7 +1437,14 @@ impl Coordinator {
                 let first_quarantine = app.health.quarantined_at.is_none();
                 let reported_work = self.hot.reported_work[index].take();
                 let reported_power = self.hot.reported_power[index].take();
-                watchdog_app(app, request, reported_work, reported_power, &config, quantum);
+                watchdog_app(
+                    app,
+                    request,
+                    reported_work,
+                    reported_power,
+                    &config,
+                    quantum,
+                );
                 let after = app.health.state;
                 if after == before {
                     continue;
@@ -1432,7 +1458,12 @@ impl Coordinator {
                 // decides on a current snapshot, its request rebuilt from
                 // it (so a readmission drops the floor) and re-floored
                 // while quarantined.
-                if self.hot.observe_list.binary_search(&(index as u32)).is_err() {
+                if self
+                    .hot
+                    .observe_list
+                    .binary_search(&(index as u32))
+                    .is_err()
+                {
                     *observation = app.monitor.observation();
                     *request = request_for(app, observation, quantum, budget);
                     if after == HealthState::Quarantined {
@@ -1528,7 +1559,15 @@ impl Coordinator {
             &mut self.requests,
             |index, app, observation, _| {
                 let dirty = dirty.map(|dirty| dirty[index]);
-                decide_one(app, observation, awards[index], dirty, now, quantum, decide_observer)
+                decide_one(
+                    app,
+                    observation,
+                    awards[index],
+                    dirty,
+                    now,
+                    quantum,
+                    decide_observer,
+                )
             },
         )?;
 
@@ -1806,7 +1845,9 @@ mod tests {
             (SplashBenchmark::Volrend, 2),
             (SplashBenchmark::Raytrace, 3),
         ] {
-            unchecked.try_register(managed_app(benchmark, seed, 20.0)).unwrap();
+            unchecked
+                .try_register(managed_app(benchmark, seed, 20.0))
+                .unwrap();
         }
         assert_eq!(unchecked.len(), 3);
         // Enabled, but a registrant whose nominal power is unknown has a
@@ -1836,8 +1877,7 @@ mod tests {
         let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair));
         let handles: Vec<AppHandle> = (0..3)
             .map(|i| {
-                coordinator
-                    .register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
             })
             .collect();
         drive(&mut coordinator, &handles, 30);
@@ -1892,9 +1932,8 @@ mod tests {
     fn higher_priority_gets_the_bigger_envelope() {
         let mut coordinator = Coordinator::new(40.0, Box::new(PerformanceMarket::default()));
         let light = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 1000.0));
-        let heavy = coordinator.register(
-            managed_app(SplashBenchmark::Raytrace, 2, 1000.0).with_weight(4.0),
-        );
+        let heavy = coordinator
+            .register(managed_app(SplashBenchmark::Raytrace, 2, 1000.0).with_weight(4.0));
         let handles = [light, heavy];
         drive(&mut coordinator, &handles, 20);
         assert!(
@@ -1984,7 +2023,11 @@ mod tests {
         for runs in [2, 3, 5, 12, 64] {
             let shards = shards(&list, runs, &mut apps, &mut observations, &mut requests);
             let lengths: Vec<usize> = shards.iter().map(|shard| shard.list.len()).collect();
-            assert_eq!(shards.len(), runs.min(list.len()), "{runs} runs: {lengths:?}");
+            assert_eq!(
+                shards.len(),
+                runs.min(list.len()),
+                "{runs} runs: {lengths:?}"
+            );
             let (shortest, longest) = (lengths.iter().min(), lengths.iter().max());
             assert!(
                 longest.unwrap() - shortest.unwrap() <= 1,
@@ -1992,7 +2035,10 @@ mod tests {
             );
             // The runs cover the list in order, each inside its own rows,
             // and the rows tile the fleet.
-            let walked: Vec<u32> = shards.iter().flat_map(|shard| shard.list.to_vec()).collect();
+            let walked: Vec<u32> = shards
+                .iter()
+                .flat_map(|shard| shard.list.to_vec())
+                .collect();
             assert_eq!(walked, list);
             let mut base = 0;
             for shard in &shards {
@@ -2096,7 +2142,8 @@ mod tests {
             now += 1.0;
             coordinator.step(now).unwrap();
         }
-        let second = coordinator.register(managed_app(SplashBenchmark::OceanNonContiguous, 2, 1000.0));
+        let second =
+            coordinator.register(managed_app(SplashBenchmark::OceanNonContiguous, 2, 1000.0));
         now += 1.0;
         let summary = coordinator.step(now).unwrap();
         assert_eq!(summary.active_apps, 2);
@@ -2159,8 +2206,7 @@ mod tests {
         assert_eq!(idle.urgency, 1.0);
         assert_eq!(idle.max_power_watts, 0.0);
 
-        coordinator
-            .register(managed_app(SplashBenchmark::Barnes, 1, 15.0).with_weight(2.0));
+        coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 15.0).with_weight(2.0));
         // Retired before quantum 0: excluded from the fold.
         let gone =
             coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 15.0).with_weight(3.0));
@@ -2205,12 +2251,10 @@ mod tests {
     #[test]
     fn watchdog_quarantines_a_stalled_app_and_readmits_on_recovery() {
         let config = WatchdogConfig::default();
-        let mut coordinator =
-            Coordinator::new(30.0, Box::new(WeightedFair)).with_watchdog(config);
+        let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair)).with_watchdog(config);
         let handles: Vec<AppHandle> = (0..3)
             .map(|i| {
-                coordinator
-                    .register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
             })
             .collect();
         let mut now = 0.0;
@@ -2238,8 +2282,7 @@ mod tests {
         assert_eq!(stalled.health_state(), HealthState::Quarantined);
         let quarantined_at = stalled.quarantined_at().unwrap();
         assert!(
-            (stall_start..stall_start + config.stale_beat_quanta + 1)
-                .contains(&quarantined_at),
+            (stall_start..stall_start + config.stale_beat_quanta + 1).contains(&quarantined_at),
             "quarantined at {quarantined_at}, stall began at {stall_start}"
         );
         assert!(
@@ -2271,8 +2314,8 @@ mod tests {
 
     #[test]
     fn watchdog_quarantines_non_finite_telemetry_immediately() {
-        let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair))
-            .with_watchdog(WatchdogConfig::default());
+        let mut coordinator =
+            Coordinator::new(30.0, Box::new(WeightedFair)).with_watchdog(WatchdogConfig::default());
         let honest = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 1000.0));
         let liar = coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 1000.0));
         coordinator.step(1.0).unwrap();
@@ -2313,8 +2356,8 @@ mod tests {
         // Retired before the step its NaN report would quarantine it in:
         // the slot is still present for that absent round, but the
         // watchdog skips it.
-        let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair))
-            .with_watchdog(WatchdogConfig::default());
+        let mut coordinator =
+            Coordinator::new(30.0, Box::new(WeightedFair)).with_watchdog(WatchdogConfig::default());
         let honest = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 1000.0));
         let liar = coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 1000.0));
         coordinator.step(1.0).unwrap();
@@ -2330,12 +2373,10 @@ mod tests {
     #[test]
     fn watchdog_quarantines_persistent_overdraw() {
         let config = WatchdogConfig::default();
-        let mut coordinator =
-            Coordinator::new(30.0, Box::new(WeightedFair)).with_watchdog(config);
+        let mut coordinator = Coordinator::new(30.0, Box::new(WeightedFair)).with_watchdog(config);
         let handles: Vec<AppHandle> = (0..3)
             .map(|i| {
-                coordinator
-                    .register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
             })
             .collect();
         let mut now = 0.0;
@@ -2378,11 +2419,7 @@ mod tests {
             }
             let handles: Vec<AppHandle> = (0..3)
                 .map(|i| {
-                    coordinator.register(managed_app(
-                        SplashBenchmark::ALL[i],
-                        i as u64 + 1,
-                        1000.0,
-                    ))
+                    coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
                 })
                 .collect();
             let mut now = 0.0;
@@ -2416,7 +2453,11 @@ mod tests {
         // A registration before the first step is untouched (bit-identity
         // with the admission-free run for whole-fleet-at-start scenarios).
         let early = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 1000.0));
-        assert_eq!(current_power(&coordinator, early), 1.0, "launch config kept");
+        assert_eq!(
+            current_power(&coordinator, early),
+            1.0,
+            "launch config kept"
+        );
 
         let mut now = 0.0;
         for _ in 0..5 {
@@ -2478,8 +2519,7 @@ mod tests {
         coordinator.set_obs(recorder);
         let handles: Vec<AppHandle> = (0..3)
             .map(|i| {
-                coordinator
-                    .register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
+                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 1000.0))
             })
             .collect();
         let mut summaries = Vec::new();
@@ -2494,7 +2534,13 @@ mod tests {
                         .table()
                         .declared_effect(runtime.current_config_id())
                 };
-                coordinator.advance(handle, now - 1.0, now, 10.0 * effect.performance, 10.0 * effect.power);
+                coordinator.advance(
+                    handle,
+                    now - 1.0,
+                    now,
+                    10.0 * effect.performance,
+                    10.0 * effect.power,
+                );
             }
             summaries.push(coordinator.step(now).unwrap());
         }
@@ -2510,7 +2556,10 @@ mod tests {
             let recorder = Arc::new(Recorder::in_memory());
             let (observed, awards) = drive_summaries(Some(Arc::clone(&recorder)), workers);
             assert_eq!(observed, baseline, "summaries drifted at {workers} workers");
-            assert_eq!(awards, baseline_awards, "awards drifted at {workers} workers");
+            assert_eq!(
+                awards, baseline_awards,
+                "awards drifted at {workers} workers"
+            );
 
             // And the deterministic plane reconciles with the run.
             let snapshot = recorder.snapshot();
@@ -2526,8 +2575,7 @@ mod tests {
             );
             assert_eq!(snapshot.stage(Stage::Step).count, 20);
             assert_eq!(
-                snapshot.counter(Counter::AwardsChanged)
-                    + snapshot.counter(Counter::AwardsHeld),
+                snapshot.counter(Counter::AwardsChanged) + snapshot.counter(Counter::AwardsHeld),
                 decided as u64,
                 "every present app's award is either changed or held"
             );
@@ -2538,8 +2586,8 @@ mod tests {
     #[test]
     fn lifecycle_events_stream_in_call_order() {
         let recorder = Arc::new(Recorder::in_memory());
-        let mut coordinator = Coordinator::new(100.0, Box::new(StaticShare))
-            .with_obs(Arc::clone(&recorder));
+        let mut coordinator =
+            Coordinator::new(100.0, Box::new(StaticShare)).with_obs(Arc::clone(&recorder));
         let handle = coordinator.register(managed_app(SplashBenchmark::Barnes, 1, 20.0));
         coordinator.set_budget(80.0);
         coordinator.step(1.0).unwrap();
@@ -2547,9 +2595,7 @@ mod tests {
         let events = recorder.snapshot().events;
         assert_eq!(events.len(), 3);
         assert!(matches!(&events[0].kind, EventKind::Register { app } if app == "barnes"));
-        assert!(
-            matches!(&events[1].kind, EventKind::BudgetChange { watts } if *watts == 80.0)
-        );
+        assert!(matches!(&events[1].kind, EventKind::BudgetChange { watts } if *watts == 80.0));
         assert!(matches!(&events[2].kind, EventKind::Retire { app } if app == "barnes"));
         assert_eq!(events[0].quantum, 0, "registered before the first step");
         assert_eq!(events[2].quantum, 1, "retired after it");
@@ -2583,9 +2629,7 @@ mod tests {
             .events
             .iter()
             .filter_map(|event| match &event.kind {
-                EventKind::HealthTransition { from, to, .. } => {
-                    Some((from.clone(), to.clone()))
-                }
+                EventKind::HealthTransition { from, to, .. } => Some((from.clone(), to.clone())),
                 _ => None,
             })
             .collect();
@@ -2611,9 +2655,7 @@ mod tests {
             (SplashBenchmark::Raytrace, 3),
         ]
         .into_iter()
-        .map(|(benchmark, seed)| {
-            coordinator.register(managed_app(benchmark, seed, 20.0))
-        })
+        .map(|(benchmark, seed)| coordinator.register(managed_app(benchmark, seed, 20.0)))
         .collect();
         let quanta = 16;
         drive(&mut coordinator, &handles, quanta);
@@ -2631,8 +2673,7 @@ mod tests {
         // Sleeping slots are not observed either: the observe counter
         // undershoots the fleet-quanta product by at least the slept share.
         assert!(
-            recorder.counter(Counter::AppsObserved) + slept
-                <= (quanta * handles.len()) as u64,
+            recorder.counter(Counter::AppsObserved) + slept <= (quanta * handles.len()) as u64,
             "sleeping apps must not be observed"
         );
         let total: f64 = coordinator.awards().iter().sum();
@@ -2667,10 +2708,8 @@ mod tests {
             }
             plain.step(now).unwrap();
             gated.step(now).unwrap();
-            let plain_bits: Vec<u64> =
-                plain.awards().iter().map(|award| award.to_bits()).collect();
-            let gated_bits: Vec<u64> =
-                gated.awards().iter().map(|award| award.to_bits()).collect();
+            let plain_bits: Vec<u64> = plain.awards().iter().map(|award| award.to_bits()).collect();
+            let gated_bits: Vec<u64> = gated.awards().iter().map(|award| award.to_bits()).collect();
             assert_eq!(
                 plain_bits, gated_bits,
                 "horizon 0 must be bit-identical to no wake schedule"
@@ -2724,9 +2763,7 @@ mod tests {
             .with_watchdog(config)
             .with_obs(Arc::clone(&recorder));
         let handles: Vec<AppHandle> = (0..3)
-            .map(|i| {
-                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
-            })
+            .map(|i| coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0)))
             .collect();
         let mut now = 0.0;
         for _ in 0..8 {
@@ -2737,7 +2774,10 @@ mod tests {
             coordinator.step(now).unwrap();
         }
         let slept_before_stall = recorder.counter(Counter::AppsSlept);
-        assert!(slept_before_stall > 0, "the fleet should be sleeping before the stall");
+        assert!(
+            slept_before_stall > 0,
+            "the fleet should be sleeping before the stall"
+        );
         assert!(
             coordinator.app(handles[2]).awarded_watts() > config.quarantine_floor_watts,
             "the app must hold a real envelope going into the stall"
@@ -2834,9 +2874,7 @@ mod tests {
             })
             .with_watchdog(FAST_LADDER);
         let handles: Vec<AppHandle> = (0..3)
-            .map(|i| {
-                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
-            })
+            .map(|i| coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0)))
             .collect();
         let mut trace = Vec::new();
         let mut sleeper_transitions = Vec::new();
@@ -2851,12 +2889,22 @@ mod tests {
                 coordinator.retire(transient);
             }
             now += 1.0;
-            let stalled: &[usize] = if (8..16).contains(&quantum) { &[0] } else { &[] };
-            let misreporting: &[usize] = if (22..30).contains(&quantum) { &[1] } else { &[] };
+            let stalled: &[usize] = if (8..16).contains(&quantum) {
+                &[0]
+            } else {
+                &[]
+            };
+            let misreporting: &[usize] = if (22..30).contains(&quantum) {
+                &[1]
+            } else {
+                &[]
+            };
             advance_with_faults(&mut coordinator, &handles, now, stalled, misreporting);
             let asleep: Vec<bool> = (0..3).map(|i| coordinator.arbiter.is_sleeping(i)).collect();
-            let before: Vec<HealthState> =
-                handles.iter().map(|&h| coordinator.app(h).health_state()).collect();
+            let before: Vec<HealthState> = handles
+                .iter()
+                .map(|&h| coordinator.app(h).health_state())
+                .collect();
             coordinator.step(now).unwrap();
             for (i, &handle) in handles.iter().enumerate() {
                 let app = coordinator.app(handle);
@@ -2876,7 +2924,10 @@ mod tests {
                     quarantine_floor(&mut expected, &FAST_LADDER);
                 }
                 let request = coordinator.requests[i];
-                assert_eq!(coordinator.observations[i], observation, "quantum {quantum}");
+                assert_eq!(
+                    coordinator.observations[i], observation,
+                    "quantum {quantum}"
+                );
                 assert_eq!(
                     (request.active, request.weight, request.urgency),
                     (expected.active, expected.weight, expected.urgency),
@@ -2889,8 +2940,14 @@ mod tests {
                 );
             }
             trace.push((
-                coordinator.awards()[..3].iter().map(|award| award.to_bits()).collect(),
-                handles.iter().map(|&h| coordinator.app(h).last_decision()).collect(),
+                coordinator.awards()[..3]
+                    .iter()
+                    .map(|award| award.to_bits())
+                    .collect(),
+                handles
+                    .iter()
+                    .map(|&h| coordinator.app(h).last_decision())
+                    .collect(),
             ));
         }
         (trace, sleeper_transitions)
@@ -2913,7 +2970,10 @@ mod tests {
             );
         }
         for (quantum, (quiet, growing)) in quiet.iter().zip(&growing).enumerate() {
-            assert_eq!(quiet, growing, "quantum {quantum} diverged: {transitions:?}");
+            assert_eq!(
+                quiet, growing,
+                "quantum {quantum} diverged: {transitions:?}"
+            );
         }
     }
 
@@ -2934,9 +2994,7 @@ mod tests {
             .with_watchdog(FAST_LADDER)
             .with_obs(Arc::clone(&recorder));
         let mut handles: Vec<AppHandle> = (0..3)
-            .map(|i| {
-                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
-            })
+            .map(|i| coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0)))
             .collect();
         let mut now = 0.0;
         let mut late_total = 0;
@@ -2945,10 +3003,16 @@ mod tests {
             let seed = 10 + quantum as u64;
             handles.push(coordinator.register(managed_app(SplashBenchmark::Volrend, seed, 20.0)));
             now += 1.0;
-            let stalled: &[usize] = if (8..16).contains(&quantum) { &[0] } else { &[] };
+            let stalled: &[usize] = if (8..16).contains(&quantum) {
+                &[0]
+            } else {
+                &[]
+            };
             advance_with_faults(&mut coordinator, &handles, now, stalled, &[]);
-            let before: Vec<HealthState> =
-                handles.iter().map(|&h| coordinator.app(h).health_state()).collect();
+            let before: Vec<HealthState> = handles
+                .iter()
+                .map(|&h| coordinator.app(h).health_state())
+                .collect();
             let observed_before = recorder.counter(Counter::AppsObserved);
             coordinator.step(now).unwrap();
             let observed = recorder.counter(Counter::AppsObserved) - observed_before;
@@ -2957,7 +3021,11 @@ mod tests {
                 .enumerate()
                 .filter(|&(i, &h)| {
                     coordinator.app(h).health_state() != before[i]
-                        && coordinator.hot.observe_list.binary_search(&(i as u32)).is_err()
+                        && coordinator
+                            .hot
+                            .observe_list
+                            .binary_search(&(i as u32))
+                            .is_err()
                 })
                 .count() as u64;
             late_total += late;
@@ -3006,33 +3074,49 @@ mod tests {
             .with_watchdog(FAST_LADDER)
             .with_obs(Arc::clone(&recorder));
         let mut handles: Vec<AppHandle> = (0..4)
-            .map(|i| {
-                coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0))
-            })
+            .map(|i| coordinator.register(managed_app(SplashBenchmark::ALL[i], i as u64 + 1, 20.0)))
             .collect();
         let mut now = 0.0;
         for quantum in 0..32 {
             if quantum % 3 == 0 {
                 let seed = 20 + quantum as u64;
-                handles
-                    .push(coordinator.register(managed_app(SplashBenchmark::Barnes, seed, 20.0)));
+                handles.push(coordinator.register(managed_app(
+                    SplashBenchmark::Barnes,
+                    seed,
+                    20.0,
+                )));
             }
             if quantum % 5 == 4 {
                 coordinator.retire(handles[4 + quantum / 5]);
             }
             now += 1.0;
-            let stalled: &[usize] = if (6..14).contains(&quantum) { &[1] } else { &[] };
-            let misreporting: &[usize] = if (16..24).contains(&quantum) { &[2] } else { &[] };
+            let stalled: &[usize] = if (6..14).contains(&quantum) {
+                &[1]
+            } else {
+                &[]
+            };
+            let misreporting: &[usize] = if (16..24).contains(&quantum) {
+                &[2]
+            } else {
+                &[]
+            };
             advance_with_faults(&mut coordinator, &handles, now, stalled, misreporting);
-            let previous: Vec<f64> = coordinator.apps().iter().map(|app| app.awarded_watts).collect();
+            let previous: Vec<f64> = coordinator
+                .apps()
+                .iter()
+                .map(|app| app.awarded_watts)
+                .collect();
             let (changed_before, held_before) = (
                 recorder.counter(Counter::AwardsChanged),
                 recorder.counter(Counter::AwardsHeld),
             );
             coordinator.step(now).unwrap();
             let (mut changed, mut held) = (0, 0);
-            for ((app, award), previous) in
-                coordinator.apps().iter().zip(coordinator.awards()).zip(&previous)
+            for ((app, award), previous) in coordinator
+                .apps()
+                .iter()
+                .zip(coordinator.awards())
+                .zip(&previous)
             {
                 if !app.active_at(quantum) {
                     continue;
@@ -3053,6 +3137,9 @@ mod tests {
             );
         }
         assert!(recorder.counter(Counter::AppsSlept) > 0, "nothing slept");
-        assert!(recorder.counter(Counter::Quarantines) > 0, "nothing was quarantined");
+        assert!(
+            recorder.counter(Counter::Quarantines) > 0,
+            "nothing was quarantined"
+        );
     }
 }

@@ -435,7 +435,8 @@ impl DatacenterArbiter {
         if self.observer.is_some() {
             rack.set_obs(self.observer.clone());
         }
-        self.rack_slots.push(u32::try_from(self.racks.len()).expect("rack count fits u32"));
+        self.rack_slots
+            .push(u32::try_from(self.racks.len()).expect("rack count fits u32"));
         self.racks.push(rack);
         self.racks.len() - 1
     }
@@ -646,8 +647,11 @@ mod tests {
                     .collect();
                 for handle in handles {
                     let effect = {
-                        let runtime =
-                            datacenter.rack(rack_index).coordinator().app(handle).runtime();
+                        let runtime = datacenter
+                            .rack(rack_index)
+                            .coordinator()
+                            .app(handle)
+                            .runtime();
                         runtime
                             .model()
                             .table()
@@ -693,7 +697,11 @@ mod tests {
             "apps cannot be handed more than their racks were"
         );
         for rack in datacenter.racks() {
-            assert!(rack.awarded_watts() > 0.0, "{}: both racks host apps", rack.name());
+            assert!(
+                rack.awarded_watts() > 0.0,
+                "{}: both racks host apps",
+                rack.name()
+            );
             assert!(rack.meter().elapsed_seconds() > 0.0);
             let fleet_total: f64 = rack.coordinator().awards().iter().sum();
             assert!(fleet_total <= rack.awarded_watts() * 0.95 + 1e-9);
@@ -705,23 +713,14 @@ mod tests {
     #[test]
     fn inactive_racks_are_awarded_nothing() {
         let mut datacenter = DatacenterArbiter::new(30.0, Box::new(StaticShare));
-        let mut busy = RackCoordinator::new(
-            "busy",
-            Coordinator::new(30.0, Box::new(StaticShare)),
-        );
+        let mut busy = RackCoordinator::new("busy", Coordinator::new(30.0, Box::new(StaticShare)));
         busy.register(managed_app(1, 100.0));
         datacenter.add_rack(busy);
-        let mut idle = RackCoordinator::new(
-            "idle",
-            Coordinator::new(30.0, Box::new(StaticShare)),
-        );
+        let mut idle = RackCoordinator::new("idle", Coordinator::new(30.0, Box::new(StaticShare)));
         let retired = idle.register(managed_app(2, 100.0));
         idle.retire(retired);
         datacenter.add_rack(idle);
-        let empty = RackCoordinator::new(
-            "empty",
-            Coordinator::new(30.0, Box::new(StaticShare)),
-        );
+        let empty = RackCoordinator::new("empty", Coordinator::new(30.0, Box::new(StaticShare)));
         datacenter.add_rack(empty);
 
         let summary = drive(&mut datacenter, 5);
@@ -802,14 +801,15 @@ mod tests {
     #[test]
     fn rack_meter_audits_awards() {
         let mut datacenter = DatacenterArbiter::new(1000.0, Box::new(StaticShare));
-        let mut rack =
-            RackCoordinator::new("r", Coordinator::new(1000.0, Box::new(StaticShare)));
+        let mut rack = RackCoordinator::new("r", Coordinator::new(1000.0, Box::new(StaticShare)));
         let handle = rack.register(managed_app(1, 10.0));
         datacenter.add_rack(rack);
         let mut now = 0.0;
         for _ in 0..10 {
             now += 1.0;
-            datacenter.rack_mut(0).advance(handle, now - 1.0, now, 10.0, 10.0);
+            datacenter
+                .rack_mut(0)
+                .advance(handle, now - 1.0, now, 10.0, 10.0);
             datacenter.step(now).unwrap();
         }
         let meter = datacenter.rack(0).meter();
@@ -838,7 +838,10 @@ mod tests {
         datacenter.add_rack(broken);
 
         for step in 1..=3 {
-            assert!(matches!(datacenter.step(step as f64), Err(SeecError::NoGoal)));
+            assert!(matches!(
+                datacenter.step(step as f64),
+                Err(SeecError::NoGoal)
+            ));
             // Every counter advanced in lockstep — the healthy rack
             // stepped, the broken one skipped, the datacenter moved on.
             assert_eq!(datacenter.quantum(), step);
@@ -853,19 +856,19 @@ mod tests {
         // envelope: a 2x overdraw every quantum.
         let run = |mode: EnforcementMode| {
             let mut datacenter = DatacenterArbiter::new(15.0, Box::new(StaticShare));
-            let mut rack = RackCoordinator::new(
-                "r",
-                Coordinator::new(15.0, Box::new(StaticShare)),
-            )
-            .with_enforcement(mode);
-            let handles: Vec<AppHandle> =
-                (0..3).map(|app| rack.register(managed_app(app + 1, 10.0))).collect();
+            let mut rack = RackCoordinator::new("r", Coordinator::new(15.0, Box::new(StaticShare)))
+                .with_enforcement(mode);
+            let handles: Vec<AppHandle> = (0..3)
+                .map(|app| rack.register(managed_app(app + 1, 10.0)))
+                .collect();
             datacenter.add_rack(rack);
             let mut now = 0.0;
             for _ in 0..10 {
                 now += 1.0;
                 for &handle in &handles {
-                    datacenter.rack_mut(0).advance(handle, now - 1.0, now, 10.0, 10.0);
+                    datacenter
+                        .rack_mut(0)
+                        .advance(handle, now - 1.0, now, 10.0, 10.0);
                 }
                 datacenter.step(now).unwrap();
             }
@@ -889,7 +892,11 @@ mod tests {
         );
         assert!(rack.clamp_events() > 0);
         // 30 W demanded, 15 W admitted, 10 s: about 150 J refused.
-        assert!((rack.shed_joules() - 150.0).abs() < 1.0, "{}", rack.shed_joules());
+        assert!(
+            (rack.shed_joules() - 150.0).abs() < 1.0,
+            "{}",
+            rack.shed_joules()
+        );
     }
 
     #[test]
@@ -897,9 +904,7 @@ mod tests {
         // Same overdraw harness as the enforcement test, instrumented: the
         // recorder must count clamps and rack violations exactly and move
         // zero bits of the results, inline or with the rack's apps sharded.
-        let run = |mode: EnforcementMode,
-                   recorder: Option<Arc<Recorder>>,
-                   workers: usize| {
+        let run = |mode: EnforcementMode, recorder: Option<Arc<Recorder>>, workers: usize| {
             let mut datacenter = DatacenterArbiter::new(15.0, Box::new(StaticShare));
             if let Some(recorder) = recorder {
                 datacenter.set_obs(Some(recorder));
@@ -911,14 +916,17 @@ mod tests {
                     .with_shard_threshold(0),
             )
             .with_enforcement(mode);
-            let handles: Vec<AppHandle> =
-                (0..3).map(|app| rack.register(managed_app(app + 1, 10.0))).collect();
+            let handles: Vec<AppHandle> = (0..3)
+                .map(|app| rack.register(managed_app(app + 1, 10.0)))
+                .collect();
             datacenter.add_rack(rack);
             let mut now = 0.0;
             for _ in 0..10 {
                 now += 1.0;
                 for &handle in &handles {
-                    datacenter.rack_mut(0).advance(handle, now - 1.0, now, 10.0, 10.0);
+                    datacenter
+                        .rack_mut(0)
+                        .advance(handle, now - 1.0, now, 10.0, 10.0);
                 }
                 datacenter.step(now).unwrap();
             }

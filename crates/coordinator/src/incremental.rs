@@ -569,7 +569,8 @@ impl IncrementalArbiter {
         }
         self.pending_wakes.sort_unstable();
         self.merge_scratch.clear();
-        self.merge_scratch.reserve(self.awake.len() + self.pending_wakes.len());
+        self.merge_scratch
+            .reserve(self.awake.len() + self.pending_wakes.len());
         let mut fresh = self.pending_wakes.iter().copied().peekable();
         for &index in &self.awake {
             while let Some(&next) = fresh.peek() {
@@ -631,7 +632,8 @@ impl IncrementalArbiter {
         for &index in &self.awake {
             let slot = index as usize;
             let delta = request_delta(&requests[slot], &self.last_requests[slot]);
-            let moved = delta.partial_cmp(&self.schedule.tolerance) != Some(std::cmp::Ordering::Less);
+            let moved =
+                delta.partial_cmp(&self.schedule.tolerance) != Some(std::cmp::Ordering::Less);
             let dirty = self.fleet_dirty || self.marked[slot] || moved;
             self.marked[slot] = false;
             self.dirty[slot] = dirty;
@@ -697,7 +699,9 @@ impl IncrementalArbiter {
             self.departing.sort_unstable();
             self.departing.dedup();
             debug_assert!(
-                self.departing.iter().all(|&index| self.held[index as usize] == 0.0),
+                self.departing
+                    .iter()
+                    .all(|&index| self.held[index as usize] == 0.0),
                 "a retired slot's request must be inactive in its absent round"
             );
             drop_sorted(&mut self.present, &self.departing);
@@ -786,8 +790,7 @@ mod tests {
             for round in 0..4 {
                 let budget = 60.0 + round as f64;
                 full.arbitrate(budget, &requests, &[0, 1, 2, 3], &mut expected);
-                let outcome =
-                    engine.arbitrate(wrapped.as_mut(), budget, &requests, &mut actual);
+                let outcome = engine.arbitrate(wrapped.as_mut(), budget, &requests, &mut actual);
                 assert!(outcome.full, "tolerance 0 always runs the full fold");
                 assert_eq!(outcome.skipped, 0);
                 assert_eq!(outcome.slept, 0);
@@ -891,7 +894,11 @@ mod tests {
         assert_eq!(round.rearbitrated, 0);
         assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         assert!(engine.awake_slots().contains(&1));
-        assert_eq!(engine.present(), &[0, 2], "it left the present list at once");
+        assert_eq!(
+            engine.present(),
+            &[0, 2],
+            "it left the present list at once"
+        );
         // From then on no wake path brings it back: a budget step, the
         // deadline wheel, nor a schedule change.
         engine.mark_all_dirty();
@@ -941,8 +948,13 @@ mod tests {
     #[test]
     fn horizon_zero_wake_config_is_bit_identical_to_no_wake_config() {
         let mut plain = arbiter(0.05, WakeConfig::OFF);
-        let mut zeroed =
-            arbiter(0.05, WakeConfig { steady_quanta: 4, horizon: 0 });
+        let mut zeroed = arbiter(
+            0.05,
+            WakeConfig {
+                steady_quanta: 4,
+                horizon: 0,
+            },
+        );
         assert!(!zeroed.schedule.wake.enabled());
         let mut policy_a = PerformanceMarket::default();
         let mut policy_b = PerformanceMarket::default();
@@ -1040,10 +1052,13 @@ mod tests {
 
     #[test]
     fn an_external_wake_reenters_a_changed_request_and_conserves_budget() {
-        let mut engine = arbiter(0.05, WakeConfig {
-            steady_quanta: 1,
-            horizon: 16,
-        });
+        let mut engine = arbiter(
+            0.05,
+            WakeConfig {
+                steady_quanta: 1,
+                horizon: 16,
+            },
+        );
         let mut policy = PerformanceMarket::default();
         let mut requests = vec![
             request(1.0, 1.0, 40.0),
@@ -1070,10 +1085,13 @@ mod tests {
 
     #[test]
     fn fleet_invalidation_wakes_everyone_for_a_full_fold() {
-        let mut engine = arbiter(0.05, WakeConfig {
-            steady_quanta: 1,
-            horizon: 16,
-        });
+        let mut engine = arbiter(
+            0.05,
+            WakeConfig {
+                steady_quanta: 1,
+                horizon: 16,
+            },
+        );
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0), request(3.0, 1.0, 40.0)];
         let mut awards = Vec::new();
@@ -1088,7 +1106,10 @@ mod tests {
         assert!(outcome.full, "everyone woken and re-folded");
         assert_eq!(outcome.slept, 0);
         let total: f64 = awards.iter().sum();
-        assert!(total <= 20.0 * (1.0 + 1e-9), "new budget conserved: {total}");
+        assert!(
+            total <= 20.0 * (1.0 + 1e-9),
+            "new budget conserved: {total}"
+        );
     }
 
     /// What one synthetic fleet trace booked, summed over its rounds.
@@ -1183,10 +1204,23 @@ mod tests {
             "{ledger:?}"
         );
         let share = |count: usize| count as f64 / ledger.active_slot_rounds as f64;
-        assert!(share(ledger.slept) > 0.75, "sleep carries the fleet: {ledger:?}");
-        assert!(share(ledger.skipped) > 0.0, "awake steady slots skip: {ledger:?}");
-        assert!(share(ledger.rearbitrated) < 0.15, "re-arbitration stays rare: {ledger:?}");
-        assert_eq!(ledger, churning_fleet_trace(2_000, 24), "the trace is deterministic");
+        assert!(
+            share(ledger.slept) > 0.75,
+            "sleep carries the fleet: {ledger:?}"
+        );
+        assert!(
+            share(ledger.skipped) > 0.0,
+            "awake steady slots skip: {ledger:?}"
+        );
+        assert!(
+            share(ledger.rearbitrated) < 0.15,
+            "re-arbitration stays rare: {ledger:?}"
+        );
+        assert_eq!(
+            ledger,
+            churning_fleet_trace(2_000, 24),
+            "the trace is deterministic"
+        );
     }
 
     /// Test-only masked oracle: the wrapped policy sees the fleet-length
@@ -1231,7 +1265,10 @@ mod tests {
             Box::new(StaticShare),
             Box::new(WeightedFair),
             Box::new(PerformanceMarket::default()),
-            Box::new(AwardHysteresis::new(Box::new(PerformanceMarket::default()), 0.05)),
+            Box::new(AwardHysteresis::new(
+                Box::new(PerformanceMarket::default()),
+                0.05,
+            )),
             Box::new(StarvationFloor::new(Box::new(WeightedFair), 0.2)),
             Box::new(
                 AwardHysteresis::new(Box::new(PerformanceMarket::default()), 0.02)
@@ -1330,10 +1367,13 @@ mod tests {
 
     #[test]
     fn begin_round_exposes_the_awake_list_for_caller_stages() {
-        let mut engine = arbiter(0.05, WakeConfig {
-            steady_quanta: 1,
-            horizon: 8,
-        });
+        let mut engine = arbiter(
+            0.05,
+            WakeConfig {
+                steady_quanta: 1,
+                horizon: 8,
+            },
+        );
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0), request(1.0, 1.0, 40.0)];
         let mut awards = Vec::new();

@@ -430,7 +430,12 @@ mod tests {
         let classes: Vec<&str> = violations.iter().map(InvariantViolation::class).collect();
         assert_eq!(
             classes,
-            vec!["non_finite_award", "inactive_awarded", "award_above_ceiling", "negative_award"]
+            vec![
+                "non_finite_award",
+                "inactive_awarded",
+                "award_above_ceiling",
+                "negative_award"
+            ]
         );
     }
 
@@ -531,7 +536,10 @@ mod tests {
             limit: 100.0,
         };
         let text = serde_json::to_string(&violation).unwrap();
-        assert_eq!(text, "{\"BudgetExceeded\":{\"total\":101.0,\"limit\":100.0}}");
+        assert_eq!(
+            text,
+            "{\"BudgetExceeded\":{\"total\":101.0,\"limit\":100.0}}"
+        );
         let back: InvariantViolation = serde_json::from_str(&text).unwrap();
         assert_eq!(back, violation);
     }

@@ -103,11 +103,11 @@ mod policy;
 pub use crate::coordinator::{
     AdmissionError, AppHandle, Coordinator, HealthState, ManagedApp, StepSummary, WatchdogConfig,
 };
-pub use crate::incremental::{
-    ArbitrationSchedule, IncrementalArbiter, IncrementalOutcome, ScheduleError, WakeConfig,
-};
 pub use crate::hierarchy::{
     DatacenterArbiter, DatacenterStepSummary, EnforcementMode, RackCoordinator,
+};
+pub use crate::incremental::{
+    ArbitrationSchedule, IncrementalArbiter, IncrementalOutcome, ScheduleError, WakeConfig,
 };
 pub use crate::policy::{
     AppRequest, ArbitrationPolicy, AwardHysteresis, PerformanceMarket, StarvationFloor,

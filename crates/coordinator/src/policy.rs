@@ -164,10 +164,13 @@ impl ArbitrationPolicy for StaticShare {
             return;
         }
         let share = budget_watts / active as f64;
-        awards.extend(
-            rows(requests, participants)
-                .map(|r| if r.active { share.min(r.max_power_watts.max(0.0)) } else { 0.0 }),
-        );
+        awards.extend(rows(requests, participants).map(|r| {
+            if r.active {
+                share.min(r.max_power_watts.max(0.0))
+            } else {
+                0.0
+            }
+        }));
     }
 }
 
@@ -722,7 +725,11 @@ mod tests {
     fn static_share_clamps_to_what_an_app_can_absorb() {
         let mut policy = StaticShare;
         let mut awards = Vec::new();
-        policy.fold(100.0, &[request(1.0, 1.0, 10.0), request(1.0, 1.0, 100.0)], &mut awards);
+        policy.fold(
+            100.0,
+            &[request(1.0, 1.0, 10.0), request(1.0, 1.0, 100.0)],
+            &mut awards,
+        );
         // The clamped app's surplus is NOT redistributed: that is the point.
         assert_eq!(awards, vec![10.0, 50.0]);
     }
@@ -854,7 +861,10 @@ mod tests {
         policy.fold(80.0, &requests, &mut awards);
         let before: f64 = total(&awards);
         policy.fold(30.0, &requests, &mut awards);
-        assert!(total(&awards) <= 30.0 + 1e-9, "was {before}, now {awards:?}");
+        assert!(
+            total(&awards) <= 30.0 + 1e-9,
+            "was {before}, now {awards:?}"
+        );
 
         // A sub-band wiggle while the fleet grows by an absent slot (one
         // registered and retired before its first step): the active set is
@@ -964,11 +974,14 @@ mod tests {
         bare.fold(100.0, &requests, &mut awards);
         let starved = awards[1];
 
-        let mut floored =
-            StarvationFloor::new(Box::new(PerformanceMarket::default()), 0.2);
+        let mut floored = StarvationFloor::new(Box::new(PerformanceMarket::default()), 0.2);
         assert_eq!(floored.name(), "starvation-floor");
         floored.fold(100.0, &requests, &mut awards);
-        assert!(awards[1] >= 10.0, "floor seat guaranteed, got {}", awards[1]);
+        assert!(
+            awards[1] >= 10.0,
+            "floor seat guaranteed, got {}",
+            awards[1]
+        );
         assert!(awards[1] > starved);
         assert_eq!(awards[2], 0.0, "absent apps get no seat");
         assert!(total(&awards) <= 100.0 + 1e-9);
@@ -982,7 +995,10 @@ mod tests {
         let mut policy = StarvationFloor::new(Box::new(WeightedFair), 0.2);
         let mut awards = Vec::new();
         policy.fold(100.0, &requests, &mut awards);
-        assert!(awards[0] <= 2.0 + 1e-9, "never above the ceiling: {awards:?}");
+        assert!(
+            awards[0] <= 2.0 + 1e-9,
+            "never above the ceiling: {awards:?}"
+        );
         assert!(total(&awards) > 95.0, "freed seat reused: {awards:?}");
         assert!(total(&awards) <= 100.0 + 1e-9);
     }
@@ -1013,7 +1029,11 @@ mod tests {
     fn everyone_clamped_leaves_budget_unspent() {
         let mut policy = WeightedFair;
         let mut awards = Vec::new();
-        policy.fold(100.0, &[request(1.0, 1.0, 10.0), request(5.0, 1.0, 15.0)], &mut awards);
+        policy.fold(
+            100.0,
+            &[request(1.0, 1.0, 10.0), request(5.0, 1.0, 15.0)],
+            &mut awards,
+        );
         assert_eq!(awards, vec![10.0, 15.0]);
     }
 }

@@ -37,7 +37,10 @@ fn policies() -> Vec<Box<dyn ArbitrationPolicy>> {
         Box::new(StaticShare),
         Box::new(WeightedFair),
         Box::new(PerformanceMarket::default()),
-        Box::new(AwardHysteresis::new(Box::new(PerformanceMarket::default()), 0.05)),
+        Box::new(AwardHysteresis::new(
+            Box::new(PerformanceMarket::default()),
+            0.05,
+        )),
         Box::new(StarvationFloor::new(Box::new(WeightedFair), 0.2)),
     ]
 }

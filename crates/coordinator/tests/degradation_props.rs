@@ -82,8 +82,7 @@ fn decode_faults(
                 _ => Fault::Freeze,
             };
             let fault_from = fault_froms[i] % quanta;
-            let fault_until =
-                (fault_lens[i] > 0).then(|| fault_from + 1 + fault_lens[i] % quanta);
+            let fault_until = (fault_lens[i] > 0).then(|| fault_from + 1 + fault_lens[i] % quanta);
             FaultPlan {
                 fault,
                 fault_from,

@@ -50,8 +50,8 @@ use coordinator::{
     IncrementalArbiter, PerformanceMarket, ScheduleError, StarvationFloor, StepSummary, WakeConfig,
     WatchdogConfig, WeightedFair,
 };
-use obs::{Counter, Recorder};
 use exec::ExecPool;
+use obs::{Counter, Recorder};
 use proptest::prelude::*;
 use seec::SeecRuntime;
 use std::sync::Arc;
@@ -741,7 +741,11 @@ fn drive_with_transients(
                 continue;
             }
             let (work, power) = platform_outcome(coordinator.app(handle).runtime());
-            let claimed = if faults.misreport.contains(&quantum) { 4.0 } else { 1.0 };
+            let claimed = if faults.misreport.contains(&quantum) {
+                4.0
+            } else {
+                1.0
+            };
             coordinator.advance(handle, now - 1.0, now, work, claimed * power);
         }
         let summary = coordinator.step(now).unwrap();
@@ -873,7 +877,10 @@ fn drive_departures(
         let summary = coordinator.step(now).unwrap();
         let observed = recorder.counter(Counter::AppsObserved) - observed_before;
         let live = slots.iter().filter(|slot| slot.present(quantum)).count();
-        let retired = slots.iter().filter(|slot| slot.departure == Some(quantum)).count();
+        let retired = slots
+            .iter()
+            .filter(|slot| slot.departure == Some(quantum))
+            .count();
         prop_assert!(
             observed <= (live + retired) as u64,
             "quantum {quantum}: observed {observed} apps, {live} live and {retired} just retired"
@@ -890,8 +897,16 @@ fn drive_departures(
         prop_assert!(violations.is_empty(), "quantum {quantum}: {violations:?}");
         trace.push((
             summary,
-            coordinator.awards().iter().map(|award| award.to_bits()).collect(),
-            coordinator.apps().iter().map(|app| app.last_decision()).collect(),
+            coordinator
+                .awards()
+                .iter()
+                .map(|award| award.to_bits())
+                .collect(),
+            coordinator
+                .apps()
+                .iter()
+                .map(|app| app.last_decision())
+                .collect(),
         ));
     }
     Ok(trace)

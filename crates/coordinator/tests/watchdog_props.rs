@@ -157,7 +157,8 @@ impl Ladder {
         self.last_beats = beats;
         let warming_up = self.judged < config.warmup_quanta;
         self.judged = self.judged.saturating_add(1);
-        let non_finite = report.is_some_and(|(work, power)| !work.is_finite() || !power.is_finite());
+        let non_finite =
+            report.is_some_and(|(work, power)| !work.is_finite() || !power.is_finite());
         let cheapest =
             app.nominal_power_watts() * app.runtime().model().table().min_declared_power();
         let envelope = app
@@ -168,7 +169,11 @@ impl Ladder {
             && report.is_some_and(|(_, power)| {
                 power.is_finite() && power > envelope * (1.0 + config.overdraw_tolerance)
             });
-        self.stale = if fresh || warming_up { 0 } else { self.stale + 1 };
+        self.stale = if fresh || warming_up {
+            0
+        } else {
+            self.stale + 1
+        };
         self.overdraw = if overdraw { self.overdraw + 1 } else { 0 };
         if self.state == HealthState::Quarantined {
             let clean = fresh && !non_finite && !overdraw;
@@ -241,7 +246,9 @@ fn drive(run: &Run, workers: usize) -> Result<(Trace, [u64; 3]), TestCaseError> 
         let start = now;
         now += 1.0;
         for (slot, plan) in run.faults.iter().enumerate() {
-            let Some(handle) = handles[slot] else { continue };
+            let Some(handle) = handles[slot] else {
+                continue;
+            };
             if !coordinator.app(handle).active_at(quantum) {
                 continue;
             }
@@ -286,7 +293,11 @@ fn drive(run: &Run, workers: usize) -> Result<(Trace, [u64; 3]), TestCaseError> 
         coordinator.step(now).unwrap();
         let mut verdicts = Vec::with_capacity(coordinator.len());
         for (index, (app, ladder)) in coordinator.apps().iter().zip(&ladders).enumerate() {
-            let verdict = (app.health_state(), app.quarantined_at(), app.readmitted_at());
+            let verdict = (
+                app.health_state(),
+                app.quarantined_at(),
+                app.readmitted_at(),
+            );
             let expected = (ladder.state, ladder.quarantined_at, ladder.readmitted_at);
             prop_assert!(
                 verdict == expected,
@@ -296,7 +307,11 @@ fn drive(run: &Run, workers: usize) -> Result<(Trace, [u64; 3]), TestCaseError> 
         }
         trace.push((
             verdicts,
-            coordinator.awards().iter().map(|award| award.to_bits()).collect(),
+            coordinator
+                .awards()
+                .iter()
+                .map(|award| award.to_bits())
+                .collect(),
         ));
     }
     let counters = [
@@ -402,6 +417,9 @@ fn the_fixed_run_sleeps_quarantines_and_readmits() {
     };
     let [slept, quarantines, readmissions] = check(&run).unwrap();
     assert!(slept > 0, "no app slept");
-    assert_eq!(quarantines, 2, "the stall and the infinite claim quarantine");
+    assert_eq!(
+        quarantines, 2,
+        "the stall and the infinite claim quarantine"
+    );
     assert!(readmissions >= 1, "the stalled app never came back");
 }

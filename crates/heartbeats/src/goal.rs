@@ -247,8 +247,12 @@ mod tests {
 
     #[test]
     fn accuracy_goal_rejects_empty_window() {
-        assert!(Goal::Accuracy(AccuracyGoal::new(0.1, 0)).validate().is_err());
-        assert!(Goal::Accuracy(AccuracyGoal::new(0.1, 10)).validate().is_ok());
+        assert!(Goal::Accuracy(AccuracyGoal::new(0.1, 0))
+            .validate()
+            .is_err());
+        assert!(Goal::Accuracy(AccuracyGoal::new(0.1, 10))
+            .validate()
+            .is_ok());
         assert!(Goal::Accuracy(AccuracyGoal::new(-0.1, 10))
             .validate()
             .is_err());

@@ -84,7 +84,11 @@ impl NaiveWindow {
     }
 
     fn mean_distortion(&self) -> Option<f64> {
-        let values: Vec<f64> = self.retained().iter().filter_map(|r| r.distortion).collect();
+        let values: Vec<f64> = self
+            .retained()
+            .iter()
+            .filter_map(|r| r.distortion)
+            .collect();
         if values.is_empty() {
             None
         } else {
