@@ -350,9 +350,17 @@ impl HeartbeatMonitor {
         self.inner.read().window.heart_rate().window
     }
 
-    /// Full heart-rate statistics (instant / window / global / min / max).
+    /// Heart-rate statistics (instant / window / global rate and the
+    /// window's beat count).
     pub fn heart_rate(&self) -> HeartRateStats {
         self.inner.read().window.heart_rate()
+    }
+
+    /// The slowest and fastest instantaneous rates over the observation
+    /// window, in beats/second ([`Window::instant_extremes`]: one scan of
+    /// the retained intervals, which no snapshot pays for).
+    pub fn instant_extremes(&self) -> (f64, f64) {
+        self.inner.read().window.instant_extremes()
     }
 
     /// Simulation time of the most recent beat, if any. Window-averaged

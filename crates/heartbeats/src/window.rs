@@ -15,15 +15,6 @@ pub struct HeartRateStats {
     pub global: f64,
     /// Number of beats currently held in the window.
     pub beats_in_window: usize,
-    /// Slowest instantaneous rate over the window (longest positive
-    /// beat-to-beat interval), in beats/second. Zero until two beats with
-    /// distinct timestamps are retained.
-    pub min_instant: f64,
-    /// Fastest instantaneous rate over the window (shortest positive
-    /// beat-to-beat interval), in beats/second. Simultaneous beats (zero
-    /// intervals) are excluded, matching the `instant` convention that a
-    /// zero interval yields no rate.
-    pub max_instant: f64,
 }
 
 impl Default for HeartRateStats {
@@ -33,8 +24,6 @@ impl Default for HeartRateStats {
             window: 0.0,
             global: 0.0,
             beats_in_window: 0,
-            min_instant: 0.0,
-            max_instant: 0.0,
         }
     }
 }
@@ -48,12 +37,14 @@ impl Default for HeartRateStats {
 /// parallel to the timestamps, allocated when the first beat carrying
 /// either arrives; a window fed only plain beats never allocates it.
 ///
-/// Heart rates read the ring's endpoints. Min/max instantaneous rate
-/// comes from a scan of the at most `capacity - 1` retained intervals at
-/// query time, so a push maintains nothing for it; the scan subtracts the
-/// same operands as any incremental tracking would, so its results are
-/// the same bits. Mean distortion is a rolling sum and tagged latency a
-/// per-tag timestamp ring, both O(1) per query.
+/// Heart rates read the ring's endpoints, so [`Window::heart_rate`] is
+/// O(1). The slowest and fastest instantaneous rates come from their own
+/// query, [`Window::instant_extremes`], which scans the at most
+/// `capacity - 1` retained intervals, so neither a push nor a heart-rate
+/// snapshot pays for them; the scan subtracts the same operands as any
+/// incremental tracking would, so its results are the same bits. Mean
+/// distortion is a rolling sum and tagged latency a per-tag timestamp
+/// ring, both O(1) per query.
 #[derive(Debug, Clone)]
 pub struct Window {
     capacity: usize,
@@ -218,8 +209,8 @@ impl Window {
     /// The *instant* rate uses the last two beats, the *window* rate uses the
     /// first and last retained beat, and the *global* rate uses the first
     /// beat ever recorded. Rates are zero until two beats are available.
-    /// `min_instant`/`max_instant` come from one scan of the retained
-    /// beat-to-beat intervals and cover every consecutive pair in the window.
+    /// O(1): the slowest and fastest instantaneous rates over the window
+    /// are [`Self::instant_extremes`].
     pub fn heart_rate(&self) -> HeartRateStats {
         let n = self.times.len();
         if n < 2 {
@@ -237,12 +228,28 @@ impl Window {
             Some(first) if self.total_beats > 1 => rate_between(first, last, self.total_beats - 1),
             _ => 0.0,
         };
+        HeartRateStats {
+            instant,
+            window,
+            global,
+            beats_in_window: n,
+        }
+    }
+
+    /// The slowest and fastest instantaneous rates over the window, in
+    /// beats/second, as `(slowest, fastest)`: one over the longest and one
+    /// over the shortest positive beat-to-beat interval, covering every
+    /// consecutive pair retained. Simultaneous beats (zero intervals) are
+    /// excluded, matching the `instant` convention that a zero interval
+    /// yields no rate. Both are zero until two beats with distinct
+    /// timestamps are retained. One scan of the at most `capacity - 1`
+    /// retained intervals per call.
+    pub fn instant_extremes(&self) -> (f64, f64) {
         // Fastest rate = shortest positive interval; slowest rate =
-        // longest. Zero intervals (simultaneous beats) yield no rate. The
-        // fold is written as selects, not branches or `f64::min`/`max`:
-        // whether an interval is positive or a new extreme is
-        // data-dependent, and both other forms measured about 1.7x the
-        // select form's cost per observation (64-beat windows, 2-vCPU
+        // longest. The fold is written as selects, not branches or
+        // `f64::min`/`max`: whether an interval is positive or a new
+        // extreme is data-dependent, and both other forms measured about
+        // 1.7x the select form's cost per scan (64-beat windows, 2-vCPU
         // host).
         let (mut shortest, mut longest) = (f64::INFINITY, 0.0f64);
         let mut fold = |interval: f64| {
@@ -268,18 +275,10 @@ impl Window {
             fold(later - earlier);
         }
         tail.windows(2).for_each(|pair| fold(pair[1] - pair[0]));
-        let (min_instant, max_instant) = if longest > 0.0 {
+        if longest > 0.0 {
             (1.0 / longest, 1.0 / shortest)
         } else {
             (0.0, 0.0)
-        };
-        HeartRateStats {
-            instant,
-            window,
-            global,
-            beats_in_window: n,
-            min_instant,
-            max_instant,
         }
     }
 
@@ -340,8 +339,7 @@ mod tests {
         assert_eq!(stats.instant, 0.0);
         assert_eq!(stats.window, 0.0);
         assert_eq!(stats.global, 0.0);
-        assert_eq!(stats.min_instant, 0.0);
-        assert_eq!(stats.max_instant, 0.0);
+        assert_eq!(w.instant_extremes(), (0.0, 0.0));
     }
 
     #[test]
@@ -355,8 +353,9 @@ mod tests {
         assert!((stats.window - 10.0).abs() < 1e-9);
         assert!((stats.global - 10.0).abs() < 1e-9);
         assert_eq!(stats.beats_in_window, 10);
-        assert!((stats.min_instant - 10.0).abs() < 1e-6);
-        assert!((stats.max_instant - 10.0).abs() < 1e-6);
+        let (slowest, fastest) = w.instant_extremes();
+        assert!((slowest - 10.0).abs() < 1e-6);
+        assert!((fastest - 10.0).abs() < 1e-6);
     }
 
     #[test]
@@ -377,7 +376,7 @@ mod tests {
         assert_eq!(w.total_beats(), 13);
         // The slow-phase intervals have been evicted, so the slowest
         // retained instantaneous rate belongs to the fast phase.
-        assert!(stats.min_instant > 50.0);
+        assert!(w.instant_extremes().0 > 50.0);
     }
 
     #[test]
@@ -388,8 +387,9 @@ mod tests {
         w.push(beat(2, 1.5));
         let stats = w.heart_rate();
         assert!((stats.instant - 2.0).abs() < 1e-9);
-        assert!((stats.min_instant - 1.0).abs() < 1e-9);
-        assert!((stats.max_instant - 2.0).abs() < 1e-9);
+        let (slowest, fastest) = w.instant_extremes();
+        assert!((slowest - 1.0).abs() < 1e-9);
+        assert!((fastest - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -398,11 +398,11 @@ mod tests {
         w.push(beat(0, 0.0));
         w.push(beat(1, 10.0)); // interval 10 (slowest)
         w.push(beat(2, 10.5)); // interval 0.5
-        assert!((w.heart_rate().min_instant - 0.1).abs() < 1e-12);
+        assert!((w.instant_extremes().0 - 0.1).abs() < 1e-12);
         w.push(beat(3, 11.0)); // evicts beat 0 → interval 10 leaves
-        let stats = w.heart_rate();
-        assert!((stats.min_instant - 2.0).abs() < 1e-12);
-        assert!((stats.max_instant - 2.0).abs() < 1e-12);
+        let (slowest, fastest) = w.instant_extremes();
+        assert!((slowest - 2.0).abs() < 1e-12);
+        assert!((fastest - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -460,7 +460,6 @@ mod tests {
         let stats = w.heart_rate();
         assert_eq!(stats.instant, 0.0);
         assert_eq!(stats.window, 0.0);
-        assert_eq!(stats.min_instant, 0.0);
-        assert_eq!(stats.max_instant, 0.0);
+        assert_eq!(w.instant_extremes(), (0.0, 0.0));
     }
 }
