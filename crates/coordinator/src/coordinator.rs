@@ -101,14 +101,12 @@ impl Default for WatchdogConfig {
     }
 }
 
-/// Per-app watchdog bookkeeping (counters and the ladder position).
-#[derive(Debug, Clone, Copy)]
+/// Per-app watchdog bookkeeping the ladder's fixed point never moves (the
+/// ladder position and its strike counters). The beat and warmup clocks,
+/// which every pass moves, live in the slot's [`HotRow`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct HealthTracker {
     state: HealthState,
-    /// Heartbeat count at the previous watchdog pass.
-    last_beats: u64,
-    /// Active quanta this app has been judged (the warmup clock).
-    judged_quanta: usize,
     stale_quanta: usize,
     overdraw_quanta: usize,
     clean_quanta: usize,
@@ -120,8 +118,6 @@ impl HealthTracker {
     fn new() -> Self {
         HealthTracker {
             state: HealthState::Healthy,
-            last_beats: 0,
-            judged_quanta: 0,
             stale_quanta: 0,
             overdraw_quanta: 0,
             clean_quanta: 0,
@@ -291,24 +287,41 @@ fn committed_floor_watts(app: &ManagedApp) -> f64 {
     }
 }
 
+/// The watt envelope the watchdog's overdraw rule compares a report
+/// against: the award, floored by the quarantine floor (so 0 W-award
+/// quanta do not count) and by the believed draw of the app's *cheapest*
+/// configuration. When awards squeeze an app below what it can physically
+/// reach, drawing its floor is obedience, not overdraw — and without this
+/// an honest app whose cheapest draw exceeds the quarantine floor could
+/// never produce a clean quantum to requalify. (A misreporter cannot hide
+/// behind this: at fault onset its believed cheapest draw still reflects
+/// the honest model, and the Kalman nominal-power estimate re-converges
+/// slower than the strike window.)
+fn overdraw_envelope(app: &ManagedApp, quarantine_floor_watts: f64) -> f64 {
+    app.awarded_watts
+        .max(quarantine_floor_watts)
+        .max(cheapest_floor_watts(app))
+}
+
 /// Runs the watchdog ladder over one application for the quantum about to
 /// be arbitrated, mutating its request in place when quarantine pins it to
-/// the floor envelope. Sequential, registration order, plain comparisons —
-/// the ladder is bit-deterministic and, when no watchdog is configured,
-/// never runs at all.
+/// the floor envelope, and consuming the report in its hot `row`.
+/// Sequential, registration order, plain comparisons — the ladder is
+/// bit-deterministic and, when no watchdog is configured, never runs at
+/// all. The step skips this call for a settled slot whose pass is the
+/// ladder's fixed point ([`HotRow::pass_settled`]).
 fn watchdog_app(
     app: &mut ManagedApp,
+    row: &mut HotRow,
     request: &mut AppRequest,
-    reported_work: Option<f64>,
-    reported_power: Option<f64>,
     config: &WatchdogConfig,
     quantum: usize,
 ) {
-    let beats = app.driver.emitted_beats();
-    let fresh = beats != app.health.last_beats;
-    app.health.last_beats = beats;
-    let warming_up = app.health.judged_quanta < config.warmup_quanta;
-    app.health.judged_quanta = app.health.judged_quanta.saturating_add(1);
+    let fresh = row.beats != row.last_beats;
+    row.last_beats = row.beats;
+    let warming_up = row.judged_quanta < config.warmup_quanta;
+    row.judged_quanta = row.judged_quanta.saturating_add(1);
+    let (reported_work, reported_power) = row.take_report();
 
     // Non-finite telemetry or request fields quarantine immediately: a NaN
     // entering the arbitration fold would poison every downstream award.
@@ -319,21 +332,10 @@ fn watchdog_app(
         || request.urgency.is_nan()
         || request.max_power_watts.is_nan()
         || request.weight.is_nan();
-    // Believed power persistently over the envelope (with slack for model
-    // learning); the floor keeps 0 W-award quanta from counting. The
-    // envelope also admits the believed draw of the app's *cheapest*
-    // configuration: when awards squeeze an app below what it can
-    // physically reach, drawing its floor is obedience, not overdraw —
-    // and without this an honest app whose cheapest draw exceeds the
-    // quarantine floor could never produce a clean quantum to requalify.
-    // (A misreporter cannot hide behind this: at fault onset its believed
-    // cheapest draw still reflects the honest model, and the Kalman
-    // nominal-power estimate re-converges slower than the strike window.)
-    let cheapest_watts = cheapest_floor_watts(app);
-    let envelope = app
-        .awarded_watts
-        .max(config.quarantine_floor_watts)
-        .max(cheapest_watts);
+    // Believed power persistently over the envelope, with slack for model
+    // learning.
+    let envelope = overdraw_envelope(app, config.quarantine_floor_watts);
+    row.envelope = envelope;
     let overdraw = !warming_up
         && reported_power
             .is_some_and(|p| p.is_finite() && p > envelope * (1.0 + config.overdraw_tolerance));
@@ -380,6 +382,14 @@ fn watchdog_app(
         }
     }
 
+    // A Healthy or Readmitted app leaves every pass with both strike
+    // counters at 0, so its next clean, fresh pass moves nothing but the
+    // clocks — unless a zero threshold quarantines even that pass.
+    row.settled = matches!(
+        app.health.state,
+        HealthState::Healthy | HealthState::Readmitted
+    ) && config.stale_beat_quanta > 0
+        && config.overdraw_quanta > 0;
     if app.health.state == HealthState::Quarantined {
         quarantine_floor(request, config);
     }
@@ -513,7 +523,8 @@ fn present_apps<'a>(
 
 /// Runs `stage` on every slot the ascending `list` names — the walk both
 /// per-app stages of [`Coordinator::step`] share. `stage` receives the
-/// slot's global index, its app, and its observation and request rows.
+/// slot's global index, its app, and its observation, request and hot
+/// rows.
 ///
 /// Without a `pool` the walk runs inline. With one, the list is cut into
 /// equal-count runs, one per pool thread ([`shards`]), each with exclusive
@@ -530,6 +541,7 @@ fn walk_list<F>(
     apps: &mut [ManagedApp],
     observations: &mut [MonitorObservation],
     requests: &mut [AppRequest],
+    rows: &mut [HotRow],
     stage: F,
 ) -> Result<(), SeecError>
 where
@@ -538,6 +550,7 @@ where
             &mut ManagedApp,
             &mut MonitorObservation,
             &mut AppRequest,
+            &mut HotRow,
         ) -> Result<(), SeecError>
         + Sync,
 {
@@ -549,6 +562,7 @@ where
                 &mut shard.apps[offset],
                 &mut shard.observations[offset],
                 &mut shard.requests[offset],
+                &mut shard.rows[offset],
             );
             if let Err(err) = result {
                 shard.failure = Some((index, err));
@@ -563,12 +577,13 @@ where
             apps,
             observations,
             requests,
+            rows,
             failure: None,
         };
         walk(&mut whole);
         return whole.failure.map_or(Ok(()), |(_, err)| Err(err));
     };
-    let mut shards = shards(list, pool.threads(), apps, observations, requests);
+    let mut shards = shards(list, pool.threads(), apps, observations, requests, rows);
     pool.for_each_mut(&mut shards, |_, shard| walk(shard));
     shards
         .into_iter()
@@ -585,6 +600,7 @@ struct Shard<'a> {
     apps: &'a mut [ManagedApp],
     observations: &'a mut [MonitorObservation],
     requests: &'a mut [AppRequest],
+    rows: &'a mut [HotRow],
     failure: Option<(usize, SeecError)>,
 }
 
@@ -600,6 +616,7 @@ fn shards<'a>(
     mut apps: &'a mut [ManagedApp],
     mut observations: &'a mut [MonitorObservation],
     mut requests: &'a mut [AppRequest],
+    mut rows: &'a mut [HotRow],
 ) -> Vec<Shard<'a>> {
     let runs = runs.clamp(1, list.len().max(1));
     let mut shards = Vec::with_capacity(runs);
@@ -615,12 +632,15 @@ fn shards<'a>(
         observations = tail;
         let (head_requests, tail) = std::mem::take(&mut requests).split_at_mut(end - base);
         requests = tail;
+        let (head_rows, tail) = std::mem::take(&mut rows).split_at_mut(end - base);
+        rows = tail;
         shards.push(Shard {
             base,
             list: &list[lo..hi],
             apps: head,
             observations: head_observations,
             requests: head_requests,
+            rows: head_rows,
             failure: None,
         });
         base = end;
@@ -684,23 +704,107 @@ fn decide_one(
     Ok(())
 }
 
+/// One registration slot's hot row: the report [`Coordinator::advance`]
+/// left since the last step, and everything the watchdog's fixed-point
+/// test reads, so that a settled app with a clean report is judged without
+/// a visit to its [`ManagedApp`].
+#[derive(Debug, Clone, Copy)]
+struct HotRow {
+    /// Work units of the last report since the last step (meaningful only
+    /// while `reported`).
+    work: f64,
+    /// Power of the last report since the last step (meaningful only while
+    /// `reported`).
+    power: f64,
+    /// The driver's emitted beats, written by [`Coordinator::advance`]
+    /// after it drives the workload (and read at registration).
+    beats: u64,
+    /// `beats` at the previous watchdog pass.
+    last_beats: u64,
+    /// Active quanta the watchdog has judged this app (the warmup clock).
+    judged_quanta: usize,
+    /// The overdraw envelope ([`overdraw_envelope`]) as of the last write
+    /// to its inputs: the decide stage and the watchdog's full pass write
+    /// it while the app is hot. NaN until first written, and NaN compares
+    /// false, so an unknown envelope falls to the full pass.
+    envelope: f64,
+    /// Whether `work` and `power` hold a report the watchdog has not read
+    /// (`false` = nothing reported — a stalled or crashed app).
+    reported: bool,
+    /// Whether [`Coordinator::advance`] reported for this slot since the
+    /// last step — the event that re-enrolls a steady app into observation
+    /// at a positive arbitration tolerance.
+    fresh: bool,
+    /// Whether a fresh, clean pass is a fixed point of the ladder: the app
+    /// is Healthy or Readmitted, present, and both strike thresholds are
+    /// positive (with a zero threshold a clean pass still quarantines).
+    /// Written only by [`watchdog_app`] and [`Coordinator::retire`].
+    settled: bool,
+}
+
+impl HotRow {
+    /// The row of a slot whose driver has emitted `beats` so far.
+    fn new(beats: u64) -> Self {
+        HotRow {
+            work: 0.0,
+            power: 0.0,
+            beats,
+            last_beats: 0,
+            judged_quanta: 0,
+            envelope: f64::NAN,
+            reported: false,
+            fresh: false,
+            settled: false,
+        }
+    }
+
+    /// Consumes the pending report as `(work, power)`.
+    fn take_report(&mut self) -> (Option<f64>, Option<f64>) {
+        let reported = std::mem::take(&mut self.reported);
+        (
+            reported.then_some(self.work),
+            reported.then_some(self.power),
+        )
+    }
+
+    /// The ladder's fixed point, judged from this row and the slot's
+    /// `request` alone: a settled app whose beats moved, whose report is
+    /// finite and inside the envelope (or which is still warming up), and
+    /// whose request holds no NaN leaves [`watchdog_app`] with nothing
+    /// changed but its clocks. Books exactly that pass and returns `true`;
+    /// otherwise changes nothing and returns `false`, leaving the slot to
+    /// the full pass.
+    fn pass_settled(&mut self, request: &AppRequest, config: &WatchdogConfig) -> bool {
+        let warming_up = self.judged_quanta < config.warmup_quanta;
+        let clean = self.settled
+            && self.beats != self.last_beats
+            && (!self.reported
+                || (self.work.is_finite()
+                    && self.power.is_finite()
+                    && (warming_up
+                        || self.power <= self.envelope * (1.0 + config.overdraw_tolerance))))
+            && !(request.urgency.is_nan()
+                || request.max_power_watts.is_nan()
+                || request.weight.is_nan());
+        if clean {
+            self.last_beats = self.beats;
+            self.judged_quanta = self.judged_quanta.saturating_add(1);
+            self.reported = false;
+        }
+        clean
+    }
+}
+
 /// Hot per-application state the step loop streams over every quantum, in
 /// struct-of-arrays layout parallel to the coordinator's `apps` (one dense
 /// row per registration slot, so the pool shards stream cache lines of
-/// *one* field instead of pulling whole [`ManagedApp`]s). The observation,
+/// small rows instead of pulling whole [`ManagedApp`]s). The observation,
 /// request, and award buffers on [`Coordinator`] itself are the other three
 /// columns of the same layout.
 #[derive(Debug, Default)]
 struct FleetHot {
-    /// Work units reported through [`Coordinator::advance`] since the last
-    /// step (`None` = nothing reported — a stalled or crashed app).
-    reported_work: Vec<Option<f64>>,
-    /// Power reported through [`Coordinator::advance`] since the last step.
-    reported_power: Vec<Option<f64>>,
-    /// Whether [`Coordinator::advance`] reported for this slot since the
-    /// last step — the event that re-enrolls a steady app into observation
-    /// at a positive arbitration tolerance.
-    fresh: Vec<bool>,
+    /// One [`HotRow`] per registration slot.
+    rows: Vec<HotRow>,
     /// Per-step scratch: the ascending slots that need a fresh snapshot
     /// this quantum — the round's participant list minus the participants
     /// that are steady and have no fresh report (they keep their buffered
@@ -979,6 +1083,11 @@ impl Coordinator {
     /// one, the ladder never runs.
     pub fn with_watchdog(mut self, config: WatchdogConfig) -> Self {
         self.watchdog = Some(config);
+        // Settled bits and envelopes were judged under the old thresholds:
+        // every slot's next pass is a full one, which rewrites both.
+        for row in &mut self.hot.rows {
+            row.settled = false;
+        }
         self
     }
 
@@ -1135,9 +1244,7 @@ impl Coordinator {
         if let Some(committed) = &mut self.committed_floors {
             *committed += committed_floor_watts(&app);
         }
-        self.hot.reported_work.push(None);
-        self.hot.reported_power.push(None);
-        self.hot.fresh.push(false);
+        self.hot.rows.push(HotRow::new(app.driver.emitted_beats()));
         self.apps.push(app);
         // The engine holds the present list every walk reads: the newcomer
         // is on it from now, not from its first step.
@@ -1208,6 +1315,7 @@ impl Coordinator {
         // walk stops at an app's decision error, and the slot departs
         // after that round whether or not the walk reached it.
         app.awarded_watts = 0.0;
+        self.hot.rows[handle.0].settled = false;
         self.arbiter.retire(handle.0);
         self.committed_floors = None;
         self.record(Some(Counter::Retirements), || EventKind::Retire {
@@ -1385,24 +1493,21 @@ impl Coordinator {
         // loop below.
         let budget = self.budget_watts;
         self.grow_rows();
-        let FleetHot {
-            fresh,
-            observe_list,
-            ..
-        } = &mut self.hot;
+        let FleetHot { rows, observe_list } = &mut self.hot;
         observe_list.clear();
         let arbiter = &self.arbiter;
         observe_list.extend(arbiter.awake_slots().iter().copied().filter(|&index| {
             let index = index as usize;
-            fresh[index] || !arbiter.steady(index)
+            rows[index].fresh || !arbiter.steady(index)
         }));
         walk_list(
             pool.as_deref(),
-            &self.hot.observe_list,
+            observe_list,
             &mut self.apps,
             &mut self.observations,
             &mut self.requests,
-            |_, app, observation, request| {
+            rows,
+            |_, app, observation, request, _| {
                 *observation = app.monitor.observation();
                 *request = request_for(app, observation, quantum, budget);
                 Ok(())
@@ -1418,33 +1523,27 @@ impl Coordinator {
         // rewrites are part of the same fold every policy sees. Walks the
         // engine's present list, sleepers included (retired apps are not
         // judged). With no watchdog configured this is a no-op branch,
-        // keeping the step bit-identical to a pre-watchdog build.
+        // keeping the step bit-identical to a pre-watchdog build. A settled
+        // slot whose pass is the ladder's fixed point — the common case —
+        // is booked from its hot row and request alone; every other slot
+        // runs the full ladder on its app.
         if let Some(config) = self.watchdog {
             let mut late_observed = 0;
             // By position: a transition marks its slot dirty, which only
             // touches the engine's wake state, never the present list.
             for position in 0..self.arbiter.present().len() {
                 let index = self.arbiter.present()[position] as usize;
-                let (app, request, observation) = (
-                    &mut self.apps[index],
-                    &mut self.requests[index],
-                    &mut self.observations[index],
-                );
+                let (row, request) = (&mut self.hot.rows[index], &mut self.requests[index]);
+                if row.pass_settled(request, &config) {
+                    continue;
+                }
+                let (app, observation) = (&mut self.apps[index], &mut self.observations[index]);
                 if app.departure.is_some() {
                     continue;
                 }
                 let before = app.health.state;
                 let first_quarantine = app.health.quarantined_at.is_none();
-                let reported_work = self.hot.reported_work[index].take();
-                let reported_power = self.hot.reported_power[index].take();
-                watchdog_app(
-                    app,
-                    request,
-                    reported_work,
-                    reported_power,
-                    &config,
-                    quantum,
-                );
+                watchdog_app(app, row, request, &config, quantum);
                 let after = app.health.state;
                 if after == before {
                     continue;
@@ -1547,19 +1646,25 @@ impl Coordinator {
         // so mid-round wakes (watchdog health transitions) are decided too;
         // sleeping slots are never visited, their held award and previous
         // decision stand. At a positive tolerance the dirty mask rides
-        // along: clean apps skip the whole decide quantum.
+        // along: clean apps skip the whole decide quantum. The award and
+        // the nominal-power estimate move only here (and at registration
+        // and retirement), so the walk rewrites each visited slot's cached
+        // overdraw envelope while the app is hot — on error too, since a
+        // failed decision may already have moved either.
         let awards = &self.awards;
         let dirty = (self.schedule().tolerance > 0.0).then(|| self.arbiter.dirty_mask());
         let decide_observer = observer.as_deref();
+        let floor = self.watchdog.map(|config| config.quarantine_floor_watts);
         walk_list(
             pool.as_deref(),
             self.arbiter.awake_slots(),
             &mut self.apps,
             &mut self.observations,
             &mut self.requests,
-            |index, app, observation, _| {
+            &mut self.hot.rows,
+            |index, app, observation, _, row| {
                 let dirty = dirty.map(|dirty| dirty[index]);
-                decide_one(
+                let result = decide_one(
                     app,
                     observation,
                     awards[index],
@@ -1567,7 +1672,11 @@ impl Coordinator {
                     now,
                     quantum,
                     decide_observer,
-                )
+                );
+                if let Some(floor) = floor {
+                    row.envelope = overdraw_envelope(app, floor);
+                }
+                result
             },
         )?;
 
@@ -1593,7 +1702,7 @@ impl Coordinator {
         // *sleeping* slot stays pending, so the wake quantum re-enrolls it
         // into observation.
         for &index in self.arbiter.awake_slots() {
-            self.hot.fresh[index as usize] = false;
+            self.hot.rows[index as usize].fresh = false;
         }
 
         self.quantum += 1;
@@ -1632,15 +1741,17 @@ impl Coordinator {
         work_units: f64,
         power_above_idle_watts: f64,
     ) {
-        let app = &mut self.apps[handle.0];
+        let (app, row) = (&mut self.apps[handle.0], &mut self.hot.rows[handle.0]);
         // Remember the raw report for the watchdog: the driver clamps NaN
         // work to 0 and the power estimator rejects non-finite samples, so
         // the *sanitised* path never sees what the app actually claimed.
-        self.hot.reported_work[handle.0] = Some(work_units);
-        self.hot.reported_power[handle.0] = Some(power_above_idle_watts);
-        self.hot.fresh[handle.0] = true;
+        row.work = work_units;
+        row.power = power_above_idle_watts;
+        row.reported = true;
+        row.fresh = true;
         app.driver
             .advance_metered(start, end, work_units, power_above_idle_watts);
+        row.beats = app.driver.emitted_beats();
     }
 }
 
@@ -2019,9 +2130,17 @@ mod tests {
             };
             fleet
         ];
+        let mut rows = vec![HotRow::new(0); fleet];
         let list: Vec<u32> = std::iter::once(3).chain(29..40).collect();
         for runs in [2, 3, 5, 12, 64] {
-            let shards = shards(&list, runs, &mut apps, &mut observations, &mut requests);
+            let shards = shards(
+                &list,
+                runs,
+                &mut apps,
+                &mut observations,
+                &mut requests,
+                &mut rows,
+            );
             let lengths: Vec<usize> = shards.iter().map(|shard| shard.list.len()).collect();
             assert_eq!(
                 shards.len(),
@@ -2045,6 +2164,7 @@ mod tests {
                 assert_eq!(shard.base, base);
                 assert_eq!(shard.observations.len(), shard.apps.len());
                 assert_eq!(shard.requests.len(), shard.apps.len());
+                assert_eq!(shard.rows.len(), shard.apps.len());
                 assert!(shard
                     .list
                     .iter()
@@ -2406,6 +2526,127 @@ mod tests {
                 "honest apps stay off the quarantine rung, got {state:?}"
             );
         }
+    }
+
+    /// Every field of a hot row, floats as bits (a NaN envelope equals
+    /// itself).
+    fn row_bits(row: &HotRow) -> (u64, u64, u64, u64, usize, u64, [bool; 3]) {
+        (
+            row.work.to_bits(),
+            row.power.to_bits(),
+            row.beats,
+            row.last_beats,
+            row.judged_quanta,
+            row.envelope.to_bits(),
+            [row.reported, row.fresh, row.settled],
+        )
+    }
+
+    #[test]
+    fn the_settled_fast_path_is_exactly_the_ladders_fixed_point() {
+        // Over a grid of settled rows, reports, envelopes, tolerances,
+        // warmup clocks and requests, whenever the row-only test books a
+        // pass, the full ladder run on the same inputs must leave the app's
+        // health, the request and the row exactly as the fast path did.
+        let mut app = managed_app(SplashBenchmark::Barnes, 7, 10.0);
+        let nan = f64::NAN;
+        let reports = [
+            None,
+            Some((10.0, 3.0)),
+            Some((10.0, 6.0)),
+            Some((10.0, 100.0)),
+            Some((nan, 3.0)),
+            Some((10.0, nan)),
+            Some((10.0, f64::INFINITY)),
+            Some((f64::INFINITY, 3.0)),
+        ];
+        let requests = [
+            (1.0, 20.0, 1.0),
+            (nan, 20.0, 1.0),
+            (1.0, nan, 1.0),
+            (1.0, 20.0, nan),
+            (1.0, f64::INFINITY, 1.0),
+        ];
+        let mut booked = 0;
+        for state in [HealthState::Healthy, HealthState::Readmitted] {
+            for moved in [false, true] {
+                for report in reports {
+                    for award in [0.0, 4.0, 50.0] {
+                        for tolerance in [nan, -0.5, 0.0, 0.5] {
+                            for (judged, warmup) in [(0, 0), (3, 8), (9, 8)] {
+                                for (urgency, max_power_watts, weight) in requests {
+                                    for cached in [true, false] {
+                                        let config = WatchdogConfig {
+                                            overdraw_tolerance: tolerance,
+                                            warmup_quanta: warmup,
+                                            ..WatchdogConfig::default()
+                                        };
+                                        app.awarded_watts = award;
+                                        app.health = HealthTracker {
+                                            state,
+                                            ..HealthTracker::new()
+                                        };
+                                        let mut row = HotRow::new(40 + moved as u64);
+                                        row.last_beats = 40;
+                                        row.judged_quanta = judged;
+                                        row.settled = true;
+                                        if let Some((work, power)) = report {
+                                            (row.work, row.power, row.reported) =
+                                                (work, power, true);
+                                        }
+                                        if cached {
+                                            row.envelope = overdraw_envelope(
+                                                &app,
+                                                config.quarantine_floor_watts,
+                                            );
+                                        }
+                                        let request = AppRequest {
+                                            active: true,
+                                            weight,
+                                            urgency,
+                                            max_power_watts,
+                                        };
+                                        let mut fast = row;
+                                        if !fast.pass_settled(&request, &config) {
+                                            assert_eq!(row_bits(&fast), row_bits(&row));
+                                            continue;
+                                        }
+                                        booked += 1;
+                                        let health = app.health;
+                                        let mut full_request = request;
+                                        watchdog_app(
+                                            &mut app,
+                                            &mut row,
+                                            &mut full_request,
+                                            &config,
+                                            5,
+                                        );
+                                        assert_eq!(app.health, health, "{report:?} {tolerance}");
+                                        // The full pass also fills an
+                                        // unknown envelope cache.
+                                        if !cached {
+                                            fast.envelope = row.envelope;
+                                        }
+                                        assert_eq!(row_bits(&row), row_bits(&fast));
+                                        assert_eq!(
+                                            (
+                                                full_request.urgency.to_bits(),
+                                                full_request.max_power_watts.to_bits()
+                                            ),
+                                            (
+                                                request.urgency.to_bits(),
+                                                request.max_power_watts.to_bits()
+                                            )
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(booked > 100, "the grid books {booked} passes");
     }
 
     #[test]
