@@ -1648,9 +1648,11 @@ impl Coordinator {
         // decision stand. At a positive tolerance the dirty mask rides
         // along: clean apps skip the whole decide quantum. The award and
         // the nominal-power estimate move only here (and at registration
-        // and retirement), so the walk rewrites each visited slot's cached
+        // and retirement), so the walk rewrites a visited slot's cached
         // overdraw envelope while the app is hot — on error too, since a
-        // failed decision may already have moved either.
+        // failed decision may already have moved either — unless the slot
+        // skips its decision and keeps its award bit for bit, which moves
+        // neither.
         let awards = &self.awards;
         let dirty = (self.schedule().tolerance > 0.0).then(|| self.arbiter.dirty_mask());
         let decide_observer = observer.as_deref();
@@ -1664,6 +1666,8 @@ impl Coordinator {
             &mut self.hot.rows,
             |index, app, observation, _, row| {
                 let dirty = dirty.map(|dirty| dirty[index]);
+                let held =
+                    dirty == Some(false) && app.awarded_watts.to_bits() == awards[index].to_bits();
                 let result = decide_one(
                     app,
                     observation,
@@ -1673,7 +1677,7 @@ impl Coordinator {
                     quantum,
                     decide_observer,
                 );
-                if let Some(floor) = floor {
+                if let (Some(floor), false) = (floor, held) {
                     row.envelope = overdraw_envelope(app, floor);
                 }
                 result
@@ -2567,84 +2571,72 @@ mod tests {
             (1.0, 20.0, nan),
             (1.0, f64::INFINITY, 1.0),
         ];
+        let (awards, tolerances) = ([0.0, 4.0, 50.0], [nan, -0.5, 0.0, 0.5]);
+        let clocks = [(0, 0), (3, 8), (9, 8)];
+        let cases = 2 * 2 * reports.len() * 3 * 4 * 3 * requests.len() * 2;
         let mut booked = 0;
-        for state in [HealthState::Healthy, HealthState::Readmitted] {
-            for moved in [false, true] {
-                for report in reports {
-                    for award in [0.0, 4.0, 50.0] {
-                        for tolerance in [nan, -0.5, 0.0, 0.5] {
-                            for (judged, warmup) in [(0, 0), (3, 8), (9, 8)] {
-                                for (urgency, max_power_watts, weight) in requests {
-                                    for cached in [true, false] {
-                                        let config = WatchdogConfig {
-                                            overdraw_tolerance: tolerance,
-                                            warmup_quanta: warmup,
-                                            ..WatchdogConfig::default()
-                                        };
-                                        app.awarded_watts = award;
-                                        app.health = HealthTracker {
-                                            state,
-                                            ..HealthTracker::new()
-                                        };
-                                        let mut row = HotRow::new(40 + moved as u64);
-                                        row.last_beats = 40;
-                                        row.judged_quanta = judged;
-                                        row.settled = true;
-                                        if let Some((work, power)) = report {
-                                            (row.work, row.power, row.reported) =
-                                                (work, power, true);
-                                        }
-                                        if cached {
-                                            row.envelope = overdraw_envelope(
-                                                &app,
-                                                config.quarantine_floor_watts,
-                                            );
-                                        }
-                                        let request = AppRequest {
-                                            active: true,
-                                            weight,
-                                            urgency,
-                                            max_power_watts,
-                                        };
-                                        let mut fast = row;
-                                        if !fast.pass_settled(&request, &config) {
-                                            assert_eq!(row_bits(&fast), row_bits(&row));
-                                            continue;
-                                        }
-                                        booked += 1;
-                                        let health = app.health;
-                                        let mut full_request = request;
-                                        watchdog_app(
-                                            &mut app,
-                                            &mut row,
-                                            &mut full_request,
-                                            &config,
-                                            5,
-                                        );
-                                        assert_eq!(app.health, health, "{report:?} {tolerance}");
-                                        // The full pass also fills an
-                                        // unknown envelope cache.
-                                        if !cached {
-                                            fast.envelope = row.envelope;
-                                        }
-                                        assert_eq!(row_bits(&row), row_bits(&fast));
-                                        assert_eq!(
-                                            (
-                                                full_request.urgency.to_bits(),
-                                                full_request.max_power_watts.to_bits()
-                                            ),
-                                            (
-                                                request.urgency.to_bits(),
-                                                request.max_power_watts.to_bits()
-                                            )
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+        for case in 0..cases {
+            // The case's coordinates on the grid, one dimension at a time.
+            let mut rest = case;
+            let mut pick = |n: usize| {
+                let index = rest % n;
+                rest /= n;
+                index
+            };
+            let state = [HealthState::Healthy, HealthState::Readmitted][pick(2)];
+            let moved = pick(2) as u64;
+            let report = reports[pick(reports.len())];
+            let award = awards[pick(3)];
+            let tolerance = tolerances[pick(4)];
+            let (judged, warmup) = clocks[pick(3)];
+            let (urgency, max_power_watts, weight) = requests[pick(requests.len())];
+            let cached = pick(2) == 1;
+
+            let config = WatchdogConfig {
+                overdraw_tolerance: tolerance,
+                warmup_quanta: warmup,
+                ..WatchdogConfig::default()
+            };
+            app.awarded_watts = award;
+            app.health = HealthTracker {
+                state,
+                ..HealthTracker::new()
+            };
+            let mut row = HotRow::new(40 + moved);
+            row.last_beats = 40;
+            row.judged_quanta = judged;
+            row.settled = true;
+            if let Some((work, power)) = report {
+                (row.work, row.power, row.reported) = (work, power, true);
             }
+            if cached {
+                row.envelope = overdraw_envelope(&app, config.quarantine_floor_watts);
+            }
+            let request = AppRequest {
+                active: true,
+                weight,
+                urgency,
+                max_power_watts,
+            };
+            let mut fast = row;
+            if !fast.pass_settled(&request, &config) {
+                assert_eq!(row_bits(&fast), row_bits(&row), "case {case}");
+                continue;
+            }
+            booked += 1;
+            let health = app.health;
+            let mut full_request = request;
+            watchdog_app(&mut app, &mut row, &mut full_request, &config, 5);
+            assert_eq!(app.health, health, "case {case}");
+            // The full pass also fills an unknown envelope cache.
+            if !cached {
+                fast.envelope = row.envelope;
+            }
+            assert_eq!(row_bits(&row), row_bits(&fast), "case {case}");
+            let bits = |request: &AppRequest| {
+                (request.urgency.to_bits(), request.max_power_watts.to_bits())
+            };
+            assert_eq!(bits(&full_request), bits(&request), "case {case}");
         }
         assert!(booked > 100, "the grid books {booked} passes");
     }
