@@ -2642,6 +2642,47 @@ mod tests {
     }
 
     #[test]
+    fn the_envelope_cache_tracks_its_inputs_under_wake_scheduling() {
+        // The fast path trusts a settled row's envelope: after every step
+        // it must equal the envelope recomputed from the app, bit for bit
+        // (or still be unknown), across budgets that bind, clamp held
+        // awards and leave slack.
+        let config = WatchdogConfig::default();
+        for budget in [12.0, 30.0, 60.0, 200.0, 400.0, 1000.0] {
+            let mut coordinator = Coordinator::new(budget, Box::new(WeightedFair))
+                .with_watchdog(config)
+                .with_arbitration_tolerance(0.05)
+                .with_wake_schedule(WakeConfig {
+                    steady_quanta: 2,
+                    horizon: 8,
+                });
+            let handles: Vec<AppHandle> = (0..6)
+                .map(|i| {
+                    let benchmark = SplashBenchmark::ALL[i % SplashBenchmark::ALL.len()];
+                    coordinator.register(managed_app(benchmark, i as u64 + 1, 20.0))
+                })
+                .collect();
+            let mut now = 0.0;
+            for _ in 0..40 {
+                drive_from(&mut coordinator, &handles, 1, &mut now);
+                for (index, row) in coordinator.hot.rows.iter().enumerate() {
+                    if !row.settled || row.envelope.is_nan() {
+                        continue;
+                    }
+                    let expected =
+                        overdraw_envelope(&coordinator.apps[index], config.quarantine_floor_watts);
+                    assert_eq!(
+                        row.envelope.to_bits(),
+                        expected.to_bits(),
+                        "slot {index} at quantum {} under {budget} W",
+                        coordinator.quantum()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn watchdog_on_a_healthy_fleet_changes_nothing() {
         // With every app honest, the enabled ladder must not perturb a
         // single award or decision relative to the watchdog-free run.
