@@ -188,3 +188,18 @@ pub fn advance_present(coordinator: &mut Coordinator, now: f64) {
         coordinator.advance(handle, now - 1.0, now, work, power);
     }
 }
+
+/// The first slot whose two award records disagree: the fresh award
+/// ([`Coordinator::awards`]) and the envelope the app executed under
+/// ([`ManagedApp::awarded_watts`]), compared bit for bit, as
+/// `(slot, award, awarded_watts)`. After every successful step the two
+/// agree for every registered slot; a length mismatch reports the first
+/// slot one of them lacks (NaN for the missing side).
+pub fn award_record_mismatch(coordinator: &Coordinator) -> Option<(usize, f64, f64)> {
+    let (apps, awards) = (coordinator.apps(), coordinator.awards());
+    (0..apps.len().max(awards.len())).find_map(|slot| {
+        let award = awards.get(slot).copied().unwrap_or(f64::NAN);
+        let awarded = apps.get(slot).map_or(f64::NAN, ManagedApp::awarded_watts);
+        (award.to_bits() != awarded.to_bits()).then_some((slot, award, awarded))
+    })
+}

@@ -39,8 +39,8 @@
 mod common;
 
 use common::{
-    advance_present, decode_slots, lifecycle, managed, parts, platform_outcome, policies, Slot,
-    POWER_HINT,
+    advance_present, award_record_mismatch, decode_slots, lifecycle, managed, parts,
+    platform_outcome, policies, Slot, POWER_HINT,
 };
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
@@ -586,6 +586,12 @@ proptest! {
                  {total} > {} — a sleeper held an award across the budget step",
                 budget * 0.95
             );
+            let mismatch = award_record_mismatch(&coordinator);
+            prop_assert!(
+                mismatch.is_none(),
+                "{policy_name} with wake ({steady}, {horizon}) quantum {quantum}: \
+                 (slot, award, awarded_watts) {mismatch:?}"
+            );
         }
         let slept = recorder.counter(Counter::AppsSlept);
         let skipped = recorder.counter(Counter::AppsSkipped);
@@ -895,6 +901,11 @@ fn drive_departures(
             .collect();
         let violations = check_award_vector(coordinator.awards(), &apps);
         prop_assert!(violations.is_empty(), "quantum {quantum}: {violations:?}");
+        let mismatch = award_record_mismatch(&coordinator);
+        prop_assert!(
+            mismatch.is_none(),
+            "quantum {quantum}: (slot, award, awarded_watts) {mismatch:?}"
+        );
         trace.push((
             summary,
             coordinator

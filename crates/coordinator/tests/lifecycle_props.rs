@@ -23,7 +23,9 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{advance_present, decode_slots, lifecycle, managed, parts, policies, Slot};
+use common::{
+    advance_present, award_record_mismatch, decode_slots, lifecycle, managed, parts, policies, Slot,
+};
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_summary_total, AwardedApp,
 };
@@ -179,6 +181,11 @@ proptest! {
                 check_summary_total(summary.awarded_watts_total, total).is_none(),
                 "{policy_name}: summary total {} vs recomputed {total}",
                 summary.awarded_watts_total
+            );
+            let mismatch = award_record_mismatch(&coordinator);
+            prop_assert!(
+                mismatch.is_none(),
+                "{policy_name}: (slot, award, awarded_watts) {mismatch:?} at quantum {stepped_at}"
             );
         }
     }
