@@ -795,27 +795,6 @@ impl HotRow {
     }
 }
 
-/// Hot per-application state the step loop streams over every quantum, in
-/// struct-of-arrays layout parallel to the coordinator's `apps` (one dense
-/// row per registration slot, so the pool shards stream cache lines of
-/// small rows instead of pulling whole [`ManagedApp`]s). The observation,
-/// request, and award buffers on [`Coordinator`] itself are the other three
-/// columns of the same layout.
-#[derive(Debug, Default)]
-struct FleetHot {
-    /// One [`HotRow`] per registration slot.
-    rows: Vec<HotRow>,
-    /// Per-step scratch: the ascending slots that need a fresh snapshot
-    /// this quantum — the round's participant list minus the participants
-    /// that are steady and have no fresh report (they keep their buffered
-    /// observation and request). Slots registered or retired since the
-    /// last step are never steady, so they are always on it. The watchdog
-    /// loop binary-searches it: a slot moved up or down the health ladder
-    /// that is *not* on it (a sleeper, or a steady participant) gets a late
-    /// observation there.
-    observe_list: Vec<u32>,
-}
-
 /// Runs many applications' ODA loops on one shared quantum schedule and
 /// arbitrates a machine-level power budget across them.
 ///
@@ -927,8 +906,22 @@ pub struct Coordinator {
     /// present list every other walk reads; switched in place whenever
     /// the schedule changes.
     arbiter: IncrementalArbiter,
-    /// Struct-of-arrays hot state parallel to `apps` (see [`FleetHot`]).
-    hot: FleetHot,
+    /// One [`HotRow`] per registration slot: hot per-application state in
+    /// struct-of-arrays layout parallel to `apps`, so the step streams
+    /// cache lines of small rows instead of pulling whole
+    /// [`ManagedApp`]s. The observation and request buffers below, and
+    /// the engine's award column, are the other columns of the same
+    /// layout.
+    rows: Vec<HotRow>,
+    /// Per-step scratch: the ascending slots that need a fresh snapshot
+    /// this quantum — the round's participant list minus the participants
+    /// that are steady and have no fresh report (they keep their buffered
+    /// observation and request). Slots registered or retired since the
+    /// last step are never steady, so they are always on it. The watchdog
+    /// loop binary-searches it: a slot moved up or down the health ladder
+    /// that is *not* on it (a sleeper, or a steady participant) gets a late
+    /// observation there.
+    observe_list: Vec<u32>,
     /// The admission feasibility sum — resident committed floors folded
     /// in registration order — while no floor can have moved: registering
     /// appends the newcomer's floor, and [`Self::step`] (where decisions
@@ -941,7 +934,6 @@ pub struct Coordinator {
     // nothing (the pooled step allocates one small per-shard Vec).
     observations: Vec<MonitorObservation>,
     requests: Vec<AppRequest>,
-    awards: Vec<f64>,
     /// Telemetry recorder; `None` (the default) keeps every stage on the
     /// allocation-free hot path — no counter, no clock, no event. Counters
     /// and histogram timings go straight to the recorder (order-free
@@ -1005,12 +997,12 @@ impl Coordinator {
             admission_feasibility: false,
             arbiter: IncrementalArbiter::new(ArbitrationSchedule::default())
                 .expect("the default schedule is valid"),
-            hot: FleetHot::default(),
+            rows: Vec::new(),
+            observe_list: Vec::new(),
             committed_floors: None,
             last_now: 0.0,
             observations: Vec::new(),
             requests: Vec::new(),
-            awards: Vec::new(),
             observer: None,
         }
     }
@@ -1085,7 +1077,7 @@ impl Coordinator {
         self.watchdog = Some(config);
         // Settled bits and envelopes were judged under the old thresholds:
         // every slot's next pass is a full one, which rewrites both.
-        for row in &mut self.hot.rows {
+        for row in &mut self.rows {
             row.settled = false;
         }
         self
@@ -1223,7 +1215,8 @@ impl Coordinator {
     /// Registers an application — its arrival — and returns its handle.
     /// May be called at any point of the run: the app is present, and
     /// takes part in arbitration, from the next [`Self::step`] until it is
-    /// [retired](Self::retire).
+    /// [retired](Self::retire). Its [`Self::awards`] entry exists from
+    /// here on and reads 0 W until that step.
     ///
     /// With [`Self::with_admission_control`] enabled, a registration after
     /// the first step is immediately decided under a zero powerup cap — the
@@ -1244,7 +1237,7 @@ impl Coordinator {
         if let Some(committed) = &mut self.committed_floors {
             *committed += committed_floor_watts(&app);
         }
-        self.hot.rows.push(HotRow::new(app.driver.emitted_beats()));
+        self.rows.push(HotRow::new(app.driver.emitted_beats()));
         self.apps.push(app);
         // The engine holds the present list every walk reads: the newcomer
         // is on it from now, not from its first step.
@@ -1315,7 +1308,7 @@ impl Coordinator {
         // walk stops at an app's decision error, and the slot departs
         // after that round whether or not the walk reached it.
         app.awarded_watts = 0.0;
-        self.hot.rows[handle.0].settled = false;
+        self.rows[handle.0].settled = false;
         self.arbiter.retire(handle.0);
         self.committed_floors = None;
         self.record(Some(Counter::Retirements), || EventKind::Retire {
@@ -1383,9 +1376,13 @@ impl Coordinator {
         &self.apps
     }
 
-    /// The watt envelopes of the most recent step, in registration order.
+    /// The watt envelope of every registered app, one entry per app in
+    /// registration order: the award of the most recent step it took part
+    /// in (held through the quanta it slept), exactly 0 W once it has
+    /// departed, and 0 W from [`Self::register`] until its first step —
+    /// as [`ManagedApp::awarded_watts`] reads before its first step.
     pub fn awards(&self) -> &[f64] {
-        &self.awards
+        self.arbiter.awards()
     }
 
     /// Folds the whole fleet's state into one machine-level [`AppRequest`]
@@ -1493,20 +1490,20 @@ impl Coordinator {
         // loop below.
         let budget = self.budget_watts;
         self.grow_rows();
-        let FleetHot { rows, observe_list } = &mut self.hot;
-        observe_list.clear();
-        let arbiter = &self.arbiter;
-        observe_list.extend(arbiter.awake_slots().iter().copied().filter(|&index| {
-            let index = index as usize;
-            rows[index].fresh || !arbiter.steady(index)
-        }));
+        self.observe_list.clear();
+        let (arbiter, rows) = (&self.arbiter, &self.rows);
+        self.observe_list
+            .extend(arbiter.awake_slots().iter().copied().filter(|&index| {
+                let index = index as usize;
+                rows[index].fresh || !arbiter.steady(index)
+            }));
         walk_list(
             pool.as_deref(),
-            observe_list,
+            &self.observe_list,
             &mut self.apps,
             &mut self.observations,
             &mut self.requests,
-            rows,
+            &mut self.rows,
             |_, app, observation, request, _| {
                 *observation = app.monitor.observation();
                 *request = request_for(app, observation, quantum, budget);
@@ -1514,7 +1511,7 @@ impl Coordinator {
             },
         )?;
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
-            observer.add(Counter::AppsObserved, self.hot.observe_list.len() as u64);
+            observer.add(Counter::AppsObserved, self.observe_list.len() as u64);
             observer.time(Stage::Observe, clock.lap());
         }
 
@@ -1533,7 +1530,7 @@ impl Coordinator {
             // touches the engine's wake state, never the present list.
             for position in 0..self.arbiter.present().len() {
                 let index = self.arbiter.present()[position] as usize;
-                let (row, request) = (&mut self.hot.rows[index], &mut self.requests[index]);
+                let (row, request) = (&mut self.rows[index], &mut self.requests[index]);
                 if row.pass_settled(request, &config) {
                     continue;
                 }
@@ -1557,12 +1554,7 @@ impl Coordinator {
                 // decides on a current snapshot, its request rebuilt from
                 // it (so a readmission drops the floor) and re-floored
                 // while quarantined.
-                if self
-                    .hot
-                    .observe_list
-                    .binary_search(&(index as u32))
-                    .is_err()
-                {
+                if self.observe_list.binary_search(&(index as u32)).is_err() {
                     *observation = app.monitor.observation();
                     *request = request_for(app, observation, quantum, budget);
                     if after == HealthState::Quarantined {
@@ -1605,7 +1597,6 @@ impl Coordinator {
             self.policy.as_mut(),
             self.budget_watts * Self::HEADROOM,
             &self.requests,
-            &mut self.awards,
         );
 
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
@@ -1626,8 +1617,9 @@ impl Coordinator {
             // round's new sleepers are still on the list and are not.
             let mut changed = 0;
             let mut held = outcome.slept as u64;
+            let awards = self.arbiter.awards();
             for &index in self.arbiter.awake_slots() {
-                let (app, award) = (&self.apps[index as usize], self.awards[index as usize]);
+                let (app, award) = (&self.apps[index as usize], awards[index as usize]);
                 if !app.active_at(quantum) {
                     continue;
                 }
@@ -1653,7 +1645,7 @@ impl Coordinator {
         // failed decision may already have moved either — unless the slot
         // skips its decision and keeps its award bit for bit, which moves
         // neither.
-        let awards = &self.awards;
+        let awards = self.arbiter.awards();
         let dirty = (self.schedule().tolerance > 0.0).then(|| self.arbiter.dirty_mask());
         let decide_observer = observer.as_deref();
         let floor = self.watchdog.map(|config| config.quarantine_floor_watts);
@@ -1663,7 +1655,7 @@ impl Coordinator {
             &mut self.apps,
             &mut self.observations,
             &mut self.requests,
-            &mut self.hot.rows,
+            &mut self.rows,
             |index, app, observation, _, row| {
                 let dirty = dirty.map(|dirty| dirty[index]);
                 let held =
@@ -1694,11 +1686,11 @@ impl Coordinator {
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
             observer.time(Stage::Decide, clock.lap());
         }
-        let present = self.arbiter.present();
+        let (present, awards) = (self.arbiter.present(), self.arbiter.awards());
         let active_apps = present.len();
         let mut awarded_total = 0.0;
         for &index in present {
-            awarded_total += self.awards[index as usize];
+            awarded_total += awards[index as usize];
         }
 
         // The report-freshness flags describe "since the last step"; this
@@ -1706,7 +1698,7 @@ impl Coordinator {
         // *sleeping* slot stays pending, so the wake quantum re-enrolls it
         // into observation.
         for &index in self.arbiter.awake_slots() {
-            self.hot.rows[index as usize].fresh = false;
+            self.rows[index as usize].fresh = false;
         }
 
         self.quantum += 1;
@@ -1745,7 +1737,7 @@ impl Coordinator {
         work_units: f64,
         power_above_idle_watts: f64,
     ) {
-        let (app, row) = (&mut self.apps[handle.0], &mut self.hot.rows[handle.0]);
+        let (app, row) = (&mut self.apps[handle.0], &mut self.rows[handle.0]);
         // Remember the raw report for the watchdog: the driver clamps NaN
         // work to 0 and the power estimator rejects non-finite samples, so
         // the *sanitised* path never sees what the app actually claimed.
@@ -2665,7 +2657,7 @@ mod tests {
             let mut now = 0.0;
             for _ in 0..40 {
                 drive_from(&mut coordinator, &handles, 1, &mut now);
-                for (index, row) in coordinator.hot.rows.iter().enumerate() {
+                for (index, row) in coordinator.rows.iter().enumerate() {
                     if !row.settled || row.envelope.is_nan() {
                         continue;
                     }
@@ -3295,18 +3287,14 @@ mod tests {
                 .enumerate()
                 .filter(|&(i, &h)| {
                     coordinator.app(h).health_state() != before[i]
-                        && coordinator
-                            .hot
-                            .observe_list
-                            .binary_search(&(i as u32))
-                            .is_err()
+                        && coordinator.observe_list.binary_search(&(i as u32)).is_err()
                 })
                 .count() as u64;
             late_total += late;
             fleet_quanta += handles.len() as u64;
             assert_eq!(
                 observed,
-                coordinator.hot.observe_list.len() as u64 + late,
+                coordinator.observe_list.len() as u64 + late,
                 "quantum {quantum}: apps_observed must book the list and the late observations"
             );
             assert!(

@@ -217,9 +217,14 @@ pub struct IncrementalArbiter {
     /// Request snapshot at each slot's last arbitration (struct-of-arrays:
     /// one dense request row per app, streamed in slot order).
     last_requests: Vec<AppRequest>,
-    /// The award each slot is holding from its last arbitration.
+    /// The award each slot is holding from its last arbitration — the one
+    /// award vector ([`Self::awards`]).
     held: Vec<f64>,
-    /// Slots marked dirty by events since the last round.
+    /// Per-round scratch: the policy's awards for the dirty participants,
+    /// in list order, before they scatter into `held`.
+    dirty_awards: Vec<f64>,
+    /// Slots marked dirty by events since the last round (a slot starts
+    /// marked).
     marked: Vec<bool>,
     /// The dirty mask of the most recent round (kept for the caller's
     /// decide stage and telemetry).
@@ -303,6 +308,7 @@ impl IncrementalArbiter {
             schedule,
             last_requests: Vec::new(),
             held: Vec::new(),
+            dirty_awards: Vec::new(),
             marked: Vec::new(),
             dirty: Vec::new(),
             fleet_dirty: true,
@@ -336,9 +342,10 @@ impl IncrementalArbiter {
     /// round still gets its one absent round. The caller validates the
     /// schedule.
     pub(crate) fn set_schedule(&mut self, schedule: ArbitrationSchedule) {
+        // Waking everyone empties every bucket of the old wheel.
         self.mark_all_dirty();
         self.schedule = schedule;
-        self.wheel.resize_with(schedule.wake.horizon, Vec::new);
+        self.wheel = vec![Vec::new(); schedule.wake.horizon];
     }
 
     /// Wakes `index` if it is asleep: the slot re-enters classification
@@ -353,10 +360,10 @@ impl IncrementalArbiter {
         }
         if index < self.sleeping.len() && self.sleeping[index] {
             self.sleeping[index] = false;
-            if self.last_requests.get(index).is_some_and(|r| r.active) {
+            if self.last_requests[index].active {
                 self.sleeping_active -= 1;
             }
-            self.sleeping_held_sum -= self.held.get(index).copied().unwrap_or(0.0);
+            self.sleeping_held_sum -= self.held[index];
             self.streak[index] = 0;
             self.pending_wakes.push(index as u32);
         } else if index < self.streak.len() {
@@ -366,20 +373,20 @@ impl IncrementalArbiter {
 
     /// Marks one slot dirty: it re-enters the fold next round regardless of
     /// its request delta (lifecycle events, health transitions). Also wakes
-    /// the slot — no app sleeps through an envelope change.
+    /// the slot — no app sleeps through an envelope change. A slot the
+    /// engine has not grown yet needs no mark: it starts marked.
     pub fn mark_dirty(&mut self, index: usize) {
         self.wake(index);
-        if index >= self.marked.len() {
-            self.marked.resize(index + 1, false);
+        if let Some(marked) = self.marked.get_mut(index) {
+            *marked = true;
         }
-        self.marked[index] = true;
     }
 
     /// Hands a departing slot to the engine: it takes part in exactly one
     /// more round and then leaves the present and participant lists for
     /// good. The caller must have made its request inactive, so that round
-    /// awards it exactly 0 W — the award every later round copies out.
-    /// Marks it dirty (which wakes it), so that round cannot skip it.
+    /// awards it exactly 0 W — the award it holds from then on. Marks it
+    /// dirty (which wakes it), so that round cannot skip it.
     pub(crate) fn retire(&mut self, index: usize) {
         self.mark_dirty(index);
         self.departing.push(index as u32);
@@ -414,8 +421,9 @@ impl IncrementalArbiter {
     }
 
     /// The dirty mask of the most recent [`Self::arbitrate`] round, one
-    /// flag per request slot (empty before the first round). The caller's
-    /// decide stage uses this to skip clean applications.
+    /// flag per slot (false for a slot that has not taken part in a round
+    /// yet). The caller's decide stage uses this to skip clean
+    /// applications.
     pub fn dirty_mask(&self) -> &[bool] {
         &self.dirty
     }
@@ -441,6 +449,14 @@ impl IncrementalArbiter {
         &self.awake
     }
 
+    /// The award each slot holds, one per slot the engine has grown: the
+    /// most recent round's award for a participant, the held award for a
+    /// sleeper, exactly 0 W for a departed slot and for a slot that has not
+    /// taken part in a round yet.
+    pub fn awards(&self) -> &[f64] {
+        &self.held
+    }
+
     /// The ascending indices of every present slot — each slot the engine
     /// has seen (through [`Self::begin_round`] or a growing request slice)
     /// that has not departed, sleepers included. A slot retired since the
@@ -461,8 +477,9 @@ impl IncrementalArbiter {
     }
 
     /// Starts a round: grows the per-slot columns to `fleet` slots (new
-    /// slots join the participant list), drops the slots that departed
-    /// last round from the list, and — with the scheduler on — drops last
+    /// slots join the participant list, marked, holding 0 W), drops the
+    /// slots that departed last round from the list, and — with the
+    /// scheduler on — drops last
     /// round's sleepers, drains the wheel bucket whose deadline is due, and
     /// merges every pending wake. Idempotent per round; [`Self::arbitrate`]
     /// calls it itself when the caller did not. Returns the ascending
@@ -496,15 +513,12 @@ impl IncrementalArbiter {
             let mut due = std::mem::take(&mut self.wheel[bucket]);
             for &index in &due {
                 let slot = index as usize;
-                if slot < self.sleeping.len()
-                    && self.sleeping[slot]
-                    && self.deadline[slot] == self.round
-                {
+                if self.sleeping[slot] && self.deadline[slot] == self.round {
                     self.sleeping[slot] = false;
-                    if self.last_requests.get(slot).is_some_and(|r| r.active) {
+                    if self.last_requests[slot].active {
                         self.sleeping_active -= 1;
                     }
-                    self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
+                    self.sleeping_held_sum -= self.held[slot];
                     self.streak[slot] = 0;
                     self.pending_wakes.push(index);
                 }
@@ -516,47 +530,34 @@ impl IncrementalArbiter {
         &self.awake
     }
 
-    /// Grows (or shrinks) the per-slot round columns to `fleet` slots; new
-    /// slots are present and join the participant list (they are dirty by
-    /// definition). [`Self::begin_round`] grows to its fleet itself; the
-    /// coordinator also grows at registration, so a newcomer is present
-    /// before its first step.
+    /// Grows every per-slot column to `fleet` slots — the one place a
+    /// column grows. A new slot is present, awake and marked (dirty in its
+    /// first round), holds 0 W and has never been arbitrated.
+    /// [`Self::begin_round`] grows to its fleet itself; the coordinator
+    /// also grows at registration, so a newcomer is present, with a 0 W
+    /// award, before its first step.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fleet` is below the slot count (slots are never
+    /// compacted) or above `u32` indices.
     pub(crate) fn ensure_capacity(&mut self, fleet: usize) {
         assert!(fleet <= u32::MAX as usize, "fleet exceeds u32 slot indices");
-        let old = self.sleeping.len();
-        if fleet > old {
-            self.sleeping.resize(fleet, false);
-            self.streak.resize(fleet, 0);
-            self.deadline.resize(fleet, 0);
-            // New indices are above every existing one: the lists stay
-            // sorted.
-            self.present.extend(old as u32..fleet as u32);
-            self.awake.extend(old as u32..fleet as u32);
-        } else if fleet < old {
-            for slot in fleet..old {
-                if self.sleeping[slot] {
-                    if self.last_requests.get(slot).is_some_and(|r| r.active) {
-                        self.sleeping_active -= 1;
-                    }
-                    self.sleeping_held_sum -= self.held.get(slot).copied().unwrap_or(0.0);
-                }
-            }
-            self.sleeping.truncate(fleet);
-            self.streak.truncate(fleet);
-            self.deadline.truncate(fleet);
-            for list in [
-                &mut self.present,
-                &mut self.awake,
-                &mut self.pending_wakes,
-                &mut self.departing,
-                &mut self.departed,
-            ]
-            .into_iter()
-            .chain(&mut self.wheel)
-            {
-                list.retain(|&index| (index as usize) < fleet);
-            }
-        }
+        let old = self.held.len();
+        assert!(
+            fleet >= old,
+            "slots are never compacted: {fleet} requested, {old} exist"
+        );
+        self.last_requests.resize(fleet, AppRequest::ABSENT);
+        self.held.resize(fleet, 0.0);
+        self.marked.resize(fleet, true);
+        self.dirty.resize(fleet, false);
+        self.sleeping.resize(fleet, false);
+        self.streak.resize(fleet, 0);
+        self.deadline.resize(fleet, 0);
+        // New indices are above every existing one: the lists stay sorted.
+        self.present.extend(old as u32..fleet as u32);
+        self.awake.extend(old as u32..fleet as u32);
     }
 
     /// Merges `pending_wakes` into the ascending awake list. A slot woken
@@ -590,36 +591,30 @@ impl IncrementalArbiter {
         self.pending_wakes.clear();
     }
 
-    /// One incremental round: splits `budget_watts` across `requests` into
-    /// `awards` (one per slot) through `policy`, re-arbitrating only the
-    /// dirty slots of the round's participant list (see the module docs).
-    /// Slots never seen before are dirty by definition; growing or
-    /// shrinking the slice resets the new/old slots accordingly. The round
-    /// classifies the participants, hands the policy `requests` with the
-    /// ascending dirty slots as its participant list under the residual
+    /// One incremental round: splits `budget_watts` across `requests` (one
+    /// per slot) through `policy`, re-arbitrating only the dirty slots of
+    /// the round's participant list (see the module docs); the awards are
+    /// then [`Self::awards`]. A slot never seen before grows the columns
+    /// and is dirty by definition. The round classifies the participants,
+    /// hands the policy `requests` with the ascending dirty slots as its
+    /// participant list under the residual
     /// `budget − Σ sleeping held − Σ clean held`, scatters the awards into
     /// the held column, then (scheduler on) puts steady slots to sleep —
-    /// O(participants) except for the fleet-length award copy-out and the
-    /// (vectorised) mask memsets.
+    /// O(participants).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is shorter than the slot count.
     pub fn arbitrate(
         &mut self,
         policy: &mut dyn ArbitrationPolicy,
         budget_watts: f64,
         requests: &[AppRequest],
-        awards: &mut Vec<f64>,
     ) -> IncrementalOutcome {
-        let fleet = requests.len();
-        self.begin_round(fleet);
+        self.begin_round(requests.len());
         // Wakes raised mid-round (a watchdog transition after the caller's
         // observe stage) still join this round's classification.
         self.merge_pending();
-        self.marked.resize(fleet, true);
-        self.last_requests.resize(fleet, AppRequest::ABSENT);
-        self.held.resize(fleet, 0.0);
-        // Only participants' flags can change: every slot off the list is
-        // already clean in the mask, and every marked slot is on it (a mark
-        // wakes its slot).
-        self.dirty.resize(fleet, false);
 
         // ---- Classify the participants -----------------------------
         // "Moved" unless the delta is *strictly inside* the tolerance, so
@@ -679,15 +674,17 @@ impl IncrementalArbiter {
             (budget_watts - held_total).max(0.0)
         };
         if full || !self.dirty_slots.is_empty() {
-            // `awards` holds the dirty slots' awards until the copy-out.
-            policy.arbitrate(residual, requests, &self.dirty_slots, awards);
-            for (&index, &award) in self.dirty_slots.iter().zip(awards.iter()) {
+            policy.arbitrate(
+                residual,
+                requests,
+                &self.dirty_slots,
+                &mut self.dirty_awards,
+            );
+            for (&index, &award) in self.dirty_slots.iter().zip(&self.dirty_awards) {
                 self.held[index as usize] = award;
                 self.last_requests[index as usize] = requests[index as usize];
             }
         }
-        awards.clear();
-        awards.extend_from_slice(&self.held);
 
         if self.schedule.wake.enabled() {
             self.sleep_steady_slots(requests);
@@ -766,6 +763,20 @@ mod tests {
         IncrementalArbiter::new(ArbitrationSchedule { tolerance, wake }).unwrap()
     }
 
+    /// One round of `engine`, with its award vector copied into `awards`.
+    fn run_round(
+        engine: &mut IncrementalArbiter,
+        policy: &mut dyn ArbitrationPolicy,
+        budget_watts: f64,
+        requests: &[AppRequest],
+        awards: &mut Vec<f64>,
+    ) -> IncrementalOutcome {
+        let outcome = engine.arbitrate(policy, budget_watts, requests);
+        awards.clear();
+        awards.extend_from_slice(engine.awards());
+        outcome
+    }
+
     #[test]
     fn tolerance_zero_is_bitwise_identical_to_the_full_fold() {
         let requests = vec![
@@ -790,7 +801,13 @@ mod tests {
             for round in 0..4 {
                 let budget = 60.0 + round as f64;
                 full.arbitrate(budget, &requests, &[0, 1, 2, 3], &mut expected);
-                let outcome = engine.arbitrate(wrapped.as_mut(), budget, &requests, &mut actual);
+                let outcome = run_round(
+                    &mut engine,
+                    wrapped.as_mut(),
+                    budget,
+                    &requests,
+                    &mut actual,
+                );
                 assert!(outcome.full, "tolerance 0 always runs the full fold");
                 assert_eq!(outcome.skipped, 0);
                 assert_eq!(outcome.slept, 0);
@@ -808,10 +825,10 @@ mod tests {
         let mut policy = WeightedFair;
         let mut engine = arbiter(0.05, WakeConfig::OFF);
         let mut awards = Vec::new();
-        let first = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        let first = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert!(first.full, "everything is dirty on the first round");
         let held = awards.clone();
-        let second = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        let second = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert!(!second.full);
         assert_eq!(second.skipped, 2);
         assert_eq!(second.rearbitrated, 0);
@@ -829,9 +846,9 @@ mod tests {
         let mut policy = PerformanceMarket::default();
         let mut engine = arbiter(0.02, WakeConfig::OFF);
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         requests[1].urgency = 3.0; // far past the tolerance
-        let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        let round = run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert_eq!(round.rearbitrated, 1);
         assert_eq!(round.skipped, 2);
         assert!(engine.dirty_mask() == [false, true, false]);
@@ -846,14 +863,14 @@ mod tests {
         let mut policy = WeightedFair;
         let mut engine = arbiter(0.1, WakeConfig::OFF);
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         engine.mark_dirty(0);
         assert!(!engine.steady(0), "a marked slot is not steady");
-        let round = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        let round = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert!(engine.dirty_mask() == [true, false]);
         assert_eq!(round.rearbitrated, 1);
         engine.mark_all_dirty();
-        let round = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        let round = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert!(round.full, "fleet-wide marks run the full fold");
     }
 
@@ -863,11 +880,11 @@ mod tests {
         let mut policy = StaticShare;
         let mut engine = arbiter(0.5, WakeConfig::OFF);
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         // A newly-registered slot and a departure both re-enter the fold.
         requests.push(request(1.0, 1.0, 40.0));
         requests[0].active = false;
-        let round = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        let round = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert!(round.full, "both slots dirty");
         assert_eq!(awards[0], 0.0, "absent slots are awarded exactly 0");
     }
@@ -882,15 +899,15 @@ mod tests {
         let mut policy = WeightedFair;
         let mut requests = vec![request(1.0, 1.0, 40.0); 3];
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
-        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert!(engine.is_sleeping(1));
         // The caller retires slot 1 (its request turns absent): it wakes,
         // and its one absent round re-arbitrates it to exactly 0 W and
         // still lists it for the caller's decide stage.
         requests[1].active = false;
         engine.retire(1);
-        let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        let round = run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert_eq!(round.rearbitrated, 0);
         assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         assert!(engine.awake_slots().contains(&1));
@@ -904,14 +921,14 @@ mod tests {
         engine.mark_all_dirty();
         assert_eq!(engine.begin_round(3), &[0, 2]);
         for _ in 0..2 * config.horizon {
-            let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+            let round = run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
             assert!(!engine.awake_slots().contains(&1));
             assert_eq!(round.slept + round.skipped + round.rearbitrated, 2);
             assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         }
         engine.set_schedule(ArbitrationSchedule::default());
         assert_eq!(engine.begin_round(3), &[0, 2]);
-        let round = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        let round = run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert!(round.full, "every present slot re-arbitrates");
         assert_eq!(awards[1].to_bits(), 0.0f64.to_bits());
         // A slot retired before the schedule changes still gets its absent
@@ -922,10 +939,89 @@ mod tests {
             tolerance: 0.05,
             wake: config,
         });
-        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert_eq!(engine.awake_slots(), &[0, 2]);
         assert_eq!(engine.present(), &[0]);
         assert_eq!(engine.begin_round(3), &[0]);
+    }
+
+    /// The lengths of the seven per-slot columns.
+    fn column_lengths(engine: &IncrementalArbiter) -> [usize; 7] {
+        [
+            engine.last_requests.len(),
+            engine.held.len(),
+            engine.marked.len(),
+            engine.dirty.len(),
+            engine.sleeping.len(),
+            engine.streak.len(),
+            engine.deadline.len(),
+        ]
+    }
+
+    #[test]
+    fn ensure_capacity_grows_every_column_together() {
+        let mut engine = arbiter(0.05, WakeConfig::default());
+        engine.ensure_capacity(3);
+        assert_eq!(column_lengths(&engine), [3; 7]);
+        assert_eq!(engine.awards(), &[0.0; 3], "a new slot holds 0 W");
+        assert!(
+            engine.marked.iter().all(|&marked| marked),
+            "and starts marked"
+        );
+        assert_eq!(engine.present(), &[0, 1, 2]);
+        assert_eq!(engine.awake_slots(), &[0, 1, 2]);
+        // Growing after a round keeps every existing slot's award and adds
+        // 0 W slots; growing to the current count changes nothing.
+        let requests = vec![request(1.0, 1.0, 40.0); 3];
+        engine.arbitrate(&mut WeightedFair, 60.0, &requests);
+        let held = engine.awards().to_vec();
+        engine.ensure_capacity(5);
+        engine.ensure_capacity(5);
+        assert_eq!(column_lengths(&engine), [5; 7]);
+        assert_eq!(&engine.awards()[..3], &held[..]);
+        assert_eq!(&engine.awards()[3..], &[0.0; 2]);
+        assert_eq!(engine.present(), &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn marks_on_a_slot_not_yet_grown_wait_for_its_first_round() {
+        let config = WakeConfig {
+            steady_quanta: 1,
+            horizon: 4,
+        };
+        let mut engine = arbiter(0.05, config);
+        let mut policy = WeightedFair;
+        let mut requests = vec![request(1.0, 1.0, 40.0); 2];
+        engine.arbitrate(&mut policy, 60.0, &requests);
+        engine.arbitrate(&mut policy, 60.0, &requests);
+        assert!(engine.is_sleeping(0) && engine.is_sleeping(1));
+        let held = engine.awards().to_vec();
+        // Slot 2 is marked and retired before the engine has grown it:
+        // nothing changes but the departure it books.
+        engine.mark_dirty(2);
+        engine.retire(2);
+        assert_eq!(column_lengths(&engine), [2; 7]);
+        assert_eq!(engine.awards(), &held[..]);
+        assert_eq!(engine.present(), &[0, 1]);
+        assert!(engine.pending_wakes.is_empty());
+        assert!(engine.is_sleeping(0) && engine.is_sleeping(1));
+        // Its first round grows it dirty, awards it 0 W and departs it.
+        requests.push(AppRequest::ABSENT);
+        let round = engine.arbitrate(&mut policy, 60.0, &requests);
+        assert_eq!(engine.dirty_mask(), &[false, false, true]);
+        assert_eq!((round.slept, round.rearbitrated), (2, 0));
+        assert_eq!(engine.awards()[2].to_bits(), 0.0f64.to_bits());
+        assert_eq!(engine.awake_slots(), &[2]);
+        assert_eq!(engine.present(), &[0, 1]);
+        assert!(engine.begin_round(3).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "slots are never compacted")]
+    fn a_request_slice_shorter_than_the_slot_count_panics() {
+        let mut engine = arbiter(0.0, WakeConfig::OFF);
+        engine.ensure_capacity(3);
+        engine.arbitrate(&mut WeightedFair, 60.0, &[request(1.0, 1.0, 40.0); 2]);
     }
 
     #[test]
@@ -970,8 +1066,8 @@ mod tests {
                 let slot = round % requests.len();
                 requests[slot].urgency = 1.0 + round as f64 * 0.4;
             }
-            let oa = plain.arbitrate(&mut policy_a, 55.0, &requests, &mut a);
-            let ob = zeroed.arbitrate(&mut policy_b, 55.0, &requests, &mut b);
+            let oa = run_round(&mut plain, &mut policy_a, 55.0, &requests, &mut a);
+            let ob = run_round(&mut zeroed, &mut policy_b, 55.0, &requests, &mut b);
             let bits_a: Vec<u64> = a.iter().map(|w| w.to_bits()).collect();
             let bits_b: Vec<u64> = b.iter().map(|w| w.to_bits()).collect();
             assert_eq!(bits_a, bits_b, "round {round}");
@@ -999,7 +1095,7 @@ mod tests {
         let mut awards = Vec::new();
         let mut baseline = Vec::new();
         for round in 0..6 {
-            let outcome = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+            let outcome = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
             let active = requests.iter().filter(|r| r.active).count();
             assert_eq!(
                 outcome.slept + outcome.skipped + outcome.rearbitrated,
@@ -1017,7 +1113,7 @@ mod tests {
         assert!(engine.is_sleeping(0) && engine.is_sleeping(1));
         assert!(engine.is_sleeping(2), "inactive slots sleep too");
         assert_eq!(engine.sleeping_active(), 2);
-        let outcome = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        let outcome = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert_eq!(outcome.slept, 2);
         assert_eq!(outcome.skipped, 0);
         assert_eq!(awards, baseline, "sleeping slots hold their awards");
@@ -1033,13 +1129,13 @@ mod tests {
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0)];
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards); // full
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards); // clean -> sleeps
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards); // full
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards); // clean -> sleeps
         assert!(engine.is_sleeping(0));
         // Sleeps through horizon - 1 rounds, then the wheel wakes it.
         let mut slept_rounds = 0;
         for _ in 0..config.horizon {
-            let outcome = engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+            let outcome = run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
             if outcome.slept == 1 {
                 slept_rounds += 1;
             } else {
@@ -1066,14 +1162,14 @@ mod tests {
             request(1.0, 1.0, 40.0),
         ];
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
-        engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert_eq!(engine.sleeping_active(), 3);
         let held = awards.clone();
         // The caller saw slot 1 move: wake it with the new request.
         requests[1].urgency = 4.0;
         engine.wake(1);
-        let outcome = engine.arbitrate(&mut policy, 60.0, &requests, &mut awards);
+        let outcome = run_round(&mut engine, &mut policy, 60.0, &requests, &mut awards);
         assert_eq!(outcome.rearbitrated, 1);
         assert_eq!(outcome.slept, 2);
         assert_eq!(awards[0], held[0], "sleepers hold their awards bitwise");
@@ -1095,14 +1191,14 @@ mod tests {
         let mut policy = WeightedFair;
         let requests = vec![request(1.0, 1.0, 40.0), request(3.0, 1.0, 40.0)];
         let mut awards = Vec::new();
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         assert_eq!(engine.sleeping_active(), 2);
         // A budget step invalidates every held award: no slot sleeps
         // through it.
         engine.mark_all_dirty();
         assert_eq!(engine.sleeping_active(), 0);
-        let outcome = engine.arbitrate(&mut policy, 20.0, &requests, &mut awards);
+        let outcome = run_round(&mut engine, &mut policy, 20.0, &requests, &mut awards);
         assert!(outcome.full, "everyone woken and re-folded");
         assert_eq!(outcome.slept, 0);
         let total: f64 = awards.iter().sum();
@@ -1169,7 +1265,7 @@ mod tests {
                     engine.wake(slot);
                 }
             }
-            let outcome = engine.arbitrate(&mut policy, budget, &requests, &mut awards);
+            let outcome = run_round(&mut engine, &mut policy, budget, &requests, &mut awards);
             let active = requests.iter().filter(|r| r.active).count();
             assert_eq!(
                 outcome.slept + outcome.skipped + outcome.rearbitrated,
@@ -1351,8 +1447,8 @@ mod tests {
                             masked.wake(slot);
                         }
                     }
-                    let oa = engine.arbitrate(policy.as_mut(), budget, &requests, &mut a);
-                    let ob = masked.arbitrate(&mut oracle, budget, &requests, &mut b);
+                    let oa = run_round(&mut engine, policy.as_mut(), budget, &requests, &mut a);
+                    let ob = run_round(&mut masked, &mut oracle, budget, &requests, &mut b);
                     let bits_a: Vec<u64> = a.iter().map(|w| w.to_bits()).collect();
                     let bits_b: Vec<u64> = b.iter().map(|w| w.to_bits()).collect();
                     proptest::prop_assert!(
@@ -1378,8 +1474,8 @@ mod tests {
         let requests = vec![request(1.0, 1.0, 40.0), request(1.0, 1.0, 40.0)];
         let mut awards = Vec::new();
         assert_eq!(engine.begin_round(2), &[0, 1]);
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
-        engine.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
+        run_round(&mut engine, &mut policy, 50.0, &requests, &mut awards);
         // Both slots slept at the end of the last round, but leave the
         // participant list only when the next round begins.
         assert_eq!(engine.awake_slots(), &[0, 1]);
@@ -1389,7 +1485,7 @@ mod tests {
         let mut off = arbiter(0.05, WakeConfig::OFF);
         assert_eq!(off.begin_round(2), &[0, 1]);
         for _ in 0..3 {
-            off.arbitrate(&mut policy, 50.0, &requests, &mut awards);
+            run_round(&mut off, &mut policy, 50.0, &requests, &mut awards);
             assert_eq!(off.awake_slots(), &[0, 1]);
         }
         assert_eq!(off.begin_round(3), &[0, 1, 2]);

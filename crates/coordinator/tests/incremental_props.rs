@@ -146,7 +146,6 @@ proptest! {
             let mut wrapped = policies().swap_remove(policy_index);
             let mut engine = IncrementalArbiter::new(ArbitrationSchedule::default()).unwrap();
             let mut expected = Vec::new();
-            let mut actual = Vec::new();
             let mut budget = budget;
             for (index, round) in rounds.iter().enumerate() {
                 let moved = round.moved_slot % requests.len();
@@ -160,7 +159,8 @@ proptest! {
                 engine.mark_dirty(round.marked_slot % requests.len());
 
                 full.arbitrate(budget, &requests, &every, &mut expected);
-                let outcome = engine.arbitrate(wrapped.as_mut(), budget, &requests, &mut actual);
+                let outcome = engine.arbitrate(wrapped.as_mut(), budget, &requests);
+                let actual = engine.awards();
                 prop_assert!(outcome.full, "tolerance 0 always degenerates to the full fold");
                 prop_assert_eq!(outcome.skipped, 0);
                 let expected_bits: Vec<u64> =
@@ -208,7 +208,6 @@ proptest! {
                 wake: WakeConfig::OFF,
             })
             .unwrap();
-            let mut awards = Vec::new();
             let mut budget = budget;
             let mut skipped = 0usize;
             let mut rearbitrated = 0usize;
@@ -228,7 +227,8 @@ proptest! {
                     engine.mark_all_dirty();
                 }
 
-                let outcome = engine.arbitrate(policy.as_mut(), budget, &requests, &mut awards);
+                let outcome = engine.arbitrate(policy.as_mut(), budget, &requests);
+                let awards = engine.awards();
                 skipped += outcome.skipped;
                 rearbitrated += outcome.rearbitrated;
                 active_app_rounds += requests.iter().filter(|request| request.active).count();
@@ -240,13 +240,13 @@ proptest! {
                         ceiling: Some(request.max_power_watts),
                     })
                     .collect();
-                let violations = check_award_vector(&awards, &apps);
+                let violations = check_award_vector(awards, &apps);
                 prop_assert!(
                     violations.is_empty(),
                     "{} at tolerance {tolerance} round {index}: {violations:?}",
                     policy.name()
                 );
-                let total = active_total(&awards, &apps);
+                let total = active_total(awards, &apps);
                 prop_assert!(
                     check_budget_conservation(total, budget).is_none(),
                     "{} at tolerance {tolerance} round {index}: {total} > {budget}",
