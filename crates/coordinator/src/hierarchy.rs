@@ -49,7 +49,7 @@ use obs::{Counter, EventKind, Recorder, Stage, StageClock};
 use seec::SeecError;
 use xeon_sim::MachineMeter;
 
-use crate::coordinator::{record, AppHandle, Coordinator, ManagedApp, StepSummary};
+use crate::coordinator::{record, AppHandle, Coordinator, StepSummary};
 use crate::policy::{AppRequest, ArbitrationPolicy};
 
 /// What a rack does when its fleet's physical draw exceeds the watt
@@ -197,17 +197,6 @@ impl RackCoordinator {
     /// (0 before the first step).
     pub fn awarded_watts(&self) -> f64 {
         self.awarded_watts
-    }
-
-    /// Registers an application on this rack (see
-    /// [`Coordinator::register`]).
-    pub fn register(&mut self, app: ManagedApp) -> AppHandle {
-        self.coordinator.register(app)
-    }
-
-    /// Retires an application on this rack (see [`Coordinator::retire`]).
-    pub fn retire(&mut self, handle: AppHandle) {
-        self.coordinator.retire(handle)
     }
 
     /// The rack's physical metering-and-enforcement point: debits one
@@ -593,6 +582,7 @@ impl DatacenterArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coordinator::ManagedApp;
     use crate::policy::{PerformanceMarket, StaticShare, WeightedFair};
     use actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
     use exec::ExecPool;
@@ -680,7 +670,8 @@ mod tests {
                 Coordinator::new(40.0, Box::new(PerformanceMarket::default())),
             );
             for app in 0..3 {
-                rack.register(managed_app(rack_index * 10 + app + 1, 1000.0));
+                rack.coordinator_mut()
+                    .register(managed_app(rack_index * 10 + app + 1, 1000.0));
             }
             datacenter.add_rack(rack);
         }
@@ -714,11 +705,11 @@ mod tests {
     fn inactive_racks_are_awarded_nothing() {
         let mut datacenter = DatacenterArbiter::new(30.0, Box::new(StaticShare));
         let mut busy = RackCoordinator::new("busy", Coordinator::new(30.0, Box::new(StaticShare)));
-        busy.register(managed_app(1, 100.0));
+        busy.coordinator_mut().register(managed_app(1, 100.0));
         datacenter.add_rack(busy);
         let mut idle = RackCoordinator::new("idle", Coordinator::new(30.0, Box::new(StaticShare)));
-        let retired = idle.register(managed_app(2, 100.0));
-        idle.retire(retired);
+        let retired = idle.coordinator_mut().register(managed_app(2, 100.0));
+        idle.coordinator_mut().retire(retired);
         datacenter.add_rack(idle);
         let empty = RackCoordinator::new("empty", Coordinator::new(30.0, Box::new(StaticShare)));
         datacenter.add_rack(empty);
@@ -747,7 +738,8 @@ mod tests {
                         .with_shard_threshold(0),
                 );
                 for app in 0..2 {
-                    rack.register(managed_app(rack_index * 7 + app + 1, 1000.0));
+                    rack.coordinator_mut()
+                        .register(managed_app(rack_index * 7 + app + 1, 1000.0));
                 }
                 datacenter.add_rack(rack);
             }
@@ -802,7 +794,7 @@ mod tests {
     fn rack_meter_audits_awards() {
         let mut datacenter = DatacenterArbiter::new(1000.0, Box::new(StaticShare));
         let mut rack = RackCoordinator::new("r", Coordinator::new(1000.0, Box::new(StaticShare)));
-        let handle = rack.register(managed_app(1, 10.0));
+        let handle = rack.coordinator_mut().register(managed_app(1, 10.0));
         datacenter.add_rack(rack);
         let mut now = 0.0;
         for _ in 0..10 {
@@ -824,7 +816,7 @@ mod tests {
         let mut datacenter = DatacenterArbiter::new(30.0, Box::new(StaticShare));
         let mut healthy =
             RackCoordinator::new("healthy", Coordinator::new(30.0, Box::new(StaticShare)));
-        healthy.register(managed_app(1, 100.0));
+        healthy.coordinator_mut().register(managed_app(1, 100.0));
         datacenter.add_rack(healthy);
         let mut broken =
             RackCoordinator::new("broken", Coordinator::new(30.0, Box::new(StaticShare)));
@@ -834,7 +826,9 @@ mod tests {
             .actuators(actuators())
             .build()
             .unwrap();
-        broken.register(ManagedApp::new(driver, runtime));
+        broken
+            .coordinator_mut()
+            .register(ManagedApp::new(driver, runtime));
         datacenter.add_rack(broken);
 
         for step in 1..=3 {
@@ -859,7 +853,7 @@ mod tests {
             let mut rack = RackCoordinator::new("r", Coordinator::new(15.0, Box::new(StaticShare)))
                 .with_enforcement(mode);
             let handles: Vec<AppHandle> = (0..3)
-                .map(|app| rack.register(managed_app(app + 1, 10.0)))
+                .map(|app| rack.coordinator_mut().register(managed_app(app + 1, 10.0)))
                 .collect();
             datacenter.add_rack(rack);
             let mut now = 0.0;
@@ -917,7 +911,7 @@ mod tests {
             )
             .with_enforcement(mode);
             let handles: Vec<AppHandle> = (0..3)
-                .map(|app| rack.register(managed_app(app + 1, 10.0)))
+                .map(|app| rack.coordinator_mut().register(managed_app(app + 1, 10.0)))
                 .collect();
             datacenter.add_rack(rack);
             let mut now = 0.0;
@@ -982,7 +976,7 @@ mod tests {
         let mut datacenter =
             DatacenterArbiter::new(40.0, Box::new(StaticShare)).with_obs(Arc::clone(&recorder));
         let mut rack = RackCoordinator::new("r", Coordinator::new(40.0, Box::new(StaticShare)));
-        rack.register(managed_app(1, 100.0));
+        rack.coordinator_mut().register(managed_app(1, 100.0));
         datacenter.add_rack(rack);
         datacenter.step(1.0).unwrap();
         datacenter.set_budget(20.0);
@@ -1019,8 +1013,8 @@ mod tests {
         let second = managed_app(2, 100.0);
         let names = [first.name().to_string(), second.name().to_string()];
         assert_ne!(names[0], names[1]);
-        datacenter.rack_mut(1).register(first);
-        datacenter.rack_mut(0).register(second);
+        datacenter.rack_mut(1).coordinator_mut().register(first);
+        datacenter.rack_mut(0).coordinator_mut().register(second);
         datacenter.step(1.0).unwrap();
 
         let registered: Vec<String> = recorder

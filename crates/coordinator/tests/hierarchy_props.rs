@@ -48,12 +48,15 @@ fn rack_lifecycle(
             let rack = rack_of(index);
             handles[index] = Some((
                 rack,
-                datacenter.rack_mut(rack).register(managed(slot, index)),
+                datacenter
+                    .rack_mut(rack)
+                    .coordinator_mut()
+                    .register(managed(slot, index)),
             ));
         }
         if slot.departure == Some(quantum) {
             let (rack, handle) = handles[index].expect("a departure follows its arrival");
-            datacenter.rack_mut(rack).retire(handle);
+            datacenter.rack_mut(rack).coordinator_mut().retire(handle);
         }
     }
 }
