@@ -479,10 +479,10 @@ impl IncrementalArbiter {
     /// Starts a round: grows the per-slot columns to `fleet` slots (new
     /// slots join the participant list, marked, holding 0 W), drops the
     /// slots that departed last round from the list, and — with the
-    /// scheduler on — drops last
-    /// round's sleepers, drains the wheel bucket whose deadline is due, and
-    /// merges every pending wake. Idempotent per round; [`Self::arbitrate`]
-    /// calls it itself when the caller did not. Returns the ascending
+    /// scheduler on — drops last round's sleepers, drains the wheel bucket
+    /// whose deadline is due, and merges every pending wake. Idempotent
+    /// per round; [`Self::arbitrate`] calls it itself when the caller did
+    /// not. Returns the ascending
     /// participant list (the present slots, with the scheduler off) so
     /// callers can run their own per-slot stages — observation, request
     /// building — over exactly the round's slots.
