@@ -624,7 +624,11 @@ mod tests {
         // [1,0] 1/1, [0,2] 1.5/1.6, [1,1] 1.8/2, [1,2] 3/4 in power order:
         // every step up in power buys speed, so all six are on the
         // staircase.
-        let stair: Vec<ConfigId> = table.declared_staircase().iter().map(|key| key.id).collect();
+        let stair: Vec<ConfigId> = table
+            .declared_staircase()
+            .iter()
+            .map(|key| key.id)
+            .collect();
         assert_eq!(stair, [0, 1, 3, 2, 4, 5].map(ConfigId));
     }
 
@@ -720,7 +724,10 @@ mod tests {
         let refs: Vec<&ActuatorSpec> = specs.iter().collect();
         let first = ConfigTable::new(&refs);
         let second = ConfigTable::new(&refs);
-        assert_eq!(first.by_declared_power().as_ptr(), second.by_declared_power().as_ptr());
+        assert_eq!(
+            first.by_declared_power().as_ptr(),
+            second.by_declared_power().as_ptr()
+        );
         assert_eq!(first.holders(), 2);
         assert_eq!(first.len(), 4);
     }

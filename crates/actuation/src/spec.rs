@@ -231,11 +231,7 @@ impl ActuatorSpec {
     /// # Errors
     ///
     /// Returns [`ActuationError::UnknownSetting`] when `index` is out of range.
-    pub fn predicted_effect(
-        &self,
-        index: SettingIndex,
-        axis: Axis,
-    ) -> Result<f64, ActuationError> {
+    pub fn predicted_effect(&self, index: SettingIndex, axis: Axis) -> Result<f64, ActuationError> {
         let setting = self
             .setting(index)
             .ok_or_else(|| ActuationError::UnknownSetting {
@@ -413,10 +409,7 @@ mod tests {
         assert_eq!(spec.nominal(), 1);
         assert_eq!(spec.delay(), 0.001);
         assert_eq!(spec.scope(), Scope::Global);
-        assert_eq!(
-            spec.affected_axes(),
-            vec![Axis::Performance, Axis::Power]
-        );
+        assert_eq!(spec.affected_axes(), vec![Axis::Performance, Axis::Power]);
     }
 
     #[test]
@@ -534,7 +527,10 @@ mod tests {
                 .axis_exponent(Axis::Power, bad)
                 .build()
                 .unwrap_err();
-            assert!(matches!(err, ActuationError::InvalidSpec(_)), "exponent {bad}");
+            assert!(
+                matches!(err, ActuationError::InvalidSpec(_)),
+                "exponent {bad}"
+            );
         }
     }
 

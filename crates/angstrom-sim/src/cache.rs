@@ -122,7 +122,9 @@ impl ReconfigurableCache {
     /// first and then set-disabling.
     pub fn configure_capacity(&mut self, target_kb: f64) {
         let per_way_kb = self.geometry.capacity_kb / self.geometry.ways as f64;
-        let mut ways = (target_kb / per_way_kb).round().clamp(1.0, self.geometry.ways as f64) as u32;
+        let mut ways = (target_kb / per_way_kb)
+            .round()
+            .clamp(1.0, self.geometry.ways as f64) as u32;
         if ways == 0 {
             ways = 1;
         }
@@ -278,7 +280,10 @@ mod tests {
         let mut last = f64::INFINITY;
         for kb in [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0] {
             let m = miss_rate_for_capacity(kb, ws, 0.5);
-            assert!(m <= last + 1e-12, "miss rate must not increase with capacity");
+            assert!(
+                m <= last + 1e-12,
+                "miss rate must not increase with capacity"
+            );
             assert!((COMPULSORY_MISS_RATE..=MAX_CAPACITY_MISS_RATE).contains(&m));
             last = m;
         }

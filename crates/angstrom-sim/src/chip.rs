@@ -36,7 +36,10 @@ impl ChipConfiguration {
     /// operating point, the chip's fabricated coherence choice.
     pub fn default_for(config: &ChipConfig) -> Self {
         ChipConfiguration {
-            cores: *config.core_allocation_options.last().expect("validated config"),
+            cores: *config
+                .core_allocation_options
+                .last()
+                .expect("validated config"),
             cache_per_core_kb: *config
                 .cache_capacity_options_kb
                 .last()
@@ -257,7 +260,15 @@ impl AngstromChip {
         // contention implied by the first pass's injection rate.
         let mut contention = 1.0;
         let mut result = self.single_pass(
-            demand, &cfg, point, &noc, &traffic, region, offchip_cycles, hop_cycles, contention,
+            demand,
+            &cfg,
+            point,
+            &noc,
+            &traffic,
+            region,
+            offchip_cycles,
+            hop_cycles,
+            contention,
         );
         let flits_per_cycle = if result.seconds > 0.0 {
             result.network_flits / (result.seconds * point.frequency)
@@ -267,7 +278,15 @@ impl AngstromChip {
         contention = noc.contention_factor(flits_per_cycle, &traffic);
         if contention > 1.001 {
             result = self.single_pass(
-                demand, &cfg, point, &noc, &traffic, region, offchip_cycles, hop_cycles, contention,
+                demand,
+                &cfg,
+                point,
+                &noc,
+                &traffic,
+                region,
+                offchip_cycles,
+                hop_cycles,
+                contention,
             );
         }
         result
@@ -318,11 +337,8 @@ impl AngstromChip {
         let point = self.config.operating_points[cfg.operating_point_index];
         let partner = PartnerCore::default();
         let model = self.tiles[0].dvfs.energy_model();
-        let application_seconds = partner.application_overhead(
-            decision_instructions,
-            point,
-            cfg.decision_placement,
-        );
+        let application_seconds =
+            partner.application_overhead(decision_instructions, point, cfg.decision_placement);
         let latency_seconds = match cfg.decision_placement {
             DecisionPlacement::PartnerCore => partner.decision_time(decision_instructions, point),
             DecisionPlacement::MainCore => application_seconds,
@@ -417,8 +433,7 @@ impl AngstromChip {
         let network = network_flits * noc.flit_energy();
 
         let partner_model = PartnerCore::default();
-        let partner =
-            partner_model.idle_power(point, energy_model) * cores as f64 * seconds;
+        let partner = partner_model.idle_power(point, energy_model) * cores as f64 * seconds;
 
         let idle_tiles = (self.config.tiles - cores) as f64
             * (energy_model.leakage_power(point) + cache.leakage_power(point.voltage))
@@ -511,7 +526,10 @@ mod tests {
         let few = chip.evaluate(&demand, &cfg);
         cfg.cores = 256;
         let many = chip.evaluate(&demand, &cfg);
-        assert!(many.seconds < few.seconds / 10.0, "parallel workload must scale");
+        assert!(
+            many.seconds < few.seconds / 10.0,
+            "parallel workload must scale"
+        );
         assert!(many.instructions_per_second > few.instructions_per_second);
     }
 
@@ -525,7 +543,10 @@ mod tests {
         cfg.cores = 256;
         let many = chip.evaluate(&demand, &cfg);
         let speedup = few.seconds / many.seconds;
-        assert!(speedup < 12.0, "memory-bound speedup should be limited, got {speedup}");
+        assert!(
+            speedup < 12.0,
+            "memory-bound speedup should be limited, got {speedup}"
+        );
     }
 
     #[test]
@@ -568,7 +589,12 @@ mod tests {
         let report = chip.execute(&demand, &cfg);
         assert!(chip.now() > 0.0);
         assert!((chip.now() - report.seconds).abs() < 1e-12);
-        assert!(chip.tiles()[0].counters.read(crate::counters::CounterId::Instructions) > 0);
+        assert!(
+            chip.tiles()[0]
+                .counters
+                .read(crate::counters::CounterId::Instructions)
+                > 0
+        );
         assert!(chip.total_sensed_energy() > 0.0);
         // Unallocated tile state is untouched when fewer cores are allocated.
         let mut cfg_small = cfg.clone();
@@ -586,7 +612,10 @@ mod tests {
     #[test]
     fn report_energy_identity_holds() {
         let chip = AngstromChip::new(ChipConfig::angstrom_256());
-        let report = chip.evaluate(&barnes_like(), &ChipConfiguration::default_for(chip.config()));
+        let report = chip.evaluate(
+            &barnes_like(),
+            &ChipConfiguration::default_for(chip.config()),
+        );
         assert!((report.breakdown.total() - report.energy_joules).abs() < 1e-9);
         assert!(
             (report.average_power_watts - report.energy_joules / report.seconds).abs()

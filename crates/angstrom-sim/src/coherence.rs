@@ -148,7 +148,11 @@ impl CoherenceModel {
     /// Costs under `protocol`, resolving [`CoherenceProtocol::Adaptive`] to
     /// whichever concrete protocol has the lower average penalty (the ARCc
     /// selection rule).
-    pub fn evaluate(&self, protocol: CoherenceProtocol, inputs: &CoherenceInputs) -> CoherenceCosts {
+    pub fn evaluate(
+        &self,
+        protocol: CoherenceProtocol,
+        inputs: &CoherenceInputs,
+    ) -> CoherenceCosts {
         match protocol {
             CoherenceProtocol::Directory => self.directory_costs(inputs),
             CoherenceProtocol::SharedNuca => self.shared_nuca_costs(inputs),
@@ -249,7 +253,10 @@ mod tests {
         inputs.cores = 64;
         let many = per_core_working_set(&inputs);
         assert!(many < single);
-        assert!(many >= 0.5 * inputs.working_set_kb, "shared data is replicated");
+        assert!(
+            many >= 0.5 * inputs.working_set_kb,
+            "shared data is replicated"
+        );
     }
 
     #[test]

@@ -188,10 +188,7 @@ mod tests {
             cfg.cache_capacity_options_kb,
             vec![16.0, 32.0, 64.0, 128.0, 256.0]
         );
-        assert_eq!(
-            cfg.core_allocation_options,
-            vec![1, 2, 4, 8, 16, 32, 64]
-        );
+        assert_eq!(cfg.core_allocation_options, vec![1, 2, 4, 8, 16, 32, 64]);
         assert_eq!(cfg.operating_points.len(), 1);
     }
 

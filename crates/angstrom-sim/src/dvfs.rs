@@ -110,7 +110,10 @@ impl DvfsController {
     ///
     /// Panics if `points` is empty.
     pub fn new(points: Vec<OperatingPoint>) -> Self {
-        assert!(!points.is_empty(), "DVFS controller needs at least one operating point");
+        assert!(
+            !points.is_empty(),
+            "DVFS controller needs at least one operating point"
+        );
         let current = points.len() - 1;
         DvfsController {
             points,

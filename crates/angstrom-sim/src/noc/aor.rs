@@ -233,8 +233,9 @@ impl RoutingTable {
             return 1.0;
         }
         let max = loads.values().fold(0.0_f64, |a, &b| a.max(b));
-        let directed_links = (2 * (self.topology.width * (self.topology.height - 1)
-            + self.topology.height * (self.topology.width - 1)))
+        let directed_links = (2
+            * (self.topology.width * (self.topology.height - 1)
+                + self.topology.height * (self.topology.width - 1)))
             .max(1);
         let mean = total_link_load / directed_links as f64;
         if mean <= 0.0 {
@@ -254,7 +255,11 @@ fn route_links(topology: MeshTopology, s: usize, d: usize, xy_first: bool) -> Ve
     let (dx, dy) = (d % w, d / w);
     let mut links = Vec::new();
     let push_x = |links: &mut Vec<(usize, usize)>, y: usize| {
-        let (mut x, step): (isize, isize) = if dx >= sx { (sx as isize, 1) } else { (sx as isize, -1) };
+        let (mut x, step): (isize, isize) = if dx >= sx {
+            (sx as isize, 1)
+        } else {
+            (sx as isize, -1)
+        };
         while x != dx as isize {
             let from = y * w + x as usize;
             let to = y * w + (x + step) as usize;
@@ -263,7 +268,11 @@ fn route_links(topology: MeshTopology, s: usize, d: usize, xy_first: bool) -> Ve
         }
     };
     let push_y = |links: &mut Vec<(usize, usize)>, x: usize| {
-        let (mut y, step): (isize, isize) = if dy >= sy { (sy as isize, 1) } else { (sy as isize, -1) };
+        let (mut y, step): (isize, isize) = if dy >= sy {
+            (sy as isize, 1)
+        } else {
+            (sy as isize, -1)
+        };
         while y != dy as isize {
             let from = y as usize * w + x;
             let to = (y + step) as usize * w + x;

@@ -51,7 +51,9 @@ impl BandwidthAllocator {
             ));
         }
         if !(0.0..=1.0).contains(&hysteresis) {
-            return Err(format!("hysteresis must be within [0, 1], got {hysteresis}"));
+            return Err(format!(
+                "hysteresis must be within [0, 1], got {hysteresis}"
+            ));
         }
         if reallocation_period_cycles == 0 {
             return Err("reallocation period must be at least one cycle".to_string());
@@ -73,7 +75,8 @@ impl BandwidthAllocator {
         if asymmetry <= self.hysteresis {
             return 1.0;
         }
-        1.0 + self.steerable_fraction * (asymmetry - self.hysteresis) / (1.0 - self.hysteresis).max(1e-9)
+        1.0 + self.steerable_fraction * (asymmetry - self.hysteresis)
+            / (1.0 - self.hysteresis).max(1e-9)
     }
 }
 

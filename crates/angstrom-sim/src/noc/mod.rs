@@ -161,7 +161,8 @@ impl NocModel {
     pub fn zero_load_latency_cycles(&self, flits: f64) -> f64 {
         let hops = self.topology.average_hops().max(1.0);
         let per_hop = if self.features.evc {
-            self.evc.effective_hop_cycles(self.router_cycles, self.link_cycles)
+            self.evc
+                .effective_hop_cycles(self.router_cycles, self.link_cycles)
         } else {
             self.router_cycles + self.link_cycles
         };
@@ -238,7 +239,11 @@ mod tests {
     fn for_tiles_covers_requested_count() {
         for tiles in [1, 4, 16, 64, 200, 256, 1000] {
             let mesh = MeshTopology::for_tiles(tiles);
-            assert!(mesh.routers() >= tiles, "{tiles} tiles need {} routers", mesh.routers());
+            assert!(
+                mesh.routers() >= tiles,
+                "{tiles} tiles need {} routers",
+                mesh.routers()
+            );
         }
         assert_eq!(MeshTopology::for_tiles(256), MeshTopology::new(16, 16));
     }
@@ -280,8 +285,7 @@ mod tests {
         let traffic = TrafficMatrix::hotspot(mesh.routers(), 0, 0.4);
         let load = 6.0;
         assert!(
-            adaptive.contention_factor(load, &traffic)
-                < baseline.contention_factor(load, &traffic)
+            adaptive.contention_factor(load, &traffic) < baseline.contention_factor(load, &traffic)
         );
         assert!(
             adaptive.packet_latency_cycles(4.0, load, &traffic)

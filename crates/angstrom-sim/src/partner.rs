@@ -149,7 +149,10 @@ mod tests {
             &model,
             DecisionPlacement::MainCore,
         );
-        assert!(on_partner < on_main, "partner core must be the efficient place to decide");
+        assert!(
+            on_partner < on_main,
+            "partner core must be the efficient place to decide"
+        );
     }
 
     #[test]
@@ -160,9 +163,7 @@ mod tests {
             partner.application_overhead(1.0e6, point, DecisionPlacement::PartnerCore),
             0.0
         );
-        assert!(
-            partner.application_overhead(1.0e6, point, DecisionPlacement::MainCore) > 0.0
-        );
+        assert!(partner.application_overhead(1.0e6, point, DecisionPlacement::MainCore) > 0.0);
     }
 
     #[test]
@@ -171,7 +172,10 @@ mod tests {
         let point = OperatingPoint::nominal();
         let partner_time = partner.decision_time(1.0e6, point);
         let main_time = 1.0e6 / point.frequency;
-        assert!(partner_time > main_time, "partner core targets a lower performance point");
+        assert!(
+            partner_time > main_time,
+            "partner core targets a lower performance point"
+        );
     }
 
     #[test]

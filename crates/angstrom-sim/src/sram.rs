@@ -122,8 +122,12 @@ mod tests {
 
     #[test]
     fn area_cost_rises_with_robustness() {
-        assert!(SramTopology::Conventional6T.relative_area() < SramTopology::EightT.relative_area());
-        assert!(SramTopology::EightT.relative_area() < SramTopology::SubThresholdAssist.relative_area());
+        assert!(
+            SramTopology::Conventional6T.relative_area() < SramTopology::EightT.relative_area()
+        );
+        assert!(
+            SramTopology::EightT.relative_area() < SramTopology::SubThresholdAssist.relative_area()
+        );
     }
 
     #[test]

@@ -83,29 +83,40 @@ impl Tile {
     /// counter it watches, and advances the sensors. Returns the probe
     /// outcomes in probe order.
     pub fn record_activity(&mut self, activity: &TileActivity, now: f64) -> Vec<ProbeOutcome> {
-        self.counters
-            .add(CounterId::Instructions, activity.instructions.max(0.0) as u64);
+        self.counters.add(
+            CounterId::Instructions,
+            activity.instructions.max(0.0) as u64,
+        );
         self.counters
             .add(CounterId::Cycles, activity.cycles.max(0.0) as u64);
         self.counters
             .add(CounterId::MemoryOps, activity.memory_ops.max(0.0) as u64);
         let hits = (activity.memory_ops - activity.cache_misses).max(0.0);
         self.counters.add(CounterId::CacheHits, hits as u64);
-        self.counters
-            .add(CounterId::CacheMisses, activity.cache_misses.max(0.0) as u64);
-        self.counters
-            .add(CounterId::StallCycles, activity.stall_cycles.max(0.0) as u64);
+        self.counters.add(
+            CounterId::CacheMisses,
+            activity.cache_misses.max(0.0) as u64,
+        );
+        self.counters.add(
+            CounterId::StallCycles,
+            activity.stall_cycles.max(0.0) as u64,
+        );
         self.counters
             .add(CounterId::FlitsSent, activity.flits_sent.max(0.0) as u64);
-        self.counters
-            .add(CounterId::FlitsReceived, activity.flits_received.max(0.0) as u64);
+        self.counters.add(
+            CounterId::FlitsReceived,
+            activity.flits_received.max(0.0) as u64,
+        );
         self.counters.add(
             CounterId::EnergyNanojoules,
             (activity.energy_joules.max(0.0) * 1.0e9) as u64,
         );
 
-        self.sensors
-            .advance(activity.power_watts, activity.energy_joules, activity.seconds);
+        self.sensors.advance(
+            activity.power_watts,
+            activity.energy_joules,
+            activity.seconds,
+        );
 
         let counters = &self.counters;
         self.probes

@@ -69,9 +69,7 @@ impl TestRng {
             hash ^= u64::from(byte);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        TestRng {
-            state: hash.max(1),
-        }
+        TestRng { state: hash.max(1) }
     }
 
     /// Next raw 64-bit value.

@@ -123,8 +123,9 @@ pub fn field<T: Deserialize>(
     ty: &str,
 ) -> Result<T, DeError> {
     match entries.iter().find(|(key, _)| key == name) {
-        Some((_, value)) => T::from_value(value)
-            .map_err(|e| DeError::new(format!("field `{name}` of `{ty}`: {e}"))),
+        Some((_, value)) => {
+            T::from_value(value).map_err(|e| DeError::new(format!("field `{name}` of `{ty}`: {e}")))
+        }
         None => T::from_value(&Value::Null).map_err(|_| DeError::missing_field(ty, name)),
     }
 }
@@ -138,8 +139,9 @@ impl Deserialize for Value {
 fn uint_from_value(value: &Value) -> Result<u64, DeError> {
     match value {
         Value::UInt(u) => Ok(*u),
-        Value::Int(i) => u64::try_from(*i)
-            .map_err(|_| DeError::new(format!("integer {i} is negative"))),
+        Value::Int(i) => {
+            u64::try_from(*i).map_err(|_| DeError::new(format!("integer {i} is negative")))
+        }
         other => Err(DeError::mismatch("integer", other)),
     }
 }

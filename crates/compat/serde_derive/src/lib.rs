@@ -86,9 +86,7 @@ fn serialize_struct_body(fields: &Fields) -> String {
             let entries: Vec<String> = names
                 .iter()
                 .map(|f| {
-                    format!(
-                        "(\"{f}\".to_string(), ::serde::ser::Serialize::to_value(&self.{f}))"
-                    )
+                    format!("(\"{f}\".to_string(), ::serde::ser::Serialize::to_value(&self.{f}))")
                 })
                 .collect();
             format!("::serde::ser::Value::Object(vec![{}])", entries.join(", "))
@@ -182,14 +180,12 @@ fn deserialize_enum_body(name: &str, variants: &[(String, Fields)]) -> String {
         .filter_map(|(vname, fields)| {
             let body = match fields {
                 Fields::Unit => return None,
-                Fields::Unnamed(1) => format!(
-                    "Ok({name}::{vname}(::serde::de::Deserialize::from_value(payload)?))"
-                ),
+                Fields::Unnamed(1) => {
+                    format!("Ok({name}::{vname}(::serde::de::Deserialize::from_value(payload)?))")
+                }
                 Fields::Unnamed(n) => {
                     let items: Vec<String> = (0..*n)
-                        .map(|i| {
-                            format!("::serde::de::Deserialize::from_value(&items[{i}])?")
-                        })
+                        .map(|i| format!("::serde::de::Deserialize::from_value(&items[{i}])?"))
                         .collect();
                     format!(
                         "{{ let items = \

@@ -176,8 +176,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         if is_float {
             // `str::parse::<f64>` is the exact inverse of Rust's shortest
             // float printing, so finite floats round-trip bit-for-bit.
@@ -214,7 +214,9 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let escape = self.peek().ok_or_else(|| self.error("unterminated escape"))?;
+                    let escape = self
+                        .peek()
+                        .ok_or_else(|| self.error("unterminated escape"))?;
                     self.pos += 1;
                     match escape {
                         b'"' => out.push('"'),
@@ -240,8 +242,7 @@ impl<'a> Parser<'a> {
                                 if !(0xdc00..0xe000).contains(&low) {
                                     return Err(self.error("unpaired surrogate"));
                                 }
-                                let code =
-                                    0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
+                                let code = 0x10000 + ((unit - 0xd800) << 10) + (low - 0xdc00);
                                 char::from_u32(code)
                                     .ok_or_else(|| self.error("invalid code point"))?
                             } else {
@@ -449,7 +450,10 @@ mod tests {
                 )])
             }
         }
-        assert_eq!(to_string(&Wrapper).unwrap(), "{\"k\\\"ey\":[null,false,-1]}");
+        assert_eq!(
+            to_string(&Wrapper).unwrap(),
+            "{\"k\\\"ey\":[null,false,-1]}"
+        );
     }
 
     #[test]

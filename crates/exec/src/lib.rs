@@ -345,9 +345,9 @@ impl ExecPool {
         // even if every worker is busy elsewhere (e.g. nested dispatch).
         run_batch(&batch, &self.shared);
         drop(guard); // blocks until stragglers finish
-        // Re-raise the first task panic on the dispatching thread, with its
-        // original payload — the same observable behaviour as a panicking
-        // `std::thread::scope` child at join.
+                     // Re-raise the first task panic on the dispatching thread, with its
+                     // original payload — the same observable behaviour as a panicking
+                     // `std::thread::scope` child at join.
         let panicked = batch.panic.lock().unwrap().take();
         if let (Some(observer), Some(started)) = (observer, started) {
             observer(started.elapsed().as_nanos() as u64);
@@ -503,10 +503,7 @@ mod tests {
         let pool = ExecPool::new(4);
         let mut items = vec![0u64; 100];
         pool.for_each_mut(&mut items, |i, item| *item += i as u64 + 1);
-        assert_eq!(
-            items,
-            (0..100).map(|i| i as u64 + 1).collect::<Vec<_>>()
-        );
+        assert_eq!(items, (0..100).map(|i| i as u64 + 1).collect::<Vec<_>>());
         // A second pass over the same buffer: the pool and the buffer are
         // both reusable.
         pool.for_each_mut(&mut items, |_, item| *item *= 2);
@@ -526,9 +523,7 @@ mod tests {
             let inner = pool.map_indexed(5, move |j| i * 10 + j);
             inner.into_iter().sum::<usize>()
         });
-        let want: Vec<usize> = (0..6)
-            .map(|i| (0..5).map(|j| i * 10 + j).sum())
-            .collect();
+        let want: Vec<usize> = (0..6).map(|i| (0..5).map(|j| i * 10 + j).sum()).collect();
         assert_eq!(got, want);
     }
 

@@ -69,7 +69,10 @@ impl Ablations {
         }
 
         // --- Coherence protocol choice for a small- and a large-working-set app.
-        for benchmark in [SplashBenchmark::WaterSpatial, SplashBenchmark::OceanNonContiguous] {
+        for benchmark in [
+            SplashBenchmark::WaterSpatial,
+            SplashBenchmark::OceanNonContiguous,
+        ] {
             for (label, protocol) in [
                 ("directory", CoherenceProtocol::Directory),
                 ("shared-NUCA", CoherenceProtocol::SharedNuca),
@@ -111,8 +114,9 @@ impl Ablations {
 
     /// Renders the ablations as an aligned text table.
     pub fn to_table(&self) -> String {
-        let mut out =
-            String::from("study         benchmark  variant            seconds    energy_j   instr/J\n");
+        let mut out = String::from(
+            "study         benchmark  variant            seconds    energy_j   instr/J\n",
+        );
         for row in &self.rows {
             out.push_str(&format!(
                 "{:12}  {:9}  {:17}  {:9.4}  {:9.3}  {:9.3e}\n",
@@ -176,7 +180,10 @@ mod tests {
     #[test]
     fn adaptive_coherence_never_loses_to_either_fixed_protocol() {
         let ablations = Ablations::compute();
-        for benchmark in [SplashBenchmark::WaterSpatial, SplashBenchmark::OceanNonContiguous] {
+        for benchmark in [
+            SplashBenchmark::WaterSpatial,
+            SplashBenchmark::OceanNonContiguous,
+        ] {
             let rows: Vec<_> = ablations
                 .study("coherence")
                 .into_iter()

@@ -61,8 +61,8 @@ fn main() {
     // Both studies compare against the same calibrated classical baseline;
     // compute it once when either flag asks for it.
     let server = XeonServer::dell_r410_calibrated();
-    let classical = (leaky || belief_aging)
-        .then(|| Figure3::compute_on(&server, 2012, QUANTA_PER_RUN));
+    let classical =
+        (leaky || belief_aging).then(|| Figure3::compute_on(&server, 2012, QUANTA_PER_RUN));
 
     if leaky {
         let classical = classical.clone().expect("computed when --leaky-pi is set");

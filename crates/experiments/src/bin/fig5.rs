@@ -106,17 +106,13 @@ fn main() {
             FigureChaos::compute_scenarios_obs(&chaos_mixes(SEED), SEED, observe);
         absorb(snapshot);
         if chaos {
-            println!(
-                "\nChaos — fault-injected mixes under degradation and rack enforcement\n"
-            );
+            println!("\nChaos — fault-injected mixes under degradation and rack enforcement\n");
             println!("{}", figure.to_table());
             experiments::write_json_or_exit("fig5_chaos.json", &figure);
         }
         if enforce {
             let projection = FigureEnforce::from_chaos(&figure);
-            println!(
-                "\nEnforcement — what the rack breaker closes, and what it costs\n"
-            );
+            println!("\nEnforcement — what the rack breaker closes, and what it costs\n");
             println!("{}", projection.to_table());
             experiments::write_json_or_exit("fig5_enforce.json", &projection);
         }

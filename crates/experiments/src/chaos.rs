@@ -712,8 +712,7 @@ mod tests {
             .scenarios
             .iter()
             .flat_map(|s| {
-                arms(s)
-                    .map(|arm| (arm.cap_violation_rate * s.quanta as f64).round() as u64)
+                arms(s).map(|arm| (arm.cap_violation_rate * s.quanta as f64).round() as u64)
             })
             .sum();
         assert_eq!(

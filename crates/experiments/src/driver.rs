@@ -310,11 +310,12 @@ impl XeonEvalTable {
             // quantum instead of 560.
             let mut terms = demand.at_miss_penalty(prepared[0].miss_penalty_cycles());
             for config in &prepared {
-                if config.miss_penalty_cycles().to_bits() != terms.miss_penalty_cycles().to_bits()
-                {
+                if config.miss_penalty_cycles().to_bits() != terms.miss_penalty_cycles().to_bits() {
                     terms = demand.at_miss_penalty(config.miss_penalty_cycles());
                 }
-                cells.push(EvalCell::from_report(&server.evaluate_terms(&terms, config)));
+                cells.push(EvalCell::from_report(
+                    &server.evaluate_terms(&terms, config),
+                ));
             }
         }
         XeonEvalTable {
@@ -429,7 +430,10 @@ impl XeonEvalTable {
     /// capped performance per watt.
     pub fn static_oracle_performance_per_watt(&self, target_heart_rate: f64) -> f64 {
         (0..self.grid.len())
-            .map(|c| self.fixed_outcome(c).performance_per_watt(target_heart_rate))
+            .map(|c| {
+                self.fixed_outcome(c)
+                    .performance_per_watt(target_heart_rate)
+            })
             .fold(0.0_f64, f64::max)
     }
 
@@ -473,7 +477,9 @@ impl XeonEvalTable {
         feasible
             .map(|(outcome, _)| outcome)
             .or(fastest)
-            .map_or(0.0, |outcome| outcome.performance_per_watt(target_heart_rate))
+            .map_or(0.0, |outcome| {
+                outcome.performance_per_watt(target_heart_rate)
+            })
     }
 
     /// The *goal-respecting* dynamic oracle: per quantum, the cell meeting
@@ -534,12 +540,17 @@ pub fn fixed_outcomes_streaming(
     for quantum in quanta {
         let demand = PreparedDemand::new(&to_server_demand(quantum));
         for (config, acc) in prepared.iter().zip(accumulators.iter_mut()) {
-            let report =
-                server.evaluate_terms(&demand.at_miss_penalty(config.miss_penalty_cycles()), config);
+            let report = server.evaluate_terms(
+                &demand.at_miss_penalty(config.miss_penalty_cycles()),
+                config,
+            );
             acc.push_report(&report);
         }
     }
-    accumulators.into_iter().map(OutcomeAccumulator::finish).collect()
+    accumulators
+        .into_iter()
+        .map(OutcomeAccumulator::finish)
+        .collect()
 }
 
 #[cfg(test)]
@@ -608,7 +619,11 @@ mod tests {
                         ]
                         .map(f64::to_bits)
                     };
-                    assert_eq!(fields(&direct), fields(&memoized), "quantum {q}, config {c}");
+                    assert_eq!(
+                        fields(&direct),
+                        fields(&memoized),
+                        "quantum {q}, config {c}"
+                    );
                 }
             }
         }
@@ -644,7 +659,8 @@ mod tests {
         let server = XeonServer::dell_r410();
         let quanta = Workload::new(SplashBenchmark::Volrend, 3).quanta(24);
         let grid = xeon_configuration_grid(&server);
-        let max_rate = run_fixed_on_xeon(&server, &quanta, &server.default_configuration()).heart_rate;
+        let max_rate =
+            run_fixed_on_xeon(&server, &quanta, &server.default_configuration()).heart_rate;
         let target = max_rate / 2.0;
         let oracle = run_dynamic_oracle_on_xeon(&server, &quanta, &grid, target);
         let best_fixed = grid
@@ -685,7 +701,10 @@ mod tests {
                 direct.power_above_idle_watts.to_bits(),
                 memoized.power_above_idle_watts.to_bits()
             );
-            assert_eq!(direct.energy_joules.to_bits(), memoized.energy_joules.to_bits());
+            assert_eq!(
+                direct.energy_joules.to_bits(),
+                memoized.energy_joules.to_bits()
+            );
         }
         let target = table
             .fixed_outcome(table.config_index(&server.default_configuration()).unwrap())
@@ -693,7 +712,10 @@ mod tests {
             / 2.0;
         let direct_oracle = run_dynamic_oracle_on_xeon(&server, &quanta, &grid, target);
         let memoized_oracle = table.dynamic_oracle_outcome(target);
-        assert_eq!(direct_oracle.seconds.to_bits(), memoized_oracle.seconds.to_bits());
+        assert_eq!(
+            direct_oracle.seconds.to_bits(),
+            memoized_oracle.seconds.to_bits()
+        );
         assert_eq!(
             direct_oracle.energy_joules.to_bits(),
             memoized_oracle.energy_joules.to_bits()
@@ -732,7 +754,10 @@ mod tests {
                 direct.power_above_idle_watts.to_bits(),
                 outcome.power_above_idle_watts.to_bits()
             );
-            assert_eq!(direct.energy_joules.to_bits(), outcome.energy_joules.to_bits());
+            assert_eq!(
+                direct.energy_joules.to_bits(),
+                outcome.energy_joules.to_bits()
+            );
         }
     }
 
@@ -747,11 +772,22 @@ mod tests {
     #[test]
     fn config_index_rejects_off_grid_configurations() {
         let server = XeonServer::dell_r410();
-        let table = XeonEvalTable::build(&server, &Workload::new(SplashBenchmark::Barnes, 1).quanta(2));
-        assert!(table.config_index(&ServerConfiguration::new(0, 0, 1.0)).is_none());
-        assert!(table.config_index(&ServerConfiguration::new(9, 0, 1.0)).is_none());
-        assert!(table.config_index(&ServerConfiguration::new(4, 9, 1.0)).is_none());
-        assert!(table.config_index(&ServerConfiguration::new(4, 0, 0.55)).is_none());
+        let table = XeonEvalTable::build(
+            &server,
+            &Workload::new(SplashBenchmark::Barnes, 1).quanta(2),
+        );
+        assert!(table
+            .config_index(&ServerConfiguration::new(0, 0, 1.0))
+            .is_none());
+        assert!(table
+            .config_index(&ServerConfiguration::new(9, 0, 1.0))
+            .is_none());
+        assert!(table
+            .config_index(&ServerConfiguration::new(4, 9, 1.0))
+            .is_none());
+        assert!(table
+            .config_index(&ServerConfiguration::new(4, 0, 0.55))
+            .is_none());
         assert_eq!(
             table.config_index(&server.default_configuration()),
             Some(((8 - 1) * 7) * 10 + 9)

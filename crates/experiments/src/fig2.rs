@@ -86,9 +86,21 @@ impl Figure2 {
                 p.operating_point,
                 p.energy_joules,
                 p.instructions_per_second,
-                if self.frontier.contains(&i) { "yes" } else { "" },
-                if self.cache_only.contains(&i) { "yes" } else { "" },
-                if self.core_only.contains(&i) { "yes" } else { "" },
+                if self.frontier.contains(&i) {
+                    "yes"
+                } else {
+                    ""
+                },
+                if self.cache_only.contains(&i) {
+                    "yes"
+                } else {
+                    ""
+                },
+                if self.core_only.contains(&i) {
+                    "yes"
+                } else {
+                    ""
+                },
             ));
         }
         out

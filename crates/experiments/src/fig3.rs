@@ -292,17 +292,29 @@ impl Figure3 {
     /// Geometric-mean ratio of SEEC to the static oracle across benchmarks —
     /// the multiplier Figure 4 applies to the Angstrom static oracle.
     pub fn seec_vs_static_oracle(&self) -> f64 {
-        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.static_oracle)))
+        geometric_mean(
+            self.rows
+                .iter()
+                .map(|r| safe_ratio(r.seec, r.static_oracle)),
+        )
     }
 
     /// Geometric-mean ratio of SEEC to uncoordinated adaptation.
     pub fn seec_vs_uncoordinated(&self) -> f64 {
-        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.uncoordinated)))
+        geometric_mean(
+            self.rows
+                .iter()
+                .map(|r| safe_ratio(r.seec, r.uncoordinated)),
+        )
     }
 
     /// Geometric-mean fraction of the dynamic oracle that SEEC achieves.
     pub fn seec_fraction_of_dynamic_oracle(&self) -> f64 {
-        geometric_mean(self.rows.iter().map(|r| safe_ratio(r.seec, r.dynamic_oracle)))
+        geometric_mean(
+            self.rows
+                .iter()
+                .map(|r| safe_ratio(r.seec, r.dynamic_oracle)),
+        )
     }
 
     /// Per-benchmark SEEC / static-oracle multipliers (Figure 4 input).
@@ -440,18 +452,18 @@ fn shared_xeon_specs(server: &XeonServer) -> [Arc<ActuatorSpec>; 3] {
     // The memo holds only weak handles and a build panics before anything
     // is registered, so a poisoned lock is safe to reuse.
     let mut memo = XEON_SPECS.lock().unwrap_or_else(PoisonError::into_inner);
-    let live = memo
-        .iter()
-        .filter(|(key, _)| key.matches(server))
-        .find_map(|(_, [cores, clock, cycles])| {
-            Some([cores.upgrade()?, clock.upgrade()?, cycles.upgrade()?])
-        });
+    let live = memo.iter().filter(|(key, _)| key.matches(server)).find_map(
+        |(_, [cores, clock, cycles])| Some([cores.upgrade()?, clock.upgrade()?, cycles.upgrade()?]),
+    );
     if let Some(specs) = live {
         return specs;
     }
     memo.retain(|(_, specs)| specs.iter().all(|spec| spec.strong_count() > 0));
     let specs = xeon_specs(server).map(Arc::new);
-    memo.push((XeonSpecKey::of(server), specs.each_ref().map(Arc::downgrade)));
+    memo.push((
+        XeonSpecKey::of(server),
+        specs.each_ref().map(Arc::downgrade),
+    ));
     specs
 }
 
@@ -868,11 +880,16 @@ mod tests {
         let fig = Figure3::compute_with(7, 30);
         assert_eq!(fig.rows.len(), 5);
         for row in &fig.rows {
-            assert!(row.dynamic_oracle >= row.static_oracle * 0.999,
-                "{}: dynamic oracle must dominate the static oracle", row.benchmark);
-            assert!(row.static_oracle >= row.no_adaptation * 0.999,
+            assert!(
+                row.dynamic_oracle >= row.static_oracle * 0.999,
+                "{}: dynamic oracle must dominate the static oracle",
+                row.benchmark
+            );
+            assert!(
+                row.static_oracle >= row.no_adaptation * 0.999,
                 "{}: the static oracle adapts per benchmark and cannot lose to no adaptation",
-                row.benchmark);
+                row.benchmark
+            );
             assert!(row.seec > 0.0 && row.uncoordinated > 0.0);
             let [na, un, se, dy] = row.normalized();
             assert!(na <= 1.0 + 1e-9 && un <= 1.2 && se <= 1.0 + 1e-9);

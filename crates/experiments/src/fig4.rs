@@ -83,7 +83,9 @@ impl Figure4 {
                         .map(|(_, points, target)| points[idx].performance_per_watt(*target))
                         .sum::<f64>()
                 };
-                mean(a).partial_cmp(&mean(b)).unwrap_or(std::cmp::Ordering::Equal)
+                mean(a)
+                    .partial_cmp(&mean(b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("sweep is non-empty");
 
@@ -120,13 +122,21 @@ impl Figure4 {
     /// Average improvement of the static oracle over no adaptation (the paper
     /// reports 72 %).
     pub fn static_oracle_improvement(&self) -> f64 {
-        mean(self.rows.iter().map(|r| r.static_oracle / r.no_adaptation.max(1e-12))) - 1.0
+        mean(
+            self.rows
+                .iter()
+                .map(|r| r.static_oracle / r.no_adaptation.max(1e-12)),
+        ) - 1.0
     }
 
     /// Average improvement of predicted SEEC over no adaptation — the
     /// headline ">100 % performance per watt" claim of the abstract.
     pub fn headline_improvement(&self) -> f64 {
-        mean(self.rows.iter().map(|r| r.predicted_seec / r.no_adaptation.max(1e-12))) - 1.0
+        mean(
+            self.rows
+                .iter()
+                .map(|r| r.predicted_seec / r.no_adaptation.max(1e-12)),
+        ) - 1.0
     }
 
     /// Renders the figure as an aligned text table, normalised to predicted

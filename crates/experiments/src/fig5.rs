@@ -261,7 +261,11 @@ impl Figure5 {
     /// except how long the simulation took to run).
     pub fn canonical(&self) -> Self {
         Figure5 {
-            scenarios: self.scenarios.iter().map(Figure5Scenario::canonical).collect(),
+            scenarios: self
+                .scenarios
+                .iter()
+                .map(Figure5Scenario::canonical)
+                .collect(),
         }
     }
 
@@ -280,7 +284,10 @@ impl Figure5 {
             rows.extend(scenario.policies.iter().take(2));
             for (i, arm) in rows.iter().enumerate() {
                 let label = if i == 0 {
-                    format!("{} ({} apps, {:.0} W)", scenario.name, scenario.apps, scenario.budget_watts)
+                    format!(
+                        "{} ({} apps, {:.0} W)",
+                        scenario.name, scenario.apps, scenario.budget_watts
+                    )
                 } else {
                     String::new()
                 };
@@ -460,7 +467,11 @@ impl Figure5Hierarchy {
     /// [`Figure5::canonical`]).
     pub fn canonical(&self) -> Self {
         Figure5Hierarchy {
-            scenarios: self.scenarios.iter().map(HierarchyScenario::canonical).collect(),
+            scenarios: self
+                .scenarios
+                .iter()
+                .map(HierarchyScenario::canonical)
+                .collect(),
         }
     }
 
@@ -473,7 +484,10 @@ impl Figure5Hierarchy {
             let rows = [
                 (&scenario.uncoordinated, None),
                 (&scenario.flat, None),
-                (&scenario.rack_coordinated, Some(scenario.max_rack_violation_rate)),
+                (
+                    &scenario.rack_coordinated,
+                    Some(scenario.max_rack_violation_rate),
+                ),
             ];
             for (i, (arm, rack_violation)) in rows.iter().enumerate() {
                 let label = if i == 0 {
@@ -582,8 +596,7 @@ mod tests {
 
         // Each of the three coordinated arms per scenario steps once per
         // quantum; the uncoordinated arms never touch a coordinator.
-        let expected_steps: u64 =
-            scenarios.iter().map(|s| 3 * s.quanta as u64).sum();
+        let expected_steps: u64 = scenarios.iter().map(|s| 3 * s.quanta as u64).sum();
         assert_eq!(snapshot.counter(Counter::QuantaStepped), expected_steps);
         assert_eq!(snapshot.stage(obs::Stage::Step).count, expected_steps);
         // Every decided app ran exactly one timed decision, and every
@@ -602,11 +615,16 @@ mod tests {
             .iter()
             .flat_map(|s| {
                 let policies = s.policies[..2].iter();
-                [&s.no_adaptation, &s.uncoordinated, &s.per_app_seec, &s.coordinated]
-                    .into_iter()
-                    .chain(policies)
-                    .map(|arm| (arm.cap_violation_rate * s.quanta as f64).round() as u64)
-                    .collect::<Vec<_>>()
+                [
+                    &s.no_adaptation,
+                    &s.uncoordinated,
+                    &s.per_app_seec,
+                    &s.coordinated,
+                ]
+                .into_iter()
+                .chain(policies)
+                .map(|arm| (arm.cap_violation_rate * s.quanta as f64).round() as u64)
+                .collect::<Vec<_>>()
             })
             .sum();
         assert_eq!(
@@ -692,7 +710,11 @@ mod tests {
                 scenario.coordinated.performance_per_watt,
                 scenario.uncoordinated.performance_per_watt
             );
-            assert!(scenario.no_adaptation.cap_violation_rate > 0.5, "{}", scenario.name);
+            assert!(
+                scenario.no_adaptation.cap_violation_rate > 0.5,
+                "{}",
+                scenario.name
+            );
         }
         // Deterministic, including runtime registration/retirement order
         // and the sharded coordinator path.
@@ -726,8 +748,8 @@ mod tests {
             // The hierarchy's whole point: decentralising into per-rack
             // coordinators costs (almost) nothing against the flat
             // arbiter over the same fleet.
-            let ratio = scenario.rack_coordinated.performance_per_watt
-                / scenario.flat.performance_per_watt;
+            let ratio =
+                scenario.rack_coordinated.performance_per_watt / scenario.flat.performance_per_watt;
             assert!(
                 (0.9..=1.1).contains(&ratio),
                 "{}: rack-coordinated perf/W must track flat, ratio {ratio:.4}",
@@ -755,8 +777,7 @@ mod tests {
         assert!(fig.to_table().contains("rack-coordinated"));
         // Deterministic across runs, including the pooled coordinator and
         // datacenter paths — and passive under telemetry.
-        let (observed, snapshot) =
-            Figure5Hierarchy::compute_scenarios_obs(&scenarios, 2012, true);
+        let (observed, snapshot) = Figure5Hierarchy::compute_scenarios_obs(&scenarios, 2012, true);
         assert_eq!(fig.canonical(), observed.canonical());
         let snapshot = snapshot.expect("observe=true returns a snapshot");
         // Flat arm: one coordinator step per quantum. Rack arm: one step
@@ -766,8 +787,7 @@ mod tests {
             .map(|s| (1 + s.rack_count() as u64) * s.quanta as u64)
             .sum();
         assert_eq!(snapshot.counter(Counter::QuantaStepped), expected_steps);
-        let expected_datacenter_steps: u64 =
-            scenarios.iter().map(|s| s.quanta as u64).sum();
+        let expected_datacenter_steps: u64 = scenarios.iter().map(|s| s.quanta as u64).sum();
         assert_eq!(
             snapshot.stage(obs::Stage::DatacenterStep).count,
             expected_datacenter_steps

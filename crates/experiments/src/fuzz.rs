@@ -32,8 +32,8 @@
 use actuation::{ActuatorSpec, ConfigTable};
 use coordinator::invariants::{
     active_total, check_award_vector, check_budget_conservation, check_cap_violation,
-    check_hierarchy_conservation, check_perf_per_watt_cliff, check_starvation,
-    check_summary_total, AwardedApp, HierarchyTotals, InvariantViolation, OscillationTracker,
+    check_hierarchy_conservation, check_perf_per_watt_cliff, check_starvation, check_summary_total,
+    AwardedApp, HierarchyTotals, InvariantViolation, OscillationTracker,
 };
 use coordinator::{
     AppHandle, ArbitrationPolicy, ArbitrationSchedule, AwardHysteresis, PerformanceMarket,

@@ -44,11 +44,13 @@ pub mod pareto;
 mod scenario;
 pub mod sweep;
 
+pub use chaos::{FigureChaos, FigureEnforce};
 pub use fig2::Figure2;
 pub use fig3::{Figure3, Figure3Row};
 pub use fig4::{Figure4, Figure4Row};
-pub use chaos::{FigureChaos, FigureEnforce};
-pub use fig5::{ArmOutcome, Figure5, Figure5Hierarchy, Figure5Scenario, HierarchyScenario, RuntimeBlock};
+pub use fig5::{
+    ArmOutcome, Figure5, Figure5Hierarchy, Figure5Scenario, HierarchyScenario, RuntimeBlock,
+};
 
 /// Writes `value` to `path` as pretty-printed JSON, the format of every
 /// figure and report file the binaries emit.

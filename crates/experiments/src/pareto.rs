@@ -63,9 +63,15 @@ mod tests {
     fn domination_requires_strict_improvement() {
         assert!(pt(1.0, 10.0).dominates(&pt(2.0, 9.0)));
         assert!(pt(1.0, 10.0).dominates(&pt(1.0, 9.0)));
-        assert!(!pt(1.0, 10.0).dominates(&pt(1.0, 10.0)), "equal points do not dominate");
+        assert!(
+            !pt(1.0, 10.0).dominates(&pt(1.0, 10.0)),
+            "equal points do not dominate"
+        );
         assert!(!pt(1.0, 10.0).dominates(&pt(0.5, 20.0)));
-        assert!(!pt(1.0, 10.0).dominates(&pt(0.5, 5.0)), "trade-off points are incomparable");
+        assert!(
+            !pt(1.0, 10.0).dominates(&pt(0.5, 5.0)),
+            "trade-off points are incomparable"
+        );
     }
 
     #[test]

@@ -56,7 +56,11 @@ impl SweepPoint {
 
 /// Runs `benchmark` (as a single whole-run quantum) in every configuration
 /// the chip exposes and returns one [`SweepPoint`] per configuration.
-pub fn sweep_benchmark(chip: &AngstromChip, benchmark: SplashBenchmark, seed: u64) -> Vec<SweepPoint> {
+pub fn sweep_benchmark(
+    chip: &AngstromChip,
+    benchmark: SplashBenchmark,
+    seed: u64,
+) -> Vec<SweepPoint> {
     let workload = Workload::new(benchmark, seed);
     let demand = to_chip_demand(&workload.average_quantum());
     let config = chip.config();
@@ -116,7 +120,9 @@ mod tests {
         let points = sweep_benchmark(&chip, SplashBenchmark::Barnes, 1);
         // 7 core options × 5 cache options × 1 operating point.
         assert_eq!(points.len(), 7 * 5);
-        assert!(points.iter().all(|p| p.seconds > 0.0 && p.energy_joules > 0.0));
+        assert!(points
+            .iter()
+            .all(|p| p.seconds > 0.0 && p.energy_joules > 0.0));
     }
 
     #[test]

@@ -133,7 +133,10 @@ impl MemorySink {
 
 impl Sink for MemorySink {
     fn record(&self, event: &Event) {
-        self.events.lock().expect("event buffer lock").push(event.clone());
+        self.events
+            .lock()
+            .expect("event buffer lock")
+            .push(event.clone());
     }
 }
 
@@ -179,7 +182,9 @@ mod tests {
         for quantum in 0..3 {
             sink.record(&Event {
                 quantum,
-                kind: EventKind::BudgetChange { watts: quantum as f64 },
+                kind: EventKind::BudgetChange {
+                    watts: quantum as f64,
+                },
             });
         }
         let events = sink.events();

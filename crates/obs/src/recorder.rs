@@ -275,7 +275,10 @@ impl Recorder {
     /// [`Self::snapshot`] carries the events too.
     pub fn in_memory() -> Self {
         let memory = Arc::new(MemorySink::new());
-        Recorder::with_sinks(Arc::<MemorySink>::clone(&memory) as Arc<dyn Sink>, Some(memory))
+        Recorder::with_sinks(
+            Arc::<MemorySink>::clone(&memory) as Arc<dyn Sink>,
+            Some(memory),
+        )
     }
 
     /// A recorder streaming events into an arbitrary [`Sink`].
@@ -342,7 +345,11 @@ impl Recorder {
                 .map(|&stage| self.stages[stage as usize].snapshot())
                 .collect(),
             peak_fleet_size: self.peak_fleet.load(Ordering::Relaxed),
-            events: self.memory.as_ref().map(|sink| sink.events()).unwrap_or_default(),
+            events: self
+                .memory
+                .as_ref()
+                .map(|sink| sink.events())
+                .unwrap_or_default(),
         }
     }
 }

@@ -39,7 +39,9 @@ impl ObsSnapshot {
     pub fn empty() -> Self {
         ObsSnapshot {
             counters: vec![0; Counter::ALL.len()],
-            stages: (0..Stage::ALL.len()).map(|_| HistogramSnapshot::empty()).collect(),
+            stages: (0..Stage::ALL.len())
+                .map(|_| HistogramSnapshot::empty())
+                .collect(),
             peak_fleet_size: 0,
             events: Vec::new(),
         }
@@ -152,7 +154,10 @@ pub struct ObsReport {
 impl ObsReport {
     /// The value of `name` among [`Self::counters`], if present.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map(|c| c.value)
     }
 
     /// The stage summary called `name`, if present.

@@ -47,7 +47,9 @@ impl Corpus {
     /// candidate lookup is preceded by a full scenario execution, which
     /// dominates by orders of magnitude.
     pub fn contains_signature(&self, key: &str) -> bool {
-        self.entries.iter().any(|entry| entry.signature.key() == key)
+        self.entries
+            .iter()
+            .any(|entry| entry.signature.key() == key)
     }
 
     /// Admits `entry` if its signature is new; returns whether it was kept.

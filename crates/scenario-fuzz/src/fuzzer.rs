@@ -118,13 +118,13 @@ where
     let mut admitted = [0u64; MutationStrategy::ALL.len()];
 
     let record_incident = |scenario: &Scenario,
-                               outcome: &ScenarioOutcome,
-                               strategy: Option<MutationStrategy>,
-                               iteration: Option<u64>,
-                               executions: &mut u64,
-                               incidents: &mut Vec<Incident>,
-                               seen_classes: &mut Vec<Vec<String>>,
-                               executor: &mut E| {
+                           outcome: &ScenarioOutcome,
+                           strategy: Option<MutationStrategy>,
+                           iteration: Option<u64>,
+                           executions: &mut u64,
+                           incidents: &mut Vec<Incident>,
+                           seen_classes: &mut Vec<Vec<String>>,
+                           executor: &mut E| {
         let classes = outcome.incident_labels();
         if classes.is_empty() || seen_classes.contains(&classes) {
             return;
@@ -175,12 +175,19 @@ where
             iteration: None,
         });
     }
-    assert!(!corpus.is_empty(), "fuzzing needs at least one seed scenario");
+    assert!(
+        !corpus.is_empty(),
+        "fuzzing needs at least one seed scenario"
+    );
 
     // ---- Mutation phase.
     for iteration in 0..config.iterations {
-        let mut rng =
-            StdRng::seed_from_u64(config.seed.wrapping_mul(SEED_MIX).wrapping_add(iteration + 1));
+        let mut rng = StdRng::seed_from_u64(
+            config
+                .seed
+                .wrapping_mul(SEED_MIX)
+                .wrapping_add(iteration + 1),
+        );
         let parent = rng.gen_range(0..corpus.len() as u64) as usize;
         let (mutant, strategy) = mutate(&corpus.entries[parent].scenario, &config.limits, &mut rng);
         let strategy_index = MutationStrategy::ALL
@@ -297,7 +304,10 @@ mod tests {
         );
 
         let (_, report_c) = run(2013);
-        assert_ne!(report_a, report_c, "different run seeds must explore differently");
+        assert_ne!(
+            report_a, report_c,
+            "different run seeds must explore differently"
+        );
     }
 
     #[test]
@@ -319,7 +329,10 @@ mod tests {
             .iter()
             .find(|incident| incident.classes == vec!["cap_violation:machine".to_string()])
             .expect("the planted over-weight defect is discovered");
-        assert!(incident.iteration.is_some(), "found by mutation, not a seed");
+        assert!(
+            incident.iteration.is_some(),
+            "found by mutation, not a seed"
+        );
         assert!(incident.found_apps >= incident.scenario.apps.len());
         assert!(!incident.violations.is_empty());
         assert_eq!(incident.scenario.apps.len(), 1, "one heavy app suffices");

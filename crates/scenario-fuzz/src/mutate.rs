@@ -176,8 +176,7 @@ fn nudge_once(scenario: &mut Scenario, rng: &mut StdRng) {
                 scenario.wake_horizon = rng.gen_range(1..MAX_WAKE_HORIZON + 1);
                 scenario.wake_steady_quanta = rng.gen_range(1..MAX_WAKE_STEADY_QUANTA + 1);
                 if scenario.arbitration_tolerance == 0.0 {
-                    scenario.arbitration_tolerance =
-                        rng.gen_range(0.01..MAX_ARBITRATION_TOLERANCE);
+                    scenario.arbitration_tolerance = rng.gen_range(0.01..MAX_ARBITRATION_TOLERANCE);
                 }
             }
         }
@@ -294,7 +293,9 @@ fn mutate_fault_plan(scenario: &mut Scenario, rng: &mut StdRng) {
                 app: rng.gen_range(0..app_count),
                 kind: random_fault_kind(rng),
                 from,
-                until: rng.gen_bool(0.5).then(|| from + 1 + rng.gen_range(0..quanta)),
+                until: rng
+                    .gen_bool(0.5)
+                    .then(|| from + 1 + rng.gen_range(0..quanta)),
             });
         }
         2 if fault_count > 0 => {
@@ -345,23 +346,20 @@ fn havoc(scenario: &mut Scenario, limits: &MutationLimits, rng: &mut StdRng) {
             }
             8 => duplicate_app(scenario, rng),
             9 => {
-                scenario.quanta =
-                    rng.gen_range(MIN_SCENARIO_QUANTA..limits.max_quanta.max(MIN_SCENARIO_QUANTA) + 1)
+                scenario.quanta = rng
+                    .gen_range(MIN_SCENARIO_QUANTA..limits.max_quanta.max(MIN_SCENARIO_QUANTA) + 1)
             }
             10 if !scenario.apps.is_empty() => {
                 // Rewrite one app wholesale.
                 let quanta = scenario.quanta;
                 let app_count = scenario.apps.len();
                 let app = &mut scenario.apps[rng.gen_range(0..app_count)];
-                app.benchmark =
-                    SplashBenchmark::ALL[rng.gen_range(0..SplashBenchmark::ALL.len())];
+                app.benchmark = SplashBenchmark::ALL[rng.gen_range(0..SplashBenchmark::ALL.len())];
                 app.seed = rng.next_u64();
                 app.weight = rng.gen_range(0.1..8.0);
                 app.target_fraction = rng.gen_range(0.05..1.0);
                 app.arrival = rng.gen_range(0..quanta);
-                app.departure = rng
-                    .gen_bool(0.5)
-                    .then(|| rng.gen_range(0..quanta * 2));
+                app.departure = rng.gen_bool(0.5).then(|| rng.gen_range(0..quanta * 2));
             }
             11 => mutate_fault_plan(scenario, rng),
             _ => {
@@ -402,7 +400,10 @@ mod tests {
         let mut scenario = seed.clone();
         for _ in 0..500 {
             let (mutant, _) = mutate(&scenario, &limits, &mut rng);
-            assert!(mutant.is_well_formed(), "mutant left the envelope: {mutant:?}");
+            assert!(
+                mutant.is_well_formed(),
+                "mutant left the envelope: {mutant:?}"
+            );
             assert!(mutant.apps.len() <= limits.max_apps);
             assert!(mutant.quanta <= limits.max_quanta);
             scenario = mutant;
@@ -416,7 +417,10 @@ mod tests {
         let mut a = StdRng::seed_from_u64(3);
         let mut b = StdRng::seed_from_u64(3);
         for _ in 0..100 {
-            assert_eq!(mutate(&seed, &limits, &mut a), mutate(&seed, &limits, &mut b));
+            assert_eq!(
+                mutate(&seed, &limits, &mut a),
+                mutate(&seed, &limits, &mut b)
+            );
         }
     }
 
@@ -434,7 +438,10 @@ mod tests {
                 .unwrap();
             seen[index] = true;
         }
-        assert!(seen.iter().all(|&s| s), "not all strategies drawn: {seen:?}");
+        assert!(
+            seen.iter().all(|&s| s),
+            "not all strategies drawn: {seen:?}"
+        );
     }
 
     #[test]
@@ -452,8 +459,7 @@ mod tests {
             if !mutant.fault_plan.is_empty() {
                 grown = true;
                 assert!(
-                    strategy == MutationStrategy::FaultPlan
-                        || strategy == MutationStrategy::Havoc,
+                    strategy == MutationStrategy::FaultPlan || strategy == MutationStrategy::Havoc,
                     "{} must not grow faults",
                     strategy.name()
                 );

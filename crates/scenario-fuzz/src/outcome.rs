@@ -116,7 +116,10 @@ mod tests {
         };
         assert_eq!(
             outcome.incident_labels(),
-            vec!["budget_exceeded".to_string(), "cap_violation:rack".to_string()]
+            vec![
+                "budget_exceeded".to_string(),
+                "cap_violation:rack".to_string()
+            ]
         );
     }
 }

@@ -87,7 +87,13 @@ where
                     continue;
                 }
                 candidate.sanitize();
-                if reproduces(&candidate, classes, executor, &mut executions, max_executions) {
+                if reproduces(
+                    &candidate,
+                    classes,
+                    executor,
+                    &mut executions,
+                    max_executions,
+                ) {
                     best = candidate; // retry the same window on the smaller fleet
                 } else {
                     start += chunk;
@@ -104,7 +110,13 @@ where
             let mut candidate = best.clone();
             candidate.budget_steps.clear();
             candidate.sanitize();
-            if reproduces(&candidate, classes, executor, &mut executions, max_executions) {
+            if reproduces(
+                &candidate,
+                classes,
+                executor,
+                &mut executions,
+                max_executions,
+            ) {
                 best = candidate;
             } else {
                 let mut index = 0;
@@ -112,8 +124,13 @@ where
                     let mut candidate = best.clone();
                     candidate.budget_steps.remove(index);
                     candidate.sanitize();
-                    if reproduces(&candidate, classes, executor, &mut executions, max_executions)
-                    {
+                    if reproduces(
+                        &candidate,
+                        classes,
+                        executor,
+                        &mut executions,
+                        max_executions,
+                    ) {
                         best = candidate;
                     } else {
                         index += 1;
@@ -133,7 +150,13 @@ where
                 let mut candidate = best.clone();
                 candidate.quanta = target;
                 candidate.sanitize();
-                if reproduces(&candidate, classes, executor, &mut executions, max_executions) {
+                if reproduces(
+                    &candidate,
+                    classes,
+                    executor,
+                    &mut executions,
+                    max_executions,
+                ) {
                     best = candidate;
                     shortened = true;
                     break;
@@ -190,8 +213,7 @@ mod tests {
         let classes = toy_executor(&scenario).incident_labels();
         assert_eq!(classes, vec!["budget_exceeded".to_string()]);
 
-        let (shrunk, executions) =
-            shrink_incident(&scenario, &classes, 10_000, &mut toy_executor);
+        let (shrunk, executions) = shrink_incident(&scenario, &classes, 10_000, &mut toy_executor);
         assert_eq!(shrunk.apps.len(), 1, "one heavy app suffices");
         assert!(shrunk.apps[0].weight > 5.0);
         assert!(shrunk.budget_steps.is_empty(), "staircase is irrelevant");

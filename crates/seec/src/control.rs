@@ -341,7 +341,10 @@ mod tests {
         for _ in 0..60 {
             k.observe(30.0);
         }
-        assert!((k.estimate() - 30.0).abs() < 2.0, "estimate must follow the new phase");
+        assert!(
+            (k.estimate() - 30.0).abs() < 2.0,
+            "estimate must follow the new phase"
+        );
     }
 
     #[test]

@@ -56,7 +56,9 @@ mod tests {
     fn displays_are_informative() {
         assert!(SeecError::NoActuators.to_string().contains("actuators"));
         assert!(SeecError::NoGoal.to_string().contains("goal"));
-        assert!(SeecError::InvalidParameter("x".into()).to_string().contains('x'));
+        assert!(SeecError::InvalidParameter("x".into())
+            .to_string()
+            .contains('x'));
     }
 
     #[test]

@@ -143,7 +143,11 @@ impl<F: Fn(&EffectKey, &EffectKey) -> bool> Iterator for Believed<'_, F> {
             (None, learned) => learned.is_some(),
             (Some(_), None) => false,
         };
-        let side = if from_learned { &mut self.learned } else { &mut self.declared };
+        let side = if from_learned {
+            &mut self.learned
+        } else {
+            &mut self.declared
+        };
         let (&key, rest) = side.split_first()?;
         *side = rest;
         Some(key)
@@ -163,7 +167,11 @@ impl<F: Fn(&EffectKey, &EffectKey) -> bool> DoubleEndedIterator for Believed<'_,
             (None, learned) => learned.is_some(),
             (Some(_), None) => false,
         };
-        let side = if from_learned { &mut self.learned } else { &mut self.declared };
+        let side = if from_learned {
+            &mut self.learned
+        } else {
+            &mut self.declared
+        };
         let (&key, rest) = side.split_last()?;
         *side = rest;
         Some(key)
@@ -345,7 +353,8 @@ impl ActionModel {
             before: EffectKey::cheaper_than,
         };
         self.staircase.clear();
-        self.staircase.extend(staircase(by_power, f64::NEG_INFINITY));
+        self.staircase
+            .extend(staircase(by_power, f64::NEG_INFINITY));
     }
 
     /// The believed staircase, copied out of the table first if it is
@@ -422,7 +431,10 @@ impl ActionModel {
             id,
         };
         let k = self.learned.len();
-        match self.learned.binary_search_by_key(&id, |&(learned, _)| learned) {
+        match self
+            .learned
+            .binary_search_by_key(&id, |&(learned, _)| learned)
+        {
             Ok(at) => {
                 self.learned[at].1 = belief;
                 let (by_speedup, by_power) = self.keys.split_at_mut(k);
@@ -500,13 +512,21 @@ impl ActionModel {
     /// re-climbed, over the believed power order.
     fn reclimb(&mut self, old: EffectKey, new: EffectKey) {
         let stair = self.believed_staircase();
-        let (lo, hi) = if old.cheaper_than(&new) { (old, new) } else { (new, old) };
+        let (lo, hi) = if old.cheaper_than(&new) {
+            (old, new)
+        } else {
+            (new, old)
+        };
         let start = stair.partition_point(|key| key.cheaper_than(&lo));
         let past = stair.partition_point(|key| !hi.cheaper_than(key));
         let top = old.speedup.max(new.speedup);
         let mut end = past.max(stair.partition_point(|key| key.speedup < top));
         let bound = stair.get(end).copied();
-        let floor = if start > 0 { stair[start - 1].speedup } else { f64::NEG_INFINITY };
+        let floor = if start > 0 {
+            stair[start - 1].speedup
+        } else {
+            f64::NEG_INFINITY
+        };
         self.staircase_mut();
         let k = self.learned.len();
         let span = Believed {
@@ -553,8 +573,7 @@ impl ActionModel {
         max_powerup: f64,
     ) -> ConfigId {
         let exploit = self.exploit(required_speedup, max_powerup);
-        let explore =
-            self.is_diverged() || self.rng.gen_bool(self.policy.epsilon.clamp(0.0, 1.0));
+        let explore = self.is_diverged() || self.rng.gen_bool(self.policy.epsilon.clamp(0.0, 1.0));
         if explore {
             let count = self.table.neighbor_count();
             if count > 0 {
@@ -611,11 +630,7 @@ impl ActionModel {
     /// the requirement is admissible — or everything meets it — the overall
     /// cheapest configuration is returned (the same floor
     /// [`Self::choose_id`] degrades to).
-    pub fn bracket_below_id(
-        &self,
-        required_speedup: f64,
-        max_powerup: f64,
-    ) -> (ConfigId, f64) {
+    pub fn bracket_below_id(&self, required_speedup: f64, max_powerup: f64) -> (ConfigId, f64) {
         let below = Believed {
             declared: below(self.table.by_declared_speedup(), required_speedup),
             learned: below(&self.keys[..self.learned.len()], required_speedup),
@@ -764,7 +779,9 @@ mod tests {
                     best = Some((id, belief.powerup, belief.speedup));
                 }
             }
-            best.map_or((model.table().nominal(), 1.0), |(id, _, speedup)| (id, speedup))
+            best.map_or((model.table().nominal(), 1.0), |(id, _, speedup)| {
+                (id, speedup)
+            })
         }
     }
 
@@ -828,9 +845,14 @@ mod tests {
         let current = id(&model, [1, 0]);
         let choice = model.choose_id(1.0, current, f64::INFINITY);
         let diffs = (0..2)
-            .filter(|&pos| model.table().setting(choice, pos) != model.table().setting(current, pos))
+            .filter(|&pos| {
+                model.table().setting(choice, pos) != model.table().setting(current, pos)
+            })
             .count();
-        assert_eq!(diffs, 1, "exploration stays adjacent to the current configuration");
+        assert_eq!(
+            diffs, 1,
+            "exploration stays adjacent to the current configuration"
+        );
         // Converging observations clear the divergence.
         let belief = model.believed(config);
         model.observe_id(config, belief.speedup, belief.powerup);
@@ -930,13 +952,15 @@ mod tests {
             model.age_beliefs();
         }
         let aged = model.believed(config);
-        let remaining =
-            (aged.speedup - declared.speedup) / (learned.speedup - declared.speedup);
+        let remaining = (aged.speedup - declared.speedup) / (learned.speedup - declared.speedup);
         assert!(
             (remaining - 0.5).abs() < 1e-9,
             "one halflife must leave half the deviation, left {remaining}"
         );
-        assert_eq!(aged.observations, learned.observations, "counts are not aged");
+        assert_eq!(
+            aged.observations, learned.observations,
+            "counts are not aged"
+        );
         // Unobserved configurations stay bit-identical to their priors.
         let untouched = id(&model, [0, 0]);
         let before = model.believed(untouched);
@@ -959,7 +983,11 @@ mod tests {
         });
         for step in 0..60 {
             let id = ConfigId((step * 5 % model.table().len()) as u32);
-            model.observe_id(id, 0.3 + (step % 11) as f64 * 0.35, 0.3 + (step % 7) as f64 * 0.5);
+            model.observe_id(
+                id,
+                0.3 + (step % 11) as f64 * 0.35,
+                0.3 + (step % 7) as f64 * 0.5,
+            );
             model.age_beliefs();
             for i in 0..=12 {
                 let required = i as f64 * 0.3;
@@ -1044,7 +1072,10 @@ mod tests {
                 let required = i as f64 * 0.1;
                 let (id_bracket, id_speedup) = model.bracket_below_id(required, f64::INFINITY);
                 let (ref_bracket, ref_speedup) = reference::bracket_below(&model, required);
-                assert_eq!(id_bracket, ref_bracket, "bracket mismatch at step {step} req {required}");
+                assert_eq!(
+                    id_bracket, ref_bracket,
+                    "bracket mismatch at step {step} req {required}"
+                );
                 assert_eq!(id_speedup.to_bits(), ref_speedup.to_bits());
                 let nominal = model.table().nominal();
                 assert_eq!(

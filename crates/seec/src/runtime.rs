@@ -345,7 +345,8 @@ impl SeecRuntime {
     /// [`MonitorObservation`], combine [`Self::target_override`] with the
     /// observation's target instead.
     pub fn target_heart_rate(&self) -> Option<f64> {
-        self.target_override.or_else(|| self.monitor.target_heart_rate())
+        self.target_override
+            .or_else(|| self.monitor.target_heart_rate())
     }
 
     /// The builder-supplied target override, if any (no registry read).
@@ -551,7 +552,8 @@ impl SeecRuntime {
                 _ => self.model.believed(self.current_id).powerup,
             };
             if speedup_obs.is_finite() && speedup_obs > 0.0 {
-                self.model.observe_id(self.current_id, speedup_obs, powerup_obs);
+                self.model
+                    .observe_id(self.current_id, speedup_obs, powerup_obs);
             }
         }
 
@@ -1102,7 +1104,10 @@ mod tests {
         // The uncapped stall path still keeps the current configuration.
         runtime.apply(&Configuration::new(vec![2, 2])).unwrap();
         let _ = runtime.decide(2.0).unwrap();
-        assert_eq!(runtime.current_configuration(), &Configuration::new(vec![2, 2]));
+        assert_eq!(
+            runtime.current_configuration(),
+            &Configuration::new(vec![2, 2])
+        );
     }
 
     #[test]
@@ -1128,10 +1133,15 @@ mod tests {
             Err(SeecError::InvalidParameter(_))
         ));
         assert_eq!(runtime.decisions_made(), 0);
-        assert_eq!(runtime.current_configuration(), &Configuration::new(vec![2, 2]));
+        assert_eq!(
+            runtime.current_configuration(),
+            &Configuration::new(vec![2, 2])
+        );
         // Infinite, zero and negative caps still decide.
         for cap in [f64::INFINITY, 0.0, -1.0] {
-            assert!(runtime.decide_under_power_cap(now, &observation, cap).is_ok());
+            assert!(runtime
+                .decide_under_power_cap(now, &observation, cap)
+                .is_ok());
         }
         assert_eq!(runtime.decisions_made(), 3);
     }
@@ -1297,7 +1307,9 @@ mod tests {
             *now += 1.0 / rate;
             registry.issuer().heartbeat(*now);
         }
-        registry.monitor().record_power_sample(*now, 20.0 * declared.power);
+        registry
+            .monitor()
+            .record_power_sample(*now, 20.0 * declared.power);
         runtime.decide(*now).unwrap()
     }
 
@@ -1310,7 +1322,11 @@ mod tests {
         let beliefs = (0..model.table().len() as u32)
             .map(|i| {
                 let belief = model.believed(ConfigId(i));
-                (belief.speedup.to_bits(), belief.powerup.to_bits(), belief.observations)
+                (
+                    belief.speedup.to_bits(),
+                    belief.powerup.to_bits(),
+                    belief.observations,
+                )
             })
             .collect();
         (beliefs, model.believed_staircase().to_vec())
@@ -1347,7 +1363,9 @@ mod tests {
         let mut shared_stream = Vec::new();
         for period in 0..60 {
             let id = declared_speedup_order[declared_speedup_order.len() - 1 - period % 40].id;
-            learner.model.observe_id(id, 0.05 + period as f64 * 0.001, 0.5);
+            learner
+                .model
+                .observe_id(id, 0.05 + period as f64 * 0.001, 0.5);
             shared_stream.push(xeon_shaped_period(&mut shared, &registry, &mut now));
         }
         assert_ne!(
@@ -1355,8 +1373,14 @@ mod tests {
             learner.model().table().declared_staircase(),
             "the learner's own staircase must have moved"
         );
-        assert_eq!(learner.model().table().by_declared_speedup(), &declared_speedup_order[..]);
-        assert_eq!(learner.model().table().declared_staircase(), &declared_staircase[..]);
+        assert_eq!(
+            learner.model().table().by_declared_speedup(),
+            &declared_speedup_order[..]
+        );
+        assert_eq!(
+            learner.model().table().declared_staircase(),
+            &declared_staircase[..]
+        );
         assert_eq!(shared_stream, alone_stream);
         assert_eq!(learned_state(&shared), alone_state);
     }

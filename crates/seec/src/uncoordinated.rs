@@ -145,7 +145,8 @@ mod tests {
     #[test]
     fn one_instance_is_created_per_actuator() {
         let registry = HeartbeatRegistry::new("app");
-        let uncoordinated = UncoordinatedRuntime::new_with(&registry.monitor(), actuators(), 1, |b| b).unwrap();
+        let uncoordinated =
+            UncoordinatedRuntime::new_with(&registry.monitor(), actuators(), 1, |b| b).unwrap();
         assert_eq!(uncoordinated.instances(), 2);
         assert_eq!(uncoordinated.joint_configuration().len(), 2);
         assert!(format!("{uncoordinated:?}").contains("instances"));

@@ -242,7 +242,10 @@ mod tests {
             app.advance(i as f64 * 0.1, 1.0); // 10 work units (beats) per second
         }
         let rate = app.monitor().window_heart_rate();
-        assert!((rate - 10.0).abs() < 0.5, "expected ~10 beats/s, got {rate}");
+        assert!(
+            (rate - 10.0).abs() < 0.5,
+            "expected ~10 beats/s, got {rate}"
+        );
     }
 
     #[test]

@@ -77,7 +77,10 @@ impl Workload {
     ///
     /// Panics if `count` is zero.
     pub fn quanta(&self, count: usize) -> Vec<QuantumDemand> {
-        assert!(count > 0, "a workload must be split into at least one quantum");
+        assert!(
+            count > 0,
+            "a workload must be split into at least one quantum"
+        );
         let mut rng = StdRng::seed_from_u64(self.seed ^ seed_mix(self.profile.benchmark));
         let p = &self.profile;
         let base_instructions = p.total_instructions / count as f64;
@@ -123,12 +126,8 @@ impl Workload {
                         * (1.0 + p.phase_variability * rng.gen_range(0.0..0.5)))
                     .max(1.0),
                     base_cpi: p.base_cpi,
-                    xeon_llc_miss_rate: wobble(
-                        p.xeon_llc_miss_rate,
-                        p.phase_variability,
-                        &mut rng,
-                    )
-                    .clamp(0.0, 1.0),
+                    xeon_llc_miss_rate: wobble(p.xeon_llc_miss_rate, p.phase_variability, &mut rng)
+                        .clamp(0.0, 1.0),
                 }
             })
             .collect()

@@ -48,7 +48,6 @@ impl ScenarioApp {
     }
 }
 
-
 /// A mid-run step of the machine power budget: operator- or rack-level
 /// power management changing how much the fleet may draw while it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -149,18 +148,12 @@ impl Deserialize for Scenario {
             name: serde::de::field(entries, "name", "Scenario")?,
             apps: serde::de::field(entries, "apps", "Scenario")?,
             quanta: serde::de::field(entries, "quanta", "Scenario")?,
-            power_budget_fraction: serde::de::field(
-                entries,
-                "power_budget_fraction",
-                "Scenario",
-            )?,
+            power_budget_fraction: serde::de::field(entries, "power_budget_fraction", "Scenario")?,
             budget_steps: serde::de::field(entries, "budget_steps", "Scenario")?,
             // Absent in pre-fault fixtures: an absent plan is an empty plan.
             fault_plan: match entries.iter().find(|(key, _)| key == "fault_plan") {
                 Some((_, plan)) => FaultPlan::from_value(plan).map_err(|e| {
-                    serde::de::DeError::new(format!(
-                        "field `fault_plan` of `Scenario`: {e}"
-                    ))
+                    serde::de::DeError::new(format!("field `fault_plan` of `Scenario`: {e}"))
                 })?,
                 None => FaultPlan::default(),
             },
@@ -169,29 +162,22 @@ impl Deserialize for Scenario {
                 .iter()
                 .find(|(key, _)| key == "arbitration_tolerance")
             {
-                Some((_, tolerance)) => {
-                    f64::from_value(tolerance).map_err(|e| {
-                        serde::de::DeError::new(format!(
-                            "field `arbitration_tolerance` of `Scenario`: {e}"
-                        ))
-                    })?
-                }
+                Some((_, tolerance)) => f64::from_value(tolerance).map_err(|e| {
+                    serde::de::DeError::new(format!(
+                        "field `arbitration_tolerance` of `Scenario`: {e}"
+                    ))
+                })?,
                 None => 0.0,
             },
             // Absent in pre-knob fixtures: an absent horizon is zero (the
             // scheduler off), and likewise for the steady threshold.
             wake_horizon: match entries.iter().find(|(key, _)| key == "wake_horizon") {
                 Some((_, horizon)) => usize::from_value(horizon).map_err(|e| {
-                    serde::de::DeError::new(format!(
-                        "field `wake_horizon` of `Scenario`: {e}"
-                    ))
+                    serde::de::DeError::new(format!("field `wake_horizon` of `Scenario`: {e}"))
                 })?,
                 None => 0,
             },
-            wake_steady_quanta: match entries
-                .iter()
-                .find(|(key, _)| key == "wake_steady_quanta")
-            {
+            wake_steady_quanta: match entries.iter().find(|(key, _)| key == "wake_steady_quanta") {
                 Some((_, steady)) => u32::from_value(steady).map_err(|e| {
                     serde::de::DeError::new(format!(
                         "field `wake_steady_quanta` of `Scenario`: {e}"
@@ -280,9 +266,7 @@ impl Scenario {
     /// Idempotent, and the identity on already-well-formed scenarios.
     pub fn sanitize(&mut self) {
         self.quanta = self.quanta.clamp(MIN_SCENARIO_QUANTA, MAX_SCENARIO_QUANTA);
-        self.power_budget_fraction = self
-            .power_budget_fraction
-            .clamp(MIN_BUDGET_FRACTION, 1.0);
+        self.power_budget_fraction = self.power_budget_fraction.clamp(MIN_BUDGET_FRACTION, 1.0);
         if !self.power_budget_fraction.is_finite() {
             self.power_budget_fraction = MIN_BUDGET_FRACTION;
         }
@@ -314,7 +298,8 @@ impl Scenario {
         }
         self.fault_plan.sanitize(self.apps.len(), quanta);
         self.arbitration_tolerance = if self.arbitration_tolerance.is_finite() {
-            self.arbitration_tolerance.clamp(0.0, MAX_ARBITRATION_TOLERANCE)
+            self.arbitration_tolerance
+                .clamp(0.0, MAX_ARBITRATION_TOLERANCE)
         } else {
             0.0
         };
@@ -397,8 +382,7 @@ pub fn scenario_mixes(seed: u64) -> Vec<Scenario> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5ce7_a210_0000_0001);
     let mut pick = |exclude: Option<SplashBenchmark>| -> SplashBenchmark {
         loop {
-            let candidate =
-                SplashBenchmark::ALL[rng.gen_range(0..SplashBenchmark::ALL.len())];
+            let candidate = SplashBenchmark::ALL[rng.gen_range(0..SplashBenchmark::ALL.len())];
             if Some(candidate) != exclude {
                 return candidate;
             }
@@ -899,9 +883,7 @@ mod tests {
         for scenario in scenario_mixes(2012) {
             assert!(!scenario.apps.is_empty(), "{}", scenario.name);
             assert!(scenario.quanta > 0);
-            assert!(
-                scenario.power_budget_fraction > 0.0 && scenario.power_budget_fraction <= 1.0
-            );
+            assert!(scenario.power_budget_fraction > 0.0 && scenario.power_budget_fraction <= 1.0);
             for app in &scenario.apps {
                 assert!(app.weight > 0.0);
                 assert!(app.target_fraction > 0.0 && app.target_fraction <= 1.0);
@@ -921,8 +903,14 @@ mod tests {
         let mixes = scenario_mixes(2012);
         assert_eq!(mixes.len(), 3);
         let staggered = &mixes[1];
-        assert!(staggered.apps.iter().any(|a| a.arrival > 0), "staggered arrivals");
-        assert!(staggered.apps.iter().any(|a| a.departure.is_some()), "a departure");
+        assert!(
+            staggered.apps.iter().any(|a| a.arrival > 0),
+            "staggered arrivals"
+        );
+        assert!(
+            staggered.apps.iter().any(|a| a.departure.is_some()),
+            "a departure"
+        );
         let tiered = &mixes[2];
         let mut weights: Vec<f64> = tiered.apps.iter().map(|a| a.weight).collect();
         weights.sort_by(f64::total_cmp);
@@ -1110,8 +1098,7 @@ mod tests {
         let storm = &mixes[0];
         assert_eq!(storm.name, "fault-storm");
         assert_eq!(storm.rack_count(), 1);
-        let kinds: Vec<FaultKind> =
-            storm.fault_plan.faults.iter().map(|f| f.kind).collect();
+        let kinds: Vec<FaultKind> = storm.fault_plan.faults.iter().map(|f| f.kind).collect();
         assert!(kinds.contains(&FaultKind::StallHeartbeats));
         assert!(kinds.contains(&FaultKind::FreezeTelemetry));
         assert!(kinds.contains(&FaultKind::NonFiniteTelemetry));
@@ -1123,11 +1110,7 @@ mod tests {
             "a power misreporter"
         );
         assert!(
-            storm
-                .fault_plan
-                .faults
-                .iter()
-                .any(|f| f.until.is_some()),
+            storm.fault_plan.faults.iter().any(|f| f.until.is_some()),
             "a transient fault, for recovery measurement"
         );
         let healthy = (0..storm.apps.len())

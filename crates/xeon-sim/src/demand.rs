@@ -148,7 +148,10 @@ mod tests {
 
     #[test]
     fn scaled_quantum_preserves_rates() {
-        let d = ServerDemand::builder().instructions(1000.0).work_units(4.0).build();
+        let d = ServerDemand::builder()
+            .instructions(1000.0)
+            .work_units(4.0)
+            .build();
         let quarter = d.scaled(0.25);
         assert_eq!(quarter.instructions, 250.0);
         assert_eq!(quarter.work_units, 1.0);

@@ -213,7 +213,10 @@ mod tests {
             direct.energy_joules.to_bits(),
             prepared.energy_joules.to_bits()
         );
-        assert_eq!(direct.instructions.to_bits(), prepared.instructions.to_bits());
+        assert_eq!(
+            direct.instructions.to_bits(),
+            prepared.instructions.to_bits()
+        );
         assert_eq!(direct.work_units.to_bits(), prepared.work_units.to_bits());
     }
 
@@ -240,11 +243,8 @@ mod tests {
                 for cores in 1..=server.total_cores() {
                     for pstate in 0..server.pstates().len() {
                         for duty_step in 1..=10 {
-                            let cfg = ServerConfiguration::new(
-                                cores,
-                                pstate,
-                                duty_step as f64 / 10.0,
-                            );
+                            let cfg =
+                                ServerConfiguration::new(cores, pstate, duty_step as f64 / 10.0);
                             assert_bit_identical(&server, &demand, &cfg);
                         }
                     }

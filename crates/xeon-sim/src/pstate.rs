@@ -14,7 +14,9 @@ impl PStateTable {
     /// 2.4 GHz, index 6 = 1.6 GHz).
     pub fn xeon_e5530() -> Self {
         PStateTable {
-            frequencies: vec![2.400e9, 2.267e9, 2.133e9, 2.000e9, 1.867e9, 1.733e9, 1.600e9],
+            frequencies: vec![
+                2.400e9, 2.267e9, 2.133e9, 2.000e9, 1.867e9, 1.733e9, 1.600e9,
+            ],
         }
     }
 
@@ -50,7 +52,10 @@ impl PStateTable {
 
     /// The lowest frequency in the table, in hertz.
     pub fn min_frequency(&self) -> f64 {
-        self.frequencies.iter().copied().fold(f64::INFINITY, f64::min)
+        self.frequencies
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min)
     }
 
     /// All frequencies, fastest first.

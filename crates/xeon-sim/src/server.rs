@@ -192,7 +192,11 @@ impl XeonServer {
 
     /// Evaluates `demand` under `configuration` (clamped into range), without
     /// mutating any state.
-    pub fn evaluate(&self, demand: &ServerDemand, configuration: &ServerConfiguration) -> ServerReport {
+    pub fn evaluate(
+        &self,
+        demand: &ServerDemand,
+        configuration: &ServerConfiguration,
+    ) -> ServerReport {
         let cores = configuration.cores.clamp(1, self.total_cores);
         let pstate = configuration.pstate_index.min(self.pstates.len() - 1);
         let duty = configuration.active_cycle_fraction.clamp(0.05, 1.0);
@@ -282,7 +286,10 @@ mod tests {
         assert_eq!(server.idle_power_watts(), 90.0);
         let report = server.evaluate(&demand(), &server.default_configuration());
         assert!(report.total_power_watts <= server.max_power_watts() + 1e-9);
-        assert!(report.total_power_watts > 200.0, "full load approaches 220 W");
+        assert!(
+            report.total_power_watts > 200.0,
+            "full load approaches 220 W"
+        );
     }
 
     #[test]
@@ -334,12 +341,24 @@ mod tests {
     #[test]
     fn validation_rejects_bad_configurations() {
         let server = XeonServer::dell_r410();
-        assert!(ServerConfiguration::new(0, 0, 1.0).validate(&server).is_err());
-        assert!(ServerConfiguration::new(9, 0, 1.0).validate(&server).is_err());
-        assert!(ServerConfiguration::new(4, 9, 1.0).validate(&server).is_err());
-        assert!(ServerConfiguration::new(4, 0, 0.0).validate(&server).is_err());
-        assert!(ServerConfiguration::new(4, 0, 1.5).validate(&server).is_err());
-        assert!(ServerConfiguration::new(4, 0, 1.0).validate(&server).is_ok());
+        assert!(ServerConfiguration::new(0, 0, 1.0)
+            .validate(&server)
+            .is_err());
+        assert!(ServerConfiguration::new(9, 0, 1.0)
+            .validate(&server)
+            .is_err());
+        assert!(ServerConfiguration::new(4, 9, 1.0)
+            .validate(&server)
+            .is_err());
+        assert!(ServerConfiguration::new(4, 0, 0.0)
+            .validate(&server)
+            .is_err());
+        assert!(ServerConfiguration::new(4, 0, 1.5)
+            .validate(&server)
+            .is_err());
+        assert!(ServerConfiguration::new(4, 0, 1.0)
+            .validate(&server)
+            .is_ok());
         assert!(server.default_configuration().validate(&server).is_ok());
     }
 

@@ -45,8 +45,7 @@ fn main() {
          stepping to {:.0} W at quantum 36\n",
         scenario.quanta,
         budget_watts(&server, &scenario),
-        scenario.budget_fraction_at(36)
-            * (server.max_power_watts() - server.idle_power_watts()),
+        scenario.budget_fraction_at(36) * (server.max_power_watts() - server.idle_power_watts()),
     );
 
     // Figure 5's harness runs exactly this comparison; reuse it so the

@@ -87,7 +87,9 @@ fn main() {
         coordinator.step(now).expect("goals registered");
     }
 
-    println!("machine cap: {CAP_WATTS:.0} W above idle  (flat out would draw {flat_out_watts:.0} W)");
+    println!(
+        "machine cap: {CAP_WATTS:.0} W above idle  (flat out would draw {flat_out_watts:.0} W)"
+    );
     println!("policy: {}\n", coordinator.policy_name());
     println!("app        weight  target b/s  achieved b/s  award W  attainment");
     for (index, &(handle, _)) in apps.iter().enumerate() {

@@ -63,6 +63,9 @@ fn main() {
     }
 
     let achieved = monitor.heart_rate().global;
-    println!("\nfinal window heart rate: {:.1} beats/s (target {target:.1})", achieved);
+    println!(
+        "\nfinal window heart rate: {:.1} beats/s (target {target:.1})",
+        achieved
+    );
     println!("decisions taken: {}", runtime.decisions_made());
 }

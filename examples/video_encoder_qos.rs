@@ -9,13 +9,13 @@
 //!
 //! Run with: `cargo run --example video_encoder_qos`
 
+use actuation_helpers::angstrom_actuators;
 use angstrom_seec::actuation::{ActuatorSpec, Axis, SettingSpec, TableActuator};
 use angstrom_seec::angstrom_sim::chip::{AngstromChip, ChipConfiguration};
 use angstrom_seec::angstrom_sim::config::ChipConfig;
 use angstrom_seec::angstrom_sim::workload::WorkloadDemand;
 use angstrom_seec::heartbeats::{Goal, HeartbeatRegistry, PerformanceGoal};
 use angstrom_seec::seec::SeecRuntime;
-use actuation_helpers::angstrom_actuators;
 
 fn main() {
     let mut chip = AngstromChip::new(ChipConfig::angstrom_256());
@@ -81,7 +81,9 @@ fn map_to_chip(
 ) -> ChipConfiguration {
     let cores = config.core_allocation_options[joint.setting(0).unwrap_or(0)];
     let cache = config.cache_capacity_options_kb[joint.setting(1).unwrap_or(0)];
-    let op = joint.setting(2).unwrap_or(config.operating_points.len() - 1);
+    let op = joint
+        .setting(2)
+        .unwrap_or(config.operating_points.len() - 1);
     ChipConfiguration {
         cores,
         cache_per_core_kb: cache,
@@ -101,7 +103,8 @@ mod actuation_helpers {
     /// and the voltage/frequency point, with naive declared effects that the
     /// SEEC model corrects online.
     pub fn angstrom_actuators(config: &ChipConfig) -> Vec<Box<dyn Actuator>> {
-        let mut cores = ActuatorSpec::builder("cores").scope(angstrom_seec::actuation::Scope::Global);
+        let mut cores =
+            ActuatorSpec::builder("cores").scope(angstrom_seec::actuation::Scope::Global);
         let min_cores = config.core_allocation_options[0] as f64;
         for &n in &config.core_allocation_options {
             cores = cores.setting(

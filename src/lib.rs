@@ -44,12 +44,12 @@ pub use xeon_sim;
 
 /// Convenient re-exports of the types most programs need.
 pub mod prelude {
-    pub use actuation::{Actuator, ActuatorSpec, Axis, Configuration, Scope, SettingSpec, TableActuator};
+    pub use actuation::{
+        Actuator, ActuatorSpec, Axis, Configuration, Scope, SettingSpec, TableActuator,
+    };
     pub use angstrom_sim::chip::{AngstromChip, ChipConfiguration, ExecutionReport};
     pub use angstrom_sim::config::ChipConfig;
-    pub use coordinator::{
-        Coordinator, ManagedApp, PerformanceMarket, StaticShare, WeightedFair,
-    };
+    pub use coordinator::{Coordinator, ManagedApp, PerformanceMarket, StaticShare, WeightedFair};
     pub use heartbeats::{Goal, HeartbeatRegistry, PerformanceGoal, PowerGoal};
     pub use seec::{SeecRuntime, UncoordinatedRuntime};
     pub use workloads::{HeartbeatedWorkload, SplashBenchmark, Workload};

@@ -53,11 +53,13 @@ fn drive(apps: usize, workers: usize, quanta: usize, observe: bool) -> Vec<Strin
             .seed(index as u64)
             .build()
             .expect("actuators registered");
-        handles.push(coordinator.register(
-            ManagedApp::new(driver, runtime)
-                .with_weight(1.0 + (index % 3) as f64)
-                .with_nominal_power_hint(6.0),
-        ));
+        handles.push(
+            coordinator.register(
+                ManagedApp::new(driver, runtime)
+                    .with_weight(1.0 + (index % 3) as f64)
+                    .with_nominal_power_hint(6.0),
+            ),
+        );
     }
     let mut now = 0.0;
     let mut transcript = Vec::with_capacity(quanta);
@@ -114,11 +116,13 @@ fn drive_counted(apps: usize, quanta: usize, tolerance: f64) -> (u64, u64, u64) 
             .seed(index as u64)
             .build()
             .expect("actuators registered");
-        handles.push(coordinator.register(
-            ManagedApp::new(driver, runtime)
-                .with_weight(1.0 + (index % 3) as f64)
-                .with_nominal_power_hint(6.0),
-        ));
+        handles.push(
+            coordinator.register(
+                ManagedApp::new(driver, runtime)
+                    .with_weight(1.0 + (index % 3) as f64)
+                    .with_nominal_power_hint(6.0),
+            ),
+        );
     }
     let mut now = 0.0;
     for _ in 0..quanta {
