@@ -482,9 +482,13 @@ fn request_for(
     }
 }
 
-/// Folds the live apps' requests into one fleet-level aggregate (see
-/// [`Coordinator::fleet_request`] for the field semantics). Registration
-/// order, so every floating-point sum is deterministic.
+/// Folds the live apps' requests into the one request a
+/// [`crate::DatacenterArbiter`] arbitrates for their rack: active if any
+/// app is, the sum of their weights (a rack of high-priority apps outweighs
+/// one of batch jobs), the weight-weighted mean urgency, and the sum of
+/// their absorption ceilings (so water-filling returns a rack's surplus to
+/// racks that can still use it). Registration order, so every
+/// floating-point sum is deterministic.
 fn aggregate_requests<'a>(requests: impl Iterator<Item = &'a AppRequest>) -> AppRequest {
     let mut active = false;
     let mut weight = 0.0;
@@ -869,8 +873,8 @@ impl HotRow {
 /// readable, but it is awarded exactly 0 W and never decides again. The
 /// step after its retirement still lists it once — observing it absent and
 /// recording its 0 W award — and from then on it leaves every per-step and
-/// lifecycle walk (observe, watchdog, arbitrate, decide, summarise,
-/// [`Coordinator::fleet_request`], the admission feasibility sum), so step
+/// lifecycle walk (observe, watchdog, arbitrate, decide, summarise, a
+/// datacenter's rack observation, the admission feasibility sum), so step
 /// cost follows the live fleet, not every app ever registered. The engine's
 /// present list is the one record of which slots still take part; the
 /// coordinator's walks read it and skip the slots retired since the last
@@ -930,8 +934,12 @@ pub struct Coordinator {
     /// Simulation time of the most recent step (timestamps admission-
     /// control decisions for mid-run registrations).
     last_now: f64,
-    // Reused per-step buffers: the steady-state sequential step allocates
-    // nothing (the pooled step allocates one small per-shard Vec).
+    /// Whether [`Self::observe_fleet`] snapshotted every present app since
+    /// the last step, which then reuses those snapshots.
+    snapshotted: bool,
+    // Reused per-step buffers, one row per slot like `rows`: the
+    // steady-state sequential step allocates nothing (the pooled step
+    // allocates one small per-shard Vec).
     observations: Vec<MonitorObservation>,
     requests: Vec<AppRequest>,
     /// Telemetry recorder; `None` (the default) keeps every stage on the
@@ -1001,6 +1009,7 @@ impl Coordinator {
             observe_list: Vec::new(),
             committed_floors: None,
             last_now: 0.0,
+            snapshotted: false,
             observations: Vec::new(),
             requests: Vec::new(),
             observer: None,
@@ -1237,7 +1246,11 @@ impl Coordinator {
         if let Some(committed) = &mut self.committed_floors {
             *committed += committed_floor_watts(&app);
         }
+        // Every per-slot column grows here and nowhere else; a new slot is
+        // never steady, so its first step observes it before any read.
         self.rows.push(HotRow::new(app.driver.emitted_beats()));
+        self.observations.push(MonitorObservation::default());
+        self.requests.push(AppRequest::ABSENT);
         self.apps.push(app);
         // The engine holds the present list every walk reads: the newcomer
         // is on it from now, not from its first step.
@@ -1385,54 +1398,39 @@ impl Coordinator {
         self.arbiter.awards()
     }
 
-    /// Folds the whole fleet's state into one machine-level [`AppRequest`]
-    /// for the quantum [`Self::step`] will run next — what a
-    /// [`crate::DatacenterArbiter`] arbitrates *between* coordinators, so
-    /// budget can flow datacenter → rack → app through the same
-    /// [`ArbitrationPolicy`] trait at both levels:
-    ///
-    /// * `active` — whether any application is present this quantum;
-    /// * `weight` — the sum of present applications' weights (a rack full
-    ///   of high-priority apps outweighs one full of batch jobs);
-    /// * `urgency` — the weight-weighted mean of present applications'
-    ///   heartbeat-gap urgencies;
-    /// * `max_power_watts` — the sum of present applications' absorption
-    ///   ceilings (water-filling at the datacenter level then returns a
-    ///   rack's surplus to racks that can still use it).
-    ///
-    /// Observes the live apps (one lock per app, same snapshot `step` would
-    /// take; the warmed buffers are reused by the following `step`, whose
-    /// own observation of an unchanged fleet yields identical values).
-    /// Deterministic: the folds run in registration order.
-    pub fn fleet_request(&mut self) -> AppRequest {
-        let quantum = self.quantum;
-        let budget = self.budget_watts;
-        self.grow_rows();
-        for (index, app) in present_apps(self.arbiter.present(), &self.apps) {
-            self.observations[index] = app.monitor.observation();
-            self.requests[index] = request_for(app, &self.observations[index], quantum, budget);
-        }
-        let requests = &self.requests;
-        aggregate_requests(
-            present_apps(self.arbiter.present(), &self.apps).map(|(index, _)| &requests[index]),
-        )
-    }
-
-    /// Grows the observation and request rows to one per registered app;
-    /// a new row is overwritten before anything reads it.
-    fn grow_rows(&mut self) {
-        let fleet = self.apps.len();
-        self.observations
-            .resize(fleet, MonitorObservation::default());
-        self.requests.resize(
-            fleet,
-            AppRequest {
-                active: false,
-                weight: 1.0,
-                urgency: 1.0,
-                max_power_watts: 0.0,
+    /// The first half of a rack's datacenter quantum: snapshots the
+    /// monitor of every slot on the engine's present list (sharded like the
+    /// step's own stages), builds each request under the budget in force
+    /// before the datacenter's award replaces it, and folds the apps not
+    /// retired into the rack's aggregate request. The following
+    /// [`Self::step`] reuses these snapshots — nothing between the two
+    /// moves a monitor — so each app is observed once per quantum.
+    pub(crate) fn observe_fleet(&mut self) -> AppRequest {
+        let (quantum, budget, present) = (self.quantum, self.budget_watts, self.arbiter.present());
+        let pool = self
+            .pool
+            .as_deref()
+            .filter(|_| present.len() >= self.shard_threshold);
+        walk_list(
+            pool,
+            present,
+            &mut self.apps,
+            &mut self.observations,
+            &mut self.requests,
+            &mut self.rows,
+            |_, app, observation, request, _| {
+                *observation = app.monitor.observation();
+                *request = request_for(app, observation, quantum, budget);
+                Ok(())
             },
-        );
+        )
+        .expect("observing cannot fail");
+        if let Some(observer) = &self.observer {
+            observer.add(Counter::AppsObserved, present.len() as u64);
+        }
+        self.snapshotted = true;
+        let requests = &self.requests;
+        aggregate_requests(present_apps(present, &self.apps).map(|(index, _)| &requests[index]))
     }
 
     /// Runs one coordinated quantum at simulation time `now`:
@@ -1487,9 +1485,11 @@ impl Coordinator {
         // changes at `retire`, whose mark keeps the slot off steady until a
         // round has observed it absent. Sleepers are not observed; one the
         // watchdog wakes mid-round gets a late observation in the watchdog
-        // loop below.
+        // loop below. After `observe_fleet` every participant keeps that
+        // snapshot and only rebuilds its request, under the budget the
+        // datacenter's award just set.
         let budget = self.budget_watts;
-        self.grow_rows();
+        let snapshotted = std::mem::take(&mut self.snapshotted);
         self.observe_list.clear();
         let (arbiter, rows) = (&self.arbiter, &self.rows);
         self.observe_list
@@ -1505,13 +1505,17 @@ impl Coordinator {
             &mut self.requests,
             &mut self.rows,
             |_, app, observation, request, _| {
-                *observation = app.monitor.observation();
+                if !snapshotted {
+                    *observation = app.monitor.observation();
+                }
                 *request = request_for(app, observation, quantum, budget);
                 Ok(())
             },
         )?;
         if let (Some(observer), Some(clock)) = (&observer, clock.as_mut()) {
-            observer.add(Counter::AppsObserved, self.observe_list.len() as u64);
+            if !snapshotted {
+                observer.add(Counter::AppsObserved, self.observe_list.len() as u64);
+            }
             observer.time(Stage::Observe, clock.lap());
         }
 
@@ -1551,16 +1555,18 @@ impl Coordinator {
                 self.arbiter.mark_dirty(index);
                 // Late observation: a slot the observe stage skipped (a
                 // sleeper, or a steady participant) enters the fold and
-                // decides on a current snapshot, its request rebuilt from
-                // it (so a readmission drops the floor) and re-floored
-                // while quarantined.
+                // decides on a current snapshot (`observe_fleet`'s, if it
+                // ran), its request rebuilt from it (so a readmission drops
+                // the floor) and re-floored while quarantined.
                 if self.observe_list.binary_search(&(index as u32)).is_err() {
-                    *observation = app.monitor.observation();
+                    if !snapshotted {
+                        *observation = app.monitor.observation();
+                        late_observed += 1;
+                    }
                     *request = request_for(app, observation, quantum, budget);
                     if after == HealthState::Quarantined {
                         quarantine_floor(request, &config);
                     }
-                    late_observed += 1;
                 }
                 // Ladder telemetry, raised from this sequential loop only:
                 // first-time quarantines match the figure summaries'
@@ -2313,10 +2319,10 @@ mod tests {
     }
 
     #[test]
-    fn fleet_request_aggregates_present_apps() {
+    fn observe_fleet_aggregates_present_apps() {
         let mut coordinator = Coordinator::new(100.0, Box::new(StaticShare));
         // Empty fleet: inactive aggregate with neutral weight/urgency.
-        let idle = coordinator.fleet_request();
+        let idle = coordinator.observe_fleet();
         assert!(!idle.active);
         assert_eq!(idle.weight, 1.0);
         assert_eq!(idle.urgency, 1.0);
@@ -2327,14 +2333,14 @@ mod tests {
         let gone =
             coordinator.register(managed_app(SplashBenchmark::Volrend, 2, 15.0).with_weight(3.0));
         coordinator.retire(gone);
-        let request = coordinator.fleet_request();
+        let request = coordinator.observe_fleet();
         assert!(request.active);
         assert_eq!(request.weight, 2.0);
         // Present app's ceiling: 10 W nominal hint x the space's most
         // expensive declared powerup (2.6 x 2.0).
         assert!((request.max_power_watts - 10.0 * 5.2).abs() < 1e-9);
         assert!(request.urgency >= 1.0);
-        // A fleet_request followed by a step must not perturb the step.
+        // An observe_fleet followed by a step must not perturb the step.
         coordinator.step(1.0).unwrap();
         assert_eq!(coordinator.quantum(), 1);
     }

@@ -11,19 +11,24 @@
 //!   auditing the power it actually drew against the budget it was awarded.
 //! * [`DatacenterArbiter`] — owns N racks and re-runs an
 //!   [`ArbitrationPolicy`] — the *same trait* the racks use on their apps —
-//!   over rack-level aggregate requests ([`Coordinator::fleet_request`]),
-//!   so the budget flows datacenter → rack → app.
+//!   over rack-level aggregate requests, so the budget flows
+//!   datacenter → rack → app.
 //!
 //! Every datacenter step is three phases, mirroring [`Coordinator::step`]:
 //!
-//! 1. **observe** — each rack folds its fleet into one aggregate request
-//!    (sum of present weights, weight-weighted mean urgency, summed
-//!    absorption ceilings);
+//! 1. **observe** — each rack snapshots every present app once and folds
+//!    their requests, built under the rack's budget before this quantum's
+//!    award, into one aggregate request (sum of present weights,
+//!    weight-weighted mean urgency, summed absorption ceilings);
 //! 2. **arbitrate** — the datacenter policy splits the datacenter budget
 //!    into per-rack watt envelopes (a sequential fold, exactly like the
 //!    rack-level stage 2);
-//! 3. **step** — each rack adopts its envelope as its machine budget and
-//!    runs an ordinary coordinator step under it.
+//! 3. **step** — each rack adopts its envelope as its machine budget (a
+//!    positive award wakes the rack's whole fleet) and runs an ordinary
+//!    coordinator step under it. The step reuses phase 1's snapshots
+//!    instead of reading the monitors again and rebuilds each request it
+//!    needs under the adopted budget, so each app is observed once per
+//!    datacenter quantum.
 //!
 //! The phases walk the racks in rack order on the caller's thread; each
 //! rack's own coordinator shards its apps across whatever pool it was
@@ -520,7 +525,7 @@ impl DatacenterArbiter {
         self.requests.extend(
             self.racks
                 .iter_mut()
-                .map(|rack| rack.coordinator.fleet_request()),
+                .map(|rack| rack.coordinator.observe_fleet()),
         );
 
         // ---- Phase 2: arbitrate (sequential deterministic fold) -----

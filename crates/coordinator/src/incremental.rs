@@ -428,18 +428,6 @@ impl IncrementalArbiter {
         &self.dirty
     }
 
-    /// Whether `index` is currently asleep (always false with the
-    /// scheduler off).
-    pub fn is_sleeping(&self, index: usize) -> bool {
-        self.sleeping.get(index).copied().unwrap_or(false)
-    }
-
-    /// Sleeping slots whose snapshot request is active — the `slept` entry
-    /// of the decide ledger for the round in progress.
-    pub fn sleeping_active(&self) -> usize {
-        self.sleeping_active
-    }
-
     /// The ascending indices participating in the current round: after
     /// [`Self::begin_round`] (or [`Self::arbitrate`], which begins the
     /// round itself) this is every non-sleeping slot plus any slot woken
@@ -749,6 +737,20 @@ mod tests {
     use crate::policy::{
         AwardHysteresis, PerformanceMarket, StarvationFloor, StaticShare, WeightedFair,
     };
+
+    impl IncrementalArbiter {
+        /// Sleeping slots whose snapshot request is active — the `slept`
+        /// entry of the decide ledger for the round in progress.
+        fn sleeping_active(&self) -> usize {
+            self.sleeping_active
+        }
+
+        /// Whether `index` is currently asleep (always false with the
+        /// scheduler off).
+        pub(crate) fn is_sleeping(&self, index: usize) -> bool {
+            self.sleeping.get(index).copied().unwrap_or(false)
+        }
+    }
 
     fn request(weight: f64, urgency: f64, ceiling: f64) -> AppRequest {
         AppRequest {

@@ -16,8 +16,8 @@
 //!   [`WeightedFair`] (water-filling by priority weight), and
 //!   [`PerformanceMarket`] (bidding by `weight × heartbeat-gap urgency`).
 //! * [`RackCoordinator`] / [`DatacenterArbiter`] — the same structure one
-//!   level up: racks fold their fleets into aggregate requests
-//!   ([`Coordinator::fleet_request`]), the datacenter re-runs an
+//!   level up: racks fold their fleets into aggregate requests (each app
+//!   observed once per datacenter quantum), the datacenter re-runs an
 //!   [`ArbitrationPolicy`] across racks, and budget flows
 //!   datacenter → rack → app (the flat coordinator is the 1-rack
 //!   degenerate case; see the [`hierarchy`] module docs).

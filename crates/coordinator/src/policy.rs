@@ -348,17 +348,6 @@ impl AwardHysteresis {
         };
         self
     }
-
-    /// The configured dead band, as a fraction of the budget.
-    pub fn dead_band_fraction(&self) -> f64 {
-        self.dead_band_fraction
-    }
-
-    /// The configured slew limit, as a fraction of the budget (0 when
-    /// disabled).
-    pub fn max_step_fraction(&self) -> f64 {
-        self.max_step_fraction
-    }
 }
 
 impl std::fmt::Debug for AwardHysteresis {
@@ -520,11 +509,6 @@ impl StarvationFloor {
             inner_awards: Vec::new(),
         }
     }
-
-    /// The fraction of the budget reserved for minimum seats.
-    pub fn floor_share(&self) -> f64 {
-        self.floor_share
-    }
 }
 
 impl std::fmt::Debug for StarvationFloor {
@@ -678,6 +662,14 @@ fn award_ceilings(requests: &[AppRequest], participants: &[u32], awards: &mut Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AwardHysteresis {
+        /// The configured slew limit, as a fraction of the budget (0 when
+        /// disabled).
+        fn max_step_fraction(&self) -> f64 {
+            self.max_step_fraction
+        }
+    }
 
     fn request(weight: f64, urgency: f64, max: f64) -> AppRequest {
         AppRequest {

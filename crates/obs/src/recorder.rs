@@ -19,11 +19,13 @@ pub enum Counter {
     /// Coordinator steps executed (one per rack per quantum in a
     /// hierarchy).
     QuantaStepped,
-    /// Applications observed across all steps (present or not — the
-    /// observe stage snapshots every participant whose buffered snapshot
-    /// is not known current: the whole registered fleet at tolerance 0),
-    /// plus the late observations of slots the watchdog moved mid-round
-    /// that the observe stage had skipped.
+    /// Monitor snapshots across all steps (present or not — the observe
+    /// stage snapshots every participant whose buffered snapshot is not
+    /// known current: the whole registered fleet at tolerance 0), plus the
+    /// late observations of slots the watchdog moved mid-round that the
+    /// observe stage had skipped. In a hierarchy each rack snapshots its
+    /// present apps once per datacenter quantum, before the award, and its
+    /// step reuses those snapshots without booking them again.
     AppsObserved,
     /// Applications that ran a decision under an awarded envelope at
     /// arbitration tolerance 0 (the default schedule, where every present
