@@ -937,8 +937,8 @@ pub struct Coordinator {
     /// Whether [`Self::observe_fleet`] snapshotted every present app since
     /// the last step, which then reuses those snapshots.
     snapshotted: bool,
-    // Reused per-step buffers, one row per slot like `rows`: the
-    // steady-state sequential step allocates nothing (the pooled step
+    // Reused per-step buffers, one row per slot, grown by `grow_rows`:
+    // the steady-state sequential step allocates nothing (the pooled step
     // allocates one small per-shard Vec).
     observations: Vec<MonitorObservation>,
     requests: Vec<AppRequest>,
@@ -1246,11 +1246,7 @@ impl Coordinator {
         if let Some(committed) = &mut self.committed_floors {
             *committed += committed_floor_watts(&app);
         }
-        // Every per-slot column grows here and nowhere else; a new slot is
-        // never steady, so its first step observes it before any read.
         self.rows.push(HotRow::new(app.driver.emitted_beats()));
-        self.observations.push(MonitorObservation::default());
-        self.requests.push(AppRequest::ABSENT);
         self.apps.push(app);
         // The engine holds the present list every walk reads: the newcomer
         // is on it from now, not from its first step.
@@ -1406,6 +1402,7 @@ impl Coordinator {
     /// [`Self::step`] reuses these snapshots — nothing between the two
     /// moves a monitor — so each app is observed once per quantum.
     pub(crate) fn observe_fleet(&mut self) -> AppRequest {
+        self.grow_rows();
         let (quantum, budget, present) = (self.quantum, self.budget_watts, self.arbiter.present());
         let pool = self
             .pool
@@ -1431,6 +1428,19 @@ impl Coordinator {
         self.snapshotted = true;
         let requests = &self.requests;
         aggregate_requests(present_apps(present, &self.apps).map(|(index, _)| &requests[index]))
+    }
+
+    /// Grows the observation and request rows to one per registered app,
+    /// at the first walk after a registration rather than at each one: a
+    /// fleet registered up front then takes each buffer in one allocation
+    /// of its final size, after the apps, instead of a doubling chain
+    /// interleaved with their construction that fragments the heap. A new
+    /// row is overwritten before anything reads it.
+    fn grow_rows(&mut self) {
+        let fleet = self.apps.len();
+        self.observations
+            .resize(fleet, MonitorObservation::default());
+        self.requests.resize(fleet, AppRequest::ABSENT);
     }
 
     /// Runs one coordinated quantum at simulation time `now`:
@@ -1489,6 +1499,7 @@ impl Coordinator {
         // snapshot and only rebuilds its request, under the budget the
         // datacenter's award just set.
         let budget = self.budget_watts;
+        self.grow_rows();
         let snapshotted = std::mem::take(&mut self.snapshotted);
         self.observe_list.clear();
         let (arbiter, rows) = (&self.arbiter, &self.rows);
