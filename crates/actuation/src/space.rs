@@ -2,7 +2,7 @@ use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use serde::{Deserialize, Serialize};
 
-use crate::spec::{ActuatorSpec, Axis, SettingIndex};
+use crate::spec::{ActuatorSpec, SettingIndex};
 
 /// A joint configuration: one setting index per actuator, in actuator order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -73,24 +73,6 @@ impl PredictedEffect {
             performance: 1.0,
             power: 1.0,
             accuracy: 1.0,
-        }
-    }
-
-    /// Predicted performance-per-watt multiplier.
-    pub fn efficiency(&self) -> f64 {
-        if self.power > 0.0 {
-            self.performance / self.power
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// Multiplier along a particular axis.
-    pub fn on(&self, axis: Axis) -> f64 {
-        match axis {
-            Axis::Performance => self.performance,
-            Axis::Power => self.power,
-            Axis::Accuracy => self.accuracy,
         }
     }
 }
@@ -527,7 +509,7 @@ impl TableData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SettingSpec;
+    use crate::spec::{Axis, SettingSpec};
 
     fn table() -> ConfigTable {
         let dvfs = ActuatorSpec::builder("dvfs")
@@ -565,7 +547,6 @@ mod tests {
         assert!((effect.performance - 0.5 * 3.0).abs() < 1e-12);
         assert!((effect.power - 0.4 * 4.0).abs() < 1e-12);
         assert_eq!(effect.accuracy, 1.0);
-        assert!((effect.efficiency() - 1.5 / 1.6).abs() < 1e-12);
     }
 
     #[test]
@@ -733,15 +714,7 @@ mod tests {
     }
 
     #[test]
-    fn effect_axis_accessors() {
-        let effect = PredictedEffect {
-            performance: 2.0,
-            power: 0.5,
-            accuracy: 0.9,
-        };
-        assert_eq!(effect.on(Axis::Performance), 2.0);
-        assert_eq!(effect.on(Axis::Power), 0.5);
-        assert_eq!(effect.on(Axis::Accuracy), 0.9);
+    fn default_effect_is_nominal() {
         assert_eq!(PredictedEffect::default(), PredictedEffect::nominal());
     }
 }

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::sram::DEFAULT_SRAM;
 
 /// Cache line size in bytes (fixed across the chip).
-pub const LINE_BYTES: f64 = 64.0;
+const LINE_BYTES: f64 = 64.0;
 
 /// Compulsory (cold) miss rate: misses that no amount of capacity removes.
 const COMPULSORY_MISS_RATE: f64 = 0.002;
@@ -69,52 +69,9 @@ impl ReconfigurableCache {
         }
     }
 
-    /// The full-capacity geometry.
-    pub fn geometry(&self) -> CacheGeometry {
-        self.geometry
-    }
-
-    /// Currently enabled ways.
-    pub fn enabled_ways(&self) -> u32 {
-        self.enabled_ways
-    }
-
     /// Current set-reduction factor (1 = all sets enabled, 2 = half, ...).
-    pub fn set_reduction(&self) -> u32 {
+    fn set_reduction(&self) -> u32 {
         1 << self.set_reduction_log2
-    }
-
-    /// Enables exactly `ways` ways.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when `ways` is zero or exceeds the geometry.
-    pub fn set_enabled_ways(&mut self, ways: u32) -> Result<(), String> {
-        if ways == 0 || ways > self.geometry.ways {
-            return Err(format!(
-                "cannot enable {ways} ways of a {}-way cache",
-                self.geometry.ways
-            ));
-        }
-        self.enabled_ways = ways;
-        Ok(())
-    }
-
-    /// Disables sets so that only `1 / 2^log2` of them remain active.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the reduction would leave less than one set.
-    pub fn set_set_reduction_log2(&mut self, log2: u32) -> Result<(), String> {
-        let remaining_sets = self.geometry.sets() / (1u64 << log2) as f64;
-        if remaining_sets < 1.0 {
-            return Err(format!(
-                "set reduction 2^{log2} leaves fewer than one set of {} total",
-                self.geometry.sets()
-            ));
-        }
-        self.set_reduction_log2 = log2;
-        Ok(())
     }
 
     /// Configures the cache so its effective capacity is as close as possible
@@ -149,22 +106,6 @@ impl ReconfigurableCache {
             / self.set_reduction() as f64
     }
 
-    /// Fraction of the arrays that is currently powered.
-    pub fn enabled_fraction(&self) -> f64 {
-        self.effective_capacity_kb() / self.geometry.capacity_kb
-    }
-
-    /// Miss rate (misses per access) for an application whose per-core
-    /// working set is `working_set_kb` kilobytes with the given locality
-    /// exponent (see [`miss_rate_for_capacity`]).
-    pub fn miss_rate(&self, working_set_kb: f64, locality_exponent: f64) -> f64 {
-        miss_rate_for_capacity(
-            self.effective_capacity_kb(),
-            working_set_kb,
-            locality_exponent,
-        )
-    }
-
     /// Energy of `accesses` cache accesses at `voltage`, in joules.
     pub fn access_energy(&self, accesses: f64, voltage: f64) -> f64 {
         DEFAULT_SRAM.access_energy(voltage) * accesses
@@ -173,12 +114,6 @@ impl ReconfigurableCache {
     /// Leakage power of the enabled portion of the arrays at `voltage`, in watts.
     pub fn leakage_power(&self, voltage: f64) -> f64 {
         DEFAULT_SRAM.leakage_power(self.effective_capacity_kb(), voltage)
-    }
-
-    /// Whether the arrays operate reliably at `voltage` (see
-    /// [`crate::sram::SramModel`]).
-    pub fn is_stable_at(&self, voltage: f64) -> bool {
-        DEFAULT_SRAM.is_stable_at(voltage)
     }
 }
 
@@ -224,27 +159,7 @@ mod tests {
     fn full_cache_has_full_capacity() {
         let c = cache_256k();
         assert_eq!(c.effective_capacity_kb(), 256.0);
-        assert_eq!(c.enabled_fraction(), 1.0);
-        assert_eq!(c.enabled_ways(), 8);
         assert_eq!(c.set_reduction(), 1);
-    }
-
-    #[test]
-    fn disabling_ways_and_sets_shrinks_capacity() {
-        let mut c = cache_256k();
-        c.set_enabled_ways(4).unwrap();
-        assert_eq!(c.effective_capacity_kb(), 128.0);
-        c.set_set_reduction_log2(1).unwrap();
-        assert_eq!(c.effective_capacity_kb(), 64.0);
-        assert!((c.enabled_fraction() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalid_reconfigurations_are_rejected() {
-        let mut c = cache_256k();
-        assert!(c.set_enabled_ways(0).is_err());
-        assert!(c.set_enabled_ways(16).is_err());
-        assert!(c.set_set_reduction_log2(20).is_err());
     }
 
     #[test]
@@ -258,20 +173,6 @@ mod tests {
                 "target {target} KB gave {eff} KB"
             );
         }
-    }
-
-    #[test]
-    fn miss_rate_falls_as_capacity_grows() {
-        let mut c = cache_256k();
-        let ws = 512.0; // working set larger than the cache
-        c.configure_capacity(32.0);
-        let small = c.miss_rate(ws, 0.5);
-        c.configure_capacity(256.0);
-        let large = c.miss_rate(ws, 0.5);
-        assert!(small > large);
-        assert!(large > COMPULSORY_MISS_RATE);
-        // Working set fits entirely: only compulsory misses remain.
-        assert_eq!(c.miss_rate(64.0, 0.5), COMPULSORY_MISS_RATE);
     }
 
     #[test]
@@ -307,7 +208,7 @@ mod tests {
     fn disabled_arrays_leak_less() {
         let mut c = cache_256k();
         let full = c.leakage_power(0.8);
-        c.set_enabled_ways(2).unwrap();
+        c.configure_capacity(64.0);
         let quarter = c.leakage_power(0.8);
         assert!(quarter < full);
         assert!((quarter / full - 0.25).abs() < 1e-9);
@@ -318,7 +219,6 @@ mod tests {
         let c = cache_256k();
         assert!(c.access_energy(1000.0, 0.8) > c.access_energy(100.0, 0.8));
         assert!(c.access_energy(1000.0, 0.4) < c.access_energy(1000.0, 0.8));
-        assert!(c.is_stable_at(0.4), "default SRAM is sub-threshold capable");
     }
 
     #[test]

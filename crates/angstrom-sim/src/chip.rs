@@ -50,36 +50,6 @@ impl ChipConfiguration {
             decision_placement: config.decision_placement,
         }
     }
-
-    /// Checks the configuration against what the chip actually provides.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated constraint.
-    pub fn validate(&self, config: &ChipConfig) -> Result<(), String> {
-        if self.cores == 0 || self.cores > config.tiles {
-            return Err(format!(
-                "core allocation {} outside 1..={}",
-                self.cores, config.tiles
-            ));
-        }
-        if self.cache_per_core_kb <= 0.0
-            || self.cache_per_core_kb > config.cache_geometry.capacity_kb
-        {
-            return Err(format!(
-                "cache capacity {} KB outside (0, {}] KB",
-                self.cache_per_core_kb, config.cache_geometry.capacity_kb
-            ));
-        }
-        if self.operating_point_index >= config.operating_points.len() {
-            return Err(format!(
-                "operating point index {} out of range (0..{})",
-                self.operating_point_index,
-                config.operating_points.len()
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// What happened when a quantum of demand executed under a configuration.
@@ -147,29 +117,20 @@ impl AngstromChip {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`ChipConfig::validate`]; use
-    /// [`AngstromChip::try_new`] to handle invalid configurations gracefully.
+    /// Panics if `config` fails [`ChipConfig::validate`].
     pub fn new(config: ChipConfig) -> Self {
-        AngstromChip::try_new(config).expect("chip configuration must be valid")
-    }
-
-    /// Builds a chip, returning the validation error if the configuration is
-    /// inconsistent.
-    ///
-    /// # Errors
-    ///
-    /// Returns the message produced by [`ChipConfig::validate`].
-    pub fn try_new(config: ChipConfig) -> Result<Self, String> {
-        config.validate()?;
+        if let Err(message) = config.validate() {
+            panic!("chip configuration must be valid: {message:?}");
+        }
         let tiles = (0..config.tiles).map(|id| Tile::new(id, &config)).collect();
         let noc = NocModel::new(config.topology, config.noc_features);
-        Ok(AngstromChip {
+        AngstromChip {
             config,
             tiles,
             noc,
             coherence_model: CoherenceModel::default(),
             now: 0.0,
-        })
+        }
     }
 
     /// The fabricated chip description.
@@ -180,11 +141,6 @@ impl AngstromChip {
     /// The tiles of the chip.
     pub fn tiles(&self) -> &[Tile] {
         &self.tiles
-    }
-
-    /// The network model.
-    pub fn noc(&self) -> &NocModel {
-        &self.noc
     }
 
     /// Current simulation time, in seconds.
@@ -303,7 +259,6 @@ impl AngstromChip {
         let report = self.evaluate(demand, configuration);
         let cfg = self.clamped(configuration);
         self.now += report.seconds;
-        let now = self.now;
         let cores = cfg.cores.max(1);
         let per_tile = TileActivity {
             instructions: report.instructions / cores as f64,
@@ -321,7 +276,7 @@ impl AngstromChip {
             seconds: report.seconds,
         };
         for tile in self.tiles.iter_mut().take(cores) {
-            tile.record_activity(&per_tile, now);
+            tile.record_activity(&per_tile);
         }
         report
     }
@@ -494,30 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn default_configuration_is_valid_for_presets() {
-        for config in [ChipConfig::angstrom_256(), ChipConfig::graphite_64()] {
-            let cfg = ChipConfiguration::default_for(&config);
-            cfg.validate(&config).unwrap();
-        }
-    }
-
-    #[test]
-    fn invalid_configurations_are_rejected() {
-        let config = ChipConfig::angstrom_256();
-        let mut cfg = ChipConfiguration::default_for(&config);
-        cfg.cores = 0;
-        assert!(cfg.validate(&config).is_err());
-        cfg.cores = 512;
-        assert!(cfg.validate(&config).is_err());
-        let mut cfg = ChipConfiguration::default_for(&config);
-        cfg.cache_per_core_kb = 1024.0;
-        assert!(cfg.validate(&config).is_err());
-        let mut cfg = ChipConfiguration::default_for(&config);
-        cfg.operating_point_index = 9;
-        assert!(cfg.validate(&config).is_err());
-    }
-
-    #[test]
     fn more_cores_speed_up_parallel_work() {
         let chip = AngstromChip::new(ChipConfig::angstrom_256());
         let demand = barnes_like();
@@ -659,9 +590,10 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_invalid_chip() {
+    #[should_panic(expected = "chip configuration must be valid")]
+    fn new_rejects_invalid_chip() {
         let mut config = ChipConfig::angstrom_256();
         config.operating_points.clear();
-        assert!(AngstromChip::try_new(config).is_err());
+        let _ = AngstromChip::new(config);
     }
 }

@@ -6,8 +6,8 @@
 //! (DAC 2012 §4.2.2, citing Gupta et al. ICPP 1990, Kim et al. ASPLOS 2002).
 //! The ARCc architecture combines both protocols and selects per application
 //! (Khan et al., ICCD 2011); Angstrom adopts that approach and exposes the
-//! selection to SEEC. [`CoherenceModel::evaluate`] returns the memory-system
-//! costs of each choice so the runtime (or the chip model) can pick.
+//! selection to SEEC. The chip model's `CoherenceModel::evaluate` returns the
+//! memory-system costs of each choice so the chip can pick.
 
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +38,7 @@ impl std::fmt::Display for CoherenceProtocol {
 
 /// Inputs to the coherence cost model for one application quantum.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoherenceInputs {
+pub(crate) struct CoherenceInputs {
     /// Cores allocated to the application.
     pub cores: usize,
     /// Enabled private cache capacity per core, in kilobytes.
@@ -59,7 +59,7 @@ pub struct CoherenceInputs {
 
 /// Memory-system costs of running under one protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoherenceCosts {
+pub(crate) struct CoherenceCosts {
     /// Protocol these costs correspond to (never [`CoherenceProtocol::Adaptive`]).
     pub protocol: CoherenceProtocol,
     /// Average penalty per memory operation, in core cycles.
@@ -72,7 +72,7 @@ pub struct CoherenceCosts {
 
 /// Analytical coherence cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoherenceModel {
+pub(crate) struct CoherenceModel {
     /// Cycles for a directory lookup (beyond the network round trip).
     pub directory_access_cycles: f64,
     /// Flits per cache-line transfer (data + control).
@@ -93,7 +93,7 @@ impl Default for CoherenceModel {
 
 impl CoherenceModel {
     /// Costs of running under directory coherence with private caches.
-    pub fn directory_costs(&self, inputs: &CoherenceInputs) -> CoherenceCosts {
+    fn directory_costs(&self, inputs: &CoherenceInputs) -> CoherenceCosts {
         let private_miss = miss_rate_for_capacity(
             inputs.cache_per_core_kb,
             per_core_working_set(inputs),
@@ -122,7 +122,7 @@ impl CoherenceModel {
     }
 
     /// Costs of running under a shared-NUCA organisation.
-    pub fn shared_nuca_costs(&self, inputs: &CoherenceInputs) -> CoherenceCosts {
+    fn shared_nuca_costs(&self, inputs: &CoherenceInputs) -> CoherenceCosts {
         let pooled_capacity = inputs.cache_per_core_kb * inputs.cores.max(1) as f64;
         let shared_miss = miss_rate_for_capacity(
             pooled_capacity,

@@ -62,18 +62,6 @@ impl ChipConfig {
         }
     }
 
-    /// The proposed full-scale 1000-core Angstrom design (§1). Used by
-    /// examples and scalability tests; the paper's evaluation simulates the
-    /// 256-core configuration above.
-    pub fn angstrom_1000() -> Self {
-        ChipConfig {
-            tiles: 1000,
-            topology: MeshTopology::for_tiles(1000),
-            core_allocation_options: powers_of_two_up_to(1000),
-            ..ChipConfig::angstrom_256()
-        }
-    }
-
     /// The 64-core Graphite-simulated multicore of the closed-adaptive-system
     /// experiment (§2, Figure 2): cores 1–64 and per-core L2 of 16–256 KB,
     /// both by powers of two, at a single fixed operating point.
@@ -165,7 +153,6 @@ mod tests {
     #[test]
     fn presets_validate() {
         ChipConfig::angstrom_256().validate().unwrap();
-        ChipConfig::angstrom_1000().validate().unwrap();
         ChipConfig::graphite_64().validate().unwrap();
     }
 

@@ -5,8 +5,7 @@
 //! (DAC 2012 §4.1). They count simple events — memory operations, cache hits
 //! and misses, pipeline stall cycles, network flits sent and received — and
 //! are polled by software, so they capture average behaviour over an
-//! interval rather than individual events (event probes cover those; see
-//! [`crate::probes`]).
+//! interval rather than individual events.
 
 use serde::{Deserialize, Serialize};
 
@@ -34,25 +33,9 @@ pub enum CounterId {
 }
 
 impl CounterId {
-    /// Every counter, in memory-map (address) order.
-    pub const ALL: [CounterId; 9] = [
-        CounterId::Instructions,
-        CounterId::Cycles,
-        CounterId::MemoryOps,
-        CounterId::CacheHits,
-        CounterId::CacheMisses,
-        CounterId::StallCycles,
-        CounterId::FlitsSent,
-        CounterId::FlitsReceived,
-        CounterId::EnergyNanojoules,
-    ];
-
     /// Word offset of the counter in the memory-mapped counter page.
-    pub fn address_offset(self) -> usize {
-        CounterId::ALL
-            .iter()
-            .position(|&c| c == self)
-            .expect("counter listed in ALL")
+    fn address_offset(self) -> usize {
+        self as usize
     }
 }
 
@@ -70,28 +53,6 @@ impl std::fmt::Display for CounterId {
             CounterId::EnergyNanojoules => "energy_nj",
         };
         f.write_str(name)
-    }
-}
-
-/// A snapshot of every counter at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    values: [u64; 9],
-}
-
-impl CounterSnapshot {
-    /// Value of one counter in the snapshot.
-    pub fn value(&self, id: CounterId) -> u64 {
-        self.values[id.address_offset()]
-    }
-
-    /// Per-counter difference `self - earlier`, saturating at zero.
-    pub fn delta_since(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
-        let mut values = [0u64; 9];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = self.values[i].saturating_sub(earlier.values[i]);
-        }
-        CounterSnapshot { values }
     }
 }
 
@@ -117,44 +78,6 @@ impl PerformanceCounters {
     pub fn read(&self, id: CounterId) -> u64 {
         self.values[id.address_offset()]
     }
-
-    /// Reads the raw memory-mapped page, in address order.
-    pub fn read_page(&self) -> [u64; 9] {
-        self.values
-    }
-
-    /// Takes a snapshot of every counter.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            values: self.values,
-        }
-    }
-
-    /// Resets every counter to zero.
-    pub fn reset(&mut self) {
-        self.values = [0; 9];
-    }
-
-    /// Cache miss ratio (misses / memory ops) observed so far, if any memory
-    /// operations were counted.
-    pub fn miss_ratio(&self) -> Option<f64> {
-        let ops = self.read(CounterId::MemoryOps);
-        if ops == 0 {
-            None
-        } else {
-            Some(self.read(CounterId::CacheMisses) as f64 / ops as f64)
-        }
-    }
-
-    /// Instructions per cycle observed so far, if any cycles elapsed.
-    pub fn ipc(&self) -> Option<f64> {
-        let cycles = self.read(CounterId::Cycles);
-        if cycles == 0 {
-            None
-        } else {
-            Some(self.read(CounterId::Instructions) as f64 / cycles as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -170,54 +93,29 @@ mod tests {
         assert_eq!(c.read(CounterId::Instructions), 1500);
         assert_eq!(c.read(CounterId::Cycles), 3000);
         assert_eq!(c.read(CounterId::FlitsSent), 0);
-        assert!((c.ipc().unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn page_layout_matches_counter_order() {
+    fn every_counter_has_its_own_slot() {
+        let ids = [
+            CounterId::Instructions,
+            CounterId::Cycles,
+            CounterId::MemoryOps,
+            CounterId::CacheHits,
+            CounterId::CacheMisses,
+            CounterId::StallCycles,
+            CounterId::FlitsSent,
+            CounterId::FlitsReceived,
+            CounterId::EnergyNanojoules,
+        ];
         let mut c = PerformanceCounters::new();
-        for (i, id) in CounterId::ALL.iter().enumerate() {
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(id.address_offset(), i);
             c.add(*id, (i + 1) as u64);
         }
-        let page = c.read_page();
-        for (i, id) in CounterId::ALL.iter().enumerate() {
-            assert_eq!(page[i], c.read(*id));
-            assert_eq!(id.address_offset(), i);
+        for (i, id) in ids.iter().enumerate() {
+            assert_eq!(c.read(*id), (i + 1) as u64);
         }
-    }
-
-    #[test]
-    fn snapshots_compute_deltas() {
-        let mut c = PerformanceCounters::new();
-        c.add(CounterId::MemoryOps, 100);
-        let before = c.snapshot();
-        c.add(CounterId::MemoryOps, 40);
-        c.add(CounterId::CacheMisses, 8);
-        let after = c.snapshot();
-        let delta = after.delta_since(&before);
-        assert_eq!(delta.value(CounterId::MemoryOps), 40);
-        assert_eq!(delta.value(CounterId::CacheMisses), 8);
-        // Delta in the other direction saturates to zero rather than wrapping.
-        assert_eq!(before.delta_since(&after).value(CounterId::MemoryOps), 0);
-    }
-
-    #[test]
-    fn ratios_handle_zero_denominators() {
-        let c = PerformanceCounters::new();
-        assert!(c.miss_ratio().is_none());
-        assert!(c.ipc().is_none());
-        let mut c = PerformanceCounters::new();
-        c.add(CounterId::MemoryOps, 10);
-        c.add(CounterId::CacheMisses, 1);
-        assert!((c.miss_ratio().unwrap() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut c = PerformanceCounters::new();
-        c.add(CounterId::EnergyNanojoules, 999);
-        c.reset();
-        assert_eq!(c.read(CounterId::EnergyNanojoules), 0);
     }
 
     #[test]

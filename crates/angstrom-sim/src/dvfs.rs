@@ -91,14 +91,13 @@ impl CoreEnergyModel {
 
 /// A per-core DVFS controller exposing a discrete set of operating points.
 ///
-/// The hardware performs the actual switch; the controller records the
-/// current point and the transition delay the SEEC runtime must respect.
+/// A run picks its point through
+/// [`ChipConfiguration::operating_point_index`](crate::chip::ChipConfiguration::operating_point_index);
+/// the controller holds the tile's current point and core energy model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DvfsController {
     points: Vec<OperatingPoint>,
     current: usize,
-    /// Seconds required for a voltage transition to settle.
-    pub transition_delay: f64,
     energy_model: CoreEnergyModel,
 }
 
@@ -118,24 +117,8 @@ impl DvfsController {
         DvfsController {
             points,
             current,
-            transition_delay: 20.0e-6,
             energy_model: CoreEnergyModel::default(),
         }
-    }
-
-    /// The two-point table used by the paper's 256-core evaluation.
-    pub fn angstrom_default() -> Self {
-        DvfsController::new(vec![OperatingPoint::low_power(), OperatingPoint::nominal()])
-    }
-
-    /// All selectable operating points, slowest first.
-    pub fn points(&self) -> &[OperatingPoint] {
-        &self.points
-    }
-
-    /// Index of the current operating point.
-    pub fn current_index(&self) -> usize {
-        self.current
     }
 
     /// The current operating point.
@@ -143,38 +126,9 @@ impl DvfsController {
         self.points[self.current]
     }
 
-    /// Selects the operating point at `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the valid range when `index` is out of range.
-    pub fn select(&mut self, index: usize) -> Result<(), String> {
-        if index >= self.points.len() {
-            return Err(format!(
-                "operating point {index} out of range (0..{})",
-                self.points.len()
-            ));
-        }
-        self.current = index;
-        Ok(())
-    }
-
     /// The energy model shared by every point of this controller.
     pub fn energy_model(&self) -> &CoreEnergyModel {
         &self.energy_model
-    }
-
-    /// Dynamic + leakage energy of executing `cycles` cycles plus idling for
-    /// `idle_seconds` at the current point, in joules.
-    pub fn energy(&self, cycles: f64, idle_seconds: f64) -> f64 {
-        let point = self.current_point();
-        let busy_seconds = if point.frequency > 0.0 {
-            cycles / point.frequency
-        } else {
-            0.0
-        };
-        self.energy_model.dynamic_energy_per_cycle(point) * cycles
-            + self.energy_model.leakage_power(point) * (busy_seconds + idle_seconds)
     }
 }
 
@@ -198,30 +152,6 @@ mod tests {
         assert!(model.dynamic_energy_per_cycle(low) < model.dynamic_energy_per_cycle(high));
         assert!(model.leakage_power(low) < model.leakage_power(high));
         assert!(model.active_power(low) < model.active_power(high));
-    }
-
-    #[test]
-    fn controller_selects_points_and_reports_energy() {
-        let mut ctl = DvfsController::angstrom_default();
-        assert_eq!(ctl.points().len(), 2);
-        assert_eq!(ctl.current_index(), 1, "starts at fastest point");
-        ctl.select(0).unwrap();
-        assert_eq!(ctl.current_point(), OperatingPoint::low_power());
-        assert!(ctl.select(9).is_err());
-
-        let low_energy = ctl.energy(1.0e6, 0.0);
-        ctl.select(1).unwrap();
-        let high_energy = ctl.energy(1.0e6, 0.0);
-        assert!(low_energy < high_energy);
-    }
-
-    #[test]
-    fn idle_time_accrues_leakage_only() {
-        let ctl = DvfsController::angstrom_default();
-        let busy = ctl.energy(1.0e6, 0.0);
-        let busy_plus_idle = ctl.energy(1.0e6, 1.0);
-        let leakage = ctl.energy_model().leakage_power(ctl.current_point());
-        assert!((busy_plus_idle - busy - leakage).abs() < 1e-9);
     }
 
     #[test]

@@ -5,16 +5,14 @@
 //! plays the role the Graphite simulator plays in the paper's evaluation:
 //! given a description of application demand and a hardware configuration, it
 //! reports execution time, energy, and the contents of the observability
-//! surface (performance counters, event probes, sensors) that the SEEC
-//! runtime consumes.
+//! surface (performance counters, sensors) that the SEEC runtime consumes.
 //!
 //! ## What is modelled
 //!
 //! * **Tiles** — a main core with an in-order pipeline model, a private
 //!   reconfigurable L1/L2 cache built from voltage-scalable SRAM, a mesh
-//!   router, a low-power *partner core*, performance counters, event probes,
-//!   and sensors ([`tile`], [`partner`], [`counters`], [`probes`],
-//!   [`sensors`]).
+//!   router, a low-power *partner core*, performance counters, and sensors
+//!   ([`tile`], [`partner`], [`counters`], [`sensors`]).
 //! * **Intra-core adaptation** — per-core DVFS operating points ([`dvfs`])
 //!   and cache way/set disabling ([`cache`]).
 //! * **Inter-core adaptation** — express virtual channels, bandwidth-adaptive
@@ -54,7 +52,6 @@ pub mod dvfs;
 pub mod energy;
 pub mod noc;
 pub mod partner;
-pub mod probes;
 pub mod sensors;
 pub mod sram;
 pub mod tile;

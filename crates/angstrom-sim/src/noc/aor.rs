@@ -24,11 +24,6 @@ pub struct TrafficMatrix {
 }
 
 impl TrafficMatrix {
-    /// Creates a traffic matrix from explicit flows.
-    pub fn from_flows(tiles: usize, flows: Vec<(usize, usize, f64)>) -> Self {
-        TrafficMatrix { flows, tiles }
-    }
-
     /// Uniform random traffic: every ordered pair exchanges the same demand.
     pub fn uniform(tiles: usize) -> Self {
         let mut flows = Vec::new();
@@ -86,11 +81,6 @@ impl TrafficMatrix {
         &self.flows
     }
 
-    /// Total offered demand in flits per cycle.
-    pub fn total_demand(&self) -> f64 {
-        self.flows.iter().map(|f| f.2).sum()
-    }
-
     /// Directional asymmetry of the demand in `[0, 1]`: 0 when for every
     /// flow there is equal demand in the opposite direction, approaching 1
     /// when all demand moves one way (the situation BAN exploits).
@@ -111,15 +101,6 @@ impl TrafficMatrix {
     }
 }
 
-/// Routing algorithm family used to build a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum RoutingAlgorithm {
-    /// Dimension-ordered XY routing (the non-adaptive baseline).
-    DimensionOrderedXy,
-    /// Application-aware oblivious routing over the XY/YX route pair.
-    ApplicationAware,
-}
-
 /// A per-flow routing table: for each flow, the fraction routed XY-first
 /// (the remainder goes YX-first). Restricting routes to the XY/YX pair keeps
 /// the table deadlock-free with two virtual channel classes, as in the O1TURN
@@ -127,7 +108,6 @@ pub enum RoutingAlgorithm {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoutingTable {
     topology: MeshTopology,
-    algorithm: RoutingAlgorithm,
     /// Map from (src, dst) to the fraction of that flow routed XY-first.
     xy_fraction: HashMap<(usize, usize), f64>,
 }
@@ -137,7 +117,6 @@ impl RoutingTable {
     pub fn xy(topology: MeshTopology) -> Self {
         RoutingTable {
             topology,
-            algorithm: RoutingAlgorithm::DimensionOrderedXy,
             xy_fraction: HashMap::new(),
         }
     }
@@ -172,7 +151,6 @@ impl RoutingTable {
         }
         let candidate = RoutingTable {
             topology,
-            algorithm: RoutingAlgorithm::ApplicationAware,
             xy_fraction,
         };
         // The routing software has global knowledge: if the greedy assignment
@@ -183,20 +161,12 @@ impl RoutingTable {
         if candidate.load_balance_factor(traffic) <= xy.load_balance_factor(traffic) {
             candidate
         } else {
-            RoutingTable {
-                algorithm: RoutingAlgorithm::ApplicationAware,
-                ..xy
-            }
+            xy
         }
     }
 
-    /// The algorithm that produced this table.
-    pub fn algorithm(&self) -> RoutingAlgorithm {
-        self.algorithm
-    }
-
     /// Fraction of the `(src, dst)` flow routed XY-first.
-    pub fn xy_fraction(&self, src: usize, dst: usize) -> f64 {
+    fn xy_fraction(&self, src: usize, dst: usize) -> f64 {
         self.xy_fraction.get(&(src, dst)).copied().unwrap_or(1.0)
     }
 
@@ -297,7 +267,7 @@ mod tests {
     #[test]
     fn uniform_traffic_sums_to_unit_demand() {
         let traffic = TrafficMatrix::uniform(16);
-        assert!((traffic.total_demand() - 1.0).abs() < 1e-9);
+        assert!((traffic.flows().iter().map(|f| f.2).sum::<f64>() - 1.0).abs() < 1e-9);
         assert_eq!(traffic.tiles(), 16);
         assert!(traffic.asymmetry() < 1e-9, "uniform traffic is symmetric");
     }
@@ -307,7 +277,7 @@ mod tests {
         let uniform = TrafficMatrix::uniform(16);
         let hotspot = TrafficMatrix::hotspot(16, 0, 0.5);
         assert!(hotspot.asymmetry() > uniform.asymmetry());
-        assert!((hotspot.total_demand() - 1.0).abs() < 1e-9);
+        assert!((hotspot.flows().iter().map(|f| f.2).sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -342,7 +312,6 @@ mod tests {
         let traffic = TrafficMatrix::hotspot(mesh.routers(), 0, 0.5);
         let xy = RoutingTable::xy(mesh);
         let aor = RoutingTable::application_aware(mesh, &traffic);
-        assert_eq!(aor.algorithm(), RoutingAlgorithm::ApplicationAware);
         assert!(
             aor.load_balance_factor(&traffic) <= xy.load_balance_factor(&traffic) + 1e-9,
             "AOR must not be worse than XY on its own objective"
@@ -357,7 +326,6 @@ mod tests {
             TrafficMatrix::uniform(16),
             TrafficMatrix::hotspot(16, 3, 0.8),
             TrafficMatrix::neighbor(16),
-            TrafficMatrix::from_flows(16, vec![]),
         ] {
             assert!(table.load_balance_factor(&traffic) >= 1.0);
         }
@@ -368,6 +336,5 @@ mod tests {
         let mesh = MeshTopology::new(4, 4);
         let table = RoutingTable::xy(mesh);
         assert_eq!(table.xy_fraction(0, 5), 1.0);
-        assert_eq!(table.algorithm(), RoutingAlgorithm::DimensionOrderedXy);
     }
 }

@@ -52,20 +52,10 @@ impl ExpressVirtualChannels {
         }
     }
 
-    /// Number of express routes currently configured by software.
-    pub fn express_route_count(&self) -> usize {
-        self.express_routes.len()
-    }
-
-    /// Whether a particular source/destination pair has an express route.
-    pub fn has_express_route(&self, src: usize, dst: usize) -> bool {
-        self.express_routes.contains(&(src, dst))
-    }
-
     /// Effective bypass probability for the network as a whole: baseline if
     /// no routes are configured, express probability once software has set
     /// routes up (modelling that software targets the dominant flows).
-    pub fn effective_bypass_probability(&self) -> f64 {
+    fn effective_bypass_probability(&self) -> f64 {
         if self.express_routes.is_empty() {
             self.baseline_bypass_probability
         } else {
@@ -105,13 +95,10 @@ mod tests {
         let mut evc = ExpressVirtualChannels::default();
         let before = evc.effective_bypass_probability();
         evc.set_express_route(0, 12, true);
-        assert!(evc.has_express_route(0, 12));
-        assert_eq!(evc.express_route_count(), 1);
         assert!(evc.effective_bypass_probability() > before);
         let hop_before = ExpressVirtualChannels::default().effective_hop_cycles(3.0, 1.0);
         assert!(evc.effective_hop_cycles(3.0, 1.0) < hop_before);
         evc.set_express_route(0, 12, false);
-        assert!(!evc.has_express_route(0, 12));
         assert_eq!(evc.effective_bypass_probability(), before);
     }
 

@@ -20,7 +20,7 @@ pub mod evc;
 
 use serde::{Deserialize, Serialize};
 
-pub use aor::{RoutingAlgorithm, RoutingTable, TrafficMatrix};
+pub use aor::{RoutingTable, TrafficMatrix};
 pub use ban::BandwidthAllocator;
 pub use evc::ExpressVirtualChannels;
 
@@ -56,13 +56,6 @@ impl MeshTopology {
         self.width * self.height
     }
 
-    /// Manhattan distance between two router indices (row-major).
-    pub fn hops_between(&self, a: usize, b: usize) -> usize {
-        let (ax, ay) = (a % self.width, a / self.width);
-        let (bx, by) = (b % self.width, b / self.width);
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
     /// Average Manhattan distance between uniformly random router pairs.
     pub fn average_hops(&self) -> f64 {
         // E|x1-x2| for uniform over 0..w is (w² − 1) / (3 w).
@@ -78,7 +71,7 @@ impl MeshTopology {
     }
 
     /// Number of unidirectional links crossing the vertical bisection.
-    pub fn bisection_links(&self) -> usize {
+    fn bisection_links(&self) -> usize {
         2 * self.height
     }
 }
@@ -229,8 +222,6 @@ mod tests {
     fn mesh_dimensions_and_hops() {
         let mesh = MeshTopology::new(4, 4);
         assert_eq!(mesh.routers(), 16);
-        assert_eq!(mesh.hops_between(0, 15), 6);
-        assert_eq!(mesh.hops_between(5, 5), 0);
         assert!(mesh.average_hops() > 2.0 && mesh.average_hops() < 3.0);
         assert_eq!(mesh.bisection_links(), 8);
     }

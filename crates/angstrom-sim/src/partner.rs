@@ -62,7 +62,7 @@ impl PartnerCore {
     }
 
     /// Energy to execute `instructions` of decision code, in joules.
-    pub fn decision_energy(
+    fn decision_energy(
         &self,
         instructions: f64,
         point: OperatingPoint,

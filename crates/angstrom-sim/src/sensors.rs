@@ -6,7 +6,9 @@
 //! They let the runtime react to changing environmental conditions — cooling
 //! failures, dying batteries — and observe how its actions affect power and
 //! temperature. Sensors are deployed per tile to capture variation across
-//! the chip.
+//! the chip. Each tile carries the temperature, energy, and voltage sensors;
+//! the battery sensor is not modelled, since no modelled platform runs on a
+//! battery.
 
 use serde::{Deserialize, Serialize};
 
@@ -70,11 +72,6 @@ impl EnergySensor {
             self.joules += joules;
         }
     }
-
-    /// Resets the accumulator, returning the previous total.
-    pub fn reset(&mut self) -> f64 {
-        std::mem::take(&mut self.joules)
-    }
 }
 
 /// Supply-voltage sensor (reports the currently applied rail voltage plus
@@ -97,13 +94,8 @@ impl VoltageSensor {
         }
     }
 
-    /// Updates the rail set-point (called on DVFS transitions).
-    pub fn set_nominal(&mut self, volts: f64) {
-        self.nominal = volts;
-    }
-
     /// Updates the load current estimate from `power` watts drawn.
-    pub fn set_load_power(&mut self, power: f64) {
+    fn set_load_power(&mut self, power: f64) {
         self.load_current = if self.nominal > 0.0 {
             power / self.nominal
         } else {
@@ -114,47 +106,6 @@ impl VoltageSensor {
     /// Measured rail voltage including droop, in volts.
     pub fn read(&self) -> f64 {
         (self.nominal - self.load_current * self.droop_per_amp).max(0.0)
-    }
-}
-
-/// Battery state-of-charge sensor for energy-constrained deployments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BatterySensor {
-    capacity_joules: f64,
-    remaining_joules: f64,
-}
-
-impl BatterySensor {
-    /// Creates a full battery holding `capacity_joules`.
-    pub fn new(capacity_joules: f64) -> Self {
-        BatterySensor {
-            capacity_joules,
-            remaining_joules: capacity_joules,
-        }
-    }
-
-    /// Remaining charge as a fraction in `[0, 1]`.
-    pub fn state_of_charge(&self) -> f64 {
-        if self.capacity_joules > 0.0 {
-            self.remaining_joules / self.capacity_joules
-        } else {
-            0.0
-        }
-    }
-
-    /// Remaining energy in joules.
-    pub fn remaining_joules(&self) -> f64 {
-        self.remaining_joules
-    }
-
-    /// Draws `joules` from the battery, saturating at empty.
-    pub fn discharge(&mut self, joules: f64) {
-        self.remaining_joules = (self.remaining_joules - joules.max(0.0)).max(0.0);
-    }
-
-    /// Whether the battery is exhausted.
-    pub fn is_empty(&self) -> bool {
-        self.remaining_joules <= 0.0
     }
 }
 
@@ -218,14 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn energy_sensor_accumulates_and_resets() {
+    fn energy_sensor_accumulates_positive_energy() {
         let mut sensor = EnergySensor::default();
         sensor.accumulate(1.5);
         sensor.accumulate(2.5);
         sensor.accumulate(-3.0); // ignored
         assert!((sensor.read() - 4.0).abs() < 1e-12);
-        assert!((sensor.reset() - 4.0).abs() < 1e-12);
-        assert_eq!(sensor.read(), 0.0);
     }
 
     #[test]
@@ -234,20 +183,8 @@ mod tests {
         assert_eq!(sensor.read(), 0.8);
         sensor.set_load_power(4.0); // 5 A at 0.8 V
         assert!(sensor.read() < 0.8);
-        sensor.set_nominal(0.4);
         sensor.set_load_power(0.0);
-        assert_eq!(sensor.read(), 0.4);
-    }
-
-    #[test]
-    fn battery_discharges_to_empty() {
-        let mut battery = BatterySensor::new(10.0);
-        assert_eq!(battery.state_of_charge(), 1.0);
-        battery.discharge(4.0);
-        assert!((battery.state_of_charge() - 0.6).abs() < 1e-12);
-        battery.discharge(100.0);
-        assert!(battery.is_empty());
-        assert_eq!(battery.remaining_joules(), 0.0);
+        assert_eq!(sensor.read(), 0.8);
     }
 
     #[test]

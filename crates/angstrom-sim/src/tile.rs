@@ -1,5 +1,5 @@
-//! A single Angstrom tile: main core, partner core, cache, counters,
-//! probes, and sensors.
+//! A single Angstrom tile: main core, partner core, cache, counters, and
+//! sensors.
 
 use serde::{Deserialize, Serialize};
 
@@ -8,7 +8,6 @@ use crate::config::ChipConfig;
 use crate::counters::{CounterId, PerformanceCounters};
 use crate::dvfs::DvfsController;
 use crate::partner::PartnerCore;
-use crate::probes::{EventProbe, ProbeOutcome};
 use crate::sensors::SensorBank;
 
 /// Activity attributed to one tile over a simulation quantum; used to update
@@ -48,8 +47,6 @@ pub struct Tile {
     pub cache: ReconfigurableCache,
     /// Memory-mapped performance counters.
     pub counters: PerformanceCounters,
-    /// Programmable event probes attached to the counters.
-    pub probes: Vec<EventProbe>,
     /// Temperature / energy / voltage sensors.
     pub sensors: SensorBank,
     /// The tile's partner core.
@@ -67,22 +64,14 @@ impl Tile {
             dvfs,
             cache: ReconfigurableCache::new(config.cache_geometry),
             counters: PerformanceCounters::new(),
-            probes: Vec::new(),
             sensors: SensorBank::new(nominal_voltage),
             partner: PartnerCore::default(),
         }
     }
 
-    /// Attaches an event probe, returning its index.
-    pub fn add_probe(&mut self, probe: EventProbe) -> usize {
-        self.probes.push(probe);
-        self.probes.len() - 1
-    }
-
-    /// Records a quantum of activity: updates counters, feeds every probe the
-    /// counter it watches, and advances the sensors. Returns the probe
-    /// outcomes in probe order.
-    pub fn record_activity(&mut self, activity: &TileActivity, now: f64) -> Vec<ProbeOutcome> {
+    /// Records a quantum of activity: updates counters and advances the
+    /// sensors.
+    pub fn record_activity(&mut self, activity: &TileActivity) {
         self.counters.add(
             CounterId::Instructions,
             activity.instructions.max(0.0) as u64,
@@ -117,22 +106,13 @@ impl Tile {
             activity.energy_joules,
             activity.seconds,
         );
-
-        let counters = &self.counters;
-        self.probes
-            .iter_mut()
-            .map(|probe| {
-                let value = counters.read(probe.source);
-                probe.observe(value, now)
-            })
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probes::{ComparatorOp, ProbeAction};
+    use crate::dvfs::OperatingPoint;
 
     fn tile() -> Tile {
         Tile::new(3, &ChipConfig::angstrom_256())
@@ -157,39 +137,25 @@ mod tests {
     fn tile_starts_in_nominal_state() {
         let t = tile();
         assert_eq!(t.id, 3);
-        assert_eq!(t.dvfs.current_index(), 1, "fastest operating point");
+        assert_eq!(
+            t.dvfs.current_point(),
+            OperatingPoint::nominal(),
+            "fastest operating point"
+        );
         assert_eq!(t.cache.effective_capacity_kb(), 128.0);
         assert_eq!(t.counters.read(CounterId::Instructions), 0);
-        assert!(t.probes.is_empty());
     }
 
     #[test]
     fn activity_updates_counters_and_sensors() {
         let mut t = tile();
-        t.record_activity(&activity(), 0.01);
+        t.record_activity(&activity());
         assert_eq!(t.counters.read(CounterId::Instructions), 1_000_000);
         assert_eq!(t.counters.read(CounterId::CacheHits), 290_000);
         assert_eq!(t.counters.read(CounterId::CacheMisses), 10_000);
         assert_eq!(t.counters.read(CounterId::EnergyNanojoules), 10_000_000);
         assert!(t.sensors.energy.read() > 0.0);
         assert!(t.sensors.temperature.read() > 45.0);
-    }
-
-    #[test]
-    fn probes_fire_on_recorded_activity() {
-        let mut t = tile();
-        let probe_index = t.add_probe(EventProbe::new(
-            CounterId::CacheMisses,
-            ComparatorOp::GreaterOrEqual,
-            15_000,
-            ProbeAction::Record,
-        ));
-        assert_eq!(probe_index, 0);
-        let outcomes = t.record_activity(&activity(), 0.01);
-        assert_eq!(outcomes, vec![ProbeOutcome::NoMatch]);
-        let outcomes = t.record_activity(&activity(), 0.02);
-        assert_eq!(outcomes, vec![ProbeOutcome::Recorded]);
-        assert_eq!(t.probes[0].queue_len(), 1);
     }
 
     #[test]
@@ -201,7 +167,7 @@ mod tests {
             memory_ops: 5.0,
             ..TileActivity::default()
         };
-        t.record_activity(&bad, 0.0);
+        t.record_activity(&bad);
         assert_eq!(t.counters.read(CounterId::Instructions), 0);
         assert_eq!(t.counters.read(CounterId::CacheHits), 0);
     }

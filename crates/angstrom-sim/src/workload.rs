@@ -46,24 +46,6 @@ impl WorkloadDemand {
     pub fn builder() -> WorkloadDemandBuilder {
         WorkloadDemandBuilder::default()
     }
-
-    /// Splits the quantum into a smaller quantum containing `fraction` of the
-    /// instructions and work units, keeping all per-instruction rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `(0.0, 1.0]`.
-    pub fn scaled(&self, fraction: f64) -> WorkloadDemand {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1], got {fraction}"
-        );
-        WorkloadDemand {
-            instructions: self.instructions * fraction,
-            work_units: self.work_units * fraction,
-            ..self.clone()
-        }
-    }
 }
 
 /// Builder for [`WorkloadDemand`].
@@ -196,24 +178,5 @@ mod tests {
         assert!(d.instructions > 0.0);
         assert!(d.parallel_fraction > 0.0 && d.parallel_fraction <= 1.0);
         assert!(d.working_set_bytes > 0.0);
-    }
-
-    #[test]
-    fn scaled_preserves_rates() {
-        let d = WorkloadDemand::builder()
-            .instructions(100.0)
-            .work_units(10.0)
-            .build();
-        let half = d.scaled(0.5);
-        assert_eq!(half.instructions, 50.0);
-        assert_eq!(half.work_units, 5.0);
-        assert_eq!(half.parallel_fraction, d.parallel_fraction);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn scaled_rejects_zero_fraction() {
-        let d = WorkloadDemand::builder().build();
-        let _ = d.scaled(0.0);
     }
 }

@@ -856,10 +856,9 @@ impl HotRow {
 /// `tests/lifecycle_props.rs`).
 ///
 /// Sharding only engages once the round's participant list reaches the
-/// shard threshold ([`Coordinator::with_shard_threshold`], default
-/// [`Coordinator::DEFAULT_SHARD_THRESHOLD`] slots); below it, the fan-out
-/// hand-off costs more than the per-app work it spreads out, so the step
-/// runs inline. The threshold is purely a performance knob —
+/// shard threshold ([`Coordinator::with_shard_threshold`], default 64
+/// slots); below it, the fan-out hand-off costs more than the per-app work
+/// it spreads out, so the step runs inline. The threshold is purely a performance knob —
 /// output is bit-identical on either side of it.
 ///
 /// # Application lifecycle
@@ -1032,11 +1031,6 @@ impl Coordinator {
         self.observer = recorder;
     }
 
-    /// The attached telemetry recorder, if any.
-    pub fn obs(&self) -> Option<&Arc<Recorder>> {
-        self.observer.as_ref()
-    }
-
     /// [`record`] on this coordinator's recorder at its current quantum.
     fn record(&self, counter: Option<Counter>, kind: impl FnOnce() -> EventKind) {
         record(self.observer.as_deref(), self.quantum, counter, kind);
@@ -1046,7 +1040,7 @@ impl Coordinator {
     /// with fewer than 64 participants step inline even when a pool is
     /// attached, because at that size the fan-out hand-off outgrows the
     /// per-app decide work it spreads out.
-    pub const DEFAULT_SHARD_THRESHOLD: usize = 64;
+    const DEFAULT_SHARD_THRESHOLD: usize = 64;
 
     /// The fraction of the budget actually handed out. The margin absorbs
     /// model error: envelopes are enforced against each app's *believed*
@@ -1068,9 +1062,8 @@ impl Coordinator {
     }
 
     /// Sets the participant count from which the per-application stages use
-    /// the worker pool (default [`Self::DEFAULT_SHARD_THRESHOLD`]; 0 =
-    /// always). Purely a performance knob: output is bit-identical on
-    /// either side.
+    /// the worker pool (default 64; 0 = always). Purely a performance knob:
+    /// output is bit-identical on either side.
     pub fn with_shard_threshold(mut self, threshold: usize) -> Self {
         self.shard_threshold = threshold;
         self

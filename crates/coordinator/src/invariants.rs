@@ -22,7 +22,7 @@
 //! report, or a CI gate. Violations serialise as JSON (via the vendored
 //! serde) for machine-readable incident reports.
 //!
-//! Tolerances are **relative** (`limit * (1 +` [`REL_TOL`]`)`), never
+//! Tolerances are **relative** (`limit * (1 + REL_TOL)`), never
 //! looser than the absolute slacks the original property suites used, so
 //! extracting the checks here did not weaken any pinned property.
 
@@ -30,11 +30,11 @@ use serde::{Deserialize, Serialize};
 
 /// Relative tolerance for floating-point sum comparisons: a total
 /// "conserves" a limit when it is at most `limit * (1.0 + REL_TOL)`.
-pub const REL_TOL: f64 = 1e-9;
+const REL_TOL: f64 = 1e-9;
 
 /// Absolute tolerance for per-award ceiling comparisons (matches the
 /// arbitration property suite's historical `+ 1e-9` slack).
-pub const CEILING_TOL: f64 = 1e-9;
+const CEILING_TOL: f64 = 1e-9;
 
 /// One violated invariant, with enough context to report and triage.
 ///
@@ -158,22 +158,6 @@ pub struct AwardedApp {
 }
 
 impl AwardedApp {
-    /// An active app with no declared ceiling.
-    pub fn active() -> Self {
-        AwardedApp {
-            active: true,
-            ceiling: None,
-        }
-    }
-
-    /// An absent app (must be awarded exactly 0 W).
-    pub fn absent() -> Self {
-        AwardedApp {
-            active: false,
-            ceiling: None,
-        }
-    }
-
     /// Adds a declared absorption ceiling, in watts.
     pub fn with_ceiling(mut self, ceiling: f64) -> Self {
         self.ceiling = Some(ceiling);
@@ -183,7 +167,7 @@ impl AwardedApp {
 
 /// Checks the per-award invariants of one arbitration step: every award is
 /// finite and non-negative, absent apps are awarded exactly 0 W, and no
-/// award exceeds its app's declared ceiling (plus [`CEILING_TOL`]).
+/// award exceeds its app's declared ceiling (plus an absolute `1e-9` W).
 ///
 /// `apps` pairs positionally with `awards`; when the vectors disagree in
 /// length only the common prefix is judged (the caller's length mismatch
@@ -226,8 +210,8 @@ pub fn active_total(awards: &[f64], apps: &[AwardedApp]) -> f64 {
         .sum()
 }
 
-/// Checks that a summed award total conserves its budget to within
-/// [`REL_TOL`]. `limit` is whatever the caller's contract says the sum
+/// Checks that a summed award total conserves its budget to within a
+/// relative `1e-9`. `limit` is whatever the caller's contract says the sum
 /// must respect — the raw budget for policy-level awards, the headroomed
 /// budget (`budget * 0.95`) for coordinator-level awards, a rack's awarded
 /// envelope for its fleet.
@@ -240,7 +224,7 @@ pub fn check_budget_conservation(total: f64, limit: f64) -> Option<InvariantViol
 }
 
 /// Checks that a step summary's reported award total matches the total
-/// recomputed from the award vector, to within [`REL_TOL`] relative (with
+/// recomputed from the award vector, to within a relative `1e-9` (with
 /// a 1 W reference floor so zero-award steps compare absolutely).
 pub fn check_summary_total(reported: f64, recomputed: f64) -> Option<InvariantViolation> {
     if (reported - recomputed).abs() > REL_TOL * recomputed.abs().max(1.0) {
@@ -380,18 +364,8 @@ impl OscillationTracker {
         self.last = Some(award);
     }
 
-    /// Direction flips observed so far.
-    pub fn flips(&self) -> usize {
-        self.flips
-    }
-
-    /// Award transitions observed so far (observations minus one).
-    pub fn transitions(&self) -> usize {
-        self.transitions
-    }
-
     /// Flips per observed transition, in `[0, 1]` (0 before two samples).
-    pub fn flip_rate(&self) -> f64 {
+    fn flip_rate(&self) -> f64 {
         if self.transitions > 0 {
             self.flips as f64 / self.transitions as f64
         } else {
@@ -417,14 +391,18 @@ impl OscillationTracker {
 mod tests {
     use super::*;
 
+    const ACTIVE: AwardedApp = AwardedApp {
+        active: true,
+        ceiling: None,
+    };
+    const ABSENT: AwardedApp = AwardedApp {
+        active: false,
+        ceiling: None,
+    };
+
     #[test]
     fn award_vector_flags_each_pathology_once() {
-        let apps = [
-            AwardedApp::active(),
-            AwardedApp::absent(),
-            AwardedApp::active().with_ceiling(5.0),
-            AwardedApp::active(),
-        ];
+        let apps = [ACTIVE, ABSENT, ACTIVE.with_ceiling(5.0), ACTIVE];
         let awards = [f64::NAN, 1.0, 5.5, -2.0];
         let violations = check_award_vector(&awards, &apps);
         let classes: Vec<&str> = violations.iter().map(InvariantViolation::class).collect();
@@ -441,10 +419,7 @@ mod tests {
 
     #[test]
     fn clean_award_vector_passes() {
-        let apps = [
-            AwardedApp::active().with_ceiling(10.0),
-            AwardedApp::absent(),
-        ];
+        let apps = [ACTIVE.with_ceiling(10.0), ABSENT];
         assert!(check_award_vector(&[10.0, 0.0], &apps).is_empty());
         assert_eq!(active_total(&[10.0, 0.0], &apps), 10.0);
     }
@@ -509,8 +484,8 @@ mod tests {
         for award in [10.0, 20.0, 10.0, 20.0, 10.0] {
             tracker.observe(award);
         }
-        assert_eq!(tracker.flips(), 3);
-        assert_eq!(tracker.transitions(), 4);
+        assert_eq!(tracker.flips, 3);
+        assert_eq!(tracker.transitions, 4);
         assert!(tracker.check("app", 0.5).is_some());
 
         // Sub-threshold dither around a settled award is not oscillation.
@@ -518,7 +493,7 @@ mod tests {
         for award in [10.0, 10.5, 9.8, 10.2, 9.9] {
             settled.observe(award);
         }
-        assert_eq!(settled.flips(), 0);
+        assert_eq!(settled.flips, 0);
         assert!(settled.check("app", 0.0).is_none());
 
         // A monotone ramp never flips even though every move is material.
@@ -526,7 +501,7 @@ mod tests {
         for award in [0.0, 5.0, 10.0, 15.0] {
             ramp.observe(award);
         }
-        assert_eq!(ramp.flips(), 0);
+        assert_eq!(ramp.flips, 0);
     }
 
     #[test]

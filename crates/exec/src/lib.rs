@@ -242,7 +242,7 @@ impl ExecPool {
 
     /// The host's available parallelism (1 when it cannot be queried) —
     /// the natural size for a process-wide pool.
-    pub fn default_threads() -> usize {
+    fn default_threads() -> usize {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
 
@@ -456,10 +456,11 @@ impl<T> SlotPtr<T> {
 unsafe impl<T: Send> Send for SlotPtr<T> {}
 unsafe impl<T: Send> Sync for SlotPtr<T> {}
 
-/// The process-wide shared pool, sized to [`ExecPool::default_threads`] on
-/// first use and reused for every subsequent batch — the "sized once,
-/// reused across every quantum" pool the experiment harness fans its
-/// figure cells out on (via [`ExecPool::map_indexed`]).
+/// The process-wide shared pool, sized to the host's available parallelism
+/// (1 when it cannot be queried) on first use and reused for every
+/// subsequent batch — the "sized once, reused across every quantum" pool the
+/// experiment harness fans its figure cells out on (via
+/// [`ExecPool::map_indexed`]).
 pub fn global_pool() -> &'static ExecPool {
     global_pool_arc()
 }

@@ -107,11 +107,6 @@ impl Ablations {
         }
     }
 
-    /// Rows belonging to one study.
-    pub fn study(&self, name: &str) -> Vec<&AblationRow> {
-        self.rows.iter().filter(|r| r.study == name).collect()
-    }
-
     /// Renders the ablations as an aligned text table.
     pub fn to_table(&self) -> String {
         let mut out = String::from(
@@ -166,10 +161,15 @@ fn run_variant<F: FnOnce(&mut ChipConfiguration)>(
 mod tests {
     use super::*;
 
+    /// Rows belonging to one study.
+    fn study<'a>(ablations: &'a Ablations, name: &str) -> Vec<&'a AblationRow> {
+        ablations.rows.iter().filter(|r| r.study == name).collect()
+    }
+
     #[test]
     fn adaptive_network_features_help_a_communication_heavy_workload() {
         let ablations = Ablations::compute();
-        let noc = ablations.study("noc-features");
+        let noc = study(&ablations, "noc-features");
         assert_eq!(noc.len(), 2);
         let adaptive = noc.iter().find(|r| r.variant.contains("EVC")).unwrap();
         let baseline = noc.iter().find(|r| r.variant.contains("baseline")).unwrap();
@@ -184,8 +184,7 @@ mod tests {
             SplashBenchmark::WaterSpatial,
             SplashBenchmark::OceanNonContiguous,
         ] {
-            let rows: Vec<_> = ablations
-                .study("coherence")
+            let rows: Vec<_> = study(&ablations, "coherence")
                 .into_iter()
                 .filter(|r| r.benchmark == benchmark)
                 .cloned()

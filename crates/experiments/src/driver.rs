@@ -183,15 +183,6 @@ impl OutcomeAccumulator {
 }
 
 impl XeonRunOutcome {
-    /// Accumulates a sequence of per-quantum reports.
-    pub fn from_reports<'a, I: IntoIterator<Item = &'a ServerReport>>(reports: I) -> Self {
-        let mut acc = OutcomeAccumulator::default();
-        for r in reports {
-            acc.push_report(r);
-        }
-        acc.finish()
-    }
-
     /// The paper's performance-per-watt metric on this platform:
     /// `min(achieved, target) / (power − idle)`.
     pub fn performance_per_watt(&self, target_heart_rate: f64) -> f64 {
@@ -208,11 +199,11 @@ pub fn run_fixed_on_xeon(
     quanta: &[QuantumDemand],
     configuration: &ServerConfiguration,
 ) -> XeonRunOutcome {
-    let reports: Vec<ServerReport> = quanta
-        .iter()
-        .map(|q| server.evaluate(&to_server_demand(q), configuration))
-        .collect();
-    XeonRunOutcome::from_reports(reports.iter())
+    let mut acc = OutcomeAccumulator::default();
+    for q in quanta {
+        acc.push_report(&server.evaluate(&to_server_demand(q), configuration));
+    }
+    acc.finish()
 }
 
 /// Every configuration the paper's x86 experiment adapts over: cores 1–8,
@@ -328,11 +319,6 @@ impl XeonEvalTable {
         }
     }
 
-    /// The configuration grid, in [`xeon_configuration_grid`] order.
-    pub fn grid(&self) -> &[ServerConfiguration] {
-        &self.grid
-    }
-
     /// Number of quanta covered.
     pub fn quanta_len(&self) -> usize {
         self.quanta_len
@@ -385,7 +371,7 @@ impl XeonEvalTable {
 
     /// The aggregate outcome of running every quantum under one fixed grid
     /// configuration — [`run_fixed_on_xeon`] as a lookup.
-    pub fn fixed_outcome(&self, config: usize) -> XeonRunOutcome {
+    fn fixed_outcome(&self, config: usize) -> XeonRunOutcome {
         let mut acc = OutcomeAccumulator::default();
         for q in 0..self.quanta_len {
             let cell = &self.cells[q * self.grid.len() + config];
@@ -567,22 +553,21 @@ mod tests {
         configurations: &[ServerConfiguration],
         target_heart_rate: f64,
     ) -> XeonRunOutcome {
-        let reports: Vec<ServerReport> = quanta
-            .iter()
-            .map(|q| {
-                let demand = to_server_demand(q);
-                configurations
-                    .iter()
-                    .map(|cfg| server.evaluate(&demand, cfg))
-                    .max_by(|a, b| {
-                        quantum_efficiency(a, target_heart_rate)
-                            .partial_cmp(&quantum_efficiency(b, target_heart_rate))
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("at least one configuration")
-            })
-            .collect();
-        XeonRunOutcome::from_reports(reports.iter())
+        let mut acc = OutcomeAccumulator::default();
+        for q in quanta {
+            let demand = to_server_demand(q);
+            let best = configurations
+                .iter()
+                .map(|cfg| server.evaluate(&demand, cfg))
+                .max_by(|a, b| {
+                    quantum_efficiency(a, target_heart_rate)
+                        .partial_cmp(&quantum_efficiency(b, target_heart_rate))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .expect("at least one configuration");
+            acc.push_report(&best);
+        }
+        acc.finish()
     }
 
     /// Capped heart rate per watt beyond idle of one report.
@@ -604,7 +589,7 @@ mod tests {
             let table = XeonEvalTable::build(&server, &quanta);
             for (q, quantum) in quanta.iter().enumerate() {
                 let demand = to_server_demand(quantum);
-                for (c, cfg) in table.grid().iter().enumerate() {
+                for (c, cfg) in table.grid.iter().enumerate() {
                     let direct = server.evaluate(&demand, cfg);
                     let memoized = table.report(q, c);
                     let fields = |r: &ServerReport| {
@@ -689,7 +674,7 @@ mod tests {
         let quanta = Workload::new(SplashBenchmark::Raytrace, 5).quanta(12);
         let table = XeonEvalTable::build(&server, &quanta);
         let grid = xeon_configuration_grid(&server);
-        assert_eq!(table.grid(), &grid[..]);
+        assert_eq!(table.grid, grid);
         assert_eq!(table.quanta_len(), quanta.len());
         for (ci, cfg) in grid.iter().enumerate() {
             assert_eq!(table.config_index(cfg), Some(ci));

@@ -26,7 +26,7 @@ pub const QUANTA_PER_RUN: usize = 120;
 
 /// Wall-clock overhead charged per SEEC decision on this platform, in
 /// seconds (decisions share the main cores with the application).
-pub const DECISION_OVERHEAD_SECONDS: f64 = 1.0e-3;
+const DECISION_OVERHEAD_SECONDS: f64 = 1.0e-3;
 
 /// The integral gain the convex-model (goal-respecting) protocol uses for
 /// SEEC's PI controller. With anchored estimation the feed-forward term is
@@ -161,7 +161,7 @@ impl Figure3 {
     /// [`Self::compute_on`] with explicit [`ConvexTuning`] knobs (the
     /// default tuning is bit-for-bit [`Self::compute_on`]). The knobs touch
     /// only the closed-loop SEEC and uncoordinated cells of the
-    /// goal-respecting protocol ([`run_closed_loop`]) — oracles and fixed
+    /// goal-respecting protocol (the closed loops) — oracles and fixed
     /// runs are untouched, and the linear historical pipeline ignores them.
     pub fn compute_on_tuned(
         server: &XeonServer,
@@ -300,7 +300,7 @@ impl Figure3 {
     }
 
     /// Geometric-mean ratio of SEEC to uncoordinated adaptation.
-    pub fn seec_vs_uncoordinated(&self) -> f64 {
+    fn seec_vs_uncoordinated(&self) -> f64 {
         geometric_mean(
             self.rows
                 .iter()
@@ -309,20 +309,12 @@ impl Figure3 {
     }
 
     /// Geometric-mean fraction of the dynamic oracle that SEEC achieves.
-    pub fn seec_fraction_of_dynamic_oracle(&self) -> f64 {
+    fn seec_fraction_of_dynamic_oracle(&self) -> f64 {
         geometric_mean(
             self.rows
                 .iter()
                 .map(|r| safe_ratio(r.seec, r.dynamic_oracle)),
         )
-    }
-
-    /// Per-benchmark SEEC / static-oracle multipliers (Figure 4 input).
-    pub fn per_benchmark_multipliers(&self) -> Vec<(SplashBenchmark, f64)> {
-        self.rows
-            .iter()
-            .map(|r| (r.benchmark, safe_ratio(r.seec, r.static_oracle)))
-            .collect()
     }
 
     /// Renders the figure as an aligned text table of normalised values.
@@ -532,7 +524,7 @@ pub fn map_configuration(server: &XeonServer, config: &Configuration) -> ServerC
 
 /// The closed-loop arm of Figure 3 a [`run_closed_loop`] plays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Adaptation {
+pub(crate) enum Adaptation {
     /// Coordinated SEEC: one runtime over the joint action space.
     Seec,
     /// Uncoordinated adaptation: one independent SEEC instance per
@@ -576,7 +568,7 @@ enum Controller {
 /// the quantum ([`HeartbeatedWorkload::advance_metered`]), anchored
 /// estimation and the [`CONVEX_PROTOCOL_KI`] integral, with `tuning`'s
 /// leak and belief aging.
-pub fn run_closed_loop(
+pub(crate) fn run_closed_loop(
     server: &XeonServer,
     benchmark: SplashBenchmark,
     table: &XeonEvalTable,
@@ -904,6 +896,5 @@ mod tests {
             "nothing beats the dynamic oracle"
         );
         assert!(fig.to_table().contains("barnes"));
-        assert_eq!(fig.per_benchmark_multipliers().len(), 5);
     }
 }

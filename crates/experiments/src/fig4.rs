@@ -121,7 +121,7 @@ impl Figure4 {
 
     /// Average improvement of the static oracle over no adaptation (the paper
     /// reports 72 %).
-    pub fn static_oracle_improvement(&self) -> f64 {
+    fn static_oracle_improvement(&self) -> f64 {
         mean(
             self.rows
                 .iter()
@@ -131,7 +131,7 @@ impl Figure4 {
 
     /// Average improvement of predicted SEEC over no adaptation — the
     /// headline ">100 % performance per watt" claim of the abstract.
-    pub fn headline_improvement(&self) -> f64 {
+    fn headline_improvement(&self) -> f64 {
         mean(
             self.rows
                 .iter()

@@ -59,13 +59,14 @@ pub use fig5::{
 ///
 /// Returns the serialisation or I/O error, e.g. when `path` names a
 /// directory.
-pub fn write_json<T: serde::Serialize + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
+fn write_json<T: serde::Serialize + ?Sized>(path: &str, value: &T) -> std::io::Result<()> {
     let json = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
     std::fs::write(path, json)
 }
 
-/// [`write_json`] for the binaries: reports where the data went, or reports
-/// the error and exits the process with status 1.
+/// Writes `value` to `path` as pretty-printed JSON for the binaries:
+/// reports where the data went, or reports the error and exits the process
+/// with status 1.
 pub fn write_json_or_exit<T: serde::Serialize + ?Sized>(path: &str, value: &T) {
     if let Err(err) = write_json(path, value) {
         eprintln!("could not write {path}: {err}");

@@ -46,11 +46,6 @@ pub fn pareto_frontier(points: &[EnergyPerformancePoint]) -> Vec<usize> {
     frontier
 }
 
-/// Whether the point at `index` lies on the Pareto frontier of `points`.
-pub fn is_pareto_optimal(points: &[EnergyPerformancePoint], index: usize) -> bool {
-    pareto_frontier(points).contains(&index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +80,6 @@ mod tests {
         ];
         let frontier = pareto_frontier(&points);
         assert_eq!(frontier, vec![0, 1, 3]);
-        assert!(is_pareto_optimal(&points, 0));
-        assert!(!is_pareto_optimal(&points, 2));
     }
 
     #[test]

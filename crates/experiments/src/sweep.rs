@@ -42,16 +42,6 @@ impl SweepPoint {
         }
         self.heart_rate.min(target_heart_rate) / self.average_power_watts
     }
-
-    /// Uncapped energy efficiency (work per joule); used by Figure 2 where no
-    /// target is involved.
-    pub fn efficiency(&self) -> f64 {
-        if self.energy_joules > 0.0 {
-            self.heart_rate * self.seconds / self.energy_joules
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Runs `benchmark` (as a single whole-run quantum) in every configuration
@@ -100,19 +90,19 @@ pub fn max_heart_rate(points: &[SweepPoint]) -> f64 {
     points.iter().map(|p| p.heart_rate).fold(0.0, f64::max)
 }
 
-/// The sweep point with the best capped performance per watt.
-pub fn best_point(points: &[SweepPoint], target_heart_rate: f64) -> Option<&SweepPoint> {
-    points.iter().max_by(|a, b| {
-        a.performance_per_watt(target_heart_rate)
-            .partial_cmp(&b.performance_per_watt(target_heart_rate))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use angstrom_sim::config::ChipConfig;
+
+    /// The sweep point with the best capped performance per watt.
+    fn best_point(points: &[SweepPoint], target_heart_rate: f64) -> Option<&SweepPoint> {
+        points.iter().max_by(|a, b| {
+            a.performance_per_watt(target_heart_rate)
+                .partial_cmp(&b.performance_per_watt(target_heart_rate))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    }
 
     #[test]
     fn sweep_covers_the_full_configuration_space() {
@@ -191,7 +181,6 @@ mod tests {
             energy_joules: 20.0,
             average_power_watts: 10.0,
         };
-        assert!((point.efficiency() - 5.0).abs() < 1e-12);
         assert!((point.performance_per_watt(25.0) - 2.5).abs() < 1e-12);
         assert!((point.performance_per_watt(100.0) - 5.0).abs() < 1e-12);
     }

@@ -147,22 +147,6 @@ pub enum PowerGoal {
 }
 
 impl PowerGoal {
-    /// Convenience constructor for an average-power goal.
-    pub fn average_power(max_watts: f64, min_heart_rate: f64) -> Self {
-        PowerGoal::AveragePower {
-            max_watts,
-            min_heart_rate,
-        }
-    }
-
-    /// Convenience constructor for a tagged-energy goal.
-    pub fn tagged_energy(tag: impl Into<Tag>, max_joules: f64) -> Self {
-        PowerGoal::TaggedEnergy {
-            tag: tag.into(),
-            max_joules,
-        }
-    }
-
     fn validate(&self) -> Result<(), HeartbeatError> {
         let budget = match self {
             PowerGoal::AveragePower { max_watts, .. } => *max_watts,
@@ -260,12 +244,18 @@ mod tests {
 
     #[test]
     fn power_goal_validates_budget() {
-        assert!(Goal::Power(PowerGoal::average_power(90.0, 10.0))
-            .validate()
-            .is_ok());
-        assert!(Goal::Power(PowerGoal::tagged_energy("iter", 0.0))
-            .validate()
-            .is_err());
+        assert!(Goal::Power(PowerGoal::AveragePower {
+            max_watts: 90.0,
+            min_heart_rate: 10.0,
+        })
+        .validate()
+        .is_ok());
+        assert!(Goal::Power(PowerGoal::TaggedEnergy {
+            tag: "iter".into(),
+            max_joules: 0.0
+        })
+        .validate()
+        .is_err());
     }
 
     #[test]
@@ -282,7 +272,11 @@ mod tests {
             GoalKind::Accuracy
         );
         assert_eq!(
-            Goal::Power(PowerGoal::average_power(1.0, 1.0)).kind(),
+            Goal::Power(PowerGoal::AveragePower {
+                max_watts: 1.0,
+                min_heart_rate: 1.0,
+            })
+            .kind(),
             GoalKind::Power
         );
     }

@@ -31,7 +31,7 @@
 //!
 //! let rate = monitor.window_heart_rate();
 //! assert!(rate > 0.0);
-//! assert!(monitor.goal().is_some());
+//! assert_eq!(monitor.target_heart_rate(), Some(30.0));
 //! ```
 
 #![deny(missing_docs)]

@@ -81,12 +81,6 @@ impl HeartbeatRecord {
         self.distortion = Some(distortion);
         self
     }
-
-    /// Attaches a work amount to this record.
-    pub fn with_work(mut self, work: f64) -> Self {
-        self.work = Some(work);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -106,13 +100,11 @@ mod tests {
     fn record_builder_attaches_fields() {
         let rec = HeartbeatRecord::new(7, 1.25)
             .with_tag("checkpoint")
-            .with_distortion(0.05)
-            .with_work(128.0);
+            .with_distortion(0.05);
         assert_eq!(rec.seq, 7);
         assert_eq!(rec.timestamp, 1.25);
         assert_eq!(rec.tag, Some(Tag::new("checkpoint")));
         assert_eq!(rec.distortion, Some(0.05));
-        assert_eq!(rec.work, Some(128.0));
     }
 
     #[test]

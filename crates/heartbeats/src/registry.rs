@@ -10,7 +10,7 @@ use crate::record::{BeatSeq, Tag};
 use crate::window::{HeartRateStats, Window};
 
 /// Default number of beats retained in the observation window.
-pub const DEFAULT_WINDOW: usize = 64;
+const DEFAULT_WINDOW: usize = 64;
 
 /// Aggregate statistics about a registry, useful for logging and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -199,7 +199,7 @@ impl HeartbeatIssuer {
     /// Returns [`HeartbeatError::NonFiniteTime`] when `now` is NaN or
     /// infinite, and [`HeartbeatError::NonMonotonicTime`] when `now`
     /// precedes the previous beat.
-    pub fn try_heartbeat(&self, now: f64) -> Result<BeatSeq, HeartbeatError> {
+    fn try_heartbeat(&self, now: f64) -> Result<BeatSeq, HeartbeatError> {
         self.inner.write().beat(now, None, None)
     }
 
@@ -209,7 +209,7 @@ impl HeartbeatIssuer {
     /// beats emitted.
     ///
     /// This is the ingestion path of a whole quantum: it leaves the
-    /// registry exactly as calling [`Self::try_heartbeat`] and then
+    /// registry exactly as calling [`Self::heartbeat`] and then
     /// [`HeartbeatMonitor::record_power_sample`] once per beat would.
     ///
     /// A batch longer than the power-sample ring (never shorter than the
@@ -222,9 +222,10 @@ impl HeartbeatIssuer {
     ///
     /// # Errors
     ///
-    /// Stops at the first timestamp read that [`Self::try_heartbeat`]
-    /// would reject and returns its error. The beats before it (and their
-    /// power samples) stay recorded, as they would one call at a time.
+    /// Stops at the first timestamp read that a single beat would reject
+    /// (non-finite, or earlier than the previous beat) and returns its
+    /// error. The beats before it (and their power samples) stay recorded,
+    /// as they would one call at a time.
     pub fn heartbeats<I>(
         &self,
         timestamps: I,
@@ -278,7 +279,9 @@ impl HeartbeatIssuer {
     ///
     /// # Errors
     ///
-    /// As [`Self::try_heartbeat`].
+    /// Returns [`HeartbeatError::NonFiniteTime`] when `now` is NaN or
+    /// infinite, and [`HeartbeatError::NonMonotonicTime`] when `now`
+    /// precedes the previous beat.
     pub fn tagged_heartbeat(
         &self,
         now: f64,
@@ -291,7 +294,9 @@ impl HeartbeatIssuer {
     ///
     /// # Errors
     ///
-    /// As [`Self::try_heartbeat`].
+    /// Returns [`HeartbeatError::NonFiniteTime`] when `now` is NaN or
+    /// infinite, and [`HeartbeatError::NonMonotonicTime`] when `now`
+    /// precedes the previous beat.
     pub fn heartbeat_with_distortion(
         &self,
         now: f64,
@@ -304,8 +309,8 @@ impl HeartbeatIssuer {
     ///
     /// # Panics
     ///
-    /// Panics if the goal parameters are invalid; use [`Self::try_set_goal`]
-    /// to handle invalid goals gracefully.
+    /// Panics if the goal parameters are invalid (non-positive targets,
+    /// empty windows, ...).
     pub fn set_goal(&self, goal: Goal) {
         self.try_set_goal(goal).expect("goal must be valid");
     }
@@ -316,7 +321,7 @@ impl HeartbeatIssuer {
     ///
     /// Returns [`HeartbeatError::InvalidGoal`] if the goal parameters are
     /// invalid (non-positive targets, empty windows, ...).
-    pub fn try_set_goal(&self, goal: Goal) -> Result<(), HeartbeatError> {
+    fn try_set_goal(&self, goal: Goal) -> Result<(), HeartbeatError> {
         goal.validate()?;
         let mut inner = self.inner.write();
         let kind = goal.kind();
@@ -401,18 +406,6 @@ impl HeartbeatMonitor {
         }
     }
 
-    /// Calls `f` with the application's registered goals, without cloning
-    /// them. Prefer this over [`Self::goals`] anywhere called repeatedly.
-    pub fn with_goals<R>(&self, f: impl FnOnce(&[Goal]) -> R) -> R {
-        f(&self.inner.read().goals)
-    }
-
-    /// All goals currently registered by the application, cloned. For
-    /// clone-free access use [`Self::with_goals`].
-    pub fn goals(&self) -> Vec<Goal> {
-        self.inner.read().goals.clone()
-    }
-
     /// The goal of a particular kind, if registered.
     pub fn goal_of_kind(&self, kind: GoalKind) -> Option<Goal> {
         self.inner
@@ -421,11 +414,6 @@ impl HeartbeatMonitor {
             .iter()
             .find(|g| g.kind() == kind)
             .cloned()
-    }
-
-    /// The first registered goal, if any (convenience for single-goal apps).
-    pub fn goal(&self) -> Option<Goal> {
-        self.inner.read().goals.first().cloned()
     }
 
     /// Target heart rate implied by the performance goal, if one is set.
@@ -461,13 +449,6 @@ impl HeartbeatMonitor {
     /// Mean of the retained power samples, in watts.
     pub fn mean_power(&self) -> Option<f64> {
         self.inner.read().mean_power()
-    }
-
-    /// Whether the performance goal (if any) is currently met by the window
-    /// heart rate. Returns `None` when no performance goal is registered or
-    /// too few beats have been observed.
-    pub fn performance_goal_met(&self) -> Option<bool> {
-        self.observation().performance_goal_met
     }
 }
 
@@ -599,10 +580,10 @@ mod tests {
         let monitor = registry.monitor();
         issuer.set_goal(Goal::Performance(PerformanceGoal::heart_rate(10.0)));
         issuer.set_goal(Goal::Performance(PerformanceGoal::heart_rate(30.0)));
-        issuer.set_goal(Goal::Power(PowerGoal::average_power(100.0, 30.0)));
-        let goals = monitor.goals();
-        assert_eq!(goals.len(), 2);
-        assert_eq!(monitor.with_goals(<[Goal]>::len), 2);
+        issuer.set_goal(Goal::Power(PowerGoal::AveragePower {
+            max_watts: 100.0,
+            min_heart_rate: 30.0,
+        }));
         assert_eq!(monitor.target_heart_rate(), Some(30.0));
         assert!(monitor.goal_of_kind(GoalKind::Power).is_some());
         assert!(monitor.goal_of_kind(GoalKind::Accuracy).is_none());
@@ -615,7 +596,10 @@ mod tests {
         assert!(issuer
             .try_set_goal(Goal::Performance(PerformanceGoal::heart_rate(-3.0)))
             .is_err());
-        assert!(registry.monitor().goals().is_empty());
+        assert!(registry
+            .monitor()
+            .goal_of_kind(GoalKind::Performance)
+            .is_none());
     }
 
     #[test]
@@ -626,7 +610,9 @@ mod tests {
         issuer.set_goal(Goal::Accuracy(AccuracyGoal::new(0.1, 8)));
         assert!(issuer.clear_goal(GoalKind::Performance).is_some());
         assert!(issuer.clear_goal(GoalKind::Performance).is_none());
-        assert_eq!(registry.monitor().goals().len(), 1);
+        let monitor = registry.monitor();
+        assert!(monitor.goal_of_kind(GoalKind::Performance).is_none());
+        assert!(monitor.goal_of_kind(GoalKind::Accuracy).is_some());
     }
 
     #[test]
@@ -635,16 +621,16 @@ mod tests {
         let issuer = registry.issuer();
         let monitor = registry.monitor();
         issuer.set_goal(Goal::Performance(PerformanceGoal::heart_rate(10.0)));
-        assert_eq!(monitor.performance_goal_met(), None);
+        assert_eq!(monitor.observation().performance_goal_met, None);
         for i in 0..10 {
             issuer.heartbeat(i as f64 * 0.05); // 20 beats/s > 10 target
         }
-        assert_eq!(monitor.performance_goal_met(), Some(true));
+        assert_eq!(monitor.observation().performance_goal_met, Some(true));
         // Slow down drastically: subsequent beats 2 s apart.
         for i in 0..64 {
             issuer.heartbeat(0.5 + (i + 1) as f64 * 2.0);
         }
-        assert_eq!(monitor.performance_goal_met(), Some(false));
+        assert_eq!(monitor.observation().performance_goal_met, Some(false));
     }
 
     #[test]
@@ -662,7 +648,6 @@ mod tests {
         assert_eq!(obs.last_beat_timestamp, monitor.last_beat_timestamp());
         assert_eq!(obs.target_heart_rate, monitor.target_heart_rate());
         assert_eq!(obs.mean_power, monitor.mean_power());
-        assert_eq!(obs.performance_goal_met, monitor.performance_goal_met());
     }
 
     #[test]

@@ -136,11 +136,6 @@ impl Window {
         }
     }
 
-    /// Maximum number of beats the window retains.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of beats currently retained.
     pub fn len(&self) -> usize {
         self.times.len()

@@ -119,16 +119,6 @@ impl MemorySink {
     pub fn events(&self) -> Vec<Event> {
         self.events.lock().expect("event buffer lock").clone()
     }
-
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("event buffer lock").len()
-    }
-
-    /// Whether no event has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl Sink for MemorySink {
@@ -178,7 +168,7 @@ mod tests {
     #[test]
     fn memory_sink_keeps_arrival_order() {
         let sink = MemorySink::new();
-        assert!(sink.is_empty());
+        assert!(sink.events().is_empty());
         for quantum in 0..3 {
             sink.record(&Event {
                 quantum,
@@ -190,7 +180,6 @@ mod tests {
         let events = sink.events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[2].quantum, 2);
-        assert_eq!(sink.len(), 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub const BUCKETS: usize = 40;
 
 /// The fixed bucket index for a nanosecond value (see the module docs).
 #[inline]
-pub fn bucket_index(ns: u64) -> usize {
+fn bucket_index(ns: u64) -> usize {
     if ns == 0 {
         0
     } else {

@@ -322,11 +322,6 @@ impl Recorder {
         self.peak_fleet.fetch_max(active_apps, Ordering::Relaxed);
     }
 
-    /// The peak fleet size observed so far.
-    pub fn peak_fleet_size(&self) -> u64 {
-        self.peak_fleet.load(Ordering::Relaxed)
-    }
-
     /// Emits one event into the sink.
     #[inline]
     pub fn emit(&self, event: Event) {
@@ -371,7 +366,7 @@ mod tests {
         assert_eq!(recorder.counter(Counter::QuantaStepped), 1);
         assert_eq!(recorder.counter(Counter::AppsDecided), 5);
         assert_eq!(recorder.counter(Counter::AwardsChanged), 0);
-        assert_eq!(recorder.peak_fleet_size(), 10);
+        assert_eq!(recorder.snapshot().peak_fleet_size, 10);
         assert!(format!("{recorder:?}").contains("Recorder"));
     }
 

@@ -46,7 +46,7 @@ impl Corpus {
     /// Linear scan: corpora are tens-to-hundreds of entries and every
     /// candidate lookup is preceded by a full scenario execution, which
     /// dominates by orders of magnitude.
-    pub fn contains_signature(&self, key: &str) -> bool {
+    fn contains_signature(&self, key: &str) -> bool {
         self.entries
             .iter()
             .any(|entry| entry.signature.key() == key)
@@ -78,13 +78,13 @@ impl Corpus {
     }
 
     /// Reloads a corpus saved by [`Corpus::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
+    fn from_json(text: &str) -> Result<Self, serde_json::Error> {
         serde_json::from_str(text)
     }
 
     /// Reloads a corpus tolerantly: each entry is parsed independently, so
     /// one truncated or schema-drifted entry costs that entry rather than
-    /// silently voiding the whole file (which [`Self::from_json`] would).
+    /// silently voiding the whole file (which a strict load would).
     /// Returns the salvaged corpus plus `(loaded, rejected)` entry counts.
     ///
     /// # Errors

@@ -734,7 +734,7 @@ mod tests {
             (0..model.table().len() as u32).map(|i| (ConfigId(i), model.believed(ConfigId(i))))
         }
 
-        pub fn choose_exploit(model: &ActionModel, required: f64) -> ConfigId {
+        pub(super) fn choose_exploit(model: &ActionModel, required: f64) -> ConfigId {
             let mut best_meeting: Option<(ConfigId, f64)> = None;
             let mut best_overall: Option<(ConfigId, f64)> = None;
             for (id, belief) in ids(model) {
@@ -752,7 +752,7 @@ mod tests {
                 .map_or(model.table().nominal(), |(id, _)| id)
         }
 
-        pub fn bracket_below(model: &ActionModel, required: f64) -> (ConfigId, f64) {
+        pub(super) fn bracket_below(model: &ActionModel, required: f64) -> (ConfigId, f64) {
             let mut best: Option<(ConfigId, f64, f64)> = None;
             for (id, belief) in ids(model) {
                 if belief.speedup >= required {

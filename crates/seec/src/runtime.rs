@@ -79,12 +79,6 @@ impl SeecRuntimeBuilder {
         self
     }
 
-    /// Replaces the adaptive-layer estimator tuning.
-    pub fn estimator(mut self, estimator: KalmanEstimator) -> Self {
-        self.estimator = estimator;
-        self
-    }
-
     /// Sets the exploration (machine-learning layer) policy.
     pub fn exploration(mut self, policy: ExplorationPolicy) -> Self {
         self.policy = policy;
@@ -684,7 +678,8 @@ impl SeecRuntime {
     ///
     /// Propagates the first actuation failure; earlier actuators keep the
     /// settings already applied.
-    pub fn apply(&mut self, configuration: &Configuration) -> Result<(), SeecError> {
+    #[cfg(test)]
+    pub(crate) fn apply(&mut self, configuration: &Configuration) -> Result<(), SeecError> {
         for (position, actuator) in self.actuators.iter_mut().enumerate() {
             let setting = configuration
                 .setting(position)

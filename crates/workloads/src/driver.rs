@@ -11,7 +11,6 @@
 use heartbeats::{Goal, HeartbeatIssuer, HeartbeatMonitor, HeartbeatRegistry, PerformanceGoal};
 
 use crate::phases::Workload;
-use crate::profile::SplashBenchmark;
 
 /// A workload instrumented with the Application Heartbeats API.
 #[derive(Debug)]
@@ -50,16 +49,6 @@ impl HeartbeatedWorkload {
         }
     }
 
-    /// The benchmark being modelled.
-    pub fn benchmark(&self) -> SplashBenchmark {
-        self.workload.benchmark()
-    }
-
-    /// The underlying workload model.
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
     /// The shared heartbeat registry (attach monitors from here).
     pub fn registry(&self) -> &HeartbeatRegistry {
         &self.registry
@@ -86,11 +75,6 @@ impl HeartbeatedWorkload {
     /// Total heartbeats emitted so far.
     pub fn emitted_beats(&self) -> u64 {
         self.emitted_beats
-    }
-
-    /// Fraction of the whole run completed, in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        (self.completed_work / self.workload.profile().total_work_units).clamp(0.0, 1.0)
     }
 
     /// Whether every work unit of the run has been completed.
@@ -210,6 +194,7 @@ impl HeartbeatedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::SplashBenchmark;
     use heartbeats::GoalKind;
 
     fn instrumented() -> HeartbeatedWorkload {
@@ -315,15 +300,14 @@ mod tests {
     }
 
     #[test]
-    fn progress_and_finished_track_total_work() {
+    fn finished_tracks_total_work() {
         let mut app = instrumented();
-        let total = app.workload().profile().total_work_units;
-        assert_eq!(app.progress(), 0.0);
+        let total = SplashBenchmark::Barnes.profile().total_work_units;
         assert!(!app.is_finished());
         app.advance(1.0, total / 2.0);
-        assert!((app.progress() - 0.5).abs() < 1e-9);
+        assert!((app.completed_work() - total / 2.0).abs() < 1e-9);
+        assert!(!app.is_finished());
         app.advance(2.0, total);
-        assert_eq!(app.progress(), 1.0);
         assert!(app.is_finished());
     }
 

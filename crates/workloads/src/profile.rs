@@ -90,7 +90,7 @@ pub struct WorkloadProfile {
 
 impl WorkloadProfile {
     /// The calibrated profile of `benchmark`.
-    pub fn for_benchmark(benchmark: SplashBenchmark) -> Self {
+    fn for_benchmark(benchmark: SplashBenchmark) -> Self {
         let mib = 1024.0 * 1024.0;
         match benchmark {
             SplashBenchmark::Barnes => WorkloadProfile {
@@ -170,15 +170,6 @@ impl WorkloadProfile {
             },
         }
     }
-
-    /// Instructions per application work unit (per heartbeat).
-    pub fn instructions_per_work_unit(&self) -> f64 {
-        if self.total_work_units > 0.0 {
-            self.total_instructions / self.total_work_units
-        } else {
-            self.total_instructions
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +200,6 @@ mod tests {
             assert!(p.load_imbalance >= 1.0);
             assert!(p.base_cpi > 0.0);
             assert!(p.working_set_bytes > 0.0);
-            assert!(p.instructions_per_work_unit() > 0.0);
         }
     }
 

@@ -190,14 +190,6 @@ impl Deserialize for Scenario {
 }
 
 impl Scenario {
-    /// The largest number of apps simultaneously present at any quantum.
-    pub fn peak_concurrency(&self) -> usize {
-        (0..self.quanta)
-            .map(|q| self.apps.iter().filter(|a| a.active_at(q)).count())
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Number of racks the mix spans: one more than the highest rack tag
     /// (at least 1, so untagged mixes read as single-rack).
     pub fn rack_count(&self) -> usize {
@@ -872,6 +864,14 @@ pub fn chaos_mixes(seed: u64) -> Vec<Scenario> {
 mod tests {
     use super::*;
 
+    /// The largest number of apps simultaneously present at any quantum.
+    fn peak_concurrency(scenario: &Scenario) -> usize {
+        (0..scenario.quanta)
+            .map(|q| scenario.apps.iter().filter(|a| a.active_at(q)).count())
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn mixes_are_deterministic_for_a_seed() {
         assert_eq!(scenario_mixes(7), scenario_mixes(7));
@@ -892,7 +892,7 @@ mod tests {
                     assert!(departure > app.arrival && departure <= scenario.quanta);
                 }
             }
-            assert!(scenario.peak_concurrency() >= 2, "{}", scenario.name);
+            assert!(peak_concurrency(&scenario) >= 2, "{}", scenario.name);
             // The original single-machine mixes live entirely on rack 0.
             assert_eq!(scenario.rack_count(), 1, "{}", scenario.name);
         }

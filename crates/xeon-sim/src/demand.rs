@@ -29,23 +29,6 @@ impl ServerDemand {
     pub fn builder() -> ServerDemandBuilder {
         ServerDemandBuilder::default()
     }
-
-    /// A smaller quantum containing `fraction` of the instructions and work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not within `(0.0, 1.0]`.
-    pub fn scaled(&self, fraction: f64) -> ServerDemand {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction must be in (0, 1], got {fraction}"
-        );
-        ServerDemand {
-            instructions: self.instructions * fraction,
-            work_units: self.work_units * fraction,
-            ..self.clone()
-        }
-    }
 }
 
 /// Builder for [`ServerDemand`].
@@ -144,23 +127,5 @@ mod tests {
         assert_eq!(d.llc_miss_rate, 0.0);
         assert_eq!(d.load_imbalance, 1.0);
         assert!(d.base_cpi > 0.0);
-    }
-
-    #[test]
-    fn scaled_quantum_preserves_rates() {
-        let d = ServerDemand::builder()
-            .instructions(1000.0)
-            .work_units(4.0)
-            .build();
-        let quarter = d.scaled(0.25);
-        assert_eq!(quarter.instructions, 250.0);
-        assert_eq!(quarter.work_units, 1.0);
-        assert_eq!(quarter.base_cpi, d.base_cpi);
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn scaled_rejects_out_of_range() {
-        let _ = ServerDemand::builder().build().scaled(1.5);
     }
 }

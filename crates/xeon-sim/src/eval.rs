@@ -9,9 +9,10 @@
 //! prepare both sides once and pay only ~10 floating-point operations per
 //! cell.
 //!
-//! Bit-for-bit contract: [`XeonServer::evaluate_prepared`] performs exactly
-//! the same floating-point operations, in exactly the same association
-//! order, as [`XeonServer::evaluate`] — the precomputed values are the
+//! Bit-for-bit contract: [`XeonServer::evaluate_terms`], over terms folded
+//! at the configuration's miss penalty, performs exactly the same
+//! floating-point operations, in exactly the same association order, as
+//! [`XeonServer::evaluate`] — the precomputed values are the
 //! identical intermediates, just computed earlier. A property test below
 //! asserts bitwise equality over randomised demands and configurations; the
 //! figure pipeline relies on it for reproducibility.
@@ -38,11 +39,6 @@ pub struct PreparedConfig {
 }
 
 impl PreparedConfig {
-    /// Power above idle of the prepared configuration, in watts.
-    pub fn power_above_idle_watts(&self) -> f64 {
-        self.power_above_idle_watts
-    }
-
     /// DRAM stall penalty at this configuration's frequency, in cycles —
     /// the key for matching pre-folded [`DemandTerms`].
     pub fn miss_penalty_cycles(&self) -> f64 {
@@ -146,19 +142,6 @@ impl XeonServer {
         }
     }
 
-    /// Evaluates a prepared demand under a prepared configuration.
-    ///
-    /// Bit-identical to [`XeonServer::evaluate`] on the corresponding raw
-    /// demand and configuration, at a fraction of the cost.
-    #[inline]
-    pub fn evaluate_prepared(
-        &self,
-        demand: &PreparedDemand,
-        config: &PreparedConfig,
-    ) -> ServerReport {
-        self.evaluate_terms(&demand.at_miss_penalty(config.miss_penalty_cycles), config)
-    }
-
     /// Evaluates pre-folded demand terms under a prepared configuration —
     /// the innermost loop of grid sweeps: two divisions, an add, and the
     /// power products. The caller must have folded the terms at this
@@ -195,7 +178,9 @@ mod tests {
 
     fn assert_bit_identical(server: &XeonServer, demand: &ServerDemand, cfg: &ServerConfiguration) {
         let direct = server.evaluate(demand, cfg);
-        let prepared = server.evaluate_prepared(&PreparedDemand::new(demand), &server.prepare(cfg));
+        let config = server.prepare(cfg);
+        let terms = PreparedDemand::new(demand).at_miss_penalty(config.miss_penalty_cycles);
+        let prepared = server.evaluate_terms(&terms, &config);
         assert_eq!(direct.seconds.to_bits(), prepared.seconds.to_bits());
         assert_eq!(
             direct.instructions_per_second.to_bits(),
@@ -284,7 +269,8 @@ mod tests {
         let cvx_half = convex.evaluate(&demand, &half);
         assert!(cvx_half.power_above_idle_watts < lin_half.power_above_idle_watts * 0.95);
         assert!(
-            cvx_half.performance_per_watt_above_idle() > lin_half.performance_per_watt_above_idle()
+            cvx_half.instructions_per_second / cvx_half.power_above_idle_watts
+                > lin_half.instructions_per_second / lin_half.power_above_idle_watts
         );
     }
 }

@@ -13,11 +13,13 @@
 //!   the three actions SEEC uses in the paper: the number of cores assigned
 //!   to the application, the clock speed of those cores, and the fraction of
 //!   non-idle cycles the application receives,
-//! * [`PowerMeter`] — a WattsUp-style sampler that averages power over
-//!   one-second windows,
 //! * [`MachineMeter`] — machine-level power accounting across many
 //!   applications sharing the server, with cap-violation tracking (the
 //!   shared view a multi-application power arbiter is judged against).
+//!
+//! The WattsUp meter is not modelled as a sampler: each evaluation's
+//! [`ServerReport`] carries the average power over its quantum, and the
+//! experiments read power from there.
 //!
 //! ```
 //! use xeon_sim::{ServerConfiguration, ServerDemand, XeonServer};
@@ -36,13 +38,11 @@
 mod demand;
 mod eval;
 mod machine;
-mod meter;
 mod pstate;
 mod server;
 
 pub use demand::{ServerDemand, ServerDemandBuilder};
 pub use eval::{DemandTerms, PreparedConfig, PreparedDemand};
 pub use machine::MachineMeter;
-pub use meter::{PowerMeter, PowerSample};
 pub use pstate::PStateTable;
 pub use server::{ServerConfiguration, ServerReport, XeonServer};

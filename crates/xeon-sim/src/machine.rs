@@ -6,8 +6,8 @@
 //! experiment driver reports each application's power draw and the meter
 //! accumulates the machine total, tracking how much of the run violated the
 //! configured cap. The per-application samples still flow into each
-//! application's own [`heartbeats`-side](crate::PowerMeter) accounting; the
-//! machine meter is the shared view an arbitration layer is judged against.
+//! application's own heartbeat monitor; the machine meter is the shared view
+//! an arbitration layer is judged against.
 
 use serde::{Deserialize, Serialize};
 
@@ -19,11 +19,7 @@ pub struct MachineMeter {
     seconds: f64,
     energy_joules: f64,
     violation_seconds: f64,
-    /// Energy above the cap — how *deep* the violations ran, not just how
-    /// long.
-    excess_energy_joules: f64,
     peak_watts: f64,
-    intervals: u64,
     violation_intervals: u64,
 }
 
@@ -42,9 +38,7 @@ impl MachineMeter {
             seconds: 0.0,
             energy_joules: 0.0,
             violation_seconds: 0.0,
-            excess_energy_joules: 0.0,
             peak_watts: 0.0,
-            intervals: 0,
             violation_intervals: 0,
         }
     }
@@ -77,30 +71,15 @@ impl MachineMeter {
         self.seconds += seconds;
         self.energy_joules += total_watts * seconds;
         self.peak_watts = self.peak_watts.max(total_watts);
-        self.intervals += 1;
         if total_watts > self.cap_watts {
             self.violation_seconds += seconds;
-            self.excess_energy_joules += (total_watts - self.cap_watts) * seconds;
             self.violation_intervals += 1;
         }
-    }
-
-    /// Sums one interval's per-application draws and records the total.
-    /// Returns the machine total, so callers can log it without re-summing.
-    pub fn record_apps<I: IntoIterator<Item = f64>>(&mut self, seconds: f64, watts: I) -> f64 {
-        let total: f64 = watts.into_iter().sum();
-        self.record(seconds, total);
-        total
     }
 
     /// Total simulated time observed, in seconds.
     pub fn elapsed_seconds(&self) -> f64 {
         self.seconds
-    }
-
-    /// Number of recorded intervals.
-    pub fn intervals(&self) -> u64 {
-        self.intervals
     }
 
     /// Time-weighted mean machine power, in watts (0 before any interval).
@@ -117,11 +96,6 @@ impl MachineMeter {
         self.peak_watts
     }
 
-    /// Total machine energy observed, in joules.
-    pub fn energy_joules(&self) -> f64 {
-        self.energy_joules
-    }
-
     /// Fraction of observed *time* spent above the cap, in `[0, 1]`.
     pub fn violation_rate(&self) -> f64 {
         if self.seconds > 0.0 {
@@ -131,26 +105,10 @@ impl MachineMeter {
         }
     }
 
-    /// Number of recorded intervals above the cap — the numerator of
-    /// [`Self::violation_interval_rate`], exposed so telemetry can count
-    /// violations incrementally (before/after deltas around a record).
+    /// Number of recorded intervals above the cap, exposed so telemetry can
+    /// count violations incrementally (before/after deltas around a record).
     pub fn violation_intervals(&self) -> u64 {
         self.violation_intervals
-    }
-
-    /// Fraction of recorded *intervals* above the cap, in `[0, 1]`.
-    pub fn violation_interval_rate(&self) -> f64 {
-        if self.intervals > 0 {
-            self.violation_intervals as f64 / self.intervals as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Energy delivered above the cap, in joules — the depth of the
-    /// violations, which a duration-based rate cannot distinguish.
-    pub fn excess_energy_joules(&self) -> f64 {
-        self.excess_energy_joules
     }
 
     /// Whether any recorded interval exceeded the cap.
@@ -170,38 +128,22 @@ mod tests {
         meter.record(3.0, 80.0);
         assert_eq!(meter.cap_watts(), 100.0);
         assert_eq!(meter.elapsed_seconds(), 4.0);
-        assert_eq!(meter.intervals(), 2);
         assert!((meter.mean_watts() - (60.0 + 240.0) / 4.0).abs() < 1e-12);
         assert_eq!(meter.peak_watts(), 80.0);
         assert!(!meter.violated());
         assert_eq!(meter.violation_rate(), 0.0);
-        assert_eq!(meter.excess_energy_joules(), 0.0);
     }
 
     #[test]
-    fn violations_are_tracked_by_time_interval_and_depth() {
+    fn violations_are_tracked_by_time_and_interval() {
         let mut meter = MachineMeter::new(100.0);
         meter.record(1.0, 90.0); // under
         meter.record(1.0, 120.0); // over by 20 W for 1 s
         meter.record(2.0, 110.0); // over by 10 W for 2 s
         assert!(meter.violated());
         assert!((meter.violation_rate() - 3.0 / 4.0).abs() < 1e-12);
-        assert!((meter.violation_interval_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((meter.excess_energy_joules() - 40.0).abs() < 1e-12);
+        assert_eq!(meter.violation_intervals(), 2);
         assert_eq!(meter.peak_watts(), 120.0);
-    }
-
-    #[test]
-    fn per_app_draws_sum_into_the_machine_total() {
-        let mut meter = MachineMeter::new(50.0);
-        let total = meter.record_apps(2.0, [10.0, 15.0, 30.0]);
-        assert!((total - 55.0).abs() < 1e-12);
-        assert!(meter.violated());
-        assert!((meter.excess_energy_joules() - 10.0).abs() < 1e-12);
-        // An empty fleet draws nothing but the interval still counts.
-        let total = meter.record_apps(1.0, []);
-        assert_eq!(total, 0.0);
-        assert_eq!(meter.intervals(), 2);
     }
 
     #[test]
@@ -209,9 +151,8 @@ mod tests {
         let mut meter = MachineMeter::new(100.0);
         meter.record(0.0, 500.0);
         meter.record(-1.0, 500.0);
-        assert_eq!(meter.intervals(), 0);
         assert_eq!(meter.mean_watts(), 0.0);
-        assert_eq!(meter.violation_interval_rate(), 0.0);
+        assert_eq!(meter.violation_intervals(), 0);
         assert!(!meter.violated());
     }
 
@@ -223,7 +164,7 @@ mod tests {
         assert_eq!(meter.cap_watts(), 50.0);
         meter.record(1.0, 90.0); // over the new 50 W cap
         assert!((meter.violation_rate() - 0.5).abs() < 1e-12);
-        assert!((meter.excess_energy_joules() - 40.0).abs() < 1e-12);
+        assert_eq!(meter.violation_intervals(), 1);
     }
 
     #[test]

@@ -78,18 +78,6 @@ pub struct ServerReport {
     pub energy_joules: f64,
 }
 
-impl ServerReport {
-    /// Performance per watt as the paper computes it on this platform:
-    /// throughput divided by power *beyond idle*.
-    pub fn performance_per_watt_above_idle(&self) -> f64 {
-        if self.power_above_idle_watts > 0.0 {
-            self.instructions_per_second / self.power_above_idle_watts
-        } else {
-            0.0
-        }
-    }
-}
-
 /// Analytical model of the dual-socket Xeon E5530 server.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct XeonServer {
@@ -249,14 +237,6 @@ impl XeonServer {
             utilization.powf(self.utilization_power_exponent - 1.0)
         }
     }
-
-    /// The maximum achievable throughput for `demand` across every
-    /// configuration, in instructions per second. The paper's experiments
-    /// set each application's performance goal to half this value.
-    pub fn max_throughput(&self, demand: &ServerDemand) -> f64 {
-        let best = self.default_configuration();
-        self.evaluate(demand, &best).instructions_per_second
-    }
 }
 
 impl Default for XeonServer {
@@ -330,12 +310,6 @@ mod tests {
         let server = XeonServer::dell_r410();
         let report = server.evaluate(&demand(), &ServerConfiguration::new(6, 2, 0.8));
         assert!((report.energy_joules - report.total_power_watts * report.seconds).abs() < 1e-6);
-        assert!(
-            (report.performance_per_watt_above_idle()
-                - report.instructions_per_second / report.power_above_idle_watts)
-                .abs()
-                < 1e-9
-        );
     }
 
     #[test]
@@ -360,19 +334,6 @@ mod tests {
             .validate(&server)
             .is_ok());
         assert!(server.default_configuration().validate(&server).is_ok());
-    }
-
-    #[test]
-    fn max_throughput_uses_the_fastest_configuration() {
-        let server = XeonServer::dell_r410();
-        let d = demand();
-        let max = server.max_throughput(&d);
-        for cores in [1, 2, 4, 8] {
-            for pstate in [0, 3, 6] {
-                let r = server.evaluate(&d, &ServerConfiguration::new(cores, pstate, 1.0));
-                assert!(r.instructions_per_second <= max * (1.0 + 1e-9));
-            }
-        }
     }
 
     #[test]

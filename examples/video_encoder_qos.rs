@@ -102,7 +102,7 @@ mod actuation_helpers {
     /// One actuator per Angstrom adaptation: core allocation, cache capacity,
     /// and the voltage/frequency point, with naive declared effects that the
     /// SEEC model corrects online.
-    pub fn angstrom_actuators(config: &ChipConfig) -> Vec<Box<dyn Actuator>> {
+    pub(super) fn angstrom_actuators(config: &ChipConfig) -> Vec<Box<dyn Actuator>> {
         let mut cores =
             ActuatorSpec::builder("cores").scope(angstrom_seec::actuation::Scope::Global);
         let min_cores = config.core_allocation_options[0] as f64;
